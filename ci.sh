@@ -199,6 +199,14 @@ cmp "$recovery_dir/baseline.json" "$recovery_dir/cached.json"
 rsubmit --shutdown
 wait "$recovery_pid"
 
+echo "==> benchmark smoke gate (perf/check.sh: df-perf unit tests, every workload at smoke scale)"
+# The layered benchmark is a detached package, so nothing above builds
+# it: a change to an API it pins (perf/README.md) would otherwise only
+# fail when the benchmark is next run. check.sh builds it, runs every
+# workload once at smoke scale (timed and traced pass, pinned digests
+# included) and checks the metric tables against BENCHMARK.json.
+perf/check.sh
+
 echo "==> criterion benches in --test mode (each body runs once)"
 cargo bench -p df-bench -- --test
 

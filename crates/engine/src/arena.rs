@@ -1,27 +1,31 @@
-//! Structure-of-arrays slab storage for in-flight packets.
+//! Slab storage for in-flight packets: one record per packet.
 //!
-//! Every accepted packet lives in one [`PacketArena`] slot from `offer`
-//! until delivery; buffers, node queues, and link events carry the `u32`
-//! [`PacketId`] handle instead of a `Box<Packet>`. The slot itself is
-//! split by access frequency:
-//!
-//! * **hot arrays** — [`eligible_at`](PacketArena::eligible_at) and the
-//!   current routing [`decision`](PacketArena::decision), each in its own
-//!   parallel array. The switch allocator probes every candidate head
-//!   every cycle, and with this layout the common rejection path
-//!   (`eligible_at > cycle`) touches a single 8-byte lane — eight
-//!   candidates per cache line — instead of a whole packet struct;
-//! * **one cold array** — identity, route state, and cycle accounting
-//!   ([`PacketCold`]), touched only on arrival, grant, and delivery.
+//! A packet lives in one [`PacketArena`] slot from the cycle it wins an
+//! injection VC until delivery; router buffers and link events carry the
+//! `u32` [`PacketId`] handle instead of a `Box<Packet>`. (Packets still
+//! waiting in a source queue are 24-byte stubs in the node, not slots.)
+//! A slot is the [`Packet`] itself plus the [`RouteDep`] of its cached
+//! decision — 128 bytes, aligned to a cache line, so every touch of a
+//! packet costs at most two lines and the allocator's probe (eligibility,
+//! decision, dependency, route state) exactly one. One record rather than
+//! a lane per field: a lane split pays off only if some hot path reads one
+//! field of many packets, and since sleeping heads are never probed
+//! before they are eligible, no path does — a probe, a grant and a
+//! delivery each read several fields of *one* packet.
 //!
 //! Vacant slots form an **intrusive free list**: the next-free link is
-//! stored inside the vacant slot's `eligible_at` lane, so freeing and
+//! stored in the vacant slot's `eligible_at` field, so freeing and
 //! reusing a slot costs two scalar writes and no side-car `Vec` traffic.
 //! Slots are reused in LIFO order and steady-state simulation performs no
-//! per-packet heap allocation (the arena grows once to the peak in-flight
-//! population and then stays fixed).
+//! per-packet heap allocation: the network reserves address space for as
+//! many packets as its routers can buffer, the slab's length creeps up
+//! to the peak in-network population inside that reservation — only
+//! slots that have held a packet are ever touched — and then stays
+//! fixed. (Growing by reallocation would move the slab, and for a
+//! cache-line-aligned element type a move is a copy: measured at Table I
+//! scale, 8–12 MB of peak RSS for the transient and the holes it leaves.)
 
-use crate::packet::{Decision, Packet, PacketHeader, RouteDep, RouteInfo, WaitBreakdown};
+use crate::packet::{Decision, Packet, RouteDep};
 
 /// Handle of a live packet in the [`PacketArena`] (slab slot index).
 ///
@@ -32,92 +36,85 @@ use crate::packet::{Decision, Packet, PacketHeader, RouteDep, RouteInfo, WaitBre
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PacketId(pub u32);
 
-/// Free-list terminator stored in a vacant slot's `eligible_at` lane.
+/// Free-list terminator stored in a vacant slot's `eligible_at` field.
 const FREE_NONE: u32 = u32::MAX;
 
-/// Rarely-touched packet state: identity, route, and accounting. Read on
-/// arrival, grant, and delivery — never by the per-candidate allocator
-/// probe.
+/// One slab slot. `dep` leads so that, with [`Packet`]'s `repr(C)` field
+/// order, the first cache line holds everything the allocator probes.
 #[derive(Debug, Clone, Copy)]
-pub struct PacketCold {
-    /// Identity and endpoints.
-    pub header: PacketHeader,
-    /// Routing state (interpreted by `df-routing`).
-    pub route: RouteInfo,
-    /// Accumulated queueing cycles.
-    pub waits: WaitBreakdown,
-    /// Pure traversal cycles so far (links and pipelines, no queueing).
-    pub traversal: u64,
-    /// Cycle the packet entered the current output buffer.
-    pub out_enq_at: u64,
+#[repr(C, align(64))]
+struct Slot {
+    /// What the current decision depended on (meaningful only while
+    /// `pkt.decision` is `Some`; set together with it by the allocator).
+    dep: RouteDep,
+    /// The packet. For a vacant slot `pkt.eligible_at` holds the
+    /// next-free link.
+    pkt: Packet,
 }
 
-/// SoA slab of in-flight packets with intrusive free-list reuse.
-#[derive(Debug, Default)]
+// Two cache lines per packet, and the probe's fields within the first.
+const _: () = assert!(std::mem::size_of::<Slot>() == 128);
+const _: () = assert!(
+    std::mem::offset_of!(Slot, pkt) + std::mem::offset_of!(Packet, header) == 64
+);
+
+/// Slab of in-flight packets with intrusive free-list reuse.
+#[derive(Debug)]
 pub struct PacketArena {
-    /// Hot: cycle the head becomes eligible for allocation at the current
-    /// router. For a vacant slot this lane holds the next-free link.
-    eligible_at: Vec<u64>,
-    /// Hot: decided output for the current hop, if any.
-    decision: Vec<Option<Decision>>,
-    /// Hot: what the current decision depended on (meaningful only while
-    /// `decision` is `Some`; set together with it by the allocator).
-    dep: Vec<RouteDep>,
-    /// Cold: everything else.
-    cold: Vec<PacketCold>,
+    slots: Vec<Slot>,
     /// Head of the intrusive free list (`FREE_NONE` when full).
     free_head: u32,
     /// Number of vacant slots.
     free_len: u32,
 }
 
+impl Default for PacketArena {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl PacketArena {
     /// Empty arena.
     pub fn new() -> Self {
-        Self {
-            eligible_at: Vec::new(),
-            decision: Vec::new(),
-            dep: Vec::new(),
-            cold: Vec::new(),
-            free_head: FREE_NONE,
-            free_len: 0,
-        }
+        Self::with_capacity(0)
+    }
+
+    /// Empty arena with address space reserved for `slots` packets, so
+    /// that growing to that population never moves the slab. Only slots
+    /// that have held a packet are ever touched, so the reservation costs
+    /// no resident memory; a larger population still grows the slab.
+    pub fn with_capacity(slots: usize) -> Self {
+        Self { slots: Vec::with_capacity(slots), free_head: FREE_NONE, free_len: 0 }
     }
 
     /// Store `pkt` and return its handle, reusing a freed slot if any.
     pub fn insert(&mut self, pkt: Packet) -> PacketId {
-        let Packet { header, route, waits, traversal, eligible_at, out_enq_at, decision } = pkt;
-        let cold = PacketCold { header, route, waits, traversal, out_enq_at };
+        let slot = Slot { dep: RouteDep::Volatile, pkt };
         if self.free_head != FREE_NONE {
-            let slot = self.free_head as usize;
-            self.free_head = self.eligible_at[slot] as u32;
+            let at = self.free_head;
+            self.free_head = self.slots[at as usize].pkt.eligible_at as u32;
             self.free_len -= 1;
-            self.eligible_at[slot] = eligible_at;
-            self.decision[slot] = decision;
-            self.dep[slot] = RouteDep::Volatile;
-            self.cold[slot] = cold;
-            PacketId(slot as u32)
+            self.slots[at as usize] = slot;
+            PacketId(at)
         } else {
-            let slot = u32::try_from(self.cold.len()).expect("arena overflow");
-            assert!(slot != FREE_NONE, "arena overflow");
-            self.eligible_at.push(eligible_at);
-            self.decision.push(decision);
-            self.dep.push(RouteDep::Volatile);
-            self.cold.push(cold);
-            PacketId(slot)
+            let at = u32::try_from(self.slots.len()).expect("arena overflow");
+            assert!(at != FREE_NONE, "arena overflow");
+            self.slots.push(slot);
+            PacketId(at)
         }
     }
 
     /// Release the slot behind `id` for reuse. The caller must not use
-    /// the handle afterwards (the slot's cold contents stay readable until
+    /// the handle afterwards (the slot's contents stay readable until
     /// the next [`PacketArena::insert`], but mean nothing).
     pub fn free(&mut self, id: PacketId) {
         debug_assert!(
-            (id.0 as usize) < self.cold.len() && !self.free_contains(id),
+            (id.0 as usize) < self.slots.len() && !self.free_contains(id),
             "double free of packet slot {}",
             id.0
         );
-        self.eligible_at[id.0 as usize] = self.free_head as u64;
+        self.slots[id.0 as usize].pkt.eligible_at = self.free_head as u64;
         self.free_head = id.0;
         self.free_len += 1;
     }
@@ -130,111 +127,57 @@ impl PacketArena {
             if cursor == id.0 {
                 return true;
             }
-            cursor = self.eligible_at[cursor as usize] as u32;
+            cursor = self.slots[cursor as usize].pkt.eligible_at as u32;
         }
         false
     }
 
     /// Packets currently live (inserted and not freed).
     pub fn live(&self) -> usize {
-        self.cold.len() - self.free_len as usize
+        self.slots.len() - self.free_len as usize
     }
 
     /// Total slots ever allocated (the peak live population).
     pub fn capacity(&self) -> usize {
-        self.cold.len()
+        self.slots.len()
     }
 
-    // ------------------------------------------------------------------
-    // Hot lanes
-    // ------------------------------------------------------------------
-
-    /// Cycle the packet's head becomes eligible for allocation.
+    /// The live packet behind `id`.
     #[inline]
-    pub fn eligible_at(&self, id: PacketId) -> u64 {
-        self.eligible_at[id.0 as usize]
+    pub fn get(&self, id: PacketId) -> &Packet {
+        &self.slots[id.0 as usize].pkt
     }
 
-    /// Set the eligibility cycle (arrival + pipeline).
+    /// Mutable access to the live packet behind `id` (wait/traversal
+    /// accounting, route commit, eligibility).
     #[inline]
-    pub fn set_eligible_at(&mut self, id: PacketId, cycle: u64) {
-        self.eligible_at[id.0 as usize] = cycle;
+    pub fn get_mut(&mut self, id: PacketId) -> &mut Packet {
+        &mut self.slots[id.0 as usize].pkt
     }
 
-    /// The packet's pending routing decision, if any.
+    /// The packet's pending routing decision together with what it
+    /// depended on, if a decision is pending.
     #[inline]
-    pub fn decision(&self, id: PacketId) -> Option<Decision> {
-        self.decision[id.0 as usize]
+    pub fn decision(&self, id: PacketId) -> Option<(Decision, RouteDep)> {
+        let slot = &self.slots[id.0 as usize];
+        slot.pkt.decision.map(|d| (d, slot.dep))
     }
 
-    /// Commit a routing decision for the current hop.
+    /// Commit a routing decision for the current hop, recording what it
+    /// depended on.
     #[inline]
-    pub fn set_decision(&mut self, id: PacketId, d: Decision) {
-        self.decision[id.0 as usize] = Some(d);
-    }
-
-    /// Clear the decision (on arrival at a new router).
-    #[inline]
-    pub fn clear_decision(&mut self, id: PacketId) {
-        self.decision[id.0 as usize] = None;
-    }
-
-    /// Take the decision out of the slot (on grant).
-    #[inline]
-    pub fn take_decision(&mut self, id: PacketId) -> Option<Decision> {
-        self.decision[id.0 as usize].take()
-    }
-
-    /// What the current decision depended on (meaningful only while
-    /// [`Self::decision`] is `Some`).
-    #[inline]
-    pub fn dep(&self, id: PacketId) -> RouteDep {
-        self.dep[id.0 as usize]
-    }
-
-    /// Record what a just-computed decision depended on (set together
-    /// with [`Self::set_decision`]).
-    #[inline]
-    pub fn set_dep(&mut self, id: PacketId, dep: RouteDep) {
-        self.dep[id.0 as usize] = dep;
-    }
-
-    // ------------------------------------------------------------------
-    // Cold slot
-    // ------------------------------------------------------------------
-
-    /// Identity, route state, and accounting of a live packet.
-    #[inline]
-    pub fn cold(&self, id: PacketId) -> &PacketCold {
-        &self.cold[id.0 as usize]
-    }
-
-    /// Mutable cold state (wait/traversal accounting, route commit).
-    #[inline]
-    pub fn cold_mut(&mut self, id: PacketId) -> &mut PacketCold {
-        &mut self.cold[id.0 as usize]
-    }
-
-    /// Reassemble the full packet view of a live slot (diagnostics; the
-    /// hot path never needs the joined struct).
-    pub fn snapshot(&self, id: PacketId) -> Packet {
-        let cold = self.cold[id.0 as usize];
-        Packet {
-            header: cold.header,
-            route: cold.route,
-            waits: cold.waits,
-            traversal: cold.traversal,
-            eligible_at: self.eligible_at[id.0 as usize],
-            out_enq_at: cold.out_enq_at,
-            decision: self.decision[id.0 as usize],
-        }
+    pub fn set_decision(&mut self, id: PacketId, d: Decision, dep: RouteDep) {
+        let slot = &mut self.slots[id.0 as usize];
+        slot.pkt.decision = Some(d);
+        slot.dep = dep;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use df_topology::{GroupId, NodeId};
+    use crate::packet::RouteInfo;
+    use df_topology::{GroupId, NodeId, Port};
 
     fn pkt(seq: u64) -> Packet {
         Packet::new(seq, NodeId(0), NodeId(1), 8, 0, GroupId(0))
@@ -246,15 +189,15 @@ mod tests {
         let a = arena.insert(pkt(1));
         let b = arena.insert(pkt(2));
         assert_ne!(a, b);
-        assert_eq!(arena.cold(a).header.id, 1);
-        assert_eq!(arena.cold(b).header.id, 2);
+        assert_eq!(arena.get(a).header.id, 1);
+        assert_eq!(arena.get(b).header.id, 2);
         assert_eq!(arena.live(), 2);
         arena.free(a);
         assert_eq!(arena.live(), 1);
         // LIFO reuse: the freed slot is handed back first.
         let c = arena.insert(pkt(3));
         assert_eq!(c, a);
-        assert_eq!(arena.cold(c).header.id, 3);
+        assert_eq!(arena.get(c).header.id, 3);
         assert_eq!(arena.capacity(), 2, "no growth while a free slot exists");
     }
 
@@ -276,10 +219,10 @@ mod tests {
     fn mutation_through_handle() {
         let mut arena = PacketArena::new();
         let id = arena.insert(pkt(7));
-        arena.cold_mut(id).waits.injection = 42;
-        assert_eq!(arena.cold(id).waits.injection, 42);
-        arena.set_eligible_at(id, 9);
-        assert_eq!(arena.eligible_at(id), 9);
+        arena.get_mut(id).waits.injection = 42;
+        arena.get_mut(id).eligible_at = 9;
+        assert_eq!(arena.get(id).waits.injection, 42);
+        assert_eq!(arena.get(id).eligible_at, 9);
     }
 
     #[test]
@@ -296,14 +239,23 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_joins_hot_and_cold() {
+    fn decision_and_dependency_travel_together() {
         let mut arena = PacketArena::new();
         let id = arena.insert(pkt(3));
-        arena.set_eligible_at(id, 77);
-        let snap = arena.snapshot(id);
-        assert_eq!(snap.header.id, 3);
-        assert_eq!(snap.eligible_at, 77);
-        assert!(snap.decision.is_none());
+        assert!(arena.decision(id).is_none());
+        let d = Decision { out_port: Port(3), out_vc: 1, info: RouteInfo::new(GroupId(0)) };
+        let dep = RouteDep::Port { port: 3, epoch: 17 };
+        arena.set_decision(id, d, dep);
+        assert_eq!(arena.decision(id), Some((d, dep)));
+        assert_eq!(arena.get_mut(id).decision.take(), Some(d));
+        assert!(arena.decision(id).is_none());
+        // A reused slot starts without a decision, whatever the last
+        // occupant left behind.
+        arena.set_decision(id, d, dep);
+        arena.free(id);
+        let again = arena.insert(pkt(4));
+        assert_eq!(again, id);
+        assert!(arena.decision(again).is_none());
     }
 
     #[test]

@@ -30,8 +30,7 @@ mod policy;
 mod router;
 mod shard;
 
-pub use arena::{PacketArena, PacketCold, PacketId};
-pub use buffer::{OutputBuffer, Staged, VcBuffer};
+pub use arena::{PacketArena, PacketId};
 pub use config::{ArbiterPolicy, EngineConfig, TelemetrySpec};
 pub use network::{Counters, Network, PhaseProfile};
 pub use shard::{RecordQueue, ShardedNetwork};

@@ -1,23 +1,25 @@
 //! The assembled network: nodes, routers, links, and the per-cycle
 //! simulation loop (event delivery → injection → allocation → output).
 //!
-//! Packets live in a structure-of-arrays [`PacketArena`]; every queue and
-//! link event carries a `u32` [`PacketId`] handle, so the steady-state hot
-//! path performs no per-packet heap allocation and the allocator's
-//! per-candidate probe touches only the hot `eligible_at`/`decision`
-//! lanes. Scheduling is **work-list driven**: the engine maintains
+//! Packets in the network live in a [`PacketArena`], one 128-byte record
+//! each; every router queue and link event carries a `u32` [`PacketId`]
+//! handle, so the steady-state hot path performs no per-packet heap
+//! allocation. A packet still waiting in its source queue is a 24-byte
+//! stub and gets its arena slot when the node wins an injection VC.
+//! Scheduling is **work-list driven**: the engine maintains
 //! bitsets of nodes with queued packets, routers with resident input
 //! packets, and routers with staged output packets, so the inject /
 //! allocate / transmit phases iterate only over entities that can make
 //! progress this cycle instead of scanning the whole network (at paper
-//! scale under ADVc most routers are idle most cycles). All work lists
+//! scale under ADVc most routers are idle most cycles). Inside a router
+//! the allocator is **mask driven** the same way: it walks the set bits
+//! of the awake-input-port mask, of each port's ready-VC mask, and of the
+//! mask of outputs that received a proposal. All work lists and masks
 //! are iterated in ascending index order, which keeps event-queue
 //! insertion order — and therefore same-seed results — bit-identical to
-//! the full scans they replace. The allocator additionally consults
-//! per-port ready-VC bitmasks and per-router ready-output masks, and the
-//! engine tracks which routers' global-link queues changed each cycle so
-//! policies like PiggyBack can refresh their congestion view
-//! incrementally (see [`CycleCtx`]).
+//! the full scans they replace. The engine also tracks which routers'
+//! global-link queues changed each cycle so policies like PiggyBack can
+//! refresh their congestion view incrementally (see [`CycleCtx`]).
 
 use crate::arena::{PacketArena, PacketId};
 use crate::buffer::Staged;
@@ -27,7 +29,7 @@ use crate::packet::{DeliveredRecord, Packet, PacketSeq, RouteDep};
 #[cfg(any(debug_assertions, feature = "shadow-verify"))]
 use crate::packet::Decision;
 use crate::policy::{CycleCtx, RoutingPolicy, StatsSink};
-use crate::router::RouterState;
+use crate::router::{InPort, RouterState};
 use crate::shard::{RemoteCredit, RemoteFlit, ShardOutbox};
 use df_topology::{NodeId, Port, PortKind, PortLayout, PortTarget, RouterId, Topology};
 use serde::{Deserialize, Serialize};
@@ -108,11 +110,21 @@ impl PhaseProfile {
     }
 }
 
+/// A generated packet waiting in its source queue: what `offer` fixes
+/// (sequence number, destination, generation cycle). The [`Packet`] is
+/// built from it — and enters the arena — when the node wins a VC.
+#[derive(Debug, Clone, Copy)]
+struct QueuedPacket {
+    seq: PacketSeq,
+    gen_cycle: u64,
+    dst: NodeId,
+}
+
 /// Source-side state of a compute node.
 #[derive(Debug)]
 struct NodeState {
     /// Generated packets waiting to enter the router (bounded).
-    queue: VecDeque<PacketId>,
+    queue: VecDeque<QueuedPacket>,
     /// Credits towards the router's injection-port input buffer, per VC.
     credits: Vec<u32>,
     /// Round-robin pointer over injection VCs.
@@ -224,11 +236,6 @@ impl ProposalList {
         }
     }
 
-    #[inline]
-    fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Proposals in push order (inline segment, then spill).
     #[inline]
     fn iter(&self) -> impl Iterator<Item = &(u32, u8)> {
@@ -263,7 +270,8 @@ pub struct Network<P: RoutingPolicy, S: StatsSink> {
     /// Cross-shard traffic staged for the controller's cycle barrier.
     /// Always empty in serial mode (a serial network owns every router).
     outbox: ShardOutbox,
-    /// Slab storing every in-flight packet.
+    /// Slab storing every packet inside the network (injected, not yet
+    /// delivered or handed to another shard).
     arena: PacketArena,
     next_packet_seq: PacketSeq,
     /// The routing policy. `None` only for shard slices, whose policy is
@@ -285,12 +293,9 @@ pub struct Network<P: RoutingPolicy, S: StatsSink> {
     /// not allocate: remaining grant budget per input / output port.
     alloc_in_budget: Vec<u32>,
     alloc_out_budget: Vec<u32>,
-    /// Allocation scratch: VCs already granted this cycle, flattened
-    /// `[port * vc_stride + vc]`.
-    alloc_vc_granted: Vec<bool>,
-    /// Widest VC count any port class is configured with (flattening
-    /// stride for `alloc_vc_granted`).
-    vc_stride: usize,
+    /// Allocation scratch: bitmask per input port of the VCs already
+    /// granted this cycle.
+    alloc_vc_granted: Vec<u32>,
     /// Routers whose global-link queues changed since the last
     /// `begin_cycle` (deduplicated via `global_dirty` flags).
     global_dirty_list: Vec<u32>,
@@ -382,9 +387,12 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
             }
         }
         let wheel = EventWheel::new(cfg.max_event_delay());
+        // A packet inside the network holds a buffer slot or is on an
+        // ejection link, so the routers' slot count is (all but) a bound
+        // on the arena's population.
+        let buffer_slots = routers.iter().map(RouterState::buffer_slots).sum();
         let n_routers = routers.len();
         let n_nodes = nodes.len();
-        let vc_stride = cfg.vcs_injection.max(cfg.vcs_local).max(cfg.vcs_global) as usize;
         Self {
             topo,
             cfg,
@@ -395,7 +403,7 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
             router_base: router_range.start,
             node_base: node_range.start,
             outbox: ShardOutbox::default(),
-            arena: PacketArena::new(),
+            arena: PacketArena::with_capacity(buffer_slots),
             next_packet_seq: 0,
             policy,
             sink,
@@ -406,8 +414,7 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
             proposals: (0..radix).map(|_| ProposalList::default()).collect(),
             alloc_in_budget: vec![0; radix as usize],
             alloc_out_budget: vec![0; radix as usize],
-            alloc_vc_granted: vec![false; radix as usize * vc_stride],
-            vc_stride,
+            alloc_vc_granted: vec![0; radix as usize],
             global_dirty_list: Vec::new(),
             global_dirty: vec![false; n_routers],
             node_active: vec![0; bitset_words(n_nodes)],
@@ -504,30 +511,41 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
         (r.0.wrapping_sub(self.router_base) as usize) < self.routers.len()
     }
 
-    /// Packets accepted but not yet delivered.
+    /// Packets accepted but not yet delivered: those still waiting in a
+    /// source queue ([`Self::source_queued`]) plus those inside the
+    /// network ([`Self::arena_live`]).
     #[inline]
     pub fn in_flight(&self) -> u64 {
         self.live_packets
     }
 
-    /// Packets currently resident in the arena (must equal
-    /// [`Self::in_flight`]; zero after a full drain — the leak check).
+    /// Packets waiting in source queues: accepted by [`Self::offer`], not
+    /// yet injected, and therefore not yet in the arena. O(nodes);
+    /// diagnostics and invariant checks.
+    pub fn source_queued(&self) -> usize {
+        self.nodes.iter().map(|n| n.queue.len()).sum()
+    }
+
+    /// Packets currently resident in the arena: injected and not yet
+    /// delivered. `arena_live() + source_queued()` must equal
+    /// [`Self::in_flight`]; zero after a full drain — the leak check.
     #[inline]
     pub fn arena_live(&self) -> usize {
         self.arena.live()
     }
 
-    /// Arena slots ever allocated (the peak in-flight population).
+    /// Arena slots ever allocated (the peak *in-network* population;
+    /// source-queued packets hold no slot).
     #[inline]
     pub fn arena_capacity(&self) -> usize {
         self.arena.capacity()
     }
 
-    /// Resolve a packet handle to a joined snapshot of its hot and cold
-    /// arena lanes (diagnostics; handles come from [`RouterState::head`]).
+    /// Resolve a packet handle to a copy of its arena record
+    /// (diagnostics; handles come from [`RouterState::head`]).
     #[inline]
     pub fn packet(&self, id: PacketId) -> Packet {
-        self.arena.snapshot(id)
+        *self.arena.get(id)
     }
 
     /// Events (packets and credits) currently traversing links.
@@ -591,14 +609,10 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
         if self.nodes[n].queue.len() >= self.cfg.max_node_queue {
             return false;
         }
-        let group = src.group(self.topo.params());
         // The earliest the node can act on this packet is the next cycle,
         // so that is its generation timestamp.
-        let gen = self.cycle + 1;
-        let id = self
-            .arena
-            .insert(Packet::new(seq, src, dst, self.cfg.packet_size, gen, group));
-        self.nodes[n].queue.push_back(id);
+        let gen_cycle = self.cycle + 1;
+        self.nodes[n].queue.push_back(QueuedPacket { seq, gen_cycle, dst });
         set_bit(&mut self.node_active, n);
         self.counters.accepted_packets += 1;
         self.live_packets += 1;
@@ -803,22 +817,22 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
         let params = self.topo.params();
         let mut lines = 0;
         for (r, router) in self.routers.iter().enumerate() {
-            for (q, vcs) in router.inputs.iter().enumerate() {
-                for (v, buf) in vcs.iter().enumerate() {
-                    if let Some(id) = buf.front() {
-                        let p = self.arena.snapshot(id);
+            for q in 0..params.radix() as usize {
+                for v in 0..router.in_ports[q].vcs as usize {
+                    if let Some((id, _)) = router.input_front(q, v) {
+                        let p = self.arena.get(id);
                         if p.eligible_at > self.cycle {
                             continue;
                         }
                         let dec = p.decision;
                         let (free, cred) = match dec {
                             Some(d) => (
-                                router.outputs[d.out_port.idx()].free(),
-                                router
-                                    .credits[d.out_port.idx()]
-                                    .get(d.out_vc as usize)
-                                    .copied()
-                                    .unwrap_or(u32::MAX),
+                                router.output_free(d.out_port.idx()),
+                                if router.has_credits(d.out_port.idx()) {
+                                    router.credits(d.out_port, d.out_vc)
+                                } else {
+                                    u32::MAX
+                                },
                             ),
                             None => (0, 0),
                         };
@@ -863,7 +877,7 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
             for q in 0..self.topo.params().radix() as usize {
                 assert_eq!(
                     router.out_ready & (1 << q) != 0,
-                    !router.outputs[q].is_empty(),
+                    router.output_staged(q) != 0,
                     "ready-output mask diverged at router {r} port {q}, cycle {}",
                     self.cycle
                 );
@@ -899,12 +913,11 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
         for ev in events.drain(..) {
             match ev {
                 Event::ArriveRouter { router, port, vc, pkt, size } => {
-                    // Hot lanes only: arrival never touches the cold slot.
-                    self.arena.set_eligible_at(pkt, self.cycle + self.cfg.pipeline_latency);
-                    self.arena.clear_decision(pkt);
+                    let arrived = self.arena.get_mut(pkt);
+                    arrived.eligible_at = self.cycle + self.cfg.pipeline_latency;
+                    arrived.decision = None;
                     let r = self.local_router(router);
-                    let becomes_head =
-                        self.routers[r].inputs[port.idx()][vc as usize].is_empty();
+                    let becomes_head = self.routers[r].input_is_empty(port.idx(), vc as usize);
                     self.routers[r].push_input(port.idx(), vc as usize, pkt, size);
                     // A new head still in the pipeline sleeps until its
                     // exact eligibility cycle instead of being probed
@@ -944,7 +957,7 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
     }
 
     fn complete_delivery(&mut self, node: NodeId, id: PacketId) {
-        let pkt = self.arena.cold(id);
+        let pkt = self.arena.get(id);
         debug_assert_eq!(pkt.header.dst, node);
         let (min_l, min_g) = self.topo.min_path_links(pkt.header.src, pkt.header.dst);
         let min_routers = (min_l + min_g + 1) as u64;
@@ -973,7 +986,9 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
     /// Node-side injection over the active-node work list: only nodes
     /// with a queued packet are visited (bit set in [`Self::offer`],
     /// cleared here once the queue drains). Ascending order keeps event
-    /// scheduling identical to the full `0..nodes` scan.
+    /// scheduling identical to the full `0..nodes` scan. A node that wins
+    /// an injection VC turns its queue head into a [`Packet`]: this is
+    /// where a packet gets its arena slot.
     fn inject_from_nodes(&mut self) {
         let params = *self.topo.params();
         for w in 0..self.node_active.len() {
@@ -1001,16 +1016,23 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
                 node.vc_rr = (vc + 1) % vcs;
                 node.credits[vc as usize] -= size;
                 node.link_free_at = self.cycle + size as u64;
-                let id = node.queue.pop_front().expect("checked non-empty");
+                let queued = node.queue.pop_front().expect("checked non-empty");
                 if node.queue.is_empty() {
                     clear_bit(&mut self.node_active, n);
                 }
-                // Source-queue time is injection wait.
-                let wait = self.cycle - self.arena.eligible_at(id);
-                let pkt = self.arena.cold_mut(id);
-                pkt.waits.injection += wait;
-                pkt.traversal += self.cfg.injection_link_latency;
                 let node_id = NodeId(self.node_base + n as u32);
+                let mut pkt = Packet::new(
+                    queued.seq,
+                    node_id,
+                    queued.dst,
+                    size,
+                    queued.gen_cycle,
+                    node_id.group(&params),
+                );
+                // Source-queue time is injection wait.
+                pkt.waits.injection = self.cycle - queued.gen_cycle;
+                pkt.traversal = self.cfg.injection_link_latency;
+                let id = self.arena.insert(pkt);
                 let router = node_id.router(&params);
                 let port = params.injection_port(node_id.slot(&params));
                 self.wheel.schedule(
@@ -1025,25 +1047,30 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
     fn allocate_router(&mut self, r: usize, policy: &mut P) {
         // The work list only holds routers with resident input packets.
         debug_assert!(self.routers[r].input_count > 0, "idle router on alloc work list");
-        let params = *self.topo.params();
-        let radix = params.radix() as usize;
+        let radix = self.topo.params().radix() as usize;
         let adaptive = policy.adaptive_reroute();
         // Reset the persistent scratch (hoisted out of the hot loop so no
         // per-router-per-cycle allocation happens): remaining grant budget
         // per port this cycle (2× speedup), and the VCs that already won
         // this cycle — their new head has not traversed the pipeline, so
         // they cannot win again.
-        let vc_stride = self.vc_stride;
         self.alloc_in_budget.fill(self.cfg.speedup);
         self.alloc_out_budget.fill(self.cfg.speedup);
-        self.alloc_vc_granted.fill(false);
+        self.alloc_vc_granted.fill(0);
 
         for _iter in 0..self.cfg.speedup {
             // --- Phase 1: each input port nominates one VC head. ---
-            for q in 0..radix {
-                self.proposals[q].clear();
-            }
-            for in_port in 0..radix {
+            // Only ports with a ready, unparked, awake VC can nominate.
+            // Snapshot the mask: nominating only ever parks VCs of the
+            // port being visited. Ascending bit order is the `0..radix`
+            // order of the scan this replaces.
+            let mut awake_ports = self.routers[r].awake_in;
+            // Output ports that received a proposal this iteration; a
+            // port's list is cleared when its bit is first set.
+            let mut proposed = 0u64;
+            while awake_ports != 0 {
+                let in_port = awake_ports.trailing_zeros() as usize;
+                awake_ports &= awake_ports - 1;
                 if self.alloc_in_budget[in_port] == 0 {
                     continue;
                 }
@@ -1052,93 +1079,84 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
                 // port is touched (which unparks it), and a sleeping
                 // head is ineligible until its wake event fires — so
                 // skipping both is exact.
-                let ready = self.routers[r].in_ready[in_port]
-                    & !self.routers[r].in_parked[in_port]
-                    & !self.routers[r].in_sleeping[in_port];
-                if ready == 0 {
-                    continue;
-                }
-                let vcs = self.routers[r].inputs[in_port].len() as u32;
-                let start = self.routers[r].in_rr[in_port];
-                for k in 0..vcs {
-                    let vc = ((start + k) % vcs) as usize;
-                    if ready & (1 << vc) == 0 || self.alloc_vc_granted[in_port * vc_stride + vc]
-                    {
-                        continue;
-                    }
-                    let (id, size) = self.routers[r].inputs[in_port][vc]
-                        .front_entry()
-                        .expect("ready bit set on empty VC");
-                    // Hot-lane probe: the common rejection path (head not
-                    // yet through the pipeline) reads one 8-byte lane.
-                    // With head-sleep, an awake ready head is always past
-                    // the pipeline; this probe is a cheap safety net.
-                    if self.arena.eligible_at(id) > self.cycle {
-                        debug_assert!(false, "awake head not yet eligible");
-                        continue;
-                    }
-                    // Decide routing for the head if needed — only then
-                    // is the cold slot (header + route state) read.
-                    // Non-adaptive policies keep one decision per router
-                    // visit; adaptive policies reuse their cached
-                    // decision while its recorded dependency is intact
-                    // (a dependency-valid recompute is pure and returns
-                    // the same decision, so reuse is bit-identical).
-                    let prior = self
-                        .arena
-                        .decision(id)
-                        .filter(|_| !adaptive || (self.route_cache && self.dep_valid(r, id)));
-                    let decision = match prior {
-                        Some(d) => {
-                            #[cfg(any(debug_assertions, feature = "shadow-verify"))]
-                            if adaptive {
-                                self.shadow_verify_reuse(r, in_port, vc, id, d, policy);
-                            }
-                            d
+                let port = self.routers[r].in_ports[in_port];
+                let candidates = port.awake_vcs() & !self.alloc_vc_granted[in_port];
+                // Round-robin from the port's pointer: the VCs at or
+                // above it ascending, then the ones below it.
+                let below_start = (1u32 << port.rr) - 1;
+                'port: for mut vcs in [candidates & !below_start, candidates & below_start] {
+                    while vcs != 0 {
+                        let vc = vcs.trailing_zeros() as usize;
+                        vcs &= vcs - 1;
+                        let (id, size) = self.routers[r]
+                            .input_front(in_port, vc)
+                            .expect("ready bit set on empty VC");
+                        // With head-sleep, an awake ready head is always
+                        // past the pipeline; this is a cheap safety net.
+                        if self.arena.get(id).eligible_at > self.cycle {
+                            debug_assert!(false, "awake head not yet eligible");
+                            continue;
                         }
-                        None => {
-                            let cold = self.arena.cold(id);
-                            let (hdr, info) = (cold.header, cold.route);
-                            let (d, dep) = policy.route_with_deps(
-                                &self.routers[r],
-                                Port(in_port as u32),
-                                hdr,
-                                info,
-                            );
-                            debug_assert!((d.out_port.0 as usize) < radix);
-                            self.arena.set_decision(id, d);
-                            self.arena.set_dep(id, dep);
-                            d
-                        }
-                    };
-                    if self.routers[r].can_accept(decision.out_port, decision.out_vc, size)
-                    {
-                        // Nominated: the port proposes this head (and only
-                        // this head) if the output still has grant budget.
-                        if self.alloc_out_budget[decision.out_port.idx()] > 0 {
-                            self.proposals[decision.out_port.idx()]
-                                .push((in_port as u32, vc as u8));
-                        }
-                        break;
-                    }
-                    // Blocked. Park the head if its decision cannot
-                    // change before its target port does: sticky
-                    // (non-adaptive) decisions always qualify; adaptive
-                    // ones only when their dependency is the port they
-                    // wait for. Volatile adaptive decisions must
-                    // re-probe every cycle (the recompute may pick a
-                    // different output).
-                    if self.route_cache {
-                        let stable = !adaptive
-                            || match self.arena.dep(id) {
-                                RouteDep::Always => true,
-                                RouteDep::Port { port, .. } => {
-                                    port as usize == decision.out_port.idx()
+                        // Decide routing for the head if needed.
+                        // Non-adaptive policies keep one decision per router
+                        // visit; adaptive policies reuse their cached
+                        // decision while its recorded dependency is intact
+                        // (a dependency-valid recompute is pure and returns
+                        // the same decision, so reuse is bit-identical).
+                        let prior = self.arena.decision(id).filter(|&(_, dep)| {
+                            !adaptive || (self.route_cache && self.dep_valid(r, dep))
+                        });
+                        let (decision, dep) = match prior {
+                            Some((d, dep)) => {
+                                #[cfg(any(debug_assertions, feature = "shadow-verify"))]
+                                if adaptive {
+                                    self.shadow_verify_reuse(r, in_port, vc, id, d, policy);
                                 }
-                                RouteDep::Volatile => false,
-                            };
-                        if stable {
-                            self.routers[r].park(in_port, vc, decision.out_port.idx());
+                                (d, dep)
+                            }
+                            None => {
+                                let pkt = self.arena.get(id);
+                                let (d, dep) = policy.route_with_deps(
+                                    &self.routers[r],
+                                    Port(in_port as u32),
+                                    pkt.header,
+                                    pkt.route,
+                                );
+                                debug_assert!((d.out_port.0 as usize) < radix);
+                                self.arena.set_decision(id, d, dep);
+                                (d, dep)
+                            }
+                        };
+                        let out_port = decision.out_port.idx();
+                        if self.routers[r].can_accept(decision.out_port, decision.out_vc, size) {
+                            // Nominated: the port proposes this head (and only
+                            // this head) if the output still has grant budget.
+                            if self.alloc_out_budget[out_port] > 0 {
+                                if proposed & (1 << out_port) == 0 {
+                                    proposed |= 1 << out_port;
+                                    self.proposals[out_port].clear();
+                                }
+                                self.proposals[out_port].push((in_port as u32, vc as u8));
+                            }
+                            break 'port;
+                        }
+                        // Blocked. Park the head if its decision cannot
+                        // change before its target port does: sticky
+                        // (non-adaptive) decisions always qualify; adaptive
+                        // ones only when their dependency is the port they
+                        // wait for. Volatile adaptive decisions must
+                        // re-probe every cycle (the recompute may pick a
+                        // different output).
+                        if self.route_cache {
+                            let stable = !adaptive
+                                || match dep {
+                                    RouteDep::Always => true,
+                                    RouteDep::Port { port, .. } => port as usize == out_port,
+                                    RouteDep::Volatile => false,
+                                };
+                            if stable {
+                                self.routers[r].park(in_port, vc, out_port);
+                            }
                         }
                     }
                 }
@@ -1146,20 +1164,19 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
 
             // --- Phase 2: each output port grants one proposal. ---
             let mut any = false;
-            #[allow(clippy::needless_range_loop)] // index drives three parallel arrays
-            for out_port in 0..radix {
-                if self.proposals[out_port].is_empty() || self.alloc_out_budget[out_port] == 0 {
-                    continue;
-                }
+            while proposed != 0 {
+                let out_port = proposed.trailing_zeros() as usize;
+                proposed &= proposed - 1;
+                debug_assert!(self.alloc_out_budget[out_port] > 0, "proposal without budget");
                 let winner = self.arbitrate_output(r, out_port);
                 let Some((in_port, vc)) = winner else { continue };
                 self.commit_grant(r, in_port as usize, vc as usize, out_port);
                 self.alloc_in_budget[in_port as usize] -= 1;
                 self.alloc_out_budget[out_port] -= 1;
-                self.alloc_vc_granted[in_port as usize * vc_stride + vc as usize] = true;
+                self.alloc_vc_granted[in_port as usize] |= 1 << vc;
                 // Advance the input port's RR pointer past the winner.
-                let vcs = self.routers[r].inputs[in_port as usize].len() as u32;
-                self.routers[r].in_rr[in_port as usize] = (vc as u32 + 1) % vcs;
+                let port = &mut self.routers[r].in_ports[in_port as usize];
+                port.rr = if vc + 1 == port.vcs { 0 } else { vc + 1 };
                 any = true;
             }
             if any {
@@ -1179,8 +1196,8 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
         let router = &self.routers[r];
         let arena = &self.arena;
         let still_feasible = |&(ip, vc): &(u32, u8)| -> bool {
-            match router.inputs[ip as usize][vc as usize].front_entry() {
-                Some((id, size)) => match arena.decision(id) {
+            match router.input_front(ip as usize, vc as usize) {
+                Some((id, size)) => match arena.get(id).decision {
                     Some(d) => router.can_accept(d.out_port, d.out_vc, size),
                     None => false,
                 },
@@ -1188,7 +1205,7 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
             }
         };
         let params = self.topo.params();
-        let rr = router.out_rr[out_port];
+        let rr = router.out_ports[out_port].rr;
         let radix = params.radix();
         let key_rr = |ip: u32| (ip + radix - rr) % radix;
         let pick = match self.cfg.arbiter {
@@ -1212,16 +1229,15 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
                 .iter()
                 .filter(|p| still_feasible(p))
                 .min_by_key(|&&(ip, vc)| {
-                    let gen = router.inputs[ip as usize][vc as usize]
-                        .front()
-                        .map(|id| arena.cold(id).header.gen_cycle)
-                        .unwrap_or(u64::MAX);
+                    let gen = router
+                        .input_front(ip as usize, vc as usize)
+                        .map_or(u64::MAX, |(id, _)| arena.get(id).header.gen_cycle);
                     (gen, key_rr(ip))
                 })
                 .copied(),
         };
         if let Some((ip, _)) = pick {
-            self.routers[r].out_rr[out_port] = (ip + 1) % radix;
+            self.routers[r].out_ports[out_port].rr = (ip + 1) % radix;
         }
         pick
     }
@@ -1230,14 +1246,15 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
     /// reserving downstream credit and returning upstream credit.
     fn commit_grant(&mut self, r: usize, in_port: usize, vc: usize, out_port: usize) {
         let params = *self.topo.params();
+        let in_kind = params.port_kind(Port(in_port as u32));
         let (id, size) = self.routers[r].pop_input(in_port, vc);
         if self.routers[r].input_count == 0 {
             clear_bit(&mut self.alloc_active, r);
         }
         // If the VC's next head is still inside the pipeline, sleep the
         // VC until its exact eligibility cycle.
-        if let Some(next) = self.routers[r].inputs[in_port][vc].front() {
-            let elig = self.arena.eligible_at(next);
+        if let Some((next, _)) = self.routers[r].input_front(in_port, vc) {
+            let elig = self.arena.get(next).eligible_at;
             if elig > self.cycle {
                 self.routers[r].sleep(in_port, vc);
                 self.wheel.schedule(
@@ -1250,24 +1267,19 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
                 );
             }
         }
-        let decision = self.arena.take_decision(id).expect("granted head has decision");
+        // Wait accounting and the committed route state.
+        let pkt = self.arena.get_mut(id);
+        let decision = pkt.decision.take().expect("granted head has decision");
         debug_assert_eq!(decision.out_port.idx(), out_port);
-        let was_misrouted;
-        {
-            // One cold-slot touch per grant: wait accounting and the
-            // committed route state.
-            let wait = self.cycle.saturating_sub(self.arena.eligible_at(id));
-            let pkt = self.arena.cold_mut(id);
-            match params.port_kind(Port(in_port as u32)) {
-                PortKind::Injection => pkt.waits.injection += wait,
-                PortKind::Local => pkt.waits.local += wait,
-                PortKind::Global => pkt.waits.global += wait,
-            }
-            pkt.traversal += self.cfg.pipeline_latency;
-            was_misrouted = pkt.route.global_misrouted;
-            pkt.route = decision.info;
-            pkt.out_enq_at = self.cycle;
+        let wait = self.cycle.saturating_sub(pkt.eligible_at);
+        match in_kind {
+            PortKind::Injection => pkt.waits.injection += wait,
+            PortKind::Local => pkt.waits.local += wait,
+            PortKind::Global => pkt.waits.global += wait,
         }
+        pkt.traversal += self.cfg.pipeline_latency;
+        let was_misrouted = pkt.route.global_misrouted;
+        pkt.route = decision.info;
         // An escape-path grant is the false→true transition of the
         // misrouting flag: this grant first diverted the packet onto a
         // non-minimal global path.
@@ -1277,13 +1289,13 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
 
         // Fairness counters: packets leaving an injection input. The input
         // port of an injection grant *is* the node's slot on its router.
-        if params.port_kind(Port(in_port as u32)) == PortKind::Injection {
+        if in_kind == PortKind::Injection {
             self.counters.injected_per_router[r] += 1;
             self.counters.injected_per_node[r * params.p as usize + in_port] += 1;
         }
 
         // Reserve downstream credit (transit outputs only).
-        if !self.routers[r].credits[out_port].is_empty() {
+        if self.routers[r].has_credits(out_port) {
             self.routers[r].reserve_credit(out_port, decision.out_vc as usize, size);
         }
         // The queue feeding a global link just grew (staged packet +
@@ -1325,7 +1337,7 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
 
         self.routers[r].stage_output(
             out_port,
-            Staged { pkt: id, size, out_vc: decision.out_vc },
+            Staged { pkt: id, size, enq_at: self.cycle, out_vc: decision.out_vc },
         );
         set_bit(&mut self.tx_active, r);
     }
@@ -1343,37 +1355,37 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
         while ready != 0 {
             let out_port = ready.trailing_zeros() as usize;
             ready &= ready - 1;
-            if self.routers[r].outputs[out_port].link_free_at > self.cycle {
+            if self.routers[r].link_free_at(out_port) > self.cycle {
                 continue;
             }
             let staged = self.routers[r].pop_output(out_port);
             let size = staged.size;
             let flat = r * radix + out_port;
+            let out_kind = params.port_kind(Port(out_port as u32));
             let latency = self.latencies[flat];
             // Output-side waiting, attributed by output-port kind
             // (ejection counts as local — it is intra-"last-hop" HoL).
-            let pkt = self.arena.cold_mut(staged.pkt);
-            let wait = self.cycle - pkt.out_enq_at;
-            match params.port_kind(Port(out_port as u32)) {
+            let pkt = self.arena.get_mut(staged.pkt);
+            let wait = self.cycle - staged.enq_at;
+            match out_kind {
                 PortKind::Injection | PortKind::Local => pkt.waits.local += wait,
                 PortKind::Global => pkt.waits.global += wait,
             }
-            self.routers[r].outputs[out_port].link_free_at = self.cycle + size as u64;
-            self.routers[r].release_output(out_port, size);
-            if params.port_kind(Port(out_port as u32)) == PortKind::Global {
+            self.routers[r].release_output(out_port, size, self.cycle + size as u64);
+            if out_kind == PortKind::Global {
                 self.counters.global_phits += size as u64;
                 self.mark_global_dirty(r);
             }
             match self.peers[flat] {
                 PortTarget::Node(node) => {
-                    self.arena.cold_mut(staged.pkt).traversal += latency + size as u64;
+                    self.arena.get_mut(staged.pkt).traversal += latency + size as u64;
                     self.wheel.schedule(
                         latency + size as u64,
                         Event::ArriveNode { node, pkt: staged.pkt },
                     );
                 }
                 PortTarget::Router { router, port } => {
-                    self.arena.cold_mut(staged.pkt).traversal += latency;
+                    self.arena.get_mut(staged.pkt).traversal += latency;
                     if self.owns_router(router) {
                         self.wheel.schedule(
                             latency,
@@ -1391,7 +1403,7 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
                         // owner as a value; the controller re-homes it at
                         // the cycle barrier. Traversal was already
                         // charged above, exactly as for a local hop.
-                        let packet = self.arena.snapshot(staged.pkt);
+                        let packet = *self.arena.get(staged.pkt);
                         self.arena.free(staged.pkt);
                         self.live_packets -= 1;
                         self.outbox.flits.push(RemoteFlit {
@@ -1415,11 +1427,11 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
     // Route-decision cache
     // ------------------------------------------------------------------
 
-    /// Whether the recorded dependency of `id`'s cached decision still
+    /// Whether the recorded dependency `dep` of a cached decision still
     /// holds at router `r` (see [`RouteDep`]).
     #[inline]
-    fn dep_valid(&self, r: usize, id: PacketId) -> bool {
-        match self.arena.dep(id) {
+    fn dep_valid(&self, r: usize, dep: RouteDep) -> bool {
+        match dep {
             RouteDep::Volatile => false,
             RouteDep::Always => true,
             RouteDep::Port { port, epoch } => {
@@ -1446,8 +1458,8 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
         cached: Decision,
         policy: &mut P,
     ) {
-        let cold = self.arena.cold(id);
-        let (hdr, info) = (cold.header, cold.route);
+        let pkt = self.arena.get(id);
+        let (hdr, info) = (pkt.header, pkt.route);
         let (fresh, fresh_dep) =
             policy.route_with_deps(&self.routers[r], Port(in_port as u32), hdr, info);
         assert_eq!(
@@ -1456,7 +1468,7 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
              cycle {} router {r} in(port={in_port},vc={vc}) pkt {} (dep {:?}, fresh dep {:?})",
             self.cycle,
             hdr.id,
-            self.arena.dep(id),
+            self.arena.decision(id).map(|(_, dep)| dep),
             fresh_dep,
         );
         debug_assert!(
@@ -1473,6 +1485,8 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
     /// [`Self::assert_work_lists_match_full_scan`]). Panics with a
     /// diagnostic on the first divergence. Specifically, per router:
     ///
+    /// * the ready-VC masks, the awake-port mask and the resident-packet
+    ///   count equal what a full scan of the input rings derives;
     /// * `probe_ready` equals the number of ready, unparked VCs;
     /// * every parked VC is ready (non-empty) and registered in the
     ///   waiter mask of the port it parked on;
@@ -1494,11 +1508,10 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
         let adaptive = policy.adaptive_reroute();
         let radix = self.topo.params().radix() as usize;
         for r in 0..self.routers.len() {
+            self.routers[r].assert_input_masks_match_full_scan(self.cycle);
             let mut expect_ready = 0u32;
             for in_port in 0..radix {
-                let ready = self.routers[r].in_ready[in_port];
-                let parked = self.routers[r].in_parked[in_port];
-                let sleeping = self.routers[r].in_sleeping[in_port];
+                let InPort { ready, parked, sleeping, .. } = self.routers[r].in_ports[in_port];
                 assert_eq!(
                     parked & !ready,
                     0,
@@ -1521,11 +1534,11 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
                 while smask != 0 {
                     let vc = smask.trailing_zeros() as usize;
                     smask &= smask - 1;
-                    let (id, _) = self.routers[r].inputs[in_port][vc]
-                        .front_entry()
+                    let (id, _) = self.routers[r]
+                        .input_front(in_port, vc)
                         .expect("sleeping bit set on empty VC");
                     assert!(
-                        self.arena.eligible_at(id) > self.cycle,
+                        self.arena.get(id).eligible_at > self.cycle,
                         "sleeping head already eligible (missed wake) at router {r} \
                          in(port={in_port},vc={vc}), cycle {}",
                         self.cycle
@@ -1540,22 +1553,22 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
                         .parked_target(Port(in_port as u32), vc as u8)
                         .expect("parked bit set without parked_on target");
                     assert!(
-                        self.routers[r].waiters[target.idx()] & (1u64 << in_port) != 0,
+                        self.routers[r].out_ports[target.idx()].waiters & (1u64 << in_port) != 0,
                         "parked head not in waiter mask of its target port at \
                          router {r} in(port={in_port},vc={vc}) -> out {}, cycle {}",
                         target.0,
                         self.cycle
                     );
-                    let (id, size) = self.routers[r].inputs[in_port][vc]
-                        .front_entry()
+                    let (id, size) = self.routers[r]
+                        .input_front(in_port, vc)
                         .expect("parked bit set on empty VC");
                     assert!(
-                        self.arena.eligible_at(id) <= self.cycle,
+                        self.arena.get(id).eligible_at <= self.cycle,
                         "parked head not yet eligible at router {r} \
                          in(port={in_port},vc={vc}), cycle {}",
                         self.cycle
                     );
-                    let d = self
+                    let (d, dep) = self
                         .arena
                         .decision(id)
                         .expect("parked head without a cached decision");
@@ -1574,13 +1587,13 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
                     );
                     if adaptive {
                         assert!(
-                            !matches!(self.arena.dep(id), RouteDep::Volatile),
+                            !matches!(dep, RouteDep::Volatile),
                             "volatile decision parked at router {r} \
                              in(port={in_port},vc={vc}), cycle {}",
                             self.cycle
                         );
                         assert!(
-                            self.dep_valid(r, id),
+                            self.dep_valid(r, dep),
                             "parked head's dependency went stale without an \
                              unpark at router {r} in(port={in_port},vc={vc}), cycle {}",
                             self.cycle
@@ -1788,9 +1801,9 @@ mod tests {
         for r in &net.routers {
             assert_eq!(r.input_packets(), 0);
             assert_eq!(r.output_packets(), 0);
-            for (port, creds) in r.credits.iter().enumerate() {
-                assert_eq!(
-                    creds, &r.credit_caps[port],
+            for port in 0..net.topo.params().radix() as usize {
+                assert!(
+                    r.credits_at_capacity(port),
                     "credits leaked at router {:?} port {port}",
                     r.id()
                 );
@@ -1801,7 +1814,7 @@ mod tests {
                     r.id()
                 );
             }
-            assert!(r.in_ready.iter().all(|&m| m == 0), "stale ready bits");
+            assert!(r.in_ports.iter().all(|p| p.ready == 0), "stale ready bits");
         }
         for node in &net.nodes {
             assert!(node.queue.is_empty());

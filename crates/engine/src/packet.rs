@@ -92,35 +92,34 @@ impl WaitBreakdown {
     }
 }
 
-/// A packet in flight — the *joined* view of one arena slot.
+/// A packet in flight: the record one [`crate::arena::PacketArena`] slot
+/// holds from injection to delivery, and the value a packet travels as
+/// when it crosses a shard boundary.
 ///
-/// In-flight storage is a structure-of-arrays split (see
-/// [`crate::arena::PacketArena`]): `eligible_at` and `decision` live in
-/// hot parallel arrays probed by the allocator every cycle, everything
-/// else in a cold [`crate::arena::PacketCold`] record. This struct is the
-/// assembly type used at insertion ([`Packet::new`]) and for diagnostic
-/// snapshots; the hot path never materializes it.
+/// `repr(C)` pins the field order to access frequency: what the switch
+/// allocator reads on every probe (`eligible_at`, `decision`, `route`)
+/// comes first and, together with the slot's [`RouteDep`], fills the
+/// first cache line of the slot; identity and accounting, touched on
+/// grant, transmit and delivery, fill the second.
 #[derive(Debug, Clone, Copy)]
+#[repr(C)]
 pub struct Packet {
-    /// Identity and endpoints.
-    pub header: PacketHeader,
+    /// Cycle the head becomes eligible for allocation at the current
+    /// router (arrival + pipeline). Maintained by the engine.
+    pub eligible_at: u64,
+    /// Decided output for the current hop, if any. Cleared on every
+    /// arrival; set by the routing policy; consumed by the allocator.
+    pub decision: Option<Decision>,
     /// Routing state (interpreted by `df-routing`).
     pub route: RouteInfo,
+    /// Identity and endpoints.
+    pub header: PacketHeader,
     /// Accumulated queueing cycles.
     pub waits: WaitBreakdown,
     /// Pure traversal cycles so far: links crossed and router pipelines,
     /// excluding all queueing. Compared against the minimal-path traversal
     /// to isolate the misrouting component.
     pub traversal: u64,
-    /// Cycle the head becomes eligible for allocation at the current
-    /// router (arrival + pipeline). Maintained by the engine.
-    pub eligible_at: u64,
-    /// Cycle the packet entered the current output buffer (output-side
-    /// wait accounting). Maintained by the engine.
-    pub out_enq_at: u64,
-    /// Decided output for the current hop, if any. Cleared on every
-    /// arrival; set by the routing policy; consumed by the allocator.
-    pub decision: Option<Decision>,
 }
 
 /// What a cached routing [`Decision`] depended on, recorded by the
@@ -165,13 +164,12 @@ impl Packet {
     /// Create a freshly generated packet.
     pub fn new(id: PacketSeq, src: NodeId, dst: NodeId, size: u32, gen_cycle: u64, src_group: GroupId) -> Self {
         Self {
-            header: PacketHeader { id, src, dst, size, gen_cycle },
+            eligible_at: gen_cycle,
+            decision: None,
             route: RouteInfo::new(src_group),
+            header: PacketHeader { id, src, dst, size, gen_cycle },
             waits: WaitBreakdown::default(),
             traversal: 0,
-            eligible_at: gen_cycle,
-            out_enq_at: 0,
-            decision: None,
         }
     }
 }

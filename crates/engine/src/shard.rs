@@ -380,9 +380,10 @@ impl<P: RoutingPolicy + Send, S: StatsSink> ShardedNetwork<P, S> {
     /// between steps. Asserts, per shard: the cycle counters are aligned
     /// with the controller; the cross-shard outbox and record queue were
     /// fully drained at the barrier; the live-packet count matches the
-    /// arena's resident population; and every scheduling work list
-    /// matches a full scan of the underlying state. O(network); intended
-    /// for tests.
+    /// arena's resident population plus the packets still in source
+    /// queues (a packet gets its slot at injection, not at `offer`); and
+    /// every scheduling work list matches a full scan of the underlying
+    /// state. O(network); intended for tests.
     pub fn assert_shards_coherent(&self) {
         for (s, sh) in self.shards.iter().enumerate() {
             assert_eq!(sh.cycle(), self.cycle, "shard {s} cycle skew at barrier");
@@ -398,8 +399,9 @@ impl<P: RoutingPolicy + Send, S: StatsSink> ShardedNetwork<P, S> {
             );
             assert_eq!(
                 sh.in_flight(),
-                sh.arena_live() as u64,
-                "live-packet count diverged from arena population (shard {s}, cycle {})",
+                (sh.arena_live() + sh.source_queued()) as u64,
+                "live-packet count diverged from arena + source-queue population \
+                 (shard {s}, cycle {})",
                 self.cycle
             );
             sh.assert_work_lists_match_full_scan();

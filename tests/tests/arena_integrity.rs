@@ -2,16 +2,17 @@
 //! holds zero live slots (no leaks), slot reuse keeps steady-state runs
 //! allocation-free, and — property-tested across mechanisms, patterns,
 //! loads and seeds — slab reuse is deterministic: the same seed yields a
-//! bit-identical serialized `RunResult`. Also covers the SoA split
-//! (hot `eligible_at`/`decision` lanes vs the cold slot must stay views
-//! of one packet), the intrusive free list (LIFO reuse without growth,
-//! links threaded through vacant hot slots), and the scheduling work
-//! lists (active-node/router bitsets must match a full network scan
-//! every cycle).
+//! bit-identical serialized `RunResult`. Also covers the one-record slot
+//! (a packet's decision, its dependency and its accounting are one
+//! record, and writes to one slot never reach its neighbour), the
+//! intrusive free list (LIFO reuse without growth, links threaded
+//! through vacant slots), and the scheduling work lists
+//! (active-node/router bitsets must match a full network scan every
+//! cycle).
 
 use dragonfly_core::df_engine::{
     ArbiterPolicy, Decision, EngineConfig, Network, NullSink, Packet, PacketArena, PacketId,
-    RouteInfo,
+    RouteDep, RouteInfo,
 };
 use dragonfly_core::df_routing::MechanismSpec;
 use dragonfly_core::prelude::*;
@@ -55,22 +56,30 @@ fn drained_network_leaves_no_live_arena_slots() {
 
 #[test]
 fn arena_tracks_in_flight_exactly() {
+    // A packet holds an arena slot from injection to delivery; before
+    // that it waits in its source queue. Offering to every other node
+    // each cycle outruns the 8-cycle injection link, so both terms of
+    // the sum are exercised.
     let mut net = figure1_net(MechanismSpec::InTransitMm);
     let nodes = net.topology().params().nodes();
+    let mut peak_queued = 0;
     for round in 0..50u32 {
         for n in (0..nodes).step_by(2) {
             net.offer(NodeId(n), NodeId((n + round * 5 + 1) % nodes));
         }
         net.step();
         assert_eq!(
-            net.arena_live() as u64,
+            (net.arena_live() + net.source_queued()) as u64,
             net.in_flight(),
-            "live slots must equal in-flight packets at cycle {}",
+            "live slots plus source-queued packets must equal in-flight packets at cycle {}",
             net.cycle()
         );
+        peak_queued = peak_queued.max(net.source_queued());
     }
+    assert!(peak_queued > 0, "source queues never backed up");
     assert!(net.drain(100_000));
     assert_eq!(net.arena_live(), 0);
+    assert_eq!(net.source_queued(), 0);
 }
 
 #[test]
@@ -106,40 +115,38 @@ fn probe_packet(seq: u64) -> Packet {
 }
 
 #[test]
-fn soa_hot_and_cold_lanes_stay_one_packet() {
-    // Whatever is written through the hot accessors (eligible_at,
-    // decision) and the cold slot must read back consistently, both
-    // through the fine-grained accessors and the joined snapshot.
+fn one_record_holds_decision_dependency_and_accounting() {
+    // Whatever is written through a handle must read back from that
+    // packet and no other, through the field accessors and the copy
+    // `Network::packet` hands out alike.
     let mut arena = PacketArena::new();
     let a = arena.insert(probe_packet(1));
     let b = arena.insert(probe_packet(2));
-    // Insertion seeds the hot lanes from the packet.
-    assert_eq!(arena.eligible_at(a), 10);
-    assert_eq!(arena.eligible_at(b), 20);
+    // Insertion keeps the packet as built.
+    assert_eq!(arena.get(a).eligible_at, 10);
+    assert_eq!(arena.get(b).eligible_at, 20);
     assert!(arena.decision(a).is_none());
-    // Hot writes on one slot must not bleed into the neighbour.
-    arena.set_eligible_at(a, 555);
+    // Writes on one slot must not bleed into the neighbour.
+    arena.get_mut(a).eligible_at = 555;
     let d = Decision { out_port: Port(3), out_vc: 1, info: RouteInfo::new(GroupId(0)) };
-    arena.set_decision(a, d);
-    assert_eq!(arena.eligible_at(a), 555);
-    assert_eq!(arena.eligible_at(b), 20);
+    arena.set_decision(a, d, RouteDep::Port { port: 3, epoch: 9 });
+    arena.get_mut(a).waits.global = 99;
+    arena.get_mut(a).traversal = 7;
+    assert_eq!(arena.get(b).eligible_at, 20);
     assert!(arena.decision(b).is_none());
-    assert_eq!(arena.decision(a).unwrap().out_port, Port(3));
-    // Cold writes stay cold: hot lanes unchanged.
-    arena.cold_mut(a).waits.global = 99;
-    arena.cold_mut(a).traversal = 7;
-    assert_eq!(arena.eligible_at(a), 555);
-    // The snapshot joins both halves.
-    let snap = arena.snapshot(a);
-    assert_eq!(snap.header.id, 1);
-    assert_eq!(snap.eligible_at, 555);
-    assert_eq!(snap.waits.global, 99);
-    assert_eq!(snap.traversal, 7);
-    assert_eq!(snap.decision.unwrap().out_vc, 1);
-    // take_decision clears the hot lane without touching the cold slot.
-    assert_eq!(arena.take_decision(a).unwrap().out_port, Port(3));
+    assert_eq!(arena.get(b).waits.global, 0);
+    // The decision comes back with the dependency recorded beside it.
+    assert_eq!(arena.decision(a), Some((d, RouteDep::Port { port: 3, epoch: 9 })));
+    let copy = *arena.get(a);
+    assert_eq!(copy.header.id, 1);
+    assert_eq!(copy.eligible_at, 555);
+    assert_eq!(copy.waits.global, 99);
+    assert_eq!(copy.traversal, 7);
+    assert_eq!(copy.decision.unwrap().out_vc, 1);
+    // Taking the decision (a grant) leaves the accounting alone.
+    assert_eq!(arena.get_mut(a).decision.take().unwrap().out_port, Port(3));
     assert!(arena.decision(a).is_none());
-    assert_eq!(arena.cold(a).waits.global, 99);
+    assert_eq!(arena.get(a).waits.global, 99);
 }
 
 #[test]
@@ -167,8 +174,8 @@ fn intrusive_free_list_reuses_lifo_without_growth() {
     assert_eq!(arena.capacity(), 7);
     assert_eq!(arena.live(), 7);
     // Reused slots carry the fresh packet, not stale state.
-    assert_eq!(arena.cold(ids[3]).header.id, 12);
-    assert_eq!(arena.eligible_at(ids[3]), 120);
+    assert_eq!(arena.get(ids[3]).header.id, 12);
+    assert_eq!(arena.get(ids[3]).eligible_at, 120);
     assert!(arena.decision(ids[3]).is_none());
 }
 

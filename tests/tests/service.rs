@@ -192,14 +192,17 @@ fn over_quota_submissions_are_rejected_while_queued_work_drains() {
 fn stall_past_deadline_times_out_and_leaves_no_partial_output() {
     let svc = Service::new(ServiceConfig { workers: 1, ..ServiceConfig::default() });
     let (sink, events) = collecting_sink();
+    // The deadline must fall inside the stall whatever cycle 50 costs:
+    // under `DF_TEST_SHARDS=2` in a debug build, with this file's other
+    // tests on the same two cores, reaching it has taken over 100 ms.
     let stall = FaultSpec {
         stall_at_cycle: Some(50),
-        stall_ms: Some(200),
+        stall_ms: Some(900),
         ..FaultSpec::default()
     };
     let job = svc.submit(
         JobPayload::Scenario(tiny_scenario("svc-deadline")),
-        one_seed(Some(stall), Some(40)),
+        one_seed(Some(stall), Some(300)),
         Arc::clone(&sink),
     );
     let evs = wait_terminal(&events, job);
