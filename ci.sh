@@ -30,10 +30,13 @@ echo "==> release-mode shadow verification (route cache + sharding, --features s
 # Release builds drop debug assertions, so the recompute-and-compare check
 # on every reused routing decision is re-enabled explicitly and exercised
 # under the optimized scheduling it is meant to guard. The sharding suite
-# rides along for its cross-shard queue coherence audit (per-cycle
-# work-list full-scan mirror), which is also shadow-verify-gated.
+# rides along for its cross-shard outbox coherence audit (per-cycle
+# work-list full-scan mirror), which is also shadow-verify-gated, and the
+# worker-team tests for the release-speed interleavings of the team
+# (lockstep populations, nested sweeps, panic propagation and join).
 cargo test -q --release -p integration-tests --features shadow-verify \
-    --test route_cache --test golden_outputs --test sharding
+    --test route_cache --test golden_outputs --test sharding \
+    --test shard_team --test shard_team_panic
 
 echo "==> cargo doc --no-deps --workspace (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
@@ -206,6 +209,20 @@ echo "==> benchmark smoke gate (perf/check.sh: df-perf unit tests, every workloa
 # workload once at smoke scale (timed and traced pass, pinned digests
 # included) and checks the metric tables against BENCHMARK.json.
 perf/check.sh
+
+echo "==> sharded vs serial at paper scale (df-perf, 4 s each; printed, never gated)"
+# ROADMAP "make sharding pay or delete it" is decided on this ratio, over
+# alternating pairs (see README); one short run each is only a reading,
+# so nothing here can fail the gate.
+cycles_per_s() {
+    cargo run --release --offline --quiet --manifest-path perf/Cargo.toml -- \
+        --workload "$1" --seed 11 --seconds 4 --trace 0 | tail -n 1 |
+        python3 -c 'import json, sys; print(json.load(sys.stdin)["metrics"]["sim_cycles_per_s"]["value"])'
+}
+{
+    serial="$(cycles_per_s paper_advc)" && s2="$(cycles_per_s paper_advc_s2)" &&
+        python3 -c "print('s2/serial = %.2f' % ($s2 / $serial))"
+} || echo "s2/serial = n/a (reading failed)"
 
 echo "==> criterion benches in --test mode (each body runs once)"
 cargo bench -p df-bench -- --test

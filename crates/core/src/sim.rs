@@ -24,6 +24,7 @@ use df_stats::FairnessReport;
 use df_topology::{NodeId, RouterId, Topology};
 use df_traffic::{BernoulliInjector, Traffic};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Measurement slice of one job in a multi-job run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -188,12 +189,12 @@ impl Engine {
         fwd!(self, n => n.config())
     }
 
-    /// Aggregate counters, by value: the serial engine's are cloned, the
-    /// sharded engine's are merged across shards into global-size vectors.
-    pub fn counters(&self) -> Counters {
+    /// Aggregate counters: the serial engine's are borrowed, the sharded
+    /// engine's are merged across shards into global-size vectors.
+    pub fn counters(&self) -> Cow<'_, Counters> {
         match self {
-            Engine::Serial(n) => n.counters().clone(),
-            Engine::Sharded(n) => n.counters(),
+            Engine::Serial(n) => Cow::Borrowed(n.counters()),
+            Engine::Sharded(n) => Cow::Owned(n.counters()),
         }
     }
 

@@ -17,7 +17,7 @@
 //! CLI surface).
 
 use crate::sim::{Engine, JobRuntime};
-use df_engine::TelemetrySpec;
+use df_engine::{Counters, TelemetrySpec};
 use df_stats::WindowSeries;
 use serde::{Deserialize, Serialize};
 
@@ -119,8 +119,7 @@ struct JobMark {
     latency_sum: f64,
 }
 
-fn net_mark(net: &Net, spec: &TelemetrySpec) -> NetMark {
-    let c = net.counters();
+fn net_mark(net: &Net, c: &Counters, spec: &TelemetrySpec) -> NetMark {
     NetMark {
         offered_packets: c.offered_packets,
         injected_packets: c.injected_per_router.iter().sum(),
@@ -132,8 +131,8 @@ fn net_mark(net: &Net, spec: &TelemetrySpec) -> NetMark {
     }
 }
 
-fn job_marks(net: &Net, jobs: &[JobRuntime]) -> Vec<JobMark> {
-    let per_node = &net.counters().injected_per_node;
+fn job_marks(net: &Net, c: &Counters, jobs: &[JobRuntime]) -> Vec<JobMark> {
+    let per_node = &c.injected_per_node;
     jobs.iter()
         .zip(net.sink().jobs())
         .map(|(job, acc)| JobMark {
@@ -145,6 +144,14 @@ fn job_marks(net: &Net, jobs: &[JobRuntime]) -> Vec<JobMark> {
             latency_sum: acc.latency.mean_latency() * acc.latency.count() as f64,
         })
         .collect()
+}
+
+/// Both boundary marks from one snapshot of the engine's counters (a
+/// borrow on the serial engine, one merge on the sharded one).
+fn marks(net: &Net, spec: &TelemetrySpec, jobs: &[JobRuntime]) -> (NetMark, Vec<JobMark>) {
+    let c = net.counters();
+    let job_marks = if spec.sample_jobs { job_marks(net, &c, jobs) } else { Vec::new() };
+    (net_mark(net, &c, spec), job_marks)
 }
 
 /// A streaming consumer of closed windows: called once per window, in
@@ -174,11 +181,12 @@ impl TimelineRecorder {
         jobs: &[JobRuntime],
         sink: Option<TimelineSink>,
     ) -> Self {
+        let (net_mark, job_marks) = marks(net, &spec, jobs);
         TimelineRecorder {
             spec,
             series: WindowSeries::new(spec.window_cycles, base),
-            net_mark: net_mark(net, &spec),
-            job_marks: if spec.sample_jobs { job_marks(net, jobs) } else { Vec::new() },
+            net_mark,
+            job_marks,
             sink,
         }
     }
@@ -205,9 +213,8 @@ impl TimelineRecorder {
     fn close(&mut self, window: u64, start: u64, end: u64, net: &Net, jobs: &[JobRuntime]) {
         let span = (end - start) as f64;
         let params = *net.topology().params();
-        let now_net = net_mark(net, &self.spec);
+        let (now_net, jobs_now) = marks(net, &self.spec, jobs);
         let prev = self.net_mark;
-        let jobs_now = if self.spec.sample_jobs { job_marks(net, jobs) } else { Vec::new() };
         let job_rows = jobs
             .iter()
             .zip(jobs_now.iter())

@@ -110,6 +110,58 @@ impl PhaseProfile {
     }
 }
 
+/// The phase clock a step body is generic over: [`Untimed`] behind
+/// `step`, [`WallClock`] behind `step_timed`. Monomorphized, so the
+/// untimed step contains no clock reads.
+pub(crate) trait PhaseClock {
+    /// Whether laps read the wall clock.
+    const TIMED: bool;
+    /// Start timing now.
+    fn start() -> Self;
+    /// Nanoseconds since the previous lap (or `start`).
+    fn lap(&mut self) -> u64;
+    /// Like [`Self::lap`], up to a stamp taken on another thread (an
+    /// earlier stamp charges nothing).
+    fn lap_until(&mut self, at: Instant) -> u64;
+}
+
+/// Reads no clock; every lap is zero.
+pub(crate) struct Untimed;
+
+impl PhaseClock for Untimed {
+    const TIMED: bool = false;
+    #[inline]
+    fn start() -> Self {
+        Untimed
+    }
+    #[inline]
+    fn lap(&mut self) -> u64 {
+        0
+    }
+    #[inline]
+    fn lap_until(&mut self, _at: Instant) -> u64 {
+        0
+    }
+}
+
+/// `Instant`-backed clock; holds the previous lap's end.
+pub(crate) struct WallClock(Instant);
+
+impl PhaseClock for WallClock {
+    const TIMED: bool = true;
+    fn start() -> Self {
+        WallClock(Instant::now())
+    }
+    fn lap(&mut self) -> u64 {
+        self.lap_until(Instant::now())
+    }
+    fn lap_until(&mut self, at: Instant) -> u64 {
+        let ns = at.saturating_duration_since(self.0).as_nanos() as u64;
+        self.0 = self.0.max(at);
+        ns
+    }
+}
+
 /// A generated packet waiting in its source queue: what `offer` fixes
 /// (sequence number, destination, generation cycle). The [`Packet`] is
 /// built from it — and enters the arena — when the node wins a VC.
@@ -254,7 +306,7 @@ impl ProposalList {
 /// carry **global** ids; the boundary between the two spaces is the
 /// `local_router` / `local_node` helpers. Traffic towards routers the
 /// slice does not own is diverted into the crate-private `ShardOutbox`
-/// and delivered by the sharded controller at the cycle barrier.
+/// and accepted by the owning slice past the sharded engine's cycle barrier.
 pub struct Network<P: RoutingPolicy, S: StatsSink> {
     topo: Topology,
     cfg: EngineConfig,
@@ -267,7 +319,7 @@ pub struct Network<P: RoutingPolicy, S: StatsSink> {
     /// Global id of `nodes[0]` (0 for a serial network; always
     /// `router_base * p` so local node index `r·p + slot` stays valid).
     node_base: u32,
-    /// Cross-shard traffic staged for the controller's cycle barrier.
+    /// Cross-shard traffic staged for the sharded engine's cycle barrier.
     /// Always empty in serial mode (a serial network owns every router).
     outbox: ShardOutbox,
     /// Slab storing every packet inside the network (injected, not yet
@@ -621,88 +673,67 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
 
     /// Advance the simulation by one cycle.
     pub fn step(&mut self) {
-        let mut policy = self.policy.take().expect("policy detached (shard slice)");
-        self.cycle += 1;
-        self.counters.cycles += 1;
-        self.deliver_events();
-        self.run_policy_begin_with(&mut policy);
-        self.inject_from_nodes();
-        self.allocate_all_with(&mut policy);
-        self.transmit_all();
-        self.policy = Some(policy);
+        self.step_clocked::<Untimed>();
     }
 
     /// Advance one cycle like [`Self::step`], accumulating per-phase
     /// wall-clock time into `profile` (diagnostics; the untimed `step`
     /// pays no instrumentation cost).
     pub fn step_timed(&mut self, profile: &mut PhaseProfile) {
+        profile.absorb(&self.step_clocked::<WallClock>());
+    }
+
+    /// The one cycle body behind [`Self::step`] and [`Self::step_timed`]:
+    /// `begin_cycle_bump; deliver; policy_begin; inject; allocate;
+    /// transmit`, with a clock lap after each phase. No `#[inline]` hint:
+    /// with one, the body lands inside `Simulator::step` and `paper_advc`
+    /// measured 3–5 % slower over eight alternating runs.
+    fn step_clocked<C: PhaseClock>(&mut self) -> PhaseProfile {
         let mut policy = self.policy.take().expect("policy detached (shard slice)");
-        self.cycle += 1;
-        self.counters.cycles += 1;
-        let t0 = Instant::now();
+        self.begin_cycle_bump();
+        let mut clock = C::start();
         self.deliver_events();
-        let t1 = Instant::now();
+        let deliver_ns = clock.lap();
         self.run_policy_begin_with(&mut policy);
-        let t2 = Instant::now();
+        let policy_ns = clock.lap();
         self.inject_from_nodes();
-        let t3 = Instant::now();
+        let inject_ns = clock.lap();
         self.allocate_all_with(&mut policy);
-        let t4 = Instant::now();
+        let allocate_ns = clock.lap();
         self.transmit_all();
-        let t5 = Instant::now();
+        let transmit_ns = clock.lap();
         self.policy = Some(policy);
-        profile.deliver_ns += (t1 - t0).as_nanos() as u64;
-        profile.policy_ns += (t2 - t1).as_nanos() as u64;
-        profile.inject_ns += (t3 - t2).as_nanos() as u64;
-        profile.allocate_ns += (t4 - t3).as_nanos() as u64;
-        profile.transmit_ns += (t5 - t4).as_nanos() as u64;
-        profile.cycles += 1;
+        PhaseProfile { deliver_ns, policy_ns, inject_ns, allocate_ns, transmit_ns, cycles: 1 }
     }
 
     // ------------------------------------------------------------------
-    // Shard-controller phase surface: one serial cycle is exactly
-    // `begin_cycle_bump; deliver; policy_begin; inject; allocate;
-    // transmit` — the controller runs the same phases across all shards
-    // in phase-major order, threading the single policy through the
-    // `*_with` variants during the sequential phases.
+    // Shard-team phase surface: the sharded engine runs the same phases
+    // on every slice (see `shard.rs` for the schedule), threading the
+    // single policy through the `*_with` variants as a token.
     // ------------------------------------------------------------------
 
-    /// Advance the local cycle counter (start of a controller-driven cycle).
+    /// Advance the local cycle counter (start of a cycle).
     pub(crate) fn begin_cycle_bump(&mut self) {
         self.cycle += 1;
         self.counters.cycles += 1;
     }
 
-    /// Event-delivery phase (shard-local state only).
-    pub(crate) fn phase_deliver(&mut self) {
-        self.deliver_events();
+    /// The staged cross-shard traffic, for the team to publish at the
+    /// cycle barrier. Always empty between steps, and always empty in
+    /// serial mode.
+    pub(crate) fn outbox_mut(&mut self) -> &mut ShardOutbox {
+        &mut self.outbox
     }
 
-    /// Injection phase (shard-local state only).
-    pub(crate) fn phase_inject(&mut self) {
-        self.inject_from_nodes();
-    }
-
-    /// Transmit phase (cross-shard flits land in the outbox).
-    pub(crate) fn phase_transmit(&mut self) {
-        self.transmit_all();
-    }
-
-    /// Take the staged cross-shard traffic (leaves the outbox empty).
-    pub(crate) fn take_outbox(&mut self) -> ShardOutbox {
-        std::mem::take(&mut self.outbox)
-    }
-
-    /// Whether no cross-shard traffic is staged (always true between
-    /// barriers, and always true in serial mode).
+    /// Whether no cross-shard traffic is staged.
     pub(crate) fn outbox_is_empty(&self) -> bool {
         self.outbox.is_empty()
     }
 
-    /// Deliver a credit return that crossed the shard boundary. Called at
-    /// the cycle barrier, when the local wheel sits at the same cycle the
-    /// sender's did when it would have scheduled the event — so the delay
-    /// lands it in exactly the serial engine's slot.
+    /// Deliver a credit return that crossed the shard boundary. Called
+    /// after the cycle barrier, when the local wheel sits at the same
+    /// cycle the sender's did when it would have scheduled the event — so
+    /// the delay lands it in exactly the serial engine's slot.
     pub(crate) fn accept_remote_credit(&mut self, c: RemoteCredit) {
         debug_assert!(self.owns_router(c.router));
         self.wheel.schedule(
@@ -717,7 +748,7 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
     /// sequence id, route state, waits, traversal, eligibility); only the
     /// `PacketId` handle is shard-local, and handles never appear in
     /// results.
-    pub(crate) fn accept_remote_flit(&mut self, f: RemoteFlit) {
+    pub(crate) fn accept_remote_flit(&mut self, f: &RemoteFlit) {
         debug_assert!(self.owns_router(f.router));
         let id = self.arena.insert(f.packet);
         self.live_packets += 1;
@@ -773,8 +804,9 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
         }
     }
 
-    /// Transmit phase over the staged-router work list (ascending order).
-    fn transmit_all(&mut self) {
+    /// Transmit phase over the staged-router work list (ascending order;
+    /// cross-shard flits land in the outbox).
+    pub(crate) fn transmit_all(&mut self) {
         for w in 0..self.tx_active.len() {
             let mut word = self.tx_active[w];
             while word != 0 {
@@ -907,7 +939,8 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
         }
     }
 
-    fn deliver_events(&mut self) {
+    /// Event-delivery phase (slice-local state only).
+    pub(crate) fn deliver_events(&mut self) {
         let mut events = self.wheel.advance();
         debug_assert_eq!(self.wheel.now(), self.cycle);
         for ev in events.drain(..) {
@@ -988,8 +1021,10 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
     /// cleared here once the queue drains). Ascending order keeps event
     /// scheduling identical to the full `0..nodes` scan. A node that wins
     /// an injection VC turns its queue head into a [`Packet`]: this is
-    /// where a packet gets its arena slot.
-    fn inject_from_nodes(&mut self) {
+    /// where a packet gets its arena slot. Touches node, arena and wheel
+    /// state only — never a router — so the sharded engine may run it
+    /// before the policy's `begin_cycle`.
+    pub(crate) fn inject_from_nodes(&mut self) {
         let params = *self.topo.params();
         for w in 0..self.node_active.len() {
             let mut word = self.node_active[w];
@@ -1400,7 +1435,7 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
                     } else {
                         // Cross-shard interception point #2: the packet
                         // leaves this slice's arena and travels to the
-                        // owner as a value; the controller re-homes it at
+                        // owner as a value; the owner re-homes it past
                         // the cycle barrier. Traversal was already
                         // charged above, exactly as for a local hop.
                         let packet = *self.arena.get(staged.pkt);
