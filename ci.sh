@@ -48,15 +48,20 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> doc tests (df-workload schema examples et al.)"
 cargo test -q --doc
 
+# What the legs below write for the workflow to archive; nothing under
+# it is committed (target/ is ignored).
+artifacts=target/ci-artifacts
+mkdir -p "$artifacts"
+
 echo "==> scenario smoke run (reduced cycles) + timeline stream validation"
 # The smoke run doubles as the windowed-telemetry gate: every mechanism
 # streams one JSONL row per closed window, and timeline_check verifies
 # each line parses and the window cycle ranges are contiguous per run.
 cargo run --release -p df-bench --bin scenario -- --quick \
-    --timeline bench-results/timeline_interference.jsonl \
+    --timeline "$artifacts/timeline_interference.jsonl" \
     scenarios/interference_advc_vs_uniform.json > /dev/null
 cargo run --release -p df-bench --bin timeline_check -- \
-    bench-results/timeline_interference.jsonl
+    "$artifacts/timeline_interference.jsonl"
 
 echo "==> shard-count invariance smoke (--shards 2 vs serial, byte-compare)"
 # Same spec, same seed, different engine: the sharded CLI run must print
@@ -79,27 +84,26 @@ rm -rf "$shard_dir"
 echo "==> sweep smoke run + determinism gate (bundled grid, twice, bit-compare)"
 # The long-format table must be bit-identical across same-seed runs
 # regardless of how cells were scheduled across threads. The first run's
-# table lands in bench-results/ for the workflow to archive alongside
-# the perf trajectory.
+# table lands in $artifacts for the workflow to archive.
 sweep_rerun="$(mktemp -d)"
-trap 'rm -rf "${fresh_dir:-}" "${sweep_rerun:-}"' EXIT
+trap 'rm -rf "${sweep_rerun:-}"' EXIT
 cargo run --release -p df-bench --bin sweep -- --quick \
-    --csv bench-results/sweep_unfairness_grid.csv \
-    --out bench-results/sweep_unfairness_grid.json \
+    --csv "$artifacts/sweep_unfairness_grid.csv" \
+    --out "$artifacts/sweep_unfairness_grid.json" \
     scenarios/sweep_unfairness_grid.json > /dev/null
 cargo run --release -p df-bench --bin sweep -- --quick \
     --csv "$sweep_rerun/table.csv" --out "$sweep_rerun/table.json" \
     scenarios/sweep_unfairness_grid.json > /dev/null
-cmp bench-results/sweep_unfairness_grid.csv "$sweep_rerun/table.csv"
-cmp bench-results/sweep_unfairness_grid.json "$sweep_rerun/table.json"
+cmp "$artifacts/sweep_unfairness_grid.csv" "$sweep_rerun/table.csv"
+cmp "$artifacts/sweep_unfairness_grid.json" "$sweep_rerun/table.json"
 # Sharded leg of the same gate: `--shards 2` threads through the base
 # spec into every expanded cell, and both artifacts must still match the
 # serial run byte-for-byte (the in-tree golden digests pin the same).
 cargo run --release -p df-bench --bin sweep -- --quick --shards 2 \
     --csv "$sweep_rerun/sharded.csv" --out "$sweep_rerun/sharded.json" \
     scenarios/sweep_unfairness_grid.json > /dev/null
-cmp bench-results/sweep_unfairness_grid.csv "$sweep_rerun/sharded.csv"
-cmp bench-results/sweep_unfairness_grid.json "$sweep_rerun/sharded.json"
+cmp "$artifacts/sweep_unfairness_grid.csv" "$sweep_rerun/sharded.csv"
+cmp "$artifacts/sweep_unfairness_grid.json" "$sweep_rerun/sharded.json"
 
 echo "==> service smoke (df-serve: cache replay + admission control + drain)"
 # Boot the job server with a deliberately tiny admission window, submit
@@ -110,10 +114,10 @@ echo "==> service smoke (df-serve: cache replay + admission control + drain)"
 # artifact CI archives (see docs/SERVICE.md).
 service_sock="$(mktemp -u /tmp/df-service-ci.XXXXXX.sock)"
 service_dir="$(mktemp -d)"
-trap 'rm -rf "${fresh_dir:-}" "${sweep_rerun:-}" "${service_dir:-}"; rm -f "${service_sock:-}"' EXIT
+trap 'rm -rf "${sweep_rerun:-}" "${service_dir:-}"; rm -f "${service_sock:-}"' EXIT
 cargo run --release -p df-bench --bin df-serve -- \
     --socket "$service_sock" --workers 1 --queue-depth 1 \
-    --event-log bench-results/service_events.jsonl &
+    --event-log "$artifacts/service_events.jsonl" &
 service_pid=$!
 for _ in $(seq 1 100); do
     [ -S "$service_sock" ] && break
@@ -154,17 +158,21 @@ echo "==> kill-recovery leg (durable state: crash mid-sweep, resume from checkpo
 # submission replays the same bytes from the durable result cache.
 recovery_sock="$(mktemp -u /tmp/df-recovery-ci.XXXXXX.sock)"
 recovery_dir="$(mktemp -d)"
-trap 'rm -rf "${fresh_dir:-}" "${sweep_rerun:-}" "${service_dir:-}" "${recovery_dir:-}"; rm -f "${service_sock:-}" "${recovery_sock:-}"' EXIT
+trap 'rm -rf "${sweep_rerun:-}" "${service_dir:-}" "${recovery_dir:-}"; rm -f "${service_sock:-}" "${recovery_sock:-}"' EXIT
 serve_recovery() { # <state-dir> <event-log>
     cargo run --release -p df-bench --bin df-serve -- \
         --socket "$recovery_sock" --workers 1 \
         --state-dir "$1" --event-log "$2" &
     recovery_pid=$!
+    # Wait for a socket that accepts, not one that exists: the aborted
+    # server leaves its socket file behind until the restart reclaims it.
     for _ in $(seq 1 100); do
-        [ -S "$recovery_sock" ] && break
+        python3 -c 'import socket, sys; socket.socket(socket.AF_UNIX).connect(sys.argv[1])' \
+            "$recovery_sock" 2> /dev/null && return
         sleep 0.1
     done
-    [ -S "$recovery_sock" ] || { echo "df-serve (recovery leg) never bound its socket" >&2; exit 1; }
+    echo "df-serve (recovery leg) never bound its socket" >&2
+    exit 1
 }
 rsubmit() { cargo run --release -p df-bench --bin df-submit -- --socket "$recovery_sock" "$@"; }
 # Uninterrupted baseline on a throwaway state dir.
@@ -223,45 +231,5 @@ cycles_per_s() {
     serial="$(cycles_per_s paper_advc)" && s2="$(cycles_per_s paper_advc_s2)" &&
         python3 -c "print('s2/serial = %.2f' % ($s2 / $serial))"
 } || echo "s2/serial = n/a (reading failed)"
-
-echo "==> criterion benches in --test mode (each body runs once)"
-cargo bench -p df-bench -- --test
-
-echo "==> end-to-end bench smoke (full warm-up + measurement unit, once)"
-cargo bench -p df-bench --bench end_to_end -- --test
-
-echo "==> record perf trajectory (bench-results/BENCH_*.json) + regression gate"
-# Absolute path: cargo bench runs the binaries with cwd = the bench
-# package directory, so a relative dir would land in crates/bench/.
-# Fresh results land in staging dirs first; bench_trend merges the runs
-# (per-id median — the loaded full-network cycle drifts with network
-# fill, so a single run is too noisy to gate on), diffs them against the
-# previous artifacts, fails on a >10% median regression (except on
-# sub-microsecond ids like the idle-cycle benches, where ns-scale
-# scheduler jitter swamps any percentage), and promotes the merged
-# result into bench-results/ (export BENCH_TREND_FLAGS=--allow-regress
-# for warn-only, as CI does — shared-runner timings are noisier still).
-fresh_dir="$(mktemp -d)"
-for i in 1 2 3 4; do
-    BENCH_JSON_DIR="$fresh_dir/run$i" cargo bench -p df-bench --bench router_step
-done
-# The allocator hotspot (the route-cache acceptance number) is gated on
-# the median of eight runs: single runs of a saturated network cycle
-# swing well past the 10% threshold with scheduler noise, so only merged
-# medians are ever promoted into bench-results/.
-for i in 1 2 3 4 5 6 7 8; do
-    BENCH_JSON_DIR="$fresh_dir/run$i" cargo bench -p df-bench --bench allocator
-done
-# Each gate run also appends the merged medians to the per-commit perf
-# history (bench-results/history.jsonl, archived by the workflow) and
-# checks the last 5 entries of each id for sustained same-direction
-# drift — the slow leak where every step stays under the 10% threshold
-# but the sum does not.
-# shellcheck disable=SC2086 # BENCH_TREND_FLAGS is intentionally word-split
-cargo run --release -p df-bench --bin bench_trend -- \
-    ${BENCH_TREND_FLAGS:-} --baseline bench-results --promote bench-results \
-    --history bench-results/history.jsonl --drift 5 \
-    "$fresh_dir"/run1 "$fresh_dir"/run2 "$fresh_dir"/run3 "$fresh_dir"/run4 \
-    "$fresh_dir"/run5 "$fresh_dir"/run6 "$fresh_dir"/run7 "$fresh_dir"/run8
 
 echo "CI gate passed."

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! cargo run --release -p df-bench --bin df-serve -- --socket /tmp/df.sock \
-//!     --event-log bench-results/service_events.jsonl
+//!     --event-log /tmp/df-events.jsonl
 //! ```
 //!
 //! Flags:

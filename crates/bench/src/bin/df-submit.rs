@@ -40,7 +40,7 @@
 //! | 6 | `failed` (retries exhausted) or `rejected` (bad spec) |
 //! | 1 | I/O failure (connect, read, write) |
 
-use df_bench::fail;
+use df_bench::{fail, seed_list};
 use df_service::{FaultSpec, JobEvent, Request, SubmitOptions};
 use df_workload::{ScenarioSpec, SweepSpec};
 use dragonfly_core::DEFAULT_SEEDS;
@@ -104,12 +104,8 @@ fn parse_args() -> Args {
             "--sweep" => sweep = true,
             "--quick" => args.quick = true,
             "--seeds" => {
-                let n: u64 = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| die("--seeds needs a positive number"));
-                args.seeds = Some((0..n).map(|i| DEFAULT_SEEDS[0] + i * 31).collect());
+                let n = it.next().and_then(|v| v.parse().ok()).unwrap_or(0);
+                args.seeds = Some(seed_list(n).unwrap_or_else(|e| die(&e)));
             }
             "--deadline-ms" => {
                 args.deadline_ms = Some(

@@ -26,7 +26,7 @@
 //! the human-readable tables), so downstream tooling can consume the run
 //! without extra flags.
 
-use df_bench::{create_timeline_file, fail, timeline_sink, write_json};
+use df_bench::{create_timeline_file, fail, seed_list, timeline_sink, write_json};
 use dragonfly_core::prelude::*;
 use std::path::PathBuf;
 
@@ -64,12 +64,8 @@ fn parse_args() -> Args {
         match flag.as_str() {
             "--quick" => args.quick = true,
             "--seeds" => {
-                let n: u64 = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| die("--seeds needs a positive number"));
-                args.seeds = (0..n).map(|i| DEFAULT_SEEDS[0] + i * 31).collect();
+                let n = it.next().and_then(|v| v.parse().ok()).unwrap_or(0);
+                args.seeds = seed_list(n).unwrap_or_else(|e| die(&e));
             }
             "--out" => {
                 args.out = Some(PathBuf::from(
@@ -148,7 +144,8 @@ fn main() {
         // through `InjectionSpec::Trace`. Multi-job scenarios get one
         // trace file per job (`PATH.jobN.json`).
         let mut recorders = vec![TraceRecorder::new(); spec.jobs.len()];
-        run_scenario_once(&spec, spec.mechanisms[0], args.seeds[0], Some(&mut recorders))
+        let opts = CellOptions { recorders: Some(&mut recorders), ..Default::default() };
+        run_cell(&spec, spec.mechanisms[0], args.seeds[0], opts)
             .unwrap_or_else(|e| fail(&e.to_string()));
         for (j, recorder) in recorders.iter().enumerate() {
             let job_path = if recorders.len() == 1 {
@@ -181,7 +178,8 @@ fn main() {
                 mechanism.label().to_string(),
                 args.seeds[0],
             );
-            let run = run_scenario_timeline(&spec, mechanism, args.seeds[0], sink)
+            let opts = CellOptions { timeline: Some(sink), ..Default::default() };
+            let run = run_cell(&spec, mechanism, args.seeds[0], opts)
                 .unwrap_or_else(|e| fail(&e.to_string()));
             eprintln!(
                 "timeline: {} windows of `{}` under {} appended to {}",

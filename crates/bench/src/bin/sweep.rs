@@ -26,7 +26,7 @@
 //! across threads (CI runs the bundled grid twice and compares md5s).
 //! A compact per-cell summary grid is printed to stdout.
 
-use df_bench::{create_timeline_file, fail, timeline_sink, write_json};
+use df_bench::{create_timeline_file, fail, seed_list, timeline_sink, write_json};
 use dragonfly_core::prelude::*;
 use std::path::PathBuf;
 
@@ -64,12 +64,8 @@ fn parse_args() -> Args {
         match flag.as_str() {
             "--quick" => args.quick = true,
             "--seeds" => {
-                let n: u64 = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| die("--seeds needs a positive number"));
-                args.seeds = (0..n).map(|i| DEFAULT_SEEDS[0] + i * 31).collect();
+                let n = it.next().and_then(|v| v.parse().ok()).unwrap_or(0);
+                args.seeds = seed_list(n).unwrap_or_else(|e| die(&e));
             }
             "--out" => {
                 args.out =
@@ -142,7 +138,8 @@ fn main() {
             cell.mechanism.label().to_string(),
             args.seeds[0],
         );
-        let run = run_scenario_timeline(&cell.scenario, cell.mechanism, args.seeds[0], sink)
+        let opts = CellOptions { timeline: Some(sink), ..Default::default() };
+        let run = run_cell(&cell.scenario, cell.mechanism, args.seeds[0], opts)
             .unwrap_or_else(|e| fail(&e.to_string()));
         eprintln!(
             "timeline: {} windows of cell {} under {} written to {}",

@@ -77,11 +77,8 @@ impl CommonArgs {
                     };
                 }
                 "--seeds" => {
-                    let n: usize = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| die("--seeds needs a number"));
-                    args.seeds = (0..n as u64).map(|i| DEFAULT_SEEDS[0] + i * 31).collect();
+                    let n = it.next().and_then(|v| v.parse().ok()).unwrap_or(0);
+                    args.seeds = seed_list(n).unwrap_or_else(|e| die(&e));
                 }
                 "--out" => {
                     args.out = Some(PathBuf::from(
@@ -124,7 +121,21 @@ impl CommonArgs {
 
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
+    eprintln!(
+        "usage: <figure-bin> [--paper-scale] [--priority transit|none|age] \
+         [--pattern un|adv1|advc] [--quick] [--seeds N] [--out PATH]"
+    );
     std::process::exit(2);
+}
+
+/// The seed list behind every binary's `--seeds N`: `N` seeds starting
+/// at the paper protocol's first seed, 31 apart. `N = 0` is a usage
+/// error — the runners average over the list and need at least one.
+pub fn seed_list(n: u64) -> Result<Vec<u64>, String> {
+    if n == 0 {
+        return Err("--seeds needs a positive number".into());
+    }
+    Ok((0..n).map(|i| DEFAULT_SEEDS[0] + i * 31).collect())
 }
 
 /// Print a one-line error and exit 1. For runtime failures (I/O,
@@ -152,7 +163,7 @@ pub struct TimelineLine {
     pub window: WindowRow,
 }
 
-/// A streaming sink for [`dragonfly_core::run_scenario_timeline`]: each
+/// A streaming sink for [`dragonfly_core::CellOptions::timeline`]: each
 /// closed window is appended to `file` as one compact JSON line (and
 /// flushed, so a consumer tailing the file sees rows as they close).
 pub fn timeline_sink(
@@ -251,6 +262,12 @@ mod tests {
         a.paper_scale = true;
         let full = a.base_config(MechanismSpec::Min, 0.4);
         assert_eq!(full.params.nodes(), 5256);
+    }
+
+    #[test]
+    fn seed_list_rejects_zero_and_spaces_seeds_by_31() {
+        assert!(seed_list(0).is_err());
+        assert_eq!(seed_list(3).unwrap(), [11, 42, 73]);
     }
 
     #[test]

@@ -54,10 +54,10 @@ impl CancelToken {
     }
 }
 
-/// Per-run control block handed to the `*_ctl` runner entry points
-/// ([`crate::run_scenario_ctl`], [`crate::run_scenario_once_ctl`],
-/// [`crate::run_sweep_ctl`]). All fields are optional; the empty
-/// [`RunCtl::NONE`] makes every checkpoint a no-op.
+/// Per-run control block handed to the controllable runner entry points
+/// ([`crate::run_scenario_ctl`], [`crate::run_cell`] via
+/// [`crate::CellOptions`], [`crate::run_sweep_hooked`]). All fields are
+/// optional; the empty [`RunCtl::NONE`] makes every checkpoint a no-op.
 #[derive(Clone, Copy, Default)]
 pub struct RunCtl<'a> {
     /// Cooperative cancellation; checked every driver cycle.

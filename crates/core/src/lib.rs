@@ -53,13 +53,12 @@ pub use experiment::{
     run_averaged, standard_load_grid, sweep_loads, AveragedResult, DEFAULT_SEEDS,
 };
 pub use scenario::{
-    run_scenario, run_scenario_ctl, run_scenario_once, run_scenario_once_ctl,
-    run_scenario_timeline, JobSummary, MechanismScenarioResult, MechanismSummary,
-    ScenarioResult, ScenarioSummary,
+    run_cell, run_scenario, run_scenario_ctl, CellOptions, JobSummary, MechanismScenarioResult,
+    MechanismSummary, ScenarioResult, ScenarioSummary,
 };
 pub use sim::{run_single, JobResult, JobSchedule, RunResult, Simulator};
 pub use sink::{JobAccumulator, MeasurementSink};
-pub use sweep::{run_sweep, run_sweep_ctl, run_sweep_hooked, SweepHooks, SweepRow, SweepTable};
+pub use sweep::{run_sweep, run_sweep_hooked, SweepHooks, SweepRow, SweepTable};
 pub use timeline::{JobWindow, TimelineSink, WindowRow};
 
 /// Engine-version tag baked into `df-service` cache keys. Bump whenever
@@ -80,12 +79,11 @@ pub use df_workload;
 /// Everything needed for typical experiment scripts.
 pub mod prelude {
     pub use crate::{
-        run_averaged, run_scenario, run_scenario_ctl, run_scenario_once,
-        run_scenario_once_ctl, run_scenario_timeline, run_single, run_sweep, run_sweep_ctl,
+        run_averaged, run_cell, run_scenario, run_scenario_ctl, run_single, run_sweep,
         run_sweep_hooked, standard_load_grid, sweep_loads, AveragedResult, CancelToken,
-        JobResult, JobSchedule, JobWindow, MeasurementSink, RunCtl, RunResult, ScenarioError,
-        ScenarioResult, SimConfig, Simulator, SweepHooks, SweepRow, SweepTable, TimelineSink,
-        WindowRow, DEFAULT_SEEDS, ENGINE_VERSION,
+        CellOptions, JobResult, JobSchedule, JobWindow, MeasurementSink, RunCtl, RunResult,
+        ScenarioError, ScenarioResult, SimConfig, Simulator, SweepHooks, SweepRow, SweepTable,
+        TimelineSink, WindowRow, DEFAULT_SEEDS, ENGINE_VERSION,
     };
     pub use df_engine::{ArbiterPolicy, EngineConfig, TelemetrySpec};
     pub use df_routing::MechanismSpec;

@@ -7,7 +7,6 @@ use crate::ctl::RunCtl;
 use crate::error::ScenarioError;
 use crate::sim::{JobResult, JobSchedule, RunResult, Simulator};
 use crate::timeline::TimelineSink;
-use df_engine::TelemetrySpec;
 use df_routing::MechanismSpec;
 use df_traffic::{PatternSpec, Traffic};
 use df_workload::{
@@ -161,63 +160,47 @@ struct JobDriver {
     traffic: Option<JobTrafficAdapter>,
 }
 
-/// Run one scenario under one mechanism and one seed, optionally
-/// recording every generation event into `recorders` (one recorder per
-/// job, so each job's stream replays independently through
-/// `InjectionSpec::Trace`).
+/// What a single [`run_cell`] call layers on top of the plain run. Every
+/// field is independent of the others and defaults to "off";
+/// `CellOptions::default()` is the uninstrumented run.
+#[derive(Default)]
+pub struct CellOptions<'a> {
+    /// External run control: the driver loop calls
+    /// [`RunCtl::checkpoint`] once per cycle, so cancellations,
+    /// deadlines, and injected faults land at cycle granularity and an
+    /// interrupted run returns an error instead of a partial result.
+    pub ctl: RunCtl<'a>,
+    /// Record every generation event, one recorder per job, so each
+    /// job's stream replays independently through `InjectionSpec::Trace`.
+    pub recorders: Option<&'a mut [TraceRecorder]>,
+    /// Force windowed telemetry on and stream each [`crate::WindowRow`]
+    /// through the sink as its window closes (the `--timeline out.jsonl`
+    /// surface). Uses the spec's [`TelemetrySpec`](df_engine::TelemetrySpec)
+    /// when present, else the default (1000-cycle windows, full
+    /// sampling). The returned [`RunResult`] also carries the full
+    /// timeline.
+    pub timeline: Option<TimelineSink>,
+}
+
+/// Run one scenario cell — one mechanism, one seed — through the shared
+/// driver loop. Generation order is identical whatever `opts` turns on,
+/// so instrumentation cannot perturb same-seed results.
 ///
 /// # Panics
-/// Panics if `recorders` is provided with a length other than the
+/// Panics if `opts.recorders` is provided with a length other than the
 /// scenario's job count.
-pub fn run_scenario_once(
+pub fn run_cell(
     spec: &ScenarioSpec,
     mechanism: MechanismSpec,
     seed: u64,
-    recorders: Option<&mut [TraceRecorder]>,
+    opts: CellOptions<'_>,
 ) -> Result<RunResult, ScenarioError> {
-    drive_scenario(spec, mechanism, seed, recorders, spec.telemetry, None, &RunCtl::NONE)
-}
-
-/// [`run_scenario_once`] under external run control: the driver loop
-/// calls [`RunCtl::checkpoint`] once per cycle, so cancellations,
-/// deadlines, and injected faults land at cycle granularity and an
-/// interrupted run returns an error instead of a partial result.
-pub fn run_scenario_once_ctl(
-    spec: &ScenarioSpec,
-    mechanism: MechanismSpec,
-    seed: u64,
-    ctl: &RunCtl<'_>,
-) -> Result<RunResult, ScenarioError> {
-    drive_scenario(spec, mechanism, seed, None, spec.telemetry, None, ctl)
-}
-
-/// Run one scenario cell with windowed telemetry forced on, streaming
-/// each [`crate::WindowRow`] through `on_row` as its window closes (the
-/// `--timeline out.jsonl` surface). Uses the spec's [`TelemetrySpec`]
-/// when present, else the default (1000-cycle windows, full sampling).
-/// The returned [`RunResult`] also carries the full timeline.
-pub fn run_scenario_timeline(
-    spec: &ScenarioSpec,
-    mechanism: MechanismSpec,
-    seed: u64,
-    on_row: TimelineSink,
-) -> Result<RunResult, ScenarioError> {
-    let telemetry = Some(spec.telemetry.unwrap_or_default());
-    drive_scenario(spec, mechanism, seed, None, telemetry, Some(on_row), &RunCtl::NONE)
-}
-
-/// The shared scenario driver loop behind [`run_scenario_once`] and
-/// [`run_scenario_timeline`]: identical generation order regardless of
-/// instrumentation, so telemetry cannot perturb same-seed results.
-fn drive_scenario(
-    spec: &ScenarioSpec,
-    mechanism: MechanismSpec,
-    seed: u64,
-    mut recorders: Option<&mut [TraceRecorder]>,
-    telemetry: Option<TelemetrySpec>,
-    timeline_sink: Option<TimelineSink>,
-    ctl: &RunCtl<'_>,
-) -> Result<RunResult, ScenarioError> {
+    let CellOptions { ctl, mut recorders, timeline } = opts;
+    // A timeline sink forces telemetry on; otherwise the spec decides.
+    let telemetry = match timeline {
+        Some(_) => Some(spec.telemetry.unwrap_or_default()),
+        None => spec.telemetry,
+    };
     spec.validate(seed).map_err(ScenarioError::spec)?;
     if let Some(recs) = recorders.as_deref() {
         assert_eq!(recs.len(), spec.jobs.len(), "one trace recorder per job");
@@ -241,7 +224,7 @@ fn drive_scenario(
     cfg.validate().map_err(ScenarioError::spec)?;
     let packet_size = cfg.engine_config().packet_size;
     let mut sim = Simulator::new(&cfg);
-    if let Some(sink) = timeline_sink {
+    if let Some(sink) = timeline {
         sim.set_timeline_sink(sink);
     }
 
@@ -357,7 +340,7 @@ pub fn run_scenario_ctl(
         .collect();
     let runs: Vec<Result<RunResult, ScenarioError>> = cells
         .par_iter()
-        .map(|&(m, s)| drive_scenario(spec, m, s, None, spec.telemetry, None, ctl))
+        .map(|&(m, s)| run_cell(spec, m, s, CellOptions { ctl: *ctl, ..Default::default() }))
         .collect();
     let mut by_mechanism = Vec::new();
     let mut it = runs.into_iter();
@@ -439,7 +422,8 @@ mod tests {
 
     #[test]
     fn scenario_produces_per_job_breakdown() {
-        let r = run_scenario_once(&tiny_spec(), MechanismSpec::InTransitMm, 1, None).unwrap();
+        let r = run_cell(&tiny_spec(), MechanismSpec::InTransitMm, 1, CellOptions::default())
+            .unwrap();
         assert_eq!(r.per_job.len(), 2);
         assert_eq!(r.per_job[0].job, "anatomy");
         assert!(r.per_job[0].throughput > 0.1, "{}", r.per_job[0].throughput);
@@ -453,8 +437,8 @@ mod tests {
     #[test]
     fn same_seed_is_deterministic() {
         let spec = tiny_spec();
-        let a = run_scenario_once(&spec, MechanismSpec::InTransitMm, 7, None).unwrap();
-        let b = run_scenario_once(&spec, MechanismSpec::InTransitMm, 7, None).unwrap();
+        let a = run_cell(&spec, MechanismSpec::InTransitMm, 7, CellOptions::default()).unwrap();
+        let b = run_cell(&spec, MechanismSpec::InTransitMm, 7, CellOptions::default()).unwrap();
         assert_eq!(a.delivered_packets, b.delivered_packets);
         assert_eq!(a.injected_per_router, b.injected_per_router);
         for (x, y) in a.per_job.iter().zip(&b.per_job) {
@@ -471,7 +455,7 @@ mod tests {
         // during measurement.
         spec.jobs[0].stop_cycle = Some(200);
         spec.jobs[1].start_cycle = None;
-        let r = run_scenario_once(&spec, MechanismSpec::InTransitMm, 1, None).unwrap();
+        let r = run_cell(&spec, MechanismSpec::InTransitMm, 1, CellOptions::default()).unwrap();
         assert_eq!(r.per_job[0].offered, 0.0);
         assert!(r.per_job[0].delivered_packets < 5);
         assert!(r.per_job[1].delivered_packets > 100);

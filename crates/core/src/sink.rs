@@ -170,14 +170,6 @@ impl MeasurementSink {
         &self.jobs
     }
 
-    /// The job owning `node`, if any.
-    pub fn job_of(&self, node: usize) -> Option<u32> {
-        match self.node_job.get(node) {
-            Some(&j) if j != NO_JOB => Some(j),
-            _ => None,
-        }
-    }
-
     /// The job that owned `node` at `cycle` (attribution for a packet
     /// generated then). A reverse scan of the node's ownership history —
     /// one entry for static jobs, a handful under churn.

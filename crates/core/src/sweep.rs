@@ -4,14 +4,14 @@
 //! figures with any plotting tool.
 //!
 //! Determinism: cells are expanded in a fixed order, each cell runs an
-//! independent `run_scenario_once` derived only from `(cell, seed)`, and
+//! independent `run_cell` derived only from `(cell, seed)`, and
 //! the work-claiming `par_iter` preserves result order — so the same
 //! sweep under the same seeds serializes to a bit-identical table no
 //! matter how cells were interleaved across threads.
 
 use crate::ctl::RunCtl;
 use crate::error::ScenarioError;
-use crate::scenario::run_scenario_once_ctl;
+use crate::scenario::{run_cell, CellOptions};
 use crate::sim::RunResult;
 use df_workload::{SweepCell, SweepSpec};
 use rayon::prelude::*;
@@ -202,20 +202,7 @@ fn rows_of(cell: &SweepCell, seed: u64, run: &RunResult) -> Vec<SweepRow> {
 /// the whole cell × seed grid). Row order — and therefore the serialized
 /// table — depends only on the spec and the seed list.
 pub fn run_sweep(spec: &SweepSpec, seeds: &[u64]) -> Result<SweepTable, ScenarioError> {
-    run_sweep_ctl(spec, seeds, &RunCtl::NONE)
-}
-
-/// [`run_sweep`] under external run control: every parallel cell × seed
-/// unit observes the same [`RunCtl`] at cycle granularity, so one
-/// cancellation or deadline stops the whole grid. Spec errors are
-/// prefixed with the failing cell's coordinate; interrupts propagate
-/// unchanged so a service layer can map them to structured events.
-pub fn run_sweep_ctl(
-    spec: &SweepSpec,
-    seeds: &[u64],
-    ctl: &RunCtl<'_>,
-) -> Result<SweepTable, ScenarioError> {
-    run_sweep_hooked(spec, seeds, ctl, &SweepHooks::NONE)
+    run_sweep_hooked(spec, seeds, &RunCtl::NONE, &SweepHooks::NONE)
 }
 
 /// A [`SweepHooks::precomputed`] probe: given a `(cell, seed)` unit,
@@ -228,7 +215,7 @@ pub type PrecomputedProbe<'a> = &'a (dyn Fn(u32, u64) -> Option<Vec<SweepRow>> +
 pub type RowsObserver<'a> = &'a (dyn Fn(u32, u64, &[SweepRow]) + Sync);
 
 /// Observation hooks threaded through [`run_sweep_hooked`]. Both hooks
-/// see `(cell, seed)` units — one `run_scenario_once` per unit — keyed
+/// see `(cell, seed)` units — one `run_cell` per unit — keyed
 /// by the cell's expansion-order index.
 #[derive(Clone, Copy, Default)]
 pub struct SweepHooks<'a> {
@@ -251,10 +238,15 @@ impl SweepHooks<'_> {
     pub const NONE: SweepHooks<'static> = SweepHooks { precomputed: None, on_rows: None };
 }
 
-/// [`run_sweep_ctl`] with per-unit observation hooks: previously
-/// computed units are recovered through `hooks.precomputed` (skipping
-/// their simulation), and each freshly computed unit's rows are handed
-/// to `hooks.on_rows` as it completes. Row order — and therefore the
+/// [`run_sweep`] under external run control and with per-unit
+/// observation hooks. Every parallel cell × seed unit observes the same
+/// [`RunCtl`] at cycle granularity, so one cancellation or deadline
+/// stops the whole grid; spec errors are prefixed with the failing
+/// cell's coordinate, interrupts propagate unchanged so a service layer
+/// can map them to structured events. Previously computed units are
+/// recovered through `hooks.precomputed` (skipping their simulation),
+/// and each freshly computed unit's rows are handed to `hooks.on_rows`
+/// as it completes. Row order — and therefore the
 /// serialized table — is the same deterministic cell-major order as
 /// [`run_sweep`], no matter which units were recovered: recovered and
 /// computed rows are merged by unit slot, so a resumed sweep
@@ -290,7 +282,8 @@ pub fn run_sweep_hooked(
         .par_iter()
         .map(|&(slot, c, seed)| {
             let cell = &cells[c];
-            let res = run_scenario_once_ctl(&cell.scenario, cell.mechanism, seed, ctl)
+            let opts = CellOptions { ctl: *ctl, ..Default::default() };
+            let res = run_cell(&cell.scenario, cell.mechanism, seed, opts)
                 .map(|run| rows_of(cell, seed, &run))
                 .map_err(|e| e.context(&format!("cell {c} ({})", cell.mechanism.label())));
             if let (Ok(rows), Some(sink)) = (&res, on_rows) {

@@ -362,8 +362,6 @@ pub struct Network<P: RoutingPolicy, S: StatsSink> {
     /// Work list: routers with at least one staged output packet; the
     /// transmit phase visits only these.
     tx_active: Vec<u64>,
-    /// Delivery cycle of the most recent grant anywhere (livelock guard).
-    last_progress: u64,
     /// Route-decision cache switch: when on (the default), adaptive
     /// decisions are reused while their recorded dependency is unchanged
     /// and blocked heads with stable decisions are parked until their
@@ -472,16 +470,8 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
             node_active: vec![0; bitset_words(n_nodes)],
             alloc_active: vec![0; bitset_words(n_routers)],
             tx_active: vec![0; bitset_words(n_routers)],
-            last_progress: 0,
             route_cache: true,
         }
-    }
-
-    /// Whether the route-decision cache (adaptive decision reuse +
-    /// blocked-head parking) is enabled. On by default.
-    #[inline]
-    pub fn route_cache_enabled(&self) -> bool {
-        self.route_cache
     }
 
     /// Toggle the route-decision cache. Both settings produce
@@ -758,11 +748,6 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
         );
     }
 
-    /// Delivery cycle of the most recent grant in this slice.
-    pub(crate) fn last_progress(&self) -> u64 {
-        self.last_progress
-    }
-
     /// Run the policy's per-cycle hook and retire the dirty-router list.
     /// The context's router slice and dirty indices are both local to
     /// this slice; policies index their own tables by `RouterState::id`,
@@ -835,55 +820,6 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
             self.step();
         }
         self.live_packets == 0
-    }
-
-    /// Cycles since any packet anywhere won switch allocation. Large
-    /// values while traffic is in flight indicate deadlock/livelock.
-    pub fn cycles_since_progress(&self) -> u64 {
-        self.cycle - self.last_progress
-    }
-
-    /// Diagnostic: dump every blocked input-VC head (eligible but not
-    /// granted) with the resources it waits for. For debugging hangs.
-    pub fn dump_blocked(&self, max_lines: usize) {
-        let params = self.topo.params();
-        let mut lines = 0;
-        for (r, router) in self.routers.iter().enumerate() {
-            for q in 0..params.radix() as usize {
-                for v in 0..router.in_ports[q].vcs as usize {
-                    if let Some((id, _)) = router.input_front(q, v) {
-                        let p = self.arena.get(id);
-                        if p.eligible_at > self.cycle {
-                            continue;
-                        }
-                        let dec = p.decision;
-                        let (free, cred) = match dec {
-                            Some(d) => (
-                                router.output_free(d.out_port.idx()),
-                                if router.has_credits(d.out_port.idx()) {
-                                    router.credits(d.out_port, d.out_vc)
-                                } else {
-                                    u32::MAX
-                                },
-                            ),
-                            None => (0, 0),
-                        };
-                        eprintln!(
-                            "r{} in(port={q},vc={v},kind={:?}) pkt{} src={} dst={} lh={} gh={} phase={:?} dec={:?} out_free={free} out_cred={cred}",
-                            self.router_base as usize + r,
-                            params.port_kind(Port(q as u32)),
-                            p.header.id, p.header.src.0, p.header.dst.0,
-                            p.route.local_hops, p.route.global_hops, p.route.phase,
-                            dec.map(|d| (d.out_port.0, d.out_vc)),
-                        );
-                        lines += 1;
-                        if lines >= max_lines {
-                            return;
-                        }
-                    }
-                }
-            }
-        }
     }
 
     /// Shadow check: verify every scheduling work list against a full
@@ -1214,9 +1150,7 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
                 port.rr = if vc + 1 == port.vcs { 0 } else { vc + 1 };
                 any = true;
             }
-            if any {
-                self.last_progress = self.cycle;
-            } else {
+            if !any {
                 break;
             }
         }

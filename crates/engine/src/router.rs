@@ -576,20 +576,6 @@ impl RouterState {
         self.out_ports[port.idx()].epoch
     }
 
-    /// Bitmask of parked VCs on input `port` (blocked heads the
-    /// allocator skips until their target output is touched).
-    #[inline]
-    pub fn parked_vcs(&self, port: Port) -> u32 {
-        self.in_ports[port.idx()].parked
-    }
-
-    /// Bitmask of sleeping VCs on input `port` (heads still inside the
-    /// router pipeline, skipped until their `HeadWake` event fires).
-    #[inline]
-    pub fn sleeping_vcs(&self, port: Port) -> u32 {
-        self.in_ports[port.idx()].sleeping
-    }
-
     /// Output port the parked head of (`port`, `vc`) is waiting on, if
     /// that VC is parked.
     pub fn parked_target(&self, port: Port, vc: u8) -> Option<Port> {
@@ -610,12 +596,6 @@ impl RouterState {
     /// Packets this router's input and output buffers can hold together.
     pub(crate) fn buffer_slots(&self) -> usize {
         self.in_slots.len() + self.out_slots.len()
-    }
-
-    /// Free space of output `port`'s buffer, in phits.
-    #[inline]
-    pub(crate) fn output_free(&self, port: usize) -> u32 {
-        self.out_ports[port].ring.free()
     }
 
     /// Packets staged at output `port` (excluding one already popped for

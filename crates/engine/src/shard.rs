@@ -618,12 +618,6 @@ impl<P: RoutingPolicy + Send + 'static, S: StatsSink> ShardedNetwork<P, S> {
         self.shards().map(|sh| sh.port_epoch_sum()).sum()
     }
 
-    /// Cycles since any packet anywhere won switch allocation.
-    pub fn cycles_since_progress(&self) -> u64 {
-        let latest = self.shards().map(|sh| sh.last_progress()).max().unwrap_or(0);
-        self.cycle - latest
-    }
-
     /// Read access to a router's state (global id; routed to its shard).
     pub fn router(&self, id: RouterId) -> &RouterState {
         self.shard(self.plan().shard_of_router(id)).router(id)

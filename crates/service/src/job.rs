@@ -101,17 +101,13 @@ impl JobPayload {
     /// document: the scenario *summary* (no raw runs) or the full sweep
     /// table, pretty-printed. Byte-identical across runs of the same
     /// key per the determinism contract.
-    pub fn execute(&self, seeds: &[u64], ctl: &RunCtl<'_>) -> Result<String, ScenarioError> {
-        self.execute_hooked(seeds, ctl, &SweepHooks::NONE)
-    }
-
-    /// [`JobPayload::execute`] with sweep observation hooks: a sweep
-    /// payload recovers `(cell, seed)` units through `hooks.precomputed`
-    /// and streams each freshly computed unit's rows through
-    /// `hooks.on_rows`; scenario payloads ignore the hooks. The result
-    /// document is byte-identical whether or not units were recovered —
-    /// rows merge in deterministic cell-major order.
-    pub fn execute_hooked(
+    ///
+    /// A sweep payload recovers `(cell, seed)` units through
+    /// `hooks.precomputed` and streams each freshly computed unit's rows
+    /// through `hooks.on_rows`; scenario payloads ignore the hooks. The
+    /// result document is byte-identical whether or not units were
+    /// recovered — rows merge in deterministic cell-major order.
+    pub fn execute(
         &self,
         seeds: &[u64],
         ctl: &RunCtl<'_>,
@@ -205,8 +201,8 @@ mod tests {
     #[test]
     fn execute_is_byte_deterministic() {
         let p = JobPayload::Scenario(tiny_scenario());
-        let a = p.execute(&[7], &RunCtl::NONE).unwrap();
-        let b = p.execute(&[7], &RunCtl::NONE).unwrap();
+        let a = p.execute(&[7], &RunCtl::NONE, &SweepHooks::NONE).unwrap();
+        let b = p.execute(&[7], &RunCtl::NONE, &SweepHooks::NONE).unwrap();
         assert_eq!(a, b);
         assert!(a.contains("svc-tiny"));
     }

@@ -482,7 +482,7 @@ impl JobContext {
         };
         let hooks = SweepHooks { precomputed: Some(&precomputed), on_rows: Some(&on_rows) };
         catch_unwind(AssertUnwindSafe(|| {
-            self.payload.execute_hooked(&self.seeds, &ctl, &hooks)
+            self.payload.execute(&self.seeds, &ctl, &hooks)
         }))
         // `&*` reborrows the box's contents: `&payload` would unsize
         // the `Box` itself into `dyn Any` and every downcast would miss.

@@ -7,7 +7,7 @@
 //! sequence is a pure function of `(seed, node)` — stable under placement
 //! changes and under the presence of other jobs.
 
-use crate::trace::{TraceEvent, TraceReplay};
+use crate::trace::TraceReplay;
 use df_topology::NodeId;
 use df_traffic::derive_seed;
 use rand::rngs::SmallRng;
@@ -303,24 +303,6 @@ impl InjectionSpec {
                 Box::new(TraceReplay::from_events(events))
             }
         })
-    }
-
-    /// Instantiate with the trace, if any, supplied directly instead of
-    /// read from disk (tests, programmatic use).
-    pub fn build_with_trace(
-        &self,
-        nodes: Vec<NodeId>,
-        load: f64,
-        packet_size: u32,
-        seed: u64,
-        trace: Option<Vec<TraceEvent>>,
-    ) -> Result<Box<dyn InjectionProcess>, String> {
-        match (self, trace) {
-            (InjectionSpec::Trace { .. }, Some(events)) => {
-                Ok(Box::new(TraceReplay::from_events(events)))
-            }
-            (spec, _) => spec.build(nodes, load, packet_size, seed),
-        }
     }
 
     /// Short label for tables and filenames.

@@ -310,14 +310,6 @@ impl JobTrafficAdapter {
         }
         Self { inner, index_of }
     }
-
-    /// Virtual index of `node`, if it belongs to the job.
-    pub fn virtual_index(&self, node: NodeId) -> Option<u32> {
-        match self.index_of[node.idx()] {
-            u32::MAX => None,
-            v => Some(v),
-        }
-    }
 }
 
 impl Traffic for JobTrafficAdapter {

@@ -171,7 +171,7 @@ impl SweepSpec {
     /// Expand the axes into the full cell grid, in deterministic order:
     /// loads (outer) → placements → patterns → mechanisms (inner). Each
     /// cell's scenario carries exactly one mechanism; run cells with
-    /// `run_scenario_once` (or `run_sweep`, which does all of this).
+    /// `run_cell` (or `run_sweep`, which does all of this).
     ///
     /// Axis values are applied but the derived scenarios are *not* fully
     /// validated here — placements may be seed-dependent, so per-cell

@@ -45,11 +45,6 @@ impl TraceRecorder {
         &self.events
     }
 
-    /// Consume the recorder, yielding the event list.
-    pub fn into_events(self) -> Vec<TraceEvent> {
-        self.events
-    }
-
     /// Serialize the trace as JSON text.
     pub fn to_json(&self) -> String {
         serde_json::to_string(&self.events).expect("serialize trace")

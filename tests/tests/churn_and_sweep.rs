@@ -64,8 +64,8 @@ proptest! {
             (Some(handover), Some(handover + tail)),
         ]);
         spec.validate(seed).unwrap();
-        let a = run_scenario_once(&spec, MechanismSpec::InTransitMm, seed, None).unwrap();
-        let b = run_scenario_once(&spec, MechanismSpec::InTransitMm, seed, None).unwrap();
+        let a = run_cell(&spec, MechanismSpec::InTransitMm, seed, CellOptions::default()).unwrap();
+        let b = run_cell(&spec, MechanismSpec::InTransitMm, seed, CellOptions::default()).unwrap();
         prop_assert_eq!(
             serde_json::to_string(&a).unwrap(),
             serde_json::to_string(&b).unwrap()
@@ -83,7 +83,7 @@ fn departed_jobs_slots_are_reusable_by_a_later_arrival() {
     // exact same nodes from 900 on. Both must inject and deliver.
     let spec = churn_scenario([(None, Some(900)), (Some(900), None)]);
     spec.validate(1).unwrap();
-    let r = run_scenario_once(&spec, MechanismSpec::InTransitMm, 1, None).unwrap();
+    let r = run_cell(&spec, MechanismSpec::InTransitMm, 1, CellOptions::default()).unwrap();
 
     let early = &r.per_job[0];
     let late = &r.per_job[1];

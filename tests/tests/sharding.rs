@@ -92,7 +92,7 @@ fn run_serialized(
 ) -> String {
     let mut spec = spec.clone();
     spec.shards = Some(shards);
-    let result = run_scenario_once(&spec, mechanism, seed, None).expect("run scenario");
+    let result = run_cell(&spec, mechanism, seed, CellOptions::default()).expect("run scenario");
     serde_json::to_string(&result).expect("serialize RunResult")
 }
 
@@ -189,7 +189,7 @@ fn beyond_paper_h7_scenario_is_shard_invariant() {
     let mechanism = spec.mechanisms[0];
     let mut serial_spec = spec.clone();
     serial_spec.shards = Some(1);
-    let result = run_scenario_once(&serial_spec, mechanism, DEFAULT_SEEDS[0], None)
+    let result = run_cell(&serial_spec, mechanism, DEFAULT_SEEDS[0], CellOptions::default())
         .expect("serial h=7 run");
     // The run carried real traffic (not a vacuous empty-network match).
     assert!(

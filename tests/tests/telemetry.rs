@@ -104,13 +104,11 @@ fn windows_sum_to_run_totals_under_churn() {
     spec.validate(DEFAULT_SEEDS[0]).expect("valid spec");
     let streamed = std::rc::Rc::new(std::cell::Cell::new(0usize));
     let counter = streamed.clone();
-    let result = run_scenario_timeline(
-        &spec,
-        MechanismSpec::InTransitMm,
-        DEFAULT_SEEDS[0],
-        Box::new(move |_| counter.set(counter.get() + 1)),
-    )
-    .expect("run");
+    let opts = CellOptions {
+        timeline: Some(Box::new(move |_| counter.set(counter.get() + 1))),
+        ..Default::default()
+    };
+    let result = run_cell(&spec, MechanismSpec::InTransitMm, DEFAULT_SEEDS[0], opts).expect("run");
     let rows = result.timeline.as_ref().expect("telemetry on -> timeline present");
     assert_eq!(streamed.get(), rows.len(), "sink saw every window exactly once");
 
@@ -190,6 +188,70 @@ fn telemetry_on_off_summaries_are_bit_identical() {
     }
 }
 
+/// Every `CellOptions` field at once — trace recorders, a timeline sink,
+/// and a live `RunCtl` — must leave the run itself untouched: with the
+/// timeline cleared the result serializes byte-identically to the
+/// uninstrumented cell, and the recorded per-job traces replay to the
+/// same per-job delivered counts.
+#[test]
+fn run_cell_options_compose_without_perturbing_the_run() {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    let mut spec = churn_spec();
+    spec.telemetry = None;
+    let (mechanism, seed) = (MechanismSpec::InTransitMm, DEFAULT_SEEDS[0]);
+    let plain = run_cell(&spec, mechanism, seed, CellOptions::default()).expect("plain run");
+    assert!(plain.timeline.is_none(), "no sink, no spec telemetry -> no timeline");
+
+    let mut recorders = vec![TraceRecorder::new(); spec.jobs.len()];
+    let windows = std::rc::Rc::new(std::cell::Cell::new(0usize));
+    let counter = windows.clone();
+    let checkpoints = AtomicU64::new(0);
+    let on_cycle = |_: u64| {
+        checkpoints.fetch_add(1, Ordering::Relaxed);
+    };
+    let cancel = CancelToken::new();
+    let opts = CellOptions {
+        ctl: RunCtl { cancel: Some(&cancel), deadline: None, on_cycle: Some(&on_cycle) },
+        recorders: Some(&mut recorders),
+        timeline: Some(Box::new(move |_| counter.set(counter.get() + 1))),
+    };
+    let mut full = run_cell(&spec, mechanism, seed, opts).expect("instrumented run");
+    assert_eq!(
+        checkpoints.load(Ordering::Relaxed),
+        spec.warmup_cycles + spec.measure_cycles,
+        "the ctl hook ran once per driver cycle"
+    );
+    let rows = full.timeline.take().expect("a sink forces telemetry on");
+    assert_eq!(windows.get(), rows.len(), "sink saw every window exactly once");
+    assert_eq!(
+        serde_json::to_string(&full).expect("serialize"),
+        serde_json::to_string(&plain).expect("serialize"),
+        "instrumentation changed the run"
+    );
+
+    let dir = std::env::temp_dir().join(format!("df_run_cell_compose_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("trace dir");
+    let mut replay = spec.clone();
+    for (j, (job, recorder)) in replay.jobs.iter_mut().zip(&recorders).enumerate() {
+        assert!(!recorder.events().is_empty(), "job `{}` recorded nothing", job.name);
+        let path = dir.join(format!("job{j}.json")).to_str().expect("utf-8 path").to_string();
+        recorder.save(&path).expect("save trace");
+        job.injection = InjectionSpec::Trace { path };
+    }
+    let replayed = run_cell(&replay, mechanism, seed, CellOptions::default()).expect("replay");
+    std::fs::remove_dir_all(&dir).ok();
+    for (a, b) in plain.per_job.iter().zip(&replayed.per_job) {
+        assert_eq!(a.delivered_packets, b.delivered_packets, "job `{}`", a.job);
+    }
+
+    // A cancelled token aborts the same composed call with an interrupt.
+    cancel.cancel();
+    let ctl = RunCtl { cancel: Some(&cancel), ..RunCtl::NONE };
+    let err = run_cell(&spec, mechanism, seed, CellOptions { ctl, ..Default::default() })
+        .expect_err("cancelled before the first cycle");
+    assert!(err.is_interrupt(), "{err}");
+}
+
 // ---------------------------------------------------------------------
 // The paper-level signal, now time-resolved
 // ---------------------------------------------------------------------
@@ -199,9 +261,8 @@ fn telemetry_on_off_summaries_are_bit_identical() {
 fn victim_trajectory(mechanism: MechanismSpec) -> Vec<f64> {
     let mut spec = quick_spec("interference_advc_vs_uniform.json");
     spec.telemetry = Some(TelemetrySpec { window_cycles: 1_000, ..TelemetrySpec::default() });
-    let result =
-        run_scenario_timeline(&spec, mechanism, DEFAULT_SEEDS[0], Box::new(|_| {}))
-            .expect("run");
+    let opts = CellOptions { timeline: Some(Box::new(|_| {})), ..Default::default() };
+    let result = run_cell(&spec, mechanism, DEFAULT_SEEDS[0], opts).expect("run");
     result
         .timeline
         .expect("timeline present")

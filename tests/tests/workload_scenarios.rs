@@ -174,8 +174,8 @@ fn fig1_scenario(injection: InjectionSpec, load: f64) -> ScenarioSpec {
 #[test]
 fn same_seed_gives_identical_per_job_results() {
     let spec = fig1_scenario(InjectionSpec::Bernoulli, 0.3);
-    let a = run_scenario_once(&spec, MechanismSpec::InTransitMm, 5, None).unwrap();
-    let b = run_scenario_once(&spec, MechanismSpec::InTransitMm, 5, None).unwrap();
+    let a = run_cell(&spec, MechanismSpec::InTransitMm, 5, CellOptions::default()).unwrap();
+    let b = run_cell(&spec, MechanismSpec::InTransitMm, 5, CellOptions::default()).unwrap();
     assert_eq!(a.delivered_packets, b.delivered_packets);
     assert_eq!(a.injected_per_router, b.injected_per_router);
     assert_eq!(a.per_job.len(), b.per_job.len());
@@ -194,8 +194,8 @@ fn recorded_trace_replays_bit_identically() {
     // injection process, and require identical delivery behaviour.
     let spec = fig1_scenario(InjectionSpec::Bernoulli, 0.35);
     let mut recorders = vec![TraceRecorder::new()];
-    let original =
-        run_scenario_once(&spec, MechanismSpec::InTransitMm, 9, Some(&mut recorders)).unwrap();
+    let opts = CellOptions { recorders: Some(&mut recorders), ..Default::default() };
+    let original = run_cell(&spec, MechanismSpec::InTransitMm, 9, opts).unwrap();
     let recorder = &recorders[0];
     assert!(!recorder.events().is_empty());
 
@@ -208,7 +208,7 @@ fn recorded_trace_replays_bit_identically() {
     replay_spec.jobs[0].injection =
         InjectionSpec::Trace { path: path.to_str().unwrap().to_string() };
     let replayed =
-        run_scenario_once(&replay_spec, MechanismSpec::InTransitMm, 9, None).unwrap();
+        run_cell(&replay_spec, MechanismSpec::InTransitMm, 9, CellOptions::default()).unwrap();
 
     assert_eq!(original.delivered_packets, replayed.delivered_packets);
     assert_eq!(original.injected_per_router, replayed.injected_per_router);
@@ -221,18 +221,18 @@ fn recorded_trace_replays_bit_identically() {
 fn on_off_bursts_deliver_comparable_load_with_spikier_queueing() {
     // The on/off process at the same mean load must deliver a comparable
     // packet volume but with visibly burstier queueing (higher latency).
-    let smooth = run_scenario_once(
+    let smooth = run_cell(
         &fig1_scenario(InjectionSpec::Bernoulli, 0.3),
         MechanismSpec::InTransitMm,
         3,
-        None,
+        CellOptions::default(),
     )
     .unwrap();
-    let bursty = run_scenario_once(
+    let bursty = run_cell(
         &fig1_scenario(InjectionSpec::OnOff { mean_burst: 40.0, mean_idle: 120.0 }, 0.3),
         MechanismSpec::InTransitMm,
         3,
-        None,
+        CellOptions::default(),
     )
     .unwrap();
     let ratio =
@@ -268,8 +268,9 @@ fn advc_aggressor_starves_victim_under_in_transit_crg_only() {
         ScenarioSpec::load(&scenario_path("interference_advc_vs_uniform.json")).unwrap();
     spec.warmup_cycles = 2_000;
     spec.measure_cycles = 4_000;
-    let adaptive = run_scenario_once(&spec, MechanismSpec::InTransitCrg, 11, None).unwrap();
-    let oblivious = run_scenario_once(&spec, MechanismSpec::ObliviousCrg, 11, None).unwrap();
+    let run = |mechanism| run_cell(&spec, mechanism, 11, CellOptions::default()).unwrap();
+    let adaptive = run(MechanismSpec::InTransitCrg);
+    let oblivious = run(MechanismSpec::ObliviousCrg);
 
     let victim_adaptive = &adaptive.per_job[1];
     let victim_oblivious = &oblivious.per_job[1];
