@@ -10,8 +10,10 @@ echo "==> cargo build --release"
 cargo build --release
 
 echo "==> cargo test -q"
-# Debug-assertion builds shadow-verify every reused route-cache decision;
-# the suite also carries the golden digests (tests/tests/golden_outputs.rs)
+# Debug-assertion builds recompute every reused route-cache decision and
+# run the audit (docs/DETERMINISM.md) every AUDIT_EVERY cycles of every
+# simulation, on top of the one that ends each run in any build; the
+# suite also carries the golden digests (tests/tests/golden_outputs.rs)
 # and the cache-equivalence proptests (tests/tests/route_cache.rs).
 cargo test -q
 
@@ -26,17 +28,21 @@ echo "==> sharded tier-1 suite (DF_TEST_SHARDS=2)"
 # the workflow archives.
 DF_TEST_SHARDS=2 cargo test -q
 
-echo "==> release-mode shadow verification (route cache + sharding, --features shadow-verify)"
-# Release builds drop debug assertions, so the recompute-and-compare check
-# on every reused routing decision is re-enabled explicitly and exercised
-# under the optimized scheduling it is meant to guard. The sharding suite
-# rides along for its cross-shard outbox coherence audit (per-cycle
-# work-list full-scan mirror), which is also shadow-verify-gated, and the
-# worker-team tests for the release-speed interleavings of the team
-# (lockstep populations, nested sweeps, panic propagation and join).
+echo "==> release-mode audit (--features shadow-verify)"
+# The audit, every AUDIT_EVERY cycles, at release scheduling: release
+# builds drop debug assertions, so the periodic audit inside every
+# simulation and the recompute-and-compare check on every reused routing
+# decision are re-enabled explicitly and exercised under the optimized
+# scheduling they are meant to guard — on the route-cache properties, the
+# goldens (serial and sharded), the shard-invariance suite, and the
+# worker-team tests (lockstep populations, nested sweeps, panic
+# propagation and join at release-speed interleavings).
 cargo test -q --release -p integration-tests --features shadow-verify \
     --test route_cache --test golden_outputs --test sharding \
     --test shard_team --test shard_team_panic
+# And the other half: a plain release build has no periodic audit, so
+# here only the end-of-run one can catch the corrupted engine.
+cargo test -q --release -p dragonfly-core --lib finish_audits_in_every_build
 
 echo "==> cargo doc --no-deps --workspace (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
@@ -53,15 +59,13 @@ cargo test -q --doc
 artifacts=target/ci-artifacts
 mkdir -p "$artifacts"
 
-echo "==> scenario smoke run (reduced cycles) + timeline stream validation"
+echo "==> scenario smoke run (reduced cycles) + timeline stream"
 # The smoke run doubles as the windowed-telemetry gate: every mechanism
-# streams one JSONL row per closed window, and timeline_check verifies
-# each line parses and the window cycle ranges are contiguous per run.
+# streams one JSONL row per closed window, and each run's end-of-run
+# audit panics unless its windows are contiguous and sum to its counters.
 cargo run --release -p df-bench --bin scenario -- --quick \
     --timeline "$artifacts/timeline_interference.jsonl" \
     scenarios/interference_advc_vs_uniform.json > /dev/null
-cargo run --release -p df-bench --bin timeline_check -- \
-    "$artifacts/timeline_interference.jsonl"
 
 echo "==> shard-count invariance smoke (--shards 2 vs serial, byte-compare)"
 # Same spec, same seed, different engine: the sharded CLI run must print

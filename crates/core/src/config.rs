@@ -104,13 +104,17 @@ impl SimConfig {
     /// variable (how CI re-runs the whole suite sharded), else 1.
     /// Always at least 1. The simulator additionally clamps to the
     /// topology's group count.
+    ///
+    /// # Panics
+    /// Panics if `DF_TEST_SHARDS` is consulted and is not a number: a typo
+    /// must not quietly turn the sharded CI leg into a second serial one.
     pub fn resolved_shards(&self) -> u32 {
         match self.shards {
             Some(n) => n.max(1),
-            None => std::env::var("DF_TEST_SHARDS")
-                .ok()
-                .and_then(|v| v.parse::<u32>().ok())
-                .map_or(1, |n| n.max(1)),
+            None => {
+                let var = std::env::var_os("DF_TEST_SHARDS");
+                shards_from_env(var.map(|v| v.to_string_lossy().into_owned()).as_deref())
+            }
         }
     }
 
@@ -133,6 +137,20 @@ impl SimConfig {
             return Err("measurement window must be nonzero".into());
         }
         self.engine_config().validate()
+    }
+}
+
+/// The shard count a `DF_TEST_SHARDS` value asks for: 1 when unset, the
+/// number otherwise (0 clamps to 1, the serial engine).
+///
+/// # Panics
+/// Panics, naming the value, on anything but a plain `u32` — `two`,
+/// `2 `, the empty string.
+fn shards_from_env(value: Option<&str>) -> u32 {
+    let Some(value) = value else { return 1 };
+    match value.parse::<u32>() {
+        Ok(n) => n.max(1),
+        Err(e) => panic!("DF_TEST_SHARDS={value:?} is not a shard count: {e}"),
     }
 }
 
@@ -205,6 +223,25 @@ mod tests {
         // sharded tier-1 leg), then to 1; either way it is at least 1.
         c.shards = None;
         assert!(c.resolved_shards() >= 1);
+    }
+
+    #[test]
+    fn shards_from_env_reads_a_number_or_nothing() {
+        assert_eq!(shards_from_env(None), 1, "unset means serial");
+        assert_eq!(shards_from_env(Some("0")), 1, "zero clamps to serial");
+        assert_eq!(shards_from_env(Some("1")), 1);
+        assert_eq!(shards_from_env(Some("2")), 2);
+        assert_eq!(shards_from_env(Some("64")), 64);
+    }
+
+    #[test]
+    fn shards_from_env_rejects_a_typo_with_the_offending_value() {
+        for typo in ["two", "tw0", "2 ", " 2", "", "-1", "2.0"] {
+            let panic = std::panic::catch_unwind(|| shards_from_env(Some(typo)))
+                .expect_err("a typo must not fall back to the serial engine");
+            let msg = panic.downcast_ref::<String>().expect("panic carries a message");
+            assert!(msg.contains(&format!("DF_TEST_SHARDS={typo:?}")), "{msg}");
+        }
     }
 
     #[test]

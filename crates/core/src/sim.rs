@@ -244,6 +244,12 @@ impl Engine {
         }
     }
 
+    /// The engine's one invariant check ([`Network::audit`] /
+    /// [`ShardedNetwork::audit`]): panics naming the first violation.
+    pub fn audit(&mut self) {
+        fwd!(self, n => n.audit())
+    }
+
     /// How many shards the engine runs (1 for the serial engine).
     pub fn shard_count(&self) -> u32 {
         match self {
@@ -252,6 +258,14 @@ impl Engine {
         }
     }
 }
+
+/// Debug and `shadow-verify` builds run [`Simulator::audit`] every this
+/// many cycles, so the whole test suite audits mid-flight; every build
+/// runs it once more when the result is extracted. A constant, not an
+/// option: if the periodic audit ever costs the suites more than a few
+/// percent, raise it.
+#[cfg(any(debug_assertions, feature = "shadow-verify"))]
+const AUDIT_EVERY: u64 = 256;
 
 /// A configured, steppable simulation.
 pub struct Simulator {
@@ -273,6 +287,9 @@ pub struct Simulator {
     timeline: Option<TimelineRecorder>,
     /// Streaming sink handed to the recorder at `begin_measurement`.
     timeline_sink: Option<TimelineSink>,
+    /// Packets in flight when the counters were last reset: the base of
+    /// the audit's `accepted − delivered == Δin_flight` window identity.
+    window_base_in_flight: u64,
 }
 
 impl Simulator {
@@ -314,6 +331,7 @@ impl Simulator {
             next_departure: 0,
             timeline: None,
             timeline_sink: None,
+            window_base_in_flight: 0,
         }
     }
 
@@ -322,15 +340,7 @@ impl Simulator {
     /// too, so [`Simulator::set_jobs`] attribution also works for runs
     /// driven by [`Simulator::run`]/`step` rather than `step_network`.
     pub fn step(&mut self) {
-        if self.next_arrival < self.arrivals.len() || self.next_departure < self.departures.len()
-        {
-            self.process_job_lifecycle();
-        }
-        self.generate();
-        self.net.step();
-        if let Some(rec) = &mut self.timeline {
-            rec.tick(self.net.cycle(), &self.net, &self.jobs);
-        }
+        self.advance(true, None);
     }
 
     /// Advance one cycle like [`Self::step`], accumulating the engine's
@@ -339,14 +349,34 @@ impl Simulator {
     /// of the engine cycle and is excluded. Used by `dbg_bottleneck` to
     /// direct hot-path work.
     pub fn step_profiled(&mut self, profile: &mut df_engine::PhaseProfile) {
+        self.advance(true, Some(profile));
+    }
+
+    /// The one cycle body behind [`Self::step`], [`Self::step_profiled`]
+    /// and [`Self::step_network`]: job lifecycle events due now, the
+    /// built-in generation if `generate`, the engine cycle (timed into
+    /// `profile` if given), the timeline tick, and — debug and
+    /// `shadow-verify` builds — the periodic audit. Inlined into each of
+    /// the three so none of them pays for the other two's switches.
+    #[inline(always)]
+    fn advance(&mut self, generate: bool, profile: Option<&mut PhaseProfile>) {
         if self.next_arrival < self.arrivals.len() || self.next_departure < self.departures.len()
         {
             self.process_job_lifecycle();
         }
-        self.generate();
-        self.net.step_timed(profile);
+        if generate {
+            self.generate();
+        }
+        match profile {
+            Some(profile) => self.net.step_timed(profile),
+            None => self.net.step(),
+        }
         if let Some(rec) = &mut self.timeline {
             rec.tick(self.net.cycle(), &self.net, &self.jobs);
+        }
+        #[cfg(any(debug_assertions, feature = "shadow-verify"))]
+        if self.net.cycle().is_multiple_of(AUDIT_EVERY) {
+            self.audit();
         }
     }
 
@@ -488,14 +518,7 @@ impl Simulator {
     /// cycle are processed first.
     #[inline]
     pub fn step_network(&mut self) {
-        if self.next_arrival < self.arrivals.len() || self.next_departure < self.departures.len()
-        {
-            self.process_job_lifecycle();
-        }
-        self.net.step();
-        if let Some(rec) = &mut self.timeline {
-            rec.tick(self.net.cycle(), &self.net, &self.jobs);
-        }
+        self.advance(false, None);
     }
 
     /// Start the measurement window: zero the counters (including per-job
@@ -505,6 +528,7 @@ impl Simulator {
     /// aligned with the counter reset.
     pub fn begin_measurement(&mut self) {
         self.net.reset_counters();
+        self.window_base_in_flight = self.net.in_flight();
         self.net.sink_mut().start_measurement();
         for j in &mut self.jobs {
             j.offered_packets = 0;
@@ -551,14 +575,56 @@ impl Simulator {
         self.into_result()
     }
 
+    /// The one invariant check of a simulation (docs/DETERMINISM.md, "The
+    /// audit"). The engine's audit — work lists and masks against a full
+    /// scan, route-cache coherence, packet and credit conservation, the
+    /// policy's own derived state — and then the identities of the
+    /// measurement window: the packets accepted minus the packets
+    /// delivered since the counters were reset is the change in the
+    /// in-flight population; the five latency components sum to the mean
+    /// latency; and the timeline's windows are zero-based, gap-free,
+    /// non-empty and, once closed through the current cycle, sum to the
+    /// counters. Runs at the end of every run, in every build, before the
+    /// result is assembled; O(network).
+    ///
+    /// # Panics
+    /// Panics with a diagnostic naming the first violation.
+    pub fn audit(&mut self) {
+        self.net.audit();
+        let counters = self.net.counters();
+        assert_eq!(
+            self.window_base_in_flight + counters.accepted_packets,
+            self.net.in_flight() + counters.delivered_packets,
+            "window identity violated at cycle {}: {} in flight at the counter reset + {} \
+             accepted != {} in flight now + {} delivered",
+            self.net.cycle(),
+            self.window_base_in_flight,
+            counters.accepted_packets,
+            self.net.in_flight(),
+            counters.delivered_packets,
+        );
+        let latency = &self.net.sink().latency;
+        let (sum, mean) = (latency.component_means().iter().sum::<f64>(), latency.mean_latency());
+        assert!(
+            (sum - mean).abs() <= 1e-9 * mean.max(1.0),
+            "latency components sum to {sum}, the mean latency is {mean} (cycle {})",
+            self.net.cycle()
+        );
+        if let Some(rec) = &self.timeline {
+            rec.audit(self.net.cycle(), &counters);
+        }
+    }
+
     /// Extract the result from the current measurement window.
     fn into_result(mut self) -> RunResult {
         // Flush the partially filled tail window first, so sums over the
-        // timeline rows equal the end-of-run totals below.
-        let timeline = self.timeline.take().map(|mut rec| {
+        // timeline rows equal the end-of-run totals below; then prove the
+        // run conserved before publishing a byte of it.
+        if let Some(rec) = &mut self.timeline {
             rec.flush(self.net.cycle(), &self.net, &self.jobs);
-            rec.into_rows()
-        });
+        }
+        self.audit();
+        let timeline = self.timeline.take().map(TimelineRecorder::into_rows);
         let params = *self.net.topology().params();
         let counters = self.net.counters();
         let sink = self.net.sink();
@@ -750,6 +816,25 @@ mod tests {
         assert_eq!(r.per_job.len(), 1);
         assert!(r.per_job[0].delivered_packets > 100, "{}", r.per_job[0].delivered_packets);
         assert_eq!(r.per_job[0].delivered_packets, r.delivered_packets);
+    }
+
+    /// `finish` proves the run before it publishes it — in every build:
+    /// ci.sh runs this test once more in release without `shadow-verify`,
+    /// where no periodic audit exists to catch the corruption first. The
+    /// corruption: the engine's counters zeroed behind the simulator's
+    /// back, so the window no longer accounts for the packets in flight.
+    #[test]
+    #[should_panic(expected = "window identity violated")]
+    fn finish_audits_in_every_build() {
+        let cfg = tiny(MechanismSpec::Min, PatternSpec::Uniform, 0.3);
+        let mut sim = Simulator::new(&cfg);
+        sim.begin_measurement();
+        for _ in 0..300 {
+            sim.step();
+        }
+        assert!(sim.net.in_flight() > 0);
+        sim.net.reset_counters();
+        sim.finish();
     }
 
     #[test]

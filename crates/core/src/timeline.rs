@@ -164,6 +164,8 @@ pub type TimelineSink = Box<dyn FnMut(&WindowRow)>;
 /// per cycle when idle, O(routers + job nodes) work only at window close.
 pub(crate) struct TimelineRecorder {
     spec: TelemetrySpec,
+    /// First cycle of window 0 (the `begin_measurement` cycle).
+    base: u64,
     series: WindowSeries<WindowRow>,
     net_mark: NetMark,
     job_marks: Vec<JobMark>,
@@ -184,6 +186,7 @@ impl TimelineRecorder {
         let (net_mark, job_marks) = marks(net, &spec, jobs);
         TimelineRecorder {
             spec,
+            base,
             series: WindowSeries::new(spec.window_cycles, base),
             net_mark,
             job_marks,
@@ -270,8 +273,117 @@ impl TimelineRecorder {
         self.series.push(row);
     }
 
+    /// Audit step (timeline): the closed windows are zero-based, gap-free
+    /// from the first measured cycle and non-empty; and once they are
+    /// closed through `now` (at a boundary, or after [`Self::flush`]) their
+    /// counts sum to the run's counters `c`.
+    pub(crate) fn audit(&self, now: u64, c: &Counters) {
+        let rows = self.series.rows();
+        let mut next_start = self.base;
+        for (i, row) in rows.iter().enumerate() {
+            assert_eq!(row.window, i as u64, "timeline window {i} carries index {}", row.window);
+            assert_eq!(
+                row.start_cycle, next_start,
+                "timeline window {i} starts at cycle {}, the previous one ended at {next_start}",
+                row.start_cycle
+            );
+            assert!(
+                row.end_cycle > row.start_cycle,
+                "timeline window {i} is empty: [{}, {})",
+                row.start_cycle,
+                row.end_cycle
+            );
+            next_start = row.end_cycle;
+        }
+        if next_start != now {
+            return;
+        }
+        let total = |count: fn(&WindowRow) -> u64| rows.iter().map(count).sum::<u64>();
+        for (what, windows, run) in [
+            ("injected packets", total(|r| r.injected_packets), c.injected_per_router.iter().sum()),
+            ("delivered packets", total(|r| r.delivered_packets), c.delivered_packets),
+            ("delivered phits", total(|r| r.delivered_phits), c.delivered_phits),
+            ("escape grants", total(|r| r.escape_grants), c.escape_grants),
+        ] {
+            assert_eq!(
+                windows, run,
+                "timeline windows sum to {windows} {what}, the run counted {run} (cycle {now})"
+            );
+        }
+        // Offers are made between steps: the ones since the last step are
+        // counted by the run and belong to no window yet.
+        let offered = total(|r| r.offered_packets);
+        assert!(
+            offered <= c.offered_packets,
+            "timeline windows sum to {offered} offered packets, the run counted {} (cycle {now})",
+            c.offered_packets
+        );
+    }
+
     /// Consume the recorder, yielding its closed rows.
     pub(crate) fn into_rows(self) -> Vec<WindowRow> {
         self.series.into_rows()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{SimConfig, Simulator};
+    use df_engine::ArbiterPolicy;
+    use df_routing::MechanismSpec;
+    use df_topology::DragonflyParams;
+    use df_traffic::PatternSpec;
+
+    /// A recorder over an idle figure1 network, first window at cycle 100,
+    /// with `windows` closed by hand as `(index, start, end)`.
+    fn audit_after(windows: &[(u64, u64, u64)], now: u64, doctor: fn(&mut Counters)) {
+        let mut cfg = SimConfig::small(
+            MechanismSpec::Min,
+            ArbiterPolicy::TransitPriority,
+            PatternSpec::Uniform,
+            0.0,
+        );
+        cfg.params = DragonflyParams::figure1();
+        let sim = Simulator::new(&cfg);
+        let net = sim.network();
+        let mut rec = TimelineRecorder::new(TelemetrySpec::default(), 100, net, &[], None);
+        for &(window, start, end) in windows {
+            rec.close(window, start, end, net, &[]);
+        }
+        let mut counters = net.counters().into_owned();
+        doctor(&mut counters);
+        rec.audit(now, &counters);
+    }
+
+    #[test]
+    fn a_gap_free_chain_that_sums_to_the_counters_passes() {
+        audit_after(&[(0, 100, 150), (1, 150, 200), (2, 200, 230)], 230, |_| {});
+        // Not closed through `now`: only the chain is checked.
+        audit_after(&[(0, 100, 150)], 170, |c| c.delivered_packets = 9);
+        // Offers since the last step are the run's, not a window's.
+        audit_after(&[(0, 100, 150)], 150, |c| c.offered_packets = 2);
+    }
+
+    macro_rules! audit_catches {
+        ($($name:ident: $expected:literal => $windows:expr, $now:expr, $doctor:expr;)*) => {$(
+            #[test]
+            #[should_panic(expected = $expected)]
+            fn $name() {
+                audit_after(&$windows, $now, $doctor);
+            }
+        )*};
+    }
+
+    audit_catches! {
+        audit_catches_a_window_index_off_zero: "carries index 1" => [(1, 100, 150)], 150, |_| {};
+        audit_catches_a_late_first_window: "starts at cycle 101" => [(0, 101, 150)], 150, |_| {};
+        audit_catches_a_gap: "the previous one ended at 150" =>
+            [(0, 100, 150), (1, 160, 200)], 200, |_| {};
+        audit_catches_an_empty_window: "is empty" => [(0, 100, 150), (1, 150, 150)], 150, |_| {};
+        audit_catches_a_delivery_no_window_saw: "0 delivered packets, the run counted 1" =>
+            [(0, 100, 150)], 150, |c| c.delivered_packets = 1;
+        audit_catches_an_injection_no_window_saw: "0 injected packets, the run counted 1" =>
+            [(0, 100, 150)], 150, |c| c.injected_per_router[3] = 1;
     }
 }

@@ -137,6 +137,58 @@ impl PacketArena {
         self.slots.len() - self.free_len as usize
     }
 
+    /// Audit step (population): `refs` — every handle the network holds
+    /// in a ring or on a link — must name each live slot exactly once
+    /// and no vacant slot at all. Panics on the first violation.
+    pub(crate) fn audit_references(&self, refs: impl Iterator<Item = PacketId>, cycle: u64) {
+        #[derive(Clone, Copy, PartialEq)]
+        enum Mark {
+            Unreached,
+            Reached,
+            Vacant,
+        }
+        let mut state = vec![Mark::Unreached; self.slots.len()];
+        let (mut cursor, mut vacant) = (self.free_head, 0u32);
+        while cursor != FREE_NONE {
+            assert!(
+                vacant < self.free_len,
+                "arena free list is longer than its {} vacant slots (cycle {cycle})",
+                self.free_len
+            );
+            state[cursor as usize] = Mark::Vacant;
+            vacant += 1;
+            cursor = self.slots[cursor as usize].pkt.eligible_at as u32;
+        }
+        assert_eq!(
+            vacant, self.free_len,
+            "arena free list is shorter than its vacant-slot count (cycle {cycle})"
+        );
+        for id in refs {
+            let slot = state.get_mut(id.0 as usize).unwrap_or_else(|| {
+                let slots = self.slots.len();
+                panic!("handle {} points past the arena's {slots} slots (cycle {cycle})", id.0)
+            });
+            match *slot {
+                Mark::Unreached => *slot = Mark::Reached,
+                Mark::Reached => panic!(
+                    "arena slot {} (packet {}) is referenced twice (cycle {cycle})",
+                    id.0,
+                    self.get(id).header.id
+                ),
+                Mark::Vacant => {
+                    panic!("vacant arena slot {} is still referenced (cycle {cycle})", id.0)
+                }
+            }
+        }
+        if let Some(leaked) = state.iter().position(|&s| s == Mark::Unreached) {
+            panic!(
+                "arena slot {leaked} (packet {}) leaked: live, but in no ring and on no link \
+                 (cycle {cycle})",
+                self.slots[leaked].pkt.header.id
+            );
+        }
+    }
+
     /// Total slots ever allocated (the peak live population).
     pub fn capacity(&self) -> usize {
         self.slots.len()

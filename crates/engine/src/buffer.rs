@@ -68,6 +68,15 @@ impl Ring {
         self.len -= 1;
         Some(entry)
     }
+
+    /// The queued entries, head first (the engine's audit reads them).
+    fn iter<'a, T: Copy>(&self, slab: &'a [T]) -> impl Iterator<Item = T> + 'a {
+        let Ring { base, slots, head, len } = *self;
+        (head..head + len).map(move |i| {
+            let wrapped = if i >= slots { i - slots } else { i };
+            slab[(base + wrapped) as usize]
+        })
+    }
 }
 
 /// `(handle, size in phits)` — one queued packet of an input VC.
@@ -143,6 +152,11 @@ impl VcRing {
     #[inline]
     pub(crate) fn is_empty(&self) -> bool {
         self.ring.len == 0
+    }
+
+    /// The resident packets, head first.
+    pub(crate) fn iter<'a>(&self, slab: &'a [VcEntry]) -> impl Iterator<Item = VcEntry> + 'a {
+        self.ring.iter(slab)
     }
 }
 
@@ -244,6 +258,11 @@ impl OutRing {
     #[inline]
     pub(crate) fn is_empty(&self) -> bool {
         self.ring.len == 0
+    }
+
+    /// The staged packets, head first.
+    pub(crate) fn iter<'a>(&self, slab: &'a [Staged]) -> impl Iterator<Item = Staged> + 'a {
+        self.ring.iter(slab)
     }
 }
 
@@ -353,6 +372,7 @@ mod tests {
                     prop_assert_eq!(ring.pop(&slab), model.pop_front());
                 }
                 prop_assert_eq!(ring.front(&slab), model.front().copied());
+                prop_assert!(ring.iter(&slab).eq(model.iter().copied()));
                 prop_assert_eq!(ring.len(), model.len());
                 prop_assert_eq!(ring.is_empty(), model.is_empty());
                 prop_assert_eq!(ring.occupancy(), model.len() as u32 * size);
@@ -387,6 +407,7 @@ mod tests {
                         model.pop_front().map(|i| (i, i as u64))
                     );
                 }
+                prop_assert!(ring.iter(&slab).map(|s| s.pkt.0).eq(model.iter().copied()));
                 prop_assert_eq!(ring.len(), model.len());
                 prop_assert_eq!(ring.is_empty(), model.is_empty());
                 prop_assert_eq!(ring.occupancy(), model.len() as u32 * size);

@@ -132,6 +132,12 @@ impl EventWheel {
     pub fn pending(&self) -> usize {
         self.pending
     }
+
+    /// Every scheduled event, in no particular order. Read-only: the
+    /// engine's audit walks what is on the links with it.
+    pub fn iter(&self) -> impl Iterator<Item = &Event> {
+        self.slots.iter().flatten()
+    }
 }
 
 #[cfg(test)]
@@ -197,5 +203,22 @@ mod tests {
         assert_eq!(evs.len(), 2);
         w.recycle(evs);
         assert_eq!(w.pending(), 1);
+    }
+
+    #[test]
+    fn iter_sees_exactly_the_pending_events() {
+        let mut w = EventWheel::new(16);
+        w.schedule(2, credit_ev(1));
+        w.schedule(9, credit_ev(2));
+        w.schedule(9, credit_ev(4));
+        let phits = |w: &EventWheel| -> u32 {
+            w.iter().map(|ev| if let Event::Credit { phits, .. } = ev { *phits } else { 0 }).sum()
+        };
+        assert_eq!((w.iter().count(), phits(&w)), (3, 7));
+        for _ in 0..2 {
+            let evs = w.advance();
+            w.recycle(evs);
+        }
+        assert_eq!((w.iter().count(), phits(&w)), (w.pending(), 6));
     }
 }

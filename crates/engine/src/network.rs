@@ -29,7 +29,7 @@ use crate::packet::{DeliveredRecord, Packet, PacketSeq, RouteDep};
 #[cfg(any(debug_assertions, feature = "shadow-verify"))]
 use crate::packet::Decision;
 use crate::policy::{CycleCtx, RoutingPolicy, StatsSink};
-use crate::router::{InPort, RouterState};
+use crate::router::{input_capacity_for, vcs_for, InPort, RouterState};
 use crate::shard::{RemoteCredit, RemoteFlit, ShardOutbox};
 use df_topology::{NodeId, Port, PortKind, PortLayout, PortTarget, RouterId, Topology};
 use serde::{Deserialize, Serialize};
@@ -602,6 +602,13 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
         &self.routers[self.local_router(id)]
     }
 
+    /// Mutable access to a router, for tests that corrupt one on purpose.
+    #[cfg(test)]
+    pub(crate) fn router_mut(&mut self, id: RouterId) -> &mut RouterState {
+        let r = self.local_router(id);
+        &mut self.routers[r]
+    }
+
     /// Zero the measurement counters (start of the measurement window).
     pub fn reset_counters(&mut self) {
         self.counters = Counters::new(self.routers.len(), self.nodes.len());
@@ -820,45 +827,6 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
             self.step();
         }
         self.live_packets == 0
-    }
-
-    /// Shadow check: verify every scheduling work list against a full
-    /// `0..routers` / `0..nodes` scan of the underlying state. Visiting
-    /// exactly the flagged entities is equivalent to the full scan iff
-    /// every unflagged entity has nothing to do — this asserts that
-    /// invariant. Panics with a diagnostic on the first divergence.
-    /// Intended for tests; cost is O(network).
-    pub fn assert_work_lists_match_full_scan(&self) {
-        for (r, router) in self.routers.iter().enumerate() {
-            assert_eq!(
-                get_bit(&self.alloc_active, r),
-                router.input_packets() > 0,
-                "alloc work list diverged from input_count at router {r}, cycle {}",
-                self.cycle
-            );
-            assert_eq!(
-                get_bit(&self.tx_active, r),
-                router.output_packets() > 0,
-                "tx work list diverged from staged_count at router {r}, cycle {}",
-                self.cycle
-            );
-            for q in 0..self.topo.params().radix() as usize {
-                assert_eq!(
-                    router.out_ready & (1 << q) != 0,
-                    router.output_staged(q) != 0,
-                    "ready-output mask diverged at router {r} port {q}, cycle {}",
-                    self.cycle
-                );
-            }
-        }
-        for (n, node) in self.nodes.iter().enumerate() {
-            assert_eq!(
-                get_bit(&self.node_active, n),
-                !node.queue.is_empty(),
-                "node work list diverged at node {n}, cycle {}",
-                self.cycle
-            );
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1449,10 +1417,84 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
         );
     }
 
-    /// Shadow check: verify every route-cache invariant against the
-    /// underlying state. O(network); intended for tests (mirrors
-    /// [`Self::assert_work_lists_match_full_scan`]). Panics with a
-    /// diagnostic on the first divergence. Specifically, per router:
+    // ------------------------------------------------------------------
+    // The audit
+    // ------------------------------------------------------------------
+
+    /// The engine's one invariant check (docs/DETERMINISM.md, "The
+    /// audit"): every scheduling work list and mask against a full scan,
+    /// route-cache coherence, packet conservation, credit conservation on
+    /// every link, and the policy's own [`RoutingPolicy::audit`]. Panics
+    /// with a diagnostic naming the first violation. Call between steps;
+    /// O(network), no effect on the simulation.
+    ///
+    /// # Panics
+    /// Panics on a shard slice, whose policy lives with the controller.
+    pub fn audit(&mut self) {
+        let mut policy = self.policy.take().expect("policy detached (shard slice)");
+        let mut ledger = CreditLedger::new(&self.topo, &self.cfg);
+        self.audit_slice(&mut policy, &mut ledger);
+        ledger.assert_balanced(self.cycle);
+        self.policy = Some(policy);
+    }
+
+    /// Every audit step that needs only this slice's state, with the
+    /// policy supplied by the caller; what the slice holds of each link's
+    /// credit window goes into `ledger`, which the caller balances once
+    /// every slice has contributed (a global link's two ends may sit in
+    /// different shards).
+    pub(crate) fn audit_slice(&mut self, policy: &mut P, ledger: &mut CreditLedger) {
+        self.audit_work_lists();
+        self.audit_route_cache(policy);
+        self.audit_population();
+        self.audit_credits(ledger);
+        policy.audit(&CycleCtx {
+            routers: &self.routers,
+            cycle: self.cycle,
+            dirty_global: &self.global_dirty_list,
+        });
+    }
+
+    /// Audit step (work lists): verify every scheduling work list against
+    /// a full `0..routers` / `0..nodes` scan of the underlying state.
+    /// Visiting exactly the flagged entities is equivalent to the full
+    /// scan iff every unflagged entity has nothing to do — this asserts
+    /// that invariant.
+    fn audit_work_lists(&self) {
+        for (r, router) in self.routers.iter().enumerate() {
+            assert_eq!(
+                get_bit(&self.alloc_active, r),
+                router.input_packets() > 0,
+                "alloc work list diverged from input_count at router {r}, cycle {}",
+                self.cycle
+            );
+            assert_eq!(
+                get_bit(&self.tx_active, r),
+                router.output_packets() > 0,
+                "tx work list diverged from staged_count at router {r}, cycle {}",
+                self.cycle
+            );
+            for q in 0..self.topo.params().radix() as usize {
+                assert_eq!(
+                    router.out_ready & (1 << q) != 0,
+                    router.output_staged(q) != 0,
+                    "ready-output mask diverged at router {r} port {q}, cycle {}",
+                    self.cycle
+                );
+            }
+        }
+        for (n, node) in self.nodes.iter().enumerate() {
+            assert_eq!(
+                get_bit(&self.node_active, n),
+                !node.queue.is_empty(),
+                "node work list diverged at node {n}, cycle {}",
+                self.cycle
+            );
+        }
+    }
+
+    /// Audit step (route cache): verify every route-cache invariant
+    /// against the underlying state. Specifically, per router:
     ///
     /// * the ready-VC masks, the awake-port mask and the resident-packet
     ///   count equal what a full scan of the input rings derives;
@@ -1463,21 +1505,13 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
     ///   port it parked on, and that (port, VC) still cannot accept it —
     ///   a parked head that *could* proceed is a lost wakeup;
     /// * under an adaptive policy, the parked head's dependency is
-    ///   non-volatile and currently valid, and a pure recompute agrees
-    ///   with the cached decision.
-    pub fn assert_route_cache_coherent(&mut self) {
-        let mut policy = self.policy.take().expect("policy detached (shard slice)");
-        self.assert_route_cache_coherent_with(&mut policy);
-        self.policy = Some(policy);
-    }
-
-    /// [`Self::assert_route_cache_coherent`] with the policy supplied by
-    /// the sharded controller.
-    pub(crate) fn assert_route_cache_coherent_with(&mut self, policy: &mut P) {
+    ///   non-volatile and currently valid, and (debug / `shadow-verify`
+    ///   builds) a pure recompute agrees with the cached decision.
+    fn audit_route_cache(&mut self, policy: &mut P) {
         let adaptive = policy.adaptive_reroute();
         let radix = self.topo.params().radix() as usize;
         for r in 0..self.routers.len() {
-            self.routers[r].assert_input_masks_match_full_scan(self.cycle);
+            self.routers[r].audit_input_masks(self.cycle);
             let mut expect_ready = 0u32;
             for in_port in 0..radix {
                 let InPort { ready, parked, sleeping, .. } = self.routers[r].in_ports[in_port];
@@ -1578,6 +1612,146 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
                 "probe_ready counter diverged at router {r}, cycle {}",
                 self.cycle
             );
+        }
+    }
+
+    /// Audit step (population): no accepted packet is lost or counted
+    /// twice. `in_flight` equals the packets still in source queues plus
+    /// the arena's live slots, and every live slot is reachable exactly
+    /// once — from an input VC, an output buffer, or an arrival event on
+    /// a link. (A flit crossing shards travels by value and is re-homed
+    /// inside the step, so between steps no packet is anywhere else.)
+    fn audit_population(&self) {
+        assert_eq!(
+            self.live_packets,
+            (self.arena.live() + self.source_queued()) as u64,
+            "live-packet count diverged from arena + source-queue population \
+             (slice at router {}, cycle {})",
+            self.router_base,
+            self.cycle
+        );
+        let on_links = self.wheel.iter().filter_map(|ev| match *ev {
+            Event::ArriveRouter { pkt, .. } | Event::ArriveNode { pkt, .. } => Some(pkt),
+            _ => None,
+        });
+        let in_routers = self.routers.iter().flat_map(RouterState::resident_packets);
+        self.arena.audit_references(in_routers.chain(on_links), self.cycle);
+    }
+
+    /// Audit step (credits, this slice's share): add up, per receiving
+    /// input VC, every phit of its buffer this slice can account for —
+    /// resident packets and arrivals on the wire at the receiving end;
+    /// unspent credits, staged packets whose credit is already reserved
+    /// and credit returns on the wire at the sending end.
+    fn audit_credits(&self, ledger: &mut CreditLedger) {
+        let params = *self.topo.params();
+        let radix = params.radix() as usize;
+        for (r, router) in self.routers.iter().enumerate() {
+            router.audit_credit_counters(self.cycle);
+            let id = router.id();
+            for q in 0..radix {
+                let port = Port(q as u32);
+                for vc in 0..router.in_ports[q].vcs {
+                    ledger.add(id, port, vc, router.input_occupancy(port, vc));
+                }
+                let PortTarget::Router { router: peer, port: peer_port } = self.peers[r * radix + q]
+                else {
+                    continue; // ejection: the node sinks without credits
+                };
+                let down_vcs = vcs_for(&self.cfg, params.port_kind(port));
+                for vc in 0..down_vcs {
+                    ledger.add(peer, peer_port, vc, router.credits(port, vc));
+                }
+                for staged in router.staged(q) {
+                    ledger.add(peer, peer_port, staged.out_vc, staged.size);
+                }
+            }
+        }
+        let injection_vc =
+            |node: NodeId| (node.router(&params), params.injection_port(node.slot(&params)));
+        for (n, node) in self.nodes.iter().enumerate() {
+            let (router, port) = injection_vc(NodeId(self.node_base + n as u32));
+            for (vc, &credits) in node.credits.iter().enumerate() {
+                ledger.add(router, port, vc as u8, credits);
+            }
+        }
+        for ev in self.wheel.iter() {
+            match *ev {
+                Event::ArriveRouter { router, port, vc, size, .. } => {
+                    ledger.add(router, port, vc, size);
+                }
+                Event::Credit { router, port, vc, phits } => {
+                    let flat = self.local_router(router) * radix + port.idx();
+                    let PortTarget::Router { router: peer, port: peer_port } = self.peers[flat]
+                    else {
+                        panic!("credit return towards ejection port {} of {router:?}", port.0);
+                    };
+                    ledger.add(peer, peer_port, vc, phits);
+                }
+                Event::NodeCredit { node, vc, phits } => {
+                    let (router, port) = injection_vc(node);
+                    ledger.add(router, port, vc, phits);
+                }
+                Event::ArriveNode { .. } | Event::HeadWake { .. } => {}
+            }
+        }
+    }
+}
+
+/// The credit half of the audit: for every input VC of every router, the
+/// phits of its buffer accounted for anywhere in the network. Credit-based
+/// flow control moves a buffer's phits between five places — the sender's
+/// credit counter, its output buffer (credit reserved at the grant), the
+/// wire, the buffer itself, and the credit return on the wire back — and
+/// never creates or destroys one, so each sum must equal the buffer's
+/// capacity. Indexed by **global** router id, so the slices of a sharded
+/// network add into one ledger.
+pub(crate) struct CreditLedger {
+    /// `[(router * radix + port) * vc_stride + vc]`, in phits.
+    held: Vec<u32>,
+    /// Capacity of one VC of input port `q`, `[q]`, and its VC count.
+    capacity: Vec<(u32, u8)>,
+    vc_stride: usize,
+}
+
+impl CreditLedger {
+    pub(crate) fn new(topo: &Topology, cfg: &EngineConfig) -> Self {
+        let params = topo.params();
+        let capacity: Vec<(u32, u8)> = (0..params.radix())
+            .map(|q| {
+                let kind = params.port_kind(Port(q));
+                (input_capacity_for(cfg, kind), vcs_for(cfg, kind))
+            })
+            .collect();
+        let vc_stride = capacity.iter().map(|&(_, vcs)| vcs as usize).max().unwrap_or(0);
+        let held = vec![0; params.routers() as usize * capacity.len() * vc_stride];
+        Self { held, capacity, vc_stride }
+    }
+
+    fn add(&mut self, router: RouterId, port: Port, vc: u8, phits: u32) {
+        let (_, vcs) = self.capacity[port.idx()];
+        assert!(vc < vcs, "phits accounted to VC {vc} of port {}, which has {vcs}", port.0);
+        let radix = self.capacity.len();
+        self.held[(router.idx() * radix + port.idx()) * self.vc_stride + vc as usize] += phits;
+    }
+
+    /// Panic on the first input VC whose phits do not add up to its
+    /// capacity.
+    pub(crate) fn assert_balanced(&self, cycle: u64) {
+        let radix = self.capacity.len();
+        for (i, held) in self.held.chunks(self.vc_stride).enumerate() {
+            let (capacity, vcs) = self.capacity[i % radix];
+            for (vc, &held) in held[..vcs as usize].iter().enumerate() {
+                assert_eq!(
+                    held,
+                    capacity,
+                    "credit conservation violated on the link into router {} port {} vc {vc}: \
+                     credits + staged + on the wire + resident = {held} phits, capacity \
+                     {capacity} (cycle {cycle})",
+                    i / radix,
+                    i % radix
+                );
+            }
         }
     }
 }
@@ -1751,8 +1925,10 @@ mod tests {
 
     #[test]
     fn credits_fully_restored_after_drain() {
-        // Credit conservation: once the network drains, every credit
-        // counter must be back at its capacity and every buffer empty.
+        // Credit conservation: once the network drains and the straggler
+        // credit returns land, nothing is in a buffer or on a wire, so the
+        // audit's balanced ledger means every credit counter is back at
+        // its capacity.
         let mut net = small_net();
         let nodes = net.topology().params().nodes();
         for round in 0..10u32 {
@@ -1765,35 +1941,13 @@ mod tests {
             net.step();
         }
         assert!(net.drain(100_000));
-        // Let straggler credit returns land.
         net.run(300);
-        for r in &net.routers {
-            assert_eq!(r.input_packets(), 0);
-            assert_eq!(r.output_packets(), 0);
-            for port in 0..net.topo.params().radix() as usize {
-                assert!(
-                    r.credits_at_capacity(port),
-                    "credits leaked at router {:?} port {port}",
-                    r.id()
-                );
-                assert_eq!(
-                    r.downstream_occupied(Port(port as u32)),
-                    0,
-                    "cached downstream occupancy out of sync at {:?} port {port}",
-                    r.id()
-                );
-            }
-            assert!(r.in_ports.iter().all(|p| p.ready == 0), "stale ready bits");
-        }
-        for node in &net.nodes {
-            assert!(node.queue.is_empty());
-            let total: u32 = node.credits.iter().sum();
-            assert_eq!(total, net.cfg.injection_input_buffer * net.cfg.vcs_injection as u32);
-        }
         assert_eq!(net.events_pending(), 0);
-        // Arena integrity: every slot freed, capacity bounded by the peak.
+        assert_eq!(net.source_queued(), 0);
         assert_eq!(net.arena_live(), 0, "arena leaked packets");
+        assert!(net.routers.iter().all(|r| r.input_packets() == 0 && r.output_packets() == 0));
         assert!(net.arena_capacity() > 0);
+        net.audit();
     }
 
     #[test]
@@ -1852,5 +2006,128 @@ mod tests {
         assert_eq!(net.counters().delivered_packets, 0);
         assert_eq!(net.counters().cycles, 0);
         assert!(net.counters().injected_per_router.iter().all(|&c| c == 0));
+    }
+
+    // ------------------------------------------------------------------
+    // The audit has teeth: corrupt a loaded network one invariant at a
+    // time and expect `audit()` to name the violation.
+    // ------------------------------------------------------------------
+
+    type TestNet = Network<MinOnly, crate::policy::NullSink>;
+
+    /// A hotspot (every node sends to node 1) on top of a spread load, cut
+    /// off mid-flight: packets in source queues, in input VCs, staged at
+    /// outputs and on links, credit returns on the wire, heads parked on
+    /// the hotspot's ejection port.
+    fn loaded_net() -> TestNet {
+        let mut net = small_net();
+        let nodes = net.topology().params().nodes();
+        for round in 0..40u32 {
+            for n in 0..nodes {
+                net.offer(NodeId(n), NodeId(1));
+                net.offer(NodeId(n), NodeId((n * 31 + round * 7 + 5) % nodes));
+            }
+            net.step();
+        }
+        net
+    }
+
+    /// `(router, input port, vc)` of the input VCs whose masks satisfy `pick`.
+    fn find_vc(net: &TestNet, pick: impl Fn(&InPort, u32) -> bool) -> (usize, usize, usize) {
+        for (r, router) in net.routers.iter().enumerate() {
+            for (q, input) in router.in_ports.iter().enumerate() {
+                if let Some(vc) = (0..input.vcs as u32).find(|&vc| pick(input, 1 << vc)) {
+                    return (r, q, vc as usize);
+                }
+            }
+        }
+        panic!("loaded_net holds no such VC");
+    }
+
+    /// An awake head (granting it is legal) of a router holding more
+    /// packets than that one.
+    fn find_awake(net: &TestNet) -> (usize, usize, usize) {
+        let (r, q, vc) = find_vc(net, |input, bit| input.awake_vcs() & bit != 0);
+        assert!(net.routers[r].input_count > 1);
+        (r, q, vc)
+    }
+
+    #[test]
+    fn loaded_net_is_sound_and_exercises_every_place_a_packet_can_be() {
+        let mut net = loaded_net();
+        net.audit();
+        assert!(net.source_queued() > 0);
+        assert!(net.routers.iter().any(|r| r.output_packets() > 0));
+        assert!(net.wheel.iter().any(|ev| matches!(ev, Event::Credit { .. })));
+        assert!(net.wheel.iter().any(|ev| matches!(ev, Event::ArriveRouter { .. })));
+        find_vc(&net, |input, bit| input.parked & bit != 0);
+        find_awake(&net);
+    }
+
+    macro_rules! audit_catches {
+        ($($name:ident: $expected:literal => $corrupt:expr;)*) => {$(
+            #[test]
+            #[should_panic(expected = $expected)]
+            fn $name() {
+                let mut net = loaded_net();
+                let corrupt: fn(&mut TestNet) = $corrupt;
+                corrupt(&mut net);
+                net.audit();
+            }
+        )*};
+    }
+
+    audit_catches! {
+        audit_catches_a_cleared_alloc_active_bit: "alloc work list diverged" => |net| {
+            let (r, _, _) = find_awake(net);
+            clear_bit(&mut net.alloc_active, r);
+        };
+        audit_catches_a_cleared_waiter_bit: "parked head not in waiter mask" => |net| {
+            let (r, q, vc) = find_vc(net, |input, bit| input.parked & bit != 0);
+            let target = net.routers[r].parked_target(Port(q as u32), vc as u8).unwrap();
+            net.routers[r].out_ports[target.idx()].waiters &= !(1 << q);
+        };
+        audit_catches_a_miscounted_packet: "live-packet count diverged" => |net| {
+            net.live_packets -= 1;
+        };
+        audit_catches_a_leaked_arena_slot: "leaked: live, but in no ring and on no link" => |net| {
+            let stray = Packet::new(u64::MAX, NodeId(0), NodeId(1), 8, 0, df_topology::GroupId(0));
+            net.arena.insert(stray);
+            net.live_packets += 1;
+        };
+        audit_catches_a_packet_dropped_from_a_ring: "leaked: live, but in no ring" => |net| {
+            let (r, q, vc) = find_awake(net);
+            net.routers[r].pop_input(q, vc);
+        };
+        audit_catches_a_freed_slot_still_queued: "vacant arena slot" => |net| {
+            let (r, q, vc) = find_awake(net);
+            let (id, _) = net.routers[r].input_front(q, vc).unwrap();
+            net.arena.free(id);
+            net.live_packets -= 1;
+        };
+        audit_catches_a_packet_in_two_places: "referenced twice" => |net| {
+            // Stage a copy of a resident head where its credit would be
+            // reserved: on a port with room, so only the handle is wrong.
+            let (r, q, vc) = find_awake(net);
+            let (pkt, size) = net.routers[r].input_front(q, vc).unwrap();
+            let out = (0..net.topo.params().p as usize)
+                .find(|&out| net.routers[r].can_accept(Port(out as u32), 0, size))
+                .expect("an ejection port with room");
+            net.routers[r].stage_output(out, Staged { pkt, size, enq_at: net.cycle, out_vc: 0 });
+            set_bit(&mut net.tx_active, r);
+        };
+        audit_catches_a_stolen_credit: "credit conservation violated on the link into" => |net| {
+            // Consume downstream credit without staging the packet it is for.
+            let params = *net.topo.params();
+            let (r, port) = (0..net.routers.len())
+                .flat_map(|r| (params.p..params.radix()).map(move |q| (r, Port(q))))
+                .find(|&(r, port)| net.routers[r].credits(port, 0) >= 8)
+                .expect("a transit port with credit left");
+            net.routers[r].reserve_credit(port.idx(), 0, 8);
+        };
+        audit_catches_a_stolen_injection_credit: "credit conservation violated" => |net| {
+            let node = net.nodes.iter_mut().find(|n| n.credits[0] >= 8);
+            node.expect("a node with credit").credits[0] -= 8;
+        };
     }
 }

@@ -4,7 +4,8 @@ use crate::packet::{Decision, DeliveredRecord, PacketHeader, RouteDep, RouteInfo
 use crate::router::RouterState;
 use df_topology::Port;
 
-/// Per-cycle context handed to [`RoutingPolicy::begin_cycle`].
+/// Per-cycle context handed to [`RoutingPolicy::begin_cycle`] (and, with
+/// the changes still pending, to [`RoutingPolicy::audit`]).
 ///
 /// Besides the router slice, it carries the engine's change-tracking for
 /// global-link queues: policies that maintain a derived congestion view
@@ -78,6 +79,14 @@ pub trait RoutingPolicy {
         false
     }
 
+    /// The policy's share of the engine's audit (`Network::audit`): check
+    /// whatever state the policy derives from the routers against a fresh
+    /// derivation, and panic on a divergence. `ctx.dirty_global` lists the
+    /// routers whose global-link queues changed since the last
+    /// `begin_cycle` — state derived from those is allowed to be stale
+    /// until the next one. Must not draw from the policy's RNG.
+    fn audit(&self, _ctx: &CycleCtx<'_>) {}
+
     /// Human-readable mechanism name (used in experiment output).
     fn name(&self) -> &'static str;
 }
@@ -115,6 +124,10 @@ impl<T: RoutingPolicy + ?Sized> RoutingPolicy for Box<T> {
 
     fn adaptive_reroute(&self) -> bool {
         (**self).adaptive_reroute()
+    }
+
+    fn audit(&self, ctx: &CycleCtx<'_>) {
+        (**self).audit(ctx)
     }
 
     fn name(&self) -> &'static str {

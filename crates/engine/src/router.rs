@@ -605,11 +605,49 @@ impl RouterState {
         self.out_ports[port].ring.len()
     }
 
-    /// Shadow check: re-derive the ready-VC masks, `awake_in` and
-    /// `input_count` from a full scan of the input rings and the
+    /// Packets staged at output `port`, head first, each with the
+    /// downstream VC its credit was reserved on.
+    pub(crate) fn staged(&self, port: usize) -> impl Iterator<Item = Staged> + '_ {
+        self.out_ports[port].ring.iter(&self.out_slots)
+    }
+
+    /// Handle of every packet this router holds, in an input VC or staged
+    /// at an output port.
+    pub(crate) fn resident_packets(&self) -> impl Iterator<Item = PacketId> + '_ {
+        let resident = self.in_rings.iter().flat_map(|ring| ring.iter(&self.in_slots));
+        let staged = (0..self.out_ports.len()).flat_map(|port| self.staged(port));
+        resident.map(|(id, _)| id).chain(staged.map(|s| s.pkt))
+    }
+
+    /// Audit step (credit counters): no counter exceeds the capacity
+    /// behind it, and each port's cached downstream occupancy equals what
+    /// its counters say is consumed.
+    pub(crate) fn audit_credit_counters(&self, cycle: u64) {
+        let id = self.id.0;
+        for (port, out) in self.out_ports.iter().enumerate() {
+            let credits = &self.credits[port * self.vc_stride..][..out.down_vcs as usize];
+            let mut used = 0;
+            for (vc, &c) in credits.iter().enumerate() {
+                assert!(
+                    c <= out.credit_cap,
+                    "credit overflow: {c} > {} at router {id} port {port} vc {vc}, cycle {cycle}",
+                    out.credit_cap
+                );
+                used += out.credit_cap - c;
+            }
+            assert_eq!(
+                out.downstream_used, used,
+                "cached downstream occupancy out of sync with the credit counters at \
+                 router {id} port {port}, cycle {cycle}"
+            );
+        }
+    }
+
+    /// Audit step (input masks): re-derive the ready-VC masks, `awake_in`
+    /// and `input_count` from a full scan of the input rings and the
     /// parked/sleeping masks, and panic on the first divergence.
-    /// O(radix × VCs); part of the engine's route-cache coherence audit.
-    pub(crate) fn assert_input_masks_match_full_scan(&self, cycle: u64) {
+    /// O(radix × VCs).
+    pub(crate) fn audit_input_masks(&self, cycle: u64) {
         let id = self.id.0;
         let (mut awake, mut resident) = (0u64, 0usize);
         for (port, input) in self.in_ports.iter().enumerate() {
@@ -637,16 +675,6 @@ impl RouterState {
             self.input_count as usize, resident,
             "input_count diverged from the rings, router {id}, cycle {cycle}"
         );
-    }
-
-    /// Whether every credit counter of output `port` is back at its
-    /// capacity (credit-conservation checks).
-    #[cfg(test)]
-    pub(crate) fn credits_at_capacity(&self, port: usize) -> bool {
-        let out = &self.out_ports[port];
-        self.credits[port * self.vc_stride..][..out.down_vcs as usize]
-            .iter()
-            .all(|&c| c == out.credit_cap)
     }
 }
 
@@ -719,7 +747,7 @@ mod tests {
         }
         assert_eq!(r.input_occupancy(Port(0), 0), 24);
         assert_eq!(r.head(Port(0), 1), Some(PacketId(100)));
-        r.assert_input_masks_match_full_scan(0);
+        r.audit_input_masks(0);
     }
 
     #[test]
@@ -742,7 +770,18 @@ mod tests {
         r.park(2, 0, 9);
         r.unpark_all();
         assert_eq!(r.awake_in, 1 << 2);
-        r.assert_input_masks_match_full_scan(0);
+        r.audit_input_masks(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "cached downstream occupancy out of sync")]
+    fn audit_catches_a_stale_downstream_cache() {
+        let (params, _, mut r) = setup();
+        let gp = (params.p + params.a - 1) as usize;
+        r.reserve_credit(gp, 0, 8);
+        r.audit_credit_counters(0);
+        r.out_ports[gp].downstream_used -= 8;
+        r.audit_credit_counters(0);
     }
 
     #[test]

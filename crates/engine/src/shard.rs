@@ -54,7 +54,9 @@
 
 use crate::arena::PacketId;
 use crate::config::EngineConfig;
-use crate::network::{Counters, Network, PhaseClock, PhaseProfile, Untimed, WallClock};
+use crate::network::{
+    Counters, CreditLedger, Network, PhaseClock, PhaseProfile, Untimed, WallClock,
+};
 use crate::packet::{DeliveredRecord, Packet, PacketSeq};
 use crate::policy::{RoutingPolicy, StatsSink};
 use crate::router::RouterState;
@@ -739,19 +741,21 @@ impl<P: RoutingPolicy + Send + 'static, S: StatsSink> ShardedNetwork<P, S> {
         self.in_flight() == 0
     }
 
-    /// Shadow check of the sharded execution's cross-cycle invariants,
-    /// mirroring [`Network::assert_work_lists_match_full_scan`]. Call
-    /// between steps. Asserts that the team handed everything back — no
-    /// block or policy left in its slots, every published outbox emptied
-    /// — and, per shard: the cycle counters are aligned with the caller;
-    /// the shard's own outbox and record queue are empty; the live-packet
-    /// count matches the arena's resident population plus the packets
-    /// still in source queues (a packet gets its slot at injection, not at
-    /// `offer`); and every scheduling work list matches a full scan of the
-    /// underlying state. O(network); intended for tests.
-    pub fn assert_shards_coherent(&self) {
+    /// The engine's one invariant check, on the sharded engine (same
+    /// contract as [`Network::audit`]; docs/DETERMINISM.md, "The audit").
+    /// Call between steps. First the sharded execution's own cross-cycle
+    /// invariants: the team handed everything back — no block or policy
+    /// left in its slots, every published outbox emptied — and every
+    /// shard's cycle counter is aligned with the caller and its own outbox
+    /// and record queue are empty. Then every shard runs the serial
+    /// engine's audit steps on its slice with the shared policy threaded
+    /// through, and the credit ledger they all added to is balanced
+    /// network-wide. O(network).
+    ///
+    /// # Panics
+    /// Panics with a diagnostic naming the first violation.
+    pub fn audit(&mut self) {
         let shared = &self.team.shared;
-        assert!(self.policy.is_some(), "policy not returned by the team");
         assert!(lock(&shared.policy).is_none(), "policy left with the team between steps");
         for (w, slot) in shared.blocks.iter().enumerate() {
             assert!(lock(slot).is_none(), "worker {w}'s block left with the team between steps");
@@ -764,7 +768,9 @@ impl<P: RoutingPolicy + Send + 'static, S: StatsSink> ShardedNetwork<P, S> {
             );
         }
         assert_eq!(self.shards().count(), self.plan().shards() as usize, "a shard went missing");
-        for (s, sh) in self.shards().enumerate() {
+        let policy = self.policy.as_mut().expect("policy not returned by the team");
+        let mut ledger = CreditLedger::new(&self.topo, &self.cfg);
+        for (s, sh) in self.blocks.iter_mut().flatten().enumerate() {
             assert_eq!(sh.cycle(), self.cycle, "shard {s} cycle skew at barrier");
             assert!(
                 sh.outbox_is_empty(),
@@ -776,24 +782,9 @@ impl<P: RoutingPolicy + Send + 'static, S: StatsSink> ShardedNetwork<P, S> {
                 "delivery records not drained inside the step (shard {s}, cycle {})",
                 self.cycle
             );
-            assert_eq!(
-                sh.in_flight(),
-                (sh.arena_live() + sh.source_queued()) as u64,
-                "live-packet count diverged from arena + source-queue population \
-                 (shard {s}, cycle {})",
-                self.cycle
-            );
-            sh.assert_work_lists_match_full_scan();
+            sh.audit_slice(policy, &mut ledger);
         }
-    }
-
-    /// Fan [`Network::assert_route_cache_coherent`] out across shards
-    /// (shadow-verify builds), threading the shared policy through.
-    pub fn assert_route_cache_coherent(&mut self) {
-        let policy = self.policy.as_mut().expect("policy lost to a panic in an earlier step");
-        for sh in self.blocks.iter_mut().flatten() {
-            sh.assert_route_cache_coherent_with(policy);
-        }
+        ledger.assert_balanced(self.cycle);
     }
 }
 
@@ -939,8 +930,8 @@ mod tests {
     fn sharded_counters_match_serial_exactly() {
         let base = serial_baseline();
         for shards in [1u32, 2, 3, 9] {
-            let (net, records) = run_rounds!(sharded(shards));
-            net.assert_shards_coherent();
+            let (mut net, records) = run_rounds!(sharded(shards));
+            net.audit();
             assert_matches_serial(&format!("S={shards}"), &net.counters(), &records, &base);
         }
     }
@@ -961,8 +952,8 @@ mod tests {
                     let net = sharded(groups);
                     assert_eq!(net.shard_count(), groups);
                     start.wait();
-                    let (net, records) = run_rounds!(net);
-                    net.assert_shards_coherent();
+                    let (mut net, records) = run_rounds!(net);
+                    net.audit();
                     assert_matches_serial(&format!("thread {t}"), &net.counters(), &records, base);
                 });
             }
@@ -994,7 +985,7 @@ mod tests {
     }
 
     #[test]
-    fn coherence_assert_holds_mid_run() {
+    fn audit_holds_mid_run() {
         let mut net = sharded(3);
         let nodes = net.topology().params().nodes();
         for round in 0..60u32 {
@@ -1002,10 +993,28 @@ mod tests {
                 net.offer(NodeId(n), NodeId((n * 13 + round * 5 + 1) % nodes));
             }
             net.step();
-            net.assert_shards_coherent();
+            net.audit();
         }
         assert!(net.drain(50_000));
-        net.assert_shards_coherent();
+        net.audit();
+    }
+
+    /// One group per shard puts the two ends of every global link in
+    /// different shards: a credit stolen at the sending end only shows
+    /// once every slice has added its share to the one ledger.
+    #[test]
+    #[should_panic(expected = "credit conservation violated on the link into router")]
+    fn audit_balances_credits_across_shards() {
+        let mut net = sharded(DragonflyParams::figure1().groups());
+        for round in 0..20u32 {
+            for (s, d) in round_offers(round) {
+                net.offer(s, d);
+            }
+            net.step();
+        }
+        let global = net.topology().params().global_port(0);
+        net.blocks[0][0].router_mut(RouterId(0)).reserve_credit(global.idx(), 0, 8);
+        net.audit();
     }
 
     #[test]

@@ -27,6 +27,15 @@ use df_topology::{NodeId, Port, PortKind, PortLayout, RouterId, Topology};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+/// PiggyBack's saturation test: a link whose queue holds `q` phits is
+/// saturated when `q` exceeds twice the mean of the router's `n` queues
+/// of that kind (`sum` phits in all, `q` included) by more than the
+/// threshold `t`. Relative by design — `n` equally deep queues are never
+/// saturated, however deep (§V-A: the ADVc bottleneck).
+fn saturated(q: u32, sum: u32, n: u32, t: f64) -> bool {
+    f64::from(q) > 2.0 * (f64::from(sum) / f64::from(n)) + t
+}
+
 /// PiggyBack source-adaptive routing.
 pub struct PiggyBack {
     topo: Topology,
@@ -75,8 +84,7 @@ impl PiggyBack {
         for l in 0..locals {
             sum += router.output_queue_phits(Port(p + l));
         }
-        let mean = sum as f64 / locals as f64;
-        router.output_queue_phits(port) as f64 > 2.0 * mean + self.t_local_phits
+        saturated(router.output_queue_phits(port), sum, locals, self.t_local_phits)
     }
 
     /// Recompute the `h` saturation flags of one router from its current
@@ -90,10 +98,9 @@ impl PiggyBack {
             self.queue_scratch[j as usize] = q;
             sum += q;
         }
-        let mean = sum as f64 / h as f64;
         for j in 0..h {
             self.global_saturated[base + j as usize] =
-                f64::from(self.queue_scratch[j as usize]) > 2.0 * mean + self.t_global_phits;
+                saturated(self.queue_scratch[j as usize], sum, h, self.t_global_phits);
         }
     }
 
@@ -138,6 +145,37 @@ impl RoutingPolicy for PiggyBack {
         let h = params.h;
         for &r in ctx.dirty_global {
             self.refresh_router(&ctx.routers[r as usize], h);
+        }
+    }
+
+    /// The incremental refresh against the full rescan it replaces: every
+    /// router *not* pending a refresh must hold exactly the flags a fresh
+    /// evaluation of its queues gives.
+    fn audit(&self, ctx: &CycleCtx<'_>) {
+        let params = self.topo.params();
+        let h = params.h;
+        let mut pending = vec![false; ctx.routers.len()];
+        for &r in ctx.dirty_global {
+            pending[r as usize] = true;
+        }
+        for (i, router) in ctx.routers.iter().enumerate() {
+            if pending[i] {
+                continue;
+            }
+            let queue = |j| router.output_queue_phits(params.global_port(j));
+            let sum = (0..h).map(queue).sum();
+            let base = (router.id().0 * h) as usize;
+            for j in 0..h {
+                assert_eq!(
+                    self.global_saturated[base + j as usize],
+                    saturated(queue(j), sum, h, self.t_global_phits),
+                    "PiggyBack saturation flag of router {} global link {j} diverged from a \
+                     full rescan with no refresh pending (queue {} of {sum} phits, cycle {})",
+                    router.id().0,
+                    queue(j),
+                    ctx.cycle
+                );
+            }
         }
     }
 
@@ -278,62 +316,21 @@ mod tests {
         assert!(policy.global_saturated.iter().all(|&s| !s));
     }
 
-    /// Wraps a PiggyBack that refreshes incrementally and a shadow copy
-    /// that rescans every router each cycle; asserts their flags agree at
-    /// the exact point the engine exposes them to routing.
-    struct IncrementalVsFull {
-        pb: PiggyBack,
-        shadow: PiggyBack,
-        checked_cycles: u64,
-    }
-
-    impl RoutingPolicy for IncrementalVsFull {
-        fn begin_cycle(&mut self, ctx: &df_engine::CycleCtx<'_>) {
-            self.pb.begin_cycle(ctx);
-            let h = self.shadow.topo.params().h;
-            for router in ctx.routers {
-                self.shadow.refresh_router(router, h);
-            }
-            assert_eq!(
-                self.pb.global_saturated, self.shadow.global_saturated,
-                "incremental flags diverged at cycle {}",
-                ctx.cycle
-            );
-            self.checked_cycles += 1;
-        }
-
-        fn route(
-            &mut self,
-            router: &RouterState,
-            in_port: df_topology::Port,
-            hdr: PacketHeader,
-            info: RouteInfo,
-        ) -> Decision {
-            self.pb.route(router, in_port, hdr, info)
-        }
-
-        fn name(&self) -> &'static str {
-            "pb-shadow-check"
-        }
-    }
-
-    #[test]
-    fn incremental_refresh_matches_full_rescan() {
-        // Drive a PB network under ADV+1 pressure; every cycle the shadow
-        // policy recomputes all saturation flags from scratch and compares
-        // them against the incrementally maintained table.
+    /// ADV+1 pressure on the `small` machine (h = 3, so the relative test
+    /// can fire), stepped `cycles` times with `each_cycle` run after every
+    /// step.
+    fn pressured_net(
+        cycles: u32,
+        mut each_cycle: impl FnMut(&mut Network<PiggyBack, df_engine::NullSink>),
+    ) -> Network<PiggyBack, df_engine::NullSink> {
         let topo = Topology::new(DragonflyParams::small(), Arrangement::Palmtree);
         let cfg = EngineConfig::paper(ArbiterPolicy::RoundRobin, 4);
         let params = *topo.params();
-        let policy = IncrementalVsFull {
-            pb: PiggyBack::new(topo.clone(), &cfg, ObliviousFlavor::Rrg, 9),
-            shadow: PiggyBack::new(topo.clone(), &cfg, ObliviousFlavor::Rrg, 9),
-            checked_cycles: 0,
-        };
+        let policy = PiggyBack::new(topo.clone(), &cfg, ObliviousFlavor::Rrg, 9);
         let mut net = Network::new(topo, cfg, policy, df_engine::NullSink);
         let per_group = params.a * params.p;
         let mut rng = SmallRng::seed_from_u64(3);
-        for _ in 0..1200u32 {
+        for _ in 0..cycles {
             for n in 0..params.nodes() {
                 if rng.gen_bool(0.04) {
                     let g = n / per_group;
@@ -343,13 +340,79 @@ mod tests {
                 }
             }
             net.step();
+            each_cycle(&mut net);
         }
-        assert!(net.policy().checked_cycles >= 1200);
+        net
+    }
+
+    #[test]
+    fn incremental_refresh_matches_full_rescan() {
+        // Every cycle the audit re-evaluates the flags of every router
+        // with no refresh pending and compares them against the
+        // incrementally maintained table.
+        let net = pressured_net(1200, |net| net.audit());
         // The traffic must actually have produced saturation flips, or
         // the equivalence check proved nothing.
         assert!(
-            net.policy().pb.global_saturated.iter().any(|&s| s),
+            net.policy().global_saturated.iter().any(|&s| s),
             "test traffic never saturated a global link"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "diverged from a full rescan with no refresh pending")]
+    fn audit_catches_a_flipped_flag_on_a_clean_router() {
+        // No router of an idle network is pending a refresh, so a set flag
+        // is one the incremental refresh would never revisit.
+        let topo = topo_small();
+        let cfg = EngineConfig::paper(ArbiterPolicy::RoundRobin, 4);
+        let mut policy = PiggyBack::new(topo.clone(), &cfg, ObliviousFlavor::Crg, 7);
+        policy.global_saturated[5] = true;
+        Network::new(topo, cfg, policy, df_engine::NullSink).audit();
+    }
+
+    #[test]
+    fn saturation_test_is_strict_at_the_threshold() {
+        // (q, sum, n, t) one phit below, at, and one above `2·mean + T`.
+        // One loaded queue among the paper's h = 6 with T = 24 phits:
+        // mean = q/6, so the boundary sits at q = 36.
+        for (q, expect) in [(35, false), (36, false), (37, true)] {
+            assert_eq!(saturated(q, q, 6, 24.0), expect, "lone queue of {q} phits");
+        }
+        // A fixed background: n = 4, sum = 40 ⇒ 2·mean + T = 44.
+        for (q, expect) in [(43, false), (44, false), (45, true)] {
+            assert_eq!(saturated(q, 40, 4, 24.0), expect, "q = {q} against mean 10");
+        }
+        // A fractional mean (sum = 41 ⇒ threshold 44.5) rounds nowhere.
+        assert!(!saturated(44, 41, 4, 24.0));
+        assert!(saturated(45, 41, 4, 24.0));
+        // The local test is the same function with its own T (40 phits).
+        assert!(!saturated(60, 60, 3, 40.0));
+        assert!(saturated(121, 121, 3, 40.0));
+    }
+
+    #[test]
+    fn equally_deep_queues_are_never_saturated() {
+        // §V-A, the mechanism's *reproduced* failure: under ADVc all h
+        // global links of the bottleneck router carry the same load, so
+        // each queue equals the mean and `q > 2·q + T` cannot hold — PB
+        // classifies them unsaturated and keeps routing minimally. True at
+        // every depth, up to a full output buffer plus a full credit
+        // window (32 + 2 × 256 phits at Table I sizes).
+        let t_global = 3.0 * 8.0;
+        for h in [2u32, 3, 6, 7] {
+            for depth in [0u32, 1, 24, 25, 256, 544] {
+                assert!(
+                    !saturated(depth, depth * h, h, t_global),
+                    "h = {h}: {h} queues of {depth} phits classified saturated"
+                );
+            }
+        }
+        // With h = 2 no split of the load can fire the test at all
+        // (q ≤ sum = 2·mean), and with h = 6 one queue must hold well
+        // over its fair share: 5 queues of 100 and one of 124 are all
+        // "unsaturated".
+        assert!(!saturated(544, 544, 2, t_global));
+        assert!(!saturated(124, 624, 6, t_global));
     }
 }

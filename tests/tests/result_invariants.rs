@@ -45,14 +45,6 @@ fn check(result: &RunResult, label: &str) {
             result.avg_latency
         );
     }
-    // Total injections equal at least the delivered count minus what was
-    // still in flight at the window edges (loose sanity bound).
-    let injected: u64 = result.injected_per_router.iter().sum();
-    assert!(
-        injected * 2 >= result.delivered_packets,
-        "{label}: injected {injected} vs delivered {}",
-        result.delivered_packets
-    );
 }
 
 #[test]

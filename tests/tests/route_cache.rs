@@ -11,9 +11,11 @@
 //! * cache-on and cache-off runs deliver bit-identical record streams;
 //! * disabling and re-enabling the cache mid-run (a cold cache restart)
 //!   is also bit-identical to an uninterrupted warm-cache run;
-//! * the cache's internal invariants hold every cycle
-//!   (`assert_route_cache_coherent`, which in debug builds also
-//!   recomputes every reused decision from scratch).
+//! * the engine's audit holds every fifth cycle and after the drain
+//!   (`Network::audit`: parked and sleeping heads against the state they
+//!   wait on, which in debug and `shadow-verify` builds also recomputes
+//!   every parked decision from scratch — docs/DETERMINISM.md, "The
+//!   audit").
 
 use dragonfly_core::df_engine::{
     ArbiterPolicy, DeliveredRecord, EngineConfig, Network, RoutingPolicy,
@@ -57,7 +59,7 @@ fn arb_schedule() -> impl Strategy<Value = Vec<Phase>> {
 /// How the route cache is driven over a run.
 #[derive(Clone, Copy)]
 enum CacheMode {
-    /// Enabled throughout (the default), with periodic coherence checks.
+    /// Enabled throughout (the default), audited every fifth cycle.
     On,
     /// Disabled before the first cycle.
     Off,
@@ -114,13 +116,12 @@ fn run(
                 }
                 net.step();
                 if matches!(mode, CacheMode::On) && t.is_multiple_of(5) {
-                    net.assert_route_cache_coherent();
-                    net.assert_work_lists_match_full_scan();
+                    net.audit();
                 }
             }
         }
         assert!(net.drain(300_000), "network must drain");
-        net.assert_route_cache_coherent();
+        net.audit();
     }
     serde_json::to_string(&recs.into_inner()).expect("serialize records")
 }
@@ -167,7 +168,7 @@ fn vcs_for_policy(idx: usize) -> u8 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    // Cache-on (with per-cycle invariant checks) and cache-off runs of
+    // Cache-on (audited as it runs) and cache-off runs of
     // the same seed deliver bit-identical record streams, for every
     // mechanism family including per-cycle re-evaluating adaptive ones.
     #[test]

@@ -38,21 +38,17 @@ fn sharded_population_matches_serial_after_every_step() {
         serial.step();
         sharded.step();
         assert_eq!(sharded.in_flight(), serial.in_flight(), "in_flight, cycle {cycle}");
-        // `in_flight == arena_live + source_queued` holds on the serial
-        // engine and, per shard, is part of `assert_shards_coherent`; with
-        // in_flight equal, equal arenas mean equal source queues too.
+        // `in_flight == arena_live + source_queued` is part of the audit,
+        // on the serial engine and per shard; with in_flight equal, equal
+        // arenas mean equal source queues too.
         assert_eq!(sharded.arena_live(), serial.arena_live(), "arena_live, cycle {cycle}");
-        assert_eq!(
-            serial.in_flight(),
-            (serial.arena_live() + serial.source_queued()) as u64,
-            "serial population identity, cycle {cycle}"
-        );
         assert_eq!(
             sharded.events_pending(),
             serial.events_pending(),
             "events_pending, cycle {cycle}"
         );
-        sharded.assert_shards_coherent();
+        serial.audit();
+        sharded.audit();
     }
     assert!(serial.in_flight() > 100, "the lockstep run must carry load");
     assert_eq!(sharded.counters().delivered_packets, serial.counters().delivered_packets);

@@ -85,5 +85,14 @@ fn worker_panic_surfaces_from_step_and_drop_joins_the_team() {
     assert!(catch_unwind(AssertUnwindSafe(|| net.step())).is_err());
 
     drop(net);
+    // `join` returns when the thread's exit clears its tid futex, which is
+    // a moment before the kernel takes the task out of `/proc`: give the
+    // count that moment.
+    for _ in 0..200 {
+        if threads_now() == before {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
     assert_eq!(threads_now(), before, "dropping the network must join every team thread");
 }

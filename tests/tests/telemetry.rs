@@ -1,6 +1,7 @@
 //! Windowed-telemetry integration tests: the `RateWindow` ring against a
 //! naive reference (property-based), sum-of-windows == end-of-run totals
-//! under job churn straddling window boundaries, telemetry on/off
+//! under job churn straddling window boundaries, the `--timeline` JSONL
+//! stream read back line by line, telemetry on/off
 //! bit-equality of the golden summaries, and the paper-level signal —
 //! the victim job's windowed throughput collapsing under In-Trns-CRG
 //! while Obl-CRG stays flat.
@@ -158,6 +159,54 @@ fn windows_sum_to_run_totals_under_churn() {
         assert!(
             steady.injected_packets > 0,
             "steady idle in window {} despite running throughout",
+            row.window
+        );
+    }
+}
+
+/// The `--timeline out.jsonl` surface end to end: stream a quick bundled
+/// scenario through `df_bench::timeline_sink` into a file, then read the
+/// file back — every line parses as a `TimelineLine` carrying the run's
+/// coordinates, and the lines are exactly the rows the result holds, in
+/// order. (That those rows are zero-based, gap-free, non-empty and sum to
+/// the run's counters is the end-of-run audit's job, in every run.)
+#[test]
+fn timeline_stream_reads_back_as_the_rows_of_the_run() {
+    use df_bench::{create_timeline_file, timeline_sink, TimelineLine};
+
+    let spec = quick_spec("interference_advc_vs_uniform.json");
+    let mechanism = spec.mechanisms[0];
+    let seed = DEFAULT_SEEDS[0];
+    let path = std::env::temp_dir()
+        .join(format!("df-telemetry-{}", std::process::id()))
+        .join("timeline.jsonl");
+    let file = create_timeline_file(&path).expect("create the stream");
+    let sink = timeline_sink(file, spec.name.clone(), mechanism.label().to_string(), seed);
+    let opts = CellOptions { timeline: Some(sink), ..Default::default() };
+    let result = run_cell(&spec, mechanism, seed, opts).expect("run");
+    let rows = result.timeline.as_ref().expect("a timeline sink forces telemetry on");
+    assert!(rows.len() >= 2, "the quick protocol spans several windows");
+
+    let text = std::fs::read_to_string(&path).expect("read the stream back");
+    std::fs::remove_dir_all(path.parent().unwrap()).expect("remove the scratch dir");
+    let lines: Vec<TimelineLine> = text
+        .lines()
+        .enumerate()
+        .map(|(i, raw)| {
+            serde_json::from_str(raw)
+                .unwrap_or_else(|e| panic!("line {}: not a timeline row: {e}", i + 1))
+        })
+        .collect();
+    assert_eq!(lines.len(), rows.len(), "one line per closed window");
+    for (line, row) in lines.iter().zip(rows) {
+        assert_eq!(
+            (line.scenario.as_str(), line.mechanism.as_str(), line.seed),
+            (spec.name.as_str(), mechanism.label(), seed)
+        );
+        assert_eq!(
+            serde_json::to_string(&line.window).unwrap(),
+            serde_json::to_string(row).unwrap(),
+            "streamed window {} differs from the result's",
             row.window
         );
     }
