@@ -40,6 +40,11 @@ echo "==> release-mode audit (--features shadow-verify)"
 cargo test -q --release -p integration-tests --features shadow-verify \
     --test route_cache --test golden_outputs --test sharding \
     --test shard_team --test shard_team_panic
+# The engine's own unit modules at release arithmetic: the audit's
+# corruption table (every step must still name its violation with debug
+# assertions off — the plain `cycle - eligible_at` of a grant wraps
+# instead of panicking there) and the folded-pipeline timing tests.
+cargo test -q --release -p df-engine --features shadow-verify
 # And the other half: a plain release build has no periodic audit, so
 # here only the end-of-run one can catch the corrupted engine.
 cargo test -q --release -p dragonfly-core --lib finish_audits_in_every_build

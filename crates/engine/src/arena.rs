@@ -6,12 +6,13 @@
 //! waiting in a source queue are 24-byte stubs in the node, not slots.)
 //! A slot is the [`Packet`] itself plus the [`RouteDep`] of its cached
 //! decision — 128 bytes, aligned to a cache line, so every touch of a
-//! packet costs at most two lines and the allocator's probe (eligibility,
-//! decision, dependency, route state) exactly one. One record rather than
-//! a lane per field: a lane split pays off only if some hot path reads one
-//! field of many packets, and since sleeping heads are never probed
-//! before they are eligible, no path does — a probe, a grant and a
-//! delivery each read several fields of *one* packet.
+//! packet costs at most two lines and routing a head (decision,
+//! dependency, route state) exactly one. One record rather than a lane
+//! per field: a hop touches the record when the head is routed, when it
+//! is granted and when it is transmitted, each time reading several
+//! fields of *one* packet; arrival, arbitration and the re-probe of a
+//! blocked head run on router-local state (`router.rs`) and do not touch
+//! it at all.
 //!
 //! Vacant slots form an **intrusive free list**: the next-free link is
 //! stored in the vacant slot's `eligible_at` field, so freeing and

@@ -153,6 +153,18 @@ impl EngineConfig {
         if self.speedup == 0 {
             return Err("speedup must be at least 1".into());
         }
+        // Credit returns and arrivals are events scheduled one link
+        // latency ahead, and an event cannot fire in the cycle that
+        // schedules it.
+        for (name, latency) in [
+            ("injection_link_latency", self.injection_link_latency),
+            ("local_link_latency", self.local_link_latency),
+            ("global_link_latency", self.global_link_latency),
+        ] {
+            if latency == 0 {
+                return Err(format!("{name} must be at least 1 cycle"));
+            }
+        }
         if let Some(telemetry) = &self.telemetry {
             telemetry.validate()?;
         }
@@ -160,11 +172,13 @@ impl EngineConfig {
     }
 
     /// Longest event horizon needed by the wheel: the slowest link plus
+    /// the router pipeline behind it (one arrival event covers both) and
     /// serialization, plus slack.
     pub(crate) fn max_event_delay(&self) -> u64 {
         self.global_link_latency
             .max(self.local_link_latency)
             .max(self.injection_link_latency)
+            + self.pipeline_latency
             + self.packet_size as u64
             + 2
     }
@@ -208,8 +222,28 @@ mod tests {
     }
 
     #[test]
-    fn event_horizon_covers_global_link() {
+    fn zero_link_latency_rejected_by_name() {
+        for (name, c) in [
+            (
+                "injection_link_latency",
+                EngineConfig { injection_link_latency: 0, ..EngineConfig::default() },
+            ),
+            ("local_link_latency", EngineConfig { local_link_latency: 0, ..EngineConfig::default() }),
+            (
+                "global_link_latency",
+                EngineConfig { global_link_latency: 0, ..EngineConfig::default() },
+            ),
+        ] {
+            let err = c.validate().expect_err("an event cannot fire in its own cycle");
+            assert!(err.contains(name), "{err}");
+        }
+    }
+
+    #[test]
+    fn event_horizon_covers_global_link_pipeline_and_serialization() {
         let c = EngineConfig::default();
-        assert!(c.max_event_delay() >= 108);
+        assert!(c.max_event_delay() >= 113);
+        let deep = EngineConfig { pipeline_latency: 40, ..c };
+        assert!(deep.max_event_delay() >= 148);
     }
 }

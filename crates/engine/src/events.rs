@@ -1,9 +1,14 @@
 //! A fixed-horizon event wheel for link arrivals and credit returns.
 //!
 //! All engine events have a bounded delay (at most one global-link latency
-//! plus serialization), so a circular calendar indexed by `cycle % size`
-//! gives O(1) schedule/drain with no heap allocation churn: slot vectors
-//! are recycled.
+//! plus the router pipeline or serialization), so a circular calendar
+//! indexed by `cycle % size` gives O(1) schedule/drain with no heap
+//! allocation churn: slot vectors are recycled.
+//!
+//! There is no event for the router pipeline: an [`Event::ArriveRouter`]
+//! is scheduled `link latency + pipeline_latency` ahead and fires on the
+//! cycle the packet becomes eligible for allocation, so a hop costs one
+//! arrival event and one credit return.
 
 use crate::arena::PacketId;
 use df_topology::{NodeId, Port, RouterId};
@@ -12,7 +17,8 @@ use df_topology::{NodeId, Port, RouterId};
 /// arena handle, so the wheel never owns packet data.
 #[derive(Debug, Clone, Copy)]
 pub enum Event {
-    /// Packet head arrives at a router input VC.
+    /// Packet enters a router input VC, link and router pipeline both
+    /// behind it: eligible for allocation from this cycle on.
     ArriveRouter {
         /// Receiving router.
         router: RouterId,
@@ -52,18 +58,6 @@ pub enum Event {
         vc: u8,
         /// Phits freed.
         phits: u32,
-    },
-    /// A sleeping input-VC head reaches its `eligible_at` cycle: the VC
-    /// becomes probe-able again. Scheduled whenever a packet becomes the
-    /// head of its VC while still inside the router pipeline, so the
-    /// allocator never polls ineligible heads.
-    HeadWake {
-        /// Router owning the input VC.
-        router: RouterId,
-        /// Input port.
-        port: Port,
-        /// Input VC.
-        vc: u8,
     },
 }
 
@@ -150,7 +144,7 @@ mod tests {
 
     #[test]
     fn events_fire_at_exact_delay() {
-        let mut w = EventWheel::new(110);
+        let mut w = EventWheel::new(115);
         w.schedule(3, credit_ev(1));
         w.schedule(1, credit_ev(2));
         let e1 = w.advance(); // cycle 1

@@ -260,15 +260,26 @@ impl Counters {
 /// output in one allocation iteration.
 const PROPOSAL_INLINE: usize = 16;
 
+/// One input port's nomination for an output port: the VC whose head it
+/// proposes, and what the arbiter needs to re-check that the head still
+/// fits without reading the input ring or the packet's arena record.
+#[derive(Debug, Default, Clone, Copy)]
+struct Proposal {
+    in_port: u8,
+    vc: u8,
+    out_vc: u8,
+    size: u32,
+}
+
 /// Fixed-capacity proposal list with a rarely-used heap spill, so the
-/// allocator's per-output scratch stays inline (one cache line of
-/// `(in_port, vc)` pairs) and never allocates in steady state.
+/// allocator's per-output scratch stays inline (two cache lines of
+/// 8-byte [`Proposal`]s) and never allocates in steady state.
 #[derive(Debug, Default)]
 struct ProposalList {
-    inline: [(u32, u8); PROPOSAL_INLINE],
+    inline: [Proposal; PROPOSAL_INLINE],
     len: u8,
     /// Overflow beyond `PROPOSAL_INLINE`, preserving push order.
-    spill: Vec<(u32, u8)>,
+    spill: Vec<Proposal>,
 }
 
 impl ProposalList {
@@ -279,7 +290,7 @@ impl ProposalList {
     }
 
     #[inline]
-    fn push(&mut self, entry: (u32, u8)) {
+    fn push(&mut self, entry: Proposal) {
         if (self.len as usize) < PROPOSAL_INLINE {
             self.inline[self.len as usize] = entry;
             self.len += 1;
@@ -290,7 +301,7 @@ impl ProposalList {
 
     /// Proposals in push order (inline segment, then spill).
     #[inline]
-    fn iter(&self) -> impl Iterator<Item = &(u32, u8)> {
+    fn iter(&self) -> impl Iterator<Item = &Proposal> {
         self.inline[..self.len as usize].iter().chain(self.spill.iter())
     }
 }
@@ -742,9 +753,9 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
     /// Deliver a flit that crossed the shard boundary: re-home the packet
     /// into the local arena and schedule its arrival. The arena insert
     /// preserves everything behavior-visible (header with its global
-    /// sequence id, route state, waits, traversal, eligibility); only the
-    /// `PacketId` handle is shard-local, and handles never appear in
-    /// results.
+    /// sequence id, route state, waits, traversal, the eligibility cycle
+    /// the sender stamped); only the `PacketId` handle is shard-local, and
+    /// handles never appear in results.
     pub(crate) fn accept_remote_flit(&mut self, f: &RemoteFlit) {
         debug_assert!(self.owns_router(f.router));
         let id = self.arena.insert(f.packet);
@@ -849,23 +860,12 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
         debug_assert_eq!(self.wheel.now(), self.cycle);
         for ev in events.drain(..) {
             match ev {
+                // Scheduled `link + pipeline` ahead by the sender, which
+                // stamped `eligible_at` with this very cycle: the packet
+                // is eligible the moment it is resident.
                 Event::ArriveRouter { router, port, vc, pkt, size } => {
-                    let arrived = self.arena.get_mut(pkt);
-                    arrived.eligible_at = self.cycle + self.cfg.pipeline_latency;
-                    arrived.decision = None;
                     let r = self.local_router(router);
-                    let becomes_head = self.routers[r].input_is_empty(port.idx(), vc as usize);
                     self.routers[r].push_input(port.idx(), vc as usize, pkt, size);
-                    // A new head still in the pipeline sleeps until its
-                    // exact eligibility cycle instead of being probed
-                    // (and rejected) every cycle in between.
-                    if becomes_head && self.cfg.pipeline_latency > 0 {
-                        self.routers[r].sleep(port.idx(), vc as usize);
-                        self.wheel.schedule(
-                            self.cfg.pipeline_latency,
-                            Event::HeadWake { router, port, vc },
-                        );
-                    }
                     set_bit(&mut self.alloc_active, r);
                 }
                 Event::ArriveNode { node, pkt } => {
@@ -883,10 +883,6 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
                     let c = &mut self.nodes[n].credits[vc as usize];
                     *c += phits;
                     debug_assert!(*c <= self.cfg.injection_input_buffer);
-                }
-                Event::HeadWake { router, port, vc } => {
-                    let r = self.local_router(router);
-                    self.routers[r].wake(port.idx(), vc as usize);
                 }
             }
         }
@@ -971,11 +967,15 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
                 // Source-queue time is injection wait.
                 pkt.waits.injection = self.cycle - queued.gen_cycle;
                 pkt.traversal = self.cfg.injection_link_latency;
+                // Link plus router pipeline in one event: the packet
+                // enters its input VC on the cycle it becomes eligible.
+                let delay = self.cfg.injection_link_latency + self.cfg.pipeline_latency;
+                pkt.eligible_at = self.cycle + delay;
                 let id = self.arena.insert(pkt);
                 let router = node_id.router(&params);
                 let port = params.injection_port(node_id.slot(&params));
                 self.wheel.schedule(
-                    self.cfg.injection_link_latency,
+                    delay,
                     Event::ArriveRouter { router, port, vc: vc as u8, pkt: id, size },
                 );
             }
@@ -986,7 +986,6 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
     fn allocate_router(&mut self, r: usize, policy: &mut P) {
         // The work list only holds routers with resident input packets.
         debug_assert!(self.routers[r].input_count > 0, "idle router on alloc work list");
-        let radix = self.topo.params().radix() as usize;
         let adaptive = policy.adaptive_reroute();
         // Reset the persistent scratch (hoisted out of the hot loop so no
         // per-router-per-cycle allocation happens): remaining grant budget
@@ -999,7 +998,7 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
 
         for _iter in 0..self.cfg.speedup {
             // --- Phase 1: each input port nominates one VC head. ---
-            // Only ports with a ready, unparked, awake VC can nominate.
+            // Only ports with a ready, unparked VC can nominate.
             // Snapshot the mask: nominating only ever parks VCs of the
             // port being visited. Ascending bit order is the `0..radix`
             // order of the scan this replaces.
@@ -1013,11 +1012,9 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
                 if self.alloc_in_budget[in_port] == 0 {
                     continue;
                 }
-                // Ready-VC mask minus parked and sleeping VCs: a parked
-                // head's probe outcome cannot change until its target
-                // port is touched (which unparks it), and a sleeping
-                // head is ineligible until its wake event fires — so
-                // skipping both is exact.
+                // Ready-VC mask minus parked VCs: a parked head's probe
+                // outcome cannot change until its target port is touched
+                // (which unparks it), so skipping it is exact.
                 let port = self.routers[r].in_ports[in_port];
                 let candidates = port.awake_vcs() & !self.alloc_vc_granted[in_port];
                 // Round-robin from the port's pointer: the VCs at or
@@ -1027,47 +1024,17 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
                     while vcs != 0 {
                         let vc = vcs.trailing_zeros() as usize;
                         vcs &= vcs - 1;
-                        let (id, size) = self.routers[r]
-                            .input_front(in_port, vc)
-                            .expect("ready bit set on empty VC");
-                        // With head-sleep, an awake ready head is always
-                        // past the pipeline; this is a cheap safety net.
-                        if self.arena.get(id).eligible_at > self.cycle {
-                            debug_assert!(false, "awake head not yet eligible");
-                            continue;
-                        }
-                        // Decide routing for the head if needed.
-                        // Non-adaptive policies keep one decision per router
-                        // visit; adaptive policies reuse their cached
-                        // decision while its recorded dependency is intact
-                        // (a dependency-valid recompute is pure and returns
-                        // the same decision, so reuse is bit-identical).
-                        let prior = self.arena.decision(id).filter(|&(_, dep)| {
-                            !adaptive || (self.route_cache && self.dep_valid(r, dep))
-                        });
-                        let (decision, dep) = match prior {
-                            Some((d, dep)) => {
-                                #[cfg(any(debug_assertions, feature = "shadow-verify"))]
-                                if adaptive {
-                                    self.shadow_verify_reuse(r, in_port, vc, id, d, policy);
-                                }
-                                (d, dep)
-                            }
-                            None => {
-                                let pkt = self.arena.get(id);
-                                let (d, dep) = policy.route_with_deps(
-                                    &self.routers[r],
-                                    Port(in_port as u32),
-                                    pkt.header,
-                                    pkt.route,
-                                );
-                                debug_assert!((d.out_port.0 as usize) < radix);
-                                self.arena.set_decision(id, d, dep);
-                                (d, dep)
-                            }
+                        let (out, out_vc, size, dep) = if port.decided & (1 << vc) != 0 {
+                            // A sticky decision taken by an earlier probe:
+                            // the router holds all this probe needs (every
+                            // packet is built `packet_size` phits long).
+                            let (out, out_vc) = self.routers[r].decided_output(in_port, vc);
+                            (out, out_vc, self.cfg.packet_size, RouteDep::Always)
+                        } else {
+                            self.decide_head(r, in_port, vc, adaptive, policy)
                         };
-                        let out_port = decision.out_port.idx();
-                        if self.routers[r].can_accept(decision.out_port, decision.out_vc, size) {
+                        let out_port = out.idx();
+                        if self.routers[r].can_accept(out, out_vc, size) {
                             // Nominated: the port proposes this head (and only
                             // this head) if the output still has grant budget.
                             if self.alloc_out_budget[out_port] > 0 {
@@ -1075,7 +1042,12 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
                                     proposed |= 1 << out_port;
                                     self.proposals[out_port].clear();
                                 }
-                                self.proposals[out_port].push((in_port as u32, vc as u8));
+                                self.proposals[out_port].push(Proposal {
+                                    in_port: in_port as u8,
+                                    vc: vc as u8,
+                                    out_vc,
+                                    size,
+                                });
                             }
                             break 'port;
                         }
@@ -1107,8 +1079,9 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
                 let out_port = proposed.trailing_zeros() as usize;
                 proposed &= proposed - 1;
                 debug_assert!(self.alloc_out_budget[out_port] > 0, "proposal without budget");
-                let winner = self.arbitrate_output(r, out_port);
-                let Some((in_port, vc)) = winner else { continue };
+                let Some(Proposal { in_port, vc, .. }) = self.arbitrate_output(r, out_port) else {
+                    continue;
+                };
                 self.commit_grant(r, in_port as usize, vc as usize, out_port);
                 self.alloc_in_budget[in_port as usize] -= 1;
                 self.alloc_out_budget[out_port] -= 1;
@@ -1124,57 +1097,90 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
         }
     }
 
-    /// Pick the winning proposal for `out_port` under the configured
-    /// arbiter policy. Proposals were pre-filtered for feasibility, but
-    /// feasibility is re-checked at commit time by the caller via
-    /// `can_accept` (earlier grants in this cycle may have consumed space).
-    fn arbitrate_output(&mut self, r: usize, out_port: usize) -> Option<(u32, u8)> {
-        let props = &self.proposals[out_port];
-        let router = &self.routers[r];
-        let arena = &self.arena;
-        let still_feasible = |&(ip, vc): &(u32, u8)| -> bool {
-            match router.input_front(ip as usize, vc as usize) {
-                Some((id, size)) => match arena.get(id).decision {
-                    Some(d) => router.can_accept(d.out_port, d.out_vc, size),
-                    None => false,
-                },
-                None => false,
+    /// Route the undecided head of (`in_port`, `vc`): output port and VC,
+    /// size, dependency. Non-adaptive policies keep one decision per
+    /// router visit (in the arena for the grant, in the router for later
+    /// probes); adaptive ones reuse their cached decision while its
+    /// dependency is intact (a dependency-valid recompute is pure and
+    /// returns the same decision, so reuse is bit-identical).
+    fn decide_head(
+        &mut self,
+        r: usize,
+        in_port: usize,
+        vc: usize,
+        adaptive: bool,
+        policy: &mut P,
+    ) -> (Port, u8, u32, RouteDep) {
+        let (id, size) =
+            self.routers[r].input_front(in_port, vc).expect("ready bit set on empty VC");
+        debug_assert!(self.arena.get(id).eligible_at <= self.cycle, "resident head not eligible");
+        let prior = self
+            .arena
+            .decision(id)
+            .filter(|&(_, dep)| !adaptive || (self.route_cache && self.dep_valid(r, dep)));
+        let (decision, dep) = match prior {
+            Some((d, dep)) => {
+                #[cfg(any(debug_assertions, feature = "shadow-verify"))]
+                if adaptive {
+                    self.shadow_verify_reuse(r, in_port, vc, id, d, policy);
+                }
+                (d, dep)
+            }
+            None => {
+                let pkt = self.arena.get(id);
+                let (d, dep) = policy.route_with_deps(
+                    &self.routers[r],
+                    Port(in_port as u32),
+                    pkt.header,
+                    pkt.route,
+                );
+                debug_assert!(d.out_port.0 < self.topo.params().radix());
+                self.arena.set_decision(id, d, dep);
+                (d, dep)
             }
         };
+        if !adaptive {
+            self.routers[r].record_decision(in_port, vc, decision.out_port, decision.out_vc);
+        }
+        (decision.out_port, decision.out_vc, size, dep)
+    }
+
+    /// Pick the winning proposal for `out_port` under the configured
+    /// arbiter policy. Proposals were feasible when nominated; each is
+    /// re-checked here because earlier grants of this cycle may have
+    /// consumed the space.
+    fn arbitrate_output(&mut self, r: usize, out_port: usize) -> Option<Proposal> {
+        let props = &self.proposals[out_port];
+        let router = &self.routers[r];
+        let still_feasible =
+            |p: &&Proposal| router.can_accept(Port(out_port as u32), p.out_vc, p.size);
         let params = self.topo.params();
         let rr = router.out_ports[out_port].rr;
         let radix = params.radix();
-        let key_rr = |ip: u32| (ip + radix - rr) % radix;
-        let pick = match self.cfg.arbiter {
-            ArbiterPolicy::RoundRobin => props
-                .iter()
-                .filter(|p| still_feasible(p))
-                .min_by_key(|&&(ip, _)| key_rr(ip))
-                .copied(),
-            ArbiterPolicy::TransitPriority => {
-                let class = |ip: u32| match params.port_kind(Port(ip)) {
-                    PortKind::Injection => 1u32,
-                    _ => 0u32,
-                };
-                props
-                    .iter()
-                    .filter(|p| still_feasible(p))
-                    .min_by_key(|&&(ip, _)| (class(ip), key_rr(ip)))
-                    .copied()
-            }
-            ArbiterPolicy::AgeBased => props
-                .iter()
-                .filter(|p| still_feasible(p))
-                .min_by_key(|&&(ip, vc)| {
-                    let gen = router
-                        .input_front(ip as usize, vc as usize)
-                        .map_or(u64::MAX, |(id, _)| arena.get(id).header.gen_cycle);
-                    (gen, key_rr(ip))
-                })
-                .copied(),
+        // Distance of the proposing input port from the pointer, going up.
+        let key_rr = |p: &Proposal| {
+            let ip = p.in_port as u32;
+            if ip >= rr { ip - rr } else { ip + radix - rr }
         };
-        if let Some((ip, _)) = pick {
-            self.routers[r].out_ports[out_port].rr = (ip + 1) % radix;
+        let feasible = props.iter().filter(still_feasible);
+        let pick = match self.cfg.arbiter {
+            ArbiterPolicy::RoundRobin => feasible.min_by_key(|p| key_rr(p)),
+            ArbiterPolicy::TransitPriority => feasible.min_by_key(|p| {
+                let injection = params.port_kind(Port(p.in_port as u32)) == PortKind::Injection;
+                (injection, key_rr(p))
+            }),
+            // The one arbiter that needs the packet itself (its age).
+            ArbiterPolicy::AgeBased => feasible.min_by_key(|p| {
+                let gen = router
+                    .input_front(p.in_port as usize, p.vc as usize)
+                    .map_or(u64::MAX, |(id, _)| self.arena.get(id).header.gen_cycle);
+                (gen, key_rr(p))
+            }),
+        }
+        .copied();
+        if let Some(p) = pick {
+            let next = p.in_port as u32 + 1;
+            self.routers[r].out_ports[out_port].rr = if next == radix { 0 } else { next };
         }
         pick
     }
@@ -1188,27 +1194,12 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
         if self.routers[r].input_count == 0 {
             clear_bit(&mut self.alloc_active, r);
         }
-        // If the VC's next head is still inside the pipeline, sleep the
-        // VC until its exact eligibility cycle.
-        if let Some((next, _)) = self.routers[r].input_front(in_port, vc) {
-            let elig = self.arena.get(next).eligible_at;
-            if elig > self.cycle {
-                self.routers[r].sleep(in_port, vc);
-                self.wheel.schedule(
-                    elig - self.cycle,
-                    Event::HeadWake {
-                        router: self.routers[r].id(),
-                        port: Port(in_port as u32),
-                        vc: vc as u8,
-                    },
-                );
-            }
-        }
-        // Wait accounting and the committed route state.
+        // Wait accounting and the committed route state (a resident
+        // packet is eligible: `eligible_at <= cycle`).
         let pkt = self.arena.get_mut(id);
         let decision = pkt.decision.take().expect("granted head has decision");
         debug_assert_eq!(decision.out_port.idx(), out_port);
-        let wait = self.cycle.saturating_sub(pkt.eligible_at);
+        let wait = self.cycle - pkt.eligible_at;
         match in_kind {
             PortKind::Injection => pkt.waits.injection += wait,
             PortKind::Local => pkt.waits.local += wait,
@@ -1300,6 +1291,11 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
             let flat = r * radix + out_port;
             let out_kind = params.port_kind(Port(out_port as u32));
             let latency = self.latencies[flat];
+            self.routers[r].release_output(out_port, size, self.cycle + size as u64);
+            if out_kind == PortKind::Global {
+                self.counters.global_phits += size as u64;
+                self.mark_global_dirty(r);
+            }
             // Output-side waiting, attributed by output-port kind
             // (ejection counts as local — it is intra-"last-hop" HoL).
             let pkt = self.arena.get_mut(staged.pkt);
@@ -1308,24 +1304,25 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
                 PortKind::Injection | PortKind::Local => pkt.waits.local += wait,
                 PortKind::Global => pkt.waits.global += wait,
             }
-            self.routers[r].release_output(out_port, size, self.cycle + size as u64);
-            if out_kind == PortKind::Global {
-                self.counters.global_phits += size as u64;
-                self.mark_global_dirty(r);
-            }
             match self.peers[flat] {
                 PortTarget::Node(node) => {
-                    self.arena.get_mut(staged.pkt).traversal += latency + size as u64;
+                    pkt.traversal += latency + size as u64;
                     self.wheel.schedule(
                         latency + size as u64,
                         Event::ArriveNode { node, pkt: staged.pkt },
                     );
                 }
                 PortTarget::Router { router, port } => {
-                    self.arena.get_mut(staged.pkt).traversal += latency;
+                    // The next router's pipeline rides on the link event:
+                    // the packet enters its input VC on the cycle it
+                    // becomes eligible, stamped here (the pipeline cycles
+                    // are charged to `traversal` at the grant, as before).
+                    let delay = latency + self.cfg.pipeline_latency;
+                    pkt.traversal += latency;
+                    pkt.eligible_at = self.cycle + delay;
                     if self.owns_router(router) {
                         self.wheel.schedule(
-                            latency,
+                            delay,
                             Event::ArriveRouter {
                                 router,
                                 port,
@@ -1338,8 +1335,8 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
                         // Cross-shard interception point #2: the packet
                         // leaves this slice's arena and travels to the
                         // owner as a value; the owner re-homes it past
-                        // the cycle barrier. Traversal was already
-                        // charged above, exactly as for a local hop.
+                        // the cycle barrier. Traversal and eligibility
+                        // were written above, exactly as for a local hop.
                         let packet = *self.arena.get(staged.pkt);
                         self.arena.free(staged.pkt);
                         self.live_packets -= 1;
@@ -1348,7 +1345,7 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
                             port,
                             vc: staged.out_vc,
                             size,
-                            delay: latency,
+                            delay,
                             packet,
                         });
                     }
@@ -1445,8 +1442,10 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
     /// different shards).
     pub(crate) fn audit_slice(&mut self, policy: &mut P, ledger: &mut CreditLedger) {
         self.audit_work_lists();
-        self.audit_route_cache(policy);
+        // Population first: the steps after it read the arena record of
+        // every queued handle, which must therefore name a live slot.
         self.audit_population();
+        self.audit_route_cache(policy);
         self.audit_credits(ledger);
         policy.audit(&CycleCtx {
             routers: &self.routers,
@@ -1501,12 +1500,16 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
     /// * `probe_ready` equals the number of ready, unparked VCs;
     /// * every parked VC is ready (non-empty) and registered in the
     ///   waiter mask of the port it parked on;
-    /// * every parked head is eligible, holds a decision for exactly the
-    ///   port it parked on, and that (port, VC) still cannot accept it —
-    ///   a parked head that *could* proceed is a lost wakeup;
+    /// * every parked head holds a decision for exactly the port it
+    ///   parked on, and that (port, VC) still cannot accept it — a parked
+    ///   head that *could* proceed is a lost wakeup;
     /// * under an adaptive policy, the parked head's dependency is
     ///   non-volatile and currently valid, and (debug / `shadow-verify`
-    ///   builds) a pure recompute agrees with the cached decision.
+    ///   builds) a pure recompute agrees with the cached decision;
+    /// * every decided VC has a head whose arena decision names exactly
+    ///   the recorded `(out_port, out_vc)`;
+    /// * every packet the router holds is eligible: it entered its input
+    ///   VC on the cycle its sender stamped.
     fn audit_route_cache(&mut self, policy: &mut P) {
         let adaptive = policy.adaptive_reroute();
         let radix = self.topo.params().radix() as usize;
@@ -1514,40 +1517,28 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
             self.routers[r].audit_input_masks(self.cycle);
             let mut expect_ready = 0u32;
             for in_port in 0..radix {
-                let InPort { ready, parked, sleeping, .. } = self.routers[r].in_ports[in_port];
+                let InPort { ready, parked, decided, .. } = self.routers[r].in_ports[in_port];
                 assert_eq!(
                     parked & !ready,
                     0,
                     "parked VC without resident packet at router {r} port {in_port}, cycle {}",
                     self.cycle
                 );
-                assert_eq!(
-                    sleeping & !ready,
-                    0,
-                    "sleeping VC without resident packet at router {r} port {in_port}, cycle {}",
-                    self.cycle
-                );
-                assert_eq!(
-                    sleeping & parked,
-                    0,
-                    "VC both sleeping and parked at router {r} port {in_port}, cycle {}",
-                    self.cycle
-                );
-                let mut smask = sleeping;
-                while smask != 0 {
-                    let vc = smask.trailing_zeros() as usize;
-                    smask &= smask - 1;
-                    let (id, _) = self.routers[r]
-                        .input_front(in_port, vc)
-                        .expect("sleeping bit set on empty VC");
-                    assert!(
-                        self.arena.get(id).eligible_at > self.cycle,
-                        "sleeping head already eligible (missed wake) at router {r} \
-                         in(port={in_port},vc={vc}), cycle {}",
+                let mut dmask = decided;
+                while dmask != 0 {
+                    let vc = dmask.trailing_zeros() as usize;
+                    dmask &= dmask - 1;
+                    let head = self.routers[r].input_front(in_port, vc);
+                    let decision = head.and_then(|(id, _)| self.arena.decision(id));
+                    assert_eq!(
+                        decision.map(|(d, _)| (d.out_port, d.out_vc)),
+                        Some(self.routers[r].decided_output(in_port, vc)),
+                        "decided VC's router record is not its head's arena decision (none, on \
+                         an empty VC) at router {r} in(port={in_port},vc={vc}), cycle {}",
                         self.cycle
                     );
                 }
-                expect_ready += (ready & !parked & !sleeping).count_ones();
+                expect_ready += (ready & !parked).count_ones();
                 let mut mask = parked;
                 while mask != 0 {
                     let vc = mask.trailing_zeros() as usize;
@@ -1565,12 +1556,6 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
                     let (id, size) = self.routers[r]
                         .input_front(in_port, vc)
                         .expect("parked bit set on empty VC");
-                    assert!(
-                        self.arena.get(id).eligible_at <= self.cycle,
-                        "parked head not yet eligible at router {r} \
-                         in(port={in_port},vc={vc}), cycle {}",
-                        self.cycle
-                    );
                     let (d, dep) = self
                         .arena
                         .decision(id)
@@ -1612,6 +1597,17 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
                 "probe_ready counter diverged at router {r}, cycle {}",
                 self.cycle
             );
+            for id in self.routers[r].resident_packets() {
+                let pkt = self.arena.get(id);
+                assert!(
+                    pkt.eligible_at <= self.cycle,
+                    "packet {} resident at router {r} before its eligibility cycle {} \
+                     (pushed ahead of the router pipeline), cycle {}",
+                    pkt.header.id,
+                    pkt.eligible_at,
+                    self.cycle
+                );
+            }
         }
     }
 
@@ -1692,7 +1688,7 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
                     let (router, port) = injection_vc(node);
                     ledger.add(router, port, vc, phits);
                 }
-                Event::ArriveNode { .. } | Event::HeadWake { .. } => {}
+                Event::ArriveNode { .. } => {}
             }
         }
     }
@@ -1814,11 +1810,38 @@ mod tests {
     }
 
     fn small_net() -> Network<MinOnly, crate::policy::NullSink> {
-        let params = DragonflyParams::figure1();
-        let topo = Topology::new(params, Arrangement::Palmtree);
+        net_with(EngineConfig::paper(ArbiterPolicy::RoundRobin, 3), crate::policy::NullSink)
+    }
+
+    /// The figure1 machine under `cfg`, minimally routed, feeding `sink`.
+    fn net_with<S: StatsSink>(cfg: EngineConfig, sink: S) -> Network<MinOnly, S> {
+        let topo = Topology::new(DragonflyParams::figure1(), Arrangement::Palmtree);
         let policy = MinOnly { topo: topo.clone() };
-        let cfg = EngineConfig::paper(ArbiterPolicy::RoundRobin, 3);
-        Network::new(topo, cfg, policy, crate::policy::NullSink)
+        Network::new(topo, cfg, policy, sink)
+    }
+
+    /// Run `offers` (all made before the first cycle) to a full drain under
+    /// `cfg`, auditing after every cycle, and hand back the delivered
+    /// records in delivery order.
+    fn deliver_all(cfg: EngineConfig, offers: &[(u32, u32)]) -> Vec<DeliveredRecord> {
+        let records = std::cell::RefCell::new(Vec::new());
+        let sink = |rec: &DeliveredRecord| records.borrow_mut().push(*rec);
+        let mut net = net_with(cfg, sink);
+        for &(src, dst) in offers {
+            assert!(net.offer(NodeId(src), NodeId(dst)));
+        }
+        while net.in_flight() > 0 {
+            assert!(net.cycle() < 10_000, "network failed to drain");
+            net.step();
+            net.audit();
+        }
+        drop(net);
+        records.into_inner()
+    }
+
+    /// Table I with another router pipeline depth.
+    fn with_pipeline(pipeline_latency: u64) -> EngineConfig {
+        EngineConfig { pipeline_latency, ..EngineConfig::paper(ArbiterPolicy::RoundRobin, 3) }
     }
 
     #[test]
@@ -1841,51 +1864,85 @@ mod tests {
         assert_eq!(net.counters().delivered_packets, 1);
     }
 
+    // The router pipeline rides on the link event. That changes no
+    // packet's timing, and the tests below say so from the timing itself
+    // (for pipelines of 0, 1 and Table I's 5 cycles), not from a digest.
+
     #[test]
     fn latency_identity_holds() {
-        let params = DragonflyParams::figure1();
-        let topo = Topology::new(params, Arrangement::Palmtree);
-        let policy = MinOnly { topo: topo.clone() };
-        let cfg = EngineConfig::paper(ArbiterPolicy::RoundRobin, 3);
-        let records = std::cell::RefCell::new(Vec::new());
-        {
-            let sink = |rec: &DeliveredRecord| records.borrow_mut().push(*rec);
-            let mut net = Network::new(topo, cfg, policy, sink);
-            for i in 0..10u32 {
-                net.offer(NodeId(i % 72), NodeId((i * 7 + 13) % 72));
+        let offers: Vec<(u32, u32)> = (0..10).map(|i| (i % 72, (i * 7 + 13) % 72)).collect();
+        for pipeline in [0, 1, 5] {
+            let records = deliver_all(with_pipeline(pipeline), &offers);
+            assert_eq!(records.len(), 10);
+            for rec in &records {
+                assert_eq!(
+                    rec.latency(),
+                    rec.traversal + rec.waits.total(),
+                    "every cycle of a packet's life must be accounted exactly once \
+                     (pipeline {pipeline}): {rec:?}"
+                );
+                // Minimal routing ⇒ no misrouting latency.
+                assert_eq!(rec.misroute_latency(), 0);
             }
-            assert!(net.drain(10_000));
-        }
-        let records = records.into_inner();
-        assert_eq!(records.len(), 10);
-        for rec in &records {
-            assert_eq!(
-                rec.latency(),
-                rec.traversal + rec.waits.total(),
-                "every cycle of a packet's life must be accounted exactly once: {rec:?}"
-            );
-            // Minimal routing ⇒ no misrouting latency.
-            assert_eq!(rec.misroute_latency(), 0);
         }
     }
 
     #[test]
     fn unloaded_latency_matches_min_traversal() {
-        let params = DragonflyParams::figure1();
-        let topo = Topology::new(params, Arrangement::Palmtree);
-        let policy = MinOnly { topo: topo.clone() };
-        let cfg = EngineConfig::paper(ArbiterPolicy::RoundRobin, 3);
-        let records = std::cell::RefCell::new(Vec::new());
-        {
-            let sink = |rec: &DeliveredRecord| records.borrow_mut().push(*rec);
-            let mut net = Network::new(topo, cfg, policy, sink);
-            net.offer(NodeId(0), NodeId(70));
-            assert!(net.drain(10_000));
+        for pipeline in [0, 1, 5] {
+            // Cross-group: two local hops and a global one, four pipelines.
+            let rec = deliver_all(with_pipeline(pipeline), &[(0, 70)])[0];
+            // A single packet in an empty network: zero queueing.
+            assert_eq!(rec.waits.total(), 0, "pipeline {pipeline}");
+            assert_eq!(rec.latency(), rec.min_traversal, "pipeline {pipeline}");
+            let links = 2 + (rec.local_hops as u64) * 10 + (rec.global_hops as u64) * 100 + 8;
+            let routers = (rec.local_hops + rec.global_hops + 1) as u64;
+            assert_eq!(rec.latency(), links + routers * pipeline, "pipeline {pipeline}");
         }
-        let rec = records.into_inner()[0];
-        // A single packet in an empty network: zero queueing.
-        assert_eq!(rec.waits.total(), 0);
+    }
+
+    /// Two packets down one input VC with a pipeline (12) deeper than a
+    /// packet is long (8): the second is on the link, then inside the
+    /// pipeline, while the first is granted. It must be granted on exactly
+    /// its own `link arrival + pipeline` cycle, and in between the VC is
+    /// empty — there is no resident-but-ineligible state to probe.
+    #[test]
+    fn second_packet_of_a_vc_is_granted_on_its_eligibility_cycle() {
+        let cfg = EngineConfig { vcs_injection: 1, ..with_pipeline(12) };
+        let mut net = net_with(cfg, crate::policy::NullSink);
+        // Node 0 to node 1, both on router 0. The node puts the packets
+        // on its link at cycles 1 and 9 (8 phits each); one cycle of link
+        // and twelve of pipeline later each is eligible: cycles 14 and 22.
+        assert!(net.offer(NodeId(0), NodeId(1)) && net.offer(NodeId(0), NodeId(1)));
+        for cycle in 1..=30 {
+            net.step();
+            net.audit();
+            let granted = match cycle {
+                ..=13 => 0,
+                14..=21 => 1,
+                _ => 2,
+            };
+            assert_eq!(net.counters().injected_per_router[0], granted, "cycle {cycle}");
+            let router = net.router(RouterId(0));
+            assert_eq!((router.probe_ready(), router.input_packets()), (0, 0), "cycle {cycle}");
+        }
+        assert!(net.drain(100));
+    }
+
+    /// A pipeline deep enough that `global link + pipeline` overruns the
+    /// 128-slot wheel the link latencies alone would size.
+    #[test]
+    fn deep_pipeline_fits_the_wheel() {
+        let rec = deliver_all(with_pipeline(40), &[(0, 70)])[0];
+        assert_eq!(rec.global_hops, 1);
         assert_eq!(rec.latency(), rec.min_traversal);
+    }
+
+    #[test]
+    #[should_panic(expected = "local_link_latency must be at least 1 cycle")]
+    fn zero_latency_link_fails_at_construction() {
+        let cfg = EngineConfig { local_link_latency: 0, ..with_pipeline(5) };
+        net_with(cfg, crate::policy::NullSink);
     }
 
     #[test]
@@ -2017,12 +2074,17 @@ mod tests {
 
     /// A hotspot (every node sends to node 1) on top of a spread load, cut
     /// off mid-flight: packets in source queues, in input VCs, staged at
-    /// outputs and on links, credit returns on the wire, heads parked on
-    /// the hotspot's ejection port.
+    /// outputs, on a link's wire and past it inside the next router's
+    /// pipeline, credit returns on the wire, heads decided and heads
+    /// parked on the hotspot's ejection port.
     fn loaded_net() -> TestNet {
         let mut net = small_net();
         let nodes = net.topology().params().nodes();
-        for round in 0..40u32 {
+        // (The nodes inject in lockstep, a packet every 8 cycles, so what
+        // is in flight beats with that period: after 50 cycles there are
+        // arrival events on both sides of the wire / pipeline line and
+        // heads both awake and parked.)
+        for round in 0..50u32 {
             for n in 0..nodes {
                 net.offer(NodeId(n), NodeId(1));
                 net.offer(NodeId(n), NodeId((n * 31 + round * 7 + 5) % nodes));
@@ -2059,8 +2121,18 @@ mod tests {
         assert!(net.source_queued() > 0);
         assert!(net.routers.iter().any(|r| r.output_packets() > 0));
         assert!(net.wheel.iter().any(|ev| matches!(ev, Event::Credit { .. })));
-        assert!(net.wheel.iter().any(|ev| matches!(ev, Event::ArriveRouter { .. })));
+        // An arrival event covers the wire, then the pipeline: the packet
+        // is past the wire once what is left of its delay fits the pipeline.
+        let in_pipeline = |ev: &Event| match *ev {
+            Event::ArriveRouter { pkt, .. } => {
+                Some(net.arena.get(pkt).eligible_at - net.cycle <= net.cfg.pipeline_latency)
+            }
+            _ => None,
+        };
+        assert!(net.wheel.iter().any(|ev| in_pipeline(ev) == Some(false)), "none on a wire");
+        assert!(net.wheel.iter().any(|ev| in_pipeline(ev) == Some(true)), "none in a pipeline");
         find_vc(&net, |input, bit| input.parked & bit != 0);
+        find_vc(&net, |input, bit| input.decided & !input.parked & bit != 0);
         find_awake(&net);
     }
 
@@ -2086,6 +2158,20 @@ mod tests {
             let (r, q, vc) = find_vc(net, |input, bit| input.parked & bit != 0);
             let target = net.routers[r].parked_target(Port(q as u32), vc as u8).unwrap();
             net.routers[r].out_ports[target.idx()].waiters &= !(1 << q);
+        };
+        audit_catches_a_resident_packet_still_in_the_pipeline: "before its eligibility cycle" => |net| {
+            let (r, q, vc) = find_awake(net);
+            let (id, _) = net.routers[r].input_front(q, vc).unwrap();
+            net.arena.get_mut(id).eligible_at = net.cycle + 1;
+        };
+        audit_catches_a_stale_decided_record: "router record is not its head's arena decision" => |net| {
+            let (r, q, vc) = find_vc(net, |input, bit| input.decided & bit != 0);
+            let (out, out_vc) = net.routers[r].decided_output(q, vc);
+            net.routers[r].record_decision(q, vc, out, out_vc + 1);
+        };
+        audit_catches_a_decided_bit_on_an_empty_vc: "router record is not its head's arena decision" => |net| {
+            let (r, q, vc) = find_vc(net, |input, bit| input.ready & bit == 0);
+            net.routers[r].in_ports[q].decided |= 1 << vc;
         };
         audit_catches_a_miscounted_packet: "live-packet count diverged" => |net| {
             net.live_packets -= 1;

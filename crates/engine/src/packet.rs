@@ -97,18 +97,18 @@ impl WaitBreakdown {
 /// when it crosses a shard boundary.
 ///
 /// `repr(C)` pins the field order to access frequency: what the switch
-/// allocator reads on every probe (`eligible_at`, `decision`, `route`)
-/// comes first and, together with the slot's [`RouteDep`], fills the
-/// first cache line of the slot; identity and accounting, touched on
-/// grant, transmit and delivery, fill the second.
+/// allocator reads when it routes or grants a head (`eligible_at`,
+/// `decision`, `route`) comes first and, together with the slot's
+/// [`RouteDep`], fills the first cache line of the slot; identity and
+/// accounting, touched on grant, transmit and delivery, fill the second.
 #[derive(Debug, Clone, Copy)]
 #[repr(C)]
 pub struct Packet {
-    /// Cycle the head becomes eligible for allocation at the current
-    /// router (arrival + pipeline). Maintained by the engine.
+    /// Cycle the packet enters its next router's input VC, eligible for
+    /// allocation (link arrival + pipeline). Stamped by the sender.
     pub eligible_at: u64,
-    /// Decided output for the current hop, if any. Cleared on every
-    /// arrival; set by the routing policy; consumed by the allocator.
+    /// Decided output for the current hop, if any. Set by the routing
+    /// policy; taken by the allocator at the grant.
     pub decision: Option<Decision>,
     /// Routing state (interpreted by `df-routing`).
     pub route: RouteInfo,

@@ -3,14 +3,14 @@
 //!
 //! Everything a router owns is sized once in [`RouterState::new`] and
 //! laid out for the way a cycle walks it. What the allocator reads of an
-//! input port when it probes it (the ready / parked / sleeping VC masks
+//! input port when it probes it (the ready / parked / decided VC masks
 //! and the round-robin pointer) is one 16-byte [`InPort`] record; what a
 //! grant, a transmission or a credit return touches of an output port
 //! (buffer occupancy, link timer, cached downstream occupancy, change
 //! epoch, waiter mask, arbiter pointer) is one cache-line [`OutPort`]
 //! record. The input-VC and output queues are fixed-capacity rings over
 //! two per-router slabs, and the per-VC tables (`in_rings`, `credits`,
-//! `parked_on`) are flat arrays indexed `[port * vc_stride + vc]`, so a
+//! `head_out`) are flat arrays indexed `[port * vc_stride + vc]`, so a
 //! VC's head entry or credit counter is one index computation away
 //! instead of a walk through a `Vec<Vec<_>>` into a lazily grown deque.
 //!
@@ -31,8 +31,12 @@
 //!   port's epoch and wakes heads parked on it, so a blocked router pays
 //!   O(changed ports) per cycle instead of O(blocked heads);
 //! * `awake_in` — a bitmask of input ports with at least one ready,
-//!   unparked, awake VC, so the allocator walks only the ports it could
-//!   nominate from (ascending bit order is ascending port order).
+//!   unparked VC, so the allocator walks only the ports it could
+//!   nominate from (ascending bit order is ascending port order);
+//! * `InPort::decided` / `head_out` — the output a sticky policy decided
+//!   for a VC head, so re-probing a head that was blocked or lost
+//!   arbitration reads router-local state only, never the input ring or
+//!   the packet's arena record.
 
 use crate::arena::PacketId;
 use crate::buffer::{OutRing, Staged, VcEntry, VcRing};
@@ -49,11 +53,9 @@ pub(crate) struct InPort {
     /// but whose target output cannot accept them. The allocator skips
     /// them until the target port is touched.
     pub(crate) parked: u32,
-    /// Bitmask of *sleeping* VCs: heads still inside the router pipeline
-    /// (`eligible_at > cycle`). The engine schedules a `HeadWake` event
-    /// for the exact eligibility cycle, so these heads are never probed
-    /// early.
-    pub(crate) sleeping: u32,
+    /// Bitmask of *decided* VCs: heads whose `(out_port, out_vc)` under a
+    /// sticky policy is recorded in `head_out`. Cleared by the grant.
+    pub(crate) decided: u32,
     /// Round-robin pointer over the port's VCs.
     pub(crate) rr: u8,
     /// Number of VCs.
@@ -62,10 +64,10 @@ pub(crate) struct InPort {
 
 impl InPort {
     /// Bitmask of the VCs whose head the allocator could probe now:
-    /// non-empty, not parked, not sleeping.
+    /// non-empty and not parked.
     #[inline]
     pub(crate) fn awake_vcs(&self) -> u32 {
-        self.ready & !self.parked & !self.sleeping
+        self.ready & !self.parked
     }
 }
 
@@ -123,23 +125,23 @@ pub struct RouterState {
     /// Credits towards the downstream input buffer of each output port,
     /// `[port * vc_stride + downstream vc]`, in phits.
     credits: Vec<u32>,
-    /// Output port each parked `(port, vc)` head waits on
-    /// (`[port * vc_stride + vc]`, meaningful only while the parked bit
-    /// is set).
-    parked_on: Vec<u8>,
+    /// `[out_port, out_vc]` of each head, `[port * vc_stride + vc]`: the
+    /// port a parked head waits on (while its parked bit is set), the whole
+    /// output of a decided head (while its decided bit is set).
+    head_out: Vec<[u8; 2]>,
     /// Bitmask of output ports with at least one staged packet (the
     /// ready-output list): `transmit_outputs` visits only set bits
     /// instead of scanning all `radix` output buffers.
     pub(crate) out_ready: u64,
-    /// Bitmask of input ports with at least one ready, unparked, awake
-    /// VC (`ready & !parked & !sleeping != 0`) — the ports the
-    /// allocator's nomination phase walks.
+    /// Bitmask of input ports with at least one ready, unparked VC
+    /// (`ready & !parked != 0`) — the ports the allocator's nomination
+    /// phase walks.
     pub(crate) awake_in: u64,
     /// Packets resident across all input VCs.
     pub(crate) input_count: u32,
     /// Packets staged across all output buffers.
     pub(crate) staged_count: u32,
-    /// Number of non-empty, unparked, awake input VCs — the heads the
+    /// Number of non-empty, unparked input VCs — the heads the
     /// allocator could probe this cycle. Zero means allocation is a
     /// no-op for this router.
     probe_ready: u32,
@@ -183,7 +185,7 @@ impl RouterState {
         for q in 0..radix {
             let kind = params.port_kind(Port(q as u32));
             let vcs = vcs_for(cfg, kind);
-            in_ports.push(InPort { ready: 0, parked: 0, sleeping: 0, rr: 0, vcs });
+            in_ports.push(InPort { ready: 0, parked: 0, decided: 0, rr: 0, vcs });
             for vc in 0..vc_stride {
                 let cap = if vc < vcs as usize { input_capacity_for(cfg, kind) } else { 0 };
                 let (ring, slots) = VcRing::new(in_slot_count, cap, cfg.packet_size);
@@ -219,7 +221,7 @@ impl RouterState {
             out_ports,
             out_slots: vec![Staged::VACANT; out_slot_count],
             credits,
-            parked_on: vec![0; radix * vc_stride],
+            head_out: vec![[0; 2]; radix * vc_stride],
             out_ready: 0,
             awake_in: 0,
             input_count: 0,
@@ -245,7 +247,7 @@ impl RouterState {
         port * self.vc_stride + vc
     }
 
-    /// Re-derive `port`'s bit of `awake_in` from its three VC masks.
+    /// Re-derive `port`'s bit of `awake_in` from its VC masks.
     #[inline]
     fn refresh_awake(&mut self, port: usize) {
         let awake = self.in_ports[port].awake_vcs() != 0;
@@ -258,12 +260,6 @@ impl RouterState {
         self.in_rings[self.flat(port, vc)].front(&self.in_slots)
     }
 
-    /// Whether input `port`, VC `vc` holds no packet.
-    #[inline]
-    pub(crate) fn input_is_empty(&self, port: usize, vc: usize) -> bool {
-        self.in_rings[self.flat(port, vc)].is_empty()
-    }
-
     /// Enqueue an arriving packet on `port`, VC `vc`.
     #[inline]
     pub(crate) fn push_input(&mut self, port: usize, vc: usize, id: PacketId, size: u32) {
@@ -274,7 +270,7 @@ impl RouterState {
         input.ready |= 1 << vc;
         if newly_occupied {
             debug_assert!(input.parked & (1 << vc) == 0, "empty VC cannot be parked");
-            debug_assert!(input.sleeping & (1 << vc) == 0, "empty VC cannot sleep");
+            debug_assert!(input.decided & (1 << vc) == 0, "empty VC cannot be decided");
             self.probe_ready += 1;
             self.awake_in |= 1 << port;
         }
@@ -282,16 +278,16 @@ impl RouterState {
     }
 
     /// Dequeue the head packet of `port`, VC `vc`, returning its handle
-    /// and size.
+    /// and size. The VC's next head, if any, is undecided.
     ///
     /// # Panics
     /// Panics if the VC is empty.
     #[inline]
     pub(crate) fn pop_input(&mut self, port: usize, vc: usize) -> VcEntry {
         debug_assert!(self.in_ports[port].parked & (1 << vc) == 0, "granted a parked head");
-        debug_assert!(self.in_ports[port].sleeping & (1 << vc) == 0, "granted a sleeping head");
         let flat = self.flat(port, vc);
         let entry = self.in_rings[flat].pop(&self.in_slots).expect("pop from empty input VC");
+        self.in_ports[port].decided &= !(1 << vc);
         if self.in_rings[flat].is_empty() {
             self.in_ports[port].ready &= !(1 << vc);
             self.probe_ready -= 1;
@@ -390,10 +386,10 @@ impl RouterState {
             while parked != 0 {
                 let vc = parked.trailing_zeros() as usize;
                 parked &= parked - 1;
-                if self.parked_on[q * self.vc_stride + vc] as usize == port {
+                if self.head_out[q * self.vc_stride + vc][0] as usize == port {
                     self.in_ports[q].parked &= !(1 << vc);
                     self.probe_ready += 1;
-                    // A parked VC is ready and never sleeping.
+                    // A parked VC is ready.
                     self.awake_in |= 1 << q;
                 }
             }
@@ -409,10 +405,9 @@ impl RouterState {
         let input = &mut self.in_ports[in_port];
         debug_assert!(input.ready & (1 << vc) != 0, "parking an empty VC");
         debug_assert!(input.parked & (1 << vc) == 0, "double park");
-        debug_assert!(input.sleeping & (1 << vc) == 0, "parking a sleeping VC");
         input.parked |= 1 << vc;
         let flat = self.flat(in_port, vc);
-        self.parked_on[flat] = out_port as u8;
+        self.head_out[flat][0] = out_port as u8;
         self.out_ports[out_port].waiters |= 1 << in_port;
         self.probe_ready -= 1;
         self.refresh_awake(in_port);
@@ -429,31 +424,23 @@ impl RouterState {
         }
     }
 
-    /// Put the head of (`port`, `vc`) to sleep until its pipeline delay
-    /// elapses: the engine schedules a `HeadWake` event for the head's
-    /// exact `eligible_at` cycle, so the allocator never probes a head
-    /// that cannot be eligible yet. Unlike parking, sleeping is a pure
-    /// time-based skip, independent of the route cache.
+    /// Record the output a sticky policy decided for the head of
+    /// (`in_port`, `vc`), for later probes to read back instead of the
+    /// packet's arena record (which keeps the full decision for the grant).
     #[inline]
-    pub(crate) fn sleep(&mut self, port: usize, vc: usize) {
-        let input = &mut self.in_ports[port];
-        debug_assert!(input.ready & (1 << vc) != 0, "sleeping an empty VC");
-        debug_assert!(input.parked & (1 << vc) == 0, "sleeping a parked VC");
-        debug_assert!(input.sleeping & (1 << vc) == 0, "double sleep");
-        input.sleeping |= 1 << vc;
-        self.probe_ready -= 1;
-        self.refresh_awake(port);
+    pub(crate) fn record_decision(&mut self, in_port: usize, vc: usize, out_port: Port, out_vc: u8) {
+        debug_assert!(self.in_ports[in_port].ready & (1 << vc) != 0, "deciding an empty VC");
+        self.in_ports[in_port].decided |= 1 << vc;
+        let flat = self.flat(in_port, vc);
+        self.head_out[flat] = [out_port.0 as u8, out_vc];
     }
 
-    /// Wake the sleeping head of (`port`, `vc`) — its `eligible_at` cycle
-    /// has arrived.
+    /// The recorded `(out_port, out_vc)` of a decided head.
     #[inline]
-    pub(crate) fn wake(&mut self, port: usize, vc: usize) {
-        debug_assert!(self.in_ports[port].sleeping & (1 << vc) != 0, "wake without sleep");
-        self.in_ports[port].sleeping &= !(1 << vc);
-        self.probe_ready += 1;
-        // A sleeping VC is ready and never parked.
-        self.awake_in |= 1 << port;
+    pub(crate) fn decided_output(&self, in_port: usize, vc: usize) -> (Port, u8) {
+        debug_assert!(self.in_ports[in_port].decided & (1 << vc) != 0, "head not decided");
+        let [out_port, out_vc] = self.head_out[self.flat(in_port, vc)];
+        (Port(out_port as u32), out_vc)
     }
 
     // ------------------------------------------------------------------
@@ -580,7 +567,7 @@ impl RouterState {
     /// that VC is parked.
     pub fn parked_target(&self, port: Port, vc: u8) -> Option<Port> {
         if self.in_ports[port.idx()].parked & (1 << vc) != 0 {
-            Some(Port(self.parked_on[self.flat(port.idx(), vc as usize)] as u32))
+            Some(Port(self.head_out[self.flat(port.idx(), vc as usize)][0] as u32))
         } else {
             None
         }
@@ -645,7 +632,7 @@ impl RouterState {
 
     /// Audit step (input masks): re-derive the ready-VC masks, `awake_in`
     /// and `input_count` from a full scan of the input rings and the
-    /// parked/sleeping masks, and panic on the first divergence.
+    /// parked masks, and panic on the first divergence.
     /// O(radix × VCs).
     pub(crate) fn audit_input_masks(&self, cycle: u64) {
         let id = self.id.0;
@@ -665,7 +652,7 @@ impl RouterState {
                 input.ready, ready,
                 "ready mask diverged from the rings at port {port}, router {id}, cycle {cycle}"
             );
-            awake |= u64::from(ready & !input.parked & !input.sleeping != 0) << port;
+            awake |= u64::from(ready & !input.parked != 0) << port;
         }
         assert_eq!(
             self.awake_in, awake,
@@ -751,12 +738,12 @@ mod tests {
     }
 
     #[test]
-    fn awake_mask_follows_park_sleep_wake() {
+    fn awake_mask_follows_park_and_touch() {
         let (_, _, mut r) = setup();
         r.push_input(2, 0, PacketId(1), 8);
         r.push_input(2, 1, PacketId(2), 8);
         assert_eq!(r.awake_in, 1 << 2);
-        r.sleep(2, 0);
+        r.park(2, 0, 9);
         assert_eq!(r.awake_in, 1 << 2, "VC 1 still awake");
         r.park(2, 1, 7);
         assert_eq!(r.awake_in, 0);
@@ -764,13 +751,30 @@ mod tests {
         r.touch_port(7);
         assert_eq!(r.awake_in, 1 << 2);
         r.pop_input(2, 1);
-        assert_eq!(r.awake_in, 0, "only the sleeping VC is left");
-        r.wake(2, 0);
+        assert_eq!(r.awake_in, 0, "only the VC parked on port 9 is left");
+        r.touch_port(9);
         assert_eq!(r.awake_in, 1 << 2);
         r.park(2, 0, 9);
         r.unpark_all();
         assert_eq!(r.awake_in, 1 << 2);
         r.audit_input_masks(0);
+    }
+
+    #[test]
+    fn decided_output_lasts_exactly_as_long_as_its_head() {
+        let (_, _, mut r) = setup();
+        r.push_input(2, 1, PacketId(1), 8);
+        r.push_input(2, 1, PacketId(2), 8);
+        r.record_decision(2, 1, Port(7), 2);
+        // Parking and waking the head keeps the record whole.
+        r.park(2, 1, 7);
+        assert_eq!(r.parked_target(Port(2), 1), Some(Port(7)));
+        r.touch_port(7);
+        assert_eq!(r.decided_output(2, 1), (Port(7), 2));
+        // The grant takes the record with it: the next head is undecided.
+        r.pop_input(2, 1);
+        assert_eq!(r.in_ports[2].decided, 0);
+        assert_eq!(r.in_ports[2].ready, 0b10);
     }
 
     #[test]

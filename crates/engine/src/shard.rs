@@ -94,7 +94,8 @@ pub(crate) struct RemoteFlit {
     pub vc: u8,
     /// Packet size in phits.
     pub size: u32,
-    /// Link latency — the delay the sender would have scheduled with.
+    /// Link latency plus the receiving router's pipeline — the delay the
+    /// sender would have scheduled the arrival with.
     pub delay: u64,
     /// The packet by value; the owner re-homes it into its arena.
     pub packet: Packet,
@@ -793,7 +794,7 @@ mod tests {
     use super::*;
     use crate::config::ArbiterPolicy;
     use crate::packet::{Decision, PacketHeader, RouteInfo};
-    use df_topology::{Arrangement, DragonflyParams, PortKind, PortLayout};
+    use df_topology::{Arrangement, DragonflyParams, PortKind, PortLayout, PortTarget};
 
     /// Minimal-only routing (same as the serial engine's test policy).
     struct MinOnly {
@@ -1015,6 +1016,54 @@ mod tests {
         let global = net.topology().params().global_port(0);
         net.blocks[0][0].router_mut(RouterId(0)).reserve_credit(global.idx(), 0, 8);
         net.audit();
+    }
+
+    /// The sharded twin of the serial engine's two-packets-down-one-VC
+    /// test, across a group (and, at one group per shard, a shard)
+    /// boundary: with a pipeline (12) deeper than a packet is long (8) the
+    /// second flit is in flight — handed over with `RemoteFlit::delay` —
+    /// while the first is granted at the far router. Each must enter its
+    /// VC there on exactly `link arrival + pipeline` and be granted that
+    /// cycle: no queueing beyond the source link's serialization, and
+    /// never a resident packet between steps.
+    #[test]
+    fn remote_flit_lands_on_its_eligibility_cycle() {
+        let topo = Topology::new(DragonflyParams::figure1(), Arrangement::Palmtree);
+        let params = *topo.params();
+        let cfg = EngineConfig {
+            vcs_injection: 1,
+            pipeline_latency: 12,
+            ..EngineConfig::paper(ArbiterPolicy::RoundRobin, 3)
+        };
+        // Router 0's first global link, and a node on the router at its
+        // far end: inject, one global hop, eject.
+        let PortTarget::Router { router: far, .. } =
+            topo.port_target(RouterId(0), params.global_port(0))
+        else {
+            panic!("a global port leads to a router");
+        };
+        let dst = NodeId(far.0 * params.p);
+        let policy = MinOnly { topo: topo.clone() };
+        let mut net =
+            ShardedNetwork::new(topo, cfg, policy, RecordQueue::default(), params.groups());
+        assert_ne!(net.plan().shard_of_router(far), net.plan().shard_of_router(RouterId(0)));
+        assert!(net.offer(NodeId(0), dst) && net.offer(NodeId(0), dst));
+        while net.in_flight() > 0 {
+            assert!(net.cycle() < 1_000, "network failed to drain");
+            net.step();
+            net.audit();
+            let far = net.router(far);
+            assert_eq!((far.probe_ready(), far.input_packets()), (0, 0), "cycle {}", net.cycle());
+        }
+        // Two injection links, the global link, serialization, two pipelines.
+        let min = 2 + 100 + 8 + 2 * 12;
+        let records = std::mem::take(&mut net.sink_mut().records);
+        assert_eq!(records.len(), 2);
+        for (rec, queued) in records.iter().zip([0, 8]) {
+            assert_eq!(rec.min_traversal, min);
+            assert_eq!((rec.waits.injection, rec.waits.local, rec.waits.global), (queued, 0, 0));
+            assert_eq!(rec.latency(), min + queued);
+        }
     }
 
     #[test]

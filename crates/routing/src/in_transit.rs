@@ -88,6 +88,29 @@ pub enum EscapeSelect {
     Lru,
 }
 
+/// The role an output port plays in the misroute threshold test.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Role {
+    /// The packet's minimal output.
+    Minimal,
+    /// A non-minimal escape candidate (global or local misroute).
+    Candidate,
+}
+
+/// The misroute threshold test, both sides of it. A packet stays minimal
+/// while its minimal output's occupancy is *at or below* the threshold,
+/// and escapes through a candidate only while the candidate's is
+/// *strictly below* it: exactly at the threshold, minimal wins on either
+/// side. Occupancies are quantised (whole packets over a VC's credit
+/// window under [`CongestionSignal::VcCredits`]), so which side of 43 %
+/// a port reads is decided by one packet — the tests pin that.
+fn passes(role: Role, occupancy: f64, threshold: f64) -> bool {
+    match role {
+        Role::Minimal => occupancy <= threshold,
+        Role::Candidate => occupancy < threshold,
+    }
+}
+
 /// In-transit adaptive routing mechanism.
 pub struct InTransit {
     topo: Topology,
@@ -210,7 +233,7 @@ impl InTransit {
         let min_vc = crate::common::vc_for(min_kind, &info, &self.plan);
         let occ_min = self.congestion(router, min_out, min_vc);
         let min_dep = RouteDep::Port { port: min_out.0 as u8, epoch: router.port_epoch(min_out) };
-        if occ_min <= self.threshold {
+        if passes(Role::Minimal, occ_min, self.threshold) {
             return (make_decision(&self.topo, min_out, info, &self.plan), min_dep);
         }
 
@@ -253,7 +276,8 @@ impl InTransit {
                             &info,
                             &self.plan,
                         );
-                        if self.congestion(router, cand_out, cand_vc) < self.threshold {
+                        let occ_cand = self.congestion(router, cand_out, cand_vc);
+                        if passes(Role::Candidate, occ_cand, self.threshold) {
                             info.global_misrouted = true;
                             info.phase = Phase::ToIntermediate;
                             info.intermediate = Some(inter);
@@ -283,7 +307,8 @@ impl InTransit {
                             &info,
                             &self.plan,
                         );
-                        if self.congestion(router, cand_out, cand_vc) >= self.threshold {
+                        let occ_cand = self.congestion(router, cand_out, cand_vc);
+                        if !passes(Role::Candidate, occ_cand, self.threshold) {
                             continue;
                         }
                         let stamp =
@@ -322,7 +347,8 @@ impl InTransit {
             if x != my_idx && x != avoid {
                 let cand_out = params.local_port(my_idx, x);
                 let cand_vc = crate::common::vc_for(PortKind::Local, &info, &self.plan);
-                if self.congestion(router, cand_out, cand_vc) < self.threshold {
+                let occ_cand = self.congestion(router, cand_out, cand_vc);
+                if passes(Role::Candidate, occ_cand, self.threshold) {
                     info.local_misrouted = true;
                     return (
                         make_decision(&self.topo, cand_out, info, &self.plan),
@@ -452,6 +478,27 @@ mod tests {
             assert!(net.drain(200_000), "in-transit network must drain");
         }
         recs.into_inner()
+    }
+
+    /// The 43 % threshold at Table I's quantisation: occupancy moves in
+    /// whole 8-phit packets over a VC's credit window, so one packet
+    /// decides the side — and exactly at the threshold the two roles
+    /// disagree, which is the behaviour to keep.
+    #[test]
+    fn misroute_threshold_boundaries() {
+        let fill = |packets: u32, window: u32| f64::from(packets * 8) / f64::from(window);
+        let both = |occ: f64, t: f64| (passes(Role::Minimal, occ, t), passes(Role::Candidate, occ, t));
+        // A 256-phit global VC: 13 packets outstanding read 0.40625, 14 read 0.4375.
+        assert_eq!(both(fill(13, 256), 0.43), (true, true));
+        assert_eq!(both(fill(14, 256), 0.43), (false, false));
+        // A 32-phit local VC: 1 packet reads 0.25, 2 read 0.5.
+        assert_eq!(both(fill(1, 32), 0.43), (true, true));
+        assert_eq!(both(fill(2, 32), 0.43), (false, false));
+        // Exactly at the threshold — reachable when it sits on the grid,
+        // e.g. 0.4375 or 0.5: minimal is still taken, a candidate is not.
+        assert_eq!(both(fill(14, 256), 0.4375), (true, false));
+        assert_eq!(both(fill(2, 32), 0.5), (true, false));
+        assert_eq!(both(0.43, 0.43), (true, false));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! Route-decision-cache equivalence properties.
 //!
 //! The engine's route cache (adaptive decision reuse, blocked-head
-//! parking, pipeline head-sleep) is a pure scheduling optimization: it
-//! must never change a simulation result. These tests drive `Network`
+//! parking, router-held sticky decisions) is a pure scheduling
+//! optimization: it must never change a simulation result. These tests drive `Network`
 //! directly with randomized churn schedules across every mechanism
 //! family — including in-transit adaptive with per-cycle re-evaluation,
 //! where cached decisions are actually reused — and assert:
@@ -12,8 +12,8 @@
 //! * disabling and re-enabling the cache mid-run (a cold cache restart)
 //!   is also bit-identical to an uninterrupted warm-cache run;
 //! * the engine's audit holds every fifth cycle and after the drain
-//!   (`Network::audit`: parked and sleeping heads against the state they
-//!   wait on, which in debug and `shadow-verify` builds also recomputes
+//!   (`Network::audit`: parked and decided heads against the state they
+//!   wait on and copy, which in debug and `shadow-verify` builds also recomputes
 //!   every parked decision from scratch — docs/DETERMINISM.md, "The
 //!   audit").
 

@@ -302,6 +302,73 @@ fn run_cell_options_compose_without_perturbing_the_run() {
 }
 
 // ---------------------------------------------------------------------
+// The schedule-observable gauges are part of the byte-identity contract
+// ---------------------------------------------------------------------
+
+/// In-Trns-MM under saturated ADVc on the figure1 machine: bottleneck
+/// routers back up, so heads park and wake all run long.
+fn gauge_spec(shards: u32) -> ScenarioSpec {
+    ScenarioSpec {
+        name: "telemetry-gauges".into(),
+        params: DragonflyParams::figure1(),
+        arrangement: Arrangement::Palmtree,
+        mechanisms: vec![MechanismSpec::InTransitMm],
+        arbiter: ArbiterPolicy::TransitPriority,
+        warmup_cycles: 500,
+        measure_cycles: 2_000,
+        telemetry: Some(TelemetrySpec {
+            window_cycles: 250,
+            sample_network: true,
+            sample_jobs: false,
+        }),
+        jobs: vec![JobSpec {
+            name: "advc".into(),
+            placement: PlacementSpec::ConsecutiveGroups { first: 0, count: 9, slots: None },
+            pattern: PatternSpec::AdvConsecutive { spread: None },
+            injection: InjectionSpec::Bernoulli,
+            load: 0.6,
+            start_cycle: None,
+            stop_cycle: None,
+        }],
+        shards: Some(shards),
+    }
+}
+
+/// `probe_ready_heads` and `port_epoch_bumps` expose the allocator's
+/// parking/wake *schedule*, not just its outcome: an engine change that
+/// keeps every packet's path and timing but parks, wakes or touches ports
+/// on a different schedule moves them and nothing else. No bundled
+/// scenario enables telemetry, so this golden is what pins them inside
+/// tier-1, on both engines.
+#[test]
+fn network_gauges_golden_serial_and_sharded() {
+    /// Per window `(probe_ready_heads, port_epoch_bumps)`, recorded at
+    /// PR 16 (the commit before the router pipeline was folded into the
+    /// link event).
+    const GAUGES_AT_PR16: [(u64, u64); 8] = [
+        (12, 19331),
+        (12, 19568),
+        (30, 19581),
+        (34, 19268),
+        (21, 19146),
+        (10, 19279),
+        (35, 19595),
+        (18, 19510),
+    ];
+    for shards in [1, 2] {
+        let spec = gauge_spec(shards);
+        spec.validate(DEFAULT_SEEDS[0]).expect("valid spec");
+        let result =
+            run_cell(&spec, MechanismSpec::InTransitMm, DEFAULT_SEEDS[0], CellOptions::default())
+                .expect("run");
+        let rows = result.timeline.as_ref().expect("telemetry on -> timeline present");
+        let gauges: Vec<(u64, u64)> =
+            rows.iter().map(|r| (r.probe_ready_heads, r.port_epoch_bumps)).collect();
+        assert_eq!(gauges, GAUGES_AT_PR16, "shards={shards}: the parking/wake schedule moved");
+    }
+}
+
+// ---------------------------------------------------------------------
 // The paper-level signal, now time-resolved
 // ---------------------------------------------------------------------
 
