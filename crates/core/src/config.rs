@@ -93,10 +93,7 @@ impl SimConfig {
     /// parameters with the mechanism's required local-VC count (and this
     /// config's telemetry settings, if any).
     pub fn engine_config(&self) -> EngineConfig {
-        EngineConfig {
-            telemetry: self.telemetry,
-            ..EngineConfig::paper(self.arbiter, self.mechanism.required_local_vcs())
-        }
+        engine_config(self.arbiter, self.mechanism, self.telemetry)
     }
 
     /// The effective shard count before topology clamping: the explicit
@@ -109,13 +106,7 @@ impl SimConfig {
     /// Panics if `DF_TEST_SHARDS` is consulted and is not a number: a typo
     /// must not quietly turn the sharded CI leg into a second serial one.
     pub fn resolved_shards(&self) -> u32 {
-        match self.shards {
-            Some(n) => n.max(1),
-            None => {
-                let var = std::env::var_os("DF_TEST_SHARDS");
-                shards_from_env(var.map(|v| v.to_string_lossy().into_owned()).as_deref())
-            }
-        }
+        resolve_shards(self.shards)
     }
 
     /// With a different master seed (multi-run averaging).
@@ -128,7 +119,8 @@ impl SimConfig {
         Self { load, ..self.clone() }
     }
 
-    /// Validate ranges.
+    /// Validate ranges, the pattern's against the whole machine
+    /// ([`PatternSpec::check`]) included.
     pub fn validate(&self) -> Result<(), String> {
         if !(0.0..=self.engine_config().packet_size as f64).contains(&self.load) {
             return Err(format!("load {} out of range", self.load));
@@ -136,7 +128,33 @@ impl SimConfig {
         if self.measure_cycles == 0 {
             return Err("measurement window must be nonzero".into());
         }
+        let params = &self.params;
+        self.pattern
+            .check(params.nodes(), params.a * params.p, params.h)
+            .map_err(|e| format!("pattern: {e}"))?;
         self.engine_config().validate()
+    }
+}
+
+/// Table I engine parameters with `mechanism`'s local-VC count and the
+/// given telemetry: what a [`SimConfig`] and a scenario cell both run on.
+pub(crate) fn engine_config(
+    arbiter: ArbiterPolicy,
+    mechanism: MechanismSpec,
+    telemetry: Option<TelemetrySpec>,
+) -> EngineConfig {
+    EngineConfig { telemetry, ..EngineConfig::paper(arbiter, mechanism.required_local_vcs()) }
+}
+
+/// The shard count a `shards` field asks for, before topology clamping
+/// (see [`SimConfig::resolved_shards`]).
+pub(crate) fn resolve_shards(shards: Option<u32>) -> u32 {
+    match shards {
+        Some(n) => n.max(1),
+        None => {
+            let var = std::env::var_os("DF_TEST_SHARDS");
+            shards_from_env(var.map(|v| v.to_string_lossy().into_owned()).as_deref())
+        }
     }
 }
 
@@ -199,6 +217,25 @@ mod tests {
         assert!(c.validate().is_err());
         c.load = 0.4;
         assert!(c.validate().is_ok());
+    }
+
+    /// `validate` is where a pattern that does not fit the machine stops:
+    /// these five used to pass it and die in `Simulator::new` — or, for
+    /// the hot node, in the topology cycles into the run.
+    #[test]
+    fn validation_rejects_a_pattern_that_does_not_fit_the_machine() {
+        for (pattern, field) in [
+            (PatternSpec::Adversarial { offset: 0 }, "`offset` 0"),
+            (PatternSpec::Adversarial { offset: 19 }, "`offset` 19"),
+            (PatternSpec::AdvConsecutive { spread: Some(0) }, "`spread`"),
+            (PatternSpec::HotSpot { hot: 0, fraction: 1.5 }, "`fraction` 1.5"),
+            (PatternSpec::HotSpot { hot: 1_000_000, fraction: 0.1 }, "`hot` 1000000"),
+        ] {
+            let mut c = cfg();
+            c.pattern = pattern;
+            let err = c.validate().unwrap_err();
+            assert!(err.starts_with("pattern: ") && err.contains(field), "{err}");
+        }
     }
 
     #[test]

@@ -1,18 +1,16 @@
-//! The scenario runner: drive the simulator's per-node injection path
-//! from a [`ScenarioSpec`]'s jobs and report per-job and per-router
+//! The scenario runner: install one generation source per job of a
+//! [`ScenarioSpec`] on the simulator and report per-job and per-router
 //! results under every requested mechanism.
 
-use crate::config::{derive_seed, SimConfig};
+use crate::config::{derive_seed, engine_config, resolve_shards};
 use crate::ctl::RunCtl;
 use crate::error::ScenarioError;
-use crate::sim::{JobResult, JobSchedule, RunResult, Simulator};
+use crate::sim::{JobResult, JobSchedule, Protocol, RunResult, Simulator, Source};
 use crate::timeline::TimelineSink;
 use df_routing::MechanismSpec;
-use df_traffic::{PatternSpec, Traffic};
-use df_workload::{
-    Arrival, InjectionProcess, InjectionSpec, JobTraffic, JobTrafficAdapter, ScenarioSpec,
-    TraceRecorder,
-};
+use df_topology::Topology;
+use df_traffic::{JobTraffic, Traffic};
+use df_workload::{InjectionSpec, ScenarioSpec, TraceRecorder};
 use rayon::prelude::*;
 use serde::Serialize;
 
@@ -153,19 +151,12 @@ impl ScenarioResult {
     }
 }
 
-/// Per-job live state inside the driver loop.
-struct JobDriver {
-    process: Box<dyn InjectionProcess>,
-    /// `None` for trace jobs (destinations come with the events).
-    traffic: Option<JobTrafficAdapter>,
-}
-
 /// What a single [`run_cell`] call layers on top of the plain run. Every
 /// field is independent of the others and defaults to "off";
 /// `CellOptions::default()` is the uninstrumented run.
 #[derive(Default)]
 pub struct CellOptions<'a> {
-    /// External run control: the driver loop calls
+    /// External run control: the protocol loop calls
     /// [`RunCtl::checkpoint`] once per cycle, so cancellations,
     /// deadlines, and injected faults land at cycle granularity and an
     /// interrupted run returns an error instead of a partial result.
@@ -182,9 +173,11 @@ pub struct CellOptions<'a> {
     pub timeline: Option<TimelineSink>,
 }
 
-/// Run one scenario cell — one mechanism, one seed — through the shared
-/// driver loop. Generation order is identical whatever `opts` turns on,
-/// so instrumentation cannot perturb same-seed results.
+/// Run one scenario cell — one mechanism, one seed: one generation source
+/// per job (destinations on substream `derive_seed(seed, 0x100 + j)`,
+/// arrivals on `0x200 + j`), driven through the simulator's one protocol
+/// loop. Generation order is identical whatever `opts` turns on, so
+/// instrumentation cannot perturb same-seed results.
 ///
 /// # Panics
 /// Panics if `opts.recorders` is provided with a length other than the
@@ -195,7 +188,7 @@ pub fn run_cell(
     seed: u64,
     opts: CellOptions<'_>,
 ) -> Result<RunResult, ScenarioError> {
-    let CellOptions { ctl, mut recorders, timeline } = opts;
+    let CellOptions { ctl, recorders, timeline } = opts;
     // A timeline sink forces telemetry on; otherwise the spec decides.
     let telemetry = match timeline {
         Some(_) => Some(spec.telemetry.unwrap_or_default()),
@@ -205,115 +198,71 @@ pub fn run_cell(
     if let Some(recs) = recorders.as_deref() {
         assert_eq!(recs.len(), spec.jobs.len(), "one trace recorder per job");
     }
-    let cfg = SimConfig {
-        params: spec.params,
-        arrangement: spec.arrangement,
-        mechanism,
-        arbiter: spec.arbiter,
-        // Placeholder; generation is driven by the jobs below.
-        pattern: PatternSpec::Uniform,
-        load: 0.0,
-        warmup_cycles: spec.warmup_cycles,
-        measure_cycles: spec.measure_cycles,
-        seed,
-        telemetry,
-        shards: spec.shards,
-    };
-    // Surface config problems as errors, not the `Simulator::new` panic:
-    // the job service must reject a bad submission and keep serving.
-    cfg.validate().map_err(ScenarioError::spec)?;
-    let packet_size = cfg.engine_config().packet_size;
-    let mut sim = Simulator::new(&cfg);
+    // Surface config problems as errors, not a panic: the job service
+    // must reject a bad submission and keep serving.
+    let engine_cfg = engine_config(spec.arbiter, mechanism, telemetry);
+    engine_cfg.validate().map_err(ScenarioError::spec)?;
+    let placements = spec.resolve_placements(seed)?;
+    let mut sim = Simulator::idle(
+        Topology::new(spec.params, spec.arrangement),
+        engine_cfg,
+        resolve_shards(spec.shards),
+        Protocol {
+            mechanism,
+            pattern: format!("scenario:{}", spec.name),
+            // Network-equivalent configured load: job loads weighted by
+            // node share.
+            load: spec
+                .jobs
+                .iter()
+                .zip(&placements)
+                .map(|(job, placement)| job.load * placement.nodes.len() as f64)
+                .sum::<f64>()
+                / spec.params.nodes() as f64,
+            seed,
+            warmup_cycles: spec.warmup_cycles,
+            measure_cycles: spec.measure_cycles,
+        },
+    );
     if let Some(sink) = timeline {
         sim.set_timeline_sink(sink);
     }
 
-    let placements = spec.resolve_placements(seed)?;
-    let mut drivers = Vec::with_capacity(spec.jobs.len());
-    let mut job_nodes = Vec::with_capacity(spec.jobs.len());
+    let mut schedule = Vec::with_capacity(spec.jobs.len());
     for (j, (job, placement)) in spec.jobs.iter().zip(placements).enumerate() {
+        let named = |e: String| format!("job `{}`: {e}", job.name);
         let traffic = match job.injection {
             InjectionSpec::Trace { .. } => None,
-            _ => Some(JobTrafficAdapter::new(
+            _ => Some(Box::new(
                 JobTraffic::new(
                     &job.pattern,
-                    &placement,
+                    placement.nodes.clone(),
+                    placement.group_size,
                     &spec.params,
                     derive_seed(seed, 0x100 + j as u64),
                 )
-                .map_err(|e| format!("job `{}`: {e}", job.name))?,
-                &spec.params,
-            )),
+                .map_err(named)?,
+            ) as Box<dyn Traffic>),
         };
         let process = job
             .injection
             .build(
                 placement.nodes.clone(),
                 job.load,
-                packet_size,
+                engine_cfg.packet_size,
                 derive_seed(seed, 0x200 + j as u64),
             )
-            .map_err(|e| format!("job `{}`: {e}", job.name))?;
-        drivers.push(JobDriver { process, traffic });
-        job_nodes.push(JobSchedule {
+            .map_err(named)?;
+        sim.sources.push(Source { process, traffic, job: Some(j) });
+        schedule.push(JobSchedule {
             label: job.name.clone(),
             nodes: placement.nodes,
             start_cycle: job.start_cycle,
             stop_cycle: job.stop_cycle,
         });
     }
-    sim.set_job_schedule(job_nodes);
-
-    let total_cycles = spec.warmup_cycles + spec.measure_cycles;
-    let n_nodes = spec.params.nodes();
-    let mut arrivals: Vec<Arrival> = Vec::new();
-    for t in 0..total_cycles {
-        // Cooperative cancellation/deadline/fault checkpoint at cycle
-        // granularity: an interrupted run aborts here, before any result
-        // is extracted, so it leaves no partial output behind.
-        ctl.checkpoint(t)?;
-        if t == spec.warmup_cycles {
-            sim.begin_measurement();
-        }
-        for (j, driver) in drivers.iter_mut().enumerate() {
-            if !spec.jobs[j].active(t) {
-                continue;
-            }
-            arrivals.clear();
-            driver.process.arrivals(t, &mut arrivals);
-            for arr in &arrivals {
-                let dst = match (arr.dst, driver.traffic.as_mut()) {
-                    (Some(dst), _) => dst,
-                    (None, Some(traffic)) => traffic.dest(arr.src),
-                    (None, None) => unreachable!("rate process without a pattern"),
-                };
-                if arr.src.0 >= n_nodes || dst.0 >= n_nodes {
-                    return Err(ScenarioError::spec(format!(
-                        "job `{}` generated out-of-range packet {} -> {}",
-                        spec.jobs[j].name, arr.src.0, dst.0
-                    )));
-                }
-                if let Some(recs) = recorders.as_deref_mut() {
-                    recs[j].record(t, arr.src, dst);
-                }
-                sim.offer_for_job(j, arr.src, dst);
-            }
-        }
-        sim.step_network();
-    }
-
-    let mut result = sim.finish();
-    result.pattern = format!("scenario:{}", spec.name);
-    // Network-equivalent configured load: job loads weighted by node share.
-    result.load = spec
-        .jobs
-        .iter()
-        .map(|j| j.load)
-        .zip(result.per_job.iter().map(|j| j.nodes as f64))
-        .map(|(load, nodes)| load * nodes)
-        .sum::<f64>()
-        / n_nodes as f64;
-    Ok(result)
+    sim.set_job_schedule(schedule);
+    sim.drive(&ctl, recorders)
 }
 
 /// Run the scenario under every mechanism × seed (in parallel) and
@@ -376,6 +325,7 @@ mod tests {
     use super::*;
     use df_engine::ArbiterPolicy;
     use df_topology::{Arrangement, DragonflyParams};
+    use df_traffic::PatternSpec;
     use df_workload::{JobSpec, PlacementSpec};
 
     fn tiny_spec() -> ScenarioSpec {

@@ -1,28 +1,49 @@
-//! The simulator façade: build a network from a [`SimConfig`], run the
-//! warm-up / measurement protocol, and extract a [`RunResult`].
+//! The simulator façade: build a network, run the warm-up / measurement
+//! protocol, and extract a [`RunResult`].
 //!
-//! Two driving modes share the same network and measurement machinery:
+//! # One generation loop
 //!
-//! * **Pattern mode** ([`Simulator::run`]) — the seed behaviour: every
-//!   node draws from one Bernoulli process and one global traffic
-//!   pattern.
-//! * **Driven mode** — an external driver (the scenario runner behind
-//!   [`crate::run_scenario`]) attributes nodes to jobs via
-//!   [`Simulator::set_jobs`], offers packets per node with
-//!   [`Simulator::offer_for_job`], and advances cycles with
-//!   [`Simulator::step_network`]; [`RunResult::per_job`] then carries a
-//!   per-job breakdown.
+//! Packets enter the network one way. A [`Simulator`] owns a list of
+//! generation [`Source`]s — an arrival process (*when* which node
+//! generates), the [`df_traffic::JobTraffic`] generator that picks the
+//! destination,
+//! and the job the offers are attributed to — and every cycle one
+//! function turns every live source's arrivals into offers, in source
+//! order: range check, trace recording, per-job offered count,
+//! [`Engine::offer`]. What differs between the entry points is only
+//! which sources are installed:
+//!
+//! * [`Simulator::new`] (a [`SimConfig`]: `pattern` + `load`) installs one
+//!   whole-machine Bernoulli source — every node, the pattern at the
+//!   identity placement, attributed to no job, so [`RunResult::per_job`]
+//!   stays empty;
+//! * [`crate::run_cell`] (a [`df_workload::ScenarioSpec`]) installs one
+//!   source per job, each over the job's placement and live only inside
+//!   the job's `[start_cycle, stop_cycle)`;
+//! * an external driver installs none and calls
+//!   [`Simulator::offer_for_job`] — the count-and-offer the loop performs
+//!   per arrival — itself (a `load: 0.0` config has no source).
+//!
+//! The RNG substream each source draws from is tabulated in
+//! `docs/DETERMINISM.md`, "Seed substreams". Job attribution
+//! ([`Simulator::set_jobs`] / [`Simulator::set_job_schedule`]) is
+//! independent of the sources: it decides whose packets a delivery counts
+//! for, by node and generation cycle.
 
 use crate::config::{derive_seed, SimConfig};
+use crate::ctl::RunCtl;
+use crate::error::ScenarioError;
 use crate::sink::MeasurementSink;
 use crate::timeline::{TimelineRecorder, TimelineSink, WindowRow};
 use df_engine::{
     Counters, EngineConfig, Network, Packet, PacketId, PhaseProfile, RouterState, RoutingPolicy,
     ShardedNetwork,
 };
+use df_routing::MechanismSpec;
 use df_stats::FairnessReport;
 use df_topology::{NodeId, RouterId, Topology};
-use df_traffic::{BernoulliInjector, Traffic};
+use df_traffic::Traffic;
+use df_workload::{Arrival, InjectionProcess, InjectionSpec, TraceRecorder};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 
@@ -91,15 +112,14 @@ pub struct RunResult {
     /// 99th-percentile latency (cycles, histogram upper bound, clamped
     /// to the 10,000-cycle histogram range for extreme tails).
     pub p99_latency: Option<u64>,
-    /// Per-job breakdown (empty outside driven multi-job runs).
+    /// Per-job breakdown (empty unless jobs were registered).
     pub per_job: Vec<JobResult>,
     /// Windowed timeline of the measurement phase; `None` unless the
     /// config carried a [`df_engine::TelemetrySpec`].
     pub timeline: Option<Vec<WindowRow>>,
 }
 
-/// One job's schedule in a driven run: its label, node set, and optional
-/// lifetime. Two schedules may share nodes only if their lifetimes are
+/// One job's schedule: its label, node set, and optional lifetime. Two schedules may share nodes only if their lifetimes are
 /// disjoint — the departed job's slots are then reused by the arrival.
 #[derive(Debug, Clone)]
 pub struct JobSchedule {
@@ -123,6 +143,39 @@ pub(crate) struct JobRuntime {
     pub(crate) offered_packets: u64,
     start: Option<u64>,
     stop: Option<u64>,
+}
+
+impl JobRuntime {
+    /// Whether the job generates at driver cycle `cycle`.
+    fn active(&self, cycle: u64) -> bool {
+        cycle >= self.start.unwrap_or(0) && self.stop.is_none_or(|stop| cycle < stop)
+    }
+}
+
+/// One generation source of the simulator's one generation loop.
+pub(crate) struct Source {
+    /// When which node generates.
+    pub(crate) process: Box<dyn InjectionProcess>,
+    /// Where to: picks the destination of every arrival that carries
+    /// none. `None` for trace replay, whose events carry theirs.
+    pub(crate) traffic: Option<Box<dyn Traffic>>,
+    /// The job the offers count for, and whose lifetime gates the source;
+    /// `None` for the whole-machine source, which is always live.
+    pub(crate) job: Option<usize>,
+}
+
+/// What is left of a [`SimConfig`] or a scenario cell once the network is
+/// built and generation is a list of sources: the protocol
+/// [`Simulator::drive`] runs and what [`RunResult`] echoes.
+pub(crate) struct Protocol {
+    pub(crate) mechanism: MechanismSpec,
+    /// [`RunResult::pattern`].
+    pub(crate) pattern: String,
+    /// [`RunResult::load`].
+    pub(crate) load: f64,
+    pub(crate) seed: u64,
+    pub(crate) warmup_cycles: u64,
+    pub(crate) measure_cycles: u64,
 }
 
 /// The serial engine specialized to the simulator's policy and sink.
@@ -270,9 +323,11 @@ const AUDIT_EVERY: u64 = 256;
 /// A configured, steppable simulation.
 pub struct Simulator {
     net: Engine,
-    traffic: Box<dyn Traffic>,
-    injector: BernoulliInjector,
-    cfg: SimConfig,
+    protocol: Protocol,
+    /// The generation sources, polled in order every cycle.
+    pub(crate) sources: Vec<Source>,
+    /// Scratch for one source's arrivals of one cycle.
+    arrivals_buf: Vec<Arrival>,
     jobs: Vec<JobRuntime>,
     /// Pending job arrivals as `(start_cycle, job)`, ascending; the head
     /// is claimed when the driver reaches its cycle.
@@ -293,21 +348,59 @@ pub struct Simulator {
 }
 
 impl Simulator {
-    /// Build the network, traffic generator, and routing policy.
+    /// Build the network and routing policy of `cfg` and, unless its load
+    /// is zero, install the whole-machine source: Bernoulli firing at
+    /// every node on substream `derive_seed(seed, 2)`, destinations from
+    /// `cfg.pattern` at the identity placement on `derive_seed(seed, 1)`,
+    /// attributed to no job.
     ///
     /// # Panics
     /// Panics if the configuration fails validation.
     pub fn new(cfg: &SimConfig) -> Self {
         cfg.validate().expect("invalid simulation config");
-        let topo = Topology::new(cfg.params, cfg.arrangement);
         let engine_cfg = cfg.engine_config();
+        let mut sim = Self::idle(
+            Topology::new(cfg.params, cfg.arrangement),
+            engine_cfg,
+            cfg.resolved_shards(),
+            Protocol {
+                mechanism: cfg.mechanism,
+                pattern: cfg.pattern.label(),
+                load: cfg.load,
+                seed: cfg.seed,
+                warmup_cycles: cfg.warmup_cycles,
+                measure_cycles: cfg.measure_cycles,
+            },
+        );
+        if cfg.load > 0.0 {
+            let nodes = (0..cfg.params.nodes()).map(NodeId).collect();
+            let firing = derive_seed(cfg.seed, 2);
+            sim.sources.push(Source {
+                process: InjectionSpec::Bernoulli
+                    .build(nodes, cfg.load, engine_cfg.packet_size, firing)
+                    .expect("validated load"),
+                traffic: Some(cfg.pattern.build(cfg.params, derive_seed(cfg.seed, 1))),
+                job: None,
+            });
+        }
+        sim
+    }
+
+    /// Build the network and the routing policy (`protocol.mechanism` on
+    /// substream 0 of `protocol.seed`) with no generation source
+    /// installed; `shards` is clamped to the group count. The caller has
+    /// validated `engine_cfg`. Sources pushed onto `sources` are polled
+    /// in that order; one naming a job needs the job registered
+    /// ([`Self::set_job_schedule`]) before the next step.
+    pub(crate) fn idle(
+        topo: Topology,
+        engine_cfg: EngineConfig,
+        shards: u32,
+        protocol: Protocol,
+    ) -> Self {
         let policy =
-            cfg.mechanism
-                .build(topo.clone(), &engine_cfg, derive_seed(cfg.seed, 0));
-        let traffic = cfg.pattern.build(cfg.params, derive_seed(cfg.seed, 1));
-        let injector =
-            BernoulliInjector::new(cfg.load, engine_cfg.packet_size, derive_seed(cfg.seed, 2));
-        let shards = cfg.resolved_shards().min(cfg.params.groups());
+            protocol.mechanism.build(topo.clone(), &engine_cfg, derive_seed(protocol.seed, 0));
+        let shards = shards.min(topo.params().groups());
         let net = if shards <= 1 {
             Engine::Serial(Network::new(topo, engine_cfg, policy, MeasurementSink::new()))
         } else {
@@ -321,9 +414,9 @@ impl Simulator {
         };
         Self {
             net,
-            traffic,
-            injector,
-            cfg: cfg.clone(),
+            protocol,
+            sources: Vec::new(),
+            arrivals_buf: Vec::new(),
             jobs: Vec::new(),
             arrivals: Vec::new(),
             departures: Vec::new(),
@@ -335,12 +428,14 @@ impl Simulator {
         }
     }
 
-    /// Advance one cycle: Bernoulli generation at every node, then the
-    /// network cycle (pattern mode). Job lifecycle events are processed
-    /// too, so [`Simulator::set_jobs`] attribution also works for runs
-    /// driven by [`Simulator::run`]/`step` rather than `step_network`.
+    /// Advance one cycle: job lifecycle events due now, one cycle of
+    /// generation from every installed source, then the network cycle.
+    ///
+    /// # Panics
+    /// Panics if a trace source replays a node the machine does not have
+    /// ([`crate::run_cell`] reports the same as an error).
     pub fn step(&mut self) {
-        self.advance(true, None);
+        self.advance(None, None).unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// Advance one cycle like [`Self::step`], accumulating the engine's
@@ -349,24 +444,26 @@ impl Simulator {
     /// of the engine cycle and is excluded. Used by `dbg_bottleneck` to
     /// direct hot-path work.
     pub fn step_profiled(&mut self, profile: &mut df_engine::PhaseProfile) {
-        self.advance(true, Some(profile));
+        self.advance(Some(profile), None).unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// The one cycle body behind [`Self::step`], [`Self::step_profiled`]
-    /// and [`Self::step_network`]: job lifecycle events due now, the
-    /// built-in generation if `generate`, the engine cycle (timed into
-    /// `profile` if given), the timeline tick, and — debug and
-    /// `shadow-verify` builds — the periodic audit. Inlined into each of
-    /// the three so none of them pays for the other two's switches.
+    /// and [`Self::drive`]: job lifecycle events due now, generation, the
+    /// engine cycle (timed into `profile` if given), the timeline tick,
+    /// and — debug and `shadow-verify` builds — the periodic audit.
+    /// Inlined into each of the three so none of them pays for the other
+    /// two's switches.
     #[inline(always)]
-    fn advance(&mut self, generate: bool, profile: Option<&mut PhaseProfile>) {
+    fn advance(
+        &mut self,
+        profile: Option<&mut PhaseProfile>,
+        recorders: Option<&mut [TraceRecorder]>,
+    ) -> Result<(), ScenarioError> {
         if self.next_arrival < self.arrivals.len() || self.next_departure < self.departures.len()
         {
             self.process_job_lifecycle();
         }
-        if generate {
-            self.generate();
-        }
+        self.offer_arrivals(recorders)?;
         match profile {
             Some(profile) => self.net.step_timed(profile),
             None => self.net.step(),
@@ -378,23 +475,55 @@ impl Simulator {
         if self.net.cycle().is_multiple_of(AUDIT_EVERY) {
             self.audit();
         }
+        Ok(())
     }
 
-    /// Bernoulli generation at every node (pattern mode).
-    fn generate(&mut self) {
-        let nodes = self.net.topology().params().nodes();
-        for n in 0..nodes {
-            if self.injector.fire(n) {
-                let src = NodeId(n);
-                let dst = self.traffic.dest(src);
-                self.net.offer(src, dst);
+    /// The one generation loop: every live source's arrivals at the
+    /// current driver cycle become offers, in source order and, within a
+    /// source, in the process's (ascending node) order. `recorders[j]`
+    /// records job `j`'s stream.
+    fn offer_arrivals(
+        &mut self,
+        mut recorders: Option<&mut [TraceRecorder]>,
+    ) -> Result<(), ScenarioError> {
+        let cycle = self.net.cycle();
+        let n_nodes = self.net.topology().params().nodes();
+        let mut arrivals = std::mem::take(&mut self.arrivals_buf);
+        for source in &mut self.sources {
+            if source.job.is_some_and(|j| !self.jobs[j].active(cycle)) {
+                continue;
+            }
+            arrivals.clear();
+            source.process.arrivals(cycle, &mut arrivals);
+            for arr in &arrivals {
+                let dst = arr.dst.unwrap_or_else(|| {
+                    let traffic = source.traffic.as_mut().expect("rate process without a pattern");
+                    traffic.dest(arr.src)
+                });
+                if arr.src.0 >= n_nodes || dst.0 >= n_nodes {
+                    // Only a trace can name a node the machine lacks.
+                    let job = source.job.map_or("", |j| self.jobs[j].label.as_str());
+                    return Err(ScenarioError::spec(format!(
+                        "job `{job}` generated out-of-range packet {} -> {}",
+                        arr.src.0, dst.0
+                    )));
+                }
+                if let Some(j) = source.job {
+                    if let Some(recs) = recorders.as_deref_mut() {
+                        recs[j].record(cycle, arr.src, dst);
+                    }
+                    self.jobs[j].offered_packets += 1;
+                }
+                self.net.offer(arr.src, dst);
             }
         }
+        self.arrivals_buf = arrivals;
+        Ok(())
     }
 
-    /// Attribute nodes to jobs for a driven run: `jobs` pairs each job's
-    /// label with its node set, each live for the whole run. Replaces the
-    /// sink, so call before any measurement.
+    /// Attribute nodes to jobs: `jobs` pairs each job's label with its
+    /// node set, each live for the whole run. Replaces the sink, so call
+    /// before any measurement.
     ///
     /// # Panics
     /// Panics if a node is claimed twice or out of range.
@@ -411,12 +540,12 @@ impl Simulator {
         );
     }
 
-    /// Attribute nodes to jobs for a driven run *with lifetimes*: each
-    /// [`JobSchedule`] is claimed when the driver reaches its
-    /// `start_cycle` and released at its `stop_cycle` (arrival/departure
-    /// queues processed inside [`Simulator::step_network`]), so node
-    /// slots of a departed job are reusable by a later arrival. Replaces
-    /// the sink — call once, before stepping.
+    /// Attribute nodes to jobs *with lifetimes*: each [`JobSchedule`] is
+    /// claimed when the driver reaches its `start_cycle` and released at
+    /// its `stop_cycle` (arrival/departure queues processed inside
+    /// [`Simulator::step`]), so node slots of a departed job are reusable
+    /// by a later arrival. Replaces the sink — call once, before
+    /// stepping.
     ///
     /// # Panics
     /// Panics if a node is out of range, or two jobs with *overlapping
@@ -502,8 +631,9 @@ impl Simulator {
         }
     }
 
-    /// Offer a packet at `src` towards `dst` on behalf of job `job`
-    /// (driven mode). Returns `false` if the source queue is full.
+    /// Offer a packet at `src` towards `dst` on behalf of job `job`: what
+    /// an external driver calls in place of installing a source. Returns
+    /// `false` if the source queue is full.
     ///
     /// # Panics
     /// Panics if `job` was not registered via [`Simulator::set_jobs`].
@@ -511,14 +641,6 @@ impl Simulator {
     pub fn offer_for_job(&mut self, job: usize, src: NodeId, dst: NodeId) -> bool {
         self.jobs[job].offered_packets += 1;
         self.net.offer(src, dst)
-    }
-
-    /// Advance the network one cycle without any built-in generation
-    /// (driven mode). Job arrivals and departures due at the current
-    /// cycle are processed first.
-    #[inline]
-    pub fn step_network(&mut self) {
-        self.advance(false, None);
     }
 
     /// Start the measurement window: zero the counters (including per-job
@@ -533,7 +655,7 @@ impl Simulator {
         for j in &mut self.jobs {
             j.offered_packets = 0;
         }
-        if let Some(spec) = self.cfg.telemetry {
+        if let Some(spec) = self.net.config().telemetry {
             self.timeline = Some(TimelineRecorder::new(
                 spec,
                 self.net.cycle(),
@@ -558,21 +680,32 @@ impl Simulator {
     }
 
     /// Run the full warm-up + measurement protocol and report.
-    pub fn run(mut self) -> RunResult {
-        for _ in 0..self.cfg.warmup_cycles {
-            self.step();
-        }
-        self.begin_measurement();
-        for _ in 0..self.cfg.measure_cycles {
-            self.step();
-        }
-        self.into_result()
+    ///
+    /// # Panics
+    /// Panics where [`Self::step`] does.
+    pub fn run(self) -> RunResult {
+        self.drive(&RunCtl::NONE, None).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Extract the result from the current measurement window (public
-    /// endpoint for externally driven runs).
-    pub fn finish(self) -> RunResult {
-        self.into_result()
+    /// The protocol loop behind [`Self::run`] and [`crate::run_cell`]:
+    /// warm-up, [`Self::begin_measurement`], the measurement window, the
+    /// result. `ctl` is consulted at the top of every cycle, so an
+    /// interrupted run aborts before any result is extracted and leaves
+    /// no partial output behind.
+    pub(crate) fn drive(
+        mut self,
+        ctl: &RunCtl<'_>,
+        mut recorders: Option<&mut [TraceRecorder]>,
+    ) -> Result<RunResult, ScenarioError> {
+        let warmup = self.protocol.warmup_cycles;
+        for t in 0..warmup + self.protocol.measure_cycles {
+            ctl.checkpoint(t)?;
+            if t == warmup {
+                self.begin_measurement();
+            }
+            self.advance(None, recorders.as_deref_mut())?;
+        }
+        Ok(self.finish())
     }
 
     /// The one invariant check of a simulation (docs/DETERMINISM.md, "The
@@ -615,8 +748,9 @@ impl Simulator {
         }
     }
 
-    /// Extract the result from the current measurement window.
-    fn into_result(mut self) -> RunResult {
+    /// Extract the result from the current measurement window (the end
+    /// of [`Self::run`], and the endpoint of an externally stepped run).
+    pub fn finish(mut self) -> RunResult {
         // Flush the partially filled tail window first, so sums over the
         // timeline rows equal the end-of-run totals below; then prove the
         // run conserved before publishing a byte of it.
@@ -672,10 +806,10 @@ impl Simulator {
             })
             .collect();
         RunResult {
-            mechanism: self.cfg.mechanism.label().to_string(),
-            pattern: self.cfg.pattern.label(),
-            load: self.cfg.load,
-            seed: self.cfg.seed,
+            mechanism: self.protocol.mechanism.label().to_string(),
+            pattern: self.protocol.pattern.clone(),
+            load: self.protocol.load,
+            seed: self.protocol.seed,
             offered,
             throughput: counters.throughput(params.nodes()),
             avg_latency: sink.latency.mean_latency(),
@@ -720,7 +854,7 @@ mod tests {
         assert!((r.throughput - 0.2).abs() < 0.03, "throughput {}", r.throughput);
         assert!(r.avg_latency > 100.0, "latency {}", r.avg_latency);
         assert!(r.delivered_packets > 0);
-        assert!(r.per_job.is_empty(), "pattern mode has no job breakdown");
+        assert!(r.per_job.is_empty(), "the whole-machine source belongs to no job");
     }
 
     #[test]
@@ -776,7 +910,7 @@ mod tests {
         sim.offer_for_job(0, NodeId(0), NodeId(9));
         sim.offer_for_job(1, NodeId(4), NodeId(20));
         for _ in 0..3000 {
-            sim.step_network();
+            sim.step();
         }
         let r = sim.finish();
         assert_eq!(r.per_job.len(), 2);
@@ -796,9 +930,10 @@ mod tests {
 
     #[test]
     fn pattern_mode_run_attributes_jobs_too() {
-        // Regression: `set_jobs` + the pattern-mode `step()`/`run()` path
-        // must still attribute deliveries (ownership is installed by the
-        // lifecycle queue, which `step()` also drains).
+        // Attribution and the built-in whole-machine source coexist:
+        // `set_jobs` decides whose deliveries count, whoever generated
+        // them (ownership is installed by the lifecycle queue `step()`
+        // drains).
         let mut cfg = tiny(MechanismSpec::Min, PatternSpec::Uniform, 0.2);
         cfg.warmup_cycles = 300;
         cfg.measure_cycles = 800;
@@ -835,6 +970,22 @@ mod tests {
         assert!(sim.net.in_flight() > 0);
         sim.net.reset_counters();
         sim.finish();
+    }
+
+    #[test]
+    fn job_activity_window() {
+        // Half-open `[start, stop)`: what gates a job's generation source.
+        let job = JobRuntime {
+            label: "j".into(),
+            nodes: Vec::new(),
+            offered_packets: 0,
+            start: Some(100),
+            stop: Some(200),
+        };
+        assert!(!job.active(99));
+        assert!(job.active(100));
+        assert!(job.active(199));
+        assert!(!job.active(200));
     }
 
     #[test]

@@ -57,9 +57,10 @@ impl JobPayload {
     }
 
     /// Cheap structural validation at submit time: a rejected spec never
-    /// occupies a queue slot. Runtime-only failures (e.g. an
-    /// out-of-range hotspot index) still surface from the worker as a
-    /// `failed` event.
+    /// occupies a queue slot. Every job's pattern is checked against its
+    /// placement here (an out-of-range hot-spot index is `rejected`);
+    /// what only a run can find — an unreadable or out-of-range trace —
+    /// still surfaces from the worker as a `failed` event.
     pub fn validate(&self, seeds: &[u64]) -> Result<(), ScenarioError> {
         if seeds.is_empty() {
             return Err(ScenarioError::spec("need at least one seed"));

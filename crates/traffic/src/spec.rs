@@ -1,13 +1,17 @@
 //! Serializable pattern specifications (experiment configs).
 
-use crate::patterns::{
-    AdvConsecutive, Adversarial, GroupLocal, HotSpot, Mix, Permutation, Traffic, Uniform,
-};
+use crate::patterns::{JobTraffic, Traffic};
 use df_topology::{DragonflyParams, NodeId};
 use serde::{Deserialize, Serialize};
 
 /// A declarative traffic-pattern description, convertible into a live
 /// [`Traffic`] generator. This is what experiment configs serialize.
+///
+/// Every variant is stated over a *virtual* geometry — the nodes the
+/// pattern runs on, in order, chunked into virtual groups — so one spec
+/// means the same thing for a job on any placement and for the whole
+/// machine (where virtual index = node id and virtual group = machine
+/// group). See [`JobTraffic`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[serde(tag = "pattern", rename_all = "snake_case")]
 pub enum PatternSpec {
@@ -21,6 +25,8 @@ pub enum PatternSpec {
     /// ADVc over the `h` consecutive groups, or a custom spread.
     AdvConsecutive {
         /// Number of consecutive destination groups; `None` means `h`.
+        /// Zero is an error; more than the `k − 1` other virtual groups
+        /// clamps to `k − 1`.
         spread: Option<u32>,
     },
     /// Intra-group traffic only.
@@ -29,7 +35,8 @@ pub enum PatternSpec {
     Permutation,
     /// Hot-spot: `fraction` of traffic to node `hot`.
     HotSpot {
-        /// The hot node.
+        /// The hot node, as a virtual index (the node id on the whole
+        /// machine).
         hot: u32,
         /// Fraction of packets targeting it.
         fraction: f64,
@@ -46,30 +53,17 @@ pub enum PatternSpec {
 }
 
 impl PatternSpec {
-    /// Instantiate a generator for `params` with a deterministic `seed`.
+    /// Instantiate the whole-machine generator for `params` with a
+    /// deterministic `seed`: [`JobTraffic`] at the identity placement —
+    /// every node in id order, one machine group per virtual group.
+    ///
+    /// # Panics
+    /// Panics if the pattern does not fit the machine
+    /// ([`PatternSpec::check`] is the non-panicking question).
     pub fn build(&self, params: DragonflyParams, seed: u64) -> Box<dyn Traffic> {
-        match self {
-            PatternSpec::Uniform => Box::new(Uniform::new(params, seed)),
-            PatternSpec::Adversarial { offset } => {
-                Box::new(Adversarial::new(params, *offset, seed))
-            }
-            PatternSpec::AdvConsecutive { spread } => Box::new(AdvConsecutive::with_spread(
-                params,
-                spread.unwrap_or(params.h),
-                seed,
-            )),
-            PatternSpec::GroupLocal => Box::new(GroupLocal::new(params, seed)),
-            PatternSpec::Permutation => Box::new(Permutation::new(params, seed)),
-            PatternSpec::HotSpot { hot, fraction } => {
-                Box::new(HotSpot::new(params, NodeId(*hot), *fraction, seed))
-            }
-            PatternSpec::Mix { first, second, first_fraction } => Box::new(Mix::new(
-                first.build(params, seed.wrapping_mul(2).wrapping_add(1)),
-                second.build(params, seed.wrapping_mul(2).wrapping_add(2)),
-                *first_fraction,
-                seed,
-            )),
-        }
+        let nodes = (0..params.nodes()).map(NodeId).collect();
+        let traffic = JobTraffic::new(self, nodes, params.a * params.p, &params, seed);
+        Box::new(traffic.unwrap_or_else(|e| panic!("invalid traffic pattern: {e}")))
     }
 
     /// Short label for tables and filenames.
@@ -93,10 +87,8 @@ impl PatternSpec {
 mod tests {
     use super::*;
 
-    #[test]
-    fn build_all_variants() {
-        let p = DragonflyParams::small();
-        let specs = [
+    fn all_variants() -> [PatternSpec; 8] {
+        [
             PatternSpec::Uniform,
             PatternSpec::Adversarial { offset: 1 },
             PatternSpec::AdvConsecutive { spread: None },
@@ -109,12 +101,48 @@ mod tests {
                 second: Box::new(PatternSpec::AdvConsecutive { spread: None }),
                 first_fraction: 0.5,
             },
-        ];
-        for spec in &specs {
+        ]
+    }
+
+    #[test]
+    fn build_all_variants() {
+        let p = DragonflyParams::small();
+        for spec in &all_variants() {
             let mut t = spec.build(p, 1);
             let d = t.dest(NodeId(0));
             assert!(d.0 < p.nodes());
             assert!(!spec.label().is_empty());
+        }
+    }
+
+    /// The whole-machine destination streams, pinned: the first 24 draws
+    /// of `build(figure1, 11)` over sources 0, 3, 6, … for every variant.
+    /// Recorded at the commit before the seven per-pattern structs were
+    /// folded into [`JobTraffic`]; the fold left every row as it was
+    /// except HOTSPOT and MIX, re-recorded with it on purpose: those two
+    /// now seed their inner draws the way the job generator always has
+    /// (one stream for the hot-spot coin and its uniform fallback; mix
+    /// children on `derive_seed(seed, 1 | 2)`), which is the scheme
+    /// `df-service` caches results of (docs/DETERMINISM.md, "Seed
+    /// substreams"). (figure1 has `h = 2`, so ADVc and ADVc2 coincide.)
+    #[test]
+    fn whole_machine_streams_are_pinned() {
+        #[rustfmt::skip]
+        let expected: [[u32; 24]; 8] = [
+            [16, 21, 41, 37, 58, 56, 60, 18, 32, 36, 23, 20, 6, 40, 46, 63, 17, 54, 34, 2, 69, 33, 53, 64],
+            [8, 13, 9, 21, 18, 16, 28, 29, 34, 32, 36, 47, 44, 46, 48, 54, 63, 57, 62, 66, 66, 69, 1, 5],
+            [13, 21, 8, 21, 16, 23, 30, 30, 41, 34, 37, 53, 43, 54, 63, 63, 68, 65, 68, 71, 69, 7, 3, 14],
+            [13, 21, 8, 21, 16, 23, 30, 30, 41, 34, 37, 53, 43, 54, 63, 63, 68, 65, 68, 71, 69, 7, 3, 14],
+            [5, 1, 5, 10, 8, 12, 21, 18, 28, 31, 28, 38, 32, 38, 47, 41, 54, 50, 50, 61, 57, 61, 64, 67],
+            [57, 52, 28, 32, 66, 47, 60, 42, 2, 12, 24, 68, 18, 55, 61, 25, 29, 64, 70, 22, 11, 58, 1, 43],
+            [16, 41, 58, 60, 0, 32, 23, 6, 0, 63, 54, 2, 33, 64, 57, 1, 43, 0, 36, 0, 61, 54, 16, 17],
+            [13, 23, 16, 24, 53, 27, 55, 49, 46, 13, 44, 4, 52, 3, 41, 51, 1, 67, 67, 28, 24, 34, 1, 3],
+        ];
+        let p = DragonflyParams::figure1();
+        for (spec, want) in all_variants().iter().zip(&expected) {
+            let mut t = spec.build(p, 11);
+            let got: Vec<u32> = (0..24).map(|i| t.dest(NodeId(3 * i)).0).collect();
+            assert_eq!(got, want, "{} stream moved", spec.label());
         }
     }
 

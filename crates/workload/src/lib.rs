@@ -16,8 +16,9 @@
 //!   or random group lists (optionally restricted to a subset of node
 //!   slots so jobs can share routers disjointly), round-robin over
 //!   routers, or explicit node lists;
-//! * [`JobSpec`] / [`JobTraffic`] — a placement plus a [`PatternSpec`]
-//!   remapped into the job's node set, an injection process, a load, and
+//! * [`JobSpec`] — a placement plus a [`PatternSpec`] remapped into the
+//!   job's node set (by [`df_traffic::JobTraffic`], the same generator a
+//!   whole-machine pattern uses), an injection process, a load, and
 //!   start/stop cycles;
 //! * [`ScenarioSpec`] — a serializable composition of jobs, mechanisms,
 //!   and the measurement protocol (`scenarios/*.json`);
@@ -50,7 +51,7 @@ mod trace;
 pub use injection::{
     Arrival, BernoulliProcess, InjectionProcess, InjectionSpec, OnOffProcess, PoissonProcess,
 };
-pub use job::{lifetimes_overlap, JobSpec, JobTraffic, JobTrafficAdapter};
+pub use job::{lifetimes_overlap, JobSpec};
 pub use placement::{PlacementSpec, ResolvedPlacement};
 pub use scenario::ScenarioSpec;
 pub use sweep::{JobPlacement, PlacementVariant, SweepCell, SweepSpec, MAX_SWEEP_CELLS};

@@ -1,6 +1,7 @@
 //! Serializable scenario specifications: a machine, a measurement
 //! protocol, a mechanism set, and the jobs that share the network.
 
+use crate::injection::InjectionSpec;
 use crate::job::JobSpec;
 use crate::placement::ResolvedPlacement;
 use df_engine::{ArbiterPolicy, TelemetrySpec};
@@ -93,7 +94,10 @@ impl ScenarioSpec {
     }
 
     /// Validate the spec against its own machine: non-empty axes, sane
-    /// loads, resolvable and pairwise-disjoint placements.
+    /// loads, resolvable and pairwise-disjoint placements, and every
+    /// job's pattern against the virtual geometry of its placement
+    /// ([`PatternSpec::check`](df_traffic::PatternSpec::check) — the rule
+    /// the generator itself is built by).
     ///
     /// `seed` must match the master seed later used to run the scenario
     /// (random placements are seed-dependent).
@@ -122,6 +126,12 @@ impl ScenarioSpec {
             let (start, stop) = job.lifetime();
             if stop <= start {
                 return Err(format!("job `{}` stops before it starts", job.name));
+            }
+            // A trace job's destinations come with its events.
+            if !matches!(job.injection, InjectionSpec::Trace { .. }) {
+                job.pattern
+                    .check(placement.nodes.len() as u32, placement.group_size, self.params.h)
+                    .map_err(|e| format!("job `{}`: {e}", job.name))?;
             }
             for n in &placement.nodes {
                 for &other in &claims[n.idx()] {
@@ -160,7 +170,6 @@ impl ScenarioSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::injection::InjectionSpec;
     use crate::placement::PlacementSpec;
     use df_traffic::PatternSpec;
 
@@ -236,5 +245,24 @@ mod tests {
         let mut s = spec();
         s.jobs[0].load = 9.0;
         assert!(s.validate(1).is_err());
+    }
+
+    #[test]
+    fn a_pattern_that_does_not_fit_its_placement_is_rejected_by_job_and_field() {
+        // Four virtual groups: ADV+4 has nowhere to go.
+        let mut s = spec();
+        s.jobs[1].pattern = PatternSpec::Adversarial { offset: 4 };
+        let err = s.validate(1).unwrap_err();
+        assert!(err.contains("job `b`") && err.contains("`offset` 4 out of range"), "{err}");
+        // `hot` is a virtual index into the job's 72 nodes, not a node id.
+        s.jobs[1].pattern = PatternSpec::HotSpot { hot: 72, fraction: 0.1 };
+        let err = s.validate(1).unwrap_err();
+        assert!(err.contains("`hot` 72 out of range"), "{err}");
+        s.jobs[1].pattern = PatternSpec::HotSpot { hot: 71, fraction: 0.1 };
+        s.validate(1).unwrap();
+        // A trace job ignores its pattern, so a stale one is not an error.
+        s.jobs[1].pattern = PatternSpec::Adversarial { offset: 4 };
+        s.jobs[1].injection = InjectionSpec::Trace { path: "unread.json".into() };
+        s.validate(1).unwrap();
     }
 }

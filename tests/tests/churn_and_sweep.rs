@@ -147,7 +147,7 @@ fn boundary_packets_attribute_to_the_departed_tenant() {
         if t == 100 {
             sim.offer_for_job(1, NodeId(0), NodeId(70));
         }
-        sim.step_network();
+        sim.step();
     }
     let r = sim.finish();
     assert_eq!(r.per_job[0].delivered_packets, 1, "a's straggler misattributed");

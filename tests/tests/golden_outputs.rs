@@ -11,6 +11,10 @@
 //! only for an intentional behavior change, and say so in the commit
 //! message (see `docs/DETERMINISM.md`).
 //!
+//! `golden_pattern_mode` pins the other front door — a `SimConfig` run
+//! through `run_single`, what the figure and table binaries and the
+//! `perf/` paper workloads use — on the serialized `RunResult` itself.
+//!
 //! Every digest is asserted twice: once on the serial engine and once at
 //! `shards: 2` on the group-sharded engine. The shard-count-invariance
 //! contract (`docs/DETERMINISM.md`) says they are the same bytes, so the
@@ -131,4 +135,51 @@ fn golden_sweep_unfairness_grid_sharded() {
         "sharded sweep JSON must reproduce the serial golden digest \
          (shard-count invariance, docs/DETERMINISM.md)"
     );
+}
+
+/// `run_single(SimConfig::small(..))` at load 0.4, seed 11, 1,000 + 2,000
+/// cycles: digest of the serialized `RunResult`.
+fn pattern_mode_digest(
+    mechanism: MechanismSpec,
+    pattern: PatternSpec,
+    shards: Option<u32>,
+) -> String {
+    let mut cfg = SimConfig::small(mechanism, ArbiterPolicy::TransitPriority, pattern, 0.4);
+    cfg.warmup_cycles = 1_000;
+    cfg.measure_cycles = 2_000;
+    cfg.seed = 11;
+    cfg.shards = shards;
+    let json = serde_json::to_string(&run_single(&cfg)).expect("serialize result");
+    md5_hex(json.as_bytes())
+}
+
+/// Recorded at the commit before `Simulator::step` and `run_cell` were
+/// given one generation loop and one destination generator; that change
+/// moved none of them.
+#[test]
+fn golden_pattern_mode() {
+    for (mechanism, pattern, digest) in [
+        (MechanismSpec::Min, PatternSpec::Uniform, "9c78a722c6bc1c0eb1b4d533f490d54b"),
+        (
+            MechanismSpec::SourceCrg,
+            PatternSpec::Adversarial { offset: 1 },
+            "6617549369ca586ae5cf48ec8584e05e",
+        ),
+        (
+            MechanismSpec::InTransitMm,
+            PatternSpec::AdvConsecutive { spread: None },
+            "a65c2c5de5b3c584678156150bcf4225",
+        ),
+    ] {
+        for shards in [None, Some(2)] {
+            assert_eq!(
+                pattern_mode_digest(mechanism, pattern.clone(), shards),
+                digest,
+                "behavior drift in a SimConfig run: {} under {}, shards {shards:?} \
+                 (see docs/DETERMINISM.md)",
+                pattern.label(),
+                mechanism.label(),
+            );
+        }
+    }
 }

@@ -338,6 +338,26 @@ fn corrupted_cache_entry_is_detected_and_recomputed() {
 }
 
 #[test]
+fn a_pattern_that_does_not_fit_its_job_is_rejected_at_submit() {
+    // The pattern rule is one function (`PatternSpec::check`), and
+    // admission calls it: a bad pattern never occupies a queue slot or a
+    // worker, and ends `rejected` (the submitter's fault, never retried),
+    // not `failed`. `hot` is a virtual index into the job's 16 nodes.
+    let svc = Service::new(ServiceConfig::default());
+    let (sink, events) = collecting_sink();
+    let mut bad = tiny_scenario("svc-bad-pattern");
+    bad.jobs[0].pattern = PatternSpec::HotSpot { hot: 16, fraction: 0.2 };
+    let job = svc.submit(JobPayload::Scenario(bad), one_seed(None, None), sink);
+    match &wait_terminal(&events, job)[..] {
+        [JobEvent::Rejected { error, .. }] => {
+            assert!(error.contains("job `victim`") && error.contains("`hot` 16"), "{error}")
+        }
+        other => panic!("expected a lone rejected, got {other:?}"),
+    }
+    svc.shutdown();
+}
+
+#[test]
 fn cancelling_a_queued_job_is_observed_before_it_simulates() {
     let svc = Service::new(ServiceConfig {
         workers: 1,

@@ -3,6 +3,7 @@
 //! bit-identity, burst injection, and the bundled interference scenario's
 //! qualitative claim.
 
+use dragonfly_core::df_traffic::{JobTraffic, Traffic};
 use dragonfly_core::df_workload::{
     InjectionSpec, JobSpec, PlacementSpec, ScenarioSpec, TraceRecorder,
 };
@@ -133,6 +134,27 @@ proptest! {
         let json = serde_json::to_string(&spec).unwrap();
         let back: PatternSpec = serde_json::from_str(&json).unwrap();
         prop_assert_eq!(spec, back);
+    }
+
+    // A whole-machine pattern is the job generator at the identity
+    // placement — by construction today; this is the guard for any later
+    // shortcut on the whole-machine side.
+    #[test]
+    fn whole_machine_pattern_is_the_job_generator_at_the_identity_placement(
+        spec in arb_leaf_pattern(),
+        seed in any::<u64>(),
+    ) {
+        let params = DragonflyParams::small();
+        let all = PlacementSpec::ConsecutiveGroups { first: 0, count: params.groups(), slots: None }
+            .resolve(&params, 0)
+            .unwrap();
+        let mut machine = spec.build(params, seed);
+        let mut job =
+            JobTraffic::new(&spec, all.nodes.clone(), all.group_size, &params, seed).unwrap();
+        for i in 0..200u32 {
+            let src = NodeId(i.wrapping_mul(97) % params.nodes());
+            prop_assert_eq!(machine.dest(src), job.dest(src), "draw {}", i);
+        }
     }
 
     #[test]
