@@ -114,18 +114,19 @@ cargo run --release -p df-bench --bin sweep -- --quick --shards 2 \
 cmp "$artifacts/sweep_unfairness_grid.csv" "$sweep_rerun/sharded.csv"
 cmp "$artifacts/sweep_unfairness_grid.json" "$sweep_rerun/sharded.json"
 
-echo "==> SimConfig determinism gate (table2 --quick: twice serial, once sharded, bit-compare)"
+echo "==> SimConfig determinism gate (figure table2 --quick: twice serial, once sharded, bit-compare)"
 # Every smoke above and below enters through a ScenarioSpec; the figure
-# and table binaries enter through SimConfig + run_single, which installs
-# the whole-machine generation source instead of per-job ones. Same
-# contract: same seed, same bytes, whatever the engine. table2's JSON
-# carries no `shards` field (it serializes results, not configs), so the
-# env var is the way to reroute it and the three files must be equal.
-cargo run --release -p df-bench --bin table2 -- --quick \
+# bin enters through SimConfig + run_grid (run_single per cell x seed),
+# which installs the whole-machine generation source instead of per-job
+# ones. Same contract: same seed, same bytes, whatever the engine. The
+# --out document carries no `shards` field (it serializes labels and
+# results, not configs), so the env var is the way to reroute it and the
+# three files must be equal.
+cargo run --release -p df-bench --bin figure -- table2 --quick \
     --out "$artifacts/table2_quick.json" > /dev/null
-cargo run --release -p df-bench --bin table2 -- --quick \
+cargo run --release -p df-bench --bin figure -- table2 --quick \
     --out "$sweep_rerun/table2.json" > /dev/null
-DF_TEST_SHARDS=2 cargo run --release -p df-bench --bin table2 -- --quick \
+DF_TEST_SHARDS=2 cargo run --release -p df-bench --bin figure -- table2 --quick \
     --out "$sweep_rerun/table2-sharded.json" > /dev/null
 cmp "$artifacts/table2_quick.json" "$sweep_rerun/table2.json"
 cmp "$artifacts/table2_quick.json" "$sweep_rerun/table2-sharded.json"

@@ -19,7 +19,7 @@
 //!   the transmit phase) and the congestion trace is bit-identical to
 //!   the serial engine's.
 
-use df_bench::{fail, write_json};
+use df_bench::{fail, flag_path, flag_positive, write_json};
 use dragonfly_core::df_engine::{PhaseProfile, RouterState, TelemetrySpec};
 use dragonfly_core::df_stats::RateWindow;
 use dragonfly_core::prelude::*;
@@ -54,19 +54,8 @@ fn main() {
             "rrg" => mech = MechanismSpec::InTransitRrg,
             "mm" => mech = MechanismSpec::InTransitMm,
             "--live" => live = true,
-            "--json" => {
-                json = Some(PathBuf::from(
-                    it.next().unwrap_or_else(|| die("--json needs a path")),
-                ));
-            }
-            "--shards" => {
-                shards = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n| n > 0)
-                        .unwrap_or_else(|| die("--shards needs a positive number")),
-                );
-            }
+            "--json" => json = Some(flag_path(&mut it, &arg).unwrap_or_else(|e| die(&e))),
+            "--shards" => shards = Some(flag_positive(&mut it, &arg).unwrap_or_else(|e| die(&e))),
             other => die(&format!("unknown argument {other}")),
         }
     }

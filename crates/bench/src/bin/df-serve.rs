@@ -23,7 +23,7 @@
 //!
 //! Submit jobs with `df-submit`; see `docs/SERVICE.md` for the protocol.
 
-use df_bench::fail;
+use df_bench::{fail, flag_number, flag_path};
 use df_service::{serve, Service, ServiceConfig};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -44,47 +44,31 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-fn parse_args() -> Args {
+fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         socket: PathBuf::from("df-service.sock"),
         event_log: None,
         cfg: ServiceConfig::default(),
     };
     let mut it = std::env::args().skip(1);
-    let number = |it: &mut dyn Iterator<Item = String>, flag: &str| -> usize {
-        it.next()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| die(&format!("{flag} needs a number")))
-    };
     while let Some(flag) = it.next() {
         match flag.as_str() {
-            "--socket" => {
-                args.socket =
-                    PathBuf::from(it.next().unwrap_or_else(|| die("--socket needs a path")));
-            }
-            "--event-log" => {
-                args.event_log =
-                    Some(PathBuf::from(it.next().unwrap_or_else(|| die("--event-log needs a path"))));
-            }
-            "--state-dir" => {
-                args.cfg.state_dir =
-                    Some(PathBuf::from(it.next().unwrap_or_else(|| die("--state-dir needs a path"))));
-            }
-            "--workers" => args.cfg.workers = number(&mut it, "--workers").max(1),
-            "--queue-depth" => args.cfg.queue_depth = number(&mut it, "--queue-depth"),
-            "--cache-capacity" => args.cfg.cache_capacity = number(&mut it, "--cache-capacity"),
-            "--max-retries" => args.cfg.max_retries = number(&mut it, "--max-retries") as u32,
-            "--progress-cycles" => {
-                args.cfg.progress_cycles = number(&mut it, "--progress-cycles") as u64
-            }
-            other => die(&format!("unknown flag {other}")),
+            "--socket" => args.socket = flag_path(&mut it, &flag)?,
+            "--event-log" => args.event_log = Some(flag_path(&mut it, &flag)?),
+            "--state-dir" => args.cfg.state_dir = Some(flag_path(&mut it, &flag)?),
+            "--workers" => args.cfg.workers = flag_number::<usize>(&mut it, &flag)?.max(1),
+            "--queue-depth" => args.cfg.queue_depth = flag_number(&mut it, &flag)?,
+            "--cache-capacity" => args.cfg.cache_capacity = flag_number(&mut it, &flag)?,
+            "--max-retries" => args.cfg.max_retries = flag_number(&mut it, &flag)?,
+            "--progress-cycles" => args.cfg.progress_cycles = flag_number(&mut it, &flag)?,
+            other => return Err(format!("unknown flag {other}")),
         }
     }
-    args
+    Ok(args)
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args().unwrap_or_else(|e| die(&e));
     eprintln!(
         "df-serve: listening on {} ({} workers, queue depth {}, cache {} entries, \
          {} retries)",

@@ -40,10 +40,9 @@
 //! | 6 | `failed` (retries exhausted) or `rejected` (bad spec) |
 //! | 1 | I/O failure (connect, read, write) |
 
-use df_bench::{fail, seed_list};
+use df_bench::{default_seeds, fail, flag_number, flag_path, flag_seeds, flag_value};
 use df_service::{FaultSpec, JobEvent, Request, SubmitOptions};
 use df_workload::{ScenarioSpec, SweepSpec};
-use dragonfly_core::DEFAULT_SEEDS;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
@@ -79,7 +78,7 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-fn parse_args() -> Args {
+fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         socket: PathBuf::from("df-service.sock"),
         action: Action::Submit { spec_file: String::new(), sweep: false },
@@ -97,72 +96,47 @@ fn parse_args() -> Args {
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         match flag.as_str() {
-            "--socket" => {
-                args.socket =
-                    PathBuf::from(it.next().unwrap_or_else(|| die("--socket needs a path")));
-            }
+            "--socket" => args.socket = flag_path(&mut it, &flag)?,
             "--sweep" => sweep = true,
             "--quick" => args.quick = true,
-            "--seeds" => {
-                let n = it.next().and_then(|v| v.parse().ok()).unwrap_or(0);
-                args.seeds = Some(seed_list(n).unwrap_or_else(|e| die(&e)));
-            }
-            "--deadline-ms" => {
-                args.deadline_ms = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| die("--deadline-ms needs a number")),
-                );
-            }
+            "--seeds" => args.seeds = Some(flag_seeds(&mut it)?),
+            "--deadline-ms" => args.deadline_ms = Some(flag_number(&mut it, &flag)?),
             "--fault" => {
-                let json = it.next().unwrap_or_else(|| die("--fault needs a JSON object"));
+                let json = flag_value(&mut it, &flag, "a JSON object")?;
                 args.fault = Some(
-                    serde_json::from_str(&json)
-                        .unwrap_or_else(|e| die(&format!("bad --fault JSON: {e}"))),
+                    serde_json::from_str(&json).map_err(|e| format!("bad --fault JSON: {e}"))?,
                 );
             }
-            "--out" => {
-                args.out =
-                    Some(PathBuf::from(it.next().unwrap_or_else(|| die("--out needs a path"))));
-            }
-            "--rows" => {
-                args.rows =
-                    Some(PathBuf::from(it.next().unwrap_or_else(|| die("--rows needs a path"))));
-            }
+            "--out" => args.out = Some(flag_path(&mut it, &flag)?),
+            "--rows" => args.rows = Some(flag_path(&mut it, &flag)?),
             "--no-wait" => args.no_wait = true,
             "--ping" => control = Some(Action::Ping),
             "--shutdown" => control = Some(Action::Shutdown),
-            "--cancel" => {
-                let job = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--cancel needs a job id"));
-                control = Some(Action::Cancel(job));
-            }
+            "--cancel" => control = Some(Action::Cancel(flag_number(&mut it, &flag)?)),
             other if !other.starts_with('-') && spec_file.is_empty() => {
                 spec_file = other.to_string();
             }
-            other => die(&format!("unknown flag {other}")),
+            other => return Err(format!("unknown flag {other}")),
         }
     }
     args.action = match control {
         Some(action) => {
             if !spec_file.is_empty() {
-                die("control requests take no spec file");
+                return Err("control requests take no spec file".into());
             }
             action
         }
         None => {
             if spec_file.is_empty() {
-                die("missing spec file");
+                return Err("missing spec file".into());
             }
             Action::Submit { spec_file, sweep }
         }
     };
     if args.quick && args.seeds.is_none() {
-        args.seeds = Some(vec![DEFAULT_SEEDS[0]]);
+        args.seeds = Some(default_seeds(true));
     }
-    args
+    Ok(args)
 }
 
 /// Build the submit request, applying `--quick`'s cycle trim (the same
@@ -226,7 +200,7 @@ fn deliver(result: &str, out: &Option<PathBuf>) {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args().unwrap_or_else(|e| die(&e));
     let request = match &args.action {
         Action::Submit { spec_file, sweep } => submit_request(spec_file, *sweep, &args),
         Action::Ping => Request::Ping,

@@ -26,7 +26,10 @@
 //! the human-readable tables), so downstream tooling can consume the run
 //! without extra flags.
 
-use df_bench::{create_timeline_file, fail, seed_list, timeline_sink, write_json};
+use df_bench::{
+    create_timeline_file, default_seeds, fail, flag_path, flag_positive, flag_seeds, flag_value,
+    timeline_sink, write_json,
+};
 use dragonfly_core::prelude::*;
 use std::path::PathBuf;
 
@@ -49,7 +52,7 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-fn parse_args() -> Args {
+fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         scenario: String::new(),
         seeds: Vec::new(),
@@ -63,52 +66,30 @@ fn parse_args() -> Args {
     while let Some(flag) = it.next() {
         match flag.as_str() {
             "--quick" => args.quick = true,
-            "--seeds" => {
-                let n = it.next().and_then(|v| v.parse().ok()).unwrap_or(0);
-                args.seeds = seed_list(n).unwrap_or_else(|e| die(&e));
-            }
-            "--out" => {
-                args.out = Some(PathBuf::from(
-                    it.next().unwrap_or_else(|| die("--out needs a path")),
-                ));
-            }
-            "--record-trace" => {
-                args.record_trace =
-                    Some(it.next().unwrap_or_else(|| die("--record-trace needs a path")));
-            }
-            "--timeline" => {
-                args.timeline = Some(PathBuf::from(
-                    it.next().unwrap_or_else(|| die("--timeline needs a path")),
-                ));
-            }
-            "--shards" => {
-                args.shards = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n| n > 0)
-                        .unwrap_or_else(|| die("--shards needs a positive number")),
-                );
-            }
+            "--seeds" => args.seeds = flag_seeds(&mut it)?,
+            "--out" => args.out = Some(flag_path(&mut it, &flag)?),
+            "--record-trace" => args.record_trace = Some(flag_value(&mut it, &flag, "a path")?),
+            "--timeline" => args.timeline = Some(flag_path(&mut it, &flag)?),
+            "--shards" => args.shards = Some(flag_positive(&mut it, &flag)?),
             other if !other.starts_with('-') && args.scenario.is_empty() => {
                 args.scenario = other.to_string();
             }
-            other => die(&format!("unknown flag {other}")),
+            other => return Err(format!("unknown flag {other}")),
         }
     }
     if args.scenario.is_empty() {
-        die("missing scenario file");
+        return Err("missing scenario file".into());
     }
     // Seed defaulting is order-independent: --quick only trims the seed
     // set when --seeds was not given explicitly.
     if args.seeds.is_empty() {
-        args.seeds =
-            if args.quick { vec![DEFAULT_SEEDS[0]] } else { DEFAULT_SEEDS.to_vec() };
+        args.seeds = default_seeds(args.quick);
     }
-    args
+    Ok(args)
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args().unwrap_or_else(|e| die(&e));
     let mut spec = ScenarioSpec::load(&args.scenario).unwrap_or_else(|e| die(&e));
     if args.quick {
         spec.warmup_cycles = spec.warmup_cycles.min(2_000);

@@ -26,7 +26,10 @@
 //! across threads (CI runs the bundled grid twice and compares md5s).
 //! A compact per-cell summary grid is printed to stdout.
 
-use df_bench::{create_timeline_file, fail, seed_list, timeline_sink, write_json};
+use df_bench::{
+    create_timeline_file, default_seeds, fail, flag_path, flag_positive, flag_seeds, timeline_sink,
+    write_json,
+};
 use dragonfly_core::prelude::*;
 use std::path::PathBuf;
 
@@ -49,7 +52,7 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-fn parse_args() -> Args {
+fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         sweep: String::new(),
         seeds: Vec::new(),
@@ -63,48 +66,28 @@ fn parse_args() -> Args {
     while let Some(flag) = it.next() {
         match flag.as_str() {
             "--quick" => args.quick = true,
-            "--seeds" => {
-                let n = it.next().and_then(|v| v.parse().ok()).unwrap_or(0);
-                args.seeds = seed_list(n).unwrap_or_else(|e| die(&e));
-            }
-            "--out" => {
-                args.out =
-                    Some(PathBuf::from(it.next().unwrap_or_else(|| die("--out needs a path"))));
-            }
-            "--csv" => {
-                args.csv =
-                    Some(PathBuf::from(it.next().unwrap_or_else(|| die("--csv needs a path"))));
-            }
-            "--timeline" => {
-                args.timeline = Some(PathBuf::from(
-                    it.next().unwrap_or_else(|| die("--timeline needs a path")),
-                ));
-            }
-            "--shards" => {
-                args.shards = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n| n > 0)
-                        .unwrap_or_else(|| die("--shards needs a positive number")),
-                );
-            }
+            "--seeds" => args.seeds = flag_seeds(&mut it)?,
+            "--out" => args.out = Some(flag_path(&mut it, &flag)?),
+            "--csv" => args.csv = Some(flag_path(&mut it, &flag)?),
+            "--timeline" => args.timeline = Some(flag_path(&mut it, &flag)?),
+            "--shards" => args.shards = Some(flag_positive(&mut it, &flag)?),
             other if !other.starts_with('-') && args.sweep.is_empty() => {
                 args.sweep = other.to_string();
             }
-            other => die(&format!("unknown flag {other}")),
+            other => return Err(format!("unknown flag {other}")),
         }
     }
     if args.sweep.is_empty() {
-        die("missing sweep file");
+        return Err("missing sweep file".into());
     }
     if args.seeds.is_empty() {
-        args.seeds = if args.quick { vec![DEFAULT_SEEDS[0]] } else { DEFAULT_SEEDS.to_vec() };
+        args.seeds = default_seeds(args.quick);
     }
-    args
+    Ok(args)
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args().unwrap_or_else(|e| die(&e));
     let mut spec = SweepSpec::load(&args.sweep).unwrap_or_else(|e| die(&e));
     if args.quick {
         spec.base.warmup_cycles = spec.base.warmup_cycles.min(1_000);

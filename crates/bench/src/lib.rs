@@ -1,141 +1,72 @@
-//! Shared harness code for the figure/table regeneration binaries.
+//! Shared harness code for the `df-bench` binaries: `figure` (every
+//! paper artifact — Figures 2–6, Tables II/III and the two ablations —
+//! from one table of definitions over `dragonfly_core::run_grid`),
+//! `scenario`, `sweep`, `dbg_bottleneck`, `df-serve` and `df-submit`.
 //!
-//! Every binary accepts the same core flags:
-//!
-//! * `--paper-scale` — run the full 5,256-node network of Table I
-//!   (slow; default is the reduced h=3, 342-node network whose bottleneck
-//!   structure is identical),
-//! * `--priority transit|none|age` — output-arbiter policy,
-//! * `--pattern un|adv1|advc` — traffic pattern (where applicable),
-//! * `--quick` — single seed, coarser load grid (smoke runs),
-//! * `--seeds N` — number of averaged seeds (default 3, as in the paper),
-//! * `--out PATH` — also dump the raw results as JSON.
+//! What they share lives here: the flag-value readers every argument
+//! loop goes through (a missing or malformed value is an `Err` the bin
+//! reports through its own usage text, exit 2), the `--seeds N` /
+//! `--quick` seed lists, the `--timeline` JSONL writer and the `--out`
+//! JSON writer.
 
 use dragonfly_core::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::io::Write;
 use std::path::PathBuf;
+use std::str::FromStr;
 
-/// Parsed common flags.
-#[derive(Debug, Clone)]
-pub struct CommonArgs {
-    /// Full-scale (h=6) network instead of the reduced default.
-    pub paper_scale: bool,
-    /// Arbiter policy selected via `--priority`.
-    pub arbiter: ArbiterPolicy,
-    /// Pattern selected via `--pattern` (default ADVc).
-    pub pattern: PatternSpec,
-    /// Single-seed, coarse-grid smoke mode.
-    pub quick: bool,
-    /// Seeds to average.
-    pub seeds: Vec<u64>,
-    /// Optional JSON output path.
-    pub out: Option<PathBuf>,
+/// The argument after `flag`, or the usage error "`flag` needs `what`".
+pub fn flag_value(
+    it: &mut impl Iterator<Item = String>,
+    flag: &str,
+    what: &str,
+) -> Result<String, String> {
+    it.next().ok_or_else(|| format!("{flag} needs {what}"))
 }
 
-impl Default for CommonArgs {
-    fn default() -> Self {
-        Self {
-            paper_scale: false,
-            arbiter: ArbiterPolicy::TransitPriority,
-            pattern: PatternSpec::AdvConsecutive { spread: None },
-            quick: false,
-            seeds: DEFAULT_SEEDS.to_vec(),
-            out: None,
-        }
-    }
+/// The path after `flag`.
+pub fn flag_path(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<PathBuf, String> {
+    flag_value(it, flag, "a path").map(PathBuf::from)
 }
 
-impl CommonArgs {
-    /// Parse `std::env::args`, exiting with a message on unknown flags.
-    pub fn parse() -> Self {
-        let mut args = Self::default();
-        let mut it = std::env::args().skip(1);
-        while let Some(flag) = it.next() {
-            match flag.as_str() {
-                "--paper-scale" => args.paper_scale = true,
-                "--quick" => {
-                    args.quick = true;
-                    args.seeds = vec![DEFAULT_SEEDS[0]];
-                }
-                "--priority" => {
-                    let v = it.next().unwrap_or_default();
-                    args.arbiter = match v.as_str() {
-                        "transit" => ArbiterPolicy::TransitPriority,
-                        "none" => ArbiterPolicy::RoundRobin,
-                        "age" => ArbiterPolicy::AgeBased,
-                        other => die(&format!("unknown --priority {other}")),
-                    };
-                }
-                "--pattern" => {
-                    let v = it.next().unwrap_or_default();
-                    args.pattern = match v.as_str() {
-                        "un" => PatternSpec::Uniform,
-                        "adv1" => PatternSpec::Adversarial { offset: 1 },
-                        "advc" => PatternSpec::AdvConsecutive { spread: None },
-                        other => die(&format!("unknown --pattern {other}")),
-                    };
-                }
-                "--seeds" => {
-                    let n = it.next().and_then(|v| v.parse().ok()).unwrap_or(0);
-                    args.seeds = seed_list(n).unwrap_or_else(|e| die(&e));
-                }
-                "--out" => {
-                    args.out = Some(PathBuf::from(
-                        it.next().unwrap_or_else(|| die("--out needs a path")),
-                    ));
-                }
-                other => die(&format!("unknown flag {other}")),
-            }
-        }
-        args
-    }
-
-    /// Base configuration for this harness.
-    pub fn base_config(&self, mechanism: MechanismSpec, load: f64) -> SimConfig {
-        if self.paper_scale {
-            SimConfig::paper(mechanism, self.arbiter, self.pattern.clone(), load)
-        } else {
-            SimConfig::small(mechanism, self.arbiter, self.pattern.clone(), load)
-        }
-    }
-
-    /// Load grid: the standard 20-point grid, or 6 points in quick mode.
-    pub fn load_grid(&self) -> Vec<f64> {
-        if self.quick {
-            vec![0.1, 0.2, 0.3, 0.4, 0.6, 0.8]
-        } else {
-            standard_load_grid()
-        }
-    }
-
-    /// Human-readable description of the arbiter for headers.
-    pub fn priority_label(&self) -> &'static str {
-        match self.arbiter {
-            ArbiterPolicy::TransitPriority => "transit-over-injection priority",
-            ArbiterPolicy::RoundRobin => "no transit priority (round-robin)",
-            ArbiterPolicy::AgeBased => "age-based arbitration",
-        }
-    }
+/// The number after `flag`.
+pub fn flag_number<T: FromStr>(
+    it: &mut impl Iterator<Item = String>,
+    flag: &str,
+) -> Result<T, String> {
+    flag_value(it, flag, "a number")?.parse().map_err(|_| format!("{flag} needs a number"))
 }
 
-fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    eprintln!(
-        "usage: <figure-bin> [--paper-scale] [--priority transit|none|age] \
-         [--pattern un|adv1|advc] [--quick] [--seeds N] [--out PATH]"
-    );
-    std::process::exit(2);
+/// The number after `flag`, which must be at least 1 (`--shards`).
+pub fn flag_positive<T: FromStr + PartialOrd + Default>(
+    it: &mut impl Iterator<Item = String>,
+    flag: &str,
+) -> Result<T, String> {
+    flag_number(it, flag)
+        .ok()
+        .filter(|n| *n > T::default())
+        .ok_or_else(|| format!("{flag} needs a positive number"))
 }
 
-/// The seed list behind every binary's `--seeds N`: `N` seeds starting
-/// at the paper protocol's first seed, 31 apart. `N = 0` is a usage
-/// error — the runners average over the list and need at least one.
-pub fn seed_list(n: u64) -> Result<Vec<u64>, String> {
-    if n == 0 {
-        return Err("--seeds needs a positive number".into());
-    }
-    Ok((0..n).map(|i| DEFAULT_SEEDS[0] + i * 31).collect())
+/// `n` seeds: the paper protocol's ([`DEFAULT_SEEDS`]) first, then 31
+/// apart from the last of them — so `--seeds 3` is the default protocol.
+fn seed_list(n: u64) -> Vec<u64> {
+    let beyond = (1..).map(|k| DEFAULT_SEEDS[2] + 31 * k);
+    DEFAULT_SEEDS.iter().copied().chain(beyond).take(n as usize).collect()
+}
+
+/// The seed list after `--seeds N`: the first `N` of 11, 23, 47 (the
+/// paper protocol, [`DEFAULT_SEEDS`]), 78, 109, … `N` must be positive —
+/// the runners average over the list and need at least one seed.
+pub fn flag_seeds(it: &mut impl Iterator<Item = String>) -> Result<Vec<u64>, String> {
+    flag_positive(it, "--seeds").map(seed_list)
+}
+
+/// The seeds of a run that gave no `--seeds`: the protocol's three, or
+/// its first alone under `--quick`. Bins resolve this after their
+/// argument loop, so `--seeds N --quick` keeps `N` in either order.
+pub fn default_seeds(quick: bool) -> Vec<u64> {
+    seed_list(if quick { 1 } else { DEFAULT_SEEDS.len() as u64 })
 }
 
 /// Print a one-line error and exit 1. For runtime failures (I/O,
@@ -209,70 +140,39 @@ pub fn write_json<T: Serialize>(path: &PathBuf, value: &T) -> Result<(), String>
     Ok(())
 }
 
-/// Print a latency/throughput sweep as two aligned text tables, mirroring
-/// the paper's paired plots.
-pub fn print_sweep(mechanism_labels: &[&str], sweeps: &[Vec<AveragedResult>]) {
-    assert_eq!(mechanism_labels.len(), sweeps.len());
-    println!("\n== Average packet latency (cycles) vs offered load ==");
-    print!("{:>6}", "load");
-    for m in mechanism_labels {
-        print!("{m:>13}");
-    }
-    println!();
-    let points = sweeps[0].len();
-    for i in 0..points {
-        print!("{:>6.2}", sweeps[0][i].load);
-        for s in sweeps {
-            print!("{:>13.1}", s[i].avg_latency);
-        }
-        println!();
-    }
-    println!("\n== Accepted load (phits/node/cycle) vs offered load ==");
-    print!("{:>6}", "load");
-    for m in mechanism_labels {
-        print!("{m:>13}");
-    }
-    println!();
-    for i in 0..points {
-        print!("{:>6.2}", sweeps[0][i].load);
-        for s in sweeps {
-            print!("{:>13.4}", s[i].throughput);
-        }
-        println!();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn default_args_mirror_paper_protocol() {
-        let a = CommonArgs::default();
-        assert_eq!(a.seeds.len(), 3);
-        assert_eq!(a.arbiter, ArbiterPolicy::TransitPriority);
-        assert!(matches!(a.pattern, PatternSpec::AdvConsecutive { spread: None }));
+    fn args(list: &[&str]) -> impl Iterator<Item = String> {
+        list.iter().map(|s| s.to_string()).collect::<Vec<_>>().into_iter()
     }
 
     #[test]
-    fn base_config_scales() {
-        let mut a = CommonArgs::default();
-        let small = a.base_config(MechanismSpec::Min, 0.4);
-        assert_eq!(small.params.nodes(), 342);
-        a.paper_scale = true;
-        let full = a.base_config(MechanismSpec::Min, 0.4);
-        assert_eq!(full.params.nodes(), 5256);
+    fn seed_list_is_the_protocol_then_31_apart() {
+        assert!(seed_list(0).is_empty());
+        assert_eq!(seed_list(1), [11]);
+        assert_eq!(seed_list(3), DEFAULT_SEEDS);
+        assert_eq!(seed_list(5), [11, 23, 47, 78, 109]);
+        assert_eq!(default_seeds(true), [11]);
+        assert_eq!(default_seeds(false), DEFAULT_SEEDS);
     }
 
     #[test]
-    fn seed_list_rejects_zero_and_spaces_seeds_by_31() {
-        assert!(seed_list(0).is_err());
-        assert_eq!(seed_list(3).unwrap(), [11, 42, 73]);
-    }
-
-    #[test]
-    fn quick_grid_is_subset() {
-        let a = CommonArgs { quick: true, ..CommonArgs::default() };
-        assert!(a.load_grid().len() < standard_load_grid().len());
+    fn flag_readers_take_the_next_argument_or_name_the_flag() {
+        assert_eq!(flag_path(&mut args(&["a/b.json"]), "--out"), Ok(PathBuf::from("a/b.json")));
+        assert_eq!(flag_path(&mut args(&[]), "--out"), Err("--out needs a path".into()));
+        assert_eq!(flag_number::<u64>(&mut args(&["0"]), "--queue-depth"), Ok(0));
+        assert_eq!(
+            flag_number::<u64>(&mut args(&["x"]), "--workers"),
+            Err("--workers needs a number".into())
+        );
+        assert_eq!(flag_positive::<u32>(&mut args(&["2"]), "--shards"), Ok(2));
+        for bad in [&["0"][..], &["-1"], &["two"], &[]] {
+            assert_eq!(
+                flag_positive::<u32>(&mut args(bad), "--shards"),
+                Err("--shards needs a positive number".into())
+            );
+        }
     }
 }

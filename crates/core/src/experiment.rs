@@ -1,5 +1,5 @@
-//! Multi-seed averaging and parallel load sweeps — the building blocks of
-//! every figure and table harness.
+//! Multi-seed averaging over a grid of configurations — the one runner
+//! behind every figure and table of the `figure` bin.
 
 use crate::config::SimConfig;
 use crate::sim::{run_single, RunResult};
@@ -79,38 +79,20 @@ impl AveragedResult {
     }
 }
 
-/// Run `cfg` under each seed (in parallel) and average.
-pub fn run_averaged(cfg: &SimConfig, seeds: &[u64]) -> AveragedResult {
+/// Run every cell under every seed and average per cell: one flat,
+/// order-preserving cell × seed fan-out (so at most
+/// `available_parallelism` simulators are live at once, whatever the
+/// grid's shape); `result[i]` averages `cells[i]` over `seeds`.
+///
+/// # Panics
+/// Panics on an empty seed list.
+pub fn run_grid(cells: &[SimConfig], seeds: &[u64]) -> Vec<AveragedResult> {
+    assert!(!seeds.is_empty(), "cannot average zero runs");
+    let units: Vec<(&SimConfig, u64)> =
+        cells.iter().flat_map(|cfg| seeds.iter().map(move |&s| (cfg, s))).collect();
     let runs: Vec<RunResult> =
-        seeds.par_iter().map(|&s| run_single(&cfg.with_seed(s))).collect();
-    AveragedResult::from_runs(&runs)
-}
-
-/// Sweep offered loads (each load × seed simulated in parallel).
-pub fn sweep_loads(base: &SimConfig, loads: &[f64], seeds: &[u64]) -> Vec<AveragedResult> {
-    let cells: Vec<(usize, u64)> = loads
-        .iter()
-        .enumerate()
-        .flat_map(|(i, _)| seeds.iter().map(move |&s| (i, s)))
-        .collect();
-    let runs: Vec<(usize, RunResult)> = cells
-        .par_iter()
-        .map(|&(i, s)| (i, run_single(&base.with_load(loads[i]).with_seed(s))))
-        .collect();
-    loads
-        .iter()
-        .enumerate()
-        .map(|(i, _)| {
-            let cell: Vec<RunResult> =
-                runs.iter().filter(|(j, _)| *j == i).map(|(_, r)| r.clone()).collect();
-            AveragedResult::from_runs(&cell)
-        })
-        .collect()
-}
-
-/// The standard load grid used by the figure harnesses (0.05 … 1.0).
-pub fn standard_load_grid() -> Vec<f64> {
-    (1..=20).map(|i| i as f64 * 0.05).collect()
+        units.par_iter().map(|&(cfg, s)| run_single(&cfg.with_seed(s))).collect();
+    runs.chunks(seeds.len()).map(AveragedResult::from_runs).collect()
 }
 
 #[cfg(test)]
@@ -144,7 +126,7 @@ mod tests {
 
     #[test]
     fn averaged_result_over_three_seeds() {
-        let avg = run_averaged(&tiny(), &[1, 2, 3]);
+        let avg = &run_grid(&[tiny()], &[1, 2, 3])[0];
         assert_eq!(avg.runs, 3);
         assert!(avg.throughput > 0.1);
         // Averaged counts can be fractional, like the paper's Table II.
@@ -152,20 +134,43 @@ mod tests {
     }
 
     #[test]
-    fn sweep_produces_point_per_load() {
-        let loads = [0.1, 0.2];
-        let pts = sweep_loads(&tiny(), &loads, &[1, 2]);
+    fn grid_produces_point_per_cell_in_order() {
+        let pts = run_grid(&[tiny().with_load(0.1), tiny().with_load(0.2)], &[1, 2]);
         assert_eq!(pts.len(), 2);
         assert_eq!(pts[0].load, 0.1);
         assert_eq!(pts[1].load, 0.2);
         assert!(pts[1].throughput > pts[0].throughput);
     }
 
+    /// The grid is exactly `from_runs` over per-cell `run_single` calls,
+    /// cell order preserved — cells differing in mechanism and load.
     #[test]
-    fn standard_grid_spans_unit_interval() {
-        let g = standard_load_grid();
-        assert_eq!(g.len(), 20);
-        assert!((g[0] - 0.05).abs() < 1e-12);
-        assert!((g[19] - 1.0).abs() < 1e-12);
+    fn grid_equals_per_cell_run_single() {
+        let mut short = tiny();
+        short.warmup_cycles = 300;
+        short.measure_cycles = 600;
+        let mut mm = short.with_load(0.3);
+        mm.mechanism = MechanismSpec::InTransitMm;
+        let cells = [short.with_load(0.1), mm, short.clone()];
+        let seeds = [5, 9];
+        let grid = run_grid(&cells, &seeds);
+        assert_eq!(grid.len(), cells.len());
+        for (cfg, got) in cells.iter().zip(&grid) {
+            let runs: Vec<RunResult> =
+                seeds.iter().map(|&s| run_single(&cfg.with_seed(s))).collect();
+            let want = AveragedResult::from_runs(&runs);
+            assert_eq!(
+                serde_json::to_string(got).unwrap(),
+                serde_json::to_string(&want).unwrap()
+            );
+        }
+        assert_eq!(grid[1].mechanism, "In-Trns-MM");
+        assert!(run_grid(&[], &seeds).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot average zero runs")]
+    fn empty_seed_list_is_rejected() {
+        run_grid(&[tiny()], &[]);
     }
 }

@@ -49,9 +49,7 @@ mod timeline;
 pub use config::SimConfig;
 pub use ctl::{CancelToken, RunCtl};
 pub use error::ScenarioError;
-pub use experiment::{
-    run_averaged, standard_load_grid, sweep_loads, AveragedResult, DEFAULT_SEEDS,
-};
+pub use experiment::{run_grid, AveragedResult, DEFAULT_SEEDS};
 pub use scenario::{
     run_cell, run_scenario, run_scenario_ctl, CellOptions, JobSummary, MechanismScenarioResult,
     MechanismSummary, ScenarioResult, ScenarioSummary,
@@ -79,11 +77,11 @@ pub use df_workload;
 /// Everything needed for typical experiment scripts.
 pub mod prelude {
     pub use crate::{
-        run_averaged, run_cell, run_scenario, run_scenario_ctl, run_single, run_sweep,
-        run_sweep_hooked, standard_load_grid, sweep_loads, AveragedResult, CancelToken,
-        CellOptions, JobResult, JobSchedule, JobWindow, MeasurementSink, RunCtl, RunResult,
-        ScenarioError, ScenarioResult, SimConfig, Simulator, SweepHooks, SweepRow, SweepTable,
-        TimelineSink, WindowRow, DEFAULT_SEEDS, ENGINE_VERSION,
+        run_cell, run_grid, run_scenario, run_scenario_ctl, run_single, run_sweep,
+        run_sweep_hooked, AveragedResult, CancelToken, CellOptions, JobResult, JobSchedule,
+        JobWindow, MeasurementSink, RunCtl, RunResult, ScenarioError, ScenarioResult, SimConfig,
+        Simulator, SweepHooks, SweepRow, SweepTable, TimelineSink, WindowRow, DEFAULT_SEEDS,
+        ENGINE_VERSION,
     };
     pub use df_engine::{ArbiterPolicy, EngineConfig, TelemetrySpec};
     pub use df_routing::MechanismSpec;

@@ -37,18 +37,6 @@ impl JobAccumulator {
             delivered_phits: 0,
         }
     }
-
-    /// Merge another accumulator covering a disjoint slice of the same
-    /// job's deliveries (partitioned or sharded aggregation). Histograms
-    /// merge bucket-wise — the derived quantiles are overflow-clamped and
-    /// therefore not themselves mergeable — so the result equals
-    /// accumulating the union stream directly.
-    pub fn merge(&mut self, other: &Self) {
-        self.latency.merge(&other.latency);
-        self.histogram.merge(&other.histogram);
-        self.delivered_packets += other.delivered_packets;
-        self.delivered_phits += other.delivered_phits;
-    }
 }
 
 /// Aggregating sink. Inactive during warm-up; activated at the start of
@@ -83,29 +71,6 @@ impl MeasurementSink {
             node_job: Vec::new(),
             node_history: Vec::new(),
             jobs: Vec::new(),
-        }
-    }
-
-    /// Inactive sink attributing each node to a job via `node_job`
-    /// (use [`MeasurementSink::NO_JOB`] — `u32::MAX` — for unowned nodes).
-    /// Ownership is static: every owned node is owned from cycle 0.
-    ///
-    /// # Panics
-    /// Panics if an entry names a job `>= n_jobs`.
-    pub fn with_jobs(node_job: Vec<u32>, n_jobs: usize) -> Self {
-        assert!(
-            node_job.iter().all(|&j| j == NO_JOB || (j as usize) < n_jobs),
-            "node_job entry out of range"
-        );
-        let node_history = node_job
-            .iter()
-            .map(|&j| if j == NO_JOB { Vec::new() } else { vec![(0, j)] })
-            .collect();
-        Self {
-            node_job,
-            node_history,
-            jobs: (0..n_jobs).map(|_| JobAccumulator::new()).collect(),
-            ..Self::new()
         }
     }
 
@@ -152,9 +117,6 @@ impl MeasurementSink {
         self.node_history[node].push((cycle, NO_JOB));
     }
 
-    /// The sentinel marking a node that belongs to no job.
-    pub const NO_JOB: u32 = NO_JOB;
-
     /// Clear accumulators and start measuring.
     pub fn start_measurement(&mut self) {
         self.latency = LatencyAccumulator::new();
@@ -165,7 +127,7 @@ impl MeasurementSink {
         self.active = true;
     }
 
-    /// Per-job accumulators (one per job passed to `with_jobs`).
+    /// Per-job accumulators (`n_jobs` of [`MeasurementSink::with_job_count`]).
     pub fn jobs(&self) -> &[JobAccumulator] {
         &self.jobs
     }
@@ -248,6 +210,18 @@ mod tests {
         }
     }
 
+    /// Sink over `owners.len()` nodes, node `i` owned by `owners[i]`
+    /// from cycle 0 (`None` = unowned).
+    fn sink_owning(owners: &[Option<u32>], n_jobs: usize) -> MeasurementSink {
+        let mut s = MeasurementSink::with_job_count(owners.len(), n_jobs);
+        for (node, owner) in owners.iter().enumerate() {
+            if let Some(job) = *owner {
+                s.claim_node(node, job, 0);
+            }
+        }
+        s
+    }
+
     #[test]
     fn inactive_sink_ignores_records() {
         let mut s = MeasurementSink::new();
@@ -278,7 +252,7 @@ mod tests {
 
     #[test]
     fn job_histogram_yields_percentiles() {
-        let mut s = MeasurementSink::with_jobs(vec![0], 1);
+        let mut s = sink_owning(&[Some(0)], 1);
         s.start_measurement();
         for i in 0..100u64 {
             s.on_delivered(&rec_from(0, (100 + i * 10, 0, 0, 0, 0)));
@@ -293,7 +267,7 @@ mod tests {
     #[test]
     fn job_attribution_splits_records_by_source() {
         // Nodes 0,1 → job 0; node 2 → job 1; node 3 unowned.
-        let mut s = MeasurementSink::with_jobs(vec![0, 0, 1, MeasurementSink::NO_JOB], 2);
+        let mut s = sink_owning(&[Some(0), Some(0), Some(1), None], 2);
         s.start_measurement();
         s.on_delivered(&rec_from(0, (100, 0, 0, 0, 0)));
         s.on_delivered(&rec_from(1, (200, 0, 0, 0, 0)));
@@ -309,7 +283,7 @@ mod tests {
 
     #[test]
     fn job_reset_with_measurement() {
-        let mut s = MeasurementSink::with_jobs(vec![0], 1);
+        let mut s = sink_owning(&[Some(0)], 1);
         s.start_measurement();
         s.on_delivered(&rec_from(0, (100, 0, 0, 0, 0)));
         s.start_measurement();
@@ -319,50 +293,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn bad_job_map_rejected() {
-        MeasurementSink::with_jobs(vec![5], 2);
-    }
-
-    /// Sharded-merge regression: merging two accumulators fed disjoint
-    /// halves of a delivery stream must equal one accumulator fed the
-    /// whole stream — specifically for the overflow-clamped quantiles,
-    /// where merging per-half *summaries* instead of buckets would give
-    /// a different (wrong) answer.
-    #[test]
-    fn merging_accumulators_equals_accumulating_the_union_stream() {
-        let mut a = MeasurementSink::with_jobs(vec![0], 1);
-        let mut b = MeasurementSink::with_jobs(vec![0], 1);
-        let mut whole = MeasurementSink::with_jobs(vec![0], 1);
-        a.start_measurement();
-        b.start_measurement();
-        whole.start_measurement();
-        // Half a: moderate latencies. Half b: a heavy tail beyond the
-        // 10,000-cycle histogram range (overflow bucket).
-        for i in 0..60u64 {
-            let r = rec_from(0, (100 + i * 10, 0, 0, 0, 0));
-            a.on_delivered(&r);
-            whole.on_delivered(&r);
-        }
-        for i in 0..40u64 {
-            let r = rec_from(0, (20_000 + i * 100, 0, 0, 0, 0));
-            b.on_delivered(&r);
-            whole.on_delivered(&r);
-        }
-        let mut merged = a.jobs()[0].clone();
-        merged.merge(&b.jobs()[0]);
-        let direct = &whole.jobs()[0];
-        assert_eq!(merged.delivered_packets, direct.delivered_packets);
-        assert_eq!(merged.delivered_phits, direct.delivered_phits);
-        assert_eq!(merged.latency.count(), direct.latency.count());
-        assert!((merged.latency.mean_latency() - direct.latency.mean_latency()).abs() < 1e-9);
-        for q in [0.5, 0.95, 0.99] {
-            assert_eq!(merged.histogram.quantile(q), direct.histogram.quantile(q), "q={q}");
-        }
-        // The half-b summary alone is clamped to the range cap — proof
-        // that summaries are not mergeable where buckets are.
-        assert_eq!(b.jobs()[0].histogram.quantile(0.5), Some(10_000));
-        assert_ne!(
-            b.jobs()[0].histogram.quantile(0.5),
-            direct.histogram.quantile(0.5)
-        );
+        sink_owning(&[Some(5)], 2);
     }
 }

@@ -41,15 +41,6 @@ impl Histogram {
         self.overflow
     }
 
-    /// `(bucket_start, count)` pairs for non-empty buckets.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(move |(i, &c)| (i as u64 * self.bin_width, c))
-    }
-
     /// The smallest value `v` such that at least `q` (0..=1) of samples
     /// are `<= v` (bucket upper bound). `None` only when the histogram is
     /// empty; a quantile falling in the overflow bucket clamps to the
@@ -73,26 +64,6 @@ impl Histogram {
         // In overflow: clamp to the range cap.
         Some(self.counts.len() as u64 * self.bin_width)
     }
-
-    /// Merge another histogram of identical shape, bucket by bucket.
-    ///
-    /// This is the only sound way to combine partial histograms:
-    /// quantiles are *not* mergeable summaries — in particular the
-    /// overflow bucket clamps them to the range cap, so combining two
-    /// partials' quantiles can disagree with the quantile of the union
-    /// stream, while bucket-wise merging reproduces it exactly.
-    ///
-    /// # Panics
-    /// Panics if `other` has a different bin width or bucket count.
-    pub fn merge(&mut self, other: &Self) {
-        assert_eq!(self.bin_width, other.bin_width, "bin-width mismatch");
-        assert_eq!(self.counts.len(), other.counts.len(), "bucket-count mismatch");
-        for (c, o) in self.counts.iter_mut().zip(&other.counts) {
-            *c += o;
-        }
-        self.overflow += other.overflow;
-        self.total += other.total;
-    }
 }
 
 #[cfg(test)]
@@ -107,8 +78,6 @@ mod tests {
         }
         assert_eq!(h.total(), 6);
         assert_eq!(h.overflow(), 2);
-        let buckets: Vec<_> = h.nonzero_buckets().collect();
-        assert_eq!(buckets, vec![(0, 2), (10, 1), (40, 1)]);
     }
 
     #[test]
@@ -139,47 +108,5 @@ mod tests {
     fn empty_quantile_is_none() {
         let h = Histogram::new(1, 10);
         assert_eq!(h.quantile(0.5), None);
-    }
-
-    /// Merging two partial histograms must equal accumulating the union
-    /// stream — including quantiles that land in the overflow bucket,
-    /// where per-partial quantiles are clamped and therefore NOT
-    /// mergeable summaries.
-    #[test]
-    fn merge_equals_union_stream_under_overflow_clamping() {
-        let low: Vec<u64> = (0..40).collect();
-        let high: Vec<u64> = (0..20).map(|i| 100_000 + i).collect(); // all overflow
-        let mut a = Histogram::new(10, 5); // range [0, 50)
-        let mut b = Histogram::new(10, 5);
-        let mut union = Histogram::new(10, 5);
-        for &v in &low {
-            a.add(v);
-            union.add(v);
-        }
-        for &v in &high {
-            b.add(v);
-            union.add(v);
-        }
-        // b alone clamps every quantile to the cap; a alone never reaches
-        // it. Neither partial's summary equals the union's p50.
-        assert_eq!(b.quantile(0.5), Some(50));
-        assert_ne!(a.quantile(0.99), union.quantile(0.99));
-        a.merge(&b);
-        assert_eq!(a.total(), union.total());
-        assert_eq!(a.overflow(), union.overflow());
-        for q in [0.0, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0] {
-            assert_eq!(a.quantile(q), union.quantile(q), "q={q}");
-        }
-        let merged: Vec<_> = a.nonzero_buckets().collect();
-        let direct: Vec<_> = union.nonzero_buckets().collect();
-        assert_eq!(merged, direct);
-    }
-
-    #[test]
-    #[should_panic(expected = "bin-width mismatch")]
-    fn merge_rejects_shape_mismatch() {
-        let mut a = Histogram::new(10, 5);
-        let b = Histogram::new(20, 5);
-        a.merge(&b);
     }
 }

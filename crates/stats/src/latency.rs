@@ -60,16 +60,6 @@ impl LatencyAccumulator {
             self.injection_queue.mean(),
         ]
     }
-
-    /// Merge another accumulator (multi-seed aggregation).
-    pub fn merge(&mut self, other: &Self) {
-        self.total.merge(&other.total);
-        self.base.merge(&other.base);
-        self.misroute.merge(&other.misroute);
-        self.local_queue.merge(&other.local_queue);
-        self.global_queue.merge(&other.global_queue);
-        self.injection_queue.merge(&other.injection_queue);
-    }
 }
 
 #[cfg(test)]
@@ -92,17 +82,5 @@ mod tests {
         acc.add(1, 2, 3, 4, 5);
         let [base, mis, lq, gq, inj] = acc.component_means();
         assert_eq!((base, mis, lq, gq, inj), (1.0, 2.0, 4.0, 5.0, 3.0));
-    }
-
-    #[test]
-    fn merge_combines_counts() {
-        let mut a = LatencyAccumulator::new();
-        a.add(100, 0, 10, 0, 0);
-        let mut b = LatencyAccumulator::new();
-        b.add(200, 0, 30, 0, 0);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert!((a.base.mean() - 150.0).abs() < 1e-12);
-        assert!((a.injection_queue.mean() - 20.0).abs() < 1e-12);
     }
 }

@@ -43,29 +43,6 @@ impl OnlineStats {
             self.m2 / self.count as f64
         }
     }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Merge another accumulator (parallel reduction).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-    }
 }
 
 #[cfg(test)]
@@ -81,7 +58,6 @@ mod tests {
         }
         assert!((s.mean() - 5.0).abs() < 1e-12);
         assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -92,40 +68,5 @@ mod tests {
         s.add(3.5);
         assert_eq!(s.mean(), 3.5);
         assert_eq!(s.variance(), 0.0);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i * 7 % 13) as f64).collect();
-        let mut whole = OnlineStats::new();
-        for &x in &xs {
-            whole.add(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for (i, &x) in xs.iter().enumerate() {
-            if i < 37 {
-                a.add(x);
-            } else {
-                b.add(x);
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = OnlineStats::new();
-        a.add(1.0);
-        a.add(2.0);
-        let before = a;
-        a.merge(&OnlineStats::new());
-        assert_eq!(a.mean(), before.mean());
-        let mut empty = OnlineStats::new();
-        empty.merge(&before);
-        assert_eq!(empty.count(), 2);
     }
 }

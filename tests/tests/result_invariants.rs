@@ -97,7 +97,7 @@ fn averaged_result_fairness_uses_averaged_counts() {
         PatternSpec::AdvConsecutive { spread: None },
         0.35,
     );
-    let avg = run_averaged(&cfg, &[1, 2, 3]);
+    let avg = &run_grid(&[cfg], &[1, 2, 3])[0];
     let recomputed = FairnessReport::from_counts(&avg.injected_per_router);
     assert_eq!(avg.fairness.cov, recomputed.cov);
     assert_eq!(avg.fairness.min, recomputed.min);
