@@ -136,7 +136,8 @@ echo "==> service smoke (df-serve: cache replay + admission control + drain)"
 # the bundled interference scenario twice — the second submission must
 # be answered from the result cache, byte-identical to the first — then
 # provoke a rejected-overload with stall-fault jobs that pin the single
-# worker, and shut the server down gracefully. The event log is the
+# worker, and shut the server down gracefully: the drain must count both
+# stall jobs (the running one and the queued one). The event log is the
 # artifact CI archives (see docs/SERVICE.md).
 service_sock="$(mktemp -u /tmp/df-service-ci.XXXXXX.sock)"
 service_dir="$(mktemp -d)"
@@ -160,19 +161,25 @@ cmp "$service_dir/first.json" "$service_dir/second.json"
 # Over-quota burst: two stalling jobs fill the worker and the one queue
 # slot, then a third waiting submission must be rejected with exit
 # code 3. The seed lists differ from the cached run above (the cache
-# key pins the seeds), so none of these is answered from the cache.
+# key pins the seeds), so none of these is answered from the cache. The
+# stalls outlast every step up to the shutdown, so both jobs are still
+# live when it arrives.
 submit --quick --seeds 2 --no-wait \
-    --fault '{"stall_at_cycle": 10, "stall_ms": 3000}' \
+    --fault '{"stall_at_cycle": 10, "stall_ms": 5000}' \
     scenarios/paper_job_anatomy.json
 sleep 0.5  # let the worker claim the first stall job before queueing the next
 submit --quick --seeds 2 --no-wait \
-    --fault '{"stall_at_cycle": 10, "stall_ms": 3000}' \
+    --fault '{"stall_at_cycle": 10, "stall_ms": 5000}' \
     scenarios/interference_advc_vs_uniform.json
 sleep 0.5
 rc=0
 submit --quick --seeds 4 scenarios/interference_advc_vs_uniform.json || rc=$?
 [ "$rc" -eq 3 ] || { echo "expected rejected-overload exit 3, got $rc" >&2; exit 1; }
-submit --shutdown
+submit --shutdown 2> "$service_dir/shutdown.log"
+grep -q "2 jobs drained" "$service_dir/shutdown.log" || {
+    echo "expected the shutdown to drain 2 jobs, got: $(cat "$service_dir/shutdown.log")" >&2
+    exit 1
+}
 wait "$service_pid"
 
 echo "==> kill-recovery leg (durable state: crash mid-sweep, resume from checkpoint)"

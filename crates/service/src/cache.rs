@@ -9,6 +9,7 @@
 //! harness) evicts the entry and reports [`Lookup::Corrupt`] so the
 //! caller recomputes instead of serving bad bytes.
 
+use crate::lock;
 use crate::protocol::digest_hex;
 use crate::store::{LoadReport, StateDir};
 use std::collections::{HashMap, VecDeque};
@@ -35,6 +36,7 @@ pub enum Lookup {
     Miss,
 }
 
+#[derive(Default)]
 struct CacheInner {
     map: HashMap<String, CacheEntry>,
     /// Insertion order for FIFO eviction at capacity.
@@ -55,11 +57,7 @@ impl ResultCache {
     /// evicted first). `capacity` 0 disables caching: every probe
     /// misses.
     pub fn new(capacity: usize) -> Self {
-        Self {
-            inner: Mutex::new(CacheInner { map: HashMap::new(), order: VecDeque::new() }),
-            capacity,
-            state: None,
-        }
+        Self { inner: Mutex::default(), capacity, state: None }
     }
 
     /// A durable cache backed by `state`: the startup scan loads every
@@ -70,28 +68,18 @@ impl ResultCache {
     /// can surface what it recovered (and emit `cache_corrupt` for
     /// every quarantined file).
     pub fn with_state(capacity: usize, state: Arc<StateDir>) -> (Self, LoadReport) {
-        let cache = Self {
-            inner: Mutex::new(CacheInner { map: HashMap::new(), order: VecDeque::new() }),
-            capacity,
-            state: Some(state),
-        };
-        let report = match &cache.state {
-            Some(st) => st.load_cache(),
-            None => unreachable!(),
-        };
-        if cache.capacity > 0 {
-            let mut inner = cache.inner.lock().expect("cache lock");
-            for (key, entry) in report.entries.iter().take(cache.capacity) {
-                inner.order.push_back(key.clone());
-                inner.map.insert(key.clone(), entry.clone());
-            }
+        let report = state.load_cache();
+        let mut inner = CacheInner::default();
+        for (key, entry) in report.entries.iter().take(capacity) {
+            inner.order.push_back(key.clone());
+            inner.map.insert(key.clone(), entry.clone());
         }
-        (cache, report)
+        (Self { inner: Mutex::new(inner), capacity, state: Some(state) }, report)
     }
 
     /// Probe `key`, re-verifying the stored digest.
     pub fn lookup(&self, key: &str) -> Lookup {
-        let mut inner = self.inner.lock().expect("cache lock");
+        let mut inner = lock(&self.inner);
         let Some(entry) = inner.map.get(key) else {
             return Lookup::Miss;
         };
@@ -124,7 +112,7 @@ impl ResultCache {
         if let Some(state) = &self.state {
             let _ = state.spill(key, &entry);
         }
-        let mut inner = self.inner.lock().expect("cache lock");
+        let mut inner = lock(&self.inner);
         if inner.map.remove(key).is_some() {
             inner.order.retain(|k| k != key);
         }
@@ -146,7 +134,7 @@ impl ResultCache {
     /// rotted the same way, so a restart's startup scan must quarantine
     /// it. Returns `false` if the key is absent.
     pub fn corrupt(&self, key: &str) -> bool {
-        let mut inner = self.inner.lock().expect("cache lock");
+        let mut inner = lock(&self.inner);
         if let Some(state) = &self.state {
             state.rot_entry(key);
         }
@@ -163,7 +151,7 @@ impl ResultCache {
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("cache lock").map.len()
+        lock(&self.inner).map.len()
     }
 
     /// Is the cache empty?

@@ -74,25 +74,9 @@ impl FaultSpec {
         self.corrupt_cache.unwrap_or(false)
     }
 
-    /// Abort the process after this many sweep-unit commits, if set.
-    pub fn crash_after(&self) -> Option<u32> {
-        self.crash_after_cells
-    }
-
-    /// Cancel the job after this many sweep-unit commits, if set.
-    pub fn cancel_after(&self) -> Option<u32> {
-        self.cancel_after_cells
-    }
-
     /// Should the process die between spill write and rename?
     pub fn crashes_mid_spill(&self) -> bool {
         self.crash_mid_spill.unwrap_or(false)
-    }
-
-    /// The 1-based commit ordinal whose checkpoint line gets rotted,
-    /// if set.
-    pub fn rot_line(&self) -> Option<u32> {
-        self.rot_checkpoint_line
     }
 }
 
@@ -129,7 +113,10 @@ mod tests {
         assert_eq!(f, FaultSpec::default());
         assert!(!f.corrupts_cache());
         assert!(!f.crashes_mid_spill());
-        assert_eq!((f.crash_after(), f.cancel_after(), f.rot_line()), (None, None, None));
+        assert_eq!(
+            (f.crash_after_cells, f.cancel_after_cells, f.rot_checkpoint_line),
+            (None, None, None)
+        );
         let g: FaultSpec =
             serde_json::from_str(r#"{"panic_at_cycle": 12, "corrupt_cache": true}"#).unwrap();
         assert_eq!(g.panic_cycle(1), Some(12));
@@ -143,9 +130,9 @@ mod tests {
                 "crash_mid_spill": true, "rot_checkpoint_line": 1}"#,
         )
         .unwrap();
-        assert_eq!(f.crash_after(), Some(3));
-        assert_eq!(f.cancel_after(), Some(2));
+        assert_eq!(f.crash_after_cells, Some(3));
+        assert_eq!(f.cancel_after_cells, Some(2));
         assert!(f.crashes_mid_spill());
-        assert_eq!(f.rot_line(), Some(1));
+        assert_eq!(f.rot_checkpoint_line, Some(1));
     }
 }

@@ -5,9 +5,11 @@
 //! a local Unix socket as newline-delimited JSON and read back a
 //! structured [`JobEvent`] stream.
 //!
-//! The service exists to make the simulator *safe to share*: a bounded
-//! worker pool with admission control (a full queue rejects instead of
-//! growing), per-job deadlines with cooperative cancellation (an
+//! The service exists to make the simulator *safe to share*: one job
+//! table (queue, live jobs' cancel tokens, open/closed state, drain
+//! count) behind one lock, served by a fixed set of worker threads, with
+//! admission control (a full queue rejects instead of growing),
+//! per-job deadlines with cooperative cancellation (an
 //! interrupted run leaves no partial output), retry with capped
 //! exponential backoff for panicking attempts, per-attempt panic
 //! isolation, graceful shutdown that drains in-flight jobs, and a
@@ -42,7 +44,6 @@ pub mod protocol;
 pub mod server;
 pub mod service;
 pub mod store;
-mod worker;
 
 pub use cache::{CacheEntry, Lookup, ResultCache};
 pub use fault::FaultSpec;
@@ -51,4 +52,14 @@ pub use protocol::{cache_key, digest_hex, fnv1a64, JobEvent, Request, SubmitOpti
 pub use server::serve;
 pub use service::{EventSink, Service, ServiceConfig};
 pub use store::{CheckpointLoad, LoadReport, StateDir};
-pub use worker::SubmitError;
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Lock `m`, recovering the guard if a thread panicked while holding it.
+/// Poison carries no information in this crate: no critical section
+/// here can panic except by calling out to a caller's `EventSink` (the
+/// `accepted` event, emitted under the job-table lock), and that call
+/// comes after the table is complete again.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}

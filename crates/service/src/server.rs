@@ -13,6 +13,7 @@
 //! accept loop.
 
 use crate::job::JobPayload;
+use crate::lock;
 use crate::protocol::{JobEvent, Request};
 use crate::service::{EventSink, Service};
 use std::io::{BufRead, BufReader, Write};
@@ -51,7 +52,7 @@ pub fn serve(
     // Surface what the startup scan quarantined: one `cache_corrupt`
     // line per bad spill file, in the log before any client events.
     if let Some(log) = &log {
-        let mut f = log.lock().expect("event log lock");
+        let mut f = lock(log);
         for event in service.startup_events() {
             if let Ok(line) = serde_json::to_string(&event) {
                 let _ = writeln!(f, "{line}");
@@ -94,13 +95,12 @@ fn line_sink(
             Err(_) => return,
         };
         {
-            let mut s = stream.lock().expect("client stream lock");
+            let mut s = lock(&stream);
             let _ = writeln!(s, "{line}");
             let _ = s.flush();
         }
         if let Some(log) = &log {
-            let mut f = log.lock().expect("event log lock");
-            let _ = writeln!(f, "{line}");
+            let _ = writeln!(lock(log), "{line}");
         }
     })
 }

@@ -2,12 +2,17 @@
 //! structured event stream.
 //!
 //! [`Service::submit`] is the single entry point. It validates the
-//! payload, probes the result cache, applies admission control, and —
-//! only then — hands the job to the worker pool. Everything a client
-//! learns about a job arrives as [`JobEvent`]s through the submission's
-//! sink, ending with exactly one terminal event; nothing is reported
-//! via timing or side channels, so tests and the CI gate assert on the
-//! stream alone.
+//! payload, probes the result cache, and — only then — admits the job
+//! into the job table, where a worker thread claims it. Everything a
+//! client learns about a job arrives as [`JobEvent`]s through the
+//! submission's sink, ending with exactly one terminal event; nothing
+//! is reported via timing or side channels, so tests and the CI gate
+//! assert on the stream alone.
+//!
+//! Every lifecycle transition of a job — admit, cancel, claim, finish,
+//! drain — happens under one lock on one `Inner` table, so the queue,
+//! the set of cancellable jobs and the shutdown state can never
+//! disagree.
 //!
 //! Robustness invariants enforced here:
 //! * a panicking job is isolated (`catch_unwind` per attempt) and
@@ -23,21 +28,26 @@
 use crate::cache::{Lookup, ResultCache};
 use crate::fault::FaultSpec;
 use crate::job::{effective_seeds, JobPayload};
+use crate::lock;
 use crate::protocol::{cache_key, JobEvent, SubmitOptions};
 use crate::store::{LoadReport, StateDir};
-use crate::worker::{SubmitError, WorkerPool};
 use dragonfly_core::{CancelToken, RunCtl, ScenarioError, SweepHooks, SweepRow};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Where a submission's events go. Sinks must be cheap and non-blocking
 /// (the worker thread calls them inline); the server layer writes a
 /// JSON line per event.
 pub type EventSink = Arc<dyn Fn(JobEvent) + Send + Sync>;
+
+/// First retry backoff in milliseconds; doubles per retry.
+const RETRY_BACKOFF_MS: u64 = 5;
+/// Retry backoff ceiling in milliseconds.
+const RETRY_BACKOFF_CAP_MS: u64 = 80;
 
 /// Service tuning knobs (all have serviceable defaults).
 #[derive(Debug, Clone)]
@@ -51,10 +61,6 @@ pub struct ServiceConfig {
     /// Retries after a panicking attempt (so `max_retries + 1` attempts
     /// in total). Interrupts and spec errors are never retried.
     pub max_retries: u32,
-    /// First retry backoff in milliseconds; doubles per retry.
-    pub retry_backoff_ms: u64,
-    /// Backoff ceiling in milliseconds.
-    pub retry_backoff_cap_ms: u64,
     /// Emit a `progress` event every this many simulated cycles
     /// (0 picks the default, which matches the telemetry timelines'
     /// 1000-cycle windows).
@@ -74,8 +80,6 @@ impl Default for ServiceConfig {
             queue_depth: 16,
             cache_capacity: 256,
             max_retries: 2,
-            retry_backoff_ms: 5,
-            retry_backoff_cap_ms: 80,
             progress_cycles: 0,
             state_dir: None,
         }
@@ -96,18 +100,105 @@ impl ServiceConfig {
 /// layer wraps it in an `Arc` and calls [`Service::submit`] from every
 /// connection handler.
 pub struct Service {
-    cfg: ServiceConfig,
-    pool: WorkerPool,
-    cache: Arc<ResultCache>,
-    state: Option<Arc<StateDir>>,
+    shared: Arc<Shared>,
     startup: LoadReport,
     next_job: AtomicU64,
-    /// Cancel tokens of queued + running jobs, by job id.
-    registry: Arc<Mutex<HashMap<u64, CancelToken>>>,
+}
+
+/// What submitting threads and worker threads share.
+struct Shared {
+    cfg: ServiceConfig,
+    cache: ResultCache,
+    state: Option<Arc<StateDir>>,
+    jobs: Mutex<Inner>,
+    /// Notified on every change to `jobs`. Two kinds of waiter share
+    /// it — idle workers (for a queued job or the close) and `shutdown`
+    /// callers (for `live` to empty) — so every change wakes all.
+    changed: Condvar,
+}
+
+/// The job table: every admitted job from `accepted` to its terminal
+/// event.
+#[derive(Default)]
+struct Inner {
+    /// Admitted jobs no worker has claimed yet, oldest first.
+    queue: VecDeque<JobContext>,
+    /// Cancel tokens of every admitted job still queued or running.
+    live: HashMap<u64, CancelToken>,
+    /// Set by `shutdown`; admission refuses everything after it.
+    closed: bool,
+    /// Jobs that finished after `closed` was set: the `shutting_down`
+    /// count.
+    drained: u64,
+}
+
+impl Inner {
+    /// Admit `ctx` unless the service is closed or `cap` jobs are
+    /// already queued, returning the refusal event otherwise. An
+    /// admitted job is cancellable and queued before its `accepted`
+    /// event is emitted, still under the lock — so `accepted` is on the
+    /// wire before any worker can claim the job and emit `started`, and
+    /// a panicking sink leaves the table consistent.
+    fn admit(&mut self, ctx: JobContext, cap: usize) -> Result<(), JobEvent> {
+        let job = ctx.job;
+        if self.closed {
+            return Err(JobEvent::Rejected { job, error: "service is shutting down".into() });
+        }
+        let queued = self.queue.len() as u64;
+        if queued >= cap as u64 {
+            return Err(JobEvent::RejectedOverload { job, queued, limit: cap as u64 });
+        }
+        let accepted = JobEvent::Accepted { job, key: ctx.key.clone(), queue_depth: queued + 1 };
+        let sink = Arc::clone(&ctx.sink);
+        self.live.insert(job, ctx.token.clone());
+        self.queue.push_back(ctx);
+        sink(accepted);
+        Ok(())
+    }
+
+    /// Cancel a queued or running job; `false` when `job` is not live.
+    fn cancel(&self, job: u64) -> bool {
+        self.live.get(&job).map(CancelToken::cancel).is_some()
+    }
+
+    /// `job` reached its end (returned or unwound): it is no longer
+    /// cancellable, and it counts as drained if the service was closed
+    /// by then.
+    fn finish(&mut self, job: u64) {
+        self.live.remove(&job);
+        if self.closed {
+            self.drained += 1;
+        }
+    }
+}
+
+impl Shared {
+    /// Block until a job is queued and claim it; `None` once the
+    /// service is closed and the queue is empty.
+    fn pop(&self) -> Option<JobContext> {
+        let wait = self.changed.wait_while(lock(&self.jobs), |jobs| {
+            jobs.queue.is_empty() && !jobs.closed
+        });
+        wait.unwrap_or_else(PoisonError::into_inner).queue.pop_front()
+    }
+
+    /// One worker thread. Workers are never joined: `shutdown` waits for
+    /// the drain itself, after which every worker finds the table closed
+    /// and empty and returns.
+    fn work(&self) {
+        while let Some(ctx) = self.pop() {
+            let job = ctx.job;
+            // Behind `run`'s per-attempt isolation: a job that still
+            // unwinds must neither kill this worker nor stay cancellable.
+            let _ = catch_unwind(AssertUnwindSafe(|| ctx.run(self)));
+            lock(&self.jobs).finish(job);
+            self.changed.notify_all();
+        }
+    }
 }
 
 impl Service {
-    /// Start a service with `cfg`'s worker pool and cache.
+    /// Start a service with `cfg`'s worker threads and cache.
     ///
     /// # Panics
     ///
@@ -132,16 +223,19 @@ impl Service {
             }
             None => (ResultCache::new(cfg.cache_capacity), None, LoadReport::default()),
         };
-        let (workers, queue_depth) = (cfg.workers, cfg.queue_depth);
-        Ok(Self {
+        let workers = cfg.workers.max(1);
+        let shared = Arc::new(Shared {
             cfg,
-            pool: WorkerPool::new(workers, queue_depth),
-            cache: Arc::new(cache),
+            cache,
             state,
-            startup,
-            next_job: AtomicU64::new(0),
-            registry: Arc::new(Mutex::new(HashMap::new())),
-        })
+            jobs: Mutex::default(),
+            changed: Condvar::new(),
+        });
+        for _ in 0..workers {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || shared.work());
+        }
+        Ok(Self { shared, startup, next_job: AtomicU64::new(0) })
     }
 
     /// What the startup scan of the state directory found (empty when
@@ -181,9 +275,9 @@ impl Service {
         };
         let key = cache_key(payload.kind(), &spec_json, &seeds);
 
-        match self.cache.lookup(&key) {
+        match self.shared.cache.lookup(&key) {
             Lookup::Hit(entry) => {
-                if let Some(state) = &self.state {
+                if let Some(state) = &self.shared.state {
                     // A completed result supersedes any checkpoint a
                     // crashed earlier run of this key left behind.
                     state.remove_checkpoint(&key);
@@ -195,78 +289,50 @@ impl Service {
             Lookup::Miss => {}
         }
 
-        // Register the cancel token before the job is visible to any
-        // worker, so `cancel` works on queued jobs too.
-        let token = CancelToken::new();
-        self.registry.lock().expect("registry lock").insert(job, token.clone());
-
         let ctx = JobContext {
-            cfg: self.cfg.clone(),
-            cache: Arc::clone(&self.cache),
-            state: self.state.clone(),
-            registry: Arc::clone(&self.registry),
             sink: Arc::clone(&sink),
             job,
-            key: key.clone(),
+            key,
             seeds,
             payload,
             fault: options.fault.unwrap_or_default(),
             deadline_ms: options.deadline_ms,
-            token,
+            token: CancelToken::new(),
         };
-        let admit_sink = Arc::clone(&sink);
-        let submitted = self.pool.try_submit(
-            Box::new(move || ctx.run()),
-            // Under the queue lock: `accepted` is on the wire before any
-            // worker can emit this job's `started`.
-            |queue_depth| admit_sink(JobEvent::Accepted { job, key, queue_depth }),
-        );
-        if let Err(err) = submitted {
-            self.registry.lock().expect("registry lock").remove(&job);
-            match err {
-                SubmitError::Overload { queued, limit } => {
-                    sink(JobEvent::RejectedOverload { job, queued, limit })
-                }
-                SubmitError::Closed => sink(JobEvent::Rejected {
-                    job,
-                    error: "service is shutting down".into(),
-                }),
-            }
+        // The guard drops at the end of this statement: a refusal is
+        // reported outside the lock.
+        let admitted = lock(&self.shared.jobs).admit(ctx, self.shared.cfg.queue_depth);
+        match admitted {
+            Ok(()) => self.shared.changed.notify_all(),
+            Err(refusal) => sink(refusal),
         }
         job
     }
 
     /// Cooperatively cancel a queued or running job. Returns `false`
-    /// when the id is unknown (never submitted, or already terminal).
+    /// when the id is unknown (never submitted, refused, or already
+    /// terminal).
     pub fn cancel(&self, job: u64) -> bool {
-        match self.registry.lock().expect("registry lock").get(&job) {
-            Some(token) => {
-                token.cancel();
-                true
-            }
-            None => false,
-        }
+        lock(&self.shared.jobs).cancel(job)
     }
 
-    /// Jobs currently waiting in the queue (not running).
-    pub fn queued(&self) -> usize {
-        self.pool.queued()
-    }
-
-    /// Graceful shutdown: refuse new submissions and drain every queued
-    /// and in-flight job to its terminal event. Returns the number of
-    /// jobs drained after the shutdown was requested.
+    /// Graceful shutdown: refuse new submissions and wait until every
+    /// queued and in-flight job has reached its terminal event. Returns
+    /// the number of jobs that finished after the shutdown was
+    /// requested; concurrent callers all wait for the same drain and
+    /// return the same count.
     pub fn shutdown(&self) -> u64 {
-        self.pool.shutdown()
+        let mut jobs = lock(&self.shared.jobs);
+        jobs.closed = true;
+        self.shared.changed.notify_all();
+        let drained = self.shared.changed.wait_while(jobs, |jobs| !jobs.live.is_empty());
+        drained.unwrap_or_else(PoisonError::into_inner).drained
     }
 }
 
-/// Everything a worker needs to run one job to its terminal event.
+/// One admitted job: what a worker needs, beside the `Shared` state,
+/// to run it to its terminal event.
 struct JobContext {
-    cfg: ServiceConfig,
-    cache: Arc<ResultCache>,
-    state: Option<Arc<StateDir>>,
-    registry: Arc<Mutex<HashMap<u64, CancelToken>>>,
     sink: EventSink,
     job: u64,
     key: String,
@@ -285,24 +351,24 @@ type RecoveredUnits = Mutex<HashMap<(u32, u64), Vec<SweepRow>>>;
 impl JobContext {
     /// The attempt loop: run, and on a panic retry with capped
     /// exponential backoff until `max_retries` is exhausted.
-    fn run(self) {
-        let max_attempts = self.cfg.max_retries + 1;
+    fn run(self, shared: &Shared) {
+        let max_attempts = shared.cfg.max_retries + 1;
         let total_cycles = self.payload.total_cycles(&self.seeds);
-        let recovered: RecoveredUnits = Mutex::new(self.load_recovered_units());
+        let recovered: RecoveredUnits = Mutex::new(self.load_recovered_units(shared));
         // Commit ordinal within this job — the 1-based counter the
         // crash/rot faults key off.
         let committed = AtomicU32::new(0);
         let mut attempt = 1u32;
         loop {
             (self.sink)(JobEvent::Started { job: self.job, attempt });
-            match self.attempt_once(attempt, total_cycles, &recovered, &committed) {
+            match self.attempt_once(shared, attempt, total_cycles, &recovered, &committed) {
                 Ok(Ok(result)) => {
                     if self.fault.crashes_mid_spill() {
                         // Fault harness: die between the spill's
                         // tempfile write and its rename — the result
                         // was never promised, so a restart must treat
                         // the key as absent and recompute it.
-                        if let Some(state) = &self.state {
+                        if let Some(state) = &shared.state {
                             let digest =
                                 crate::protocol::digest_hex(result.as_bytes());
                             let _ = state.spill_torn(
@@ -312,14 +378,14 @@ impl JobContext {
                         }
                         std::process::abort();
                     }
-                    let digest = self.cache.insert(&self.key, result.clone());
+                    let digest = shared.cache.insert(&self.key, result.clone());
                     if self.fault.corrupts_cache() {
                         // Fault harness: rot the entry *after* the clean
                         // result went out, so the next submission of
                         // this key exercises the digest check.
-                        self.cache.corrupt(&self.key);
+                        shared.cache.corrupt(&self.key);
                     }
-                    if let Some(state) = &self.state {
+                    if let Some(state) = &shared.state {
                         // The spill file is now the durable state; the
                         // checkpoint has served its purpose.
                         state.remove_checkpoint(&self.key);
@@ -359,11 +425,9 @@ impl JobContext {
                         });
                         break;
                     }
-                    let backoff_ms = self
-                        .cfg
-                        .retry_backoff_ms
+                    let backoff_ms = RETRY_BACKOFF_MS
                         .saturating_mul(1 << (attempt - 1).min(16))
-                        .min(self.cfg.retry_backoff_cap_ms);
+                        .min(RETRY_BACKOFF_CAP_MS);
                     (self.sink)(JobEvent::Retried {
                         job: self.job,
                         attempt,
@@ -375,7 +439,6 @@ impl JobContext {
                 }
             }
         }
-        self.registry.lock().expect("registry lock").remove(&self.job);
     }
 
     /// Load and validate this key's checkpoint (sweep payloads on a
@@ -383,8 +446,8 @@ impl JobContext {
     /// any verified units survive. Units referencing cells or seeds
     /// outside the submitted grid are discarded — a checkpoint can
     /// only ever *shrink* the work, never smuggle foreign rows in.
-    fn load_recovered_units(&self) -> HashMap<(u32, u64), Vec<SweepRow>> {
-        let Some(state) = &self.state else { return HashMap::new() };
+    fn load_recovered_units(&self, shared: &Shared) -> HashMap<(u32, u64), Vec<SweepRow>> {
+        let Some(state) = &shared.state else { return HashMap::new() };
         if !matches!(self.payload, JobPayload::Sweep(_)) || !state.has_checkpoint(&self.key) {
             return HashMap::new();
         }
@@ -413,6 +476,7 @@ impl JobContext {
     /// message), the inner result is the run's own outcome.
     fn attempt_once(
         &self,
+        shared: &Shared,
         attempt: u32,
         total_cycles: u64,
         recovered: &RecoveredUnits,
@@ -423,7 +487,7 @@ impl JobContext {
         let stall = self.fault.stall();
         let stalled = AtomicBool::new(false);
         let done = AtomicU64::new(0);
-        let step = self.cfg.progress_step();
+        let step = shared.cfg.progress_step();
         let sink = &self.sink;
         let job = self.job;
         let on_cycle = move |cycle: u64| {
@@ -453,16 +517,16 @@ impl JobContext {
         // ordinal is stable and lines never interleave — then streams
         // its rows and fires any commit-keyed fault.
         let precomputed = |cell: u32, seed: u64| -> Option<Vec<SweepRow>> {
-            recovered.lock().expect("recovered units lock").get(&(cell, seed)).cloned()
+            lock(recovered).get(&(cell, seed)).cloned()
         };
         let on_rows = |cell: u32, seed: u64, rows: &[SweepRow]| {
             let ordinal = {
-                let mut units = recovered.lock().expect("recovered units lock");
+                let mut units = lock(recovered);
                 units.insert((cell, seed), rows.to_vec());
                 let ordinal = committed.fetch_add(1, Ordering::AcqRel) + 1;
-                if let Some(state) = &self.state {
+                if let Some(state) = &shared.state {
                     let _ = state.append_checkpoint(&self.key, cell, seed, rows);
-                    if self.fault.rot_line() == Some(ordinal) {
+                    if self.fault.rot_checkpoint_line == Some(ordinal) {
                         // Still under the lock: the rotted line must be
                         // the one just appended, not a later worker's.
                         state.rot_last_checkpoint_line(&self.key);
@@ -471,12 +535,12 @@ impl JobContext {
                 ordinal
             };
             sink(JobEvent::SweepRows { job, cell, seed, rows: rows.to_vec() });
-            if self.fault.crash_after() == Some(ordinal) {
+            if self.fault.crash_after_cells == Some(ordinal) {
                 // The `kill -9` fault: die with at least `ordinal`
                 // committed checkpoint lines on disk.
                 std::process::abort();
             }
-            if self.fault.cancel_after() == Some(ordinal) {
+            if self.fault.cancel_after_cells == Some(ordinal) {
                 self.token.cancel();
             }
         };
@@ -551,6 +615,19 @@ mod tests {
                 }
             }
             assert!(Instant::now() < deadline, "no terminal event for job {job}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    fn wait_started(events: &Arc<Mutex<Vec<JobEvent>>>, job: u64) {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !events
+            .lock()
+            .unwrap()
+            .iter()
+            .any(|e| matches!(e, JobEvent::Started { job: j, .. } if *j == job))
+        {
+            assert!(Instant::now() < deadline, "job {job} never started");
             std::thread::sleep(Duration::from_millis(2));
         }
     }
@@ -709,25 +786,118 @@ mod tests {
             options(Some(fault), None),
             sink.clone(),
         );
-        // Wait for `started`, then cancel.
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while !events
-            .lock()
-            .unwrap()
-            .iter()
-            .any(|e| matches!(e, JobEvent::Started { job: j, .. } if *j == job))
-        {
-            assert!(Instant::now() < deadline);
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        wait_started(&events, job);
         assert!(svc.cancel(job));
         let evs = wait_terminal(&events, job);
         assert!(matches!(evs.last().unwrap(), JobEvent::Cancelled { .. }), "{evs:?}");
-        // Unknown id after the terminal event: registry entry is gone.
+        // Unknown id after the terminal event: its `live` entry is gone.
         assert!(!svc.cancel(job));
         let job2 = svc.submit(JobPayload::Scenario(tiny_scenario()), options(None, None), sink);
         let evs2 = wait_terminal(&events, job2);
         assert_eq!(evs2.last().unwrap().label(), "completed", "cancel left no cache entry");
         svc.shutdown();
+    }
+
+    /// A job held on the single worker by a stall, then two queued
+    /// behind it: each `accepted` carries the queue depth it made and
+    /// comes first, `shutdown` drains all three — the running one too —
+    /// and a submission after it is refused.
+    #[test]
+    fn shutdown_drains_running_and_queued_jobs_then_refuses_work() {
+        let svc = Service::new(ServiceConfig { workers: 1, ..ServiceConfig::default() });
+        let (sink, events) = collecting_sink();
+        let stall = FaultSpec {
+            stall_at_cycle: Some(10),
+            stall_ms: Some(300),
+            ..FaultSpec::default()
+        };
+        let seeded = |seed| SubmitOptions { seeds: Some(vec![seed]), ..options(None, None) };
+        let held = svc.submit(
+            JobPayload::Scenario(tiny_scenario()),
+            options(Some(stall), None),
+            sink.clone(),
+        );
+        wait_started(&events, held);
+        // Seeds other than the held job's: a cache hit is never queued.
+        let queued = [2, 3].map(|seed| {
+            svc.submit(JobPayload::Scenario(tiny_scenario()), seeded(seed), sink.clone())
+        });
+        assert_eq!(svc.shutdown(), 3);
+        for (job, depth) in [(held, 1), (queued[0], 1), (queued[1], 2)] {
+            let evs = wait_terminal(&events, job);
+            assert!(
+                matches!(evs[0], JobEvent::Accepted { queue_depth, .. } if queue_depth == depth),
+                "{evs:?}"
+            );
+            assert_eq!(evs[1].label(), "started", "{evs:?}");
+            assert_eq!(evs.last().unwrap().label(), "completed", "{evs:?}");
+        }
+        let late = svc.submit(JobPayload::Scenario(tiny_scenario()), seeded(4), sink);
+        match &wait_terminal(&events, late)[..] {
+            [JobEvent::Rejected { error, .. }] => assert_eq!(error, "service is shutting down"),
+            other => panic!("expected a lone rejected, got {other:?}"),
+        }
+    }
+
+    /// A second `shutdown` arriving while the first one waits must wait
+    /// for the same drain and report the same count.
+    #[test]
+    fn a_second_concurrent_shutdown_waits_for_the_drain() {
+        let svc = Service::new(ServiceConfig { workers: 1, ..ServiceConfig::default() });
+        let (sink, events) = collecting_sink();
+        let stall = FaultSpec {
+            stall_at_cycle: Some(10),
+            stall_ms: Some(300),
+            ..FaultSpec::default()
+        };
+        let job =
+            svc.submit(JobPayload::Scenario(tiny_scenario()), options(Some(stall), None), sink);
+        wait_started(&events, job);
+        let shut = || {
+            let drained = svc.shutdown();
+            let ended =
+                events.lock().unwrap().iter().any(|e| e.job() == Some(job) && e.is_terminal());
+            (drained, ended)
+        };
+        // The sleep only makes B likely to arrive while A is waiting
+        // inside the 300 ms stall; the assertions hold in any order.
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(shut);
+            std::thread::sleep(Duration::from_millis(50));
+            let b = s.spawn(shut);
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert!(a.1 && b.1, "a shutdown returned before the job's end: A {a:?}, B {b:?}");
+        assert_eq!(a.0, b.0, "both callers report one drain");
+        assert_eq!(a.0, 1, "the running job finished after the shutdown");
+    }
+
+    /// A refused admission — over depth, or after the close — leaves no
+    /// id behind to cancel; a finished job leaves none either.
+    #[test]
+    fn refused_and_finished_jobs_are_not_cancellable() {
+        let ctx = |job| JobContext {
+            sink: Arc::new(|_| {}),
+            job,
+            key: String::new(),
+            seeds: vec![1],
+            payload: JobPayload::Scenario(tiny_scenario()),
+            fault: FaultSpec::default(),
+            deadline_ms: None,
+            token: CancelToken::new(),
+        };
+        let mut jobs = Inner::default();
+        assert!(jobs.admit(ctx(1), 1).is_ok());
+        assert!(matches!(
+            jobs.admit(ctx(2), 1),
+            Err(JobEvent::RejectedOverload { job: 2, queued: 1, limit: 1 })
+        ));
+        jobs.closed = true;
+        assert!(matches!(jobs.admit(ctx(3), 8), Err(JobEvent::Rejected { job: 3, .. })));
+        assert!(!jobs.cancel(2) && !jobs.cancel(3));
+        assert!(jobs.cancel(1));
+        jobs.finish(1);
+        assert!(!jobs.cancel(1));
+        assert_eq!(jobs.drained, 1, "finished after the close");
     }
 }

@@ -93,11 +93,6 @@ impl StateDir {
         Ok(Self { root: root.to_path_buf() })
     }
 
-    /// The directory this handle persists under.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
     fn cache_file(&self, key: &str) -> PathBuf {
         self.root.join("cache").join(format!("{}.json", digest_hex(key.as_bytes())))
     }

@@ -3,8 +3,8 @@
 //! Performance and fairness metrics for the Dragonfly unfairness
 //! reproduction (§IV-B of the paper):
 //!
-//! * [`OnlineStats`] — streaming mean/variance (Welford), mergeable for
-//!   multi-seed aggregation,
+//! * [`OnlineStats`] — streaming mean/variance (Welford) without storing
+//!   samples; one per latency component,
 //! * [`LatencyAccumulator`] — the five-component latency breakdown of
 //!   Figure 3 (base, misrouting, local/global congestion, injection),
 //! * [`FairnessReport`] — Min inj, Max/Min, CoV (and Jain's index),
