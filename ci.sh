@@ -251,17 +251,32 @@ echo "==> benchmark smoke gate (perf/check.sh: df-perf unit tests, every workloa
 # included) and checks the metric tables against BENCHMARK.json.
 perf/check.sh
 
-echo "==> sharded vs serial at paper scale (df-perf, 4 s each; printed, never gated)"
-# ROADMAP "make sharding pay or delete it" is decided on this ratio, over
-# alternating pairs (see README); one short run each is only a reading,
-# so nothing here can fail the gate.
-cycles_per_s() {
+echo "==> paper scale (df-perf, 4 s each): peak-RSS gate on paper_advc, s2/serial printed"
+# Peak RSS at Table I repeats to well under 1 % run to run, so it is the
+# one paper-scale number gated here: the budget is the largest of ten
+# runs of this gate's command plus 10 % (README, Performance). Speed does
+# not repeat on a shared box: ROADMAP "make sharding pay or delete it" is
+# decided on s2/serial over alternating pairs, and one short run each is
+# only a reading, so that ratio can never fail the gate.
+peak_rss_budget_mb=32.8
+paper_run() {
     cargo run --release --offline --quiet --manifest-path perf/Cargo.toml -- \
-        --workload "$1" --seed 11 --seconds 4 --trace 0 | tail -n 1 |
-        python3 -c 'import json, sys; print(json.load(sys.stdin)["metrics"]["sim_cycles_per_s"]["value"])'
+        --workload "$1" --seed 11 --seconds 4 --trace 0 | tail -n 1
+}
+metric() {
+    python3 -c 'import json, sys; print(json.load(sys.stdin)["metrics"][sys.argv[1]]["value"])' "$1"
+}
+advc="$(paper_run paper_advc)"
+rss="$(metric peak_rss_mb <<< "$advc")"
+echo "paper_advc peak_rss_mb = $rss (budget $peak_rss_budget_mb)"
+python3 -c "import sys; sys.exit(float(sys.argv[1]) > float(sys.argv[2]))" \
+    "$rss" "$peak_rss_budget_mb" || {
+    echo "paper_advc peak_rss_mb $rss exceeds its $peak_rss_budget_mb MB budget" >&2
+    exit 1
 }
 {
-    serial="$(cycles_per_s paper_advc)" && s2="$(cycles_per_s paper_advc_s2)" &&
+    serial="$(metric sim_cycles_per_s <<< "$advc")" &&
+        s2="$(paper_run paper_advc_s2 | metric sim_cycles_per_s)" &&
         python3 -c "print('s2/serial = %.2f' % ($s2 / $serial))"
 } || echo "s2/serial = n/a (reading failed)"
 

@@ -119,9 +119,11 @@ impl SimConfig {
         Self { load, ..self.clone() }
     }
 
-    /// Validate ranges, the pattern's against the whole machine
-    /// ([`PatternSpec::check`]) included.
+    /// Validate ranges, the machine's ([`DragonflyParams::check`]) and the
+    /// pattern's against the whole machine ([`PatternSpec::check`])
+    /// included.
     pub fn validate(&self) -> Result<(), String> {
+        self.params.check().map_err(|e| format!("params: {e}"))?;
         if !(0.0..=self.engine_config().packet_size as f64).contains(&self.load) {
             return Err(format!("load {} out of range", self.load));
         }
@@ -236,6 +238,16 @@ mod tests {
             let err = c.validate().unwrap_err();
             assert!(err.starts_with("pattern: ") && err.contains(field), "{err}");
         }
+    }
+
+    #[test]
+    fn validation_rejects_a_machine_the_engine_cannot_build() {
+        let mut c = cfg();
+        c.params = DragonflyParams { p: 30, a: 36, h: 2 };
+        let err = c.validate().unwrap_err();
+        assert!(err.starts_with("params: ") && err.contains("radix 67"), "{err}");
+        c.params = DragonflyParams { p: 0, a: 4, h: 2 };
+        assert!(c.validate().unwrap_err().contains("nonzero"));
     }
 
     #[test]

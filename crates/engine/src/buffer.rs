@@ -6,9 +6,9 @@
 //! `output_buffer / packet_size`. Each queue is therefore a [`Ring`] — a
 //! head/length pair over a fixed span of one per-router slab that
 //! [`crate::router::RouterState::new`] sizes once — instead of a heap
-//! block of its own. Rings store [`PacketId`] arena handles (plus the
-//! packet size for occupancy accounting), not packets: enqueue/dequeue
-//! moves a few bytes and never touches the allocator.
+//! block of its own. Rings store [`PacketId`] arena handles, not packets:
+//! enqueue/dequeue moves a few bytes and never touches the allocator.
+//! Every packet is `packet_size` phits long, so no entry records a length.
 
 use crate::arena::PacketId;
 
@@ -79,21 +79,16 @@ impl Ring {
     }
 }
 
-/// `(handle, size in phits)` — one queued packet of an input VC.
-pub(crate) type VcEntry = (PacketId, u32);
-
 /// One virtual-channel FIFO of an input port.
 ///
-/// Capacity is in phits; a packet occupies its full size from the moment
-/// the upstream sender reserves space (credit decrement) until it is
-/// granted to an output buffer here. The occupancy counter is advanced on
-/// physical arrival; the *free-space authority* is the upstream credit
-/// counter, so `occupancy <= capacity` always holds.
+/// A VC of `capacity` phits holds `capacity / packet_size` packets. A
+/// packet's slot is reserved from the moment the upstream sender takes
+/// the credit until the packet is granted to an output buffer here; the
+/// *free-space authority* is that upstream credit counter, so an arrival
+/// always finds a free slot.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct VcRing {
     ring: Ring,
-    occupancy: u32,
-    capacity: u32,
 }
 
 impl VcRing {
@@ -101,45 +96,34 @@ impl VcRing {
     /// number of slab slots it claims (`capacity / packet_size`).
     pub(crate) fn new(base: usize, capacity: u32, packet_size: u32) -> (Self, usize) {
         let slots = (capacity / packet_size) as usize;
-        (Self { ring: Ring::new(base, slots), occupancy: 0, capacity }, slots)
+        (Self { ring: Ring::new(base, slots) }, slots)
     }
 
-    /// Enqueue an arriving packet of `size` phits.
+    /// Enqueue an arriving packet.
     ///
     /// # Panics
     /// Panics if the packet overflows the buffer — that would mean the
     /// upstream credit accounting is broken, which is a simulator bug.
     #[inline]
-    pub(crate) fn push(&mut self, slab: &mut [VcEntry], id: PacketId, size: u32) {
-        self.occupancy += size;
+    pub(crate) fn push(&mut self, slab: &mut [PacketId], id: PacketId) {
         assert!(
-            self.occupancy <= self.capacity,
-            "VC buffer overflow: {}/{} phits — credit accounting violated",
-            self.occupancy,
-            self.capacity
+            self.ring.len < self.ring.slots,
+            "VC buffer overflow: all {} packet slots taken — credit accounting violated",
+            self.ring.slots
         );
-        self.ring.push(slab, (id, size));
+        self.ring.push(slab, id);
     }
 
-    /// The head packet's handle and size, if any. The allocator probe
-    /// learns the size here, without touching the packet's arena slot.
+    /// The head packet's handle, if any.
     #[inline]
-    pub(crate) fn front(&self, slab: &[VcEntry]) -> Option<VcEntry> {
+    pub(crate) fn front(&self, slab: &[PacketId]) -> Option<PacketId> {
         self.ring.front(slab)
     }
 
-    /// Remove and return the head packet's handle and size.
+    /// Remove and return the head packet's handle.
     #[inline]
-    pub(crate) fn pop(&mut self, slab: &[VcEntry]) -> Option<VcEntry> {
-        let (id, size) = self.ring.pop(slab)?;
-        self.occupancy -= size;
-        Some((id, size))
-    }
-
-    /// Occupied phits (resident packets only).
-    #[inline]
-    pub(crate) fn occupancy(&self) -> u32 {
-        self.occupancy
+    pub(crate) fn pop(&mut self, slab: &[PacketId]) -> Option<PacketId> {
+        self.ring.pop(slab)
     }
 
     /// Number of resident packets.
@@ -155,7 +139,7 @@ impl VcRing {
     }
 
     /// The resident packets, head first.
-    pub(crate) fn iter<'a>(&self, slab: &'a [VcEntry]) -> impl Iterator<Item = VcEntry> + 'a {
+    pub(crate) fn iter<'a>(&self, slab: &'a [PacketId]) -> impl Iterator<Item = PacketId> + 'a {
         self.ring.iter(slab)
     }
 }
@@ -165,8 +149,6 @@ impl VcRing {
 pub(crate) struct Staged {
     /// Arena handle of the packet.
     pub pkt: PacketId,
-    /// Packet size in phits (occupancy and serialization accounting).
-    pub size: u32,
     /// Cycle the packet entered this output buffer (output-side wait
     /// accounting, read when the packet is popped for transmission).
     pub enq_at: u64,
@@ -176,8 +158,10 @@ pub(crate) struct Staged {
 
 impl Staged {
     /// Filler for vacant slab slots.
-    pub(crate) const VACANT: Staged = Staged { pkt: PacketId(0), size: 0, enq_at: 0, out_vc: 0 };
+    pub(crate) const VACANT: Staged = Staged { pkt: PacketId(0), enq_at: 0, out_vc: 0 };
 }
+
+const _: () = assert!(std::mem::size_of::<Staged>() == 16);
 
 /// Per-port output buffer: a FIFO of packets whose downstream space is
 /// already reserved, draining onto the link at one phit per cycle.
@@ -218,13 +202,13 @@ impl OutRing {
         self.capacity
     }
 
-    /// Reserve space and enqueue a granted packet.
+    /// Reserve `size` phits and enqueue a granted packet.
     ///
     /// # Panics
     /// Panics on overflow — the allocator must check [`Self::free`] first.
     #[inline]
-    pub(crate) fn push(&mut self, slab: &mut [Staged], staged: Staged) {
-        self.occupancy += staged.size;
+    pub(crate) fn push(&mut self, slab: &mut [Staged], staged: Staged, size: u32) {
+        self.occupancy += size;
         assert!(
             self.occupancy <= self.capacity,
             "output buffer overflow: {}/{}",
@@ -273,55 +257,42 @@ mod tests {
     use std::collections::VecDeque;
 
     fn staged(i: u32) -> Staged {
-        Staged { pkt: PacketId(i), size: 8, enq_at: i as u64, out_vc: 0 }
+        Staged { pkt: PacketId(i), enq_at: i as u64, out_vc: 0 }
     }
 
     #[test]
     fn vc_fifo_order_and_occupancy() {
         let (mut vc, slots) = VcRing::new(0, 32, 8);
         assert_eq!(slots, 4);
-        let mut slab = vec![(PacketId(0), 0); slots];
-        vc.push(&mut slab, PacketId(1), 8);
-        vc.push(&mut slab, PacketId(2), 8);
-        assert_eq!(vc.occupancy(), 16);
+        let mut slab = vec![PacketId(0); slots];
+        vc.push(&mut slab, PacketId(1));
+        vc.push(&mut slab, PacketId(2));
         assert_eq!(vc.len(), 2);
-        assert_eq!(vc.pop(&slab), Some((PacketId(1), 8)));
-        assert_eq!(vc.occupancy(), 8);
-        assert_eq!(vc.front(&slab), Some((PacketId(2), 8)));
+        assert_eq!(vc.pop(&slab), Some(PacketId(1)));
+        assert_eq!(vc.len(), 1);
+        assert_eq!(vc.front(&slab), Some(PacketId(2)));
     }
 
     #[test]
     #[should_panic(expected = "VC buffer overflow")]
     fn vc_overflow_is_a_bug() {
         let (mut vc, slots) = VcRing::new(0, 16, 8);
-        let mut slab = vec![(PacketId(0), 0); slots];
-        vc.push(&mut slab, PacketId(1), 8);
-        vc.push(&mut slab, PacketId(2), 8);
-        vc.push(&mut slab, PacketId(3), 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "ring slot overflow")]
-    fn undersized_packets_cannot_outrun_the_slots() {
-        // Three 4-phit packets fit 16 phits but not the two slots a
-        // 16-phit VC of 8-phit packets owns.
-        let (mut vc, slots) = VcRing::new(0, 16, 8);
-        let mut slab = vec![(PacketId(0), 0); slots];
-        for i in 0..3 {
-            vc.push(&mut slab, PacketId(i), 4);
-        }
+        let mut slab = vec![PacketId(0); slots];
+        vc.push(&mut slab, PacketId(1));
+        vc.push(&mut slab, PacketId(2));
+        vc.push(&mut slab, PacketId(3));
     }
 
     #[test]
     fn output_buffer_space_freed_on_release_only() {
         let (mut ob, slots) = OutRing::new(0, 32, 8);
         let mut slab = vec![Staged::VACANT; slots];
-        ob.push(&mut slab, staged(1));
+        ob.push(&mut slab, staged(1), 8);
         assert_eq!(ob.free(), 24);
-        let head = ob.pop_for_tx(&slab).unwrap();
+        ob.pop_for_tx(&slab).unwrap();
         // Space still held while serializing.
         assert_eq!(ob.free(), 24);
-        ob.release(head.size);
+        ob.release(8);
         assert_eq!(ob.free(), 32);
     }
 
@@ -330,7 +301,7 @@ mod tests {
         let (mut ob, slots) = OutRing::new(0, 32, 8);
         let mut slab = vec![Staged::VACANT; slots];
         for i in 0..4 {
-            ob.push(&mut slab, staged(i));
+            ob.push(&mut slab, staged(i), 8);
         }
         assert_eq!(ob.free(), 0);
         assert_eq!(ob.len(), 4);
@@ -342,7 +313,7 @@ mod tests {
         let (mut ob, slots) = OutRing::new(0, 16, 8);
         let mut slab = vec![Staged::VACANT; slots];
         for i in 0..3 {
-            ob.push(&mut slab, staged(i));
+            ob.push(&mut slab, staged(i), 8);
         }
     }
 
@@ -357,7 +328,7 @@ mod tests {
             ops in proptest::collection::vec((any::<bool>(), 0usize..2), 1..200),
         ) {
             let size = 8u32;
-            let mut slab = vec![(PacketId(u32::MAX), 0); 2 * slots];
+            let mut slab = vec![PacketId(u32::MAX); 2 * slots];
             let mut rings = [
                 VcRing::new(0, slots as u32 * size, size).0,
                 VcRing::new(slots, slots as u32 * size, size).0,
@@ -366,8 +337,8 @@ mod tests {
             for (seq, (push, which)) in ops.into_iter().enumerate() {
                 let (ring, model) = (&mut rings[which], &mut models[which]);
                 if push && model.len() < slots {
-                    ring.push(&mut slab, PacketId(seq as u32), size);
-                    model.push_back((PacketId(seq as u32), size));
+                    ring.push(&mut slab, PacketId(seq as u32));
+                    model.push_back(PacketId(seq as u32));
                 } else {
                     prop_assert_eq!(ring.pop(&slab), model.pop_front());
                 }
@@ -375,7 +346,6 @@ mod tests {
                 prop_assert!(ring.iter(&slab).eq(model.iter().copied()));
                 prop_assert_eq!(ring.len(), model.len());
                 prop_assert_eq!(ring.is_empty(), model.is_empty());
-                prop_assert_eq!(ring.occupancy(), model.len() as u32 * size);
             }
         }
 
@@ -394,13 +364,13 @@ mod tests {
             for (seq, (push, which)) in ops.into_iter().enumerate() {
                 let (ring, model) = (&mut rings[which], &mut models[which]);
                 if push && model.len() < slots {
-                    ring.push(&mut slab, staged(seq as u32));
+                    ring.push(&mut slab, staged(seq as u32), size);
                     model.push_back(seq as u32);
                 } else {
                     // Released at once: the model has no serializing packet.
                     let head = ring.pop_for_tx(&slab);
-                    if let Some(head) = head {
-                        ring.release(head.size);
+                    if head.is_some() {
+                        ring.release(size);
                     }
                     prop_assert_eq!(
                         head.map(|s| (s.pkt.0, s.enq_at)),

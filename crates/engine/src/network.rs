@@ -3,9 +3,11 @@
 //!
 //! Packets in the network live in a [`PacketArena`], one 128-byte record
 //! each; every router queue and link event carries a `u32` [`PacketId`]
-//! handle, so the steady-state hot path performs no per-packet heap
-//! allocation. A packet still waiting in its source queue is a 24-byte
-//! stub and gets its arena slot when the node wins an injection VC.
+//! handle and nothing else of the packet — every packet is
+//! `EngineConfig::packet_size` phits long — so the steady-state hot path
+//! performs no per-packet heap allocation. A packet still waiting in its
+//! source queue is a 24-byte stub and gets its arena slot when the node
+//! wins an injection VC.
 //! Scheduling is **work-list driven**: the engine maintains
 //! bitsets of nodes with queued packets, routers with resident input
 //! packets, and routers with staged output packets, so the inject /
@@ -268,12 +270,11 @@ struct Proposal {
     in_port: u8,
     vc: u8,
     out_vc: u8,
-    size: u32,
 }
 
 /// Fixed-capacity proposal list with a rarely-used heap spill, so the
-/// allocator's per-output scratch stays inline (two cache lines of
-/// 8-byte [`Proposal`]s) and never allocates in steady state.
+/// allocator's per-output scratch stays inline (one cache line of 3-byte
+/// [`Proposal`]s) and never allocates in steady state.
 #[derive(Debug, Default)]
 struct ProposalList {
     inline: [Proposal; PROPOSAL_INLINE],
@@ -744,10 +745,7 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
     /// the delay lands it in exactly the serial engine's slot.
     pub(crate) fn accept_remote_credit(&mut self, c: RemoteCredit) {
         debug_assert!(self.owns_router(c.router));
-        self.wheel.schedule(
-            c.delay,
-            Event::Credit { router: c.router, port: c.port, vc: c.vc, phits: c.phits },
-        );
+        self.wheel.schedule(c.delay, Event::Credit { router: c.router, port: c.port, vc: c.vc });
     }
 
     /// Deliver a flit that crossed the shard boundary: re-home the packet
@@ -762,7 +760,7 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
         self.live_packets += 1;
         self.wheel.schedule(
             f.delay,
-            Event::ArriveRouter { router: f.router, port: f.port, vc: f.vc, pkt: id, size: f.size },
+            Event::ArriveRouter { router: f.router, port: f.port, vc: f.vc, pkt: id },
         );
     }
 
@@ -854,39 +852,42 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
         }
     }
 
-    /// Event-delivery phase (slice-local state only).
+    /// Event-delivery phase (slice-local state only). No handler
+    /// schedules, so the wheel steps aside while they borrow the network.
     pub(crate) fn deliver_events(&mut self) {
-        let mut events = self.wheel.advance();
+        let mut wheel = std::mem::take(&mut self.wheel);
+        wheel.advance(|ev| self.deliver(ev));
+        self.wheel = wheel;
         debug_assert_eq!(self.wheel.now(), self.cycle);
-        for ev in events.drain(..) {
-            match ev {
-                // Scheduled `link + pipeline` ahead by the sender, which
-                // stamped `eligible_at` with this very cycle: the packet
-                // is eligible the moment it is resident.
-                Event::ArriveRouter { router, port, vc, pkt, size } => {
-                    let r = self.local_router(router);
-                    self.routers[r].push_input(port.idx(), vc as usize, pkt, size);
-                    set_bit(&mut self.alloc_active, r);
-                }
-                Event::ArriveNode { node, pkt } => {
-                    self.complete_delivery(node, pkt);
-                }
-                Event::Credit { router, port, vc, phits } => {
-                    let r = self.local_router(router);
-                    self.routers[r].return_credit(port.idx(), vc as usize, phits);
-                    if self.topo.params().port_kind(port) == PortKind::Global {
-                        self.mark_global_dirty(r);
-                    }
-                }
-                Event::NodeCredit { node, vc, phits } => {
-                    let n = self.local_node(node);
-                    let c = &mut self.nodes[n].credits[vc as usize];
-                    *c += phits;
-                    debug_assert!(*c <= self.cfg.injection_input_buffer);
+    }
+
+    fn deliver(&mut self, ev: Event) {
+        match ev {
+            // Scheduled `link + pipeline` ahead by the sender, which
+            // stamped `eligible_at` with this very cycle: the packet is
+            // eligible the moment it is resident.
+            Event::ArriveRouter { router, port, vc, pkt } => {
+                let r = self.local_router(router);
+                self.routers[r].push_input(port as usize, vc as usize, pkt);
+                set_bit(&mut self.alloc_active, r);
+            }
+            Event::ArriveNode { node, pkt } => {
+                self.complete_delivery(node, pkt);
+            }
+            Event::Credit { router, port, vc } => {
+                let r = self.local_router(router);
+                self.routers[r].return_credit(port as usize, vc as usize);
+                if self.topo.params().port_kind(Port(port.into())) == PortKind::Global {
+                    self.mark_global_dirty(r);
                 }
             }
+            Event::NodeCredit { node, vc } => {
+                let n = self.local_node(node);
+                let c = &mut self.nodes[n].credits[vc as usize];
+                *c += self.cfg.packet_size;
+                debug_assert!(*c <= self.cfg.injection_input_buffer);
+            }
         }
-        self.wheel.recycle(events);
     }
 
     fn complete_delivery(&mut self, node: NodeId, id: PacketId) {
@@ -973,11 +974,9 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
                 pkt.eligible_at = self.cycle + delay;
                 let id = self.arena.insert(pkt);
                 let router = node_id.router(&params);
-                let port = params.injection_port(node_id.slot(&params));
-                self.wheel.schedule(
-                    delay,
-                    Event::ArriveRouter { router, port, vc: vc as u8, pkt: id, size },
-                );
+                let port = params.injection_port(node_id.slot(&params)).0 as u8;
+                let arrive = Event::ArriveRouter { router, port, vc: vc as u8, pkt: id };
+                self.wheel.schedule(delay, arrive);
             }
         }
     }
@@ -1024,17 +1023,16 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
                     while vcs != 0 {
                         let vc = vcs.trailing_zeros() as usize;
                         vcs &= vcs - 1;
-                        let (out, out_vc, size, dep) = if port.decided & (1 << vc) != 0 {
+                        let (out, out_vc, dep) = if port.decided & (1 << vc) != 0 {
                             // A sticky decision taken by an earlier probe:
-                            // the router holds all this probe needs (every
-                            // packet is built `packet_size` phits long).
+                            // the router holds all this probe needs.
                             let (out, out_vc) = self.routers[r].decided_output(in_port, vc);
-                            (out, out_vc, self.cfg.packet_size, RouteDep::Always)
+                            (out, out_vc, RouteDep::Always)
                         } else {
                             self.decide_head(r, in_port, vc, adaptive, policy)
                         };
                         let out_port = out.idx();
-                        if self.routers[r].can_accept(out, out_vc, size) {
+                        if self.routers[r].can_accept(out, out_vc, self.cfg.packet_size) {
                             // Nominated: the port proposes this head (and only
                             // this head) if the output still has grant budget.
                             if self.alloc_out_budget[out_port] > 0 {
@@ -1046,7 +1044,6 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
                                     in_port: in_port as u8,
                                     vc: vc as u8,
                                     out_vc,
-                                    size,
                                 });
                             }
                             break 'port;
@@ -1098,7 +1095,7 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
     }
 
     /// Route the undecided head of (`in_port`, `vc`): output port and VC,
-    /// size, dependency. Non-adaptive policies keep one decision per
+    /// and dependency. Non-adaptive policies keep one decision per
     /// router visit (in the arena for the grant, in the router for later
     /// probes); adaptive ones reuse their cached decision while its
     /// dependency is intact (a dependency-valid recompute is pure and
@@ -1110,9 +1107,8 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
         vc: usize,
         adaptive: bool,
         policy: &mut P,
-    ) -> (Port, u8, u32, RouteDep) {
-        let (id, size) =
-            self.routers[r].input_front(in_port, vc).expect("ready bit set on empty VC");
+    ) -> (Port, u8, RouteDep) {
+        let id = self.routers[r].input_front(in_port, vc).expect("ready bit set on empty VC");
         debug_assert!(self.arena.get(id).eligible_at <= self.cycle, "resident head not eligible");
         let prior = self
             .arena
@@ -1142,7 +1138,7 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
         if !adaptive {
             self.routers[r].record_decision(in_port, vc, decision.out_port, decision.out_vc);
         }
-        (decision.out_port, decision.out_vc, size, dep)
+        (decision.out_port, decision.out_vc, dep)
     }
 
     /// Pick the winning proposal for `out_port` under the configured
@@ -1152,8 +1148,9 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
     fn arbitrate_output(&mut self, r: usize, out_port: usize) -> Option<Proposal> {
         let props = &self.proposals[out_port];
         let router = &self.routers[r];
+        let size = self.cfg.packet_size;
         let still_feasible =
-            |p: &&Proposal| router.can_accept(Port(out_port as u32), p.out_vc, p.size);
+            |p: &&Proposal| router.can_accept(Port(out_port as u32), p.out_vc, size);
         let params = self.topo.params();
         let rr = router.out_ports[out_port].rr;
         let radix = params.radix();
@@ -1173,7 +1170,7 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
             ArbiterPolicy::AgeBased => feasible.min_by_key(|p| {
                 let gen = router
                     .input_front(p.in_port as usize, p.vc as usize)
-                    .map_or(u64::MAX, |(id, _)| self.arena.get(id).header.gen_cycle);
+                    .map_or(u64::MAX, |id| self.arena.get(id).header.gen_cycle);
                 (gen, key_rr(p))
             }),
         }
@@ -1190,7 +1187,7 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
     fn commit_grant(&mut self, r: usize, in_port: usize, vc: usize, out_port: usize) {
         let params = *self.topo.params();
         let in_kind = params.port_kind(Port(in_port as u32));
-        let (id, size) = self.routers[r].pop_input(in_port, vc);
+        let id = self.routers[r].pop_input(in_port, vc);
         if self.routers[r].input_count == 0 {
             clear_bit(&mut self.alloc_active, r);
         }
@@ -1224,7 +1221,7 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
 
         // Reserve downstream credit (transit outputs only).
         if self.routers[r].has_credits(out_port) {
-            self.routers[r].reserve_credit(out_port, decision.out_vc as usize, size);
+            self.routers[r].reserve_credit(out_port, decision.out_vc as usize);
         }
         // The queue feeding a global link just grew (staged packet +
         // reserved credit): PiggyBack's view of this router is stale.
@@ -1240,32 +1237,21 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
         let latency = self.latencies[flat];
         match self.peers[flat] {
             PortTarget::Node(node) => {
-                self.wheel.schedule(
-                    latency,
-                    Event::NodeCredit { node, vc: vc as u8, phits: size },
-                );
+                self.wheel.schedule(latency, Event::NodeCredit { node, vc: vc as u8 });
             }
             PortTarget::Router { router, port } => {
+                let (port, vc) = (port.0 as u8, vc as u8);
                 if self.owns_router(router) {
-                    self.wheel.schedule(
-                        latency,
-                        Event::Credit { router, port, vc: vc as u8, phits: size },
-                    );
+                    self.wheel.schedule(latency, Event::Credit { router, port, vc });
                 } else {
-                    self.outbox.credits.push(RemoteCredit {
-                        router,
-                        port,
-                        vc: vc as u8,
-                        phits: size,
-                        delay: latency,
-                    });
+                    self.outbox.credits.push(RemoteCredit { router, port, vc, delay: latency });
                 }
             }
         }
 
         self.routers[r].stage_output(
             out_port,
-            Staged { pkt: id, size, enq_at: self.cycle, out_vc: decision.out_vc },
+            Staged { pkt: id, enq_at: self.cycle, out_vc: decision.out_vc },
         );
         set_bit(&mut self.tx_active, r);
     }
@@ -1287,13 +1273,13 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
                 continue;
             }
             let staged = self.routers[r].pop_output(out_port);
-            let size = staged.size;
+            let size = self.cfg.packet_size as u64;
             let flat = r * radix + out_port;
             let out_kind = params.port_kind(Port(out_port as u32));
             let latency = self.latencies[flat];
-            self.routers[r].release_output(out_port, size, self.cycle + size as u64);
+            self.routers[r].release_output(out_port, self.cycle + size);
             if out_kind == PortKind::Global {
-                self.counters.global_phits += size as u64;
+                self.counters.global_phits += size;
                 self.mark_global_dirty(r);
             }
             // Output-side waiting, attributed by output-port kind
@@ -1306,11 +1292,9 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
             }
             match self.peers[flat] {
                 PortTarget::Node(node) => {
-                    pkt.traversal += latency + size as u64;
-                    self.wheel.schedule(
-                        latency + size as u64,
-                        Event::ArriveNode { node, pkt: staged.pkt },
-                    );
+                    pkt.traversal += latency + size;
+                    let arrive = Event::ArriveNode { node, pkt: staged.pkt };
+                    self.wheel.schedule(latency + size, arrive);
                 }
                 PortTarget::Router { router, port } => {
                     // The next router's pipeline rides on the link event:
@@ -1320,16 +1304,11 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
                     let delay = latency + self.cfg.pipeline_latency;
                     pkt.traversal += latency;
                     pkt.eligible_at = self.cycle + delay;
+                    let (port, vc) = (port.0 as u8, staged.out_vc);
                     if self.owns_router(router) {
                         self.wheel.schedule(
                             delay,
-                            Event::ArriveRouter {
-                                router,
-                                port,
-                                vc: staged.out_vc,
-                                pkt: staged.pkt,
-                                size,
-                            },
+                            Event::ArriveRouter { router, port, vc, pkt: staged.pkt },
                         );
                     } else {
                         // Cross-shard interception point #2: the packet
@@ -1340,14 +1319,7 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
                         let packet = *self.arena.get(staged.pkt);
                         self.arena.free(staged.pkt);
                         self.live_packets -= 1;
-                        self.outbox.flits.push(RemoteFlit {
-                            router,
-                            port,
-                            vc: staged.out_vc,
-                            size,
-                            delay,
-                            packet,
-                        });
+                        self.outbox.flits.push(RemoteFlit { router, port, vc, delay, packet });
                     }
                 }
             }
@@ -1529,7 +1501,7 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
                     let vc = dmask.trailing_zeros() as usize;
                     dmask &= dmask - 1;
                     let head = self.routers[r].input_front(in_port, vc);
-                    let decision = head.and_then(|(id, _)| self.arena.decision(id));
+                    let decision = head.and_then(|id| self.arena.decision(id));
                     assert_eq!(
                         decision.map(|(d, _)| (d.out_port, d.out_vc)),
                         Some(self.routers[r].decided_output(in_port, vc)),
@@ -1553,7 +1525,7 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
                         target.0,
                         self.cycle
                     );
-                    let (id, size) = self.routers[r]
+                    let id = self.routers[r]
                         .input_front(in_port, vc)
                         .expect("parked bit set on empty VC");
                     let (d, dep) = self
@@ -1567,7 +1539,7 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
                         self.cycle
                     );
                     assert!(
-                        !self.routers[r].can_accept(d.out_port, d.out_vc, size),
+                        !self.routers[r].can_accept(d.out_port, d.out_vc, self.cfg.packet_size),
                         "lost wakeup: parked head could proceed at router {r} \
                          in(port={in_port},vc={vc}) -> out {}, cycle {}",
                         d.out_port.0,
@@ -1642,6 +1614,7 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
     fn audit_credits(&self, ledger: &mut CreditLedger) {
         let params = *self.topo.params();
         let radix = params.radix() as usize;
+        let size = self.cfg.packet_size;
         for (r, router) in self.routers.iter().enumerate() {
             router.audit_credit_counters(self.cycle);
             let id = router.id();
@@ -1659,7 +1632,7 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
                     ledger.add(peer, peer_port, vc, router.credits(port, vc));
                 }
                 for staged in router.staged(q) {
-                    ledger.add(peer, peer_port, staged.out_vc, staged.size);
+                    ledger.add(peer, peer_port, staged.out_vc, size);
                 }
             }
         }
@@ -1673,20 +1646,20 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
         }
         for ev in self.wheel.iter() {
             match *ev {
-                Event::ArriveRouter { router, port, vc, size, .. } => {
-                    ledger.add(router, port, vc, size);
+                Event::ArriveRouter { router, port, vc, .. } => {
+                    ledger.add(router, Port(port.into()), vc, size);
                 }
-                Event::Credit { router, port, vc, phits } => {
-                    let flat = self.local_router(router) * radix + port.idx();
+                Event::Credit { router, port, vc } => {
+                    let flat = self.local_router(router) * radix + port as usize;
                     let PortTarget::Router { router: peer, port: peer_port } = self.peers[flat]
                     else {
-                        panic!("credit return towards ejection port {} of {router:?}", port.0);
+                        panic!("credit return towards ejection port {port} of {router:?}");
                     };
-                    ledger.add(peer, peer_port, vc, phits);
+                    ledger.add(peer, peer_port, vc, size);
                 }
-                Event::NodeCredit { node, vc, phits } => {
+                Event::NodeCredit { node, vc } => {
                     let (router, port) = injection_vc(node);
-                    ledger.add(router, port, vc, phits);
+                    ledger.add(router, port, vc, size);
                 }
                 Event::ArriveNode { .. } => {}
             }
@@ -2161,7 +2134,7 @@ mod tests {
         };
         audit_catches_a_resident_packet_still_in_the_pipeline: "before its eligibility cycle" => |net| {
             let (r, q, vc) = find_awake(net);
-            let (id, _) = net.routers[r].input_front(q, vc).unwrap();
+            let id = net.routers[r].input_front(q, vc).unwrap();
             net.arena.get_mut(id).eligible_at = net.cycle + 1;
         };
         audit_catches_a_stale_decided_record: "router record is not its head's arena decision" => |net| {
@@ -2187,7 +2160,7 @@ mod tests {
         };
         audit_catches_a_freed_slot_still_queued: "vacant arena slot" => |net| {
             let (r, q, vc) = find_awake(net);
-            let (id, _) = net.routers[r].input_front(q, vc).unwrap();
+            let id = net.routers[r].input_front(q, vc).unwrap();
             net.arena.free(id);
             net.live_packets -= 1;
         };
@@ -2195,11 +2168,11 @@ mod tests {
             // Stage a copy of a resident head where its credit would be
             // reserved: on a port with room, so only the handle is wrong.
             let (r, q, vc) = find_awake(net);
-            let (pkt, size) = net.routers[r].input_front(q, vc).unwrap();
+            let pkt = net.routers[r].input_front(q, vc).unwrap();
             let out = (0..net.topo.params().p as usize)
-                .find(|&out| net.routers[r].can_accept(Port(out as u32), 0, size))
+                .find(|&out| net.routers[r].can_accept(Port(out as u32), 0, 8))
                 .expect("an ejection port with room");
-            net.routers[r].stage_output(out, Staged { pkt, size, enq_at: net.cycle, out_vc: 0 });
+            net.routers[r].stage_output(out, Staged { pkt, enq_at: net.cycle, out_vc: 0 });
             set_bit(&mut net.tx_active, r);
         };
         audit_catches_a_stolen_credit: "credit conservation violated on the link into" => |net| {
@@ -2209,7 +2182,7 @@ mod tests {
                 .flat_map(|r| (params.p..params.radix()).map(move |q| (r, Port(q))))
                 .find(|&(r, port)| net.routers[r].credits(port, 0) >= 8)
                 .expect("a transit port with credit left");
-            net.routers[r].reserve_credit(port.idx(), 0, 8);
+            net.routers[r].reserve_credit(port.idx(), 0);
         };
         audit_catches_a_stolen_injection_credit: "credit conservation violated" => |net| {
             let node = net.nodes.iter_mut().find(|n| n.credits[0] >= 8);

@@ -39,7 +39,7 @@
 //!   the packet's arena record.
 
 use crate::arena::PacketId;
-use crate::buffer::{OutRing, Staged, VcEntry, VcRing};
+use crate::buffer::{OutRing, Staged, VcRing};
 use crate::config::EngineConfig;
 use df_topology::{DragonflyParams, Port, PortKind, PortLayout, RouterId};
 
@@ -117,7 +117,7 @@ pub struct RouterState {
     /// VC count are zero-capacity fillers).
     in_rings: Vec<VcRing>,
     /// Slot slab behind `in_rings`.
-    in_slots: Vec<VcEntry>,
+    in_slots: Vec<PacketId>,
     /// The output ports, `[port]`.
     pub(crate) out_ports: Vec<OutPort>,
     /// Slot slab behind the output ports' rings.
@@ -145,6 +145,9 @@ pub struct RouterState {
     /// allocator could probe this cycle. Zero means allocation is a
     /// no-op for this router.
     probe_ready: u32,
+    /// `EngineConfig::packet_size`: what every queued packet occupies of
+    /// a buffer and of a credit window.
+    packet_size: u32,
 }
 
 /// Number of VCs for a port of the given kind under `cfg`.
@@ -174,7 +177,8 @@ impl RouterState {
     /// ports get no credit counters.
     pub fn new(id: RouterId, params: &DragonflyParams, cfg: &EngineConfig) -> Self {
         let radix = params.radix() as usize;
-        assert!(radix <= 64, "port bitmasks support at most 64 ports");
+        let max = DragonflyParams::MAX_RADIX as usize;
+        assert!(radix <= max, "port bitmasks support at most {max} ports");
         let vc_stride = cfg.vcs_injection.max(cfg.vcs_local).max(cfg.vcs_global) as usize;
         let mut in_ports = Vec::with_capacity(radix);
         let mut in_rings = Vec::with_capacity(radix * vc_stride);
@@ -217,7 +221,7 @@ impl RouterState {
             vc_stride,
             in_ports,
             in_rings,
-            in_slots: vec![(PacketId(0), 0); in_slot_count],
+            in_slots: vec![PacketId(0); in_slot_count],
             out_ports,
             out_slots: vec![Staged::VACANT; out_slot_count],
             credits,
@@ -227,6 +231,7 @@ impl RouterState {
             input_count: 0,
             staged_count: 0,
             probe_ready: 0,
+            packet_size: cfg.packet_size,
         }
     }
 
@@ -254,18 +259,18 @@ impl RouterState {
         self.awake_in = (self.awake_in & !(1 << port)) | (u64::from(awake) << port);
     }
 
-    /// Head entry (handle, size) of input `port`, VC `vc`, if any.
+    /// Head packet of input `port`, VC `vc`, if any.
     #[inline]
-    pub(crate) fn input_front(&self, port: usize, vc: usize) -> Option<VcEntry> {
+    pub(crate) fn input_front(&self, port: usize, vc: usize) -> Option<PacketId> {
         self.in_rings[self.flat(port, vc)].front(&self.in_slots)
     }
 
     /// Enqueue an arriving packet on `port`, VC `vc`.
     #[inline]
-    pub(crate) fn push_input(&mut self, port: usize, vc: usize, id: PacketId, size: u32) {
+    pub(crate) fn push_input(&mut self, port: usize, vc: usize, id: PacketId) {
         let flat = self.flat(port, vc);
         let newly_occupied = self.in_rings[flat].is_empty();
-        self.in_rings[flat].push(&mut self.in_slots, id, size);
+        self.in_rings[flat].push(&mut self.in_slots, id);
         let input = &mut self.in_ports[port];
         input.ready |= 1 << vc;
         if newly_occupied {
@@ -277,13 +282,13 @@ impl RouterState {
         self.input_count += 1;
     }
 
-    /// Dequeue the head packet of `port`, VC `vc`, returning its handle
-    /// and size. The VC's next head, if any, is undecided.
+    /// Dequeue the head packet of `port`, VC `vc`, returning its handle.
+    /// The VC's next head, if any, is undecided.
     ///
     /// # Panics
     /// Panics if the VC is empty.
     #[inline]
-    pub(crate) fn pop_input(&mut self, port: usize, vc: usize) -> VcEntry {
+    pub(crate) fn pop_input(&mut self, port: usize, vc: usize) -> PacketId {
         debug_assert!(self.in_ports[port].parked & (1 << vc) == 0, "granted a parked head");
         let flat = self.flat(port, vc);
         let entry = self.in_rings[flat].pop(&self.in_slots).expect("pop from empty input VC");
@@ -304,10 +309,12 @@ impl RouterState {
         self.out_ports[port].down_vcs != 0
     }
 
-    /// Consume downstream credit on `port`, VC `vc` (grant committed).
+    /// Consume one packet's downstream credit on `port`, VC `vc` (grant
+    /// committed).
     #[inline]
-    pub(crate) fn reserve_credit(&mut self, port: usize, vc: usize, size: u32) {
+    pub(crate) fn reserve_credit(&mut self, port: usize, vc: usize) {
         debug_assert!(vc < self.out_ports[port].down_vcs as usize);
+        let size = self.packet_size;
         let c = &mut self.credits[port * self.vc_stride + vc];
         debug_assert!(*c >= size, "allocator granted without credit");
         *c -= size;
@@ -315,21 +322,22 @@ impl RouterState {
         self.touch_port(port);
     }
 
-    /// Return downstream credit on `port`, VC `vc` (space freed below).
+    /// Return one packet's downstream credit on `port`, VC `vc` (space
+    /// freed below).
     #[inline]
-    pub(crate) fn return_credit(&mut self, port: usize, vc: usize, phits: u32) {
+    pub(crate) fn return_credit(&mut self, port: usize, vc: usize) {
         debug_assert!(vc < self.out_ports[port].down_vcs as usize);
         let flat = port * self.vc_stride + vc;
-        self.credits[flat] += phits;
+        self.credits[flat] += self.packet_size;
         debug_assert!(self.credits[flat] <= self.out_ports[port].credit_cap, "credit overflow");
-        self.out_ports[port].downstream_used -= phits;
+        self.out_ports[port].downstream_used -= self.packet_size;
         self.touch_port(port);
     }
 
     /// Stage a granted packet at output `port`.
     #[inline]
     pub(crate) fn stage_output(&mut self, port: usize, staged: Staged) {
-        self.out_ports[port].ring.push(&mut self.out_slots, staged);
+        self.out_ports[port].ring.push(&mut self.out_slots, staged, self.packet_size);
         self.out_ready |= 1 << port;
         self.staged_count += 1;
         self.touch_port(port);
@@ -339,9 +347,9 @@ impl RouterState {
     /// serializing onto the link — the link stays busy until
     /// `link_free_at` — and wake heads parked on the port.
     #[inline]
-    pub(crate) fn release_output(&mut self, port: usize, size: u32, link_free_at: u64) {
+    pub(crate) fn release_output(&mut self, port: usize, link_free_at: u64) {
         let out = &mut self.out_ports[port].ring;
-        out.release(size);
+        out.release(self.packet_size);
         out.link_free_at = link_free_at;
         self.touch_port(port);
     }
@@ -545,13 +553,13 @@ impl RouterState {
 
     /// Input-VC occupancy in phits for `port`, VC `vc` (resident packets).
     pub fn input_occupancy(&self, port: Port, vc: u8) -> u32 {
-        self.in_rings[self.flat(port.idx(), vc as usize)].occupancy()
+        self.in_rings[self.flat(port.idx(), vc as usize)].len() as u32 * self.packet_size
     }
 
     /// Head packet handle of an input VC, if any (diagnostics; resolve
     /// through [`crate::network::Network::packet`]).
     pub fn head(&self, port: Port, vc: u8) -> Option<PacketId> {
-        self.input_front(port.idx(), vc as usize).map(|(id, _)| id)
+        self.input_front(port.idx(), vc as usize)
     }
 
     /// Change epoch of output `port`: bumped by every credit
@@ -603,7 +611,7 @@ impl RouterState {
     pub(crate) fn resident_packets(&self) -> impl Iterator<Item = PacketId> + '_ {
         let resident = self.in_rings.iter().flat_map(|ring| ring.iter(&self.in_slots));
         let staged = (0..self.out_ports.len()).flat_map(|port| self.staged(port));
-        resident.map(|(id, _)| id).chain(staged.map(|s| s.pkt))
+        resident.chain(staged.map(|s| s.pkt))
     }
 
     /// Audit step (credit counters): no counter exceeds the capacity
@@ -678,7 +686,7 @@ mod tests {
     }
 
     fn staged(i: u32) -> Staged {
-        Staged { pkt: PacketId(i), size: 8, enq_at: 0, out_vc: 0 }
+        Staged { pkt: PacketId(i), enq_at: 0, out_vc: 0 }
     }
 
     #[test]
@@ -717,7 +725,7 @@ mod tests {
     fn input_overflow_is_a_bug() {
         let (_, _, mut r) = setup();
         for i in 0..5 {
-            r.push_input(0, 0, PacketId(i), 8);
+            r.push_input(0, 0, PacketId(i));
         }
     }
 
@@ -725,11 +733,11 @@ mod tests {
     fn neighbouring_vcs_do_not_share_slots() {
         // Fill VC 0 of a port, wrap it, and check VC 1's entries survive.
         let (_, _, mut r) = setup();
-        r.push_input(0, 1, PacketId(100), 8);
+        r.push_input(0, 1, PacketId(100));
         for i in 0..12 {
-            r.push_input(0, 0, PacketId(i), 8);
+            r.push_input(0, 0, PacketId(i));
             if i >= 3 {
-                assert_eq!(r.pop_input(0, 0), (PacketId(i - 3), 8));
+                assert_eq!(r.pop_input(0, 0), PacketId(i - 3));
             }
         }
         assert_eq!(r.input_occupancy(Port(0), 0), 24);
@@ -740,8 +748,8 @@ mod tests {
     #[test]
     fn awake_mask_follows_park_and_touch() {
         let (_, _, mut r) = setup();
-        r.push_input(2, 0, PacketId(1), 8);
-        r.push_input(2, 1, PacketId(2), 8);
+        r.push_input(2, 0, PacketId(1));
+        r.push_input(2, 1, PacketId(2));
         assert_eq!(r.awake_in, 1 << 2);
         r.park(2, 0, 9);
         assert_eq!(r.awake_in, 1 << 2, "VC 1 still awake");
@@ -763,8 +771,8 @@ mod tests {
     #[test]
     fn decided_output_lasts_exactly_as_long_as_its_head() {
         let (_, _, mut r) = setup();
-        r.push_input(2, 1, PacketId(1), 8);
-        r.push_input(2, 1, PacketId(2), 8);
+        r.push_input(2, 1, PacketId(1));
+        r.push_input(2, 1, PacketId(2));
         r.record_decision(2, 1, Port(7), 2);
         // Parking and waking the head keeps the record whole.
         r.park(2, 1, 7);
@@ -782,7 +790,7 @@ mod tests {
     fn audit_catches_a_stale_downstream_cache() {
         let (params, _, mut r) = setup();
         let gp = (params.p + params.a - 1) as usize;
-        r.reserve_credit(gp, 0, 8);
+        r.reserve_credit(gp, 0);
         r.audit_credit_counters(0);
         r.out_ports[gp].downstream_used -= 8;
         r.audit_credit_counters(0);
@@ -804,7 +812,9 @@ mod tests {
         let (params, _, mut r) = setup();
         let gp = Port(params.p + params.a - 1);
         assert!(r.can_accept(gp, 0, 8));
-        r.reserve_credit(gp.idx(), 0, 252);
+        for _ in 0..256 / 8 {
+            r.reserve_credit(gp.idx(), 0);
+        }
         assert!(!r.can_accept(gp, 0, 8));
         assert!(r.can_accept(gp, 1, 8));
     }
@@ -822,13 +832,14 @@ mod tests {
         let (params, _, mut r) = setup();
         let gp = Port(params.p + params.a - 1);
         assert_eq!(r.downstream_occupied(gp), 0);
-        r.reserve_credit(gp.idx(), 0, 8);
-        r.reserve_credit(gp.idx(), 1, 16);
+        r.reserve_credit(gp.idx(), 0);
+        r.reserve_credit(gp.idx(), 1);
+        r.reserve_credit(gp.idx(), 1);
         assert_eq!(r.downstream_occupied(gp), 24);
         assert_eq!(r.downstream_capacity(gp), 512);
         let c = r.output_congestion(gp);
         assert!((c - 24.0 / (512.0 + 32.0)).abs() < 1e-12);
-        r.return_credit(gp.idx(), 0, 8);
+        r.return_credit(gp.idx(), 0);
         assert_eq!(r.downstream_occupied(gp), 16);
     }
 
@@ -836,12 +847,12 @@ mod tests {
     fn ready_mask_follows_push_pop() {
         let (_, _, mut r) = setup();
         assert_eq!(r.in_ports[0].ready, 0);
-        r.push_input(0, 1, PacketId(0), 8);
-        r.push_input(0, 1, PacketId(1), 8);
-        r.push_input(0, 2, PacketId(2), 8);
+        r.push_input(0, 1, PacketId(0));
+        r.push_input(0, 1, PacketId(1));
+        r.push_input(0, 2, PacketId(2));
         assert_eq!(r.in_ports[0].ready, 0b110);
         assert_eq!(r.input_packets(), 3);
-        assert_eq!(r.pop_input(0, 1), (PacketId(0), 8));
+        assert_eq!(r.pop_input(0, 1), PacketId(0));
         // VC 1 still occupied: bit stays set.
         assert_eq!(r.in_ports[0].ready, 0b110);
         r.pop_input(0, 1);

@@ -60,7 +60,7 @@ use crate::network::{
 use crate::packet::{DeliveredRecord, Packet, PacketSeq};
 use crate::policy::{RoutingPolicy, StatsSink};
 use crate::router::RouterState;
-use df_topology::{NodeId, Port, RouterId, ShardPlan, Topology};
+use df_topology::{NodeId, RouterId, ShardPlan, Topology};
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::SeqCst};
@@ -68,17 +68,16 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// A credit return crossing a shard boundary (global links only).
+/// One packet's credit return crossing a shard boundary (global links
+/// only).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RemoteCredit {
     /// Destination router (owned by another shard).
     pub router: RouterId,
     /// Destination port on that router.
-    pub port: Port,
+    pub port: u8,
     /// Virtual channel the credit replenishes.
     pub vc: u8,
-    /// Phits returned.
-    pub phits: u32,
     /// Link latency — the delay the sender would have scheduled with.
     pub delay: u64,
 }
@@ -89,11 +88,9 @@ pub(crate) struct RemoteFlit {
     /// Destination router (owned by another shard).
     pub router: RouterId,
     /// Input port the packet arrives on.
-    pub port: Port,
+    pub port: u8,
     /// Virtual channel it arrives on.
     pub vc: u8,
-    /// Packet size in phits.
-    pub size: u32,
     /// Link latency plus the receiving router's pipeline — the delay the
     /// sender would have scheduled the arrival with.
     pub delay: u64,
@@ -794,7 +791,7 @@ mod tests {
     use super::*;
     use crate::config::ArbiterPolicy;
     use crate::packet::{Decision, PacketHeader, RouteInfo};
-    use df_topology::{Arrangement, DragonflyParams, PortKind, PortLayout, PortTarget};
+    use df_topology::{Arrangement, DragonflyParams, Port, PortKind, PortLayout, PortTarget};
 
     /// Minimal-only routing (same as the serial engine's test policy).
     struct MinOnly {
@@ -1014,7 +1011,7 @@ mod tests {
             net.step();
         }
         let global = net.topology().params().global_port(0);
-        net.blocks[0][0].router_mut(RouterId(0)).reserve_credit(global.idx(), 0, 8);
+        net.blocks[0][0].router_mut(RouterId(0)).reserve_credit(global.idx(), 0);
         net.audit();
     }
 

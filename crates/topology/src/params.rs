@@ -29,6 +29,10 @@ pub struct DragonflyParams {
 }
 
 impl DragonflyParams {
+    /// The widest router the simulator builds: its per-router port sets
+    /// are 64-bit masks.
+    pub const MAX_RADIX: u32 = 64;
+
     /// Create a parameter set, validating basic invariants.
     ///
     /// # Panics
@@ -36,6 +40,27 @@ impl DragonflyParams {
     pub fn new(p: u32, a: u32, h: u32) -> Self {
         assert!(p > 0 && a > 0 && h > 0, "dragonfly parameters must be nonzero");
         Self { p, a, h }
+    }
+
+    /// Whether the simulator can build this machine: every parameter
+    /// nonzero (what [`Self::new`] asserts, and what a deserialized set
+    /// skips) and a radix of at most [`Self::MAX_RADIX`] ports. Checked
+    /// before any other derived quantity, so a hostile set overflows
+    /// nothing.
+    pub fn check(&self) -> Result<(), String> {
+        let Self { p, a, h } = *self;
+        if p == 0 || a == 0 || h == 0 {
+            return Err(format!("dragonfly parameters must be nonzero (p {p}, a {a}, h {h})"));
+        }
+        let radix = u64::from(p) + u64::from(a) - 1 + u64::from(h);
+        if radix > u64::from(Self::MAX_RADIX) {
+            return Err(format!(
+                "radix {radix} (p {p} + a-1 {} + h {h}) exceeds the simulator's {} ports",
+                a - 1,
+                Self::MAX_RADIX
+            ));
+        }
+        Ok(())
     }
 
     /// The paper's full-scale system: `p=6, a=12, h=6` → 73 groups,
@@ -127,6 +152,21 @@ mod tests {
     #[should_panic(expected = "nonzero")]
     fn zero_parameter_rejected() {
         DragonflyParams::new(0, 4, 2);
+    }
+
+    #[test]
+    fn check_names_the_radix_and_zero_parameters() {
+        for d in [DragonflyParams::paper(), DragonflyParams::small(), DragonflyParams::figure1()] {
+            d.check().unwrap();
+        }
+        // 31 + 32 + 1 = 64 ports builds; one more does not.
+        DragonflyParams { p: 31, a: 33, h: 1 }.check().unwrap();
+        let err = DragonflyParams { p: 30, a: 36, h: 2 }.check().unwrap_err();
+        assert!(err.contains("radix 67") && err.contains("64 ports"), "{err}");
+        let err = DragonflyParams { p: 6, a: 0, h: 6 }.check().unwrap_err();
+        assert!(err.contains("nonzero") && err.contains("a 0"), "{err}");
+        let huge = DragonflyParams { p: u32::MAX, a: u32::MAX, h: u32::MAX };
+        assert!(huge.check().unwrap_err().contains("radix 12884901884"));
     }
 
     #[test]

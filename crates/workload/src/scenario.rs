@@ -93,7 +93,8 @@ impl ScenarioSpec {
             .collect()
     }
 
-    /// Validate the spec against its own machine: non-empty axes, sane
+    /// Validate the spec against its own machine: a machine the simulator
+    /// can build ([`DragonflyParams::check`]), non-empty axes, sane
     /// loads, resolvable and pairwise-disjoint placements, and every
     /// job's pattern against the virtual geometry of its placement
     /// ([`PatternSpec::check`](df_traffic::PatternSpec::check) — the rule
@@ -102,6 +103,7 @@ impl ScenarioSpec {
     /// `seed` must match the master seed later used to run the scenario
     /// (random placements are seed-dependent).
     pub fn validate(&self, seed: u64) -> Result<(), String> {
+        self.params.check().map_err(|e| format!("params: {e}"))?;
         if self.jobs.is_empty() {
             return Err("scenario has no jobs".into());
         }
@@ -245,6 +247,21 @@ mod tests {
         let mut s = spec();
         s.jobs[0].load = 9.0;
         assert!(s.validate(1).is_err());
+    }
+
+    /// Radix 67 (30 + 35 + 2) passed validation and then panicked in the
+    /// engine's router constructor; zero parameters read from JSON skip
+    /// `DragonflyParams::new`'s assert. Both are admission errors now.
+    #[test]
+    fn a_machine_the_simulator_cannot_build_is_rejected() {
+        let mut s = spec();
+        s.params = DragonflyParams { p: 30, a: 36, h: 2 };
+        s.jobs = vec![job("a", 0, 2)];
+        let err = s.validate(1).unwrap_err();
+        assert!(err.starts_with("params: ") && err.contains("radix 67"), "{err}");
+        let zero = spec().to_json().replace("\"h\": 3", "\"h\": 0");
+        let err = ScenarioSpec::from_json(&zero).unwrap().validate(1).unwrap_err();
+        assert!(err.contains("nonzero") && err.contains("h 0"), "{err}");
     }
 
     #[test]

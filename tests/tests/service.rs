@@ -358,6 +358,22 @@ fn a_pattern_that_does_not_fit_its_job_is_rejected_at_submit() {
 }
 
 #[test]
+fn a_machine_the_engine_cannot_build_is_rejected_at_submit() {
+    // Radix 67 (30 + 35 + 2) used to pass admission, panic in the router
+    // constructor on every retry and end `failed`.
+    let svc = Service::new(ServiceConfig::default());
+    let (sink, events) = collecting_sink();
+    let mut bad = tiny_scenario("svc-radix-67");
+    bad.params = DragonflyParams { p: 30, a: 36, h: 2 };
+    let job = svc.submit(JobPayload::Scenario(bad), one_seed(None, None), sink);
+    match &wait_terminal(&events, job)[..] {
+        [JobEvent::Rejected { error, .. }] => assert!(error.contains("radix 67"), "{error}"),
+        other => panic!("expected a lone rejected, got {other:?}"),
+    }
+    svc.shutdown();
+}
+
+#[test]
 fn cancelling_a_queued_job_is_observed_before_it_simulates() {
     let svc = Service::new(ServiceConfig {
         workers: 1,
