@@ -12,41 +12,36 @@ cargo build --release
 echo "==> cargo test -q"
 # Debug-assertion builds recompute every reused route-cache decision and
 # run the audit (docs/DETERMINISM.md) every AUDIT_EVERY cycles of every
-# simulation, on top of the one that ends each run in any build; the
-# suite also carries the golden digests (tests/tests/golden_outputs.rs)
-# and the cache-equivalence proptests (tests/tests/route_cache.rs).
+# simulation, on top of the one that ends each run in any build. The
+# suite also carries the golden digests, each asserted serial and at
+# shards: 2 (tests/tests/golden_outputs.rs); the shard-count invariance
+# proptests over mechanism x arbiter x pattern x injection process
+# (tests/tests/sharding.rs, which drop diverging result pairs in
+# target/shard-diagnostics/ for the workflow to archive); the real
+# scenario/sweep binaries at --shards 2 against their serial bytes
+# (crates/bench/tests/scenario_cli.rs); and the cache-equivalence
+# proptests (tests/tests/route_cache.rs).
 cargo test -q
 
-echo "==> sharded tier-1 suite (DF_TEST_SHARDS=2)"
-# Every spec literal and bundled file in the tree leaves `shards` unset,
-# so this env var reroutes the ENTIRE suite — golden digests included —
-# through the group-sharded engine. Passing here means the sharded engine
-# reproduces every serial expectation byte-for-byte (the shard-count
-# invariance contract, docs/DETERMINISM.md); there are no sharded goldens
-# to re-record, by design. On mismatch the shard-invariance proptests
-# drop the offending result pairs in target/shard-diagnostics/, which
-# the workflow archives.
-DF_TEST_SHARDS=2 cargo test -q
-
-echo "==> release-mode audit (--features shadow-verify)"
-# The audit, every AUDIT_EVERY cycles, at release scheduling: release
-# builds drop debug assertions, so the periodic audit inside every
-# simulation and the recompute-and-compare check on every reused routing
-# decision are re-enabled explicitly and exercised under the optimized
-# scheduling they are meant to guard — on the route-cache properties, the
-# goldens (serial and sharded), the shard-invariance suite, and the
-# worker-team tests (lockstep populations, nested sweeps, panic
-# propagation and join at release-speed interleavings).
-cargo test -q --release -p integration-tests --features shadow-verify \
+echo "==> release-mode tests (the audit without debug assertions)"
+# Every build runs the same audit at the end of every run; only the
+# periodic cadence and the per-reuse recompute are debug-only. These
+# legs take the release build above as is. The route-cache properties,
+# the goldens and the shard-invariance suite at release scheduling, and
+# the worker-team tests (lockstep populations, nested sweeps, panic
+# propagation and join at release-speed interleavings):
+cargo test -q --release -p integration-tests \
     --test route_cache --test golden_outputs --test sharding \
     --test shard_team --test shard_team_panic
 # The engine's own unit modules at release arithmetic: the audit's
 # corruption table (every step must still name its violation with debug
 # assertions off — the plain `cycle - eligible_at` of a grant wraps
-# instead of panicking there) and the folded-pipeline timing tests.
-cargo test -q --release -p df-engine --features shadow-verify
-# And the other half: a plain release build has no periodic audit, so
-# here only the end-of-run one can catch the corrupted engine.
+# instead of panicking there, and a corrupted parked adaptive decision
+# is caught by the audit's recompute alone) and the folded-pipeline
+# timing tests.
+cargo test -q --release -p df-engine
+# And the simulator's end-of-run audit, where no periodic audit runs
+# first to catch the corrupted engine.
 cargo test -q --release -p dragonfly-core --lib finish_audits_in_every_build
 
 echo "==> cargo doc --no-deps --workspace (warnings are errors)"
@@ -72,64 +67,13 @@ cargo run --release -p df-bench --bin scenario -- --quick \
     --timeline "$artifacts/timeline_interference.jsonl" \
     scenarios/interference_advc_vs_uniform.json > /dev/null
 
-echo "==> shard-count invariance smoke (--shards 2 vs serial, byte-compare)"
-# Same spec, same seed, different engine: the sharded CLI run must print
-# byte-identical output. The beyond-paper h=7 machine (p=7, a=14 — 99
-# groups, 9,702 nodes, one step past the paper's largest evaluation)
-# runs the same gate end-to-end under the sharded engine.
-shard_dir="$(mktemp -d)"
-cargo run --release -p df-bench --bin scenario -- --quick \
-    scenarios/interference_advc_vs_uniform.json > "$shard_dir/serial.out"
-cargo run --release -p df-bench --bin scenario -- --quick --shards 2 \
-    scenarios/interference_advc_vs_uniform.json > "$shard_dir/sharded.out"
-cmp "$shard_dir/serial.out" "$shard_dir/sharded.out"
-cargo run --release -p df-bench --bin scenario -- --quick \
-    scenarios/beyond_paper_h7.json > "$shard_dir/h7-serial.out"
-cargo run --release -p df-bench --bin scenario -- --quick --shards 2 \
-    scenarios/beyond_paper_h7.json > "$shard_dir/h7-sharded.out"
-cmp "$shard_dir/h7-serial.out" "$shard_dir/h7-sharded.out"
-rm -rf "$shard_dir"
-
-echo "==> sweep smoke run + determinism gate (bundled grid, twice, bit-compare)"
-# The long-format table must be bit-identical across same-seed runs
-# regardless of how cells were scheduled across threads. The first run's
-# table lands in $artifacts for the workflow to archive.
-sweep_rerun="$(mktemp -d)"
-trap 'rm -rf "${sweep_rerun:-}"' EXIT
+echo "==> sweep smoke run (bundled grid; the archived table)"
+# golden_sweep_unfairness_grid pins these bytes, serial and at shards: 2;
+# this run writes the table the workflow archives.
 cargo run --release -p df-bench --bin sweep -- --quick \
     --csv "$artifacts/sweep_unfairness_grid.csv" \
     --out "$artifacts/sweep_unfairness_grid.json" \
     scenarios/sweep_unfairness_grid.json > /dev/null
-cargo run --release -p df-bench --bin sweep -- --quick \
-    --csv "$sweep_rerun/table.csv" --out "$sweep_rerun/table.json" \
-    scenarios/sweep_unfairness_grid.json > /dev/null
-cmp "$artifacts/sweep_unfairness_grid.csv" "$sweep_rerun/table.csv"
-cmp "$artifacts/sweep_unfairness_grid.json" "$sweep_rerun/table.json"
-# Sharded leg of the same gate: `--shards 2` threads through the base
-# spec into every expanded cell, and both artifacts must still match the
-# serial run byte-for-byte (the in-tree golden digests pin the same).
-cargo run --release -p df-bench --bin sweep -- --quick --shards 2 \
-    --csv "$sweep_rerun/sharded.csv" --out "$sweep_rerun/sharded.json" \
-    scenarios/sweep_unfairness_grid.json > /dev/null
-cmp "$artifacts/sweep_unfairness_grid.csv" "$sweep_rerun/sharded.csv"
-cmp "$artifacts/sweep_unfairness_grid.json" "$sweep_rerun/sharded.json"
-
-echo "==> SimConfig determinism gate (figure table2 --quick: twice serial, once sharded, bit-compare)"
-# Every smoke above and below enters through a ScenarioSpec; the figure
-# bin enters through SimConfig + run_grid (run_single per cell x seed),
-# which installs the whole-machine generation source instead of per-job
-# ones. Same contract: same seed, same bytes, whatever the engine. The
-# --out document carries no `shards` field (it serializes labels and
-# results, not configs), so the env var is the way to reroute it and the
-# three files must be equal.
-cargo run --release -p df-bench --bin figure -- table2 --quick \
-    --out "$artifacts/table2_quick.json" > /dev/null
-cargo run --release -p df-bench --bin figure -- table2 --quick \
-    --out "$sweep_rerun/table2.json" > /dev/null
-DF_TEST_SHARDS=2 cargo run --release -p df-bench --bin figure -- table2 --quick \
-    --out "$sweep_rerun/table2-sharded.json" > /dev/null
-cmp "$artifacts/table2_quick.json" "$sweep_rerun/table2.json"
-cmp "$artifacts/table2_quick.json" "$sweep_rerun/table2-sharded.json"
 
 echo "==> service smoke (df-serve: cache replay + admission control + drain)"
 # Boot the job server with a deliberately tiny admission window, submit
@@ -141,7 +85,7 @@ echo "==> service smoke (df-serve: cache replay + admission control + drain)"
 # artifact CI archives (see docs/SERVICE.md).
 service_sock="$(mktemp -u /tmp/df-service-ci.XXXXXX.sock)"
 service_dir="$(mktemp -d)"
-trap 'rm -rf "${sweep_rerun:-}" "${service_dir:-}"; rm -f "${service_sock:-}"' EXIT
+trap 'rm -rf "${service_dir:-}"; rm -f "${service_sock:-}"' EXIT
 cargo run --release -p df-bench --bin df-serve -- \
     --socket "$service_sock" --workers 1 --queue-depth 1 \
     --event-log "$artifacts/service_events.jsonl" &
@@ -191,7 +135,7 @@ echo "==> kill-recovery leg (durable state: crash mid-sweep, resume from checkpo
 # submission replays the same bytes from the durable result cache.
 recovery_sock="$(mktemp -u /tmp/df-recovery-ci.XXXXXX.sock)"
 recovery_dir="$(mktemp -d)"
-trap 'rm -rf "${sweep_rerun:-}" "${service_dir:-}" "${recovery_dir:-}"; rm -f "${service_sock:-}" "${recovery_sock:-}"' EXIT
+trap 'rm -rf "${service_dir:-}" "${recovery_dir:-}"; rm -f "${service_sock:-}" "${recovery_sock:-}"' EXIT
 serve_recovery() { # <state-dir> <event-log>
     cargo run --release -p df-bench --bin df-serve -- \
         --socket "$recovery_sock" --workers 1 \

@@ -139,8 +139,8 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// Build the submit request, applying `--quick`'s cycle trim (the same
-/// budgets as the `scenario` / `sweep` CLIs, so CI smoke jobs stay fast).
+/// Build the submit request, applying `--quick`'s cycle trim (the
+/// `scenario` / `sweep` CLIs' own, so CI smoke jobs stay fast).
 fn submit_request(spec_file: &str, sweep: bool, args: &Args) -> Request {
     let options = SubmitOptions {
         seeds: args.seeds.clone(),
@@ -150,15 +150,13 @@ fn submit_request(spec_file: &str, sweep: bool, args: &Args) -> Request {
     if sweep {
         let mut spec = SweepSpec::load(spec_file).unwrap_or_else(|e| die(&e));
         if args.quick {
-            spec.base.warmup_cycles = spec.base.warmup_cycles.min(1_000);
-            spec.base.measure_cycles = spec.base.measure_cycles.min(2_000);
+            df_bench::quick_sweep(&mut spec);
         }
         Request::SubmitSweep { spec, options }
     } else {
         let mut spec = ScenarioSpec::load(spec_file).unwrap_or_else(|e| die(&e));
         if args.quick {
-            spec.warmup_cycles = spec.warmup_cycles.min(2_000);
-            spec.measure_cycles = spec.measure_cycles.min(4_000);
+            df_bench::quick_scenario(&mut spec);
         }
         Request::SubmitScenario { spec, options }
     }

@@ -20,7 +20,7 @@
 //! * `--shards N` — run each cell on the group-sharded engine with `N`
 //!   shards (clamped to the group count). Output is bit-identical to the
 //!   serial engine for any `N` (see `docs/DETERMINISM.md`); overrides the
-//!   spec's `shards` field and `DF_TEST_SHARDS`.
+//!   spec's `shards` field.
 //!
 //! The seed-averaged summary is always printed to stdout as JSON (after
 //! the human-readable tables), so downstream tooling can consume the run
@@ -28,7 +28,7 @@
 
 use df_bench::{
     create_timeline_file, default_seeds, fail, flag_path, flag_positive, flag_seeds, flag_value,
-    timeline_sink, write_json,
+    quick_scenario, timeline_sink, write_json,
 };
 use dragonfly_core::prelude::*;
 use std::path::PathBuf;
@@ -92,8 +92,7 @@ fn main() {
     let args = parse_args().unwrap_or_else(|e| die(&e));
     let mut spec = ScenarioSpec::load(&args.scenario).unwrap_or_else(|e| die(&e));
     if args.quick {
-        spec.warmup_cycles = spec.warmup_cycles.min(2_000);
-        spec.measure_cycles = spec.measure_cycles.min(4_000);
+        quick_scenario(&mut spec);
     }
     if args.shards.is_some() {
         spec.shards = args.shards;

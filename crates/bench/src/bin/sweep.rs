@@ -23,12 +23,13 @@
 //!
 //! The table is deterministic: the same sweep file and seed set produce a
 //! bit-identical JSON/CSV artifact regardless of how cells were scheduled
-//! across threads (CI runs the bundled grid twice and compares md5s).
+//! across threads (`golden_sweep_unfairness_grid` pins the bundled
+//! grid's MD5s).
 //! A compact per-cell summary grid is printed to stdout.
 
 use df_bench::{
-    create_timeline_file, default_seeds, fail, flag_path, flag_positive, flag_seeds, timeline_sink,
-    write_json,
+    create_timeline_file, default_seeds, fail, flag_path, flag_positive, flag_seeds, quick_sweep,
+    timeline_sink, write_json,
 };
 use dragonfly_core::prelude::*;
 use std::path::PathBuf;
@@ -90,8 +91,7 @@ fn main() {
     let args = parse_args().unwrap_or_else(|e| die(&e));
     let mut spec = SweepSpec::load(&args.sweep).unwrap_or_else(|e| die(&e));
     if args.quick {
-        spec.base.warmup_cycles = spec.base.warmup_cycles.min(1_000);
-        spec.base.measure_cycles = spec.base.measure_cycles.min(2_000);
+        quick_sweep(&mut spec);
     }
     if args.shards.is_some() {
         // Cells inherit the base spec, so one assignment shards the grid.

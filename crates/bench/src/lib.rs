@@ -6,8 +6,8 @@
 //! What they share lives here: the flag-value readers every argument
 //! loop goes through (a missing or malformed value is an `Err` the bin
 //! reports through its own usage text, exit 2), the `--seeds N` /
-//! `--quick` seed lists, the `--timeline` JSONL writer and the `--out`
-//! JSON writer.
+//! `--quick` seed lists, `--quick`'s cycle budgets, the `--timeline`
+//! JSONL writer and the `--out` JSON writer.
 
 use dragonfly_core::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -67,6 +67,23 @@ pub fn flag_seeds(it: &mut impl Iterator<Item = String>) -> Result<Vec<u64>, Str
 /// argument loop, so `--seeds N --quick` keeps `N` in either order.
 pub fn default_seeds(quick: bool) -> Vec<u64> {
     seed_list(if quick { 1 } else { DEFAULT_SEEDS.len() as u64 })
+}
+
+/// `--quick` on a scenario: warm-up capped at 2,000 cycles, measurement
+/// at 4,000. What `scenario --quick` and `df-submit --quick` run, and the
+/// protocol the golden digests pin.
+pub fn quick_scenario(spec: &mut ScenarioSpec) {
+    spec.warmup_cycles = spec.warmup_cycles.min(2_000);
+    spec.measure_cycles = spec.measure_cycles.min(4_000);
+}
+
+/// `--quick` on a sweep: the base scenario's warm-up capped at 1,000
+/// cycles, its measurement at 2,000. What `sweep --quick` and
+/// `df-submit --sweep --quick` run, and the protocol the golden digests
+/// pin.
+pub fn quick_sweep(spec: &mut SweepSpec) {
+    spec.base.warmup_cycles = spec.base.warmup_cycles.min(1_000);
+    spec.base.measure_cycles = spec.base.measure_cycles.min(2_000);
 }
 
 /// Print a one-line error and exit 1. For runtime failures (I/O,

@@ -34,8 +34,7 @@ pub struct SimConfig {
     /// the run instrumentation-free.
     pub telemetry: Option<TelemetrySpec>,
     /// Group-shard count for parallel execution (clamped to the group
-    /// count; `None` or an omitted JSON field defers to the
-    /// `DF_TEST_SHARDS` environment variable, then to 1 — the serial
+    /// count; `None` or an omitted JSON field means 1 — the serial
     /// engine). Same-seed output is bit-identical for every value, so
     /// this is a purely operational knob and never enters result-cache
     /// keys.
@@ -90,21 +89,14 @@ impl SimConfig {
     }
 
     /// The engine configuration implied by mechanism and arbiter: Table I
-    /// parameters with the mechanism's required local-VC count (and this
-    /// config's telemetry settings, if any).
+    /// parameters with the mechanism's required local-VC count.
     pub fn engine_config(&self) -> EngineConfig {
-        engine_config(self.arbiter, self.mechanism, self.telemetry)
+        engine_config(self.arbiter, self.mechanism)
     }
 
-    /// The effective shard count before topology clamping: the explicit
-    /// `shards` field if set, else the `DF_TEST_SHARDS` environment
-    /// variable (how CI re-runs the whole suite sharded), else 1.
-    /// Always at least 1. The simulator additionally clamps to the
-    /// topology's group count.
-    ///
-    /// # Panics
-    /// Panics if `DF_TEST_SHARDS` is consulted and is not a number: a typo
-    /// must not quietly turn the sharded CI leg into a second serial one.
+    /// The effective shard count before topology clamping: the `shards`
+    /// field, 1 when unset, always at least 1. The simulator additionally
+    /// clamps to the topology's group count.
     pub fn resolved_shards(&self) -> u32 {
         resolve_shards(self.shards)
     }
@@ -119,9 +111,9 @@ impl SimConfig {
         Self { load, ..self.clone() }
     }
 
-    /// Validate ranges, the machine's ([`DragonflyParams::check`]) and the
-    /// pattern's against the whole machine ([`PatternSpec::check`])
-    /// included.
+    /// Validate ranges, the machine's ([`DragonflyParams::check`]), the
+    /// pattern's against the whole machine ([`PatternSpec::check`]) and
+    /// the telemetry spec's included.
     pub fn validate(&self) -> Result<(), String> {
         self.params.check().map_err(|e| format!("params: {e}"))?;
         if !(0.0..=self.engine_config().packet_size as f64).contains(&self.load) {
@@ -134,44 +126,23 @@ impl SimConfig {
         self.pattern
             .check(params.nodes(), params.a * params.p, params.h)
             .map_err(|e| format!("pattern: {e}"))?;
+        if let Some(telemetry) = &self.telemetry {
+            telemetry.validate()?;
+        }
         self.engine_config().validate()
     }
 }
 
-/// Table I engine parameters with `mechanism`'s local-VC count and the
-/// given telemetry: what a [`SimConfig`] and a scenario cell both run on.
-pub(crate) fn engine_config(
-    arbiter: ArbiterPolicy,
-    mechanism: MechanismSpec,
-    telemetry: Option<TelemetrySpec>,
-) -> EngineConfig {
-    EngineConfig { telemetry, ..EngineConfig::paper(arbiter, mechanism.required_local_vcs()) }
+/// Table I engine parameters with `mechanism`'s local-VC count: what a
+/// [`SimConfig`] and a scenario cell both run on.
+pub(crate) fn engine_config(arbiter: ArbiterPolicy, mechanism: MechanismSpec) -> EngineConfig {
+    EngineConfig::paper(arbiter, mechanism.required_local_vcs())
 }
 
-/// The shard count a `shards` field asks for, before topology clamping
-/// (see [`SimConfig::resolved_shards`]).
+/// The shard count a `shards` field asks for, before topology clamping:
+/// unset or zero is the serial engine (see [`SimConfig::resolved_shards`]).
 pub(crate) fn resolve_shards(shards: Option<u32>) -> u32 {
-    match shards {
-        Some(n) => n.max(1),
-        None => {
-            let var = std::env::var_os("DF_TEST_SHARDS");
-            shards_from_env(var.map(|v| v.to_string_lossy().into_owned()).as_deref())
-        }
-    }
-}
-
-/// The shard count a `DF_TEST_SHARDS` value asks for: 1 when unset, the
-/// number otherwise (0 clamps to 1, the serial engine).
-///
-/// # Panics
-/// Panics, naming the value, on anything but a plain `u32` — `two`,
-/// `2 `, the empty string.
-fn shards_from_env(value: Option<&str>) -> u32 {
-    let Some(value) = value else { return 1 };
-    match value.parse::<u32>() {
-        Ok(n) => n.max(1),
-        Err(e) => panic!("DF_TEST_SHARDS={value:?} is not a shard count: {e}"),
-    }
+    shards.unwrap_or(1).max(1)
 }
 
 // Sub-seed derivation now lives in `df-traffic` so the traffic and
@@ -268,29 +239,8 @@ mod tests {
         assert_eq!(c.resolved_shards(), 1, "explicit zero clamps to serial");
         c.shards = Some(5);
         assert_eq!(c.resolved_shards(), 5);
-        // `None` falls through to DF_TEST_SHARDS (exercised by ci.sh's
-        // sharded tier-1 leg), then to 1; either way it is at least 1.
         c.shards = None;
-        assert!(c.resolved_shards() >= 1);
-    }
-
-    #[test]
-    fn shards_from_env_reads_a_number_or_nothing() {
-        assert_eq!(shards_from_env(None), 1, "unset means serial");
-        assert_eq!(shards_from_env(Some("0")), 1, "zero clamps to serial");
-        assert_eq!(shards_from_env(Some("1")), 1);
-        assert_eq!(shards_from_env(Some("2")), 2);
-        assert_eq!(shards_from_env(Some("64")), 64);
-    }
-
-    #[test]
-    fn shards_from_env_rejects_a_typo_with_the_offending_value() {
-        for typo in ["two", "tw0", "2 ", " 2", "", "-1", "2.0"] {
-            let panic = std::panic::catch_unwind(|| shards_from_env(Some(typo)))
-                .expect_err("a typo must not fall back to the serial engine");
-            let msg = panic.downcast_ref::<String>().expect("panic carries a message");
-            assert!(msg.contains(&format!("DF_TEST_SHARDS={typo:?}")), "{msg}");
-        }
+        assert_eq!(c.resolved_shards(), 1, "unset means serial, whatever the environment");
     }
 
     #[test]

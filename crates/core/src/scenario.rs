@@ -190,17 +190,14 @@ pub fn run_cell(
 ) -> Result<RunResult, ScenarioError> {
     let CellOptions { ctl, recorders, timeline } = opts;
     // A timeline sink forces telemetry on; otherwise the spec decides.
-    let telemetry = match timeline {
-        Some(_) => Some(spec.telemetry.unwrap_or_default()),
-        None => spec.telemetry,
-    };
+    let telemetry = spec.telemetry.or_else(|| timeline.is_some().then(Default::default));
     spec.validate(seed).map_err(ScenarioError::spec)?;
     if let Some(recs) = recorders.as_deref() {
         assert_eq!(recs.len(), spec.jobs.len(), "one trace recorder per job");
     }
     // Surface config problems as errors, not a panic: the job service
     // must reject a bad submission and keep serving.
-    let engine_cfg = engine_config(spec.arbiter, mechanism, telemetry);
+    let engine_cfg = engine_config(spec.arbiter, mechanism);
     engine_cfg.validate().map_err(ScenarioError::spec)?;
     let placements = spec.resolve_placements(seed)?;
     let mut sim = Simulator::idle(
@@ -222,6 +219,7 @@ pub fn run_cell(
             seed,
             warmup_cycles: spec.warmup_cycles,
             measure_cycles: spec.measure_cycles,
+            telemetry,
         },
     );
     if let Some(sink) = timeline {

@@ -37,7 +37,7 @@ use crate::sink::MeasurementSink;
 use crate::timeline::{TimelineRecorder, TimelineSink, WindowRow};
 use df_engine::{
     Counters, EngineConfig, Network, Packet, PacketId, PhaseProfile, RouterState, RoutingPolicy,
-    ShardedNetwork,
+    ShardedNetwork, TelemetrySpec,
 };
 use df_routing::MechanismSpec;
 use df_stats::FairnessReport;
@@ -176,6 +176,9 @@ pub(crate) struct Protocol {
     pub(crate) seed: u64,
     pub(crate) warmup_cycles: u64,
     pub(crate) measure_cycles: u64,
+    /// Windowed telemetry, armed at [`Simulator::begin_measurement`];
+    /// `None` keeps the run instrumentation-free.
+    pub(crate) telemetry: Option<TelemetrySpec>,
 }
 
 /// The serial engine specialized to the simulator's policy and sink.
@@ -312,12 +315,11 @@ impl Engine {
     }
 }
 
-/// Debug and `shadow-verify` builds run [`Simulator::audit`] every this
-/// many cycles, so the whole test suite audits mid-flight; every build
-/// runs it once more when the result is extracted. A constant, not an
+/// Debug builds run [`Simulator::audit`] every this many cycles, so the
+/// whole debug test suite audits mid-flight; every build runs the same
+/// audit once more when the result is extracted. A constant, not an
 /// option: if the periodic audit ever costs the suites more than a few
 /// percent, raise it.
-#[cfg(any(debug_assertions, feature = "shadow-verify"))]
 const AUDIT_EVERY: u64 = 256;
 
 /// A configured, steppable simulation.
@@ -370,6 +372,7 @@ impl Simulator {
                 seed: cfg.seed,
                 warmup_cycles: cfg.warmup_cycles,
                 measure_cycles: cfg.measure_cycles,
+                telemetry: cfg.telemetry,
             },
         );
         if cfg.load > 0.0 {
@@ -450,7 +453,7 @@ impl Simulator {
     /// The one cycle body behind [`Self::step`], [`Self::step_profiled`]
     /// and [`Self::drive`]: job lifecycle events due now, generation, the
     /// engine cycle (timed into `profile` if given), the timeline tick,
-    /// and — debug and `shadow-verify` builds — the periodic audit.
+    /// and — debug builds only — the periodic audit.
     /// Inlined into each of the three so none of them pays for the other
     /// two's switches.
     #[inline(always)]
@@ -471,8 +474,7 @@ impl Simulator {
         if let Some(rec) = &mut self.timeline {
             rec.tick(self.net.cycle(), &self.net, &self.jobs);
         }
-        #[cfg(any(debug_assertions, feature = "shadow-verify"))]
-        if self.net.cycle().is_multiple_of(AUDIT_EVERY) {
+        if cfg!(debug_assertions) && self.net.cycle().is_multiple_of(AUDIT_EVERY) {
             self.audit();
         }
         Ok(())
@@ -645,9 +647,9 @@ impl Simulator {
 
     /// Start the measurement window: zero the counters (including per-job
     /// offered-load accounting) and activate the sink. If the config
-    /// carries a [`df_engine::TelemetrySpec`], the timeline recorder is
-    /// (re)armed here: its first window starts at the current cycle,
-    /// aligned with the counter reset.
+    /// carries a [`TelemetrySpec`], the timeline recorder is (re)armed
+    /// here: its first window starts at the current cycle, aligned with
+    /// the counter reset.
     pub fn begin_measurement(&mut self) {
         self.net.reset_counters();
         self.window_base_in_flight = self.net.in_flight();
@@ -655,7 +657,7 @@ impl Simulator {
         for j in &mut self.jobs {
             j.offered_packets = 0;
         }
-        if let Some(spec) = self.net.config().telemetry {
+        if let Some(spec) = self.protocol.telemetry {
             self.timeline = Some(TimelineRecorder::new(
                 spec,
                 self.net.cycle(),
@@ -954,10 +956,10 @@ mod tests {
     }
 
     /// `finish` proves the run before it publishes it — in every build:
-    /// ci.sh runs this test once more in release without `shadow-verify`,
-    /// where no periodic audit exists to catch the corruption first. The
-    /// corruption: the engine's counters zeroed behind the simulator's
-    /// back, so the window no longer accounts for the packets in flight.
+    /// ci.sh runs this test once more in release, where no periodic audit
+    /// exists to catch the corruption first. The corruption: the engine's
+    /// counters zeroed behind the simulator's back, so the window no
+    /// longer accounts for the packets in flight.
     #[test]
     #[should_panic(expected = "window identity violated")]
     fn finish_audits_in_every_build() {

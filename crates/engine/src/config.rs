@@ -24,9 +24,10 @@ pub enum ArbiterPolicy {
 /// Telemetry is read-only instrumentation: enabling it never changes
 /// what the simulation computes (same-seed summaries stay bit-identical,
 /// guarded by the golden-digest harness), it only snapshots the counters
-/// the hot path already maintains into per-window rows. `None` on
-/// [`EngineConfig::telemetry`] means zero cost: no recorder is
-/// allocated and the per-cycle hook is a single branch.
+/// the hot path already maintains into per-window rows. The engine never
+/// reads it: the simulator above it samples the engine between cycles,
+/// and a run without a spec allocates no recorder and pays one branch
+/// per cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TelemetrySpec {
     /// Width of one timeline window, in cycles.
@@ -95,9 +96,6 @@ pub struct EngineConfig {
     /// full queue is discarded (still counted as offered load), keeping
     /// memory bounded far beyond saturation.
     pub max_node_queue: usize,
-    /// Opt-in windowed telemetry; `None` (the default) disables it at
-    /// zero cost.
-    pub telemetry: Option<TelemetrySpec>,
 }
 
 impl EngineConfig {
@@ -121,7 +119,6 @@ impl EngineConfig {
             vcs_global: 2,
             arbiter,
             max_node_queue: 64,
-            telemetry: None,
         }
     }
 
@@ -164,9 +161,6 @@ impl EngineConfig {
             if latency == 0 {
                 return Err(format!("{name} must be at least 1 cycle"));
             }
-        }
-        if let Some(telemetry) = &self.telemetry {
-            telemetry.validate()?;
         }
         Ok(())
     }
@@ -215,10 +209,8 @@ mod tests {
     #[test]
     fn zero_telemetry_window_rejected() {
         let spec = TelemetrySpec { window_cycles: 0, ..TelemetrySpec::default() };
-        let c = EngineConfig { telemetry: Some(spec), ..EngineConfig::default() };
-        assert!(c.validate().is_err());
-        let c = EngineConfig { telemetry: Some(TelemetrySpec::default()), ..c };
-        assert!(c.validate().is_ok());
+        assert!(spec.validate().is_err());
+        assert!(TelemetrySpec::default().validate().is_ok());
     }
 
     #[test]

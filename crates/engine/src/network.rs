@@ -27,9 +27,7 @@ use crate::arena::{PacketArena, PacketId};
 use crate::buffer::Staged;
 use crate::config::{ArbiterPolicy, EngineConfig};
 use crate::events::{Event, EventWheel};
-use crate::packet::{DeliveredRecord, Packet, PacketSeq, RouteDep};
-#[cfg(any(debug_assertions, feature = "shadow-verify"))]
-use crate::packet::Decision;
+use crate::packet::{Decision, DeliveredRecord, Packet, PacketSeq, RouteDep};
 use crate::policy::{CycleCtx, RoutingPolicy, StatsSink};
 use crate::router::{input_capacity_for, vcs_for, InPort, RouterState};
 use crate::shard::{RemoteCredit, RemoteFlit, ShardOutbox};
@@ -1116,9 +1114,8 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
             .filter(|&(_, dep)| !adaptive || (self.route_cache && self.dep_valid(r, dep)));
         let (decision, dep) = match prior {
             Some((d, dep)) => {
-                #[cfg(any(debug_assertions, feature = "shadow-verify"))]
-                if adaptive {
-                    self.shadow_verify_reuse(r, in_port, vc, id, d, policy);
+                if cfg!(debug_assertions) && adaptive {
+                    self.verify_reuse(r, in_port, vc, id, d, policy);
                 }
                 (d, dep)
             }
@@ -1346,16 +1343,16 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
         }
     }
 
-    /// Shadow check for a reused adaptive decision: recompute the route
-    /// from scratch and assert it matches the cached decision. Compiled
-    /// only under `debug_assertions` or the `shadow-verify` feature.
+    /// Check a reusable adaptive decision: recompute the route from
+    /// scratch and assert it matches the cached decision. The audit runs
+    /// it on every parked head in every build; debug builds also run it
+    /// on every reuse in [`Self::decide_head`].
     ///
     /// The recompute is safe precisely because reuse is restricted to
     /// dependency-valid decisions, which by the [`RouteDep`] contract were
     /// produced on RNG-free, state-mutation-free paths — so the recompute
     /// is pure and perturbs nothing.
-    #[cfg(any(debug_assertions, feature = "shadow-verify"))]
-    fn shadow_verify_reuse(
+    fn verify_reuse(
         &mut self,
         r: usize,
         in_port: usize,
@@ -1377,7 +1374,7 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
             self.arena.decision(id).map(|(_, dep)| dep),
             fresh_dep,
         );
-        debug_assert!(
+        assert!(
             !matches!(fresh_dep, RouteDep::Volatile),
             "route cache reused a decision whose recompute is volatile at \
              cycle {} router {r} pkt {}",
@@ -1476,8 +1473,8 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
     ///   parked on, and that (port, VC) still cannot accept it — a parked
     ///   head that *could* proceed is a lost wakeup;
     /// * under an adaptive policy, the parked head's dependency is
-    ///   non-volatile and currently valid, and (debug / `shadow-verify`
-    ///   builds) a pure recompute agrees with the cached decision;
+    ///   non-volatile and currently valid, and a pure recompute agrees
+    ///   with the cached decision;
     /// * every decided VC has a head whose arena decision names exactly
     ///   the recorded `(out_port, out_vc)`;
     /// * every packet the router holds is eligible: it entered its input
@@ -1558,8 +1555,7 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
                              unpark at router {r} in(port={in_port},vc={vc}), cycle {}",
                             self.cycle
                         );
-                        #[cfg(any(debug_assertions, feature = "shadow-verify"))]
-                        self.shadow_verify_reuse(r, in_port, vc, id, d, policy);
+                        self.verify_reuse(r, in_port, vc, id, d, policy);
                     }
                 }
             }
@@ -1732,9 +1728,13 @@ mod tests {
     use df_topology::{Arrangement, DragonflyParams};
 
     /// Minimal-only test policy: local hop to exit router, global hop,
-    /// local hop to destination router, ejection.
+    /// local hop to destination router, ejection. `adaptive` makes it
+    /// declare itself in-transit adaptive with [`RouteDep::Always`]
+    /// decisions (a pure route may be reused for as long as it waits),
+    /// which is what puts the engine's reuse path under test.
     struct MinOnly {
         topo: Topology,
+        adaptive: bool,
     }
 
     impl RoutingPolicy for MinOnly {
@@ -1777,6 +1777,21 @@ mod tests {
             Decision { out_port, out_vc, info }
         }
 
+        fn route_with_deps(
+            &mut self,
+            router: &RouterState,
+            in_port: Port,
+            hdr: PacketHeader,
+            info: RouteInfo,
+        ) -> (Decision, RouteDep) {
+            let dep = if self.adaptive { RouteDep::Always } else { RouteDep::Volatile };
+            (self.route(router, in_port, hdr, info), dep)
+        }
+
+        fn adaptive_reroute(&self) -> bool {
+            self.adaptive
+        }
+
         fn name(&self) -> &'static str {
             "test-min"
         }
@@ -1789,7 +1804,7 @@ mod tests {
     /// The figure1 machine under `cfg`, minimally routed, feeding `sink`.
     fn net_with<S: StatsSink>(cfg: EngineConfig, sink: S) -> Network<MinOnly, S> {
         let topo = Topology::new(DragonflyParams::figure1(), Arrangement::Palmtree);
-        let policy = MinOnly { topo: topo.clone() };
+        let policy = MinOnly { topo: topo.clone(), adaptive: false };
         Network::new(topo, cfg, policy, sink)
     }
 
@@ -2051,7 +2066,19 @@ mod tests {
     /// pipeline, credit returns on the wire, heads decided and heads
     /// parked on the hotspot's ejection port.
     fn loaded_net() -> TestNet {
+        load(small_net())
+    }
+
+    /// [`loaded_net`] under the adaptive flavour of the policy, whose
+    /// parked heads hold reusable cached decisions.
+    fn loaded_adaptive_net() -> TestNet {
         let mut net = small_net();
+        net.policy.as_mut().expect("serial network owns its policy").adaptive = true;
+        load(net)
+    }
+
+    /// Offer and step the traffic of [`loaded_net`] into `net`.
+    fn load(mut net: TestNet) -> TestNet {
         let nodes = net.topology().params().nodes();
         // (The nodes inject in lockstep, a packet every 8 cycles, so what
         // is in flight beats with that period: after 50 cycles there are
@@ -2107,6 +2134,10 @@ mod tests {
         find_vc(&net, |input, bit| input.parked & bit != 0);
         find_vc(&net, |input, bit| input.decided & !input.parked & bit != 0);
         find_awake(&net);
+        // The adaptive flavour parks heads on cached, reusable decisions.
+        let mut adaptive = loaded_adaptive_net();
+        adaptive.audit();
+        find_vc(&adaptive, |input, bit| input.parked & bit != 0);
     }
 
     macro_rules! audit_catches {
@@ -2188,5 +2219,21 @@ mod tests {
             let node = net.nodes.iter_mut().find(|n| n.credits[0] >= 8);
             node.expect("a node with credit").credits[0] -= 8;
         };
+    }
+
+    /// The audit recomputes every parked adaptive head's cached decision
+    /// in every build (the per-reuse recompute in `decide_head` is the
+    /// debug-only part), so a cached decision that went wrong while its
+    /// port, VC and dependency still look right is caught in release too.
+    #[test]
+    #[should_panic(expected = "route cache divergence")]
+    fn audit_catches_a_corrupted_parked_adaptive_decision() {
+        let mut net = loaded_adaptive_net();
+        let (r, q, vc) = find_vc(&net, |input, bit| input.parked & bit != 0);
+        let id = net.routers[r].input_front(q, vc).unwrap();
+        let (mut d, dep) = net.arena.decision(id).unwrap();
+        d.info.local_hops += 1;
+        net.arena.set_decision(id, d, dep);
+        net.audit();
     }
 }

@@ -147,8 +147,9 @@ const SPIN_BUDGET: u32 = 1 << 12;
 /// Of those, the checks made back to back. The rest yield the core
 /// between checks: when more workers are runnable than cores exist, the
 /// one being waited for is among them and gets the slice (measured on
-/// the `DF_TEST_SHARDS=2` suite: without the yield a waiter burns its
-/// partner's time and the suite runs 2–3× longer).
+/// on a two-core box running the whole test suite sharded, two test
+/// threads at a time: without the yield a waiter burns its partner's time
+/// and the suite runs 2–3× longer).
 const SPIN_BEFORE_YIELD: u32 = 1 << 7;
 
 /// `available_parallelism`, asked once per process: the answer comes from

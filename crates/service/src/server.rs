@@ -11,16 +11,29 @@
 //! `shutdown` drains every queued and in-flight job to its terminal
 //! event, answers `shutting_down` with the drain count, and stops the
 //! accept loop.
+//!
+//! A request line is at most [`MAX_REQUEST_LINE`] bytes. A longer one is
+//! answered with a `protocol_error` naming the limit and the connection
+//! closes, since what follows it cannot be framed; a line that is not
+//! UTF-8 is answered with a `protocol_error` and the connection keeps
+//! serving.
 
 use crate::job::JobPayload;
 use crate::lock;
 use crate::protocol::{JobEvent, Request};
 use crate::service::{EventSink, Service};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+
+/// Longest request line the server reads, in bytes, newline excluded.
+/// Every bundled scenario and sweep, and every benchmark request, is
+/// under 2 KiB; an explicit node list covering all 5,256 nodes of the
+/// paper machine is about 30 KiB. The limit keeps a client that never
+/// sends a newline from growing the connection's buffer without bound.
+pub const MAX_REQUEST_LINE: usize = 1 << 20;
 
 /// Serve `service` on a Unix socket at `socket` until a `shutdown`
 /// request arrives. `event_log`, when set, receives every event of
@@ -112,19 +125,36 @@ fn handle_connection(
     shutting_down: &AtomicBool,
     socket_path: &Path,
 ) {
-    let reader = match stream.try_clone() {
+    let mut reader = match stream.try_clone() {
         Ok(s) => BufReader::new(s),
         Err(_) => return,
     };
     let writer = Arc::new(Mutex::new(stream));
     let sink = line_sink(writer, log);
 
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        // One byte past the limit tells a line of exactly the limit
+        // (followed by its newline, which JSON reads as whitespace) from
+        // a longer one.
+        let read = reader.by_ref().take(MAX_REQUEST_LINE as u64 + 1).read_until(b'\n', &mut buf);
+        if !matches!(read, Ok(1..)) {
+            break;
+        }
+        if buf.len() > MAX_REQUEST_LINE && buf.last() != Some(&b'\n') {
+            let error = format!("request line exceeds {MAX_REQUEST_LINE} bytes");
+            sink(JobEvent::ProtocolError { error });
+            break;
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            sink(JobEvent::ProtocolError { error: "request line is not UTF-8".into() });
+            continue;
+        };
         if line.trim().is_empty() {
             continue;
         }
-        let request: Request = match serde_json::from_str(&line) {
+        let request: Request = match serde_json::from_str(line) {
             Ok(r) => r,
             Err(e) => {
                 sink(JobEvent::ProtocolError { error: format!("bad request: {e}") });
@@ -161,48 +191,107 @@ mod tests {
     use super::*;
     use crate::service::ServiceConfig;
 
-    /// Round-trip ping/shutdown over a real socket; submissions are
-    /// exercised end-to-end by the integration suite.
-    #[test]
-    fn ping_and_shutdown_over_the_socket() {
-        let socket = std::env::temp_dir().join(format!("df-service-test-{}.sock", std::process::id()));
-        let service = Arc::new(Service::new(ServiceConfig {
-            workers: 1,
-            ..ServiceConfig::default()
-        }));
+    /// A one-worker server on a fresh socket named after `tag`, and the
+    /// thread serving it.
+    fn boot(tag: &str) -> (PathBuf, std::thread::JoinHandle<std::io::Result<()>>) {
+        let socket =
+            std::env::temp_dir().join(format!("df-service-{tag}-{}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&socket);
+        let config = ServiceConfig { workers: 1, ..ServiceConfig::default() };
+        let service = Arc::new(Service::new(config));
         let server = {
             let socket = socket.clone();
             std::thread::spawn(move || serve(service, &socket, None))
         };
-        // Wait for the socket to come up.
-        let mut client = loop {
-            match UnixStream::connect(&socket) {
+        (socket, server)
+    }
+
+    /// Connect to `socket`, waiting for the server to come up.
+    fn connect(socket: &Path) -> (UnixStream, BufReader<UnixStream>) {
+        let client = loop {
+            match UnixStream::connect(socket) {
                 Ok(s) => break s,
                 Err(_) => std::thread::sleep(std::time::Duration::from_millis(5)),
             }
         };
-        let mut reader = BufReader::new(client.try_clone().unwrap());
-        writeln!(client, "{}", serde_json::to_string(&Request::Ping).unwrap()).unwrap();
+        let reader = BufReader::new(client.try_clone().unwrap());
+        (client, reader)
+    }
+
+    /// Send `request` as one line and read one event back.
+    fn ask(client: &mut UnixStream, reader: &mut impl BufRead, request: &[u8]) -> JobEvent {
+        client.write_all(request).unwrap();
+        client.write_all(b"\n").unwrap();
+        next_event(reader)
+    }
+
+    fn next_event(reader: &mut impl BufRead) -> JobEvent {
         let mut line = String::new();
         reader.read_line(&mut line).unwrap();
-        assert_eq!(serde_json::from_str::<JobEvent>(&line).unwrap(), JobEvent::Pong);
-        // Garbage gets a protocol error, not a dropped connection.
-        writeln!(client, "not json").unwrap();
-        line.clear();
-        reader.read_line(&mut line).unwrap();
-        assert!(matches!(
-            serde_json::from_str::<JobEvent>(&line).unwrap(),
-            JobEvent::ProtocolError { .. }
-        ));
-        writeln!(client, "{}", serde_json::to_string(&Request::Shutdown).unwrap()).unwrap();
-        line.clear();
-        reader.read_line(&mut line).unwrap();
+        serde_json::from_str(&line).unwrap()
+    }
+
+    fn request(r: &Request) -> Vec<u8> {
+        serde_json::to_string(r).unwrap().into_bytes()
+    }
+
+    /// Ping on a new connection, shut down, and join the server.
+    fn ping_then_shutdown(socket: &Path, server: std::thread::JoinHandle<std::io::Result<()>>) {
+        let (mut client, mut reader) = connect(socket);
+        assert_eq!(ask(&mut client, &mut reader, &request(&Request::Ping)), JobEvent::Pong);
         assert_eq!(
-            serde_json::from_str::<JobEvent>(&line).unwrap(),
+            ask(&mut client, &mut reader, &request(&Request::Shutdown)),
             JobEvent::ShuttingDown { drained: 0 }
         );
         server.join().unwrap().unwrap();
-        let _ = std::fs::remove_file(&socket);
+        let _ = std::fs::remove_file(socket);
+    }
+
+    /// Round-trip ping/shutdown over a real socket; submissions are
+    /// exercised end-to-end by the integration suite.
+    #[test]
+    fn ping_and_shutdown_over_the_socket() {
+        let (socket, server) = boot("test");
+        let (mut client, mut reader) = connect(&socket);
+        assert_eq!(ask(&mut client, &mut reader, &request(&Request::Ping)), JobEvent::Pong);
+        // Garbage gets a protocol error, not a dropped connection.
+        assert!(matches!(
+            ask(&mut client, &mut reader, b"not json"),
+            JobEvent::ProtocolError { .. }
+        ));
+        ping_then_shutdown(&socket, server);
+    }
+
+    /// A stream with no newline is read up to the limit, not buffered
+    /// until one arrives: one byte past it is answered with the limit and
+    /// the connection closes. The server keeps serving others.
+    #[test]
+    fn an_overlong_request_line_is_refused_by_its_limit() {
+        let (socket, server) = boot("overlong");
+        let (mut client, mut reader) = connect(&socket);
+        client.write_all(&vec![b'x'; MAX_REQUEST_LINE + 1]).unwrap();
+        match next_event(&mut reader) {
+            JobEvent::ProtocolError { error } => {
+                assert!(error.contains(&MAX_REQUEST_LINE.to_string()), "{error}")
+            }
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+        assert_eq!(reader.read_line(&mut String::new()).unwrap(), 0, "connection closed");
+        ping_then_shutdown(&socket, server);
+    }
+
+    /// A line that is not UTF-8 is a protocol error on a connection that
+    /// stays open, not a silently dropped one.
+    #[test]
+    fn a_non_utf8_request_line_is_answered_and_the_connection_kept() {
+        let (socket, server) = boot("non-utf8");
+        let (mut client, mut reader) = connect(&socket);
+        match ask(&mut client, &mut reader, b"{\"type\":\"ping\xff\"}") {
+            JobEvent::ProtocolError { error } => assert!(error.contains("UTF-8"), "{error}"),
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+        assert_eq!(ask(&mut client, &mut reader, &request(&Request::Ping)), JobEvent::Pong);
+        ping_then_shutdown(&socket, server);
     }
 
     /// The stale-socket satellite: a dead predecessor's socket file is
@@ -225,12 +314,7 @@ mod tests {
             let socket = socket.clone();
             std::thread::spawn(move || serve(service, &socket, None))
         };
-        let mut client = loop {
-            match UnixStream::connect(&socket) {
-                Ok(s) => break s,
-                Err(_) => std::thread::sleep(std::time::Duration::from_millis(5)),
-            }
-        };
+        connect(&socket);
         // A second server against the now-live socket must refuse.
         let rival = Arc::new(Service::new(ServiceConfig {
             workers: 1,
@@ -238,10 +322,6 @@ mod tests {
         }));
         let err = serve(rival, &socket, None).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::AddrInUse);
-        writeln!(client, "{}", serde_json::to_string(&Request::Shutdown).unwrap()).unwrap();
-        let mut line = String::new();
-        BufReader::new(client).read_line(&mut line).unwrap();
-        server.join().unwrap().unwrap();
-        let _ = std::fs::remove_file(&socket);
+        ping_then_shutdown(&socket, server);
     }
 }

@@ -69,9 +69,8 @@ pub struct ScenarioSpec {
     /// The jobs sharing the network. Node sets must be disjoint.
     pub jobs: Vec<JobSpec>,
     /// Group-shard count for parallel execution. `None` (an omitted JSON
-    /// field) defers to the `DF_TEST_SHARDS` environment variable, then
-    /// to the serial engine. Purely operational: same-seed results are
-    /// bit-identical for every value, which is why the service layer
+    /// field) is the serial engine. Purely operational: same-seed results
+    /// are bit-identical for every value, which is why the service layer
     /// strips it from cache keys.
     pub shards: Option<u32>,
 }

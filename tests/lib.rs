@@ -43,9 +43,8 @@ pub fn bottleneck_vs_rest(result: &RunResult, params: &DragonflyParams) -> (f64,
     (bottleneck, rest)
 }
 
-/// MD5 (RFC 1321) digest as a lowercase hex string. The golden-output
-/// tests digest serialized results with the same function ci.sh applies
-/// to the CLI artifacts (`md5sum`), without pulling in an external crate.
+/// MD5 (RFC 1321) digest as a lowercase hex string — what `md5sum`
+/// prints for a CLI artifact — without pulling in an external crate.
 pub fn md5_hex(data: &[u8]) -> String {
     #[rustfmt::skip]
     const S: [u32; 64] = [

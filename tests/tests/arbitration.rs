@@ -196,8 +196,7 @@ fn lru_variant_unfairness_sits_between_crg_variants() {
         MechanismSpec::InTransitCrg,
         MechanismSpec::InTransitLru,
     ];
-    spec.warmup_cycles = spec.warmup_cycles.min(2_000);
-    spec.measure_cycles = spec.measure_cycles.min(4_000);
+    df_bench::quick_scenario(&mut spec);
     let result = run_scenario(&spec, &[DEFAULT_SEEDS[0]]).expect("run scenario");
 
     let aggressor = |label: &str| {

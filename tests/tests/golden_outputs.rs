@@ -1,6 +1,6 @@
 //! Golden-output digests: the `scenario --quick` / `sweep --quick`
-//! protocols for every bundled scenario file, digested with the same MD5
-//! that ci.sh applies to the CLI artifacts. Any change to simulation
+//! protocols (`df_bench::quick_scenario` / `quick_sweep`, the budgets the
+//! CLIs apply) for every bundled scenario file. Any change to simulation
 //! behavior — event ordering, RNG consumption, float accumulation — shows
 //! up here as a digest mismatch, so behavior-preservation is enforced by
 //! `cargo test -q` and not only by the shell script.
@@ -12,32 +12,36 @@
 //! message (see `docs/DETERMINISM.md`).
 //!
 //! `golden_pattern_mode` pins the other front door — a `SimConfig` run
-//! through `run_single`, what the figure and table binaries and the
-//! `perf/` paper workloads use — on the serialized `RunResult` itself.
+//! through `run_single`, what the figure binary and the `perf/` paper
+//! workloads use — on the serialized `RunResult` itself.
 //!
 //! Every digest is asserted twice: once on the serial engine and once at
-//! `shards: 2` on the group-sharded engine. The shard-count-invariance
-//! contract (`docs/DETERMINISM.md`) says they are the same bytes, so the
-//! sharded legs pin the SAME MD5s — no new goldens exist for sharded
-//! runs, by design.
+//! `shards: 2` on the group-sharded engine (the `_sharded` tests, and the
+//! inner loop of `golden_pattern_mode`). The shard-count-invariance
+//! contract (`docs/DETERMINISM.md`) says they are the same bytes, so each
+//! digest is written once, in the helper both tests call — no new goldens
+//! exist for sharded runs, by design.
 
+use df_bench::{quick_scenario, quick_sweep};
 use dragonfly_core::prelude::*;
 use integration_tests::md5_hex;
+
+/// The engines every digest is asserted on: the spec's own (serial for
+/// every bundled file), then the group-sharded engine at 2 shards.
+const SHARDS: [Option<u32>; 2] = [None, Some(2)];
 
 fn scenarios_dir() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../scenarios")
 }
 
-/// Replicate the `scenario --quick` protocol: single seed, warm-up capped
-/// at 2000 cycles, measurement at 4000. Digest of the seed-averaged
-/// summary JSON (what the CLI prints to stdout for tooling). `shards`
-/// mirrors the CLI's `--shards` override (`None` = the spec's own
-/// setting, i.e. serial for the bundled files).
-fn scenario_quick_digest_sharded(file: &str, shards: Option<u32>) -> String {
+/// The `scenario --quick [--shards N]` protocol: single seed, the quick
+/// cycle budget. Digest of the seed-averaged summary JSON (what the CLI
+/// prints to stdout for tooling). `shards` mirrors `--shards` (`None` =
+/// the spec's own setting).
+fn scenario_quick_digest(file: &str, shards: Option<u32>) -> String {
     let path = scenarios_dir().join(file);
     let mut spec = ScenarioSpec::load(path.to_str().unwrap()).expect("load scenario");
-    spec.warmup_cycles = spec.warmup_cycles.min(2_000);
-    spec.measure_cycles = spec.measure_cycles.min(4_000);
+    quick_scenario(&mut spec);
     if shards.is_some() {
         spec.shards = shards;
     }
@@ -46,18 +50,12 @@ fn scenario_quick_digest_sharded(file: &str, shards: Option<u32>) -> String {
     md5_hex(json.as_bytes())
 }
 
-fn scenario_quick_digest(file: &str) -> String {
-    scenario_quick_digest_sharded(file, None)
-}
-
-/// Replicate the `sweep --quick` protocol: single seed, warm-up capped at
-/// 1000 cycles, measurement at 2000. Returns digests of the CSV and JSON
-/// artifacts (the pair ci.sh double-runs and byte-compares).
-fn sweep_quick_digests_sharded(file: &str, shards: Option<u32>) -> (String, String) {
+/// The `sweep --quick [--shards N]` protocol: single seed, the quick
+/// cycle budget. Returns digests of the CSV and JSON artifacts.
+fn sweep_quick_digests(file: &str, shards: Option<u32>) -> (String, String) {
     let path = scenarios_dir().join(file);
     let mut spec = SweepSpec::load(path.to_str().unwrap()).expect("load sweep");
-    spec.base.warmup_cycles = spec.base.warmup_cycles.min(1_000);
-    spec.base.measure_cycles = spec.base.measure_cycles.min(2_000);
+    quick_sweep(&mut spec);
     if shards.is_some() {
         spec.base.shards = shards;
     }
@@ -67,74 +65,64 @@ fn sweep_quick_digests_sharded(file: &str, shards: Option<u32>) -> (String, Stri
     (csv, md5_hex(json_text.as_bytes()))
 }
 
-fn sweep_quick_digests(file: &str) -> (String, String) {
-    sweep_quick_digests_sharded(file, None)
+fn assert_interference_golden(shards: Option<u32>) {
+    assert_eq!(
+        scenario_quick_digest("interference_advc_vs_uniform.json", shards),
+        "0e6ffb3aa0cf2e890cbe948633eedefa",
+        "behavior drift in the interference scenario, shards {shards:?} \
+         (see docs/DETERMINISM.md)"
+    );
+}
+
+fn assert_job_anatomy_golden(shards: Option<u32>) {
+    assert_eq!(
+        scenario_quick_digest("paper_job_anatomy.json", shards),
+        "bf12a27f9d94ef4ce3cfdb41aed39283",
+        "behavior drift in the job-anatomy scenario, shards {shards:?} \
+         (see docs/DETERMINISM.md)"
+    );
+}
+
+fn assert_sweep_grid_golden(shards: Option<u32>) {
+    let (csv, json) = sweep_quick_digests("sweep_unfairness_grid.json", shards);
+    assert_eq!(
+        csv, "df045dadf249fc449c1ccc7b3ce548f8",
+        "behavior drift in the sweep grid CSV, shards {shards:?} (see docs/DETERMINISM.md)"
+    );
+    assert_eq!(
+        json, "d7d9743204a4108a0e46c87d28c444a3",
+        "behavior drift in the sweep grid JSON, shards {shards:?} (see docs/DETERMINISM.md)"
+    );
 }
 
 #[test]
 fn golden_interference_advc_vs_uniform() {
-    assert_eq!(
-        scenario_quick_digest("interference_advc_vs_uniform.json"),
-        "0e6ffb3aa0cf2e890cbe948633eedefa",
-        "behavior drift in the interference scenario (see docs/DETERMINISM.md)"
-    );
-}
-
-#[test]
-fn golden_paper_job_anatomy() {
-    assert_eq!(
-        scenario_quick_digest("paper_job_anatomy.json"),
-        "bf12a27f9d94ef4ce3cfdb41aed39283",
-        "behavior drift in the job-anatomy scenario (see docs/DETERMINISM.md)"
-    );
-}
-
-#[test]
-fn golden_sweep_unfairness_grid() {
-    let (csv, json) = sweep_quick_digests("sweep_unfairness_grid.json");
-    assert_eq!(
-        csv, "df045dadf249fc449c1ccc7b3ce548f8",
-        "behavior drift in the sweep grid CSV (see docs/DETERMINISM.md)"
-    );
-    assert_eq!(
-        json, "d7d9743204a4108a0e46c87d28c444a3",
-        "behavior drift in the sweep grid JSON (see docs/DETERMINISM.md)"
-    );
+    assert_interference_golden(SHARDS[0]);
 }
 
 #[test]
 fn golden_interference_advc_vs_uniform_sharded() {
-    assert_eq!(
-        scenario_quick_digest_sharded("interference_advc_vs_uniform.json", Some(2)),
-        "0e6ffb3aa0cf2e890cbe948633eedefa",
-        "sharded run must reproduce the serial golden digest byte-for-byte \
-         (shard-count invariance, docs/DETERMINISM.md)"
-    );
+    assert_interference_golden(SHARDS[1]);
+}
+
+#[test]
+fn golden_paper_job_anatomy() {
+    assert_job_anatomy_golden(SHARDS[0]);
 }
 
 #[test]
 fn golden_paper_job_anatomy_sharded() {
-    assert_eq!(
-        scenario_quick_digest_sharded("paper_job_anatomy.json", Some(2)),
-        "bf12a27f9d94ef4ce3cfdb41aed39283",
-        "sharded run must reproduce the serial golden digest byte-for-byte \
-         (shard-count invariance, docs/DETERMINISM.md)"
-    );
+    assert_job_anatomy_golden(SHARDS[1]);
+}
+
+#[test]
+fn golden_sweep_unfairness_grid() {
+    assert_sweep_grid_golden(SHARDS[0]);
 }
 
 #[test]
 fn golden_sweep_unfairness_grid_sharded() {
-    let (csv, json) = sweep_quick_digests_sharded("sweep_unfairness_grid.json", Some(2));
-    assert_eq!(
-        csv, "df045dadf249fc449c1ccc7b3ce548f8",
-        "sharded sweep CSV must reproduce the serial golden digest \
-         (shard-count invariance, docs/DETERMINISM.md)"
-    );
-    assert_eq!(
-        json, "d7d9743204a4108a0e46c87d28c444a3",
-        "sharded sweep JSON must reproduce the serial golden digest \
-         (shard-count invariance, docs/DETERMINISM.md)"
-    );
+    assert_sweep_grid_golden(SHARDS[1]);
 }
 
 /// `run_single(SimConfig::small(..))` at load 0.4, seed 11, 1,000 + 2,000
@@ -171,7 +159,7 @@ fn golden_pattern_mode() {
             "a65c2c5de5b3c584678156150bcf4225",
         ),
     ] {
-        for shards in [None, Some(2)] {
+        for shards in SHARDS {
             assert_eq!(
                 pattern_mode_digest(mechanism, pattern.clone(), shards),
                 digest,

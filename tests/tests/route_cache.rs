@@ -13,9 +13,8 @@
 //!   is also bit-identical to an uninterrupted warm-cache run;
 //! * the engine's audit holds every fifth cycle and after the drain
 //!   (`Network::audit`: parked and decided heads against the state they
-//!   wait on and copy, which in debug and `shadow-verify` builds also recomputes
-//!   every parked decision from scratch — docs/DETERMINISM.md, "The
-//!   audit").
+//!   wait on and copy, which in every build also recomputes every parked
+//!   decision from scratch — docs/DETERMINISM.md, "The audit").
 
 use dragonfly_core::df_engine::{
     ArbiterPolicy, DeliveredRecord, EngineConfig, Network, RoutingPolicy,

@@ -193,8 +193,8 @@ fn stall_past_deadline_times_out_and_leaves_no_partial_output() {
     let svc = Service::new(ServiceConfig { workers: 1, ..ServiceConfig::default() });
     let (sink, events) = collecting_sink();
     // The deadline must fall inside the stall whatever cycle 50 costs:
-    // under `DF_TEST_SHARDS=2` in a debug build, with this file's other
-    // tests on the same two cores, reaching it has taken over 100 ms.
+    // in a debug build, with this file's other tests on the same two
+    // cores, reaching it has taken over 100 ms.
     let stall = FaultSpec {
         stall_at_cycle: Some(50),
         stall_ms: Some(900),

@@ -2,8 +2,8 @@
 //! serial and sharded networks must agree on their population after
 //! *every* step (cross-shard traffic is re-homed inside the step, not
 //! left in transit), and a sweep whose cells each run a team — the
-//! nested case the `DF_TEST_SHARDS=2` leg relies on — must complete with
-//! the serial table. The team's panic and thread-lifetime behaviour is
+//! nested case `sweep --shards 2` runs — must complete with the serial
+//! table. The team's panic and thread-lifetime behaviour is
 //! in `shard_team_panic.rs`, alone in its binary so it can count threads.
 
 use dragonfly_core::df_engine::{EngineConfig, Network, NullSink, ShardedNetwork};

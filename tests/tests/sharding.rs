@@ -1,6 +1,7 @@
 //! Shard-count-invariance suite: the group-sharded engine must produce
 //! **byte-identical** serialized results for every shard count, under
-//! churn schedules and across routing mechanisms (property-based), with
+//! churn schedules and across routing mechanisms, arbiters, traffic
+//! patterns and injection processes (property-based), with
 //! the sharded engine's audit held after every cycle of a loaded run and
 //! the beyond-paper h=7 machine pinned serial-vs-sharded.
 //!
@@ -29,6 +30,26 @@ const MECHANISMS: [MechanismSpec; 4] = [
     MechanismSpec::InTransitMm,
 ];
 
+/// Arbiter axis: all three output arbiters (the age arbiter is the one
+/// that reads the packet itself at arbitration time).
+const ARBITERS: [ArbiterPolicy; 3] =
+    [ArbiterPolicy::RoundRobin, ArbiterPolicy::TransitPriority, ArbiterPolicy::AgeBased];
+
+/// Pattern axis: uniform and the two adversarial patterns, each of which
+/// every job of [`churn_scenario`] admits (two or three virtual groups).
+const PATTERNS: [PatternSpec; 3] = [
+    PatternSpec::Uniform,
+    PatternSpec::Adversarial { offset: 1 },
+    PatternSpec::AdvConsecutive { spread: None },
+];
+
+/// Injection-process axis: the paper's Bernoulli draws, bursts, batches.
+const INJECTIONS: [InjectionSpec; 3] = [
+    InjectionSpec::Bernoulli,
+    InjectionSpec::OnOff { mean_burst: 40.0, mean_idle: 120.0 },
+    InjectionSpec::Poisson,
+];
+
 fn diagnostics_dir() -> PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../target/shard-diagnostics")
 }
@@ -46,19 +67,21 @@ fn archive_mismatch(tag: &str, shards: u32, serial: &str, sharded: &str) -> (Pat
 }
 
 /// A Figure 1-scale churn scenario: jobs 0/1 time-share groups 0..3
-/// around `handover`, job 2 runs groups 4..6 for the whole run. The
-/// spec's own `shards` stays `None`; each run below pins its engine
-/// explicitly.
+/// around `handover`, job 2 runs groups 4..6 for the whole run, every job
+/// with the same pattern and injection process. The spec's own `shards`
+/// stays `None`; each run below pins its engine explicitly.
 fn churn_scenario(
     mechanism: MechanismSpec,
+    arbiter: ArbiterPolicy,
+    traffic: (PatternSpec, InjectionSpec),
     handover: u64,
     tail: u64,
 ) -> ScenarioSpec {
     let job = |name: &str, first, count, (start_cycle, stop_cycle)| JobSpec {
         name: name.into(),
         placement: PlacementSpec::ConsecutiveGroups { first, count, slots: None },
-        pattern: PatternSpec::Uniform,
-        injection: InjectionSpec::Bernoulli,
+        pattern: traffic.0.clone(),
+        injection: traffic.1.clone(),
         load: 0.25,
         start_cycle,
         stop_cycle,
@@ -68,7 +91,7 @@ fn churn_scenario(
         params: DragonflyParams::figure1(),
         arrangement: Arrangement::Palmtree,
         mechanisms: vec![mechanism],
-        arbiter: ArbiterPolicy::TransitPriority,
+        arbiter,
         warmup_cycles: 200,
         measure_cycles: 800,
         telemetry: None,
@@ -100,34 +123,41 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     // The tentpole invariant: for a random churn schedule x mechanism x
-    // seed, the serialized RunResult is byte-identical across shard
-    // counts {1, 2, 3, #groups}. Serial (S=1) is the baseline; any
-    // divergence archives the offending pair under target/shard-diagnostics/.
+    // arbiter x pattern x injection process x seed, the serialized
+    // RunResult is byte-identical across shard counts {1, 2, 3, #groups}.
+    // Serial (S=1) is the baseline; any divergence archives the offending
+    // pair under target/shard-diagnostics/.
     #[test]
     fn run_results_are_byte_identical_across_shard_counts(
         handover in 100u64..900,
         tail in 1u64..200,
         seed in 0u64..1_000,
         mech_idx in 0usize..MECHANISMS.len(),
+        arb_idx in 0usize..ARBITERS.len(),
+        pattern_idx in 0usize..PATTERNS.len(),
+        injection_idx in 0usize..INJECTIONS.len(),
     ) {
-        let mechanism = MECHANISMS[mech_idx];
-        let spec = churn_scenario(mechanism, handover, tail);
+        let (mechanism, arbiter) = (MECHANISMS[mech_idx], ARBITERS[arb_idx]);
+        let traffic = (PATTERNS[pattern_idx].clone(), INJECTIONS[injection_idx].clone());
+        let labels = format!(
+            "{}-{arbiter:?}-{}-{}",
+            mechanism.label(),
+            traffic.0.label(),
+            traffic.1.label()
+        );
+        let spec = churn_scenario(mechanism, arbiter, traffic, handover, tail);
         spec.validate(seed).unwrap();
         let baseline = run_serialized(&spec, mechanism, seed, 1);
         for &s in &SHARD_COUNTS {
             let sharded = run_serialized(&spec, mechanism, seed, s);
             if baseline != sharded {
-                let tag = format!(
-                    "churn-{}-h{handover}-t{tail}-seed{seed}",
-                    mechanism.label()
-                );
+                let tag = format!("churn-{labels}-h{handover}-t{tail}-seed{seed}");
                 let (a, b) = archive_mismatch(&tag, s, &baseline, &sharded);
                 prop_assert!(
                     false,
                     "shard-count invariance violated at {s} shards \
-                     (mechanism {}, handover {handover}, tail {tail}, seed {seed}); \
+                     ({labels}, handover {handover}, tail {tail}, seed {seed}); \
                      diagnostics: {} vs {}",
-                    mechanism.label(),
                     a.display(),
                     b.display()
                 );
@@ -206,11 +236,13 @@ fn beyond_paper_h7_scenario_is_shard_invariant() {
 }
 
 /// `shards` is an optional spec field: legacy scenario files without it
-/// parse to `None` (serial / `DF_TEST_SHARDS` defaulting), and an
-/// explicit value round-trips.
+/// parse to `None` (the serial engine), and an explicit value
+/// round-trips.
 #[test]
 fn shards_field_is_optional_and_roundtrips() {
-    let spec = churn_scenario(MechanismSpec::Min, 500, 100);
+    let (arbiter, traffic) =
+        (ArbiterPolicy::TransitPriority, (PatternSpec::Uniform, InjectionSpec::Bernoulli));
+    let spec = churn_scenario(MechanismSpec::Min, arbiter, traffic, 500, 100);
     let json = spec.to_json();
     let back = ScenarioSpec::from_json(&json).unwrap();
     assert_eq!(back.shards, None);

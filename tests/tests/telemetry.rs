@@ -19,8 +19,7 @@ fn scenario_path(name: &str) -> String {
 /// Load a bundled scenario under the `scenario --quick` cycle budget.
 fn quick_spec(name: &str) -> ScenarioSpec {
     let mut spec = ScenarioSpec::load(&scenario_path(name)).expect("load scenario");
-    spec.warmup_cycles = spec.warmup_cycles.min(2_000);
-    spec.measure_cycles = spec.measure_cycles.min(4_000);
+    df_bench::quick_scenario(&mut spec);
     spec
 }
 
