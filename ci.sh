@@ -10,35 +10,34 @@ echo "==> cargo build --release"
 cargo build --release
 
 echo "==> cargo test -q"
-# Debug-assertion builds recompute every reused route-cache decision and
-# run the audit (docs/DETERMINISM.md) every AUDIT_EVERY cycles of every
-# simulation, on top of the one that ends each run in any build. The
-# suite also carries the golden digests, each asserted serial and at
-# shards: 2 (tests/tests/golden_outputs.rs); the shard-count invariance
-# proptests over mechanism x arbiter x pattern x injection process
-# (tests/tests/sharding.rs, which drop diverging result pairs in
-# target/shard-diagnostics/ for the workflow to archive); the real
-# scenario/sweep binaries at --shards 2 against their serial bytes
+# Debug-assertion builds run the audit (docs/DETERMINISM.md) every
+# AUDIT_EVERY cycles of every simulation, on top of the one that ends
+# each run in any build. The suite also carries the golden digests, each
+# asserted serial and at shards: 2 (tests/tests/golden_outputs.rs); the
+# shard-count invariance proptests over mechanism x arbiter x pattern x
+# injection process (tests/tests/sharding.rs, which drop diverging result
+# pairs in target/shard-diagnostics/ for the workflow to archive); the
+# real scenario/sweep binaries at --shards 2 against their serial bytes
 # (crates/bench/tests/scenario_cli.rs); and the cache-equivalence
-# proptests (tests/tests/route_cache.rs).
+# proptests, which also count one route call per router visit
+# (tests/tests/route_cache.rs).
 cargo test -q
 
 echo "==> release-mode tests (the audit without debug assertions)"
 # Every build runs the same audit at the end of every run; only the
-# periodic cadence and the per-reuse recompute are debug-only. These
-# legs take the release build above as is. The route-cache properties,
-# the goldens and the shard-invariance suite at release scheduling, and
-# the worker-team tests (lockstep populations, nested sweeps, panic
-# propagation and join at release-speed interleavings):
+# periodic cadence is debug-only. These legs take the release build
+# above as is. The route-cache properties, the goldens and the
+# shard-invariance suite at release scheduling, and the worker-team
+# tests (lockstep populations, nested sweeps, panic propagation and join
+# at release-speed interleavings):
 cargo test -q --release -p integration-tests \
     --test route_cache --test golden_outputs --test sharding \
     --test shard_team --test shard_team_panic
 # The engine's own unit modules at release arithmetic: the audit's
 # corruption table (every step must still name its violation with debug
 # assertions off — the plain `cycle - eligible_at` of a grant wraps
-# instead of panicking there, and a corrupted parked adaptive decision
-# is caught by the audit's recompute alone) and the folded-pipeline
-# timing tests.
+# instead of panicking there, and only the audit's own checks remain)
+# and the folded-pipeline timing tests.
 cargo test -q --release -p df-engine
 # And the simulator's end-of-run audit, where no periodic audit runs
 # first to catch the corrupted engine.

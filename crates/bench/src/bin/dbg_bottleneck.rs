@@ -20,7 +20,7 @@
 //!   the serial engine's.
 
 use df_bench::{fail, flag_path, flag_positive, write_json};
-use dragonfly_core::df_engine::{PhaseProfile, RouterState, TelemetrySpec};
+use dragonfly_core::df_engine::{vcs_for, PhaseProfile, RouterState, TelemetrySpec};
 use dragonfly_core::df_stats::RateWindow;
 use dragonfly_core::prelude::*;
 use serde::Serialize;
@@ -127,7 +127,7 @@ fn main() {
         use dragonfly_core::df_topology::{PortKind, PortLayout};
         for q in 0..params.radix() {
             let kind_in = params.port_kind(Port(q));
-            let vcs = match kind_in { PortKind::Injection => 3, PortKind::Local => 3, PortKind::Global => 2 };
+            let vcs = vcs_for(net.config(), kind_in);
             for v in 0..vcs {
                 if let Some(id) = r.head(Port(q), v) {
                     let pk = net.packet_at(RouterId(bottleneck as u32), id);

@@ -26,7 +26,7 @@
 //!
 //! The RNG substream each source draws from is tabulated in
 //! `docs/DETERMINISM.md`, "Seed substreams". Job attribution
-//! ([`Simulator::set_jobs`] / [`Simulator::set_job_schedule`]) is
+//! ([`Simulator::set_job_schedule`]) is
 //! independent of the sources: it decides whose packets a delivery counts
 //! for, by node and generation cycle.
 
@@ -523,25 +523,6 @@ impl Simulator {
         Ok(())
     }
 
-    /// Attribute nodes to jobs: `jobs` pairs each job's label with its
-    /// node set, each live for the whole run. Replaces the sink, so call
-    /// before any measurement.
-    ///
-    /// # Panics
-    /// Panics if a node is claimed twice or out of range.
-    pub fn set_jobs(&mut self, jobs: Vec<(String, Vec<NodeId>)>) {
-        self.set_job_schedule(
-            jobs.into_iter()
-                .map(|(label, nodes)| JobSchedule {
-                    label,
-                    nodes,
-                    start_cycle: None,
-                    stop_cycle: None,
-                })
-                .collect(),
-        );
-    }
-
     /// Attribute nodes to jobs *with lifetimes*: each [`JobSchedule`] is
     /// claimed when the driver reaches its `start_cycle` and released at
     /// its `stop_cycle` (arrival/departure queues processed inside
@@ -638,7 +619,7 @@ impl Simulator {
     /// `false` if the source queue is full.
     ///
     /// # Panics
-    /// Panics if `job` was not registered via [`Simulator::set_jobs`].
+    /// Panics if `job` was not registered via [`Simulator::set_job_schedule`].
     #[inline]
     pub fn offer_for_job(&mut self, job: usize, src: NodeId, dst: NodeId) -> bool {
         self.jobs[job].offered_packets += 1;
@@ -848,6 +829,11 @@ mod tests {
         cfg
     }
 
+    /// A job attributed `nodes` for the whole run.
+    fn whole_run(label: &str, nodes: Vec<NodeId>) -> JobSchedule {
+        JobSchedule { label: label.into(), nodes, start_cycle: None, stop_cycle: None }
+    }
+
     #[test]
     fn uniform_low_load_accepts_offered() {
         let cfg = tiny(MechanismSpec::Min, PatternSpec::Uniform, 0.2);
@@ -904,9 +890,9 @@ mod tests {
         // throughput accounting must split cleanly.
         let cfg = tiny(MechanismSpec::Min, PatternSpec::Uniform, 0.0);
         let mut sim = Simulator::new(&cfg);
-        sim.set_jobs(vec![
-            ("a".into(), vec![NodeId(0), NodeId(1)]),
-            ("b".into(), vec![NodeId(4)]),
+        sim.set_job_schedule(vec![
+            whole_run("a", vec![NodeId(0), NodeId(1)]),
+            whole_run("b", vec![NodeId(4)]),
         ]);
         sim.begin_measurement();
         sim.offer_for_job(0, NodeId(0), NodeId(9));
@@ -933,7 +919,7 @@ mod tests {
     #[test]
     fn pattern_mode_run_attributes_jobs_too() {
         // Attribution and the built-in whole-machine source coexist:
-        // `set_jobs` decides whose deliveries count, whoever generated
+        // `set_job_schedule` decides whose deliveries count, whoever generated
         // them (ownership is installed by the lifecycle queue `step()`
         // drains).
         let mut cfg = tiny(MechanismSpec::Min, PatternSpec::Uniform, 0.2);
@@ -941,7 +927,7 @@ mod tests {
         cfg.measure_cycles = 800;
         let mut sim = Simulator::new(&cfg);
         let nodes = (0..cfg.params.nodes()).map(NodeId).collect();
-        sim.set_jobs(vec![("all".into(), nodes)]);
+        sim.set_job_schedule(vec![whole_run("all", nodes)]);
         for _ in 0..cfg.warmup_cycles {
             sim.step();
         }
@@ -995,9 +981,9 @@ mod tests {
     fn overlapping_job_nodes_rejected() {
         let cfg = tiny(MechanismSpec::Min, PatternSpec::Uniform, 0.0);
         let mut sim = Simulator::new(&cfg);
-        sim.set_jobs(vec![
-            ("a".into(), vec![NodeId(0)]),
-            ("b".into(), vec![NodeId(0)]),
+        sim.set_job_schedule(vec![
+            whole_run("a", vec![NodeId(0)]),
+            whole_run("b", vec![NodeId(0)]),
         ]);
     }
 }

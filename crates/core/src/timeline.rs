@@ -88,7 +88,7 @@ pub struct WindowRow {
     /// Ready, unparked input-VC heads at window close (allocator-load
     /// gauge; 0 when network sampling is disabled).
     pub probe_ready_heads: u64,
-    /// Output-port epoch bumps (route-cache invalidation churn) during
+    /// Output-port epoch bumps (state changes that wake parked heads) during
     /// the window (0 when network sampling is disabled).
     pub port_epoch_bumps: u64,
     /// Per-job rows (empty when job sampling is disabled or the run has

@@ -4,10 +4,11 @@
 //! injection VC until delivery; router buffers and link events carry the
 //! `u32` [`PacketId`] handle instead of a `Box<Packet>`. (Packets still
 //! waiting in a source queue are 24-byte stubs in the node, not slots.)
-//! A slot is the [`Packet`] itself plus the [`RouteDep`] of its cached
-//! decision — 128 bytes, aligned to a cache line, so every touch of a
-//! packet costs at most two lines and routing a head (decision,
-//! dependency, route state) exactly one. One record rather than a lane
+//! A slot is the [`Packet`] itself, padded to 128 bytes and aligned to a
+//! cache line, so every touch of a packet costs at most two lines and
+//! storing a head's decision beside its route state exactly one. (A head
+//! is routed once per router visit; later probes of it read the router's
+//! record of the decision, see `router.rs`.) One record rather than a lane
 //! per field: a hop touches the record when the head is routed, when it
 //! is granted and when it is transmitted, each time reading several
 //! fields of *one* packet; arrival, arbitration and the re-probe of a
@@ -26,7 +27,7 @@
 //! cache-line-aligned element type a move is a copy: measured at Table I
 //! scale, 8–12 MB of peak RSS for the transient and the holes it leaves.)
 
-use crate::packet::{Decision, Packet, RouteDep};
+use crate::packet::{Decision, Packet};
 
 /// Handle of a live packet in the [`PacketArena`] (slab slot index).
 ///
@@ -40,23 +41,22 @@ pub struct PacketId(pub u32);
 /// Free-list terminator stored in a vacant slot's `eligible_at` field.
 const FREE_NONE: u32 = u32::MAX;
 
-/// One slab slot. `dep` leads so that, with [`Packet`]'s `repr(C)` field
-/// order, the first cache line holds everything the allocator probes.
+/// One slab slot. With [`Packet`]'s `repr(C)` field order, the first
+/// cache line holds everything the allocator writes when it routes a head
+/// and reads when it grants one.
 #[derive(Debug, Clone, Copy)]
 #[repr(C, align(64))]
 struct Slot {
-    /// What the current decision depended on (meaningful only while
-    /// `pkt.decision` is `Some`; set together with it by the allocator).
-    dep: RouteDep,
     /// The packet. For a vacant slot `pkt.eligible_at` holds the
     /// next-free link.
     pkt: Packet,
 }
 
-// Two cache lines per packet, and the probe's fields within the first.
+// Two cache lines per packet, and `eligible_at`, `decision` and `route`
+// within the first (`header` is the first field after them).
 const _: () = assert!(std::mem::size_of::<Slot>() == 128);
 const _: () = assert!(
-    std::mem::offset_of!(Slot, pkt) + std::mem::offset_of!(Packet, header) == 64
+    std::mem::offset_of!(Slot, pkt) + std::mem::offset_of!(Packet, header) == 56
 );
 
 /// Slab of in-flight packets with intrusive free-list reuse.
@@ -91,7 +91,7 @@ impl PacketArena {
 
     /// Store `pkt` and return its handle, reusing a freed slot if any.
     pub fn insert(&mut self, pkt: Packet) -> PacketId {
-        let slot = Slot { dep: RouteDep::Volatile, pkt };
+        let slot = Slot { pkt };
         if self.free_head != FREE_NONE {
             let at = self.free_head;
             self.free_head = self.slots[at as usize].pkt.eligible_at as u32;
@@ -208,21 +208,16 @@ impl PacketArena {
         &mut self.slots[id.0 as usize].pkt
     }
 
-    /// The packet's pending routing decision together with what it
-    /// depended on, if a decision is pending.
+    /// The packet's pending routing decision, if one is pending.
     #[inline]
-    pub fn decision(&self, id: PacketId) -> Option<(Decision, RouteDep)> {
-        let slot = &self.slots[id.0 as usize];
-        slot.pkt.decision.map(|d| (d, slot.dep))
+    pub fn decision(&self, id: PacketId) -> Option<Decision> {
+        self.slots[id.0 as usize].pkt.decision
     }
 
-    /// Commit a routing decision for the current hop, recording what it
-    /// depended on.
+    /// Commit a routing decision for the current hop.
     #[inline]
-    pub fn set_decision(&mut self, id: PacketId, d: Decision, dep: RouteDep) {
-        let slot = &mut self.slots[id.0 as usize];
-        slot.pkt.decision = Some(d);
-        slot.dep = dep;
+    pub fn set_decision(&mut self, id: PacketId, d: Decision) {
+        self.slots[id.0 as usize].pkt.decision = Some(d);
     }
 }
 
@@ -292,19 +287,18 @@ mod tests {
     }
 
     #[test]
-    fn decision_and_dependency_travel_together() {
+    fn decision_lasts_until_taken_or_freed() {
         let mut arena = PacketArena::new();
         let id = arena.insert(pkt(3));
         assert!(arena.decision(id).is_none());
         let d = Decision { out_port: Port(3), out_vc: 1, info: RouteInfo::new(GroupId(0)) };
-        let dep = RouteDep::Port { port: 3, epoch: 17 };
-        arena.set_decision(id, d, dep);
-        assert_eq!(arena.decision(id), Some((d, dep)));
+        arena.set_decision(id, d);
+        assert_eq!(arena.decision(id), Some(d));
         assert_eq!(arena.get_mut(id).decision.take(), Some(d));
         assert!(arena.decision(id).is_none());
         // A reused slot starts without a decision, whatever the last
         // occupant left behind.
-        arena.set_decision(id, d, dep);
+        arena.set_decision(id, d);
         arena.free(id);
         let again = arena.insert(pkt(4));
         assert_eq!(again, id);

@@ -27,7 +27,7 @@ use crate::arena::{PacketArena, PacketId};
 use crate::buffer::Staged;
 use crate::config::{ArbiterPolicy, EngineConfig};
 use crate::events::{Event, EventWheel};
-use crate::packet::{Decision, DeliveredRecord, Packet, PacketSeq, RouteDep};
+use crate::packet::{DeliveredRecord, Packet, PacketSeq};
 use crate::policy::{CycleCtx, RoutingPolicy, StatsSink};
 use crate::router::{input_capacity_for, vcs_for, InPort, RouterState};
 use crate::shard::{RemoteCredit, RemoteFlit, ShardOutbox};
@@ -372,12 +372,11 @@ pub struct Network<P: RoutingPolicy, S: StatsSink> {
     /// Work list: routers with at least one staged output packet; the
     /// transmit phase visits only these.
     tx_active: Vec<u64>,
-    /// Route-decision cache switch: when on (the default), adaptive
-    /// decisions are reused while their recorded dependency is unchanged
-    /// and blocked heads with stable decisions are parked until their
-    /// target output port changes. When off, every blocked head is
-    /// re-probed every cycle — the pre-cache behavior the equivalence
-    /// tests compare against.
+    /// Route-decision cache switch: when on (the default), a blocked head
+    /// is parked until its target output port changes. When off, every
+    /// blocked head is re-probed every cycle — the schedule the
+    /// equivalence tests compare against. Either way a head is routed once
+    /// per router visit.
     route_cache: bool,
 }
 
@@ -632,8 +631,9 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
     }
 
     /// Sum of every output port's epoch counter across all routers.
-    /// Windowed deltas of this sum count route-cache invalidation churn
-    /// (port-epoch bumps). O(routers × radix); telemetry sampling only.
+    /// Windowed deltas of this sum count output-port state changes, each
+    /// of which wakes the heads parked on the port (port-epoch bumps).
+    /// O(routers × radix); telemetry sampling only.
     pub fn port_epoch_sum(&self) -> u64 {
         let radix = self.topo.params().radix() as usize;
         self.routers
@@ -983,7 +983,6 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
     fn allocate_router(&mut self, r: usize, policy: &mut P) {
         // The work list only holds routers with resident input packets.
         debug_assert!(self.routers[r].input_count > 0, "idle router on alloc work list");
-        let adaptive = policy.adaptive_reroute();
         // Reset the persistent scratch (hoisted out of the hot loop so no
         // per-router-per-cycle allocation happens): remaining grant budget
         // per port this cycle (2× speedup), and the VCs that already won
@@ -1021,13 +1020,12 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
                     while vcs != 0 {
                         let vc = vcs.trailing_zeros() as usize;
                         vcs &= vcs - 1;
-                        let (out, out_vc, dep) = if port.decided & (1 << vc) != 0 {
-                            // A sticky decision taken by an earlier probe:
-                            // the router holds all this probe needs.
-                            let (out, out_vc) = self.routers[r].decided_output(in_port, vc);
-                            (out, out_vc, RouteDep::Always)
+                        let (out, out_vc) = if port.decided & (1 << vc) != 0 {
+                            // A decision taken by an earlier probe: the
+                            // router holds all this probe needs.
+                            self.routers[r].decided_output(in_port, vc)
                         } else {
-                            self.decide_head(r, in_port, vc, adaptive, policy)
+                            self.decide_head(r, in_port, vc, policy)
                         };
                         let out_port = out.idx();
                         if self.routers[r].can_accept(out, out_vc, self.cfg.packet_size) {
@@ -1046,23 +1044,11 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
                             }
                             break 'port;
                         }
-                        // Blocked. Park the head if its decision cannot
-                        // change before its target port does: sticky
-                        // (non-adaptive) decisions always qualify; adaptive
-                        // ones only when their dependency is the port they
-                        // wait for. Volatile adaptive decisions must
-                        // re-probe every cycle (the recompute may pick a
-                        // different output).
+                        // Blocked. The decision holds until the grant, so
+                        // the probe's outcome cannot change before its
+                        // target port does: park the head.
                         if self.route_cache {
-                            let stable = !adaptive
-                                || match dep {
-                                    RouteDep::Always => true,
-                                    RouteDep::Port { port, .. } => port as usize == out_port,
-                                    RouteDep::Volatile => false,
-                                };
-                            if stable {
-                                self.routers[r].park(in_port, vc, out_port);
-                            }
+                            self.routers[r].park(in_port, vc, out_port);
                         }
                     }
                 }
@@ -1092,50 +1078,20 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
         }
     }
 
-    /// Route the undecided head of (`in_port`, `vc`): output port and VC,
-    /// and dependency. Non-adaptive policies keep one decision per
-    /// router visit (in the arena for the grant, in the router for later
-    /// probes); adaptive ones reuse their cached decision while its
-    /// dependency is intact (a dependency-valid recompute is pure and
-    /// returns the same decision, so reuse is bit-identical).
-    fn decide_head(
-        &mut self,
-        r: usize,
-        in_port: usize,
-        vc: usize,
-        adaptive: bool,
-        policy: &mut P,
-    ) -> (Port, u8, RouteDep) {
+    /// Route the undecided head of (`in_port`, `vc`): its output port and
+    /// VC. This is the head's one routing decision at this router; it is
+    /// kept until the grant, in the arena (the full decision, which the
+    /// grant commits) and in the router (the output, for later probes).
+    fn decide_head(&mut self, r: usize, in_port: usize, vc: usize, policy: &mut P) -> (Port, u8) {
         let id = self.routers[r].input_front(in_port, vc).expect("ready bit set on empty VC");
-        debug_assert!(self.arena.get(id).eligible_at <= self.cycle, "resident head not eligible");
-        let prior = self
-            .arena
-            .decision(id)
-            .filter(|&(_, dep)| !adaptive || (self.route_cache && self.dep_valid(r, dep)));
-        let (decision, dep) = match prior {
-            Some((d, dep)) => {
-                if cfg!(debug_assertions) && adaptive {
-                    self.verify_reuse(r, in_port, vc, id, d, policy);
-                }
-                (d, dep)
-            }
-            None => {
-                let pkt = self.arena.get(id);
-                let (d, dep) = policy.route_with_deps(
-                    &self.routers[r],
-                    Port(in_port as u32),
-                    pkt.header,
-                    pkt.route,
-                );
-                debug_assert!(d.out_port.0 < self.topo.params().radix());
-                self.arena.set_decision(id, d, dep);
-                (d, dep)
-            }
-        };
-        if !adaptive {
-            self.routers[r].record_decision(in_port, vc, decision.out_port, decision.out_vc);
-        }
-        (decision.out_port, decision.out_vc, dep)
+        let pkt = self.arena.get(id);
+        debug_assert!(pkt.eligible_at <= self.cycle, "resident head not eligible");
+        debug_assert!(pkt.decision.is_none(), "undecided head holds a decision");
+        let d = policy.route(&self.routers[r], Port(in_port as u32), pkt.header, pkt.route);
+        debug_assert!(d.out_port.0 < self.topo.params().radix());
+        self.arena.set_decision(id, d);
+        self.routers[r].record_decision(in_port, vc, d.out_port, d.out_vc);
+        (d.out_port, d.out_vc)
     }
 
     /// Pick the winning proposal for `out_port` under the configured
@@ -1327,63 +1283,6 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
     }
 
     // ------------------------------------------------------------------
-    // Route-decision cache
-    // ------------------------------------------------------------------
-
-    /// Whether the recorded dependency `dep` of a cached decision still
-    /// holds at router `r` (see [`RouteDep`]).
-    #[inline]
-    fn dep_valid(&self, r: usize, dep: RouteDep) -> bool {
-        match dep {
-            RouteDep::Volatile => false,
-            RouteDep::Always => true,
-            RouteDep::Port { port, epoch } => {
-                self.routers[r].port_epoch(Port(port as u32)) == epoch
-            }
-        }
-    }
-
-    /// Check a reusable adaptive decision: recompute the route from
-    /// scratch and assert it matches the cached decision. The audit runs
-    /// it on every parked head in every build; debug builds also run it
-    /// on every reuse in [`Self::decide_head`].
-    ///
-    /// The recompute is safe precisely because reuse is restricted to
-    /// dependency-valid decisions, which by the [`RouteDep`] contract were
-    /// produced on RNG-free, state-mutation-free paths — so the recompute
-    /// is pure and perturbs nothing.
-    fn verify_reuse(
-        &mut self,
-        r: usize,
-        in_port: usize,
-        vc: usize,
-        id: PacketId,
-        cached: Decision,
-        policy: &mut P,
-    ) {
-        let pkt = self.arena.get(id);
-        let (hdr, info) = (pkt.header, pkt.route);
-        let (fresh, fresh_dep) =
-            policy.route_with_deps(&self.routers[r], Port(in_port as u32), hdr, info);
-        assert_eq!(
-            cached, fresh,
-            "route cache divergence: reused decision != fresh recompute at \
-             cycle {} router {r} in(port={in_port},vc={vc}) pkt {} (dep {:?}, fresh dep {:?})",
-            self.cycle,
-            hdr.id,
-            self.arena.decision(id).map(|(_, dep)| dep),
-            fresh_dep,
-        );
-        assert!(
-            !matches!(fresh_dep, RouteDep::Volatile),
-            "route cache reused a decision whose recompute is volatile at \
-             cycle {} router {r} pkt {}",
-            self.cycle,
-            hdr.id,
-        );
-    }
-
-    // ------------------------------------------------------------------
     // The audit
     // ------------------------------------------------------------------
 
@@ -1396,12 +1295,11 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
     ///
     /// # Panics
     /// Panics on a shard slice, whose policy lives with the controller.
-    pub fn audit(&mut self) {
-        let mut policy = self.policy.take().expect("policy detached (shard slice)");
+    pub fn audit(&self) {
+        let policy = self.policy.as_ref().expect("policy detached (shard slice)");
         let mut ledger = CreditLedger::new(&self.topo, &self.cfg);
-        self.audit_slice(&mut policy, &mut ledger);
+        self.audit_slice(policy, &mut ledger);
         ledger.assert_balanced(self.cycle);
-        self.policy = Some(policy);
     }
 
     /// Every audit step that needs only this slice's state, with the
@@ -1409,12 +1307,12 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
     /// credit window goes into `ledger`, which the caller balances once
     /// every slice has contributed (a global link's two ends may sit in
     /// different shards).
-    pub(crate) fn audit_slice(&mut self, policy: &mut P, ledger: &mut CreditLedger) {
+    pub(crate) fn audit_slice(&self, policy: &P, ledger: &mut CreditLedger) {
         self.audit_work_lists();
         // Population first: the steps after it read the arena record of
         // every queued handle, which must therefore name a live slot.
         self.audit_population();
-        self.audit_route_cache(policy);
+        self.audit_route_cache();
         self.audit_credits(ledger);
         policy.audit(&CycleCtx {
             routers: &self.routers,
@@ -1472,15 +1370,11 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
     /// * every parked head holds a decision for exactly the port it
     ///   parked on, and that (port, VC) still cannot accept it — a parked
     ///   head that *could* proceed is a lost wakeup;
-    /// * under an adaptive policy, the parked head's dependency is
-    ///   non-volatile and currently valid, and a pure recompute agrees
-    ///   with the cached decision;
     /// * every decided VC has a head whose arena decision names exactly
     ///   the recorded `(out_port, out_vc)`;
     /// * every packet the router holds is eligible: it entered its input
     ///   VC on the cycle its sender stamped.
-    fn audit_route_cache(&mut self, policy: &mut P) {
-        let adaptive = policy.adaptive_reroute();
+    fn audit_route_cache(&self) {
         let radix = self.topo.params().radix() as usize;
         for r in 0..self.routers.len() {
             self.routers[r].audit_input_masks(self.cycle);
@@ -1500,7 +1394,7 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
                     let head = self.routers[r].input_front(in_port, vc);
                     let decision = head.and_then(|id| self.arena.decision(id));
                     assert_eq!(
-                        decision.map(|(d, _)| (d.out_port, d.out_vc)),
+                        decision.map(|d| (d.out_port, d.out_vc)),
                         Some(self.routers[r].decided_output(in_port, vc)),
                         "decided VC's router record is not its head's arena decision (none, on \
                          an empty VC) at router {r} in(port={in_port},vc={vc}), cycle {}",
@@ -1525,10 +1419,7 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
                     let id = self.routers[r]
                         .input_front(in_port, vc)
                         .expect("parked bit set on empty VC");
-                    let (d, dep) = self
-                        .arena
-                        .decision(id)
-                        .expect("parked head without a cached decision");
+                    let d = self.arena.decision(id).expect("parked head without a decision");
                     assert_eq!(
                         d.out_port, target,
                         "parked head's decision targets a different port at \
@@ -1542,21 +1433,6 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
                         d.out_port.0,
                         self.cycle
                     );
-                    if adaptive {
-                        assert!(
-                            !matches!(dep, RouteDep::Volatile),
-                            "volatile decision parked at router {r} \
-                             in(port={in_port},vc={vc}), cycle {}",
-                            self.cycle
-                        );
-                        assert!(
-                            self.dep_valid(r, dep),
-                            "parked head's dependency went stale without an \
-                             unpark at router {r} in(port={in_port},vc={vc}), cycle {}",
-                            self.cycle
-                        );
-                        self.verify_reuse(r, in_port, vc, id, d, policy);
-                    }
                 }
             }
             assert_eq!(
@@ -1728,13 +1604,9 @@ mod tests {
     use df_topology::{Arrangement, DragonflyParams};
 
     /// Minimal-only test policy: local hop to exit router, global hop,
-    /// local hop to destination router, ejection. `adaptive` makes it
-    /// declare itself in-transit adaptive with [`RouteDep::Always`]
-    /// decisions (a pure route may be reused for as long as it waits),
-    /// which is what puts the engine's reuse path under test.
+    /// local hop to destination router, ejection.
     struct MinOnly {
         topo: Topology,
-        adaptive: bool,
     }
 
     impl RoutingPolicy for MinOnly {
@@ -1777,21 +1649,6 @@ mod tests {
             Decision { out_port, out_vc, info }
         }
 
-        fn route_with_deps(
-            &mut self,
-            router: &RouterState,
-            in_port: Port,
-            hdr: PacketHeader,
-            info: RouteInfo,
-        ) -> (Decision, RouteDep) {
-            let dep = if self.adaptive { RouteDep::Always } else { RouteDep::Volatile };
-            (self.route(router, in_port, hdr, info), dep)
-        }
-
-        fn adaptive_reroute(&self) -> bool {
-            self.adaptive
-        }
-
         fn name(&self) -> &'static str {
             "test-min"
         }
@@ -1804,7 +1661,7 @@ mod tests {
     /// The figure1 machine under `cfg`, minimally routed, feeding `sink`.
     fn net_with<S: StatsSink>(cfg: EngineConfig, sink: S) -> Network<MinOnly, S> {
         let topo = Topology::new(DragonflyParams::figure1(), Arrangement::Palmtree);
-        let policy = MinOnly { topo: topo.clone(), adaptive: false };
+        let policy = MinOnly { topo: topo.clone() };
         Network::new(topo, cfg, policy, sink)
     }
 
@@ -2066,19 +1923,7 @@ mod tests {
     /// pipeline, credit returns on the wire, heads decided and heads
     /// parked on the hotspot's ejection port.
     fn loaded_net() -> TestNet {
-        load(small_net())
-    }
-
-    /// [`loaded_net`] under the adaptive flavour of the policy, whose
-    /// parked heads hold reusable cached decisions.
-    fn loaded_adaptive_net() -> TestNet {
         let mut net = small_net();
-        net.policy.as_mut().expect("serial network owns its policy").adaptive = true;
-        load(net)
-    }
-
-    /// Offer and step the traffic of [`loaded_net`] into `net`.
-    fn load(mut net: TestNet) -> TestNet {
         let nodes = net.topology().params().nodes();
         // (The nodes inject in lockstep, a packet every 8 cycles, so what
         // is in flight beats with that period: after 50 cycles there are
@@ -2116,7 +1961,7 @@ mod tests {
 
     #[test]
     fn loaded_net_is_sound_and_exercises_every_place_a_packet_can_be() {
-        let mut net = loaded_net();
+        let net = loaded_net();
         net.audit();
         assert!(net.source_queued() > 0);
         assert!(net.routers.iter().any(|r| r.output_packets() > 0));
@@ -2134,10 +1979,6 @@ mod tests {
         find_vc(&net, |input, bit| input.parked & bit != 0);
         find_vc(&net, |input, bit| input.decided & !input.parked & bit != 0);
         find_awake(&net);
-        // The adaptive flavour parks heads on cached, reusable decisions.
-        let mut adaptive = loaded_adaptive_net();
-        adaptive.audit();
-        find_vc(&adaptive, |input, bit| input.parked & bit != 0);
     }
 
     macro_rules! audit_catches {
@@ -2219,21 +2060,5 @@ mod tests {
             let node = net.nodes.iter_mut().find(|n| n.credits[0] >= 8);
             node.expect("a node with credit").credits[0] -= 8;
         };
-    }
-
-    /// The audit recomputes every parked adaptive head's cached decision
-    /// in every build (the per-reuse recompute in `decide_head` is the
-    /// debug-only part), so a cached decision that went wrong while its
-    /// port, VC and dependency still look right is caught in release too.
-    #[test]
-    #[should_panic(expected = "route cache divergence")]
-    fn audit_catches_a_corrupted_parked_adaptive_decision() {
-        let mut net = loaded_adaptive_net();
-        let (r, q, vc) = find_vc(&net, |input, bit| input.parked & bit != 0);
-        let id = net.routers[r].input_front(q, vc).unwrap();
-        let (mut d, dep) = net.arena.decision(id).unwrap();
-        d.info.local_hops += 1;
-        net.arena.set_decision(id, d, dep);
-        net.audit();
     }
 }

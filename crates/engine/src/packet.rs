@@ -98,9 +98,9 @@ impl WaitBreakdown {
 ///
 /// `repr(C)` pins the field order to access frequency: what the switch
 /// allocator reads when it routes or grants a head (`eligible_at`,
-/// `decision`, `route`) comes first and, together with the slot's
-/// [`RouteDep`], fills the first cache line of the slot; identity and
-/// accounting, touched on grant, transmit and delivery, fill the second.
+/// `decision`, `route`) comes first, inside the first cache line of the
+/// slot; identity and accounting, touched on grant, transmit and
+/// delivery, follow.
 #[derive(Debug, Clone, Copy)]
 #[repr(C)]
 pub struct Packet {
@@ -122,31 +122,14 @@ pub struct Packet {
     pub traversal: u64,
 }
 
-/// What a cached routing [`Decision`] depended on, recorded by the
-/// engine's route-decision cache when the decision is computed (see
-/// [`crate::RoutingPolicy::route_with_deps`]). The cache reuses an
-/// adaptive policy's decision only while its dependency is unchanged, and
-/// parks blocked heads whose decision is stable until the dependency's
-/// port is touched.
+/// What a routing [`Decision`] depended on. Only
+/// [`crate::RoutingPolicy::route_with_deps`] names it, and the engine never
+/// calls that method; the type stays because the benchmark under `perf/`
+/// names it (see that method).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouteDep {
-    /// The decision depended on state the engine cannot track — it
-    /// consumed RNG or mutated policy state. Never reusable; blocked
-    /// heads with a volatile adaptive decision re-probe every cycle.
+    /// The decision is not reusable beyond the visit that took it.
     Volatile,
-    /// The decision is independent of congestion (e.g. ejection at the
-    /// destination router). Always reusable.
-    Always,
-    /// The decision read only the congestion of `port`, captured at
-    /// `epoch` of that port's change counter
-    /// ([`crate::RouterState::port_epoch`]): reusable while the router's
-    /// current epoch for the port still equals `epoch`.
-    Port {
-        /// Output port whose congestion the decision read.
-        port: u8,
-        /// The port's change epoch at read time.
-        epoch: u32,
-    },
 }
 
 /// A routing decision for the current hop.

@@ -32,7 +32,10 @@ pub struct CycleCtx<'a> {
 ///   e.g. by PiggyBack's incremental group-wide saturation exchange);
 /// * `route` sees a consistent congestion snapshot of the current router
 ///   and must return a decision whose output port is valid for the packet
-///   (the engine enforces buffer/credit feasibility, not path validity).
+///   (the engine enforces buffer/credit feasibility, not path validity);
+/// * `route` runs exactly once per router visit of a packet, when its
+///   head is first probed: the engine keeps the decision until the grant
+///   and never re-routes a blocked head.
 pub trait RoutingPolicy {
     /// Per-cycle hook before allocation (congestion-state exchange).
     fn begin_cycle(&mut self, _ctx: &CycleCtx<'_>) {}
@@ -50,18 +53,11 @@ pub trait RoutingPolicy {
         info: RouteInfo,
     ) -> Decision;
 
-    /// Like [`RoutingPolicy::route`], additionally classifying what the
-    /// decision depended on. The engine's route-decision cache reuses an
-    /// adaptive policy's cached decision while its [`RouteDep`] is still
-    /// valid, and parks blocked heads with stable decisions until the
-    /// dependency's port changes.
-    ///
-    /// The default classifies every decision as [`RouteDep::Volatile`]
-    /// (never reusable), which is always correct. Policies whose
-    /// decisions are pure functions of a single output port's congestion
-    /// should override this with the precise dependency; a decision that
-    /// consumed RNG or mutated policy state MUST stay volatile, or
-    /// same-seed reproducibility breaks.
+    /// Like [`RoutingPolicy::route`], paired with [`RouteDep::Volatile`].
+    /// The engine never calls it: it routes a head once per router visit,
+    /// through `route`. Kept, with [`RoutingPolicy::adaptive_reroute`] and
+    /// [`RouteDep`], only because the benchmark under `perf/` implements
+    /// and names them, until its API pin is shrunk (ROADMAP item 2(iii)).
     fn route_with_deps(
         &mut self,
         router: &RouterState,
@@ -72,9 +68,8 @@ pub trait RoutingPolicy {
         (self.route(router, in_port, hdr, info), RouteDep::Volatile)
     }
 
-    /// If true, pending (ungranted) decisions are recomputed every cycle —
-    /// this is what makes a mechanism *in-transit adaptive*. Oblivious and
-    /// source-adaptive mechanisms decide once per hop.
+    /// Always `false`; the engine never calls it (see
+    /// [`RoutingPolicy::route_with_deps`]).
     fn adaptive_reroute(&self) -> bool {
         false
     }
@@ -110,20 +105,6 @@ impl<T: RoutingPolicy + ?Sized> RoutingPolicy for Box<T> {
         info: RouteInfo,
     ) -> Decision {
         (**self).route(router, in_port, hdr, info)
-    }
-
-    fn route_with_deps(
-        &mut self,
-        router: &RouterState,
-        in_port: Port,
-        hdr: PacketHeader,
-        info: RouteInfo,
-    ) -> (Decision, RouteDep) {
-        (**self).route_with_deps(router, in_port, hdr, info)
-    }
-
-    fn adaptive_reroute(&self) -> bool {
-        (**self).adaptive_reroute()
     }
 
     fn audit(&self, ctx: &CycleCtx<'_>) {

@@ -25,16 +25,16 @@
 //!   idle routers are skipped outright;
 //! * `OutPort::downstream_used` — cached consumed-credit phits per output
 //!   port, making every congestion probe O(1) instead of O(VCs);
-//! * `OutPort::epoch` / `InPort::parked` / `OutPort::waiters` /
-//!   `probe_ready` — the route-decision cache's change tracking: every
-//!   mutation of an output port's allocator-visible state bumps the
-//!   port's epoch and wakes heads parked on it, so a blocked router pays
-//!   O(changed ports) per cycle instead of O(blocked heads);
+//! * `InPort::parked` / `OutPort::waiters` / `probe_ready` — blocked-head
+//!   parking: every mutation of an output port's allocator-visible state
+//!   wakes the heads parked on it, so a blocked router pays O(changed
+//!   ports) per cycle instead of O(blocked heads); the same mutation bumps
+//!   `OutPort::epoch`, a change counter telemetry samples;
 //! * `awake_in` — a bitmask of input ports with at least one ready,
 //!   unparked VC, so the allocator walks only the ports it could
 //!   nominate from (ascending bit order is ascending port order);
-//! * `InPort::decided` / `head_out` — the output a sticky policy decided
-//!   for a VC head, so re-probing a head that was blocked or lost
+//! * `InPort::decided` / `head_out` — the output a VC head was routed to
+//!   (once per router visit), so re-probing a head that was blocked or lost
 //!   arbitration reads router-local state only, never the input ring or
 //!   the packet's arena record.
 
@@ -53,8 +53,8 @@ pub(crate) struct InPort {
     /// but whose target output cannot accept them. The allocator skips
     /// them until the target port is touched.
     pub(crate) parked: u32,
-    /// Bitmask of *decided* VCs: heads whose `(out_port, out_vc)` under a
-    /// sticky policy is recorded in `head_out`. Cleared by the grant.
+    /// Bitmask of *decided* VCs: heads whose `(out_port, out_vc)` is
+    /// recorded in `head_out`. Cleared by the grant.
     pub(crate) decided: u32,
     /// Round-robin pointer over the port's VCs.
     pub(crate) rr: u8,
@@ -88,8 +88,8 @@ pub(crate) struct OutPort {
     credit_cap: u32,
     /// Change epoch, bumped by every mutation of the port's
     /// allocator-visible state (credit reserve/return, staging,
-    /// output-buffer release). Cached routing decisions record the epoch
-    /// of the port they read; a mismatch marks them stale.
+    /// output-buffer release). Read only by telemetry's
+    /// `port_epoch_bumps` gauge.
     epoch: u32,
     /// Bitmask of input ports with at least one VC parked on this port —
     /// the wake list `touch_port` consults.
@@ -377,11 +377,10 @@ impl RouterState {
     }
 
     // ------------------------------------------------------------------
-    // Route-decision cache: port epochs and blocked-head parking
+    // Route-decision cache: blocked-head parking (and port epochs)
     // ------------------------------------------------------------------
 
-    /// Bump `port`'s change epoch (invalidating cached decisions that
-    /// read it) and unpark every head waiting on it.
+    /// Bump `port`'s change epoch and unpark every head waiting on it.
     #[inline]
     pub(crate) fn touch_port(&mut self, port: usize) {
         let out = &mut self.out_ports[port];
@@ -405,8 +404,8 @@ impl RouterState {
     }
 
     /// Park the head of (`in_port`, `vc`): its decision targets
-    /// `out_port`, which cannot accept it, and the decision is stable
-    /// until `out_port` changes — so the allocator skips the VC until
+    /// `out_port`, which cannot accept it, and the decision holds until
+    /// the grant — so the allocator skips the VC until
     /// `touch_port(out_port)` wakes it.
     #[inline]
     pub(crate) fn park(&mut self, in_port: usize, vc: usize, out_port: usize) {
@@ -421,8 +420,8 @@ impl RouterState {
         self.refresh_awake(in_port);
     }
 
-    /// Forget all parking state (route cache toggled off mid-run).
-    /// Epochs are left alone — staleness checks only compare equality.
+    /// Forget all parking state (route cache toggled off mid-run). The
+    /// decided records stay: a head keeps its decision until its grant.
     pub(crate) fn unpark_all(&mut self) {
         for q in 0..self.in_ports.len() {
             self.probe_ready += self.in_ports[q].parked.count_ones();
@@ -432,9 +431,9 @@ impl RouterState {
         }
     }
 
-    /// Record the output a sticky policy decided for the head of
-    /// (`in_port`, `vc`), for later probes to read back instead of the
-    /// packet's arena record (which keeps the full decision for the grant).
+    /// Record the output the head of (`in_port`, `vc`) was routed to, for
+    /// later probes to read back instead of the packet's arena record
+    /// (which keeps the full decision for the grant).
     #[inline]
     pub(crate) fn record_decision(&mut self, in_port: usize, vc: usize, out_port: Port, out_vc: u8) {
         debug_assert!(self.in_ports[in_port].ready & (1 << vc) != 0, "deciding an empty VC");
@@ -564,8 +563,9 @@ impl RouterState {
 
     /// Change epoch of output `port`: bumped by every credit
     /// reserve/return, staging, and output-buffer release on the port.
-    /// Cached decisions recording [`crate::RouteDep::Port`] are valid
-    /// while this still equals their captured epoch.
+    /// Telemetry's `port_epoch_bumps` gauge is the growth of its sum over
+    /// all ports ([`crate::Network::port_epoch_sum`]); nothing routes on
+    /// it.
     #[inline]
     pub fn port_epoch(&self, port: Port) -> u32 {
         self.out_ports[port.idx()].epoch

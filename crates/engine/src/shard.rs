@@ -753,7 +753,7 @@ impl<P: RoutingPolicy + Send + 'static, S: StatsSink> ShardedNetwork<P, S> {
     ///
     /// # Panics
     /// Panics with a diagnostic naming the first violation.
-    pub fn audit(&mut self) {
+    pub fn audit(&self) {
         let shared = &self.team.shared;
         assert!(lock(&shared.policy).is_none(), "policy left with the team between steps");
         for (w, slot) in shared.blocks.iter().enumerate() {
@@ -767,9 +767,9 @@ impl<P: RoutingPolicy + Send + 'static, S: StatsSink> ShardedNetwork<P, S> {
             );
         }
         assert_eq!(self.shards().count(), self.plan().shards() as usize, "a shard went missing");
-        let policy = self.policy.as_mut().expect("policy not returned by the team");
+        let policy = self.policy.as_ref().expect("policy not returned by the team");
         let mut ledger = CreditLedger::new(&self.topo, &self.cfg);
-        for (s, sh) in self.blocks.iter_mut().flatten().enumerate() {
+        for (s, sh) in self.blocks.iter().flatten().enumerate() {
             assert_eq!(sh.cycle(), self.cycle, "shard {s} cycle skew at barrier");
             assert!(
                 sh.outbox_is_empty(),
@@ -929,7 +929,7 @@ mod tests {
     fn sharded_counters_match_serial_exactly() {
         let base = serial_baseline();
         for shards in [1u32, 2, 3, 9] {
-            let (mut net, records) = run_rounds!(sharded(shards));
+            let (net, records) = run_rounds!(sharded(shards));
             net.audit();
             assert_matches_serial(&format!("S={shards}"), &net.counters(), &records, &base);
         }
@@ -951,7 +951,7 @@ mod tests {
                     let net = sharded(groups);
                     assert_eq!(net.shard_count(), groups);
                     start.wait();
-                    let (mut net, records) = run_rounds!(net);
+                    let (net, records) = run_rounds!(net);
                     net.audit();
                     assert_matches_serial(&format!("thread {t}"), &net.counters(), &records, base);
                 });

@@ -1,11 +1,11 @@
 //! In-transit adaptive routing (PAR-style global misrouting + OLM local
 //! misrouting; §II-C), with the RRG / CRG / MM global misrouting policies.
 //!
-//! Decisions are re-evaluated every cycle while the packet waits (that is
-//! what "in-transit adaptive" means): the head compares the occupancy of
-//! its minimal output against the congestion threshold (Table I: 43%) and
-//! escapes to a non-minimal candidate when the minimal port is congested
-//! and the candidate is not.
+//! The decision is taken at every router the packet visits (that is what
+//! "in-transit adaptive" means), once per visit, as in FOGSim: the head
+//! compares the occupancy of its minimal output against the congestion
+//! threshold (Table I: 43%) and escapes to a non-minimal candidate when the
+//! minimal port is congested and the candidate is not.
 //!
 //! * Global misrouting is allowed in the source group only (at injection
 //!   or after the first local hop, as in PAR), at most once per packet.
@@ -27,7 +27,7 @@ use crate::common::{
     VcPlan,
 };
 use df_engine::{
-    Decision, EngineConfig, PacketHeader, Phase, RouteDep, RouteInfo, RouterState, RoutingPolicy,
+    Decision, EngineConfig, PacketHeader, Phase, RouteInfo, RouterState, RoutingPolicy,
 };
 use df_topology::{GroupId, Port, PortKind, PortLayout, RouterId, Topology};
 use rand::rngs::SmallRng;
@@ -118,9 +118,6 @@ pub struct InTransit {
     policy: GlobalMisrouting,
     /// Congestion threshold as an occupancy fraction (Table I: 0.43).
     threshold: f64,
-    /// Whether a blocked head re-evaluates its decision every cycle
-    /// (`true`) or commits once per router visit (`false`, FOGSim-like).
-    reevaluate: bool,
     /// Congestion estimate in use.
     signal: CongestionSignal,
     /// Escape-candidate selection (see [`EscapeSelect`]).
@@ -153,7 +150,6 @@ impl InTransit {
             topo,
             policy,
             threshold,
-            reevaluate: false,
             signal: CongestionSignal::VcCredits,
             escape: EscapeSelect::Random,
             last_routed: Vec::new(),
@@ -191,34 +187,14 @@ impl InTransit {
         }
     }
 
-    /// Re-evaluate blocked heads every cycle instead of committing one
-    /// decision per router visit. Per-cycle re-evaluation lets transit
-    /// packets walk away from a congested bottleneck while they wait,
-    /// which softens (but does not remove) the ADVc starvation; the
-    /// default once-per-visit semantics match FOGSim.
-    pub fn with_reevaluation(mut self, on: bool) -> Self {
-        self.reevaluate = on;
-        self
-    }
-
-    /// The full routing decision plus what it depended on.
-    ///
-    /// Dependency classification (drives the engine's route-decision
-    /// cache): the ejection and uncongested-minimal fast paths are pure
-    /// reads of at most one output port's congestion and get `Always` /
-    /// `Port` dependencies; so does the congested-minimal fallback when
-    /// neither misroute gate is open (the gates read only packet state).
-    /// Every path that enters a misroute evaluation is `Volatile` — it
-    /// consumes RNG (random escape, local misroute) or reads several
-    /// candidate ports and mutates the LRU state, so a recompute is not
-    /// guaranteed to reproduce it.
+    /// The routing decision for this visit.
     fn decide(
         &mut self,
         router: &RouterState,
         in_port: Port,
         hdr: PacketHeader,
         info: RouteInfo,
-    ) -> (Decision, RouteDep) {
+    ) -> Decision {
         let params = *self.topo.params();
         let me = router.id();
         let mut info = normalize_route_state(&self.topo, me, info);
@@ -228,13 +204,12 @@ impl InTransit {
 
         // Minimal wins outright while uncongested (ejection is free).
         if min_kind == PortKind::Injection {
-            return (make_decision(&self.topo, min_out, info, &self.plan), RouteDep::Always);
+            return make_decision(&self.topo, min_out, info, &self.plan);
         }
         let min_vc = crate::common::vc_for(min_kind, &info, &self.plan);
         let occ_min = self.congestion(router, min_out, min_vc);
-        let min_dep = RouteDep::Port { port: min_out.0 as u8, epoch: router.port_epoch(min_out) };
         if passes(Role::Minimal, occ_min, self.threshold) {
-            return (make_decision(&self.topo, min_out, info, &self.plan), min_dep);
+            return make_decision(&self.topo, min_out, info, &self.plan);
         }
 
         let my_group = me.group(&params);
@@ -258,12 +233,6 @@ impl InTransit {
             && min_kind == PortKind::Local
             && info.phase == Phase::ToDestination;
 
-        // Neither misroute gate open: the congested minimal port is the
-        // only congestion this decision read, and no RNG was consumed.
-        if !may_global && !may_local {
-            return (make_decision(&self.topo, min_out, info, &self.plan), min_dep);
-        }
-
         if may_global {
             match self.escape {
                 EscapeSelect::Random => {
@@ -281,10 +250,7 @@ impl InTransit {
                             info.global_misrouted = true;
                             info.phase = Phase::ToIntermediate;
                             info.intermediate = Some(inter);
-                            return (
-                                make_decision(&self.topo, cand_out, info, &self.plan),
-                                RouteDep::Volatile,
-                            );
+                            return make_decision(&self.topo, cand_out, info, &self.plan);
                         }
                     }
                 }
@@ -323,10 +289,7 @@ impl InTransit {
                         info.global_misrouted = true;
                         info.phase = Phase::ToIntermediate;
                         info.intermediate = Some(inter);
-                        return (
-                            make_decision(&self.topo, cand_out, info, &self.plan),
-                            RouteDep::Volatile,
-                        );
+                        return make_decision(&self.topo, cand_out, info, &self.plan);
                     }
                 }
             }
@@ -350,18 +313,13 @@ impl InTransit {
                 let occ_cand = self.congestion(router, cand_out, cand_vc);
                 if passes(Role::Candidate, occ_cand, self.threshold) {
                     info.local_misrouted = true;
-                    return (
-                        make_decision(&self.topo, cand_out, info, &self.plan),
-                        RouteDep::Volatile,
-                    );
+                    return make_decision(&self.topo, cand_out, info, &self.plan);
                 }
             }
         }
 
-        // A misroute was evaluated but rejected: RNG may have been
-        // consumed and candidate congestion was read, so the rejection is
-        // not reproducible from `min_out` alone.
-        (make_decision(&self.topo, min_out, info, &self.plan), RouteDep::Volatile)
+        // No misroute gate open, or every candidate rejected: minimal.
+        make_decision(&self.topo, min_out, info, &self.plan)
     }
 
     /// Sample a candidate intermediate group for a global misroute from
@@ -414,21 +372,7 @@ impl RoutingPolicy for InTransit {
         hdr: PacketHeader,
         info: RouteInfo,
     ) -> Decision {
-        self.decide(router, in_port, hdr, info).0
-    }
-
-    fn route_with_deps(
-        &mut self,
-        router: &RouterState,
-        in_port: Port,
-        hdr: PacketHeader,
-        info: RouteInfo,
-    ) -> (Decision, RouteDep) {
         self.decide(router, in_port, hdr, info)
-    }
-
-    fn adaptive_reroute(&self) -> bool {
-        self.reevaluate
     }
 
     fn name(&self) -> &'static str {

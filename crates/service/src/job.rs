@@ -81,17 +81,18 @@ impl JobPayload {
 
     /// Total driver cycles this payload will simulate across all of its
     /// parallel cells — the `total_cycles` of `progress` events.
+    /// Saturates at `u64::MAX` rather than overflowing.
     pub fn total_cycles(&self, seeds: &[u64]) -> u64 {
         let n_seeds = seeds.len() as u64;
+        let cycles = |s: &ScenarioSpec| s.warmup_cycles.saturating_add(s.measure_cycles);
         match self {
             JobPayload::Scenario(s) => {
-                (s.warmup_cycles + s.measure_cycles) * s.mechanisms.len() as u64 * n_seeds
+                cycles(s).saturating_mul(s.mechanisms.len() as u64).saturating_mul(n_seeds)
             }
             JobPayload::Sweep(s) => match s.expand() {
                 Ok(cells) => cells
                     .iter()
-                    .map(|c| c.scenario.warmup_cycles + c.scenario.measure_cycles)
-                    .sum::<u64>()
+                    .fold(0u64, |sum, c| sum.saturating_add(cycles(&c.scenario)))
                     .saturating_mul(n_seeds),
                 Err(_) => 0,
             },
@@ -187,6 +188,17 @@ mod tests {
         let p = JobPayload::Scenario(tiny_scenario());
         // (warmup + measure) × 1 mechanism × 2 seeds
         assert_eq!(p.total_cycles(&[1, 2]), 300 * 2);
+    }
+
+    #[test]
+    fn total_cycles_saturates() {
+        let mut s = tiny_scenario();
+        s.warmup_cycles = u64::MAX;
+        s.measure_cycles = 1;
+        assert_eq!(JobPayload::Scenario(s.clone()).total_cycles(&[1]), u64::MAX);
+        s.warmup_cycles = u64::MAX / 2;
+        s.mechanisms = vec![MechanismSpec::InTransitMm, MechanismSpec::Min];
+        assert_eq!(JobPayload::Scenario(s).total_cycles(&[1, 2]), u64::MAX);
     }
 
     #[test]

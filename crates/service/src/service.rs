@@ -663,6 +663,21 @@ mod tests {
         svc.shutdown();
     }
 
+    /// A run whose `warmup + measure` overflows is refused at admission:
+    /// one `rejected` event and nothing else — no worker ever sees it.
+    #[test]
+    fn an_overflowing_run_length_is_rejected_at_submit() {
+        let svc = Service::new(ServiceConfig { workers: 1, ..ServiceConfig::default() });
+        let (sink, events) = collecting_sink();
+        let mut spec = tiny_scenario();
+        spec.warmup_cycles = u64::MAX;
+        spec.measure_cycles = 1;
+        let job = svc.submit(JobPayload::Scenario(spec), options(None, None), sink);
+        assert_eq!(svc.shutdown(), 0, "nothing was admitted");
+        let evs: Vec<_> = events.lock().unwrap().iter().map(|e| (e.job(), e.label())).collect();
+        assert_eq!(evs, [(Some(job), "rejected")]);
+    }
+
     #[test]
     fn panic_fault_retries_then_completes() {
         let svc = Service::new(ServiceConfig { workers: 1, ..ServiceConfig::default() });

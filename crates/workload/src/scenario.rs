@@ -112,6 +112,9 @@ impl ScenarioSpec {
         if self.measure_cycles == 0 {
             return Err("measurement window must be nonzero".into());
         }
+        if self.warmup_cycles.checked_add(self.measure_cycles).is_none() {
+            return Err("warmup_cycles + measure_cycles overflows u64".into());
+        }
         if let Some(telemetry) = &self.telemetry {
             telemetry.validate()?;
         }
@@ -246,6 +249,21 @@ mod tests {
         let mut s = spec();
         s.jobs[0].load = 9.0;
         assert!(s.validate(1).is_err());
+    }
+
+    /// A run is `warmup + measure` cycles long: a sum past `u64::MAX` is
+    /// an admission error, the largest sum that fits is not.
+    #[test]
+    fn an_overflowing_run_length_is_rejected() {
+        let text = spec()
+            .to_json()
+            .replace("\"warmup_cycles\": 1000", "\"warmup_cycles\": 18446744073709551615");
+        let mut s = ScenarioSpec::from_json(&text).unwrap();
+        s.measure_cycles = 1;
+        let err = s.validate(1).unwrap_err();
+        assert!(err.contains("overflows"), "{err}");
+        s.warmup_cycles = u64::MAX - 1;
+        s.validate(1).unwrap();
     }
 
     /// Radix 67 (30 + 35 + 2) passed validation and then panicked in the

@@ -227,31 +227,3 @@ fn lru_variant_unfairness_sits_between_crg_variants() {
          got {mm_obl:.4} / {mm_lru:.4} / {mm_crg:.4}"
     );
 }
-
-#[test]
-fn reevaluation_mode_delivers() {
-    use dragonfly_core::df_engine::{EngineConfig, Network, NullSink};
-    use dragonfly_core::df_routing::{GlobalMisrouting, InTransit};
-    use dragonfly_core::df_topology::{Arrangement, NodeId, Topology};
-
-    let params = DragonflyParams::figure1();
-    let topo = Topology::new(params, Arrangement::Palmtree);
-    let cfg = EngineConfig::paper(ArbiterPolicy::TransitPriority, 3);
-    let policy = InTransit::new(topo.clone(), &cfg, GlobalMisrouting::Crg, 5)
-        .with_reevaluation(true);
-    let mut net = Network::new(topo, cfg, policy, NullSink);
-    let mut pattern = PatternSpec::Adversarial { offset: 1 }.build(params, 3);
-    let mut offered = 0u64;
-    for _ in 0..500 {
-        for n in (0..params.nodes()).step_by(2) {
-            let src = NodeId(n);
-            let dst = pattern.dest(src);
-            if net.offer(src, dst) {
-                offered += 1;
-            }
-        }
-        net.step();
-    }
-    assert!(net.drain(200_000));
-    assert_eq!(net.counters().delivered_packets, offered);
-}

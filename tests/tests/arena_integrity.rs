@@ -3,8 +3,8 @@
 //! allocation-free, and — property-tested across mechanisms, patterns,
 //! loads and seeds — slab reuse is deterministic: the same seed yields a
 //! bit-identical serialized `RunResult`. Also covers the one-record slot
-//! (a packet's decision, its dependency and its accounting are one
-//! record, and writes to one slot never reach its neighbour), the
+//! (a packet's decision and its accounting are one record, and writes to
+//! one slot never reach its neighbour), the
 //! intrusive free list (LIFO reuse without growth, links threaded
 //! through vacant slots), and the engine's audit held after every cycle
 //! of a run from load ramp to drain (work lists against a full scan,
@@ -12,7 +12,7 @@
 
 use dragonfly_core::df_engine::{
     ArbiterPolicy, Decision, EngineConfig, Network, NullSink, Packet, PacketArena, PacketId,
-    RouteDep, RouteInfo,
+    RouteInfo,
 };
 use dragonfly_core::df_routing::MechanismSpec;
 use dragonfly_core::prelude::*;
@@ -112,7 +112,7 @@ fn probe_packet(seq: u64) -> Packet {
 }
 
 #[test]
-fn one_record_holds_decision_dependency_and_accounting() {
+fn one_record_holds_decision_and_accounting() {
     // Whatever is written through a handle must read back from that
     // packet and no other, through the field accessors and the copy
     // `Network::packet` hands out alike.
@@ -126,14 +126,13 @@ fn one_record_holds_decision_dependency_and_accounting() {
     // Writes on one slot must not bleed into the neighbour.
     arena.get_mut(a).eligible_at = 555;
     let d = Decision { out_port: Port(3), out_vc: 1, info: RouteInfo::new(GroupId(0)) };
-    arena.set_decision(a, d, RouteDep::Port { port: 3, epoch: 9 });
+    arena.set_decision(a, d);
     arena.get_mut(a).waits.global = 99;
     arena.get_mut(a).traversal = 7;
     assert_eq!(arena.get(b).eligible_at, 20);
     assert!(arena.decision(b).is_none());
     assert_eq!(arena.get(b).waits.global, 0);
-    // The decision comes back with the dependency recorded beside it.
-    assert_eq!(arena.decision(a), Some((d, RouteDep::Port { port: 3, epoch: 9 })));
+    assert_eq!(arena.decision(a), Some(d));
     let copy = *arena.get(a);
     assert_eq!(copy.header.id, 1);
     assert_eq!(copy.eligible_at, 555);

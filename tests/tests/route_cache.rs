@@ -1,27 +1,63 @@
 #![recursion_limit = "512"]
 //! Route-decision-cache equivalence properties.
 //!
-//! The engine's route cache (adaptive decision reuse, blocked-head
-//! parking, router-held sticky decisions) is a pure scheduling
-//! optimization: it must never change a simulation result. These tests drive `Network`
-//! directly with randomized churn schedules across every mechanism
-//! family — including in-transit adaptive with per-cycle re-evaluation,
-//! where cached decisions are actually reused — and assert:
+//! The engine routes a head once per router visit and keeps the decision
+//! until the grant. The route cache (blocked-head parking, the router's
+//! record of each decided head) is a pure scheduling optimization on top
+//! of that: it must never change a simulation result. These tests drive
+//! `Network` directly with randomized churn schedules across every
+//! mechanism family and assert:
 //!
 //! * cache-on and cache-off runs deliver bit-identical record streams;
 //! * disabling and re-enabling the cache mid-run (a cold cache restart)
 //!   is also bit-identical to an uninterrupted warm-cache run;
+//! * in every mode, the policy's `route` ran exactly once per router
+//!   visit: after the drain, the calls equal the sum over delivered
+//!   records of `local_hops + global_hops + 1`;
 //! * the engine's audit holds every fifth cycle and after the drain
 //!   (`Network::audit`: parked and decided heads against the state they
-//!   wait on and copy, which in every build also recomputes every parked
-//!   decision from scratch — docs/DETERMINISM.md, "The audit").
+//!   wait on and copy — docs/DETERMINISM.md, "The audit").
 
 use dragonfly_core::df_engine::{
-    ArbiterPolicy, DeliveredRecord, EngineConfig, Network, RoutingPolicy,
+    ArbiterPolicy, CycleCtx, Decision, DeliveredRecord, EngineConfig, Network, PacketHeader,
+    RouteInfo, RouterState, RoutingPolicy,
 };
-use dragonfly_core::df_routing::{GlobalMisrouting, InTransit, MechanismSpec};
-use dragonfly_core::df_topology::{Arrangement, DragonflyParams, NodeId, Topology};
+use dragonfly_core::df_routing::MechanismSpec;
+use dragonfly_core::df_topology::{Arrangement, DragonflyParams, NodeId, Port, Topology};
 use proptest::prelude::*;
+
+/// Forwards every call to the policy it wraps and counts the `route`
+/// calls. It forwards `audit` too, so the audited runs below still check
+/// the wrapped policy's own derived state.
+struct Counted {
+    inner: Box<dyn RoutingPolicy>,
+    route_calls: u64,
+}
+
+impl RoutingPolicy for Counted {
+    fn begin_cycle(&mut self, ctx: &CycleCtx<'_>) {
+        self.inner.begin_cycle(ctx)
+    }
+
+    fn route(
+        &mut self,
+        router: &RouterState,
+        in_port: Port,
+        hdr: PacketHeader,
+        info: RouteInfo,
+    ) -> Decision {
+        self.route_calls += 1;
+        self.inner.route(router, in_port, hdr, info)
+    }
+
+    fn audit(&self, ctx: &CycleCtx<'_>) {
+        self.inner.audit(ctx)
+    }
+
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+}
 
 /// Tiny deterministic generator for offer schedules (keeps the offer
 /// stream identical across the compared runs without extra deps).
@@ -67,9 +103,10 @@ enum CacheMode {
     Churn(u64),
 }
 
-/// Run `policy` over `schedule` with offers generated from `seed`, and
-/// return the delivered-record stream serialized to JSON (records carry
-/// every latency/wait/hop field, so string equality is bit-identity).
+/// Run `policy` over `schedule` with offers generated from `seed`, check
+/// that it was asked for one route per router visit, and return the
+/// delivered-record stream serialized to JSON (records carry every
+/// latency/wait/hop field, so string equality is bit-identity).
 fn run(
     topo: Topology,
     cfg: EngineConfig,
@@ -82,6 +119,7 @@ fn run(
     let recs = std::cell::RefCell::new(Vec::<DeliveredRecord>::new());
     {
         let sink = |r: &DeliveredRecord| recs.borrow_mut().push(*r);
+        let policy = Counted { inner: policy, route_calls: 0 };
         let mut net = Network::new(topo, cfg, policy, sink);
         if let CacheMode::Off = mode {
             net.set_route_cache(false);
@@ -121,6 +159,17 @@ fn run(
         }
         assert!(net.drain(300_000), "network must drain");
         net.audit();
+        let visits: u64 = recs
+            .borrow()
+            .iter()
+            .map(|r| u64::from(r.local_hops) + u64::from(r.global_hops) + 1)
+            .sum();
+        assert_eq!(
+            net.policy().route_calls,
+            visits,
+            "route calls != router visits of the delivered packets ({})",
+            net.policy().name()
+        );
     }
     serde_json::to_string(&recs.into_inner()).expect("serialize records")
 }
@@ -130,9 +179,7 @@ fn small_topo() -> (Topology, DragonflyParams) {
     (Topology::new(params, Arrangement::Palmtree), params)
 }
 
-/// The mechanism families under test, by proptest index. The last two
-/// are the adaptive (`with_reevaluation`) variants, where the route
-/// cache actually reuses decisions across cycles.
+/// The mechanism families under test, by proptest index.
 fn build_policy(idx: usize, topo: &Topology, cfg: &EngineConfig, seed: u64) -> Box<dyn RoutingPolicy> {
     const SPECS: [MechanismSpec; 5] = [
         MechanismSpec::Min,
@@ -141,18 +188,7 @@ fn build_policy(idx: usize, topo: &Topology, cfg: &EngineConfig, seed: u64) -> B
         MechanismSpec::InTransitMm,
         MechanismSpec::InTransitLru,
     ];
-    match idx {
-        0..=4 => SPECS[idx].build(topo.clone(), cfg, seed),
-        5 => Box::new(
-            InTransit::new(topo.clone(), cfg, GlobalMisrouting::Crg, seed)
-                .with_reevaluation(true),
-        ),
-        _ => Box::new(
-            InTransit::new(topo.clone(), cfg, GlobalMisrouting::Crg, seed)
-                .with_lru_escape()
-                .with_reevaluation(true),
-        ),
-    }
+    SPECS[idx].build(topo.clone(), cfg, seed)
 }
 
 fn vcs_for_policy(idx: usize) -> u8 {
@@ -169,10 +205,10 @@ proptest! {
 
     // Cache-on (audited as it runs) and cache-off runs of
     // the same seed deliver bit-identical record streams, for every
-    // mechanism family including per-cycle re-evaluating adaptive ones.
+    // mechanism family.
     #[test]
     fn cache_on_equals_cache_off(
-        policy_idx in 0usize..7,
+        policy_idx in 0usize..5,
         schedule in arb_schedule(),
         seed in 1u64..u64::MAX,
         rr_arbiter in any::<bool>(),
@@ -197,7 +233,7 @@ proptest! {
     // parked state) is bit-identical to an uninterrupted warm cache.
     #[test]
     fn cold_cache_restart_equals_warm(
-        policy_idx in 0usize..7,
+        policy_idx in 0usize..5,
         schedule in arb_schedule(),
         seed in 1u64..u64::MAX,
         churn_every in 3u64..40,
