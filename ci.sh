@@ -201,7 +201,7 @@ echo "==> paper scale (df-perf, 4 s each): peak-RSS gate on paper_advc, s2/seria
 # not repeat on a shared box: ROADMAP "make sharding pay or delete it" is
 # decided on s2/serial over alternating pairs, and one short run each is
 # only a reading, so that ratio can never fail the gate.
-peak_rss_budget_mb=32.8
+peak_rss_budget_mb=23.8
 paper_run() {
     cargo run --release --offline --quiet --manifest-path perf/Cargo.toml -- \
         --workload "$1" --seed 11 --seconds 4 --trace 0 | tail -n 1

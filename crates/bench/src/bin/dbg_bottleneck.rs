@@ -129,10 +129,9 @@ fn main() {
             let kind_in = params.port_kind(Port(q));
             let vcs = vcs_for(net.config(), kind_in);
             for v in 0..vcs {
-                if let Some(id) = r.head(Port(q), v) {
-                    let pk = net.packet_at(RouterId(bottleneck as u32), id);
-                    if let Some(d) = pk.decision {
-                        let kout = params.port_kind(d.out_port);
+                if r.head(Port(q), v).is_some() {
+                    if let Some((out_port, _)) = r.decided_target(Port(q), v) {
+                        let kout = params.port_kind(out_port);
                         match (kind_in, kout) {
                             (PortKind::Injection, PortKind::Global) => inj_to_global += 1,
                             (PortKind::Injection, _) => inj_waiting += 1,

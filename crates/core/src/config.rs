@@ -1,6 +1,6 @@
 //! Top-level simulation configuration.
 
-use df_engine::{ArbiterPolicy, EngineConfig, TelemetrySpec};
+use df_engine::{ArbiterPolicy, EngineConfig, TelemetrySpec, MAX_RUN_CYCLES};
 use df_routing::MechanismSpec;
 use df_topology::{Arrangement, DragonflyParams};
 use df_traffic::PatternSpec;
@@ -122,6 +122,12 @@ impl SimConfig {
         if self.measure_cycles == 0 {
             return Err("measurement window must be nonzero".into());
         }
+        let run = self.warmup_cycles.checked_add(self.measure_cycles);
+        if run.is_none_or(|cycles| cycles > MAX_RUN_CYCLES) {
+            return Err(format!(
+                "warmup_cycles + measure_cycles exceeds the run-length limit of {MAX_RUN_CYCLES} cycles"
+            ));
+        }
         let params = &self.params;
         self.pattern
             .check(params.nodes(), params.a * params.p, params.h)
@@ -181,6 +187,21 @@ mod tests {
     #[test]
     fn in_transit_uses_three_local_vcs() {
         assert_eq!(cfg().engine_config().vcs_local, 3);
+    }
+
+    /// A run is `warmup + measure` cycles long: past `MAX_RUN_CYCLES` —
+    /// or past `u64::MAX`, which `Simulator::drive`'s loop bound would
+    /// overflow — it is a validation error, at the limit it is not.
+    #[test]
+    fn validation_bounds_the_run_length() {
+        let mut c = cfg();
+        c.warmup_cycles = u64::MAX;
+        c.measure_cycles = 1;
+        assert!(c.validate().unwrap_err().contains("run-length limit"));
+        c.warmup_cycles = MAX_RUN_CYCLES - 1;
+        assert!(c.validate().is_ok());
+        c.measure_cycles = 2;
+        assert!(c.validate().unwrap_err().contains("run-length limit"));
     }
 
     #[test]

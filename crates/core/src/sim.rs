@@ -36,7 +36,7 @@ use crate::error::ScenarioError;
 use crate::sink::MeasurementSink;
 use crate::timeline::{TimelineRecorder, TimelineSink, WindowRow};
 use df_engine::{
-    Counters, EngineConfig, Network, Packet, PacketId, PhaseProfile, RouterState, RoutingPolicy,
+    Counters, EngineConfig, Network, PhaseProfile, RouterState, RoutingPolicy,
     ShardedNetwork, TelemetrySpec,
 };
 use df_routing::MechanismSpec;
@@ -287,17 +287,6 @@ impl Engine {
     /// A router's state (diagnostics).
     pub fn router(&self, id: RouterId) -> &RouterState {
         fwd!(self, n => n.router(id))
-    }
-
-    /// Snapshot a live packet by the arena handle a router at `router`
-    /// holds for it. Arena handles are per-shard, so the owning router
-    /// disambiguates which arena to look in; the serial engine has one
-    /// arena and ignores `router`.
-    pub fn packet_at(&self, router: RouterId, id: PacketId) -> Packet {
-        match self {
-            Engine::Serial(n) => n.packet(id),
-            Engine::Sharded(n) => n.packet_at(router, id),
-        }
     }
 
     /// The engine's one invariant check ([`Network::audit`] /

@@ -3,17 +3,17 @@
 //! A packet lives in one [`PacketArena`] slot from the cycle it wins an
 //! injection VC until delivery; router buffers and link events carry the
 //! `u32` [`PacketId`] handle instead of a `Box<Packet>`. (Packets still
-//! waiting in a source queue are 24-byte stubs in the node, not slots.)
-//! A slot is the [`Packet`] itself, padded to 128 bytes and aligned to a
-//! cache line, so every touch of a packet costs at most two lines and
-//! storing a head's decision beside its route state exactly one. (A head
-//! is routed once per router visit; later probes of it read the router's
-//! record of the decision, see `router.rs`.) One record rather than a lane
-//! per field: a hop touches the record when the head is routed, when it
-//! is granted and when it is transmitted, each time reading several
-//! fields of *one* packet; arrival, arbitration and the re-probe of a
-//! blocked head run on router-local state (`router.rs`) and do not touch
-//! it at all.
+//! waiting in a source queue are 16-byte stubs in the node, not slots.)
+//! A slot is the 64-byte [`Packet`] itself, aligned to a cache line, so
+//! every touch of a packet costs exactly one line. The record holds no
+//! routing decision: a head is routed once per router visit, its decided
+//! route state is committed to the record there and then, and its decided
+//! output lives only in the router (`router.rs`). One record rather than
+//! a lane per field: a hop touches the record when the head is routed,
+//! when it is granted and when it is transmitted, each time reading
+//! several fields of *one* packet; arrival, arbitration and the re-probe
+//! of a blocked head run on router-local state and do not touch it at
+//! all.
 //!
 //! Vacant slots form an **intrusive free list**: the next-free link is
 //! stored in the vacant slot's `eligible_at` field, so freeing and
@@ -27,23 +27,21 @@
 //! cache-line-aligned element type a move is a copy: measured at Table I
 //! scale, 8–12 MB of peak RSS for the transient and the holes it leaves.)
 
-use crate::packet::{Decision, Packet};
+use crate::packet::Packet;
 
 /// Handle of a live packet in the [`PacketArena`] (slab slot index).
 ///
 /// Handles are reused after delivery; the stable per-simulation identity
-/// of a packet is its monotonic sequence number [`header.id`].
+/// of a packet is its monotonic sequence number [`id`].
 ///
-/// [`header.id`]: crate::packet::PacketHeader::id
+/// [`id`]: crate::packet::Packet::id
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PacketId(pub u32);
 
 /// Free-list terminator stored in a vacant slot's `eligible_at` field.
 const FREE_NONE: u32 = u32::MAX;
 
-/// One slab slot. With [`Packet`]'s `repr(C)` field order, the first
-/// cache line holds everything the allocator writes when it routes a head
-/// and reads when it grants one.
+/// One slab slot: one cache line holding one [`Packet`].
 #[derive(Debug, Clone, Copy)]
 #[repr(C, align(64))]
 struct Slot {
@@ -52,12 +50,14 @@ struct Slot {
     pkt: Packet,
 }
 
-// Two cache lines per packet, and `eligible_at`, `decision` and `route`
-// within the first (`header` is the first field after them).
-const _: () = assert!(std::mem::size_of::<Slot>() == 128);
-const _: () = assert!(
-    std::mem::offset_of!(Slot, pkt) + std::mem::offset_of!(Packet, header) == 56
-);
+// One cache line per packet: the two `u32` cycle stamps and the sequence
+// number, then the route state, endpoints, queueing buckets, traversal
+// and the pending-escape flag.
+const _: () = assert!(std::mem::size_of::<Slot>() == 64);
+const _: () = assert!(std::mem::offset_of!(Packet, id) == 8);
+const _: () = assert!(std::mem::offset_of!(Packet, route) == 16);
+const _: () = assert!(std::mem::offset_of!(Packet, waits) == 44);
+const _: () = assert!(std::mem::offset_of!(Packet, escape_pending) == 60);
 
 /// Slab of in-flight packets with intrusive free-list reuse.
 #[derive(Debug)]
@@ -94,7 +94,7 @@ impl PacketArena {
         let slot = Slot { pkt };
         if self.free_head != FREE_NONE {
             let at = self.free_head;
-            self.free_head = self.slots[at as usize].pkt.eligible_at as u32;
+            self.free_head = self.slots[at as usize].pkt.eligible_at;
             self.free_len -= 1;
             self.slots[at as usize] = slot;
             PacketId(at)
@@ -115,7 +115,7 @@ impl PacketArena {
             "double free of packet slot {}",
             id.0
         );
-        self.slots[id.0 as usize].pkt.eligible_at = self.free_head as u64;
+        self.slots[id.0 as usize].pkt.eligible_at = self.free_head;
         self.free_head = id.0;
         self.free_len += 1;
     }
@@ -128,7 +128,7 @@ impl PacketArena {
             if cursor == id.0 {
                 return true;
             }
-            cursor = self.slots[cursor as usize].pkt.eligible_at as u32;
+            cursor = self.slots[cursor as usize].pkt.eligible_at;
         }
         false
     }
@@ -158,7 +158,7 @@ impl PacketArena {
             );
             state[cursor as usize] = Mark::Vacant;
             vacant += 1;
-            cursor = self.slots[cursor as usize].pkt.eligible_at as u32;
+            cursor = self.slots[cursor as usize].pkt.eligible_at;
         }
         assert_eq!(
             vacant, self.free_len,
@@ -174,7 +174,7 @@ impl PacketArena {
                 Mark::Reached => panic!(
                     "arena slot {} (packet {}) is referenced twice (cycle {cycle})",
                     id.0,
-                    self.get(id).header.id
+                    self.get(id).id
                 ),
                 Mark::Vacant => {
                     panic!("vacant arena slot {} is still referenced (cycle {cycle})", id.0)
@@ -185,7 +185,7 @@ impl PacketArena {
             panic!(
                 "arena slot {leaked} (packet {}) leaked: live, but in no ring and on no link \
                  (cycle {cycle})",
-                self.slots[leaked].pkt.header.id
+                self.slots[leaked].pkt.id
             );
         }
     }
@@ -207,28 +207,15 @@ impl PacketArena {
     pub fn get_mut(&mut self, id: PacketId) -> &mut Packet {
         &mut self.slots[id.0 as usize].pkt
     }
-
-    /// The packet's pending routing decision, if one is pending.
-    #[inline]
-    pub fn decision(&self, id: PacketId) -> Option<Decision> {
-        self.slots[id.0 as usize].pkt.decision
-    }
-
-    /// Commit a routing decision for the current hop.
-    #[inline]
-    pub fn set_decision(&mut self, id: PacketId, d: Decision) {
-        self.slots[id.0 as usize].pkt.decision = Some(d);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::RouteInfo;
-    use df_topology::{GroupId, NodeId, Port};
+    use df_topology::{GroupId, NodeId};
 
     fn pkt(seq: u64) -> Packet {
-        Packet::new(seq, NodeId(0), NodeId(1), 8, 0, GroupId(0))
+        Packet::new(seq, NodeId(0), NodeId(1), 0, GroupId(0))
     }
 
     #[test]
@@ -237,15 +224,15 @@ mod tests {
         let a = arena.insert(pkt(1));
         let b = arena.insert(pkt(2));
         assert_ne!(a, b);
-        assert_eq!(arena.get(a).header.id, 1);
-        assert_eq!(arena.get(b).header.id, 2);
+        assert_eq!(arena.get(a).id, 1);
+        assert_eq!(arena.get(b).id, 2);
         assert_eq!(arena.live(), 2);
         arena.free(a);
         assert_eq!(arena.live(), 1);
         // LIFO reuse: the freed slot is handed back first.
         let c = arena.insert(pkt(3));
         assert_eq!(c, a);
-        assert_eq!(arena.get(c).header.id, 3);
+        assert_eq!(arena.get(c).id, 3);
         assert_eq!(arena.capacity(), 2, "no growth while a free slot exists");
     }
 
@@ -286,23 +273,27 @@ mod tests {
         assert_eq!(arena.capacity(), 5);
     }
 
+    /// What a decision leaves in the record — its route state and the
+    /// pending-escape flag — stays until the grant takes the flag, and a
+    /// reused slot starts clean, whatever the last occupant left behind.
     #[test]
     fn decision_lasts_until_taken_or_freed() {
         let mut arena = PacketArena::new();
         let id = arena.insert(pkt(3));
-        assert!(arena.decision(id).is_none());
-        let d = Decision { out_port: Port(3), out_vc: 1, info: RouteInfo::new(GroupId(0)) };
-        arena.set_decision(id, d);
-        assert_eq!(arena.decision(id), Some(d));
-        assert_eq!(arena.get_mut(id).decision.take(), Some(d));
-        assert!(arena.decision(id).is_none());
-        // A reused slot starts without a decision, whatever the last
-        // occupant left behind.
-        arena.set_decision(id, d);
+        assert!(!arena.get(id).escape_pending);
+        let pkt_ref = arena.get_mut(id);
+        pkt_ref.route.global_misrouted = true;
+        pkt_ref.escape_pending = true;
+        assert!(arena.get(id).escape_pending);
+        assert!(std::mem::take(&mut arena.get_mut(id).escape_pending));
+        assert!(!arena.get(id).escape_pending);
+        assert!(arena.get(id).route.global_misrouted, "the grant keeps the route state");
+        arena.get_mut(id).escape_pending = true;
         arena.free(id);
         let again = arena.insert(pkt(4));
         assert_eq!(again, id);
-        assert!(arena.decision(again).is_none());
+        assert!(!arena.get(again).escape_pending);
+        assert!(!arena.get(again).route.global_misrouted);
     }
 
     #[test]

@@ -3,6 +3,15 @@
 
 use serde::{Deserialize, Serialize};
 
+/// The longest run the engine steps, in cycles: `Network::step` and
+/// `ShardedNetwork::step` panic past it, and `SimConfig` / `ScenarioSpec`
+/// validation rejects a `warmup_cycles + measure_cycles` above it.
+/// [`EngineConfig::validate`] bounds the event delay so that this horizon
+/// plus one delay fits a `u32`: the packet record's cycle fields are
+/// `u32`, and every value they hold is at most the current cycle plus one
+/// delay.
+pub const MAX_RUN_CYCLES: u64 = 1 << 31;
+
 /// Output-arbiter policy of the separable allocator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ArbiterPolicy {
@@ -162,19 +171,26 @@ impl EngineConfig {
                 return Err(format!("{name} must be at least 1 cycle"));
             }
         }
+        let delay_limit = u64::from(u32::MAX) - MAX_RUN_CYCLES;
+        if self.max_event_delay() > delay_limit {
+            return Err(format!(
+                "slowest link + pipeline + packet ({} cycles) exceeds {delay_limit} cycles",
+                self.max_event_delay()
+            ));
+        }
         Ok(())
     }
 
     /// Longest event horizon needed by the wheel: the slowest link plus
     /// the router pipeline behind it (one arrival event covers both) and
-    /// serialization, plus slack.
+    /// serialization, plus slack. Saturates instead of overflowing, so
+    /// `validate` can reject any latency it cannot bound.
     pub(crate) fn max_event_delay(&self) -> u64 {
         self.global_link_latency
             .max(self.local_link_latency)
             .max(self.injection_link_latency)
-            + self.pipeline_latency
-            + self.packet_size as u64
-            + 2
+            .saturating_add(self.pipeline_latency)
+            .saturating_add(self.packet_size as u64 + 2)
     }
 }
 
@@ -229,6 +245,23 @@ mod tests {
             let err = c.validate().expect_err("an event cannot fire in its own cycle");
             assert!(err.contains(name), "{err}");
         }
+    }
+
+    /// The run-length horizon plus the longest event delay must fit the
+    /// packet record's `u32` cycle fields: the largest delay that does is
+    /// accepted, one cycle more is not, and nothing overflows on the way.
+    #[test]
+    fn event_delay_is_bounded_by_the_run_horizon() {
+        let limit = u64::from(u32::MAX) - MAX_RUN_CYCLES;
+        let c = EngineConfig::default();
+        let pipeline_latency = limit - c.max_event_delay() + c.pipeline_latency;
+        let at = EngineConfig { pipeline_latency, ..c };
+        assert_eq!(at.max_event_delay(), limit);
+        assert!(at.validate().is_ok());
+        let past = EngineConfig { pipeline_latency: pipeline_latency + 1, ..c };
+        assert!(past.validate().unwrap_err().contains("exceeds"));
+        let huge = EngineConfig { global_link_latency: u64::MAX, ..c };
+        assert!(huge.validate().is_err());
     }
 
     #[test]

@@ -31,7 +31,7 @@ mod router;
 mod shard;
 
 pub use arena::{PacketArena, PacketId};
-pub use config::{ArbiterPolicy, EngineConfig, TelemetrySpec};
+pub use config::{ArbiterPolicy, EngineConfig, TelemetrySpec, MAX_RUN_CYCLES};
 pub use network::{Counters, Network, PhaseProfile};
 pub use shard::{RecordQueue, ShardedNetwork};
 pub use packet::{

@@ -1,13 +1,14 @@
 //! The assembled network: nodes, routers, links, and the per-cycle
 //! simulation loop (event delivery → injection → allocation → output).
 //!
-//! Packets in the network live in a [`PacketArena`], one 128-byte record
+//! Packets in the network live in a [`PacketArena`], one 64-byte record
 //! each; every router queue and link event carries a `u32` [`PacketId`]
 //! handle and nothing else of the packet — every packet is
 //! `EngineConfig::packet_size` phits long — so the steady-state hot path
 //! performs no per-packet heap allocation. A packet still waiting in its
-//! source queue is a 24-byte stub and gets its arena slot when the node
-//! wins an injection VC.
+//! source queue is a 16-byte stub and gets its arena slot when the node
+//! wins an injection VC. Cycle stamps in both are `u32`, exact because a
+//! run never steps past [`MAX_RUN_CYCLES`].
 //! Scheduling is **work-list driven**: the engine maintains
 //! bitsets of nodes with queued packets, routers with resident input
 //! packets, and routers with staged output packets, so the inject /
@@ -25,7 +26,7 @@
 
 use crate::arena::{PacketArena, PacketId};
 use crate::buffer::Staged;
-use crate::config::{ArbiterPolicy, EngineConfig};
+use crate::config::{ArbiterPolicy, EngineConfig, MAX_RUN_CYCLES};
 use crate::events::{Event, EventWheel};
 use crate::packet::{DeliveredRecord, Packet, PacketSeq};
 use crate::policy::{CycleCtx, RoutingPolicy, StatsSink};
@@ -168,8 +169,19 @@ impl PhaseClock for WallClock {
 #[derive(Debug, Clone, Copy)]
 struct QueuedPacket {
     seq: PacketSeq,
-    gen_cycle: u64,
+    gen_cycle: u32,
     dst: NodeId,
+}
+
+const _: () = assert!(std::mem::size_of::<QueuedPacket>() == 16);
+
+/// A cycle stamp narrowed to the packet record's width: exact, because a
+/// run stops at [`MAX_RUN_CYCLES`] and `EngineConfig::validate` keeps that
+/// horizon plus one event delay within `u32::MAX`.
+#[inline]
+fn stamp(cycle: u64) -> u32 {
+    debug_assert!(cycle <= u64::from(u32::MAX), "cycle stamp {cycle} past the u32 horizon");
+    cycle as u32
 }
 
 /// Source-side state of a compute node.
@@ -670,7 +682,7 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
         }
         // The earliest the node can act on this packet is the next cycle,
         // so that is its generation timestamp.
-        let gen_cycle = self.cycle + 1;
+        let gen_cycle = stamp(self.cycle + 1);
         self.nodes[n].queue.push_back(QueuedPacket { seq, gen_cycle, dst });
         set_bit(&mut self.node_active, n);
         self.counters.accepted_packets += 1;
@@ -696,6 +708,7 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
     /// with one, the body lands inside `Simulator::step` and `paper_advc`
     /// measured 3–5 % slower over eight alternating runs.
     fn step_clocked<C: PhaseClock>(&mut self) -> PhaseProfile {
+        assert!(self.cycle < MAX_RUN_CYCLES, "run stepped past MAX_RUN_CYCLES");
         let mut policy = self.policy.take().expect("policy detached (shard slice)");
         self.begin_cycle_bump();
         let mut clock = C::start();
@@ -890,8 +903,8 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
 
     fn complete_delivery(&mut self, node: NodeId, id: PacketId) {
         let pkt = self.arena.get(id);
-        debug_assert_eq!(pkt.header.dst, node);
-        let (min_l, min_g) = self.topo.min_path_links(pkt.header.src, pkt.header.dst);
+        debug_assert_eq!(pkt.dst, node);
+        let (min_l, min_g) = self.topo.min_path_links(pkt.src, pkt.dst);
         let min_routers = (min_l + min_g + 1) as u64;
         let min_traversal = self.cfg.injection_link_latency          // node → router
             + min_routers * self.cfg.pipeline_latency                 // router pipelines
@@ -900,16 +913,16 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
             + self.cfg.injection_link_latency                         // router → node
             + self.cfg.packet_size as u64;                            // serialization
         let rec = DeliveredRecord {
-            header: pkt.header,
+            header: pkt.header(self.cfg.packet_size),
             delivered_cycle: self.cycle,
-            traversal: pkt.traversal,
+            traversal: pkt.traversal.into(),
             min_traversal,
-            waits: pkt.waits,
+            waits: pkt.waits(),
             local_hops: pkt.route.local_hops,
             global_hops: pkt.route.global_hops,
         };
         self.counters.delivered_packets += 1;
-        self.counters.delivered_phits += pkt.header.size as u64;
+        self.counters.delivered_phits += self.cfg.packet_size as u64;
         self.live_packets -= 1;
         self.arena.free(id);
         self.sink.on_delivered(&rec);
@@ -959,17 +972,16 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
                     queued.seq,
                     node_id,
                     queued.dst,
-                    size,
                     queued.gen_cycle,
                     node_id.group(&params),
                 );
                 // Source-queue time is injection wait.
-                pkt.waits.injection = self.cycle - queued.gen_cycle;
-                pkt.traversal = self.cfg.injection_link_latency;
+                pkt.waits.injection = stamp(self.cycle) - queued.gen_cycle;
+                pkt.traversal = stamp(self.cfg.injection_link_latency);
                 // Link plus router pipeline in one event: the packet
                 // enters its input VC on the cycle it becomes eligible.
                 let delay = self.cfg.injection_link_latency + self.cfg.pipeline_latency;
-                pkt.eligible_at = self.cycle + delay;
+                pkt.eligible_at = stamp(self.cycle + delay);
                 let id = self.arena.insert(pkt);
                 let router = node_id.router(&params);
                 let port = params.injection_port(node_id.slot(&params)).0 as u8;
@@ -1079,17 +1091,22 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
     }
 
     /// Route the undecided head of (`in_port`, `vc`): its output port and
-    /// VC. This is the head's one routing decision at this router; it is
-    /// kept until the grant, in the arena (the full decision, which the
-    /// grant commits) and in the router (the output, for later probes).
+    /// VC. This is the head's one routing decision at this router. Its
+    /// output is recorded in the router, where later probes and the grant
+    /// read it; its route state is committed to the packet now, since
+    /// nothing reads that before the grant. A decision that first diverts
+    /// the packet onto a non-minimal global path leaves the
+    /// pending-escape flag, which the grant counts.
     fn decide_head(&mut self, r: usize, in_port: usize, vc: usize, policy: &mut P) -> (Port, u8) {
         let id = self.routers[r].input_front(in_port, vc).expect("ready bit set on empty VC");
-        let pkt = self.arena.get(id);
-        debug_assert!(pkt.eligible_at <= self.cycle, "resident head not eligible");
-        debug_assert!(pkt.decision.is_none(), "undecided head holds a decision");
-        let d = policy.route(&self.routers[r], Port(in_port as u32), pkt.header, pkt.route);
+        let pkt = self.arena.get_mut(id);
+        debug_assert!(u64::from(pkt.eligible_at) <= self.cycle, "resident head not eligible");
+        debug_assert!(!pkt.escape_pending, "undecided head holds a pending escape");
+        let hdr = pkt.header(self.cfg.packet_size);
+        let d = policy.route(&self.routers[r], Port(in_port as u32), hdr, pkt.route);
         debug_assert!(d.out_port.0 < self.topo.params().radix());
-        self.arena.set_decision(id, d);
+        pkt.escape_pending = d.info.global_misrouted && !pkt.route.global_misrouted;
+        pkt.route = d.info;
         self.routers[r].record_decision(in_port, vc, d.out_port, d.out_vc);
         (d.out_port, d.out_vc)
     }
@@ -1123,7 +1140,7 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
             ArbiterPolicy::AgeBased => feasible.min_by_key(|p| {
                 let gen = router
                     .input_front(p.in_port as usize, p.vc as usize)
-                    .map_or(u64::MAX, |id| self.arena.get(id).header.gen_cycle);
+                    .map_or(u32::MAX, |id| self.arena.get(id).gen_cycle);
                 (gen, key_rr(p))
             }),
         }
@@ -1140,30 +1157,26 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
     fn commit_grant(&mut self, r: usize, in_port: usize, vc: usize, out_port: usize) {
         let params = *self.topo.params();
         let in_kind = params.port_kind(Port(in_port as u32));
+        let (out, out_vc) = self.routers[r].decided_output(in_port, vc);
+        debug_assert_eq!(out.idx(), out_port);
         let id = self.routers[r].pop_input(in_port, vc);
         if self.routers[r].input_count == 0 {
             clear_bit(&mut self.alloc_active, r);
         }
-        // Wait accounting and the committed route state (a resident
-        // packet is eligible: `eligible_at <= cycle`).
+        // Wait accounting (a resident packet is eligible: `eligible_at <=
+        // cycle`); the route state was committed by the decision.
         let pkt = self.arena.get_mut(id);
-        let decision = pkt.decision.take().expect("granted head has decision");
-        debug_assert_eq!(decision.out_port.idx(), out_port);
-        let wait = self.cycle - pkt.eligible_at;
+        let wait = stamp(self.cycle) - pkt.eligible_at;
         match in_kind {
             PortKind::Injection => pkt.waits.injection += wait,
             PortKind::Local => pkt.waits.local += wait,
             PortKind::Global => pkt.waits.global += wait,
         }
-        pkt.traversal += self.cfg.pipeline_latency;
-        let was_misrouted = pkt.route.global_misrouted;
-        pkt.route = decision.info;
+        pkt.traversal += stamp(self.cfg.pipeline_latency);
         // An escape-path grant is the false→true transition of the
         // misrouting flag: this grant first diverted the packet onto a
         // non-minimal global path.
-        if decision.info.global_misrouted && !was_misrouted {
-            self.counters.escape_grants += 1;
-        }
+        self.counters.escape_grants += u64::from(std::mem::take(&mut pkt.escape_pending));
 
         // Fairness counters: packets leaving an injection input. The input
         // port of an injection grant *is* the node's slot on its router.
@@ -1174,7 +1187,7 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
 
         // Reserve downstream credit (transit outputs only).
         if self.routers[r].has_credits(out_port) {
-            self.routers[r].reserve_credit(out_port, decision.out_vc as usize);
+            self.routers[r].reserve_credit(out_port, out_vc as usize);
         }
         // The queue feeding a global link just grew (staged packet +
         // reserved credit): PiggyBack's view of this router is stale.
@@ -1204,7 +1217,7 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
 
         self.routers[r].stage_output(
             out_port,
-            Staged { pkt: id, enq_at: self.cycle, out_vc: decision.out_vc },
+            Staged { pkt: id, enq_at: self.cycle, out_vc },
         );
         set_bit(&mut self.tx_active, r);
     }
@@ -1238,14 +1251,14 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
             // Output-side waiting, attributed by output-port kind
             // (ejection counts as local — it is intra-"last-hop" HoL).
             let pkt = self.arena.get_mut(staged.pkt);
-            let wait = self.cycle - staged.enq_at;
+            let wait = stamp(self.cycle - staged.enq_at);
             match out_kind {
                 PortKind::Injection | PortKind::Local => pkt.waits.local += wait,
                 PortKind::Global => pkt.waits.global += wait,
             }
             match self.peers[flat] {
                 PortTarget::Node(node) => {
-                    pkt.traversal += latency + size;
+                    pkt.traversal += stamp(latency + size);
                     let arrive = Event::ArriveNode { node, pkt: staged.pkt };
                     self.wheel.schedule(latency + size, arrive);
                 }
@@ -1255,8 +1268,8 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
                     // becomes eligible, stamped here (the pipeline cycles
                     // are charged to `traversal` at the grant, as before).
                     let delay = latency + self.cfg.pipeline_latency;
-                    pkt.traversal += latency;
-                    pkt.eligible_at = self.cycle + delay;
+                    pkt.traversal += stamp(latency);
+                    pkt.eligible_at = stamp(self.cycle + delay);
                     let (port, vc) = (port.0 as u8, staged.out_vc);
                     if self.owns_router(router) {
                         self.wheel.schedule(
@@ -1365,93 +1378,93 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
     /// * the ready-VC masks, the awake-port mask and the resident-packet
     ///   count equal what a full scan of the input rings derives;
     /// * `probe_ready` equals the number of ready, unparked VCs;
-    /// * every parked VC is ready (non-empty) and registered in the
-    ///   waiter mask of the port it parked on;
-    /// * every parked head holds a decision for exactly the port it
-    ///   parked on, and that (port, VC) still cannot accept it — a parked
-    ///   head that *could* proceed is a lost wakeup;
-    /// * every decided VC has a head whose arena decision names exactly
-    ///   the recorded `(out_port, out_vc)`;
+    /// * every decided VC is ready (non-empty): the grant clears the bit;
+    /// * every parked VC is decided, and registered in the waiter mask of
+    ///   the port its router record names; that (port, VC) still cannot
+    ///   accept the head — a parked head that *could* proceed is a lost
+    ///   wakeup;
+    /// * only a decided head carries the pending-escape flag;
     /// * every packet the router holds is eligible: it entered its input
     ///   VC on the cycle its sender stamped.
     fn audit_route_cache(&self) {
         let radix = self.topo.params().radix() as usize;
         for r in 0..self.routers.len() {
-            self.routers[r].audit_input_masks(self.cycle);
+            let router = &self.routers[r];
+            router.audit_input_masks(self.cycle);
             let mut expect_ready = 0u32;
+            // Pending-escape flags on decided heads (allowed) versus on
+            // every packet the router holds.
+            let mut escapes_on_decided = 0;
             for in_port in 0..radix {
-                let InPort { ready, parked, decided, .. } = self.routers[r].in_ports[in_port];
+                let InPort { ready, parked, decided, .. } = router.in_ports[in_port];
                 assert_eq!(
-                    parked & !ready,
+                    decided & !ready,
                     0,
-                    "parked VC without resident packet at router {r} port {in_port}, cycle {}",
+                    "decided VC without resident packet at router {r} port {in_port}, cycle {}",
+                    self.cycle
+                );
+                assert_eq!(
+                    parked & !decided,
+                    0,
+                    "parked VC without a decision at router {r} port {in_port}, cycle {}",
                     self.cycle
                 );
                 let mut dmask = decided;
                 while dmask != 0 {
                     let vc = dmask.trailing_zeros() as usize;
                     dmask &= dmask - 1;
-                    let head = self.routers[r].input_front(in_port, vc);
-                    let decision = head.and_then(|id| self.arena.decision(id));
-                    assert_eq!(
-                        decision.map(|d| (d.out_port, d.out_vc)),
-                        Some(self.routers[r].decided_output(in_port, vc)),
-                        "decided VC's router record is not its head's arena decision (none, on \
-                         an empty VC) at router {r} in(port={in_port},vc={vc}), cycle {}",
-                        self.cycle
-                    );
+                    let head = router.input_front(in_port, vc).expect("decided VC is ready");
+                    escapes_on_decided += u32::from(self.arena.get(head).escape_pending);
                 }
                 expect_ready += (ready & !parked).count_ones();
                 let mut mask = parked;
                 while mask != 0 {
                     let vc = mask.trailing_zeros() as usize;
                     mask &= mask - 1;
-                    let target = self.routers[r]
-                        .parked_target(Port(in_port as u32), vc as u8)
-                        .expect("parked bit set without parked_on target");
+                    let (target, out_vc) = router
+                        .decided_target(Port(in_port as u32), vc as u8)
+                        .expect("parked VC is decided");
                     assert!(
-                        self.routers[r].out_ports[target.idx()].waiters & (1u64 << in_port) != 0,
+                        router.out_ports[target.idx()].waiters & (1u64 << in_port) != 0,
                         "parked head not in waiter mask of its target port at \
                          router {r} in(port={in_port},vc={vc}) -> out {}, cycle {}",
                         target.0,
                         self.cycle
                     );
-                    let id = self.routers[r]
-                        .input_front(in_port, vc)
-                        .expect("parked bit set on empty VC");
-                    let d = self.arena.decision(id).expect("parked head without a decision");
-                    assert_eq!(
-                        d.out_port, target,
-                        "parked head's decision targets a different port at \
-                         router {r} in(port={in_port},vc={vc}), cycle {}",
-                        self.cycle
-                    );
                     assert!(
-                        !self.routers[r].can_accept(d.out_port, d.out_vc, self.cfg.packet_size),
+                        !router.can_accept(target, out_vc, self.cfg.packet_size),
                         "lost wakeup: parked head could proceed at router {r} \
                          in(port={in_port},vc={vc}) -> out {}, cycle {}",
-                        d.out_port.0,
+                        target.0,
                         self.cycle
                     );
                 }
             }
             assert_eq!(
-                self.routers[r].probe_ready(),
+                router.probe_ready(),
                 expect_ready,
                 "probe_ready counter diverged at router {r}, cycle {}",
                 self.cycle
             );
-            for id in self.routers[r].resident_packets() {
+            let mut escapes = 0;
+            for id in router.resident_packets() {
                 let pkt = self.arena.get(id);
+                escapes += u32::from(pkt.escape_pending);
                 assert!(
-                    pkt.eligible_at <= self.cycle,
+                    u64::from(pkt.eligible_at) <= self.cycle,
                     "packet {} resident at router {r} before its eligibility cycle {} \
                      (pushed ahead of the router pipeline), cycle {}",
-                    pkt.header.id,
+                    pkt.id,
                     pkt.eligible_at,
                     self.cycle
                 );
             }
+            assert_eq!(
+                escapes, escapes_on_decided,
+                "pending-escape flag on a packet that is not a decided head at router {r}, \
+                 cycle {}",
+                self.cycle
+            );
         }
     }
 
@@ -1783,6 +1796,16 @@ mod tests {
         assert_eq!(rec.latency(), rec.min_traversal);
     }
 
+    /// A run stops at the horizon that keeps the packet record's `u32`
+    /// cycle stamps exact.
+    #[test]
+    #[should_panic(expected = "run stepped past MAX_RUN_CYCLES")]
+    fn stepping_at_the_run_horizon_panics() {
+        let mut net = small_net();
+        net.cycle = MAX_RUN_CYCLES;
+        net.step();
+    }
+
     #[test]
     #[should_panic(expected = "local_link_latency must be at least 1 cycle")]
     fn zero_latency_link_fails_at_construction() {
@@ -1970,7 +1993,8 @@ mod tests {
         // is past the wire once what is left of its delay fits the pipeline.
         let in_pipeline = |ev: &Event| match *ev {
             Event::ArriveRouter { pkt, .. } => {
-                Some(net.arena.get(pkt).eligible_at - net.cycle <= net.cfg.pipeline_latency)
+                let eligible_at = u64::from(net.arena.get(pkt).eligible_at);
+                Some(eligible_at - net.cycle <= net.cfg.pipeline_latency)
             }
             _ => None,
         };
@@ -2001,28 +2025,36 @@ mod tests {
         };
         audit_catches_a_cleared_waiter_bit: "parked head not in waiter mask" => |net| {
             let (r, q, vc) = find_vc(net, |input, bit| input.parked & bit != 0);
-            let target = net.routers[r].parked_target(Port(q as u32), vc as u8).unwrap();
+            let (target, _) = net.routers[r].decided_target(Port(q as u32), vc as u8).unwrap();
             net.routers[r].out_ports[target.idx()].waiters &= !(1 << q);
+        };
+        audit_catches_a_parked_head_without_a_decision: "parked VC without a decision" => |net| {
+            let (r, q, vc) = find_vc(net, |input, bit| input.parked & bit != 0);
+            net.routers[r].in_ports[q].decided &= !(1 << vc);
         };
         audit_catches_a_resident_packet_still_in_the_pipeline: "before its eligibility cycle" => |net| {
             let (r, q, vc) = find_awake(net);
             let id = net.routers[r].input_front(q, vc).unwrap();
-            net.arena.get_mut(id).eligible_at = net.cycle + 1;
+            net.arena.get_mut(id).eligible_at = stamp(net.cycle + 1);
         };
-        audit_catches_a_stale_decided_record: "router record is not its head's arena decision" => |net| {
-            let (r, q, vc) = find_vc(net, |input, bit| input.decided & bit != 0);
-            let (out, out_vc) = net.routers[r].decided_output(q, vc);
-            net.routers[r].record_decision(q, vc, out, out_vc + 1);
-        };
-        audit_catches_a_decided_bit_on_an_empty_vc: "router record is not its head's arena decision" => |net| {
+        audit_catches_a_decided_bit_on_an_empty_vc: "decided VC without resident packet" => |net| {
             let (r, q, vc) = find_vc(net, |input, bit| input.ready & bit == 0);
             net.routers[r].in_ports[q].decided |= 1 << vc;
+        };
+        audit_catches_a_pending_escape_on_a_staged_packet: "pending-escape flag on a packet" => |net| {
+            let radix = net.topo.params().radix() as usize;
+            let (r, q) = (0..net.routers.len())
+                .flat_map(|r| (0..radix).map(move |q| (r, q)))
+                .find(|&(r, q)| net.routers[r].output_staged(q) > 0)
+                .expect("a staged packet");
+            let id = net.routers[r].staged(q).next().unwrap().pkt;
+            net.arena.get_mut(id).escape_pending = true;
         };
         audit_catches_a_miscounted_packet: "live-packet count diverged" => |net| {
             net.live_packets -= 1;
         };
         audit_catches_a_leaked_arena_slot: "leaked: live, but in no ring and on no link" => |net| {
-            let stray = Packet::new(u64::MAX, NodeId(0), NodeId(1), 8, 0, df_topology::GroupId(0));
+            let stray = Packet::new(u64::MAX, NodeId(0), NodeId(1), 0, df_topology::GroupId(0));
             net.arena.insert(stray);
             net.live_packets += 1;
         };

@@ -1,4 +1,11 @@
 //! Packets and their in-flight routing/accounting state.
+//!
+//! A packet inside the network is one 64-byte [`Packet`] record: identity,
+//! route state and accounting, with `u32` cycle fields under
+//! [`crate::MAX_RUN_CYCLES`]. The public types a policy or a stats sink
+//! sees ([`PacketHeader`], [`WaitBreakdown`], [`DeliveredRecord`],
+//! [`Decision`]) keep `u64` cycle fields and are built from the record
+//! where they are needed.
 
 use df_topology::{GroupId, NodeId, Port};
 use serde::{Deserialize, Serialize};
@@ -94,32 +101,55 @@ impl WaitBreakdown {
 
 /// A packet in flight: the record one [`crate::arena::PacketArena`] slot
 /// holds from injection to delivery, and the value a packet travels as
-/// when it crosses a shard boundary.
+/// when it crosses a shard boundary. 64 bytes, one cache line.
 ///
-/// `repr(C)` pins the field order to access frequency: what the switch
-/// allocator reads when it routes or grants a head (`eligible_at`,
-/// `decision`, `route`) comes first, inside the first cache line of the
-/// slot; identity and accounting, touched on grant, transmit and
-/// delivery, follow.
+/// Cycle fields are `u32`: every value stored is at most the current
+/// cycle plus one event delay, which [`crate::MAX_RUN_CYCLES`] and
+/// [`crate::EngineConfig::validate`] keep within `u32::MAX`. The size of
+/// the packet is not stored (every packet is `EngineConfig::packet_size`
+/// phits long), and neither is its decided output: that lives in the
+/// router holding the packet (`RouterState::decided_target`). The public
+/// [`PacketHeader`] and [`WaitBreakdown`] are rebuilt from the record
+/// where a policy or a sink needs them ([`Self::header`], [`Self::waits`]).
+///
+/// `repr(C)` pins the field order, so the offsets the arena asserts hold.
 #[derive(Debug, Clone, Copy)]
 #[repr(C)]
 pub struct Packet {
     /// Cycle the packet enters its next router's input VC, eligible for
     /// allocation (link arrival + pipeline). Stamped by the sender.
-    pub eligible_at: u64,
-    /// Decided output for the current hop, if any. Set by the routing
-    /// policy; taken by the allocator at the grant.
-    pub decision: Option<Decision>,
-    /// Routing state (interpreted by `df-routing`).
+    pub eligible_at: u32,
+    /// Cycle the packet was generated (entered the source queue).
+    pub gen_cycle: u32,
+    /// Unique sequence number.
+    pub id: PacketSeq,
+    /// Routing state (interpreted by `df-routing`). A head's decision is
+    /// committed here when the head is routed: nothing reads it again
+    /// before the grant.
     pub route: RouteInfo,
-    /// Identity and endpoints.
-    pub header: PacketHeader,
+    /// Source node.
+    pub src: NodeId,
+    /// Destination node.
+    pub dst: NodeId,
     /// Accumulated queueing cycles.
-    pub waits: WaitBreakdown,
+    pub(crate) waits: Waits,
     /// Pure traversal cycles so far: links crossed and router pipelines,
     /// excluding all queueing. Compared against the minimal-path traversal
     /// to isolate the misrouting component.
-    pub traversal: u64,
+    pub traversal: u32,
+    /// The head's decision first diverted it onto a non-minimal global
+    /// path; the grant counts it as an escape grant and clears it. Only a
+    /// decided head carries it.
+    pub(crate) escape_pending: bool,
+}
+
+/// The packet record's queueing buckets: [`WaitBreakdown`] at the
+/// record's `u32` width.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Waits {
+    pub(crate) injection: u32,
+    pub(crate) local: u32,
+    pub(crate) global: u32,
 }
 
 /// What a routing [`Decision`] depended on. Only
@@ -139,21 +169,45 @@ pub struct Decision {
     pub out_port: Port,
     /// VC to use on the downstream input buffer (ignored for ejection).
     pub out_vc: u8,
-    /// Updated routing state to commit on grant.
+    /// Updated routing state, committed to the packet when the head is
+    /// routed.
     pub info: RouteInfo,
 }
 
 impl Packet {
     /// Create a freshly generated packet.
-    pub fn new(id: PacketSeq, src: NodeId, dst: NodeId, size: u32, gen_cycle: u64, src_group: GroupId) -> Self {
+    pub fn new(
+        id: PacketSeq,
+        src: NodeId,
+        dst: NodeId,
+        gen_cycle: u32,
+        src_group: GroupId,
+    ) -> Self {
         Self {
             eligible_at: gen_cycle,
-            decision: None,
+            gen_cycle,
+            id,
             route: RouteInfo::new(src_group),
-            header: PacketHeader { id, src, dst, size, gen_cycle },
-            waits: WaitBreakdown::default(),
+            src,
+            dst,
+            waits: Waits::default(),
             traversal: 0,
+            escape_pending: false,
         }
+    }
+
+    /// The packet's public header, for a packet of `size` phits.
+    #[inline]
+    pub fn header(&self, size: u32) -> PacketHeader {
+        let gen_cycle = self.gen_cycle.into();
+        PacketHeader { id: self.id, src: self.src, dst: self.dst, size, gen_cycle }
+    }
+
+    /// Queueing cycles so far.
+    #[inline]
+    pub fn waits(&self) -> WaitBreakdown {
+        let Waits { injection, local, global } = self.waits;
+        WaitBreakdown { injection: injection.into(), local: local.into(), global: global.into() }
     }
 }
 
@@ -195,12 +249,13 @@ mod tests {
 
     #[test]
     fn fresh_packet_state() {
-        let p = Packet::new(7, NodeId(0), NodeId(5), 8, 100, GroupId(0));
-        assert_eq!(p.header.id, 7);
+        let p = Packet::new(7, NodeId(0), NodeId(5), 100, GroupId(0));
+        let hdr = PacketHeader { id: 7, src: NodeId(0), dst: NodeId(5), size: 8, gen_cycle: 100 };
+        assert_eq!(p.header(8), hdr);
         assert_eq!(p.route.phase, Phase::ToDestination);
         assert!(!p.route.source_decided);
-        assert_eq!(p.waits.total(), 0);
-        assert!(p.decision.is_none());
+        assert_eq!(p.waits().total(), 0);
+        assert!(!p.escape_pending);
     }
 
     #[test]

@@ -36,7 +36,8 @@
 //! * `InPort::decided` / `head_out` — the output a VC head was routed to
 //!   (once per router visit), so re-probing a head that was blocked or lost
 //!   arbitration reads router-local state only, never the input ring or
-//!   the packet's arena record.
+//!   the packet's arena record. It is the only home of that output: the
+//!   grant reads it here too.
 
 use crate::arena::PacketId;
 use crate::buffer::{OutRing, Staged, VcRing};
@@ -126,8 +127,8 @@ pub struct RouterState {
     /// `[port * vc_stride + downstream vc]`, in phits.
     credits: Vec<u32>,
     /// `[out_port, out_vc]` of each head, `[port * vc_stride + vc]`: the
-    /// port a parked head waits on (while its parked bit is set), the whole
-    /// output of a decided head (while its decided bit is set).
+    /// output of a decided head (while its decided bit is set), and so
+    /// the port a parked head waits on. The packet record holds no copy.
     head_out: Vec<[u8; 2]>,
     /// Bitmask of output ports with at least one staged packet (the
     /// ready-output list): `transmit_outputs` visits only set bits
@@ -403,18 +404,20 @@ impl RouterState {
         }
     }
 
-    /// Park the head of (`in_port`, `vc`): its decision targets
-    /// `out_port`, which cannot accept it, and the decision holds until
-    /// the grant — so the allocator skips the VC until
-    /// `touch_port(out_port)` wakes it.
+    /// Park the decided head of (`in_port`, `vc`): its recorded output
+    /// `out_port` cannot accept it, and the decision holds until the grant
+    /// — so the allocator skips the VC until `touch_port(out_port)` wakes
+    /// it.
     #[inline]
     pub(crate) fn park(&mut self, in_port: usize, vc: usize, out_port: usize) {
+        debug_assert_eq!(
+            self.decided_target(Port(in_port as u32), vc as u8).map(|(out, _)| out.idx()),
+            Some(out_port),
+            "parking a head not decided for its port"
+        );
         let input = &mut self.in_ports[in_port];
-        debug_assert!(input.ready & (1 << vc) != 0, "parking an empty VC");
         debug_assert!(input.parked & (1 << vc) == 0, "double park");
         input.parked |= 1 << vc;
-        let flat = self.flat(in_port, vc);
-        self.head_out[flat][0] = out_port as u8;
         self.out_ports[out_port].waiters |= 1 << in_port;
         self.probe_ready -= 1;
         self.refresh_awake(in_port);
@@ -431,9 +434,8 @@ impl RouterState {
         }
     }
 
-    /// Record the output the head of (`in_port`, `vc`) was routed to, for
-    /// later probes to read back instead of the packet's arena record
-    /// (which keeps the full decision for the grant).
+    /// Record the output the head of (`in_port`, `vc`) was routed to: the
+    /// only copy of it, read back by later probes and by the grant.
     #[inline]
     pub(crate) fn record_decision(&mut self, in_port: usize, vc: usize, out_port: Port, out_vc: u8) {
         debug_assert!(self.in_ports[in_port].ready & (1 << vc) != 0, "deciding an empty VC");
@@ -571,14 +573,13 @@ impl RouterState {
         self.out_ports[port.idx()].epoch
     }
 
-    /// Output port the parked head of (`port`, `vc`) is waiting on, if
-    /// that VC is parked.
-    pub fn parked_target(&self, port: Port, vc: u8) -> Option<Port> {
-        if self.in_ports[port.idx()].parked & (1 << vc) != 0 {
-            Some(Port(self.head_out[self.flat(port.idx(), vc as usize)][0] as u32))
-        } else {
-            None
-        }
+    /// The recorded `(out_port, out_vc)` of the head of (`port`, `vc`), if
+    /// that head has been routed at this router. This record is the one
+    /// home of a head's decided output; a parked head is a decided head
+    /// waiting on `out_port`.
+    pub fn decided_target(&self, port: Port, vc: u8) -> Option<(Port, u8)> {
+        let (port, vc) = (port.idx(), vc as usize);
+        (self.in_ports[port].decided & (1 << vc) != 0).then(|| self.decided_output(port, vc))
     }
 
     /// Number of non-empty, unparked input VCs (the heads the switch
@@ -751,6 +752,8 @@ mod tests {
         r.push_input(2, 0, PacketId(1));
         r.push_input(2, 1, PacketId(2));
         assert_eq!(r.awake_in, 1 << 2);
+        r.record_decision(2, 0, Port(9), 0);
+        r.record_decision(2, 1, Port(7), 0);
         r.park(2, 0, 9);
         assert_eq!(r.awake_in, 1 << 2, "VC 1 still awake");
         r.park(2, 1, 7);
@@ -776,12 +779,14 @@ mod tests {
         r.record_decision(2, 1, Port(7), 2);
         // Parking and waking the head keeps the record whole.
         r.park(2, 1, 7);
-        assert_eq!(r.parked_target(Port(2), 1), Some(Port(7)));
+        assert_eq!(r.decided_target(Port(2), 1), Some((Port(7), 2)));
+        assert_eq!(r.decided_target(Port(2), 0), None);
         r.touch_port(7);
         assert_eq!(r.decided_output(2, 1), (Port(7), 2));
         // The grant takes the record with it: the next head is undecided.
         r.pop_input(2, 1);
         assert_eq!(r.in_ports[2].decided, 0);
+        assert_eq!(r.decided_target(Port(2), 1), None);
         assert_eq!(r.in_ports[2].ready, 0b10);
     }
 

@@ -52,8 +52,7 @@
 //! team's slots and moved back before `step` returns, so between steps
 //! the accessors hand out plain references.
 
-use crate::arena::PacketId;
-use crate::config::EngineConfig;
+use crate::config::{EngineConfig, MAX_RUN_CYCLES};
 use crate::network::{
     Counters, CreditLedger, Network, PhaseClock, PhaseProfile, Untimed, WallClock,
 };
@@ -624,13 +623,6 @@ impl<P: RoutingPolicy + Send + 'static, S: StatsSink> ShardedNetwork<P, S> {
         self.shard(self.plan().shard_of_router(id)).router(id)
     }
 
-    /// Resolve a packet handle *relative to the shard owning `router`*
-    /// (handles are shard-local; pair them with the router they were read
-    /// from, e.g. via [`RouterState::head`]).
-    pub fn packet_at(&self, router: RouterId, id: PacketId) -> Packet {
-        self.shard(self.plan().shard_of_router(router)).packet(id)
-    }
-
     /// Engine counters merged across shards: scalars sum, per-router and
     /// per-node vectors splice at the shards' base offsets, and `cycles`
     /// (which every shard advances identically) is taken from shard 0.
@@ -690,6 +682,7 @@ impl<P: RoutingPolicy + Send + 'static, S: StatsSink> ShardedNetwork<P, S> {
 
     /// The one cycle body behind [`Self::step`] and [`Self::step_timed`].
     fn step_clocked<C: PhaseClock>(&mut self) -> PhaseProfile {
+        assert!(self.cycle < MAX_RUN_CYCLES, "run stepped past MAX_RUN_CYCLES");
         self.cycle += 1;
         let mut clock = C::start();
         let policy = self.policy.take().expect("policy lost to a panic in an earlier step");
@@ -923,6 +916,14 @@ mod tests {
     fn serial_baseline() -> (Counters, Vec<DeliveredRecord>) {
         let (base, records) = run_rounds!(serial());
         (base.counters().clone(), records)
+    }
+
+    #[test]
+    #[should_panic(expected = "run stepped past MAX_RUN_CYCLES")]
+    fn stepping_at_the_run_horizon_panics() {
+        let mut net = sharded(2);
+        net.cycle = MAX_RUN_CYCLES;
+        net.step();
     }
 
     #[test]

@@ -678,6 +678,20 @@ mod tests {
         assert_eq!(evs, [(Some(job), "rejected")]);
     }
 
+    /// One cycle past the engine's run-length horizon is refused the
+    /// same way: one `rejected` event and nothing else.
+    #[test]
+    fn a_run_one_cycle_past_the_horizon_is_rejected_at_submit() {
+        let svc = Service::new(ServiceConfig { workers: 1, ..ServiceConfig::default() });
+        let (sink, events) = collecting_sink();
+        let mut spec = tiny_scenario();
+        spec.warmup_cycles = dragonfly_core::df_engine::MAX_RUN_CYCLES + 1 - spec.measure_cycles;
+        let job = svc.submit(JobPayload::Scenario(spec), options(None, None), sink);
+        assert_eq!(svc.shutdown(), 0, "nothing was admitted");
+        let evs: Vec<_> = events.lock().unwrap().iter().map(|e| (e.job(), e.label())).collect();
+        assert_eq!(evs, [(Some(job), "rejected")]);
+    }
+
     #[test]
     fn panic_fault_retries_then_completes() {
         let svc = Service::new(ServiceConfig { workers: 1, ..ServiceConfig::default() });

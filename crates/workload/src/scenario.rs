@@ -4,7 +4,7 @@
 use crate::injection::InjectionSpec;
 use crate::job::JobSpec;
 use crate::placement::ResolvedPlacement;
-use df_engine::{ArbiterPolicy, TelemetrySpec};
+use df_engine::{ArbiterPolicy, TelemetrySpec, MAX_RUN_CYCLES};
 use df_routing::MechanismSpec;
 use df_topology::{Arrangement, DragonflyParams};
 use df_traffic::derive_seed;
@@ -112,8 +112,11 @@ impl ScenarioSpec {
         if self.measure_cycles == 0 {
             return Err("measurement window must be nonzero".into());
         }
-        if self.warmup_cycles.checked_add(self.measure_cycles).is_none() {
-            return Err("warmup_cycles + measure_cycles overflows u64".into());
+        let run = self.warmup_cycles.checked_add(self.measure_cycles);
+        if run.is_none_or(|cycles| cycles > MAX_RUN_CYCLES) {
+            return Err(format!(
+                "warmup_cycles + measure_cycles exceeds the run-length limit of {MAX_RUN_CYCLES} cycles"
+            ));
         }
         if let Some(telemetry) = &self.telemetry {
             telemetry.validate()?;
@@ -251,8 +254,9 @@ mod tests {
         assert!(s.validate(1).is_err());
     }
 
-    /// A run is `warmup + measure` cycles long: a sum past `u64::MAX` is
-    /// an admission error, the largest sum that fits is not.
+    /// A run is `warmup + measure` cycles long: a sum past
+    /// `MAX_RUN_CYCLES` — or past `u64::MAX` — is an admission error, the
+    /// limit itself is not.
     #[test]
     fn an_overflowing_run_length_is_rejected() {
         let text = spec()
@@ -261,9 +265,12 @@ mod tests {
         let mut s = ScenarioSpec::from_json(&text).unwrap();
         s.measure_cycles = 1;
         let err = s.validate(1).unwrap_err();
-        assert!(err.contains("overflows"), "{err}");
-        s.warmup_cycles = u64::MAX - 1;
+        assert!(err.contains("run-length limit"), "{err}");
+        s.warmup_cycles = MAX_RUN_CYCLES - 1;
         s.validate(1).unwrap();
+        s.measure_cycles = 2;
+        let err = s.validate(1).unwrap_err();
+        assert!(err.contains("run-length limit"), "{err}");
     }
 
     /// Radix 67 (30 + 35 + 2) passed validation and then panicked in the

@@ -3,16 +3,16 @@
 //! allocation-free, and — property-tested across mechanisms, patterns,
 //! loads and seeds — slab reuse is deterministic: the same seed yields a
 //! bit-identical serialized `RunResult`. Also covers the one-record slot
-//! (a packet's decision and its accounting are one record, and writes to
-//! one slot never reach its neighbour), the
+//! (a packet's decided route state and its accounting are one record, and
+//! writes to one slot never reach its neighbour), the
 //! intrusive free list (LIFO reuse without growth, links threaded
 //! through vacant slots), and the engine's audit held after every cycle
 //! of a run from load ramp to drain (work lists against a full scan,
 //! packet and credit conservation — docs/DETERMINISM.md, "The audit").
 
 use dragonfly_core::df_engine::{
-    ArbiterPolicy, Decision, EngineConfig, Network, NullSink, Packet, PacketArena, PacketId,
-    RouteInfo,
+    ArbiterPolicy, EngineConfig, Network, NullSink, Packet, PacketArena, PacketHeader, PacketId,
+    RouteInfo, WaitBreakdown,
 };
 use dragonfly_core::df_routing::MechanismSpec;
 use dragonfly_core::prelude::*;
@@ -108,41 +108,42 @@ fn steady_state_reuses_slots_without_growth() {
 }
 
 fn probe_packet(seq: u64) -> Packet {
-    Packet::new(seq, NodeId(0), NodeId(1), 8, seq * 10, GroupId(0))
+    Packet::new(seq, NodeId(0), NodeId(1), seq as u32 * 10, GroupId(0))
 }
 
 #[test]
 fn one_record_holds_decision_and_accounting() {
     // Whatever is written through a handle must read back from that
     // packet and no other, through the field accessors and the copy
-    // `Network::packet` hands out alike.
+    // `Network::packet` hands out alike. A decision leaves its route
+    // state in the record; its output lives in the router.
     let mut arena = PacketArena::new();
     let a = arena.insert(probe_packet(1));
     let b = arena.insert(probe_packet(2));
     // Insertion keeps the packet as built.
     assert_eq!(arena.get(a).eligible_at, 10);
     assert_eq!(arena.get(b).eligible_at, 20);
-    assert!(arena.decision(a).is_none());
+    let fresh = RouteInfo::new(GroupId(0));
+    assert_eq!(arena.get(a).route, fresh);
     // Writes on one slot must not bleed into the neighbour.
     arena.get_mut(a).eligible_at = 555;
-    let d = Decision { out_port: Port(3), out_vc: 1, info: RouteInfo::new(GroupId(0)) };
-    arena.set_decision(a, d);
-    arena.get_mut(a).waits.global = 99;
+    let decided = RouteInfo { global_misrouted: true, global_hops: 1, ..fresh };
+    arena.get_mut(a).route = decided;
     arena.get_mut(a).traversal = 7;
     assert_eq!(arena.get(b).eligible_at, 20);
-    assert!(arena.decision(b).is_none());
-    assert_eq!(arena.get(b).waits.global, 0);
-    assert_eq!(arena.decision(a), Some(d));
+    assert_eq!(arena.get(b).route, fresh);
+    assert_eq!(arena.get(b).traversal, 0);
+    assert_eq!(arena.get(b).waits(), WaitBreakdown::default());
+    assert_eq!(arena.get(a).route, decided);
     let copy = *arena.get(a);
-    assert_eq!(copy.header.id, 1);
+    assert_eq!(copy.id, 1);
     assert_eq!(copy.eligible_at, 555);
-    assert_eq!(copy.waits.global, 99);
     assert_eq!(copy.traversal, 7);
-    assert_eq!(copy.decision.unwrap().out_vc, 1);
-    // Taking the decision (a grant) leaves the accounting alone.
-    assert_eq!(arena.get_mut(a).decision.take().unwrap().out_port, Port(3));
-    assert!(arena.decision(a).is_none());
-    assert_eq!(arena.get(a).waits.global, 99);
+    assert_eq!(copy.route.global_hops, 1);
+    // The public header is rebuilt from the record at a given size.
+    let hdr = copy.header(8);
+    let expect = PacketHeader { id: 1, src: NodeId(0), dst: NodeId(1), size: 8, gen_cycle: 10 };
+    assert_eq!(hdr, expect);
 }
 
 #[test]
@@ -170,9 +171,9 @@ fn intrusive_free_list_reuses_lifo_without_growth() {
     assert_eq!(arena.capacity(), 7);
     assert_eq!(arena.live(), 7);
     // Reused slots carry the fresh packet, not stale state.
-    assert_eq!(arena.get(ids[3]).header.id, 12);
+    assert_eq!(arena.get(ids[3]).id, 12);
     assert_eq!(arena.get(ids[3]).eligible_at, 120);
-    assert!(arena.decision(ids[3]).is_none());
+    assert_eq!(arena.get(ids[3]).route, RouteInfo::new(GroupId(0)));
 }
 
 #[test]
