@@ -12,15 +12,15 @@ cargo build --release
 echo "==> cargo test -q"
 # Debug-assertion builds run the audit (docs/DETERMINISM.md) every
 # AUDIT_EVERY cycles of every simulation, on top of the one that ends
-# each run in any build. The suite also carries the golden digests, each
-# asserted serial and at shards: 2 (tests/tests/golden_outputs.rs); the
-# shard-count invariance proptests over mechanism x arbiter x pattern x
-# injection process (tests/tests/sharding.rs, which drop diverging result
-# pairs in target/shard-diagnostics/ for the workflow to archive); the
-# real scenario/sweep binaries at --shards 2 against their serial bytes
-# (crates/bench/tests/scenario_cli.rs); and the cache-equivalence
-# proptests, which also count one route call per router visit
-# (tests/tests/route_cache.rs).
+# each run in any build. The suite also carries the golden digests
+# (tests/tests/golden_outputs.rs: the scenario and sweep digests on the
+# serial engine, the SimConfig digests serial and at shards: 2); the
+# shard-count invariance differential, which replays generated offer
+# streams into the serial and the group-sharded engine over mechanism x
+# arbiter and compares delivered-record streams (tests/tests/sharding.rs,
+# which drops diverging pairs in target/shard-diagnostics/ for the
+# workflow to archive); and the cache-equivalence proptests, which also
+# count one route call per router visit (tests/tests/route_cache.rs).
 cargo test -q
 
 echo "==> release-mode tests (the audit without debug assertions)"
@@ -67,8 +67,8 @@ cargo run --release -p df-bench --bin scenario -- --quick \
     scenarios/interference_advc_vs_uniform.json > /dev/null
 
 echo "==> sweep smoke run (bundled grid; the archived table)"
-# golden_sweep_unfairness_grid pins these bytes, serial and at shards: 2;
-# this run writes the table the workflow archives.
+# golden_sweep_unfairness_grid pins these bytes; this run writes the
+# table the workflow archives.
 cargo run --release -p df-bench --bin sweep -- --quick \
     --csv "$artifacts/sweep_unfairness_grid.csv" \
     --out "$artifacts/sweep_unfairness_grid.json" \

@@ -4,7 +4,7 @@
 //! inject / allocate / transmit) to direct hot-path optimization work.
 //!
 //! ```text
-//! dbg_bottleneck [crg|rrg|mm] [--live] [--json PATH] [--shards N]
+//! dbg_bottleneck [crg|rrg|mm] [--live] [--json PATH]
 //! ```
 //!
 //! * positional mechanism — `crg`, `rrg`, or the default `mm`,
@@ -13,13 +13,9 @@
 //!   5-window delivered rate from a `RateWindow`), so starvation onset
 //!   and the allocate-phase hotspot are visible while they happen,
 //! * `--json PATH` — archive the per-chunk phase breakdowns and the run
-//!   total as JSON next to the bench artifacts,
-//! * `--shards N` — run on the group-sharded engine with `N` shards; the
-//!   phase breakdown then includes the cycle-barrier merge (folded into
-//!   the transmit phase) and the congestion trace is bit-identical to
-//!   the serial engine's.
+//!   total as JSON next to the bench artifacts.
 
-use df_bench::{fail, flag_path, flag_positive, write_json};
+use df_bench::{fail, flag_path, write_json};
 use dragonfly_core::df_engine::{vcs_for, PhaseProfile, RouterState, TelemetrySpec};
 use dragonfly_core::df_stats::RateWindow;
 use dragonfly_core::prelude::*;
@@ -38,7 +34,7 @@ struct PhaseReport {
 
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
-    eprintln!("usage: dbg_bottleneck [crg|rrg|mm] [--live] [--json PATH] [--shards N]");
+    eprintln!("usage: dbg_bottleneck [crg|rrg|mm] [--live] [--json PATH]");
     std::process::exit(2);
 }
 
@@ -46,7 +42,6 @@ fn main() {
     let mut mech = MechanismSpec::InTransitMm;
     let mut live = false;
     let mut json: Option<PathBuf> = None;
-    let mut shards: Option<u32> = None;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -55,7 +50,6 @@ fn main() {
             "mm" => mech = MechanismSpec::InTransitMm,
             "--live" => live = true,
             "--json" => json = Some(flag_path(&mut it, &arg).unwrap_or_else(|e| die(&e))),
-            "--shards" => shards = Some(flag_positive(&mut it, &arg).unwrap_or_else(|e| die(&e))),
             other => die(&format!("unknown argument {other}")),
         }
     }
@@ -68,9 +62,6 @@ fn main() {
     const WINDOW: u64 = 1_000;
     if live {
         cfg.telemetry = Some(TelemetrySpec { window_cycles: WINDOW, ..TelemetrySpec::default() });
-    }
-    if shards.is_some() {
-        cfg.shards = shards;
     }
     let mut sim = Simulator::new(&cfg);
     let params = cfg.params;

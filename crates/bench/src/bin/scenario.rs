@@ -16,19 +16,15 @@
 //!   the first mechanism × first seed as a replayable JSON trace,
 //! * `--timeline PATH` — additionally run every mechanism × the first
 //!   seed with windowed telemetry on, streaming one JSONL row per window
-//!   into `PATH` as it closes (see `docs/OBSERVABILITY.md`),
-//! * `--shards N` — run each cell on the group-sharded engine with `N`
-//!   shards (clamped to the group count). Output is bit-identical to the
-//!   serial engine for any `N` (see `docs/DETERMINISM.md`); overrides the
-//!   spec's `shards` field.
+//!   into `PATH` as it closes (see `docs/OBSERVABILITY.md`).
 //!
 //! The seed-averaged summary is always printed to stdout as JSON (after
 //! the human-readable tables), so downstream tooling can consume the run
 //! without extra flags.
 
 use df_bench::{
-    create_timeline_file, default_seeds, fail, flag_path, flag_positive, flag_seeds, flag_value,
-    quick_scenario, timeline_sink, write_json,
+    create_timeline_file, default_seeds, fail, flag_path, flag_seeds, flag_value, quick_scenario,
+    timeline_sink, write_json,
 };
 use dragonfly_core::prelude::*;
 use std::path::PathBuf;
@@ -40,14 +36,13 @@ struct Args {
     out: Option<PathBuf>,
     record_trace: Option<String>,
     timeline: Option<PathBuf>,
-    shards: Option<u32>,
 }
 
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
         "usage: scenario [--seeds N] [--quick] [--out PATH] [--record-trace PATH] \
-         [--timeline PATH] [--shards N] SCENARIO.json"
+         [--timeline PATH] SCENARIO.json"
     );
     std::process::exit(2);
 }
@@ -60,7 +55,6 @@ fn parse_args() -> Result<Args, String> {
         out: None,
         record_trace: None,
         timeline: None,
-        shards: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -70,7 +64,6 @@ fn parse_args() -> Result<Args, String> {
             "--out" => args.out = Some(flag_path(&mut it, &flag)?),
             "--record-trace" => args.record_trace = Some(flag_value(&mut it, &flag, "a path")?),
             "--timeline" => args.timeline = Some(flag_path(&mut it, &flag)?),
-            "--shards" => args.shards = Some(flag_positive(&mut it, &flag)?),
             other if !other.starts_with('-') && args.scenario.is_empty() => {
                 args.scenario = other.to_string();
             }
@@ -93,9 +86,6 @@ fn main() {
     let mut spec = ScenarioSpec::load(&args.scenario).unwrap_or_else(|e| die(&e));
     if args.quick {
         quick_scenario(&mut spec);
-    }
-    if args.shards.is_some() {
-        spec.shards = args.shards;
     }
     spec.validate(args.seeds[0]).unwrap_or_else(|e| die(&e));
 

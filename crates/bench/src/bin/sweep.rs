@@ -16,10 +16,7 @@
 //! * `--csv PATH` — write the table as CSV,
 //! * `--timeline PATH` — additionally re-run the first cell under the
 //!   first seed with windowed telemetry on, streaming one JSONL row per
-//!   window into `PATH` (see `docs/OBSERVABILITY.md`),
-//! * `--shards N` — run every cell on the group-sharded engine with `N`
-//!   shards (clamped to the group count). The table is bit-identical to
-//!   the serial engine's for any `N` (see `docs/DETERMINISM.md`).
+//!   window into `PATH` (see `docs/OBSERVABILITY.md`).
 //!
 //! The table is deterministic: the same sweep file and seed set produce a
 //! bit-identical JSON/CSV artifact regardless of how cells were scheduled
@@ -28,8 +25,8 @@
 //! A compact per-cell summary grid is printed to stdout.
 
 use df_bench::{
-    create_timeline_file, default_seeds, fail, flag_path, flag_positive, flag_seeds, quick_sweep,
-    timeline_sink, write_json,
+    create_timeline_file, default_seeds, fail, flag_path, flag_seeds, quick_sweep, timeline_sink,
+    write_json,
 };
 use dragonfly_core::prelude::*;
 use std::path::PathBuf;
@@ -41,14 +38,13 @@ struct Args {
     out: Option<PathBuf>,
     csv: Option<PathBuf>,
     timeline: Option<PathBuf>,
-    shards: Option<u32>,
 }
 
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
         "usage: sweep [--seeds N] [--quick] [--out PATH] [--csv PATH] [--timeline PATH] \
-         [--shards N] SWEEP.json"
+         SWEEP.json"
     );
     std::process::exit(2);
 }
@@ -61,7 +57,6 @@ fn parse_args() -> Result<Args, String> {
         out: None,
         csv: None,
         timeline: None,
-        shards: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -71,7 +66,6 @@ fn parse_args() -> Result<Args, String> {
             "--out" => args.out = Some(flag_path(&mut it, &flag)?),
             "--csv" => args.csv = Some(flag_path(&mut it, &flag)?),
             "--timeline" => args.timeline = Some(flag_path(&mut it, &flag)?),
-            "--shards" => args.shards = Some(flag_positive(&mut it, &flag)?),
             other if !other.starts_with('-') && args.sweep.is_empty() => {
                 args.sweep = other.to_string();
             }
@@ -92,10 +86,6 @@ fn main() {
     let mut spec = SweepSpec::load(&args.sweep).unwrap_or_else(|e| die(&e));
     if args.quick {
         quick_sweep(&mut spec);
-    }
-    if args.shards.is_some() {
-        // Cells inherit the base spec, so one assignment shards the grid.
-        spec.base.shards = args.shards;
     }
     let cells = spec.expand().unwrap_or_else(|e| die(&e));
     eprintln!(

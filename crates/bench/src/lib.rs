@@ -37,17 +37,6 @@ pub fn flag_number<T: FromStr>(
     flag_value(it, flag, "a number")?.parse().map_err(|_| format!("{flag} needs a number"))
 }
 
-/// The number after `flag`, which must be at least 1 (`--shards`).
-pub fn flag_positive<T: FromStr + PartialOrd + Default>(
-    it: &mut impl Iterator<Item = String>,
-    flag: &str,
-) -> Result<T, String> {
-    flag_number(it, flag)
-        .ok()
-        .filter(|n| *n > T::default())
-        .ok_or_else(|| format!("{flag} needs a positive number"))
-}
-
 /// `n` seeds: the paper protocol's ([`DEFAULT_SEEDS`]) first, then 31
 /// apart from the last of them — so `--seeds 3` is the default protocol.
 fn seed_list(n: u64) -> Vec<u64> {
@@ -59,7 +48,11 @@ fn seed_list(n: u64) -> Vec<u64> {
 /// paper protocol, [`DEFAULT_SEEDS`]), 78, 109, … `N` must be positive —
 /// the runners average over the list and need at least one seed.
 pub fn flag_seeds(it: &mut impl Iterator<Item = String>) -> Result<Vec<u64>, String> {
-    flag_positive(it, "--seeds").map(seed_list)
+    flag_number(it, "--seeds")
+        .ok()
+        .filter(|&n| n > 0)
+        .map(seed_list)
+        .ok_or_else(|| "--seeds needs a positive number".into())
 }
 
 /// The seeds of a run that gave no `--seeds`: the protocol's three, or
@@ -184,12 +177,9 @@ mod tests {
             flag_number::<u64>(&mut args(&["x"]), "--workers"),
             Err("--workers needs a number".into())
         );
-        assert_eq!(flag_positive::<u32>(&mut args(&["2"]), "--shards"), Ok(2));
+        assert_eq!(flag_seeds(&mut args(&["2"])), Ok(vec![11, 23]));
         for bad in [&["0"][..], &["-1"], &["two"], &[]] {
-            assert_eq!(
-                flag_positive::<u32>(&mut args(bad), "--shards"),
-                Err("--shards needs a positive number".into())
-            );
+            assert_eq!(flag_seeds(&mut args(bad)), Err("--seeds needs a positive number".into()));
         }
     }
 }

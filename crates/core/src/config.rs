@@ -35,9 +35,9 @@ pub struct SimConfig {
     pub telemetry: Option<TelemetrySpec>,
     /// Group-shard count for parallel execution (clamped to the group
     /// count; `None` or an omitted JSON field means 1 — the serial
-    /// engine). Same-seed output is bit-identical for every value, so
-    /// this is a purely operational knob and never enters result-cache
-    /// keys.
+    /// engine). Same-seed output is bit-identical for every value. The
+    /// one shard knob: scenarios and sweeps always run serial, since
+    /// their runners already spread cells × seeds over every core.
     pub shards: Option<u32>,
 }
 
@@ -98,7 +98,7 @@ impl SimConfig {
     /// field, 1 when unset, always at least 1. The simulator additionally
     /// clamps to the topology's group count.
     pub fn resolved_shards(&self) -> u32 {
-        resolve_shards(self.shards)
+        self.shards.unwrap_or(1).max(1)
     }
 
     /// With a different master seed (multi-run averaging).
@@ -143,12 +143,6 @@ impl SimConfig {
 /// [`SimConfig`] and a scenario cell both run on.
 pub(crate) fn engine_config(arbiter: ArbiterPolicy, mechanism: MechanismSpec) -> EngineConfig {
     EngineConfig::paper(arbiter, mechanism.required_local_vcs())
-}
-
-/// The shard count a `shards` field asks for, before topology clamping:
-/// unset or zero is the serial engine (see [`SimConfig::resolved_shards`]).
-pub(crate) fn resolve_shards(shards: Option<u32>) -> u32 {
-    shards.unwrap_or(1).max(1)
 }
 
 // Sub-seed derivation now lives in `df-traffic` so the traffic and

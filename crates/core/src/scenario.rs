@@ -2,7 +2,7 @@
 //! [`ScenarioSpec`] on the simulator and report per-job and per-router
 //! results under every requested mechanism.
 
-use crate::config::{derive_seed, engine_config, resolve_shards};
+use crate::config::{derive_seed, engine_config};
 use crate::ctl::RunCtl;
 use crate::error::ScenarioError;
 use crate::sim::{JobResult, JobSchedule, Protocol, RunResult, Simulator, Source};
@@ -177,7 +177,9 @@ pub struct CellOptions<'a> {
 /// per job (destinations on substream `derive_seed(seed, 0x100 + j)`,
 /// arrivals on `0x200 + j`), driven through the simulator's one protocol
 /// loop. Generation order is identical whatever `opts` turns on, so
-/// instrumentation cannot perturb same-seed results.
+/// instrumentation cannot perturb same-seed results. The cell runs on
+/// the serial engine: [`run_scenario`] and [`crate::run_sweep`] already
+/// spread cells × seeds over every core.
 ///
 /// # Panics
 /// Panics if `opts.recorders` is provided with a length other than the
@@ -203,7 +205,7 @@ pub fn run_cell(
     let mut sim = Simulator::idle(
         Topology::new(spec.params, spec.arrangement),
         engine_cfg,
-        resolve_shards(spec.shards),
+        1,
         Protocol {
             mechanism,
             pattern: format!("scenario:{}", spec.name),
@@ -336,7 +338,6 @@ mod tests {
             warmup_cycles: 1_000,
             measure_cycles: 2_000,
             telemetry: None,
-            shards: None,
             jobs: vec![
                 JobSpec {
                     name: "anatomy".into(),

@@ -29,6 +29,15 @@
 //! ([`Simulator::set_job_schedule`]) is
 //! independent of the sources: it decides whose packets a delivery counts
 //! for, by node and generation cycle.
+//!
+//! # One shard knob
+//!
+//! [`SimConfig::shards`] is the only place a run asks for the
+//! group-sharded engine ([`Engine::Sharded`]); [`Simulator::new`] resolves
+//! it. A scenario cell ([`crate::run_cell`]) always runs the serial
+//! engine: a scenario describes an experiment, not how to execute it, and
+//! its runners already spread cells × seeds over every core. Same-seed
+//! output is byte-identical on either engine (`docs/DETERMINISM.md`).
 
 use crate::config::{derive_seed, SimConfig};
 use crate::ctl::RunCtl;
@@ -293,14 +302,6 @@ impl Engine {
     /// [`ShardedNetwork::audit`]): panics naming the first violation.
     pub fn audit(&mut self) {
         fwd!(self, n => n.audit())
-    }
-
-    /// How many shards the engine runs (1 for the serial engine).
-    pub fn shard_count(&self) -> u32 {
-        match self {
-            Engine::Serial(_) => 1,
-            Engine::Sharded(n) => n.shard_count(),
-        }
     }
 }
 

@@ -328,7 +328,6 @@ mod tests {
                 warmup_cycles: 300,
                 measure_cycles: 600,
                 telemetry: None,
-                shards: None,
                 jobs: vec![JobSpec {
                     name: "app".into(),
                     placement: PlacementSpec::ConsecutiveGroups {

@@ -50,10 +50,17 @@ pub struct TelemetrySpec {
 }
 
 impl TelemetrySpec {
-    /// Validate internal consistency.
+    /// Validate internal consistency: a window is at least one cycle
+    /// and at most [`MAX_RUN_CYCLES`] (no run is longer, and a window's
+    /// end, `start + width`, must not wrap).
     pub fn validate(&self) -> Result<(), String> {
         if self.window_cycles == 0 {
             return Err("telemetry window_cycles must be positive".into());
+        }
+        if self.window_cycles > MAX_RUN_CYCLES {
+            return Err(format!(
+                "telemetry window_cycles exceeds the run-length limit of {MAX_RUN_CYCLES} cycles"
+            ));
         }
         Ok(())
     }
@@ -227,6 +234,18 @@ mod tests {
         let spec = TelemetrySpec { window_cycles: 0, ..TelemetrySpec::default() };
         assert!(spec.validate().is_err());
         assert!(TelemetrySpec::default().validate().is_ok());
+    }
+
+    /// The widest window is the longest run; one cycle more is an
+    /// admission error naming the limit.
+    #[test]
+    fn telemetry_window_is_bounded_by_the_run_length_limit() {
+        let at = |window_cycles| TelemetrySpec { window_cycles, ..TelemetrySpec::default() };
+        assert!(at(MAX_RUN_CYCLES).validate().is_ok());
+        for width in [MAX_RUN_CYCLES + 1, u64::MAX] {
+            let err = at(width).validate().unwrap_err();
+            assert!(err.contains(&MAX_RUN_CYCLES.to_string()), "{err}");
+        }
     }
 
     #[test]

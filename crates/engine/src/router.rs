@@ -488,7 +488,8 @@ impl RouterState {
     /// Occupancy fraction of the queue feeding `port`: staged output
     /// packets plus consumed downstream space, over the respective
     /// capacities. `0.0` idle, `1.0` fully backed up. Ejection ports use
-    /// only the output buffer.
+    /// only the output buffer. A diagnostic (`dbg_bottleneck` prints it);
+    /// no routing policy reads it.
     #[inline]
     pub fn output_congestion(&self, port: Port) -> f64 {
         let ob = &self.out_ports[port.idx()].ring;
@@ -516,18 +517,6 @@ impl RouterState {
         }
         let avail = self.credits[port.idx() * self.vc_stride + vc as usize];
         (out.credit_cap - avail) as f64 / out.credit_cap as f64
-    }
-
-    /// Occupancy fraction of the output buffer alone (no downstream
-    /// credits). Unlike [`Self::output_congestion`], this signal is free
-    /// of the credit round-trip bias: on long links, in-flight credits
-    /// consume a large constant fraction of the downstream window even
-    /// when no packet is queued, whereas the output buffer only backs up
-    /// under genuine credit exhaustion or link overload.
-    #[inline]
-    pub fn output_buffer_fill(&self, port: Port) -> f64 {
-        let ob = &self.out_ports[port.idx()].ring;
-        ob.occupancy() as f64 / ob.capacity() as f64
     }
 
     /// Whether a packet of `size` phits could be granted to `port`/`vc`

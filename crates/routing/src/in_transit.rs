@@ -45,32 +45,21 @@ pub enum GlobalMisrouting {
     Mm,
 }
 
-/// Which congestion estimate drives the misrouting decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CongestionSignal {
-    /// Output buffer occupancy only. Matches FOGSim's behaviour: on long
-    /// links the buffer backs up only under genuine credit exhaustion,
-    /// so minimal traffic keeps pouring into the bottleneck router and
-    /// transit-over-injection priority starves its injection — the
-    /// paper's headline result.
-    OutputBuffer,
-    /// Output buffer plus consumed downstream credits. This signal is
-    /// biased by the credit round-trip on 100-cycle global links (a
-    /// fully-utilized but uncongested link reads ~45% occupied), so the
-    /// 43% threshold triggers on utilization rather than congestion and
-    /// the network settles into a fairer fluid equilibrium. Kept for the
-    /// sensitivity ablation.
-    Combined,
-    /// Consumed credits of the specific VC the packet would ride on the
-    /// next hop ("the number of credits of the output ports", §II-C).
-    /// On any *utilized* link the credit round-trip alone consumes most
-    /// of a small VC window (a 32-phit local VC reads ~75% busy), so
-    /// escape candidates through busy local links fail the 43% test and
-    /// transit is forced to stay minimal — producing the standing queues
-    /// at the bottleneck router that transit-over-injection priority
-    /// turns into the paper's injection starvation.
-    VcCredits,
-}
+/// The misroute congestion threshold as an occupancy fraction of a VC's
+/// credit window (Table I: "Congestion thresholds: 43% (adaptive
+/// in-transit)").
+///
+/// The occupancy it is compared against is the one congestion estimate
+/// of §II-C, "the number of credits of the output ports": the consumed
+/// downstream credits of the specific VC the packet would ride on the
+/// next hop ([`RouterState::vc_credit_fill`]). On any *utilized* link
+/// the credit round-trip alone consumes most of a small VC window (a
+/// 32-phit local VC reads ~75 % busy), so escape candidates through busy
+/// local links fail the 43 % test and transit is forced to stay minimal —
+/// producing the standing queues at the bottleneck router that
+/// transit-over-injection priority turns into the paper's injection
+/// starvation.
+pub const MISROUTE_THRESHOLD: f64 = 0.43;
 
 /// How the escape candidate of a global misroute is selected among the
 /// (equal-cost) CRG alternatives.
@@ -102,8 +91,8 @@ enum Role {
 /// and escapes through a candidate only while the candidate's is
 /// *strictly below* it: exactly at the threshold, minimal wins on either
 /// side. Occupancies are quantised (whole packets over a VC's credit
-/// window under [`CongestionSignal::VcCredits`]), so which side of 43 %
-/// a port reads is decided by one packet — the tests pin that.
+/// window), so which side of [`MISROUTE_THRESHOLD`] a port reads is
+/// decided by one packet — the tests pin that.
 fn passes(role: Role, occupancy: f64, threshold: f64) -> bool {
     match role {
         Role::Minimal => occupancy <= threshold,
@@ -116,10 +105,6 @@ pub struct InTransit {
     topo: Topology,
     plan: VcPlan,
     policy: GlobalMisrouting,
-    /// Congestion threshold as an occupancy fraction (Table I: 0.43).
-    threshold: f64,
-    /// Congestion estimate in use.
-    signal: CongestionSignal,
     /// Escape-candidate selection (see [`EscapeSelect`]).
     escape: EscapeSelect,
     /// LRU state, `[router][global port j]` flattened: the stamp of the
@@ -131,37 +116,18 @@ pub struct InTransit {
 }
 
 impl InTransit {
-    /// Build with the paper's 43% congestion threshold.
+    /// Build with the paper's congestion threshold
+    /// ([`MISROUTE_THRESHOLD`]).
     pub fn new(topo: Topology, cfg: &EngineConfig, policy: GlobalMisrouting, seed: u64) -> Self {
-        Self::with_threshold(topo, cfg, policy, 0.43, seed)
-    }
-
-    /// Build with a custom congestion threshold (ablation studies).
-    pub fn with_threshold(
-        topo: Topology,
-        cfg: &EngineConfig,
-        policy: GlobalMisrouting,
-        threshold: f64,
-        seed: u64,
-    ) -> Self {
-        assert!((0.0..=1.0).contains(&threshold));
         Self {
             plan: VcPlan::from_config(cfg),
             topo,
             policy,
-            threshold,
-            signal: CongestionSignal::VcCredits,
             escape: EscapeSelect::Random,
             last_routed: Vec::new(),
             lru_stamp: 0,
             rng: SmallRng::seed_from_u64(seed),
         }
-    }
-
-    /// Select the congestion estimate (ablation).
-    pub fn with_signal(mut self, signal: CongestionSignal) -> Self {
-        self.signal = signal;
-        self
     }
 
     /// Switch the global-misroute escape to the deterministic LRU
@@ -173,18 +139,6 @@ impl InTransit {
         self.escape = EscapeSelect::Lru;
         self.last_routed = vec![0; (params.routers() * params.h) as usize];
         self
-    }
-
-    /// The congestion estimate for `port` under the configured signal.
-    /// `vc` is the VC the packet would use on that port (only relevant
-    /// for [`CongestionSignal::VcCredits`]; ejection ports have no
-    /// credit window and always read idle there).
-    fn congestion(&self, router: &RouterState, port: df_topology::Port, vc: u8) -> f64 {
-        match self.signal {
-            CongestionSignal::OutputBuffer => router.output_buffer_fill(port),
-            CongestionSignal::Combined => router.output_congestion(port),
-            CongestionSignal::VcCredits => router.vc_credit_fill(port, vc),
-        }
     }
 
     /// The routing decision for this visit.
@@ -207,8 +161,8 @@ impl InTransit {
             return make_decision(&self.topo, min_out, info, &self.plan);
         }
         let min_vc = crate::common::vc_for(min_kind, &info, &self.plan);
-        let occ_min = self.congestion(router, min_out, min_vc);
-        if passes(Role::Minimal, occ_min, self.threshold) {
+        let occ_min = router.vc_credit_fill(min_out, min_vc);
+        if passes(Role::Minimal, occ_min, MISROUTE_THRESHOLD) {
             return make_decision(&self.topo, min_out, info, &self.plan);
         }
 
@@ -245,8 +199,8 @@ impl InTransit {
                             &info,
                             &self.plan,
                         );
-                        let occ_cand = self.congestion(router, cand_out, cand_vc);
-                        if passes(Role::Candidate, occ_cand, self.threshold) {
+                        let occ_cand = router.vc_credit_fill(cand_out, cand_vc);
+                        if passes(Role::Candidate, occ_cand, MISROUTE_THRESHOLD) {
                             info.global_misrouted = true;
                             info.phase = Phase::ToIntermediate;
                             info.intermediate = Some(inter);
@@ -273,8 +227,8 @@ impl InTransit {
                             &info,
                             &self.plan,
                         );
-                        let occ_cand = self.congestion(router, cand_out, cand_vc);
-                        if !passes(Role::Candidate, occ_cand, self.threshold) {
+                        let occ_cand = router.vc_credit_fill(cand_out, cand_vc);
+                        if !passes(Role::Candidate, occ_cand, MISROUTE_THRESHOLD) {
                             continue;
                         }
                         let stamp =
@@ -310,8 +264,8 @@ impl InTransit {
             if x != my_idx && x != avoid {
                 let cand_out = params.local_port(my_idx, x);
                 let cand_vc = crate::common::vc_for(PortKind::Local, &info, &self.plan);
-                let occ_cand = self.congestion(router, cand_out, cand_vc);
-                if passes(Role::Candidate, occ_cand, self.threshold) {
+                let occ_cand = router.vc_credit_fill(cand_out, cand_vc);
+                if passes(Role::Candidate, occ_cand, MISROUTE_THRESHOLD) {
                     info.local_misrouted = true;
                     return make_decision(&self.topo, cand_out, info, &self.plan);
                 }

@@ -29,7 +29,7 @@ pub use common::{
     current_target, entry_node_of_group, make_decision, minimal_out, normalize_route_state,
     vc_for, VcPlan,
 };
-pub use in_transit::{CongestionSignal, EscapeSelect, GlobalMisrouting, InTransit};
+pub use in_transit::{EscapeSelect, GlobalMisrouting, InTransit, MISROUTE_THRESHOLD};
 pub use min::MinRouting;
 pub use oblivious::{Oblivious, ObliviousFlavor};
 pub use piggyback::PiggyBack;

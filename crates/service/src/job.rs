@@ -35,23 +35,10 @@ impl JobPayload {
     /// deterministic (struct fields serialize in declaration order), so
     /// semantically identical submissions share a key even when the
     /// client formatted its JSON differently.
-    ///
-    /// The `shards` field is stripped before hashing: shard count is an
-    /// operational knob with bit-identical output (the determinism
-    /// contract, pinned by the sharding test suite), so a sharded and a
-    /// serial submission of the same experiment share one cache entry.
     pub fn spec_json(&self) -> Result<String, ScenarioError> {
         match self {
-            JobPayload::Scenario(s) => {
-                let mut s = s.clone();
-                s.shards = None;
-                serde_json::to_string(&s)
-            }
-            JobPayload::Sweep(s) => {
-                let mut s = s.clone();
-                s.base.shards = None;
-                serde_json::to_string(&s)
-            }
+            JobPayload::Scenario(s) => serde_json::to_string(s),
+            JobPayload::Sweep(s) => serde_json::to_string(s),
         }
         .map_err(|e| ScenarioError::spec(format!("spec serialization: {e}")))
     }
@@ -170,7 +157,6 @@ mod tests {
             warmup_cycles: 100,
             measure_cycles: 200,
             telemetry: None,
-            shards: None,
             jobs: vec![JobSpec {
                 name: "app".into(),
                 placement: PlacementSpec::ConsecutiveGroups { first: 0, count: 2, slots: None },
@@ -273,22 +259,6 @@ mod tests {
             .collect();
         assert_eq!(keys[0], keys[1], "whitespace must not change the key");
         assert_eq!(keys[0], keys[2], "key order must not change the key");
-    }
-
-    /// Shard count is excluded from the cache key by contract: output is
-    /// bit-identical for every value, so a sharded resubmission of a
-    /// cached experiment must hit the serial run's entry.
-    #[test]
-    fn shards_do_not_enter_the_cache_key() {
-        use crate::protocol::cache_key;
-        let serial = JobPayload::Scenario(tiny_scenario());
-        let mut spec = tiny_scenario();
-        spec.shards = Some(4);
-        let sharded = JobPayload::Scenario(spec);
-        assert_eq!(
-            cache_key(serial.kind(), &serial.spec_json().unwrap(), &[1, 2]),
-            cache_key(sharded.kind(), &sharded.spec_json().unwrap(), &[1, 2]),
-        );
     }
 
     #[test]

@@ -584,7 +584,6 @@ mod tests {
             warmup_cycles: 100,
             measure_cycles: 200,
             telemetry: None,
-            shards: None,
             jobs: vec![JobSpec {
                 name: "app".into(),
                 placement: PlacementSpec::ConsecutiveGroups { first: 0, count: 2, slots: None },

@@ -68,11 +68,6 @@ pub struct ScenarioSpec {
     pub telemetry: Option<TelemetrySpec>,
     /// The jobs sharing the network. Node sets must be disjoint.
     pub jobs: Vec<JobSpec>,
-    /// Group-shard count for parallel execution. `None` (an omitted JSON
-    /// field) is the serial engine. Purely operational: same-seed results
-    /// are bit-identical for every value, which is why the service layer
-    /// strips it from cache keys.
-    pub shards: Option<u32>,
 }
 
 impl ScenarioSpec {
@@ -203,7 +198,6 @@ mod tests {
             measure_cycles: 2000,
             telemetry: None,
             jobs: vec![job("a", 0, 4), job("b", 4, 4)],
-            shards: None,
         }
     }
 

@@ -288,7 +288,6 @@ mod tests {
             warmup_cycles: 500,
             measure_cycles: 1000,
             telemetry: None,
-            shards: None,
             jobs: vec![
                 JobSpec {
                     name: "app".into(),

@@ -26,7 +26,6 @@ fn job_scenario(params: DragonflyParams, placement: PlacementSpec, label: &str) 
         warmup_cycles: 6_000,
         measure_cycles: 12_000,
         telemetry: None,
-        shards: None,
         jobs: vec![JobSpec {
             name: "app".into(),
             placement,

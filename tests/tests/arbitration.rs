@@ -76,43 +76,6 @@ fn arbitration_does_not_change_uniform_throughput_materially() {
     }
 }
 
-#[test]
-fn congestion_signal_variants_all_deliver() {
-    use dragonfly_core::df_engine::{EngineConfig, Network, NullSink};
-    use dragonfly_core::df_routing::{CongestionSignal, GlobalMisrouting, InTransit};
-    use dragonfly_core::df_topology::{Arrangement, NodeId, Topology};
-
-    let params = DragonflyParams::figure1();
-    for signal in [
-        CongestionSignal::VcCredits,
-        CongestionSignal::OutputBuffer,
-        CongestionSignal::Combined,
-    ] {
-        let topo = Topology::new(params, Arrangement::Palmtree);
-        let cfg = EngineConfig::paper(ArbiterPolicy::TransitPriority, 3);
-        let policy = InTransit::new(topo.clone(), &cfg, GlobalMisrouting::Mm, 5)
-            .with_signal(signal);
-        let mut net = Network::new(topo, cfg, policy, NullSink);
-        let mut pattern =
-            PatternSpec::AdvConsecutive { spread: None }.build(params, 11);
-        let mut offered = 0u64;
-        for _ in 0..400 {
-            for n in 0..params.nodes() {
-                if n % 3 == 0 {
-                    let src = NodeId(n);
-                    let dst = pattern.dest(src);
-                    if net.offer(src, dst) {
-                        offered += 1;
-                    }
-                }
-            }
-            net.step();
-        }
-        assert!(net.drain(200_000), "{signal:?} must drain");
-        assert_eq!(net.counters().delivered_packets, offered, "{signal:?}");
-    }
-}
-
 /// The LRU escape variant's selection is a deterministic rotation: with
 /// every CRG candidate uncongested and a congested minimal port, repeated
 /// decisions at the same router cycle through the global ports in index

@@ -33,7 +33,6 @@ fn churn_scenario(lifetimes: [(Option<u64>, Option<u64>); 2]) -> ScenarioSpec {
         warmup_cycles: 300,
         measure_cycles: 1_200,
         telemetry: None,
-        shards: None,
         jobs: vec![
             job("early", 0, 3, lifetimes[0]),
             job("late", 0, 3, lifetimes[1]),

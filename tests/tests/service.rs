@@ -42,7 +42,6 @@ fn tiny_scenario(name: &str) -> ScenarioSpec {
         warmup_cycles: 100,
         measure_cycles: 200,
         telemetry: None,
-        shards: None,
         jobs: vec![
             JobSpec {
                 name: "victim".into(),
@@ -368,6 +367,25 @@ fn a_machine_the_engine_cannot_build_is_rejected_at_submit() {
     let job = svc.submit(JobPayload::Scenario(bad), one_seed(None, None), sink);
     match &wait_terminal(&events, job)[..] {
         [JobEvent::Rejected { error, .. }] => assert!(error.contains("radix 67"), "{error}"),
+        other => panic!("expected a lone rejected, got {other:?}"),
+    }
+    svc.shutdown();
+}
+
+#[test]
+fn a_telemetry_window_past_the_run_length_limit_is_rejected_at_submit() {
+    // A `u64::MAX`-cycle window used to pass admission; every attempt
+    // then panicked in the timeline recorder and the job ended `failed`.
+    use dragonfly_core::df_engine::TelemetrySpec;
+    let svc = Service::new(ServiceConfig::default());
+    let (sink, events) = collecting_sink();
+    let mut bad = tiny_scenario("svc-huge-window");
+    bad.telemetry = Some(TelemetrySpec { window_cycles: u64::MAX, ..TelemetrySpec::default() });
+    let job = svc.submit(JobPayload::Scenario(bad), one_seed(None, None), sink);
+    match &wait_terminal(&events, job)[..] {
+        [JobEvent::Rejected { error, .. }] => {
+            assert!(error.contains("telemetry window_cycles exceeds"), "{error}")
+        }
         other => panic!("expected a lone rejected, got {other:?}"),
     }
     svc.shutdown();

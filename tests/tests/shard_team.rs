@@ -1,14 +1,13 @@
 //! The sharded engine's worker team, from outside the engine crate: the
 //! serial and sharded networks must agree on their population after
 //! *every* step (cross-shard traffic is re-homed inside the step, not
-//! left in transit), and a sweep whose cells each run a team — the
-//! nested case `sweep --shards 2` runs — must complete with the serial
-//! table. The team's panic and thread-lifetime behaviour is
+//! left in transit), and a grid whose cells each run a team — `run_grid`
+//! over `SimConfig { shards: Some(2) }` — must complete with the serial
+//! results. The team's panic and thread-lifetime behaviour is
 //! in `shard_team_panic.rs`, alone in its binary so it can count threads.
 
 use dragonfly_core::df_engine::{EngineConfig, Network, NullSink, ShardedNetwork};
 use dragonfly_core::df_traffic::BernoulliInjector;
-use dragonfly_core::df_workload::{InjectionSpec, JobSpec, PlacementSpec, ScenarioSpec, SweepSpec};
 use dragonfly_core::prelude::*;
 
 /// Step a serial `Network` and an S=2 `ShardedNetwork` through 500
@@ -55,45 +54,37 @@ fn sharded_population_matches_serial_after_every_step() {
     assert!(serial.counters().global_phits > 0, "traffic must cross groups");
 }
 
-/// `run_sweep` fans (cell, seed) units out over every core, and with
-/// `shards: 2` each unit's simulator owns a two-worker team: more
+/// `run_grid` fans (cell, seed) units out over every core, and with
+/// `shards: Some(2)` each unit's simulator owns a two-worker team: more
 /// runnable threads than cores, teams created and dropped throughout.
-/// The sweep must complete and serialize to the serial table.
+/// The grid must complete and serialize to the serial results.
 #[test]
-fn run_sweep_over_sharded_cells_matches_the_serial_table() {
-    let job = |name: &str, first, count| JobSpec {
-        name: name.into(),
-        placement: PlacementSpec::ConsecutiveGroups { first, count, slots: None },
-        pattern: PatternSpec::Uniform,
-        injection: InjectionSpec::Bernoulli,
-        load: 0.2,
-        start_cycle: None,
-        stop_cycle: None,
-    };
-    let sweep = |shards| SweepSpec {
-        name: "nested-teams".into(),
-        base: ScenarioSpec {
-            name: "nested-teams".into(),
-            params: DragonflyParams::figure1(),
-            arrangement: Arrangement::Palmtree,
-            mechanisms: vec![MechanismSpec::InTransitMm],
-            arbiter: ArbiterPolicy::TransitPriority,
-            warmup_cycles: 100,
-            measure_cycles: 400,
-            telemetry: None,
-            shards: Some(shards),
-            jobs: vec![job("low", 0, 4), job("high", 5, 4)],
-        },
-        loads: Some(vec![0.1, 0.3, 0.5]),
-        load_jobs: None,
-        placements: None,
-        patterns: None,
-        pattern_jobs: None,
-        mechanisms: Some(vec![MechanismSpec::Min, MechanismSpec::InTransitMm]),
+fn run_grid_over_sharded_cells_matches_the_serial_results() {
+    let grid = |shards| -> Vec<SimConfig> {
+        [MechanismSpec::Min, MechanismSpec::InTransitMm]
+            .into_iter()
+            .flat_map(|mechanism| {
+                [0.1, 0.3, 0.5].map(|load| {
+                    let mut cfg = SimConfig::small(
+                        mechanism,
+                        ArbiterPolicy::TransitPriority,
+                        PatternSpec::Uniform,
+                        load,
+                    );
+                    cfg.params = DragonflyParams::figure1();
+                    (cfg.warmup_cycles, cfg.measure_cycles) = (100, 400);
+                    cfg.shards = Some(shards);
+                    cfg
+                })
+            })
+            .collect()
     };
     let seeds = [3, 4];
-    let serial = run_sweep(&sweep(1), &seeds).expect("serial sweep");
-    let sharded = run_sweep(&sweep(2), &seeds).expect("sharded sweep");
-    assert_eq!(serial.rows.len(), 3 * 2 * 2 * 3, "cells x seeds x (network + 2 jobs)");
-    assert_eq!(sharded.to_csv(), serial.to_csv());
+    let serial = run_grid(&grid(1), &seeds);
+    let sharded = run_grid(&grid(2), &seeds);
+    assert_eq!(serial.len(), 2 * 3);
+    assert_eq!(
+        serde_json::to_string(&sharded).unwrap(),
+        serde_json::to_string(&serial).unwrap()
+    );
 }

@@ -71,17 +71,8 @@ fn oblivious_and_source_adaptive_use_four_local_vcs() {
 
 #[test]
 fn paper_congestion_thresholds_are_modeled() {
-    // "Congestion thresholds: 43% (adaptive in-transit)" — built into the
-    // InTransit constructor; "T = 5 (PB, local), T = 3 (PB, global)" —
-    // built into the PiggyBack constructor. Here we pin the public
-    // default-seed behaviour indirectly: the threshold constructor must
-    // accept the paper value and reject nonsense.
-    use dragonfly_core::df_routing::{GlobalMisrouting, InTransit};
-    let topo = Topology::new(DragonflyParams::figure1(), Arrangement::Palmtree);
-    let ec = dragonfly_core::df_engine::EngineConfig::paper(ArbiterPolicy::RoundRobin, 3);
-    let _ok = InTransit::with_threshold(topo.clone(), &ec, GlobalMisrouting::Mm, 0.43, 1);
-    let bad = std::panic::catch_unwind(|| {
-        InTransit::with_threshold(topo, &ec, GlobalMisrouting::Mm, 1.7, 1)
-    });
-    assert!(bad.is_err());
+    // "Congestion thresholds: 43% (adaptive in-transit)" — the one
+    // threshold every in-transit policy compares against; "T = 5 (PB,
+    // local), T = 3 (PB, global)" — built into the PiggyBack constructor.
+    assert_eq!(dragonfly_core::df_routing::MISROUTE_THRESHOLD, 0.43);
 }

@@ -94,7 +94,6 @@ fn churn_spec() -> ScenarioSpec {
             job("late", 0, 3, Some(650), Some(900)),
             job("steady", 4, 2, None, None),
         ],
-        shards: None,
     }
 }
 
@@ -306,7 +305,7 @@ fn run_cell_options_compose_without_perturbing_the_run() {
 
 /// In-Trns-MM under saturated ADVc on the figure1 machine: bottleneck
 /// routers back up, so heads park and wake all run long.
-fn gauge_spec(shards: u32) -> ScenarioSpec {
+fn gauge_spec() -> ScenarioSpec {
     ScenarioSpec {
         name: "telemetry-gauges".into(),
         params: DragonflyParams::figure1(),
@@ -329,7 +328,6 @@ fn gauge_spec(shards: u32) -> ScenarioSpec {
             start_cycle: None,
             stop_cycle: None,
         }],
-        shards: Some(shards),
     }
 }
 
@@ -338,7 +336,9 @@ fn gauge_spec(shards: u32) -> ScenarioSpec {
 /// keeps every packet's path and timing but parks, wakes or touches ports
 /// on a different schedule moves them and nothing else. No bundled
 /// scenario enables telemetry, so this golden is what pins them inside
-/// tier-1, on both engines.
+/// tier-1. The scenario runs serial; the group-sharded engine is held to
+/// the same schedule on the `SimConfig` form of the run, window for
+/// window against the serial engine.
 #[test]
 fn network_gauges_golden_serial_and_sharded() {
     /// Per window `(probe_ready_heads, port_epoch_bumps)`, recorded at
@@ -354,17 +354,51 @@ fn network_gauges_golden_serial_and_sharded() {
         (35, 19595),
         (18, 19510),
     ];
-    for shards in [1, 2] {
-        let spec = gauge_spec(shards);
-        spec.validate(DEFAULT_SEEDS[0]).expect("valid spec");
-        let result =
-            run_cell(&spec, MechanismSpec::InTransitMm, DEFAULT_SEEDS[0], CellOptions::default())
-                .expect("run");
-        let rows = result.timeline.as_ref().expect("telemetry on -> timeline present");
-        let gauges: Vec<(u64, u64)> =
-            rows.iter().map(|r| (r.probe_ready_heads, r.port_epoch_bumps)).collect();
-        assert_eq!(gauges, GAUGES_AT_PR16, "shards={shards}: the parking/wake schedule moved");
-    }
+    let spec = gauge_spec();
+    spec.validate(DEFAULT_SEEDS[0]).expect("valid spec");
+    let result =
+        run_cell(&spec, MechanismSpec::InTransitMm, DEFAULT_SEEDS[0], CellOptions::default())
+            .expect("run");
+    let rows = result.timeline.as_ref().expect("telemetry on -> timeline present");
+    let gauges: Vec<(u64, u64)> =
+        rows.iter().map(|r| (r.probe_ready_heads, r.port_epoch_bumps)).collect();
+    assert_eq!(gauges, GAUGES_AT_PR16, "the parking/wake schedule moved");
+
+    let rows_at = |shards| {
+        let mut cfg = SimConfig::small(
+            MechanismSpec::InTransitMm,
+            ArbiterPolicy::TransitPriority,
+            PatternSpec::AdvConsecutive { spread: None },
+            0.6,
+        );
+        cfg.params = spec.params;
+        (cfg.warmup_cycles, cfg.measure_cycles) = (spec.warmup_cycles, spec.measure_cycles);
+        cfg.telemetry = spec.telemetry;
+        cfg.seed = DEFAULT_SEEDS[0];
+        cfg.shards = Some(shards);
+        let rows = run_single(&cfg).timeline.expect("telemetry on -> timeline present");
+        assert_eq!(rows.len(), GAUGES_AT_PR16.len());
+        serde_json::to_string(&rows).expect("serialize rows")
+    };
+    assert_eq!(rows_at(2), rows_at(1), "the sharded engine's windows left the serial engine's");
+}
+
+/// The widest window `TelemetrySpec::validate` admits is the longest run:
+/// the whole measurement phase then closes as one partial window, and
+/// the run completes (a wider one is an admission error, pinned where
+/// the spec is validated).
+#[test]
+fn a_window_at_the_run_length_limit_is_one_partial_window() {
+    use dragonfly_core::df_engine::MAX_RUN_CYCLES;
+    let mut spec = churn_spec();
+    spec.telemetry =
+        Some(TelemetrySpec { window_cycles: MAX_RUN_CYCLES, ..TelemetrySpec::default() });
+    let result = run_cell(&spec, MechanismSpec::InTransitMm, DEFAULT_SEEDS[0], Default::default())
+        .expect("run");
+    let rows = result.timeline.as_ref().expect("telemetry on -> timeline present");
+    assert_eq!(rows.len(), 1);
+    assert_eq!((rows[0].start_cycle, rows[0].end_cycle), (300, 1_500));
+    assert_eq!(rows[0].delivered_packets, result.delivered_packets);
 }
 
 // ---------------------------------------------------------------------

@@ -108,7 +108,6 @@ fn arb_scenario() -> BoxedStrategy<ScenarioSpec> {
             warmup_cycles: 100,
             measure_cycles: 200,
             telemetry: None,
-            shards: None,
             jobs: jobs
                 .into_iter()
                 .enumerate()
@@ -180,7 +179,6 @@ fn fig1_scenario(injection: InjectionSpec, load: f64) -> ScenarioSpec {
         warmup_cycles: 500,
         measure_cycles: 1_500,
         telemetry: None,
-        shards: None,
         jobs: vec![JobSpec {
             name: "app".into(),
             placement: PlacementSpec::ConsecutiveGroups { first: 0, count: 3, slots: None },
