@@ -9,11 +9,9 @@
 //! Flags:
 //!
 //! * `--socket PATH` — Unix socket to listen on (default `df-service.sock`),
-//! * `--workers N` — worker threads (default 2),
-//! * `--queue-depth N` — admission cap on queued jobs (default 16),
-//! * `--cache-capacity N` — result-cache entries, 0 disables (default 256),
-//! * `--max-retries N` — retries after a panicking attempt (default 2),
-//! * `--progress-cycles N` — cycles between `progress` events (default 1000),
+//! * `--workers N` — worker threads, at least 1 (default 2),
+//! * `--queue-depth N` — admission cap on queued jobs, at least 1
+//!   (default 16),
 //! * `--event-log PATH` — append every event of every connection as JSON
 //!   lines (the artifact CI archives),
 //! * `--state-dir PATH` — durable state root: completed results spill
@@ -37,11 +35,19 @@ struct Args {
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: df-serve [--socket PATH] [--workers N] [--queue-depth N] \
-         [--cache-capacity N] [--max-retries N] [--progress-cycles N] [--event-log PATH] \
+        "usage: df-serve [--socket PATH] [--workers N] [--queue-depth N] [--event-log PATH] \
          [--state-dir PATH]"
     );
     std::process::exit(2);
+}
+
+/// The positive number after `flag`: a zero worker count or queue depth
+/// would boot a server that never runs, or never admits, a job.
+fn positive(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<usize, String> {
+    match flag_number(it, flag)? {
+        0 => Err(format!("{flag} must be positive")),
+        n => Ok(n),
+    }
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -56,11 +62,8 @@ fn parse_args() -> Result<Args, String> {
             "--socket" => args.socket = flag_path(&mut it, &flag)?,
             "--event-log" => args.event_log = Some(flag_path(&mut it, &flag)?),
             "--state-dir" => args.cfg.state_dir = Some(flag_path(&mut it, &flag)?),
-            "--workers" => args.cfg.workers = flag_number::<usize>(&mut it, &flag)?.max(1),
-            "--queue-depth" => args.cfg.queue_depth = flag_number(&mut it, &flag)?,
-            "--cache-capacity" => args.cfg.cache_capacity = flag_number(&mut it, &flag)?,
-            "--max-retries" => args.cfg.max_retries = flag_number(&mut it, &flag)?,
-            "--progress-cycles" => args.cfg.progress_cycles = flag_number(&mut it, &flag)?,
+            "--workers" => args.cfg.workers = positive(&mut it, &flag)?,
+            "--queue-depth" => args.cfg.queue_depth = positive(&mut it, &flag)?,
             other => return Err(format!("unknown flag {other}")),
         }
     }
@@ -70,13 +73,10 @@ fn parse_args() -> Result<Args, String> {
 fn main() {
     let args = parse_args().unwrap_or_else(|e| die(&e));
     eprintln!(
-        "df-serve: listening on {} ({} workers, queue depth {}, cache {} entries, \
-         {} retries)",
+        "df-serve: listening on {} ({} workers, queue depth {})",
         args.socket.display(),
         args.cfg.workers,
         args.cfg.queue_depth,
-        args.cfg.cache_capacity,
-        args.cfg.max_retries,
     );
     let state_dir = args.cfg.state_dir.clone();
     let service = Arc::new(

@@ -1,7 +1,7 @@
 //! Shared harness code for the `df-bench` binaries: `figure` (every
 //! paper artifact — Figures 2–6, Tables II/III and the two ablations —
 //! from one table of definitions over `dragonfly_core::run_grid`),
-//! `scenario`, `sweep`, `dbg_bottleneck`, `df-serve` and `df-submit`.
+//! `scenario`, `sweep`, `df-serve` and `df-submit`.
 //!
 //! What they share lives here: the flag-value readers every argument
 //! loop goes through (a missing or malformed value is an `Err` the bin

@@ -54,7 +54,7 @@ pub use scenario::{
     run_cell, run_scenario, run_scenario_ctl, CellOptions, JobSummary, MechanismScenarioResult,
     MechanismSummary, ScenarioResult, ScenarioSummary,
 };
-pub use sim::{run_single, JobResult, JobSchedule, RunResult, Simulator};
+pub use sim::{run_single, JobResult, RunResult, Simulator};
 pub use sink::{JobAccumulator, MeasurementSink};
 pub use sweep::{run_sweep, run_sweep_hooked, SweepHooks, SweepRow, SweepTable};
 pub use timeline::{JobWindow, TimelineSink, WindowRow};
@@ -78,10 +78,9 @@ pub use df_workload;
 pub mod prelude {
     pub use crate::{
         run_cell, run_grid, run_scenario, run_scenario_ctl, run_single, run_sweep,
-        run_sweep_hooked, AveragedResult, CancelToken, CellOptions, JobResult, JobSchedule,
-        JobWindow, MeasurementSink, RunCtl, RunResult, ScenarioError, ScenarioResult, SimConfig,
-        Simulator, SweepHooks, SweepRow, SweepTable, TimelineSink, WindowRow, DEFAULT_SEEDS,
-        ENGINE_VERSION,
+        run_sweep_hooked, AveragedResult, CancelToken, CellOptions, JobResult, JobWindow,
+        MeasurementSink, RunCtl, RunResult, ScenarioError, ScenarioResult, SimConfig, Simulator,
+        SweepHooks, SweepRow, SweepTable, TimelineSink, WindowRow, DEFAULT_SEEDS, ENGINE_VERSION,
     };
     pub use df_engine::{ArbiterPolicy, EngineConfig, TelemetrySpec};
     pub use df_routing::MechanismSpec;

@@ -5,7 +5,7 @@
 use crate::config::{derive_seed, engine_config};
 use crate::ctl::RunCtl;
 use crate::error::ScenarioError;
-use crate::sim::{JobResult, JobSchedule, Protocol, RunResult, Simulator, Source};
+use crate::sim::{JobResult, JobRuntime, Protocol, RunResult, Simulator, Source};
 use crate::timeline::TimelineSink;
 use df_routing::MechanismSpec;
 use df_topology::Topology;
@@ -167,9 +167,8 @@ pub struct CellOptions<'a> {
     /// Force windowed telemetry on and stream each [`crate::WindowRow`]
     /// through the sink as its window closes (the `--timeline out.jsonl`
     /// surface). Uses the spec's [`TelemetrySpec`](df_engine::TelemetrySpec)
-    /// when present, else the default (1000-cycle windows, full
-    /// sampling). The returned [`RunResult`] also carries the full
-    /// timeline.
+    /// when present, else the default (1000-cycle windows). The returned
+    /// [`RunResult`] also carries the full timeline.
     pub timeline: Option<TimelineSink>,
 }
 
@@ -254,12 +253,12 @@ pub fn run_cell(
             )
             .map_err(named)?;
         sim.sources.push(Source { process, traffic, job: Some(j) });
-        schedule.push(JobSchedule {
-            label: job.name.clone(),
-            nodes: placement.nodes,
-            start_cycle: job.start_cycle,
-            stop_cycle: job.stop_cycle,
-        });
+        schedule.push(JobRuntime::new(
+            job.name.clone(),
+            placement.nodes,
+            job.start_cycle,
+            job.stop_cycle,
+        ));
     }
     sim.set_job_schedule(schedule);
     sim.drive(&ctl, recorders)

@@ -19,14 +19,11 @@
 //!   stays empty;
 //! * [`crate::run_cell`] (a [`df_workload::ScenarioSpec`]) installs one
 //!   source per job, each over the job's placement and live only inside
-//!   the job's `[start_cycle, stop_cycle)`;
-//! * an external driver installs none and calls
-//!   [`Simulator::offer_for_job`] — the count-and-offer the loop performs
-//!   per arrival — itself (a `load: 0.0` config has no source).
+//!   the job's `[start_cycle, stop_cycle)`.
 //!
 //! The RNG substream each source draws from is tabulated in
 //! `docs/DETERMINISM.md`, "Seed substreams". Job attribution
-//! ([`Simulator::set_job_schedule`]) is
+//! (`Simulator::set_job_schedule`, which only `run_cell` calls) is
 //! independent of the sources: it decides whose packets a delivery counts
 //! for, by node and generation cycle.
 //!
@@ -45,12 +42,11 @@ use crate::error::ScenarioError;
 use crate::sink::MeasurementSink;
 use crate::timeline::{TimelineRecorder, TimelineSink, WindowRow};
 use df_engine::{
-    Counters, EngineConfig, Network, PhaseProfile, RouterState, RoutingPolicy,
-    ShardedNetwork, TelemetrySpec,
+    Counters, EngineConfig, Network, PhaseProfile, RoutingPolicy, ShardedNetwork, TelemetrySpec,
 };
 use df_routing::MechanismSpec;
 use df_stats::FairnessReport;
-use df_topology::{NodeId, RouterId, Topology};
+use df_topology::{NodeId, Topology};
 use df_traffic::Traffic;
 use df_workload::{Arrival, InjectionProcess, InjectionSpec, TraceRecorder};
 use serde::{Deserialize, Serialize};
@@ -128,23 +124,13 @@ pub struct RunResult {
     pub timeline: Option<Vec<WindowRow>>,
 }
 
-/// One job's schedule: its label, node set, and optional lifetime. Two schedules may share nodes only if their lifetimes are
-/// disjoint — the departed job's slots are then reused by the arrival.
-#[derive(Debug, Clone)]
-pub struct JobSchedule {
-    /// Job label for result tables.
-    pub label: String,
-    /// The nodes the job occupies while live.
-    pub nodes: Vec<NodeId>,
-    /// First driver cycle the job is live at (`None` = 0).
-    pub start_cycle: Option<u64>,
-    /// Driver cycle the job departs at (`None` = never).
-    pub stop_cycle: Option<u64>,
-}
-
-/// Driver-side state of one job (labels, lifetime, and offered-load
-/// accounting). `pub(crate)` so the timeline recorder can snapshot
-/// per-job offered counts and node sets at window boundaries.
+/// Driver-side state of one job: its label, node set and optional
+/// lifetime — first live driver cycle (`None` = 0) and departure cycle
+/// (`None` = never) — plus offered-load accounting. Two jobs may share
+/// nodes only if their lifetimes are disjoint; the departed job's slots
+/// are then reused by the arrival. `pub(crate)` so the timeline recorder
+/// can snapshot per-job offered counts and node sets at window
+/// boundaries.
 #[derive(Debug, Clone)]
 pub(crate) struct JobRuntime {
     pub(crate) label: String,
@@ -155,6 +141,16 @@ pub(crate) struct JobRuntime {
 }
 
 impl JobRuntime {
+    /// A job that has offered nothing yet.
+    pub(crate) fn new(
+        label: String,
+        nodes: Vec<NodeId>,
+        start: Option<u64>,
+        stop: Option<u64>,
+    ) -> Self {
+        JobRuntime { label, nodes, offered_packets: 0, start, stop }
+    }
+
     /// Whether the job generates at driver cycle `cycle`.
     fn active(&self, cycle: u64) -> bool {
         cycle >= self.start.unwrap_or(0) && self.stop.is_none_or(|stop| cycle < stop)
@@ -205,7 +201,7 @@ type ShardedNet = ShardedNetwork<Box<dyn RoutingPolicy + Send>, MeasurementSink>
 // collections, so the variant size gap costs nothing; boxing the serial
 // network would put an indirection on every step of the common path.
 #[allow(clippy::large_enum_variant)]
-pub enum Engine {
+pub(crate) enum Engine {
     /// Single-threaded engine (`shards == 1`).
     Serial(SerialNet),
     /// Group-sharded engine (`shards > 1`, clamped to the group count).
@@ -291,11 +287,6 @@ impl Engine {
     /// Sum of all output ports' congestion epochs.
     pub fn port_epoch_sum(&self) -> u64 {
         fwd!(self, n => n.port_epoch_sum())
-    }
-
-    /// A router's state (diagnostics).
-    pub fn router(&self, id: RouterId) -> &RouterState {
-        fwd!(self, n => n.router(id))
     }
 
     /// The engine's one invariant check ([`Network::audit`] /
@@ -434,8 +425,8 @@ impl Simulator {
     /// Advance one cycle like [`Self::step`], accumulating the engine's
     /// per-phase wall-clock breakdown (deliver / policy / inject /
     /// allocate / transmit) into `profile`. Generation time is not part
-    /// of the engine cycle and is excluded. Used by `dbg_bottleneck` to
-    /// direct hot-path work.
+    /// of the engine cycle and is excluded. The benchmark under `perf/`
+    /// reads its per-layer rows through it (`df-perf --trace 1`).
     pub fn step_profiled(&mut self, profile: &mut df_engine::PhaseProfile) {
         self.advance(Some(profile), None).unwrap_or_else(|e| panic!("{e}"));
     }
@@ -513,67 +504,26 @@ impl Simulator {
         Ok(())
     }
 
-    /// Attribute nodes to jobs *with lifetimes*: each [`JobSchedule`] is
-    /// claimed when the driver reaches its `start_cycle` and released at
-    /// its `stop_cycle` (arrival/departure queues processed inside
+    /// Attribute nodes to jobs *with lifetimes*: each job is claimed
+    /// when the driver reaches its start cycle and released at its stop
+    /// cycle (arrival/departure queues processed inside
     /// [`Simulator::step`]), so node slots of a departed job are reusable
     /// by a later arrival. Replaces the sink — call once, before
-    /// stepping.
-    ///
-    /// # Panics
-    /// Panics if a node is out of range, or two jobs with *overlapping
-    /// lifetimes* claim the same node.
-    pub fn set_job_schedule(&mut self, jobs: Vec<JobSchedule>) {
+    /// stepping. The jobs come from a validated
+    /// [`df_workload::ScenarioSpec`]: nodes in range, and jobs that share
+    /// a node have disjoint lifetimes.
+    pub(crate) fn set_job_schedule(&mut self, jobs: Vec<JobRuntime>) {
         let total = self.net.topology().params().nodes() as usize;
-        // Validate up front that concurrent jobs are node-disjoint, so a
-        // bad schedule fails here and not cycles into the run. Uses the
-        // same `lifetimes_overlap` predicate as `ScenarioSpec::validate`.
-        let lifetime =
-            |j: &JobSchedule| (j.start_cycle.unwrap_or(0), j.stop_cycle.unwrap_or(u64::MAX));
-        let mut claims: Vec<Vec<usize>> = vec![Vec::new(); total];
-        for (j, job) in jobs.iter().enumerate() {
-            let (start, stop) = lifetime(job);
-            assert!(start < stop, "job `{}` stops before it starts", job.label);
-            for n in &job.nodes {
-                assert!(n.idx() < total, "node {} out of range", n.0);
-                for &other in &claims[n.idx()] {
-                    assert!(
-                        !df_workload::lifetimes_overlap((start, stop), lifetime(&jobs[other])),
-                        "node {} claimed by two jobs with overlapping lifetimes \
-                         (`{}` and `{}`)",
-                        n.0,
-                        jobs[other].label,
-                        job.label
-                    );
-                }
-                claims[n.idx()].push(j);
-            }
-        }
         *self.net.sink_mut() = MeasurementSink::with_job_count(total, jobs.len());
-        self.arrivals = jobs
-            .iter()
-            .enumerate()
-            .map(|(j, job)| (job.start_cycle.unwrap_or(0), j))
-            .collect();
+        self.arrivals =
+            jobs.iter().enumerate().map(|(j, job)| (job.start.unwrap_or(0), j)).collect();
         self.arrivals.sort_unstable();
-        self.departures = jobs
-            .iter()
-            .enumerate()
-            .filter_map(|(j, job)| job.stop_cycle.map(|c| (c, j)))
-            .collect();
+        self.departures =
+            jobs.iter().enumerate().filter_map(|(j, job)| job.stop.map(|c| (c, j))).collect();
         self.departures.sort_unstable();
         self.next_arrival = 0;
         self.next_departure = 0;
-        self.jobs = jobs
-            .into_iter()
-            .map(|job| JobRuntime {
-                label: job.label,
-                nodes: job.nodes,
-                offered_packets: 0,
-                start: job.start_cycle,
-                stop: job.stop_cycle,
-            })
-            .collect();
+        self.jobs = jobs;
     }
 
     /// Process job departures and arrivals due at the current driver
@@ -602,18 +552,6 @@ impl Simulator {
             }
             self.next_arrival += 1;
         }
-    }
-
-    /// Offer a packet at `src` towards `dst` on behalf of job `job`: what
-    /// an external driver calls in place of installing a source. Returns
-    /// `false` if the source queue is full.
-    ///
-    /// # Panics
-    /// Panics if `job` was not registered via [`Simulator::set_job_schedule`].
-    #[inline]
-    pub fn offer_for_job(&mut self, job: usize, src: NodeId, dst: NodeId) -> bool {
-        self.jobs[job].offered_packets += 1;
-        self.net.offer(src, dst)
     }
 
     /// Start the measurement window: zero the counters (including per-job
@@ -647,8 +585,9 @@ impl Simulator {
         self.timeline_sink = Some(sink);
     }
 
-    /// Read-only access to the underlying engine (examples, tests).
-    pub fn network(&self) -> &Engine {
+    /// Read-only access to the underlying engine (unit tests).
+    #[cfg(test)]
+    pub(crate) fn network(&self) -> &Engine {
         &self.net
     }
 
@@ -820,8 +759,15 @@ mod tests {
     }
 
     /// A job attributed `nodes` for the whole run.
-    fn whole_run(label: &str, nodes: Vec<NodeId>) -> JobSchedule {
-        JobSchedule { label: label.into(), nodes, start_cycle: None, stop_cycle: None }
+    fn whole_run(label: &str, nodes: Vec<NodeId>) -> JobRuntime {
+        JobRuntime::new(label.into(), nodes, None, None)
+    }
+
+    /// Offer one packet by hand on behalf of `job`: the count-and-offer
+    /// the generation loop performs per arrival.
+    fn offer_as(sim: &mut Simulator, job: usize, src: NodeId, dst: NodeId) {
+        sim.jobs[job].offered_packets += 1;
+        sim.net.offer(src, dst);
     }
 
     #[test]
@@ -885,8 +831,8 @@ mod tests {
             whole_run("b", vec![NodeId(4)]),
         ]);
         sim.begin_measurement();
-        sim.offer_for_job(0, NodeId(0), NodeId(9));
-        sim.offer_for_job(1, NodeId(4), NodeId(20));
+        offer_as(&mut sim, 0, NodeId(0), NodeId(9));
+        offer_as(&mut sim, 1, NodeId(4), NodeId(20));
         for _ in 0..3000 {
             sim.step();
         }
@@ -953,27 +899,10 @@ mod tests {
     #[test]
     fn job_activity_window() {
         // Half-open `[start, stop)`: what gates a job's generation source.
-        let job = JobRuntime {
-            label: "j".into(),
-            nodes: Vec::new(),
-            offered_packets: 0,
-            start: Some(100),
-            stop: Some(200),
-        };
+        let job = JobRuntime::new("j".into(), Vec::new(), Some(100), Some(200));
         assert!(!job.active(99));
         assert!(job.active(100));
         assert!(job.active(199));
         assert!(!job.active(200));
-    }
-
-    #[test]
-    #[should_panic(expected = "claimed by two jobs")]
-    fn overlapping_job_nodes_rejected() {
-        let cfg = tiny(MechanismSpec::Min, PatternSpec::Uniform, 0.0);
-        let mut sim = Simulator::new(&cfg);
-        sim.set_job_schedule(vec![
-            whole_run("a", vec![NodeId(0)]),
-            whole_run("b", vec![NodeId(0)]),
-        ]);
     }
 }

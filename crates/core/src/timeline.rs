@@ -86,13 +86,12 @@ pub struct WindowRow {
     /// Escape-path grants per cycle during the window.
     pub escape_grant_rate: f64,
     /// Ready, unparked input-VC heads at window close (allocator-load
-    /// gauge; 0 when network sampling is disabled).
+    /// gauge).
     pub probe_ready_heads: u64,
     /// Output-port epoch bumps (state changes that wake parked heads) during
-    /// the window (0 when network sampling is disabled).
+    /// the window.
     pub port_epoch_bumps: u64,
-    /// Per-job rows (empty when job sampling is disabled or the run has
-    /// no job attribution).
+    /// Per-job rows (empty when the run has no job attribution).
     pub jobs: Vec<JobWindow>,
 }
 
@@ -119,7 +118,7 @@ struct JobMark {
     latency_sum: f64,
 }
 
-fn net_mark(net: &Net, c: &Counters, spec: &TelemetrySpec) -> NetMark {
+fn net_mark(net: &Net, c: &Counters) -> NetMark {
     NetMark {
         offered_packets: c.offered_packets,
         injected_packets: c.injected_per_router.iter().sum(),
@@ -127,7 +126,7 @@ fn net_mark(net: &Net, c: &Counters, spec: &TelemetrySpec) -> NetMark {
         delivered_phits: c.delivered_phits,
         escape_grants: c.escape_grants,
         global_phits: c.global_phits,
-        port_epoch_sum: if spec.sample_network { net.port_epoch_sum() } else { 0 },
+        port_epoch_sum: net.port_epoch_sum(),
     }
 }
 
@@ -148,10 +147,9 @@ fn job_marks(net: &Net, c: &Counters, jobs: &[JobRuntime]) -> Vec<JobMark> {
 
 /// Both boundary marks from one snapshot of the engine's counters (a
 /// borrow on the serial engine, one merge on the sharded one).
-fn marks(net: &Net, spec: &TelemetrySpec, jobs: &[JobRuntime]) -> (NetMark, Vec<JobMark>) {
+fn marks(net: &Net, jobs: &[JobRuntime]) -> (NetMark, Vec<JobMark>) {
     let c = net.counters();
-    let job_marks = if spec.sample_jobs { job_marks(net, &c, jobs) } else { Vec::new() };
-    (net_mark(net, &c, spec), job_marks)
+    (net_mark(net, &c), job_marks(net, &c, jobs))
 }
 
 /// A streaming consumer of closed windows: called once per window, in
@@ -163,7 +161,6 @@ pub type TimelineSink = Box<dyn FnMut(&WindowRow)>;
 /// an optional streaming sink. Owned by [`crate::Simulator`]; one branch
 /// per cycle when idle, O(routers + job nodes) work only at window close.
 pub(crate) struct TimelineRecorder {
-    spec: TelemetrySpec,
     /// First cycle of window 0 (the `begin_measurement` cycle).
     base: u64,
     series: WindowSeries<WindowRow>,
@@ -183,9 +180,8 @@ impl TimelineRecorder {
         jobs: &[JobRuntime],
         sink: Option<TimelineSink>,
     ) -> Self {
-        let (net_mark, job_marks) = marks(net, &spec, jobs);
+        let (net_mark, job_marks) = marks(net, jobs);
         TimelineRecorder {
-            spec,
             base,
             series: WindowSeries::new(spec.window_cycles, base),
             net_mark,
@@ -216,7 +212,7 @@ impl TimelineRecorder {
     fn close(&mut self, window: u64, start: u64, end: u64, net: &Net, jobs: &[JobRuntime]) {
         let span = (end - start) as f64;
         let params = *net.topology().params();
-        let (now_net, jobs_now) = marks(net, &self.spec, jobs);
+        let (now_net, jobs_now) = marks(net, jobs);
         let prev = self.net_mark;
         let job_rows = jobs
             .iter()
@@ -257,11 +253,7 @@ impl TimelineRecorder {
                 / (global_links * span),
             escape_grants,
             escape_grant_rate: escape_grants as f64 / span,
-            probe_ready_heads: if self.spec.sample_network {
-                net.probe_ready_total()
-            } else {
-                0
-            },
+            probe_ready_heads: net.probe_ready_total(),
             port_epoch_bumps: now_net.port_epoch_sum - prev.port_epoch_sum,
             jobs: job_rows,
         };

@@ -196,12 +196,6 @@ impl OutRing {
         self.occupancy
     }
 
-    /// Capacity in phits.
-    #[inline]
-    pub(crate) fn capacity(&self) -> u32 {
-        self.capacity
-    }
-
     /// Reserve `size` phits and enqueue a granted packet.
     ///
     /// # Panics
@@ -381,7 +375,7 @@ mod tests {
                 prop_assert_eq!(ring.len(), model.len());
                 prop_assert_eq!(ring.is_empty(), model.is_empty());
                 prop_assert_eq!(ring.occupancy(), model.len() as u32 * size);
-                prop_assert_eq!(ring.free(), ring.capacity() - ring.occupancy());
+                prop_assert_eq!(ring.free(), ring.capacity - ring.occupancy());
             }
         }
     }

@@ -36,17 +36,12 @@ pub enum ArbiterPolicy {
 /// the hot path already maintains into per-window rows. The engine never
 /// reads it: the simulator above it samples the engine between cycles,
 /// and a run without a spec allocates no recorder and pays one branch
-/// per cycle.
+/// per cycle. Every window samples the network-scope gauges and the
+/// per-job rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TelemetrySpec {
     /// Width of one timeline window, in cycles.
     pub window_cycles: u64,
-    /// Sample network-scope gauges (link utilization, escape grants,
-    /// probe-ready heads, port-epoch bumps) each window.
-    pub sample_network: bool,
-    /// Sample per-job rows (offered/injected/delivered, windowed
-    /// throughput and latency) each window.
-    pub sample_jobs: bool,
 }
 
 impl TelemetrySpec {
@@ -67,9 +62,9 @@ impl TelemetrySpec {
 }
 
 impl Default for TelemetrySpec {
-    /// 1000-cycle windows, sampling both network gauges and job rows.
+    /// 1000-cycle windows.
     fn default() -> Self {
-        TelemetrySpec { window_cycles: 1_000, sample_network: true, sample_jobs: true }
+        TelemetrySpec { window_cycles: 1_000 }
     }
 }
 
@@ -231,7 +226,7 @@ mod tests {
 
     #[test]
     fn zero_telemetry_window_rejected() {
-        let spec = TelemetrySpec { window_cycles: 0, ..TelemetrySpec::default() };
+        let spec = TelemetrySpec { window_cycles: 0 };
         assert!(spec.validate().is_err());
         assert!(TelemetrySpec::default().validate().is_ok());
     }
@@ -240,7 +235,7 @@ mod tests {
     /// admission error naming the limit.
     #[test]
     fn telemetry_window_is_bounded_by_the_run_length_limit() {
-        let at = |window_cycles| TelemetrySpec { window_cycles, ..TelemetrySpec::default() };
+        let at = |window_cycles| TelemetrySpec { window_cycles };
         assert!(at(MAX_RUN_CYCLES).validate().is_ok());
         for width in [MAX_RUN_CYCLES + 1, u64::MAX] {
             let err = at(width).validate().unwrap_err();

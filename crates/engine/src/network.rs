@@ -64,8 +64,9 @@ fn get_bit(words: &[u64], i: usize) -> bool {
 }
 
 /// Wall-clock time spent in each phase of [`Network::step_timed`],
-/// accumulated across cycles. Drives the `dbg_bottleneck` per-phase
-/// breakdown; the regular [`Network::step`] takes no timing overhead.
+/// accumulated across cycles. The benchmark under `perf/` reads its
+/// per-phase rows from it (`df-perf --trace 1`); the regular
+/// [`Network::step`] takes no timing overhead.
 #[derive(Debug, Default, Clone, Copy, Serialize, Deserialize)]
 pub struct PhaseProfile {
     /// Event-wheel drain: link arrivals and credit returns.
@@ -356,6 +357,8 @@ pub struct Network<P: RoutingPolicy, S: StatsSink> {
     counters: Counters,
     /// Packets accepted but not yet delivered.
     live_packets: u64,
+    /// The audit's time books: run-wide, never reset with the counters.
+    books: TimeBooks,
     /// Wiring cache: target of every (router, port), row-major.
     peers: Vec<PortTarget>,
     /// Latency of the link behind every (router, port).
@@ -480,6 +483,7 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
             sink,
             counters: Counters::new(n_routers, n_nodes),
             live_packets: 0,
+            books: TimeBooks::default(),
             peers,
             latencies,
             proposals: (0..radix).map(|_| ProposalList::default()).collect(),
@@ -732,10 +736,13 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
     // single policy through the `*_with` variants as a token.
     // ------------------------------------------------------------------
 
-    /// Advance the local cycle counter (start of a cycle).
+    /// Advance the local cycle counter (start of a cycle) and book the
+    /// cycle's populations (see [`TimeBooks`]).
     pub(crate) fn begin_cycle_bump(&mut self) {
         self.cycle += 1;
         self.counters.cycles += 1;
+        self.books.population += self.live_packets;
+        self.books.queued += self.live_packets - self.arena.live() as u64;
     }
 
     /// The staged cross-shard traffic, for the team to publish at the
@@ -925,6 +932,7 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
         self.counters.delivered_phits += self.cfg.packet_size as u64;
         self.live_packets -= 1;
         self.arena.free(id);
+        self.books.ages += rec.delivered_cycle + 1 - rec.header.gen_cycle;
         self.sink.on_delivered(&rec);
     }
 
@@ -977,6 +985,7 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
                 );
                 // Source-queue time is injection wait.
                 pkt.waits.injection = stamp(self.cycle) - queued.gen_cycle;
+                self.books.waits += u64::from(pkt.waits.injection) + 1;
                 pkt.traversal = stamp(self.cfg.injection_link_latency);
                 // Link plus router pipeline in one event: the packet
                 // enters its input VC on the cycle it becomes eligible.
@@ -1302,31 +1311,38 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
     /// The engine's one invariant check (docs/DETERMINISM.md, "The
     /// audit"): every scheduling work list and mask against a full scan,
     /// route-cache coherence, packet conservation, credit conservation on
-    /// every link, and the policy's own [`RoutingPolicy::audit`]. Panics
-    /// with a diagnostic naming the first violation. Call between steps;
-    /// O(network), no effect on the simulation.
+    /// every link, per-router against per-node injection counts, Little's
+    /// law for the packets in flight and for the source queues, and the
+    /// policy's own [`RoutingPolicy::audit`]. Panics with a diagnostic
+    /// naming the first violation. Call between steps; O(network), no
+    /// effect on the simulation.
     ///
     /// # Panics
     /// Panics on a shard slice, whose policy lives with the controller.
     pub fn audit(&self) {
         let policy = self.policy.as_ref().expect("policy detached (shard slice)");
         let mut ledger = CreditLedger::new(&self.topo, &self.cfg);
-        self.audit_slice(policy, &mut ledger);
+        let mut time = TimeBooks::default();
+        self.audit_slice(policy, &mut ledger, &mut time);
         ledger.assert_balanced(self.cycle);
+        time.assert_balanced(self.cycle);
     }
 
     /// Every audit step that needs only this slice's state, with the
     /// policy supplied by the caller; what the slice holds of each link's
-    /// credit window goes into `ledger`, which the caller balances once
-    /// every slice has contributed (a global link's two ends may sit in
-    /// different shards).
-    pub(crate) fn audit_slice(&self, policy: &P, ledger: &mut CreditLedger) {
+    /// credit window goes into `ledger`, and its time books into `time`,
+    /// which the caller balances once every slice has contributed (a
+    /// global link's two ends may sit in different shards, and a packet
+    /// counted live in one shard may be delivered in another).
+    pub(crate) fn audit_slice(&self, policy: &P, ledger: &mut CreditLedger, time: &mut TimeBooks) {
         self.audit_work_lists();
         // Population first: the steps after it read the arena record of
         // every queued handle, which must therefore name a live slot.
         self.audit_population();
         self.audit_route_cache();
         self.audit_credits(ledger);
+        self.audit_injection_counters();
+        self.audit_time(time);
         policy.audit(&CycleCtx {
             routers: &self.routers,
             cycle: self.cycle,
@@ -1483,12 +1499,60 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
             self.router_base,
             self.cycle
         );
+        self.arena.audit_references(self.referenced_packets(), self.cycle);
+    }
+
+    /// Every packet handle the slice holds: in a router, or on a link.
+    fn referenced_packets(&self) -> impl Iterator<Item = PacketId> + '_ {
         let on_links = self.wheel.iter().filter_map(|ev| match *ev {
             Event::ArriveRouter { pkt, .. } | Event::ArriveNode { pkt, .. } => Some(pkt),
             _ => None,
         });
-        let in_routers = self.routers.iter().flat_map(RouterState::resident_packets);
-        self.arena.audit_references(in_routers.chain(on_links), self.cycle);
+        self.routers.iter().flat_map(RouterState::resident_packets).chain(on_links)
+    }
+
+    /// Audit step (injection counters): each router's injections are its
+    /// nodes' — one grant adds to both.
+    fn audit_injection_counters(&self) {
+        let p = self.topo.params().p as usize;
+        let c = &self.counters;
+        for (r, (&router, nodes)) in
+            c.injected_per_router.iter().zip(c.injected_per_node.chunks(p)).enumerate()
+        {
+            let of_nodes: u64 = nodes.iter().sum();
+            assert_eq!(
+                router,
+                of_nodes,
+                "router {} injected {router} packets, its nodes {of_nodes} (cycle {})",
+                self.router_base as usize + r,
+                self.cycle
+            );
+        }
+    }
+
+    /// Audit step (time, this slice's share): the slice's books, plus
+    /// what each packet still live here has been live for so far (see
+    /// [`TimeBooks`]). Runs after the population step, which proved that
+    /// the referenced handles are exactly the arena's live slots.
+    fn audit_time(&self, time: &mut TimeBooks) {
+        let next = self.cycle + 1;
+        // Cycle starts a live packet was counted at: `now + 1 − gen`.
+        let starts = |gen_cycle: u32| {
+            let gen_cycle = u64::from(gen_cycle);
+            assert!(
+                gen_cycle <= next,
+                "live packet generated at cycle {gen_cycle}, after the next cycle {next}"
+            );
+            next - gen_cycle
+        };
+        let queued: u64 =
+            self.nodes.iter().flat_map(|n| &n.queue).map(|q| starts(q.gen_cycle)).sum();
+        let in_network: u64 =
+            self.referenced_packets().map(|id| starts(self.arena.get(id).gen_cycle)).sum();
+        time.population += self.books.population;
+        time.ages += self.books.ages + in_network + queued;
+        time.queued += self.books.queued;
+        time.waits += self.books.waits + queued;
     }
 
     /// Audit step (credits, this slice's share): add up, per receiving
@@ -1549,6 +1613,70 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
                 Event::ArriveNode { .. } => {}
             }
         }
+    }
+}
+
+/// The time half of the audit: two books for each of two populations,
+/// kept run-wide (never reset with the counters). For the packets in
+/// flight, Little's law in its sample-path form (J. D. C. Little,
+/// *Operations Research* 9(3), 1961; S. Stidham, *Operations Research*
+/// 22(2), 1974) holds exactly over any horizon: the population summed
+/// over cycles equals the time each packet has been live, summed over
+/// packets. The left book counts the population; the right one is built
+/// from the stamps the result is built from (`gen_cycle`,
+/// `delivered_cycle`, `waits.injection`), so a wrong stamp moves one book
+/// and not the other.
+///
+/// `population` adds `live_packets` at every cycle start
+/// (`begin_cycle_bump`). A packet offered between steps at cycle `g − 1`
+/// carries `gen_cycle = g` and is first counted at the start of cycle
+/// `g`; delivered during cycle `d`, it was counted at the starts of
+/// `g..=d`, `d − g + 1` times, which `ages` adds from the
+/// [`DeliveredRecord`] handed to the sink. A packet still live at cycle
+/// `now` was counted `now + 1 − g` times (0 for one offered since the
+/// last step). So, exactly, as integers:
+///
+/// `population = ages + Σ_live (now + 1 − gen_cycle)`
+///
+/// The source queues the same way: `queued` adds the queued count at
+/// every cycle start; a packet injected during cycle `i` was queued at
+/// the starts of `g..=i`, `waits.injection + 1` times (`waits.injection
+/// = i − g` is the source-queue wait written at injection, before the
+/// injection port adds its own), which `waits` adds:
+///
+/// `queued = waits + Σ_queued (now + 1 − gen_cycle)`
+///
+/// As a ledger, the audit adds every slice's books and live residuals
+/// into one instance and balances it once: between steps every packet
+/// lives in exactly one slice, but the slice that counted it live need
+/// not be the one that delivers it.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct TimeBooks {
+    /// Σ over cycle starts of the packets live (queued or in the network).
+    population: u64,
+    /// Σ over delivered packets of `delivered_cycle + 1 − gen_cycle`.
+    ages: u64,
+    /// Σ over cycle starts of the packets in source queues.
+    queued: u64,
+    /// Σ over injected packets of the source-queue wait plus one.
+    waits: u64,
+}
+
+impl TimeBooks {
+    /// Panic unless both identities hold.
+    pub(crate) fn assert_balanced(&self, cycle: u64) {
+        assert_eq!(
+            self.population, self.ages,
+            "Little's law violated for the packets in flight: {} packet-cycles counted live, \
+             the generation and delivery stamps account for {} (cycle {cycle})",
+            self.population, self.ages
+        );
+        assert_eq!(
+            self.queued, self.waits,
+            "Little's law violated for the source queues: {} packet-cycles counted queued, \
+             the generation and injection stamps account for {} (cycle {cycle})",
+            self.queued, self.waits
+        );
     }
 }
 
@@ -2091,6 +2219,23 @@ mod tests {
         audit_catches_a_stolen_injection_credit: "credit conservation violated" => |net| {
             let node = net.nodes.iter_mut().find(|n| n.credits[0] >= 8);
             node.expect("a node with credit").credits[0] -= 8;
+        };
+        audit_catches_an_injection_no_node_made: "router 2 injected" => |net| {
+            net.counters.injected_per_router[2] += 1;
+        };
+        audit_catches_a_missed_population_count: "Little's law violated for the packets in flight" =>
+            |net| net.books.population -= 1;
+        audit_catches_a_missed_queue_count: "Little's law violated for the source queues" =>
+            |net| net.books.queued -= 1;
+        audit_catches_an_early_generation_stamp_in_the_network:
+            "Little's law violated for the packets in flight" => |net| {
+            let (r, q, vc) = find_awake(net);
+            let id = net.routers[r].input_front(q, vc).unwrap();
+            net.arena.get_mut(id).gen_cycle -= 1;
+        };
+        audit_catches_a_generation_stamp_past_the_next_cycle: "after the next cycle" => |net| {
+            let next = stamp(net.cycle + 2);
+            net.nodes.iter_mut().find_map(|n| n.queue.back_mut()).unwrap().gen_cycle = next;
         };
     }
 }

@@ -485,19 +485,6 @@ impl RouterState {
         self.out_ports[port.idx()].downstream_cap
     }
 
-    /// Occupancy fraction of the queue feeding `port`: staged output
-    /// packets plus consumed downstream space, over the respective
-    /// capacities. `0.0` idle, `1.0` fully backed up. Ejection ports use
-    /// only the output buffer. A diagnostic (`dbg_bottleneck` prints it);
-    /// no routing policy reads it.
-    #[inline]
-    pub fn output_congestion(&self, port: Port) -> f64 {
-        let ob = &self.out_ports[port.idx()].ring;
-        let used = ob.occupancy() + self.downstream_occupied(port);
-        let cap = ob.capacity() + self.downstream_capacity(port);
-        used as f64 / cap as f64
-    }
-
     /// Queue length feeding `port` in phits (output buffer + consumed
     /// downstream space). The PiggyBack saturation estimate uses this.
     #[inline]
@@ -794,7 +781,7 @@ mod tests {
     fn idle_router_uncongested() {
         let (params, _, r) = setup();
         for q in 0..params.radix() {
-            assert_eq!(r.output_congestion(Port(q)), 0.0);
+            assert_eq!(r.downstream_occupied(Port(q)), 0);
             assert_eq!(r.output_queue_phits(Port(q)), 0);
         }
         assert_eq!(r.input_count, 0);
@@ -831,8 +818,8 @@ mod tests {
         r.reserve_credit(gp.idx(), 1);
         assert_eq!(r.downstream_occupied(gp), 24);
         assert_eq!(r.downstream_capacity(gp), 512);
-        let c = r.output_congestion(gp);
-        assert!((c - 24.0 / (512.0 + 32.0)).abs() < 1e-12);
+        // Nothing staged: the queue feeding the port is the reserved space.
+        assert_eq!(r.output_queue_phits(gp), 24);
         r.return_credit(gp.idx(), 0);
         assert_eq!(r.downstream_occupied(gp), 16);
     }

@@ -54,7 +54,7 @@
 
 use crate::config::{EngineConfig, MAX_RUN_CYCLES};
 use crate::network::{
-    Counters, CreditLedger, Network, PhaseClock, PhaseProfile, Untimed, WallClock,
+    Counters, CreditLedger, Network, PhaseClock, PhaseProfile, TimeBooks, Untimed, WallClock,
 };
 use crate::packet::{DeliveredRecord, Packet, PacketSeq};
 use crate::policy::{RoutingPolicy, StatsSink};
@@ -741,8 +741,8 @@ impl<P: RoutingPolicy + Send + 'static, S: StatsSink> ShardedNetwork<P, S> {
     /// shard's cycle counter is aligned with the caller and its own outbox
     /// and record queue are empty. Then every shard runs the serial
     /// engine's audit steps on its slice with the shared policy threaded
-    /// through, and the credit ledger they all added to is balanced
-    /// network-wide. O(network).
+    /// through, and the credit ledger and the time books they all added
+    /// to are balanced network-wide. O(network).
     ///
     /// # Panics
     /// Panics with a diagnostic naming the first violation.
@@ -762,6 +762,7 @@ impl<P: RoutingPolicy + Send + 'static, S: StatsSink> ShardedNetwork<P, S> {
         assert_eq!(self.shards().count(), self.plan().shards() as usize, "a shard went missing");
         let policy = self.policy.as_ref().expect("policy not returned by the team");
         let mut ledger = CreditLedger::new(&self.topo, &self.cfg);
+        let mut time = TimeBooks::default();
         for (s, sh) in self.blocks.iter().flatten().enumerate() {
             assert_eq!(sh.cycle(), self.cycle, "shard {s} cycle skew at barrier");
             assert!(
@@ -774,9 +775,10 @@ impl<P: RoutingPolicy + Send + 'static, S: StatsSink> ShardedNetwork<P, S> {
                 "delivery records not drained inside the step (shard {s}, cycle {})",
                 self.cycle
             );
-            sh.audit_slice(policy, &mut ledger);
+            sh.audit_slice(policy, &mut ledger, &mut time);
         }
         ledger.assert_balanced(self.cycle);
+        time.assert_balanced(self.cycle);
     }
 }
 

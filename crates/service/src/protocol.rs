@@ -121,9 +121,9 @@ pub enum JobEvent {
         /// 1-based attempt number.
         attempt: u32,
     },
-    /// Periodic progress, emitted every `progress_cycles` simulated
-    /// cycles (summed over the job's parallel cells — the same window
-    /// notion as the telemetry timelines).
+    /// Periodic progress, emitted every 1,000 simulated cycles (summed
+    /// over the job's parallel cells — the telemetry timelines' default
+    /// window).
     Progress {
         /// Job id.
         job: u64,

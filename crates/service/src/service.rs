@@ -48,23 +48,23 @@ pub type EventSink = Arc<dyn Fn(JobEvent) + Send + Sync>;
 const RETRY_BACKOFF_MS: u64 = 5;
 /// Retry backoff ceiling in milliseconds.
 const RETRY_BACKOFF_CAP_MS: u64 = 80;
+/// Retries after a panicking attempt (so `MAX_RETRIES + 1` attempts in
+/// total). Interrupts and spec errors are never retried.
+const MAX_RETRIES: u32 = 2;
+/// Result-cache capacity in entries.
+const CACHE_CAPACITY: usize = 256;
+/// A `progress` event is emitted every this many simulated cycles: the
+/// telemetry timelines' default window.
+const PROGRESS_CYCLES: u64 = 1_000;
 
 /// Service tuning knobs (all have serviceable defaults).
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Worker threads executing jobs.
+    /// Worker threads executing jobs (at least one).
     pub workers: usize,
-    /// Queue-depth cap: submissions beyond it are `rejected_overload`.
+    /// Queue-depth cap (at least one): submissions beyond it are
+    /// `rejected_overload`.
     pub queue_depth: usize,
-    /// Result-cache capacity in entries (0 disables caching).
-    pub cache_capacity: usize,
-    /// Retries after a panicking attempt (so `max_retries + 1` attempts
-    /// in total). Interrupts and spec errors are never retried.
-    pub max_retries: u32,
-    /// Emit a `progress` event every this many simulated cycles
-    /// (0 picks the default, which matches the telemetry timelines'
-    /// 1000-cycle windows).
-    pub progress_cycles: u64,
     /// Durable state directory (`None` keeps everything in memory).
     /// When set, completed results spill tempfile-then-rename under
     /// `<dir>/cache/`, sweep units checkpoint under
@@ -78,20 +78,7 @@ impl Default for ServiceConfig {
         Self {
             workers: 2,
             queue_depth: 16,
-            cache_capacity: 256,
-            max_retries: 2,
-            progress_cycles: 0,
             state_dir: None,
-        }
-    }
-}
-
-impl ServiceConfig {
-    fn progress_step(&self) -> u64 {
-        if self.progress_cycles == 0 {
-            1_000
-        } else {
-            self.progress_cycles
         }
     }
 }
@@ -202,10 +189,10 @@ impl Service {
     ///
     /// # Panics
     ///
-    /// Panics when `cfg.state_dir` is set but cannot be created — use
-    /// [`Service::open`] to handle the I/O error instead.
+    /// Panics where [`Service::open`] fails — use it to handle the
+    /// error instead.
     pub fn new(cfg: ServiceConfig) -> Self {
-        Self::open(cfg).expect("open service state dir")
+        Self::open(cfg).expect("open service")
     }
 
     /// [`Service::new`], surfacing state-directory I/O errors. With a
@@ -213,17 +200,30 @@ impl Service {
     /// persisted result (and quarantines corrupt files) before the
     /// first submission can probe the cache; the scan's findings are
     /// available via [`Service::startup_report`].
+    ///
+    /// # Errors
+    ///
+    /// `InvalidInput` for zero workers or a zero queue depth (a service
+    /// that could never run, or never admit, a job); otherwise the
+    /// state directory's I/O error.
     pub fn open(cfg: ServiceConfig) -> std::io::Result<Self> {
+        for (knob, value) in [("workers", cfg.workers), ("queue_depth", cfg.queue_depth)] {
+            if value == 0 {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidInput,
+                    format!("{knob} must be positive"),
+                ));
+            }
+        }
         let (cache, state, startup) = match &cfg.state_dir {
             Some(dir) => {
                 let state = Arc::new(StateDir::open(dir)?);
-                let (cache, report) =
-                    ResultCache::with_state(cfg.cache_capacity, Arc::clone(&state));
+                let (cache, report) = ResultCache::with_state(CACHE_CAPACITY, Arc::clone(&state));
                 (cache, Some(state), report)
             }
-            None => (ResultCache::new(cfg.cache_capacity), None, LoadReport::default()),
+            None => (ResultCache::new(CACHE_CAPACITY), None, LoadReport::default()),
         };
-        let workers = cfg.workers.max(1);
+        let workers = cfg.workers;
         let shared = Arc::new(Shared {
             cfg,
             cache,
@@ -350,9 +350,9 @@ type RecoveredUnits = Mutex<HashMap<(u32, u64), Vec<SweepRow>>>;
 
 impl JobContext {
     /// The attempt loop: run, and on a panic retry with capped
-    /// exponential backoff until `max_retries` is exhausted.
+    /// exponential backoff until [`MAX_RETRIES`] is exhausted.
     fn run(self, shared: &Shared) {
-        let max_attempts = shared.cfg.max_retries + 1;
+        let max_attempts = MAX_RETRIES + 1;
         let total_cycles = self.payload.total_cycles(&self.seeds);
         let recovered: RecoveredUnits = Mutex::new(self.load_recovered_units(shared));
         // Commit ordinal within this job — the 1-based counter the
@@ -487,7 +487,7 @@ impl JobContext {
         let stall = self.fault.stall();
         let stalled = AtomicBool::new(false);
         let done = AtomicU64::new(0);
-        let step = shared.cfg.progress_step();
+        let step = PROGRESS_CYCLES;
         let sink = &self.sink;
         let job = self.job;
         let on_cycle = move |cycle: u64| {
@@ -714,13 +714,29 @@ mod tests {
         svc.shutdown();
     }
 
+    /// A zero queue depth would answer every submission
+    /// `rejected_overload` with idle workers, and zero workers would
+    /// never run one: both are refused before a thread starts.
+    #[test]
+    fn a_zero_queue_depth_or_worker_count_is_refused_at_open() {
+        for (cfg, knob) in [
+            (ServiceConfig { queue_depth: 0, ..ServiceConfig::default() }, "queue_depth"),
+            (ServiceConfig { workers: 0, ..ServiceConfig::default() }, "workers"),
+        ] {
+            let err = Service::open(cfg).err().expect("refused");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+            assert_eq!(err.to_string(), format!("{knob} must be positive"));
+        }
+        let svc = Service::new(ServiceConfig { queue_depth: 1, ..ServiceConfig::default() });
+        let (sink, events) = collecting_sink();
+        let job = svc.submit(JobPayload::Scenario(tiny_scenario()), options(None, None), sink);
+        assert_eq!(wait_terminal(&events, job).last().unwrap().label(), "completed");
+        svc.shutdown();
+    }
+
     #[test]
     fn persistent_panic_exhausts_retries_and_fails() {
-        let svc = Service::new(ServiceConfig {
-            workers: 1,
-            max_retries: 1,
-            ..ServiceConfig::default()
-        });
+        let svc = Service::new(ServiceConfig { workers: 1, ..ServiceConfig::default() });
         let (sink, events) = collecting_sink();
         let fault = FaultSpec {
             panic_at_cycle: Some(50),
@@ -735,7 +751,7 @@ mod tests {
         let evs = wait_terminal(&events, job);
         match evs.last().unwrap() {
             JobEvent::Failed { attempts, error, .. } => {
-                assert_eq!(*attempts, 2);
+                assert_eq!(*attempts, MAX_RETRIES + 1);
                 assert!(error.contains("injected fault"), "{error}");
             }
             other => panic!("expected failed, got {other:?}"),

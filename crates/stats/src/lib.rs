@@ -9,9 +9,8 @@
 //!   Figure 3 (base, misrouting, local/global congestion, injection),
 //! * [`FairnessReport`] — Min inj, Max/Min, CoV (and Jain's index),
 //! * [`Histogram`] — latency distributions and quantiles,
-//! * [`RateWindow`] / [`WindowSeries`] — exact sliding-window rate
-//!   counters (ring of buckets) and per-window row accumulation for the
-//!   timeline telemetry layer.
+//! * [`WindowSeries`] — per-window row accumulation for the timeline
+//!   telemetry layer.
 //!
 //! The crate is deliberately engine-agnostic: it consumes plain numbers,
 //! so every metric is unit-testable without running a simulation.
@@ -28,4 +27,4 @@ pub use fairness::FairnessReport;
 pub use histogram::Histogram;
 pub use latency::LatencyAccumulator;
 pub use online::OnlineStats;
-pub use window::{RateWindow, WindowSeries};
+pub use window::WindowSeries;

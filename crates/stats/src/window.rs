@@ -1,96 +1,8 @@
-//! Sliding-window rate counters (ring of buckets) and per-window row
-//! accumulation.
+//! Per-window row accumulation.
 //!
-//! [`RateWindow`] follows the ring-of-buckets idiom: the window is split
-//! into `n` buckets of a fixed width in cycles, events are recorded into
-//! the bucket their cycle falls in, and advancing the window clears only
-//! the buckets that rotated out — so both `record` and `advance` are
-//! amortized O(1) and the sum over the window is exact (no decay
-//! approximation).
-//!
-//! [`WindowSeries`] is the complementary boundary tracker: it owns the
-//! window width and the next boundary cycle, tells the caller when a
-//! window has closed, and accumulates one caller-built row per window.
-
-/// Exact sliding-window event counter over a ring of fixed-width buckets.
-///
-/// The window covers the last `n_buckets` *bucket-aligned* intervals of
-/// `bucket_width` cycles each: after recording at cycle `c`, the sum
-/// counts every event whose cycle falls in a bucket index within
-/// `[c / width - n + 1, c / width]`. Cycles must be fed monotonically
-/// (non-decreasing); feeding an older cycle panics in debug builds.
-#[derive(Debug, Clone)]
-pub struct RateWindow {
-    /// Width of one bucket, in cycles.
-    bucket_width: u64,
-    /// Ring storage; `buckets[abs_index % len]` holds the count for the
-    /// absolute bucket `abs_index`.
-    buckets: Vec<u64>,
-    /// Absolute index (`cycle / bucket_width`) of the newest bucket.
-    head: u64,
-    /// Running sum of all live buckets.
-    total: u64,
-}
-
-impl RateWindow {
-    /// A window of `n_buckets` buckets, each `bucket_width` cycles wide.
-    ///
-    /// # Panics
-    /// Panics if either dimension is zero.
-    pub fn new(bucket_width: u64, n_buckets: usize) -> Self {
-        assert!(bucket_width > 0, "bucket width must be positive");
-        assert!(n_buckets > 0, "need at least one bucket");
-        RateWindow { bucket_width, buckets: vec![0; n_buckets], head: 0, total: 0 }
-    }
-
-    /// Total cycles the window spans.
-    pub fn window_cycles(&self) -> u64 {
-        self.bucket_width * self.buckets.len() as u64
-    }
-
-    /// Slide the window so the bucket containing `cycle` is the head,
-    /// clearing every bucket that rotated out. Amortized O(1): each
-    /// bucket is cleared at most once per rotation past it.
-    pub fn advance(&mut self, cycle: u64) {
-        let bucket = cycle / self.bucket_width;
-        debug_assert!(bucket >= self.head, "RateWindow cycles must be monotonic");
-        if bucket <= self.head {
-            return;
-        }
-        let steps = bucket - self.head;
-        let len = self.buckets.len() as u64;
-        if steps >= len {
-            // The whole window rotated out.
-            self.buckets.iter_mut().for_each(|b| *b = 0);
-            self.total = 0;
-        } else {
-            for abs in (self.head + 1)..=bucket {
-                let slot = (abs % len) as usize;
-                self.total -= self.buckets[slot];
-                self.buckets[slot] = 0;
-            }
-        }
-        self.head = bucket;
-    }
-
-    /// Record `count` events at `cycle` (advancing the window first).
-    pub fn record(&mut self, cycle: u64, count: u64) {
-        self.advance(cycle);
-        let slot = (self.head % self.buckets.len() as u64) as usize;
-        self.buckets[slot] += count;
-        self.total += count;
-    }
-
-    /// Exact number of events currently inside the window.
-    pub fn sum(&self) -> u64 {
-        self.total
-    }
-
-    /// Events per cycle over the window span.
-    pub fn rate(&self) -> f64 {
-        self.total as f64 / self.window_cycles() as f64
-    }
-}
+//! [`WindowSeries`] is a boundary tracker: it owns the window width and
+//! the next boundary cycle, tells the caller when a window has closed,
+//! and accumulates one caller-built row per window.
 
 /// Boundary tracker that snapshots one row per closed window.
 ///
@@ -159,47 +71,6 @@ impl<T> WindowSeries<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn record_and_sum_within_one_bucket() {
-        let mut w = RateWindow::new(10, 4);
-        w.record(0, 3);
-        w.record(5, 2);
-        assert_eq!(w.sum(), 5);
-        assert_eq!(w.window_cycles(), 40);
-    }
-
-    #[test]
-    fn old_buckets_rotate_out() {
-        let mut w = RateWindow::new(10, 2);
-        w.record(0, 7); // bucket 0
-        w.record(10, 1); // bucket 1; window now buckets {0, 1}
-        assert_eq!(w.sum(), 8);
-        w.advance(20); // bucket 2; bucket 0 rotates out
-        assert_eq!(w.sum(), 1);
-        w.advance(45); // bucket 4; everything out
-        assert_eq!(w.sum(), 0);
-    }
-
-    #[test]
-    fn large_jump_clears_everything() {
-        let mut w = RateWindow::new(5, 8);
-        for c in 0..40 {
-            w.record(c, 1);
-        }
-        assert_eq!(w.sum(), 40);
-        w.advance(10_000);
-        assert_eq!(w.sum(), 0);
-        w.record(10_001, 2);
-        assert_eq!(w.sum(), 2);
-    }
-
-    #[test]
-    fn rate_is_sum_over_span() {
-        let mut w = RateWindow::new(10, 10);
-        w.record(99, 50);
-        assert!((w.rate() - 0.5).abs() < 1e-12);
-    }
 
     #[test]
     fn series_boundaries_are_contiguous() {

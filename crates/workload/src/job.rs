@@ -59,13 +59,11 @@ impl JobSpec {
     }
 }
 
-/// Whether two half-open `[start, stop)` lifetimes overlap. *The*
-/// predicate deciding when two jobs may share nodes (they may iff their
-/// lifetimes do **not** overlap) — `ScenarioSpec::validate` and the
-/// simulator's schedule check both use it, so the `Err` path
-/// and the panic path can never drift apart.
+/// Whether two half-open `[start, stop)` lifetimes overlap: the
+/// predicate `ScenarioSpec::validate` decides with when two jobs may
+/// share nodes (they may iff their lifetimes do **not** overlap).
 #[inline]
-pub fn lifetimes_overlap(a: (u64, u64), b: (u64, u64)) -> bool {
+pub(crate) fn lifetimes_overlap(a: (u64, u64), b: (u64, u64)) -> bool {
     a.0 < b.1 && b.0 < a.1
 }
 

@@ -51,7 +51,8 @@ mod trace;
 pub use injection::{
     Arrival, BernoulliProcess, InjectionProcess, InjectionSpec, OnOffProcess, PoissonProcess,
 };
-pub use job::{lifetimes_overlap, JobSpec};
+pub(crate) use job::lifetimes_overlap;
+pub use job::JobSpec;
 pub use placement::{PlacementSpec, ResolvedPlacement};
 pub use scenario::ScenarioSpec;
 pub use sweep::{JobPlacement, PlacementVariant, SweepCell, SweepSpec, MAX_SWEEP_CELLS};

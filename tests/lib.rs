@@ -33,14 +33,41 @@ pub fn small_config(
     cfg
 }
 
-/// Injections of the ADVc bottleneck router (router `a-1` of group 0
-/// under palmtree) vs the mean of the other routers of group 0.
-pub fn bottleneck_vs_rest(result: &RunResult, params: &DragonflyParams) -> (f64, f64) {
-    let a = params.a as usize;
-    let group0 = &result.injected_per_router[..a];
-    let bottleneck = group0[a - 1] as f64;
-    let rest: f64 = group0[..a - 1].iter().map(|&c| c as f64).sum::<f64>() / (a - 1) as f64;
-    (bottleneck, rest)
+/// Every group's ADVc bottleneck router against the other routers of
+/// its group, by packets injected during the measurement window.
+#[derive(Debug)]
+pub struct BottleneckShare {
+    /// Groups in the machine.
+    pub groups: usize,
+    /// Groups whose named router injected no more than any other router
+    /// of the group.
+    pub groups_min: usize,
+    /// Groups whose named router injected more than every other router
+    /// of the group.
+    pub groups_max: usize,
+    /// Mean over groups of the named router's injections over the mean
+    /// of the group's other routers.
+    pub mean_share: f64,
+}
+
+/// Names each group's bottleneck analytically, through
+/// [`Topology::advc_bottleneck`] (the router owning the global link to
+/// group `g+1`: under palmtree, to all of `g+1..g+h` — and ADV+1's exit
+/// router), not by searching the result for its minimum.
+pub fn bottleneck_vs_rest(result: &RunResult, cfg: &SimConfig) -> BottleneckShare {
+    let topo = Topology::new(cfg.params, cfg.arrangement);
+    let (a, groups) = (cfg.params.a as usize, cfg.params.groups() as usize);
+    let mut share = BottleneckShare { groups, groups_min: 0, groups_max: 0, mean_share: 0.0 };
+    for g in 0..groups {
+        let named = topo.advc_bottleneck(GroupId(g as u32)).idx();
+        let injected = |r: usize| result.injected_per_router[r];
+        let rest: Vec<u64> = (g * a..(g + 1) * a).filter(|&r| r != named).map(injected).collect();
+        share.groups_min += usize::from(rest.iter().all(|&c| injected(named) <= c));
+        share.groups_max += usize::from(rest.iter().all(|&c| injected(named) > c));
+        let rest_mean = rest.iter().sum::<u64>() as f64 / rest.len() as f64;
+        share.mean_share += injected(named) as f64 / rest_mean / groups as f64;
+    }
+    share
 }
 
 /// MD5 (RFC 1321) digest as a lowercase hex string — what `md5sum`

@@ -108,75 +108,40 @@ fn departed_jobs_slots_are_reusable_by_a_later_arrival() {
 
 #[test]
 fn boundary_packets_attribute_to_the_departed_tenant() {
-    // Single-node handover driven by hand: job a offers its final packet
-    // on the last cycle it is live, job b starts that same cycle. The
-    // straggler must be credited to a, not b.
-    let cfg = {
-        let mut cfg = SimConfig::small(
-            MechanismSpec::Min,
-            ArbiterPolicy::TransitPriority,
-            PatternSpec::Uniform,
-            0.0,
-        );
-        cfg.params = DragonflyParams::figure1();
-        cfg.warmup_cycles = 0;
-        cfg.measure_cycles = 3_000;
-        cfg
+    // Single-node handover replayed from two one-event traces: job a
+    // offers its final packet on the last cycle it is live, job b starts
+    // that same cycle on the same node. The straggler must be credited
+    // to a, not b.
+    let dir = std::env::temp_dir().join(format!("df-handover-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let job = |name: &str, cycle: u64, (start_cycle, stop_cycle)| {
+        let path = dir.join(format!("{name}.json"));
+        std::fs::write(&path, format!(r#"[{{"cycle":{cycle},"src":0,"dst":70}}]"#)).unwrap();
+        JobSpec {
+            name: name.into(),
+            placement: PlacementSpec::Nodes { nodes: vec![0] },
+            pattern: PatternSpec::Uniform,
+            injection: InjectionSpec::Trace { path: path.to_str().unwrap().into() },
+            load: 0.0,
+            start_cycle,
+            stop_cycle,
+        }
     };
-    let mut sim = Simulator::new(&cfg);
-    sim.set_job_schedule(vec![
-        JobSchedule {
-            label: "a".into(),
-            nodes: vec![NodeId(0)],
-            start_cycle: None,
-            stop_cycle: Some(100),
-        },
-        JobSchedule {
-            label: "b".into(),
-            nodes: vec![NodeId(0)],
-            start_cycle: Some(100),
-            stop_cycle: None,
-        },
-    ]);
-    sim.begin_measurement();
-    for t in 0..3_000u64 {
-        if t == 99 {
-            sim.offer_for_job(0, NodeId(0), NodeId(70));
-        }
-        if t == 100 {
-            sim.offer_for_job(1, NodeId(0), NodeId(70));
-        }
-        sim.step();
-    }
-    let r = sim.finish();
+    let spec = ScenarioSpec {
+        name: "handover".into(),
+        params: DragonflyParams::figure1(),
+        arrangement: Arrangement::Palmtree,
+        mechanisms: vec![MechanismSpec::Min],
+        arbiter: ArbiterPolicy::TransitPriority,
+        warmup_cycles: 0,
+        measure_cycles: 3_000,
+        telemetry: None,
+        jobs: vec![job("a", 99, (None, Some(100))), job("b", 100, (Some(100), None))],
+    };
+    let r = run_cell(&spec, MechanismSpec::Min, 1, CellOptions::default()).expect("run");
+    std::fs::remove_dir_all(&dir).unwrap();
     assert_eq!(r.per_job[0].delivered_packets, 1, "a's straggler misattributed");
     assert_eq!(r.per_job[1].delivered_packets, 1, "b's packet misattributed");
-}
-
-#[test]
-#[should_panic(expected = "claimed by two jobs")]
-fn overlapping_lifetimes_on_shared_nodes_rejected() {
-    let cfg = SimConfig::small(
-        MechanismSpec::Min,
-        ArbiterPolicy::TransitPriority,
-        PatternSpec::Uniform,
-        0.0,
-    );
-    let mut sim = Simulator::new(&cfg);
-    sim.set_job_schedule(vec![
-        JobSchedule {
-            label: "a".into(),
-            nodes: vec![NodeId(3)],
-            start_cycle: None,
-            stop_cycle: Some(500),
-        },
-        JobSchedule {
-            label: "b".into(),
-            nodes: vec![NodeId(3)],
-            start_cycle: Some(499),
-            stop_cycle: None,
-        },
-    ]);
 }
 
 #[test]

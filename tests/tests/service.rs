@@ -252,7 +252,7 @@ fn worker_panic_is_isolated_retried_and_the_service_keeps_serving() {
     let evs2 = wait_terminal(&events, doomed);
     match evs2.last().unwrap() {
         JobEvent::Failed { attempts, error, .. } => {
-            assert_eq!(*attempts, 3, "default max_retries=2 gives 3 attempts");
+            assert_eq!(*attempts, 3, "two retries give 3 attempts");
             assert!(error.contains("injected fault"), "{error}");
         }
         other => panic!("expected failed, got {other:?}"),
@@ -380,7 +380,7 @@ fn a_telemetry_window_past_the_run_length_limit_is_rejected_at_submit() {
     let svc = Service::new(ServiceConfig::default());
     let (sink, events) = collecting_sink();
     let mut bad = tiny_scenario("svc-huge-window");
-    bad.telemetry = Some(TelemetrySpec { window_cycles: u64::MAX, ..TelemetrySpec::default() });
+    bad.telemetry = Some(TelemetrySpec { window_cycles: u64::MAX });
     let job = svc.submit(JobPayload::Scenario(bad), one_seed(None, None), sink);
     match &wait_terminal(&events, job)[..] {
         [JobEvent::Rejected { error, .. }] => {

@@ -1,16 +1,13 @@
-//! Windowed-telemetry integration tests: the `RateWindow` ring against a
-//! naive reference (property-based), sum-of-windows == end-of-run totals
-//! under job churn straddling window boundaries, the `--timeline` JSONL
-//! stream read back line by line, telemetry on/off
-//! bit-equality of the golden summaries, and the paper-level signal —
-//! the victim job's windowed throughput collapsing under In-Trns-CRG
-//! while Obl-CRG stays flat.
+//! Windowed-telemetry integration tests: sum-of-windows == end-of-run
+//! totals under job churn straddling window boundaries, the `--timeline`
+//! JSONL stream read back line by line, telemetry on/off bit-equality of
+//! the golden summaries, a spec written with the retired sampling keys,
+//! and the paper-level signal — the victim job's windowed throughput
+//! collapsing under In-Trns-CRG while Obl-CRG stays flat.
 
-use dragonfly_core::df_stats::RateWindow;
 use dragonfly_core::df_workload::{InjectionSpec, JobSpec, PlacementSpec, ScenarioSpec};
 use dragonfly_core::prelude::*;
 use integration_tests::md5_hex;
-use proptest::prelude::*;
 
 fn scenario_path(name: &str) -> String {
     format!("{}/../scenarios/{name}", env!("CARGO_MANIFEST_DIR"))
@@ -21,45 +18,6 @@ fn quick_spec(name: &str) -> ScenarioSpec {
     let mut spec = ScenarioSpec::load(&scenario_path(name)).expect("load scenario");
     df_bench::quick_scenario(&mut spec);
     spec
-}
-
-// ---------------------------------------------------------------------
-// RateWindow vs naive reference (property-based)
-// ---------------------------------------------------------------------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    // Feed the same monotone event stream into the ring and into a flat
-    // event list; after every event the ring's O(1) sum must equal the
-    // reference's O(events) bucket-aligned window sum.
-    #[test]
-    fn rate_window_matches_naive_reference(
-        width in 1u64..50,
-        n_buckets in 1usize..8,
-        steps in prop::collection::vec((0u64..120, 0u64..10), 1..80),
-    ) {
-        let mut ring = RateWindow::new(width, n_buckets);
-        let mut events: Vec<(u64, u64)> = Vec::new();
-        let mut cycle = 0u64;
-        for (delta, count) in steps {
-            cycle += delta;
-            ring.record(cycle, count);
-            events.push((cycle, count));
-            // Reference: the window covers the bucket-aligned range
-            // [bucket(cycle) - n + 1, bucket(cycle)].
-            let head = cycle / width;
-            let oldest = head.saturating_sub(n_buckets as u64 - 1);
-            let expect: u64 = events
-                .iter()
-                .filter(|(c, _)| (c / width) >= oldest)
-                .map(|(_, k)| k)
-                .sum();
-            prop_assert_eq!(ring.sum(), expect);
-            let span = (width * n_buckets as u64) as f64;
-            prop_assert!((ring.rate() - expect as f64 / span).abs() < 1e-12);
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -88,7 +46,7 @@ fn churn_spec() -> ScenarioSpec {
         arbiter: ArbiterPolicy::TransitPriority,
         warmup_cycles: 300,
         measure_cycles: 1_200,
-        telemetry: Some(TelemetrySpec { window_cycles: 500, ..TelemetrySpec::default() }),
+        telemetry: Some(TelemetrySpec { window_cycles: 500 }),
         jobs: vec![
             job("early", 0, 3, None, Some(650)),
             job("late", 0, 3, Some(650), Some(900)),
@@ -225,7 +183,7 @@ fn summary_digest(name: &str, telemetry: Option<TelemetrySpec>) -> String {
 
 #[test]
 fn telemetry_on_off_summaries_are_bit_identical() {
-    let window = Some(TelemetrySpec { window_cycles: 750, ..TelemetrySpec::default() });
+    let window = Some(TelemetrySpec { window_cycles: 750 });
     for name in ["interference_advc_vs_uniform.json", "paper_job_anatomy.json"] {
         assert_eq!(
             summary_digest(name, None),
@@ -314,11 +272,7 @@ fn gauge_spec() -> ScenarioSpec {
         arbiter: ArbiterPolicy::TransitPriority,
         warmup_cycles: 500,
         measure_cycles: 2_000,
-        telemetry: Some(TelemetrySpec {
-            window_cycles: 250,
-            sample_network: true,
-            sample_jobs: false,
-        }),
+        telemetry: Some(TelemetrySpec { window_cycles: 250 }),
         jobs: vec![JobSpec {
             name: "advc".into(),
             placement: PlacementSpec::ConsecutiveGroups { first: 0, count: 9, slots: None },
@@ -392,13 +346,38 @@ fn a_window_at_the_run_length_limit_is_one_partial_window() {
     use dragonfly_core::df_engine::MAX_RUN_CYCLES;
     let mut spec = churn_spec();
     spec.telemetry =
-        Some(TelemetrySpec { window_cycles: MAX_RUN_CYCLES, ..TelemetrySpec::default() });
+        Some(TelemetrySpec { window_cycles: MAX_RUN_CYCLES });
     let result = run_cell(&spec, MechanismSpec::InTransitMm, DEFAULT_SEEDS[0], Default::default())
         .expect("run");
     let rows = result.timeline.as_ref().expect("telemetry on -> timeline present");
     assert_eq!(rows.len(), 1);
     assert_eq!((rows[0].start_cycle, rows[0].end_cycle), (300, 1_500));
     assert_eq!(rows[0].delivered_packets, result.delivered_packets);
+}
+
+/// A spec written while the timeline still had its two sampling switches
+/// parses: the retired keys are ignored (the spec reads named fields
+/// only), and the rows are those of the same spec without them — gauges
+/// and job rows are always sampled, even where the old keys said `false`.
+#[test]
+fn a_spec_with_the_retired_sampling_keys_gives_the_same_rows() {
+    let spec = churn_spec();
+    let json = serde_json::to_string(&spec).expect("serialize spec");
+    let legacy = json.replace(
+        r#""telemetry":{"window_cycles":500}"#,
+        r#""telemetry":{"window_cycles":500,"sample_network":false,"sample_jobs":false}"#,
+    );
+    assert_ne!(legacy, json, "the retired keys were spliced in");
+    let legacy: ScenarioSpec = serde_json::from_str(&legacy).expect("the retired keys parse");
+    let rows = |spec: &ScenarioSpec| {
+        let result =
+            run_cell(spec, MechanismSpec::InTransitMm, DEFAULT_SEEDS[0], CellOptions::default())
+                .expect("run");
+        let rows = result.timeline.expect("telemetry on -> timeline present");
+        assert!(rows.iter().all(|r| r.jobs.len() == 3), "job rows are always sampled");
+        serde_json::to_string(&rows).expect("serialize rows")
+    };
+    assert_eq!(rows(&legacy), rows(&spec));
 }
 
 // ---------------------------------------------------------------------
@@ -409,7 +388,7 @@ fn a_window_at_the_run_length_limit_is_one_partial_window() {
 /// interference scenario (quick protocol, 1000-cycle windows).
 fn victim_trajectory(mechanism: MechanismSpec) -> Vec<f64> {
     let mut spec = quick_spec("interference_advc_vs_uniform.json");
-    spec.telemetry = Some(TelemetrySpec { window_cycles: 1_000, ..TelemetrySpec::default() });
+    spec.telemetry = Some(TelemetrySpec { window_cycles: 1_000 });
     let opts = CellOptions { timeline: Some(Box::new(|_| {})), ..Default::default() };
     let result = run_cell(&spec, mechanism, DEFAULT_SEEDS[0], opts).expect("run");
     result
