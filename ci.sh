@@ -35,9 +35,10 @@ cargo test -q --release -p integration-tests \
     --test shard_team --test shard_team_panic
 # The engine's own unit modules at release arithmetic: the audit's
 # corruption table (every step must still name its violation with debug
-# assertions off — the plain `cycle - eligible_at` of a grant wraps
-# instead of panicking there, and only the audit's own checks remain)
-# and the folded-pipeline timing tests.
+# assertions off, where only the audit's own checks remain), the wait
+# accounting's named panic on a stamp past the current cycle (a bare
+# `u32` subtraction would wrap silently here), and the folded-pipeline
+# timing tests.
 cargo test -q --release -p df-engine
 # And the simulator's end-of-run audit, where no periodic audit runs
 # first to catch the corrupted engine.
@@ -73,6 +74,13 @@ cargo run --release -p df-bench --bin sweep -- --quick \
     --csv "$artifacts/sweep_unfairness_grid.csv" \
     --out "$artifacts/sweep_unfairness_grid.json" \
     scenarios/sweep_unfairness_grid.json > /dev/null
+
+echo "==> figure smoke run (table2 --quick: every paper mechanism through the figure bin)"
+# Puts all seven mechanisms of the paper's set (so every source-routing
+# rule and every in-transit policy) through a real binary end to end;
+# the JSON is archived.
+cargo run --release -p df-bench --bin figure -- table2 --quick \
+    --out "$artifacts/table2_quick.json" > /dev/null
 
 echo "==> service smoke (df-serve: cache replay + admission control + drain)"
 # Boot the job server with a deliberately tiny admission window, submit

@@ -1,6 +1,6 @@
 //! Top-level simulation configuration.
 
-use df_engine::{ArbiterPolicy, EngineConfig, TelemetrySpec, MAX_RUN_CYCLES};
+use df_engine::{validate_run_protocol, ArbiterPolicy, EngineConfig, TelemetrySpec};
 use df_routing::MechanismSpec;
 use df_topology::{Arrangement, DragonflyParams};
 use df_traffic::PatternSpec;
@@ -119,22 +119,11 @@ impl SimConfig {
         if !(0.0..=self.engine_config().packet_size as f64).contains(&self.load) {
             return Err(format!("load {} out of range", self.load));
         }
-        if self.measure_cycles == 0 {
-            return Err("measurement window must be nonzero".into());
-        }
-        let run = self.warmup_cycles.checked_add(self.measure_cycles);
-        if run.is_none_or(|cycles| cycles > MAX_RUN_CYCLES) {
-            return Err(format!(
-                "warmup_cycles + measure_cycles exceeds the run-length limit of {MAX_RUN_CYCLES} cycles"
-            ));
-        }
+        validate_run_protocol(self.warmup_cycles, self.measure_cycles, self.telemetry.as_ref())?;
         let params = &self.params;
         self.pattern
             .check(params.nodes(), params.a * params.p, params.h)
             .map_err(|e| format!("pattern: {e}"))?;
-        if let Some(telemetry) = &self.telemetry {
-            telemetry.validate()?;
-        }
         self.engine_config().validate()
     }
 }
@@ -152,6 +141,7 @@ pub(crate) use df_traffic::derive_seed;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use df_engine::MAX_RUN_CYCLES;
 
     fn cfg() -> SimConfig {
         SimConfig::small(

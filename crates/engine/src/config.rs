@@ -4,13 +4,34 @@
 use serde::{Deserialize, Serialize};
 
 /// The longest run the engine steps, in cycles: `Network::step` and
-/// `ShardedNetwork::step` panic past it, and `SimConfig` / `ScenarioSpec`
-/// validation rejects a `warmup_cycles + measure_cycles` above it.
+/// `ShardedNetwork::step` panic past it, and [`validate_run_protocol`]
+/// rejects a `warmup_cycles + measure_cycles` above it.
 /// [`EngineConfig::validate`] bounds the event delay so that this horizon
 /// plus one delay fits a `u32`: the packet record's cycle fields are
 /// `u32`, and every value they hold is at most the current cycle plus one
 /// delay.
 pub const MAX_RUN_CYCLES: u64 = 1 << 31;
+
+/// The run-protocol rules every front door (`SimConfig`, `ScenarioSpec`)
+/// validates: a nonzero measurement window, a run of `warmup_cycles +
+/// measure_cycles` within [`MAX_RUN_CYCLES`], and a valid telemetry spec
+/// if there is one.
+pub fn validate_run_protocol(
+    warmup_cycles: u64,
+    measure_cycles: u64,
+    telemetry: Option<&TelemetrySpec>,
+) -> Result<(), String> {
+    if measure_cycles == 0 {
+        return Err("measurement window must be nonzero".into());
+    }
+    let run = warmup_cycles.checked_add(measure_cycles);
+    if run.is_none_or(|cycles| cycles > MAX_RUN_CYCLES) {
+        return Err(format!(
+            "warmup_cycles + measure_cycles exceeds the run-length limit of {MAX_RUN_CYCLES} cycles"
+        ));
+    }
+    telemetry.map_or(Ok(()), TelemetrySpec::validate)
+}
 
 /// Output-arbiter policy of the separable allocator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

@@ -31,7 +31,9 @@ mod router;
 mod shard;
 
 pub use arena::{PacketArena, PacketId};
-pub use config::{ArbiterPolicy, EngineConfig, TelemetrySpec, MAX_RUN_CYCLES};
+pub use config::{
+    validate_run_protocol, ArbiterPolicy, EngineConfig, TelemetrySpec, MAX_RUN_CYCLES,
+};
 pub use network::{Counters, Network, PhaseProfile};
 pub use shard::{RecordQueue, ShardedNetwork};
 pub use packet::{

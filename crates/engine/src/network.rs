@@ -185,6 +185,18 @@ fn stamp(cycle: u64) -> u32 {
     cycle as u32
 }
 
+/// Cycles from stamp `since` to cycle `now`, for packet `pkt`'s wait
+/// accounting. A stamp past `now` is a bookkeeping bug the `u32`
+/// subtraction would wrap: it panics, naming the stamp, the cycle and the
+/// packet, in every build.
+#[inline]
+fn cycles_since(now: u64, since: u32, pkt: PacketSeq) -> u32 {
+    match stamp(now).checked_sub(since) {
+        Some(cycles) => cycles,
+        None => panic!("cycle stamp {since} of packet {pkt} is past the current cycle {now}"),
+    }
+}
+
 /// Source-side state of a compute node.
 #[derive(Debug)]
 struct NodeState {
@@ -984,7 +996,7 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
                     node_id.group(&params),
                 );
                 // Source-queue time is injection wait.
-                pkt.waits.injection = stamp(self.cycle) - queued.gen_cycle;
+                pkt.waits.injection = cycles_since(self.cycle, queued.gen_cycle, queued.seq);
                 self.books.waits += u64::from(pkt.waits.injection) + 1;
                 pkt.traversal = stamp(self.cfg.injection_link_latency);
                 // Link plus router pipeline in one event: the packet
@@ -1175,7 +1187,7 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
         // Wait accounting (a resident packet is eligible: `eligible_at <=
         // cycle`); the route state was committed by the decision.
         let pkt = self.arena.get_mut(id);
-        let wait = stamp(self.cycle) - pkt.eligible_at;
+        let wait = cycles_since(self.cycle, pkt.eligible_at, pkt.id);
         match in_kind {
             PortKind::Injection => pkt.waits.injection += wait,
             PortKind::Local => pkt.waits.local += wait,
@@ -1931,6 +1943,17 @@ mod tests {
     fn stepping_at_the_run_horizon_panics() {
         let mut net = small_net();
         net.cycle = MAX_RUN_CYCLES;
+        net.step();
+    }
+
+    /// A generation stamp one cycle in the future would wrap the injection
+    /// wait; it panics by name instead, in every build.
+    #[test]
+    #[should_panic(expected = "cycle stamp 2 of packet 0 is past the current cycle 1")]
+    fn a_generation_stamp_past_the_cycle_panics_at_injection() {
+        let mut net = small_net();
+        assert!(net.offer(NodeId(0), NodeId(40)));
+        net.nodes[0].queue.back_mut().unwrap().gen_cycle += 1;
         net.step();
     }
 

@@ -7,16 +7,16 @@ use df_topology::{NodeId, Port, PortKind, PortLayout, RouterId, Topology};
 /// VC widths copied out of the engine config (policies keep this instead
 /// of the whole config).
 #[derive(Debug, Clone, Copy)]
-pub struct VcPlan {
+pub(crate) struct VcPlan {
     /// VCs on local ports.
-    pub local: u8,
+    pub(crate) local: u8,
     /// VCs on global ports.
-    pub global: u8,
+    pub(crate) global: u8,
 }
 
 impl VcPlan {
     /// Extract from an engine configuration.
-    pub fn from_config(cfg: &EngineConfig) -> Self {
+    pub(crate) fn from_config(cfg: &EngineConfig) -> Self {
         Self { local: cfg.vcs_local, global: cfg.vcs_global }
     }
 }
@@ -28,7 +28,7 @@ impl VcPlan {
 /// * same group → direct local port,
 /// * otherwise → the group's exit router for the target group (global
 ///   port if `me` owns the link, else the local port towards the owner).
-pub fn minimal_out(topo: &Topology, me: RouterId, target: NodeId) -> Port {
+pub(crate) fn minimal_out(topo: &Topology, me: RouterId, target: NodeId) -> Port {
     let params = topo.params();
     let dst_router = target.router(params);
     if dst_router == me {
@@ -67,7 +67,7 @@ pub fn minimal_out(topo: &Topology, me: RouterId, target: NodeId) -> Port {
 /// path restrictions this relies on (Valiant intermediates never in the
 /// source group; in-transit local misrouting only in the destination
 /// group) are enforced by the mechanisms in this crate.
-pub fn vc_for(params_kind: PortKind, info: &RouteInfo, plan: &VcPlan) -> u8 {
+pub(crate) fn vc_for(params_kind: PortKind, info: &RouteInfo, plan: &VcPlan) -> u8 {
     match params_kind {
         PortKind::Injection => 0, // ejection to the node, no VC pressure
         PortKind::Global => info.global_hops.min(plan.global - 1),
@@ -89,7 +89,7 @@ pub fn vc_for(params_kind: PortKind, info: &RouteInfo, plan: &VcPlan) -> u8 {
 
 /// Assemble a [`Decision`]: pick the VC for `out_port`, advance the hop
 /// counters in `info`, and return the pair the engine commits on grant.
-pub fn make_decision(
+pub(crate) fn make_decision(
     topo: &Topology,
     out_port: Port,
     mut info: RouteInfo,
@@ -111,7 +111,7 @@ pub fn make_decision(
 ///   group,
 /// * collapse `ToIntermediate` into `ToDestination` once the packet
 ///   reaches its intermediate router (Valiant turn-around).
-pub fn normalize_route_state(
+pub(crate) fn normalize_route_state(
     topo: &Topology,
     me: RouterId,
     mut info: RouteInfo,
@@ -136,7 +136,7 @@ pub fn normalize_route_state(
 
 /// The node the packet is currently steering towards (the intermediate
 /// while in the `ToIntermediate` phase, else the final destination).
-pub fn current_target(dst: NodeId, info: &RouteInfo) -> NodeId {
+pub(crate) fn current_target(dst: NodeId, info: &RouteInfo) -> NodeId {
     match info.phase {
         Phase::ToIntermediate => {
             info.intermediate.expect("ToIntermediate phase requires an intermediate")
@@ -150,7 +150,7 @@ pub fn current_target(dst: NodeId, info: &RouteInfo) -> NodeId {
 /// between the two groups. Valiant paths that target this node flip to
 /// the destination phase immediately on entering the group, producing
 /// the canonical `(l) g | l g l` shape.
-pub fn entry_node_of_group(
+pub(crate) fn entry_node_of_group(
     topo: &Topology,
     from_group: df_topology::GroupId,
     group: df_topology::GroupId,
@@ -158,6 +158,62 @@ pub fn entry_node_of_group(
     let (exit, j) = topo.exit_to_group(from_group, group);
     let (entry, _) = topo.global_peer(exit, j);
     NodeId::from_router_slot(topo.params(), entry, 0)
+}
+
+#[cfg(test)]
+/// The traffic the mechanisms' unit tests put their networks under.
+pub(crate) mod pressure {
+    use df_engine::{DeliveredRecord, EngineConfig, Network, RoutingPolicy, StatsSink};
+    use df_topology::{NodeId, Topology};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// ADV+1 pressure: for `cycles` cycles every node offers, with
+    /// probability `prob`, one packet to a uniformly random node of the
+    /// next group, drawn from a generator seeded with `seed`; the network
+    /// then steps and `each_cycle` runs.
+    pub(crate) fn adv1<P: RoutingPolicy, S: StatsSink>(
+        net: &mut Network<P, S>,
+        seed: u64,
+        cycles: u32,
+        prob: f64,
+        mut each_cycle: impl FnMut(&mut Network<P, S>),
+    ) {
+        let params = *net.topology().params();
+        let per_group = params.a * params.p;
+        let mut rng = SmallRng::seed_from_u64(seed);
+        for _ in 0..cycles {
+            for n in 0..params.nodes() {
+                if rng.gen_bool(prob) {
+                    let g = n / per_group;
+                    let dst = ((g + 1) % params.groups()) * per_group + rng.gen_range(0..per_group);
+                    net.offer(NodeId(n), NodeId(dst));
+                }
+            }
+            net.step();
+            each_cycle(net);
+        }
+    }
+
+    /// Every packet `policy` delivers on `topo` under `cfg` through
+    /// [`adv1`] pressure and a drain.
+    pub(crate) fn adv1_records(
+        topo: Topology,
+        cfg: EngineConfig,
+        policy: impl RoutingPolicy,
+        seed: u64,
+        cycles: u32,
+        prob: f64,
+    ) -> Vec<DeliveredRecord> {
+        let recs = std::cell::RefCell::new(Vec::new());
+        {
+            let sink = |r: &DeliveredRecord| recs.borrow_mut().push(*r);
+            let mut net = Network::new(topo, cfg, policy, sink);
+            adv1(&mut net, seed, cycles, prob, |_| {});
+            assert!(net.drain(200_000), "{} network must drain", net.policy().name());
+        }
+        recs.into_inner()
+    }
 }
 
 #[cfg(test)]

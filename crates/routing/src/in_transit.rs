@@ -24,18 +24,18 @@
 
 use crate::common::{
     current_target, entry_node_of_group, make_decision, minimal_out, normalize_route_state,
-    VcPlan,
+    vc_for, VcPlan,
 };
 use df_engine::{
     Decision, EngineConfig, PacketHeader, Phase, RouteInfo, RouterState, RoutingPolicy,
 };
-use df_topology::{GroupId, Port, PortKind, PortLayout, RouterId, Topology};
+use df_topology::{GroupId, NodeId, Port, PortKind, PortLayout, RouterId, Topology};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// Global misrouting policy for in-transit adaptive routing (§II-B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GlobalMisrouting {
+pub(crate) enum GlobalMisrouting {
     /// Random-router Global: any group in the network.
     Rrg,
     /// Current-router Global: only groups behind the current router's own
@@ -43,6 +43,14 @@ pub enum GlobalMisrouting {
     Crg,
     /// Mixed-mode: CRG at the source router, NRG in transit.
     Mm,
+    /// CRG's candidates under a deterministic least-recently-granted
+    /// tie-break instead of one random sample (not part of the paper's
+    /// set): every uncongested candidate behind the current router's own
+    /// global ports competes, and the one this router escaped through
+    /// longest ago wins. RNG-free; trades the statistical spreading of
+    /// random selection for a rotation guarantee under sustained
+    /// congestion.
+    Lru,
 }
 
 /// The misroute congestion threshold as an occupancy fraction of a VC's
@@ -60,22 +68,6 @@ pub enum GlobalMisrouting {
 /// transit-over-injection priority turns into the paper's injection
 /// starvation.
 pub const MISROUTE_THRESHOLD: f64 = 0.43;
-
-/// How the escape candidate of a global misroute is selected among the
-/// (equal-cost) CRG alternatives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EscapeSelect {
-    /// Sample one candidate uniformly at random per decision (the
-    /// paper's mechanisms; consumes RNG on every congested-minimal
-    /// evaluation).
-    Random,
-    /// Deterministic least-recently-granted tie-break: consider every
-    /// uncongested CRG candidate and escape through the one this router
-    /// routed an escape through longest ago. RNG-free; trades the
-    /// statistical spreading of random selection for a rotation
-    /// guarantee under sustained congestion.
-    Lru,
-}
 
 /// The role an output port plays in the misroute threshold test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,14 +93,13 @@ fn passes(role: Role, occupancy: f64, threshold: f64) -> bool {
 }
 
 /// In-transit adaptive routing mechanism.
-pub struct InTransit {
+pub(crate) struct InTransit {
     topo: Topology,
     plan: VcPlan,
     policy: GlobalMisrouting,
-    /// Escape-candidate selection (see [`EscapeSelect`]).
-    escape: EscapeSelect,
     /// LRU state, `[router][global port j]` flattened: the stamp of the
-    /// last escape this router sent through candidate `j`.
+    /// last escape this router sent through candidate `j` (empty unless
+    /// the policy is [`GlobalMisrouting::Lru`]).
     last_routed: Vec<u64>,
     /// Monotonic stamp source for `last_routed`.
     lru_stamp: u64,
@@ -118,31 +109,106 @@ pub struct InTransit {
 impl InTransit {
     /// Build with the paper's congestion threshold
     /// ([`MISROUTE_THRESHOLD`]).
-    pub fn new(topo: Topology, cfg: &EngineConfig, policy: GlobalMisrouting, seed: u64) -> Self {
+    pub(crate) fn new(
+        topo: Topology,
+        cfg: &EngineConfig,
+        policy: GlobalMisrouting,
+        seed: u64,
+    ) -> Self {
+        let params = topo.params();
+        let lru = policy == GlobalMisrouting::Lru;
         Self {
             plan: VcPlan::from_config(cfg),
+            last_routed: vec![0; if lru { (params.routers() * params.h) as usize } else { 0 }],
             topo,
             policy,
-            escape: EscapeSelect::Random,
-            last_routed: Vec::new(),
             lru_stamp: 0,
             rng: SmallRng::seed_from_u64(seed),
         }
     }
 
-    /// Switch the global-misroute escape to the deterministic LRU
-    /// tie-break ([`EscapeSelect::Lru`]). Meaningful with the CRG policy,
-    /// whose candidate set is exactly the current router's own `h` global
-    /// ports.
-    pub fn with_lru_escape(mut self) -> Self {
+    /// The escape through intermediate group `cand_group`: its entry node
+    /// as seen from this group and the first hop towards it, if that node
+    /// is not on this router and the hop passes the candidate test.
+    fn global_candidate(
+        &self,
+        router: &RouterState,
+        info: &RouteInfo,
+        cand_group: GroupId,
+    ) -> Option<(Port, NodeId)> {
         let params = self.topo.params();
-        self.escape = EscapeSelect::Lru;
-        self.last_routed = vec![0; (params.routers() * params.h) as usize];
-        self
+        let me = router.id();
+        let inter = entry_node_of_group(&self.topo, me.group(params), cand_group);
+        if inter.router(params) == me {
+            return None;
+        }
+        let cand_out = minimal_out(&self.topo, me, inter);
+        let cand_vc = vc_for(params.port_kind(cand_out), info, &self.plan);
+        let occ_cand = router.vc_credit_fill(cand_out, cand_vc);
+        passes(Role::Candidate, occ_cand, MISROUTE_THRESHOLD).then_some((cand_out, inter))
     }
 
-    /// The routing decision for this visit.
-    fn decide(
+    /// [`GlobalMisrouting::Lru`]'s escape: the candidate behind this
+    /// router's global port `j` granted an escape longest ago (port index
+    /// breaks stamp ties, so the cold start rotates j = 0, 1, …, h-1),
+    /// stamped as granted now.
+    fn lru_escape(&mut self, router: &RouterState, info: &RouteInfo) -> Option<(Port, NodeId)> {
+        let h = self.topo.params().h;
+        let me = router.id();
+        let base = (me.0 * h) as usize;
+        let mut best: Option<(u64, u32, (Port, NodeId))> = None;
+        for j in 0..h {
+            let cand_group = self.topo.global_port_target_group(me, j);
+            let Some(escape) = self.global_candidate(router, info, cand_group) else { continue };
+            let stamp = self.last_routed[base + j as usize];
+            if best.is_none_or(|(s, bj, _)| (stamp, j) < (s, bj)) {
+                best = Some((stamp, j, escape));
+            }
+        }
+        let (_, j, escape) = best?;
+        self.lru_stamp += 1;
+        self.last_routed[base + j as usize] = self.lru_stamp;
+        Some(escape)
+    }
+
+    /// Sample a candidate intermediate group for a global misroute from
+    /// router `me`, honouring the policy (and the PAR stage via
+    /// `at_injection`).
+    fn sample_group(&mut self, me: RouterId, at_injection: bool) -> GroupId {
+        let params = *self.topo.params();
+        let my_group = me.group(&params);
+        match self.policy {
+            GlobalMisrouting::Rrg => {
+                let g = params.groups();
+                let mut cand = self.rng.gen_range(0..g - 1);
+                if cand >= my_group.0 {
+                    cand += 1;
+                }
+                GroupId(cand)
+            }
+            GlobalMisrouting::Mm if !at_injection => {
+                // NRG: a group behind a *different* router of my group.
+                let my_idx = me.local_index(&params);
+                let mut x = self.rng.gen_range(0..params.a - 1);
+                if x >= my_idx {
+                    x += 1;
+                }
+                let other = RouterId::from_group_local(&params, my_group, x);
+                let j = self.rng.gen_range(0..params.h);
+                self.topo.global_port_target_group(other, j)
+            }
+            // CRG, and MM at the source router (LRU scans the same
+            // candidates in `lru_escape` instead of sampling one).
+            GlobalMisrouting::Crg | GlobalMisrouting::Mm | GlobalMisrouting::Lru => {
+                let j = self.rng.gen_range(0..params.h);
+                self.topo.global_port_target_group(me, j)
+            }
+        }
+    }
+}
+
+impl RoutingPolicy for InTransit {
+    fn route(
         &mut self,
         router: &RouterState,
         in_port: Port,
@@ -160,7 +226,7 @@ impl InTransit {
         if min_kind == PortKind::Injection {
             return make_decision(&self.topo, min_out, info, &self.plan);
         }
-        let min_vc = crate::common::vc_for(min_kind, &info, &self.plan);
+        let min_vc = vc_for(min_kind, &info, &self.plan);
         let occ_min = router.vc_credit_fill(min_out, min_vc);
         if passes(Role::Minimal, occ_min, MISROUTE_THRESHOLD) {
             return make_decision(&self.topo, min_out, info, &self.plan);
@@ -188,64 +254,17 @@ impl InTransit {
             && info.phase == Phase::ToDestination;
 
         if may_global {
-            match self.escape {
-                EscapeSelect::Random => {
-                    let cand_group = self.sample_group(me, at_injection);
-                    let inter = entry_node_of_group(&self.topo, my_group, cand_group);
-                    if inter.router(&params) != me {
-                        let cand_out = minimal_out(&self.topo, me, inter);
-                        let cand_vc = crate::common::vc_for(
-                            params.port_kind(cand_out),
-                            &info,
-                            &self.plan,
-                        );
-                        let occ_cand = router.vc_credit_fill(cand_out, cand_vc);
-                        if passes(Role::Candidate, occ_cand, MISROUTE_THRESHOLD) {
-                            info.global_misrouted = true;
-                            info.phase = Phase::ToIntermediate;
-                            info.intermediate = Some(inter);
-                            return make_decision(&self.topo, cand_out, info, &self.plan);
-                        }
-                    }
-                }
-                EscapeSelect::Lru => {
-                    // Deterministic CRG scan: every uncongested candidate
-                    // behind one of my own global ports competes; the one
-                    // granted an escape longest ago wins (port index
-                    // breaks stamp ties, so the cold start rotates
-                    // j = 0, 1, …, h-1).
-                    let mut best: Option<(u64, u32, Port, df_topology::NodeId)> = None;
-                    for j in 0..params.h {
-                        let cand_group = self.topo.global_port_target_group(me, j);
-                        let inter = entry_node_of_group(&self.topo, my_group, cand_group);
-                        if inter.router(&params) == me {
-                            continue;
-                        }
-                        let cand_out = minimal_out(&self.topo, me, inter);
-                        let cand_vc = crate::common::vc_for(
-                            params.port_kind(cand_out),
-                            &info,
-                            &self.plan,
-                        );
-                        let occ_cand = router.vc_credit_fill(cand_out, cand_vc);
-                        if !passes(Role::Candidate, occ_cand, MISROUTE_THRESHOLD) {
-                            continue;
-                        }
-                        let stamp =
-                            self.last_routed[(me.0 * params.h + j) as usize];
-                        if best.is_none_or(|(s, bj, _, _)| (stamp, j) < (s, bj)) {
-                            best = Some((stamp, j, cand_out, inter));
-                        }
-                    }
-                    if let Some((_, j, cand_out, inter)) = best {
-                        self.lru_stamp += 1;
-                        self.last_routed[(me.0 * params.h + j) as usize] = self.lru_stamp;
-                        info.global_misrouted = true;
-                        info.phase = Phase::ToIntermediate;
-                        info.intermediate = Some(inter);
-                        return make_decision(&self.topo, cand_out, info, &self.plan);
-                    }
-                }
+            let escape = if self.policy == GlobalMisrouting::Lru {
+                self.lru_escape(router, &info)
+            } else {
+                let cand_group = self.sample_group(me, at_injection);
+                self.global_candidate(router, &info, cand_group)
+            };
+            if let Some((cand_out, inter)) = escape {
+                info.global_misrouted = true;
+                info.phase = Phase::ToIntermediate;
+                info.intermediate = Some(inter);
+                return make_decision(&self.topo, cand_out, info, &self.plan);
             }
         }
 
@@ -263,7 +282,7 @@ impl InTransit {
             }
             if x != my_idx && x != avoid {
                 let cand_out = params.local_port(my_idx, x);
-                let cand_vc = crate::common::vc_for(PortKind::Local, &info, &self.plan);
+                let cand_vc = vc_for(PortKind::Local, &info, &self.plan);
                 let occ_cand = router.vc_credit_fill(cand_out, cand_vc);
                 if passes(Role::Candidate, occ_cand, MISROUTE_THRESHOLD) {
                     info.local_misrouted = true;
@@ -276,67 +295,12 @@ impl InTransit {
         make_decision(&self.topo, min_out, info, &self.plan)
     }
 
-    /// Sample a candidate intermediate group for a global misroute from
-    /// router `me`, honouring the policy (and the PAR stage via
-    /// `at_injection`).
-    fn sample_group(&mut self, me: RouterId, at_injection: bool) -> GroupId {
-        let params = *self.topo.params();
-        let my_group = me.group(&params);
-        let effective = match self.policy {
-            GlobalMisrouting::Mm => {
-                if at_injection {
-                    GlobalMisrouting::Crg
-                } else {
-                    // NRG: a group behind a *different* router of my group.
-                    let my_idx = me.local_index(&params);
-                    let mut x = self.rng.gen_range(0..params.a - 1);
-                    if x >= my_idx {
-                        x += 1;
-                    }
-                    let other = RouterId::from_group_local(&params, my_group, x);
-                    let j = self.rng.gen_range(0..params.h);
-                    return self.topo.global_port_target_group(other, j);
-                }
-            }
-            p => p,
-        };
-        match effective {
-            GlobalMisrouting::Crg => {
-                let j = self.rng.gen_range(0..params.h);
-                self.topo.global_port_target_group(me, j)
-            }
-            GlobalMisrouting::Rrg => {
-                let g = params.groups();
-                let mut cand = self.rng.gen_range(0..g - 1);
-                if cand >= my_group.0 {
-                    cand += 1;
-                }
-                GroupId(cand)
-            }
-            GlobalMisrouting::Mm => unreachable!("resolved above"),
-        }
-    }
-}
-
-impl RoutingPolicy for InTransit {
-    fn route(
-        &mut self,
-        router: &RouterState,
-        in_port: Port,
-        hdr: PacketHeader,
-        info: RouteInfo,
-    ) -> Decision {
-        self.decide(router, in_port, hdr, info)
-    }
-
     fn name(&self) -> &'static str {
-        if self.escape == EscapeSelect::Lru {
-            return "In-Trns-LRU";
-        }
         match self.policy {
             GlobalMisrouting::Rrg => "In-Trns-RRG",
             GlobalMisrouting::Crg => "In-Trns-CRG",
             GlobalMisrouting::Mm => "In-Trns-MM",
+            GlobalMisrouting::Lru => "In-Trns-LRU",
         }
     }
 }
@@ -344,6 +308,7 @@ impl RoutingPolicy for InTransit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::pressure::adv1_records;
     use df_engine::{ArbiterPolicy, DeliveredRecord, Network};
     use df_topology::{Arrangement, DragonflyParams, NodeId};
 
@@ -351,31 +316,10 @@ mod tests {
         Topology::new(DragonflyParams::figure1(), Arrangement::Palmtree)
     }
 
-    fn run_adv(policy: GlobalMisrouting, cycles: u64, prob: f64) -> Vec<DeliveredRecord> {
-        let topo = topo_small();
+    fn run_adv(policy: GlobalMisrouting, cycles: u32, prob: f64) -> Vec<DeliveredRecord> {
         let cfg = EngineConfig::paper(ArbiterPolicy::RoundRobin, 3);
-        let mechanism = InTransit::new(topo.clone(), &cfg, policy, 11);
-        let recs = std::cell::RefCell::new(Vec::new());
-        {
-            let sink = |r: &DeliveredRecord| recs.borrow_mut().push(*r);
-            let mut net = Network::new(topo, cfg, mechanism, sink);
-            let params = *net.topology().params();
-            let per_group = params.a * params.p;
-            let mut rng = SmallRng::seed_from_u64(2);
-            for _ in 0..cycles {
-                for n in 0..params.nodes() {
-                    if rng.gen_bool(prob) {
-                        let g = n / per_group;
-                        let dst =
-                            ((g + 1) % params.groups()) * per_group + rng.gen_range(0..per_group);
-                        net.offer(NodeId(n), NodeId(dst));
-                    }
-                }
-                net.step();
-            }
-            assert!(net.drain(200_000), "in-transit network must drain");
-        }
-        recs.into_inner()
+        let mechanism = InTransit::new(topo_small(), &cfg, policy, 11);
+        adv1_records(topo_small(), cfg, mechanism, 2, cycles, prob)
     }
 
     /// The 43 % threshold at Table I's quantisation: occupancy moves in

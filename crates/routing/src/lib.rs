@@ -1,18 +1,23 @@
 //! # df-routing
 //!
 //! The routing mechanisms evaluated by Fuentes et al. (CLUSTER 2015),
-//! implemented against the `df-engine` [`RoutingPolicy`] interface:
+//! implemented against the `df-engine` [`RoutingPolicy`] interface. Two
+//! policies cover all of them:
 //!
-//! | Mechanism | Class | Global misrouting |
+//! | Mechanism | Policy | Rule: when the path goes non-minimal |
 //! |---|---|---|
-//! | [`MinRouting`] | oblivious | — |
-//! | [`Oblivious`] (RRG/CRG) | oblivious non-minimal (Valiant) | intermediate selection |
-//! | [`PiggyBack`] (RRG/CRG) | source-adaptive | intermediate selection |
-//! | [`InTransit`] (RRG/CRG/MM) | in-transit adaptive (PAR + OLM) | per-hop candidates |
+//! | MIN | source routing | never |
+//! | Obl-RRG/CRG | source routing | always (Valiant intermediate per flavour) |
+//! | Src-RRG/CRG (PiggyBack) | source routing | when the minimal path is saturated |
+//! | In-Trns-RRG/CRG/MM | in-transit adaptive (PAR + OLM) | per hop, by congestion |
 //!
-//! [`MechanismSpec`] is the serializable umbrella used by experiment
-//! configs; [`MechanismSpec::PAPER_SET`] lists the seven combinations the
-//! paper plots.
+//! A source-routed path is fixed once, at injection; an in-transit path
+//! is re-decided at every router the packet visits.
+//!
+//! [`MechanismSpec`] is the one way in: the serializable mechanism name
+//! used by experiment configs, whose [`MechanismSpec::build`] constructs
+//! the policy; [`MechanismSpec::PAPER_SET`] lists the seven combinations
+//! the paper plots.
 //!
 //! [`RoutingPolicy`]: df_engine::RoutingPolicy
 
@@ -20,17 +25,8 @@
 
 mod common;
 mod in_transit;
-mod min;
-mod oblivious;
-mod piggyback;
+mod source;
 mod spec;
 
-pub use common::{
-    current_target, entry_node_of_group, make_decision, minimal_out, normalize_route_state,
-    vc_for, VcPlan,
-};
-pub use in_transit::{EscapeSelect, GlobalMisrouting, InTransit, MISROUTE_THRESHOLD};
-pub use min::MinRouting;
-pub use oblivious::{Oblivious, ObliviousFlavor};
-pub use piggyback::PiggyBack;
+pub use in_transit::MISROUTE_THRESHOLD;
 pub use spec::MechanismSpec;

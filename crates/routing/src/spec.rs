@@ -2,9 +2,7 @@
 //! combinations evaluated in the paper, plus constructors.
 
 use crate::in_transit::{GlobalMisrouting, InTransit};
-use crate::min::MinRouting;
-use crate::oblivious::{Oblivious, ObliviousFlavor};
-use crate::piggyback::PiggyBack;
+use crate::source::{Flavor, Rule, Saturation, SourceRouting};
 use df_engine::{EngineConfig, RoutingPolicy};
 use df_topology::Topology;
 use serde::{Deserialize, Serialize};
@@ -84,33 +82,19 @@ impl MechanismSpec {
             self.required_local_vcs(),
             cfg.vcs_local
         );
-        match self {
-            MechanismSpec::Min => Box::new(MinRouting::new(topo, cfg)),
-            MechanismSpec::ObliviousRrg => {
-                Box::new(Oblivious::new(topo, cfg, ObliviousFlavor::Rrg, seed))
-            }
-            MechanismSpec::ObliviousCrg => {
-                Box::new(Oblivious::new(topo, cfg, ObliviousFlavor::Crg, seed))
-            }
-            MechanismSpec::SourceRrg => {
-                Box::new(PiggyBack::new(topo, cfg, ObliviousFlavor::Rrg, seed))
-            }
-            MechanismSpec::SourceCrg => {
-                Box::new(PiggyBack::new(topo, cfg, ObliviousFlavor::Crg, seed))
-            }
-            MechanismSpec::InTransitRrg => {
-                Box::new(InTransit::new(topo, cfg, GlobalMisrouting::Rrg, seed))
-            }
-            MechanismSpec::InTransitCrg => {
-                Box::new(InTransit::new(topo, cfg, GlobalMisrouting::Crg, seed))
-            }
-            MechanismSpec::InTransitMm => {
-                Box::new(InTransit::new(topo, cfg, GlobalMisrouting::Mm, seed))
-            }
-            MechanismSpec::InTransitLru => Box::new(
-                InTransit::new(topo, cfg, GlobalMisrouting::Crg, seed).with_lru_escape(),
-            ),
-        }
+        let in_transit = |topo, policy| Box::new(InTransit::new(topo, cfg, policy, seed));
+        let rule = match self {
+            MechanismSpec::Min => Rule::Minimal,
+            MechanismSpec::ObliviousRrg => Rule::Oblivious(Flavor::Rrg),
+            MechanismSpec::ObliviousCrg => Rule::Oblivious(Flavor::Crg),
+            MechanismSpec::SourceRrg => Rule::PiggyBack(Flavor::Rrg, Saturation::new(&topo, cfg)),
+            MechanismSpec::SourceCrg => Rule::PiggyBack(Flavor::Crg, Saturation::new(&topo, cfg)),
+            MechanismSpec::InTransitRrg => return in_transit(topo, GlobalMisrouting::Rrg),
+            MechanismSpec::InTransitCrg => return in_transit(topo, GlobalMisrouting::Crg),
+            MechanismSpec::InTransitMm => return in_transit(topo, GlobalMisrouting::Mm),
+            MechanismSpec::InTransitLru => return in_transit(topo, GlobalMisrouting::Lru),
+        };
+        Box::new(SourceRouting::new(topo, cfg, rule, seed))
     }
 
     /// The paper's label for this mechanism.

@@ -4,7 +4,7 @@
 use crate::injection::InjectionSpec;
 use crate::job::JobSpec;
 use crate::placement::ResolvedPlacement;
-use df_engine::{ArbiterPolicy, TelemetrySpec, MAX_RUN_CYCLES};
+use df_engine::{validate_run_protocol, ArbiterPolicy, TelemetrySpec};
 use df_routing::MechanismSpec;
 use df_topology::{Arrangement, DragonflyParams};
 use df_traffic::derive_seed;
@@ -104,18 +104,7 @@ impl ScenarioSpec {
         if self.mechanisms.is_empty() {
             return Err("scenario has no mechanisms".into());
         }
-        if self.measure_cycles == 0 {
-            return Err("measurement window must be nonzero".into());
-        }
-        let run = self.warmup_cycles.checked_add(self.measure_cycles);
-        if run.is_none_or(|cycles| cycles > MAX_RUN_CYCLES) {
-            return Err(format!(
-                "warmup_cycles + measure_cycles exceeds the run-length limit of {MAX_RUN_CYCLES} cycles"
-            ));
-        }
-        if let Some(telemetry) = &self.telemetry {
-            telemetry.validate()?;
-        }
+        validate_run_protocol(self.warmup_cycles, self.measure_cycles, self.telemetry.as_ref())?;
         let placements = self.resolve_placements(seed)?;
         // Jobs may time-share nodes: a node claim is only a conflict when
         // the two claimants' lifetimes overlap (a departed job's slots are
@@ -173,6 +162,7 @@ impl ScenarioSpec {
 mod tests {
     use super::*;
     use crate::placement::PlacementSpec;
+    use df_engine::MAX_RUN_CYCLES;
     use df_traffic::PatternSpec;
 
     fn job(name: &str, first: u32, count: u32) -> JobSpec {

@@ -86,7 +86,6 @@ fn lru_escape_rotates_candidates_deterministically() {
     use dragonfly_core::df_engine::{
         EngineConfig, Network, NullSink, PacketHeader, RouteInfo, RoutingPolicy,
     };
-    use dragonfly_core::df_routing::{GlobalMisrouting, InTransit};
     use dragonfly_core::df_topology::{
         Arrangement, GroupId, NodeId, PortLayout, RouterId, Topology,
     };
@@ -125,7 +124,7 @@ fn lru_escape_rotates_candidates_deterministically() {
     // Probe a standalone LRU policy against the congested router state:
     // the same head re-decided h+2 times must walk the global ports in
     // index order, wrapping around.
-    let mut lru = InTransit::new(topo, &cfg, GlobalMisrouting::Crg, 5).with_lru_escape();
+    let mut lru = MechanismSpec::InTransitLru.build(topo, &cfg, 5);
     let hdr = PacketHeader { id: 0, src: NodeId(0), dst, size: 8, gen_cycle: 0 };
     let info = RouteInfo::new(GroupId(0));
     let in_port = params.injection_port(0);

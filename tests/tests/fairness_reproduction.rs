@@ -82,6 +82,24 @@ fn in_transit_crg_starves_bottleneck_with_priority() {
 }
 
 #[test]
+fn named_bottleneck_is_no_bottleneck_under_a_random_arrangement() {
+    // The negative control of the test above, on the same configuration:
+    // with the global links shuffled (the arrangement ablation's seed),
+    // `advc_bottleneck` names a router that no longer owns every link of
+    // the ADVc target range, so it starves only where chance puts it.
+    // Measured at seeds 1, 11 and 23: 6, 6 and 5 of 19 groups, and a mean
+    // share of 0.886, 0.903 and 0.913 (palmtree: 19/19, 0.402-0.419).
+    // Bounds: at most 10 groups and a share above 0.7, each between the
+    // two arrangements' readings with room on both sides.
+    let mut cfg =
+        small_config(MechanismSpec::InTransitCrg, ArbiterPolicy::TransitPriority, advc(), 0.4);
+    cfg.arrangement = Arrangement::Random { seed: 12345 };
+    let share = bottleneck_vs_rest(&run_single(&cfg), &cfg);
+    assert!(share.groups_min <= 10, "the named router starves in most groups: {share:?}");
+    assert!(share.mean_share > 0.7, "the named router's share: {share:?}");
+}
+
+#[test]
 fn priority_removal_improves_in_transit_crg_fairness() {
     let with = run_single(&small_config(
         MechanismSpec::InTransitCrg,
