@@ -431,4 +431,54 @@ mod tests {
             assert!(!out.is_empty(), "{} produced nothing", spec.label());
         }
     }
+
+    /// FNV-1a over every `(cycle, src, dst)` a process emits for the node
+    /// set {3, 9, 21, 40, 41, 42, 70, 71} at load 0.6, 8-phit packets and
+    /// seed 0x2011 over 20,000 cycles (`u32::MAX` stands for "the pattern
+    /// picks"): the arrival count and the digest of the stream.
+    fn stream_pin(spec: &InjectionSpec) -> (usize, u64) {
+        let set = [3, 9, 21, 40, 41, 42, 70, 71].map(NodeId).to_vec();
+        let mut process = spec.build(set, 0.6, 8, 0x2011).unwrap();
+        let (mut out, mut count, mut hash) = (Vec::new(), 0, 0xcbf2_9ce4_8422_2325u64);
+        for cycle in 0..20_000u64 {
+            out.clear();
+            process.arrivals(cycle, &mut out);
+            for a in &out {
+                let dst = a.dst.map_or(u32::MAX, |d| d.0);
+                let bytes =
+                    [&cycle.to_le_bytes()[..], &a.src.0.to_le_bytes(), &dst.to_le_bytes()].concat();
+                for b in bytes {
+                    hash = (hash ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+            count += out.len();
+        }
+        (count, hash)
+    }
+
+    #[test]
+    fn every_process_stream_is_pinned() {
+        // A trace of 50 events, written unsorted so the replay's sort runs.
+        let events: Vec<_> = (0..50u64)
+            .map(|i| crate::TraceEvent {
+                cycle: (i * 7_919) % 19_000,
+                src: [3, 9, 21, 40, 41][i as usize % 5],
+                dst: 100 + i as u32,
+            })
+            .collect();
+        let path = std::env::temp_dir().join(format!("df-stream-pin-{}.json", std::process::id()));
+        std::fs::write(&path, serde_json::to_string(&events).unwrap()).unwrap();
+        let trace = InjectionSpec::Trace { path: path.to_str().unwrap().into() };
+        let pins = [
+            (InjectionSpec::Bernoulli, (12_070, 0xe81873a61aea2060)),
+            (InjectionSpec::OnOff { mean_burst: 40.0, mean_idle: 60.0 }, (11_614, 0x01dae380a26cf7c7)),
+            (InjectionSpec::Poisson, (11_910, 0x393c30a811c9fd14)),
+            (trace, (50, 0x213c72cef221eb34)),
+        ];
+        let got: Vec<_> = pins.iter().map(|(spec, _)| stream_pin(spec)).collect();
+        std::fs::remove_file(&path).unwrap();
+        for ((spec, want), got) in pins.iter().zip(got) {
+            assert_eq!(got, *want, "{} stream moved", spec.label());
+        }
+    }
 }
