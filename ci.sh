@@ -10,9 +10,11 @@ echo "==> cargo build --release"
 cargo build --release
 
 echo "==> cargo test -q"
-# Debug-assertion builds run the audit (docs/DETERMINISM.md) every
-# AUDIT_EVERY cycles of every simulation, on top of the one that ends
-# each run in any build. The suite also carries the golden digests
+# Unit, integration and doc tests of every workspace crate (the doc
+# tests include df-workload's schema examples). Debug-assertion builds
+# run the audit (docs/DETERMINISM.md) every AUDIT_EVERY cycles of every
+# simulation, on top of the one that ends each run in any build. The
+# suite also carries the golden digests
 # (tests/tests/golden_outputs.rs: the scenario and sweep digests on the
 # serial engine, the SimConfig digests serial and at shards: 2); the
 # shard-count invariance differential, which replays generated offer
@@ -49,10 +51,6 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 echo "==> cargo clippy --workspace --all-targets (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
-
-
-echo "==> doc tests (df-workload schema examples et al.)"
-cargo test -q --doc
 
 # What the legs below write for the workflow to archive; nothing under
 # it is committed (target/ is ignored).

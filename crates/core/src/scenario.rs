@@ -9,7 +9,7 @@ use crate::sim::{JobResult, JobRuntime, Protocol, RunResult, Simulator, Source};
 use crate::timeline::TimelineSink;
 use df_routing::MechanismSpec;
 use df_topology::Topology;
-use df_traffic::{JobTraffic, Traffic};
+use df_traffic::JobTraffic;
 use df_workload::{InjectionSpec, ScenarioSpec, TraceRecorder};
 use rayon::prelude::*;
 use serde::Serialize;
@@ -232,7 +232,7 @@ pub fn run_cell(
         let named = |e: String| format!("job `{}`: {e}", job.name);
         let traffic = match job.injection {
             InjectionSpec::Trace { .. } => None,
-            _ => Some(Box::new(
+            _ => Some(
                 JobTraffic::new(
                     &job.pattern,
                     placement.nodes.clone(),
@@ -241,7 +241,7 @@ pub fn run_cell(
                     derive_seed(seed, 0x100 + j as u64),
                 )
                 .map_err(named)?,
-            ) as Box<dyn Traffic>),
+            ),
         };
         let process = job
             .injection

@@ -47,7 +47,7 @@ use df_engine::{
 use df_routing::MechanismSpec;
 use df_stats::FairnessReport;
 use df_topology::{NodeId, Topology};
-use df_traffic::Traffic;
+use df_traffic::JobTraffic;
 use df_workload::{Arrival, InjectionProcess, InjectionSpec, TraceRecorder};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -160,10 +160,10 @@ impl JobRuntime {
 /// One generation source of the simulator's one generation loop.
 pub(crate) struct Source {
     /// When which node generates.
-    pub(crate) process: Box<dyn InjectionProcess>,
+    pub(crate) process: InjectionProcess,
     /// Where to: picks the destination of every arrival that carries
     /// none. `None` for trace replay, whose events carry theirs.
-    pub(crate) traffic: Option<Box<dyn Traffic>>,
+    pub(crate) traffic: Option<JobTraffic>,
     /// The job the offers count for, and whose lifetime gates the source;
     /// `None` for the whole-machine source, which is always live.
     pub(crate) job: Option<usize>,

@@ -49,12 +49,9 @@ pub struct MeasurementSink {
     pub latency: LatencyAccumulator,
     /// End-to-end latency histogram (50-cycle bins up to 10,000 cycles).
     pub histogram: Histogram,
-    /// `node → job index` attribution map (empty when no jobs are set).
-    /// Holds the *current* owner; [`MeasurementSink::node_history`] keeps
-    /// the cycle-stamped record used for attribution.
-    node_job: Vec<u32>,
-    /// Per-node ownership history: `(from_cycle, owner)` entries in
-    /// ascending cycle order. Static scenarios have at most one entry per
+    /// Per-node ownership history (empty when no jobs are set):
+    /// `(from_cycle, owner)` entries in ascending cycle order, the last
+    /// one the current owner. Static scenarios have at most one entry per
     /// node; churn appends one entry per claim/release.
     node_history: Vec<Vec<(u64, u32)>>,
     /// Per-job accumulators.
@@ -68,7 +65,6 @@ impl MeasurementSink {
             active: false,
             latency: LatencyAccumulator::new(),
             histogram: Histogram::new(50, 200),
-            node_job: Vec::new(),
             node_history: Vec::new(),
             jobs: Vec::new(),
         }
@@ -80,7 +76,6 @@ impl MeasurementSink {
     /// [`MeasurementSink::release_node`].
     pub fn with_job_count(n_nodes: usize, n_jobs: usize) -> Self {
         Self {
-            node_job: vec![NO_JOB; n_nodes],
             node_history: vec![Vec::new(); n_nodes],
             jobs: (0..n_jobs).map(|_| JobAccumulator::new()).collect(),
             ..Self::new()
@@ -94,11 +89,7 @@ impl MeasurementSink {
     /// node must be disjoint) or `job` is out of range.
     pub fn claim_node(&mut self, node: usize, job: u32, cycle: u64) {
         assert!((job as usize) < self.jobs.len(), "job {job} out of range");
-        assert_eq!(
-            self.node_job[node], NO_JOB,
-            "node {node} claimed by two jobs"
-        );
-        self.node_job[node] = job;
+        assert_eq!(self.owner(node), NO_JOB, "node {node} claimed by two jobs");
         debug_assert!(
             self.node_history[node].last().is_none_or(|&(c, _)| c <= cycle),
             "ownership history must be appended in cycle order"
@@ -112,9 +103,13 @@ impl MeasurementSink {
     /// # Panics
     /// Panics if the node is not currently owned.
     pub fn release_node(&mut self, node: usize, cycle: u64) {
-        assert_ne!(self.node_job[node], NO_JOB, "released node {node} is unowned");
-        self.node_job[node] = NO_JOB;
+        assert_ne!(self.owner(node), NO_JOB, "released node {node} is unowned");
         self.node_history[node].push((cycle, NO_JOB));
+    }
+
+    /// `node`'s current owner, `NO_JOB` if none.
+    fn owner(&self, node: usize) -> u32 {
+        self.node_history[node].last().map_or(NO_JOB, |&(_, j)| j)
     }
 
     /// Clear accumulators and start measuring.

@@ -94,6 +94,8 @@ fn passes(role: Role, occupancy: f64, threshold: f64) -> bool {
 
 /// In-transit adaptive routing mechanism.
 pub(crate) struct InTransit {
+    /// The mechanism's label ([`MechanismSpec::label`](crate::MechanismSpec::label)).
+    name: &'static str,
     topo: Topology,
     plan: VcPlan,
     policy: GlobalMisrouting,
@@ -110,6 +112,7 @@ impl InTransit {
     /// Build with the paper's congestion threshold
     /// ([`MISROUTE_THRESHOLD`]).
     pub(crate) fn new(
+        name: &'static str,
         topo: Topology,
         cfg: &EngineConfig,
         policy: GlobalMisrouting,
@@ -118,6 +121,7 @@ impl InTransit {
         let params = topo.params();
         let lru = policy == GlobalMisrouting::Lru;
         Self {
+            name,
             plan: VcPlan::from_config(cfg),
             last_routed: vec![0; if lru { (params.routers() * params.h) as usize } else { 0 }],
             topo,
@@ -296,12 +300,7 @@ impl RoutingPolicy for InTransit {
     }
 
     fn name(&self) -> &'static str {
-        match self.policy {
-            GlobalMisrouting::Rrg => "In-Trns-RRG",
-            GlobalMisrouting::Crg => "In-Trns-CRG",
-            GlobalMisrouting::Mm => "In-Trns-MM",
-            GlobalMisrouting::Lru => "In-Trns-LRU",
-        }
+        self.name
     }
 }
 
@@ -318,7 +317,7 @@ mod tests {
 
     fn run_adv(policy: GlobalMisrouting, cycles: u32, prob: f64) -> Vec<DeliveredRecord> {
         let cfg = EngineConfig::paper(ArbiterPolicy::RoundRobin, 3);
-        let mechanism = InTransit::new(topo_small(), &cfg, policy, 11);
+        let mechanism = InTransit::new("test", topo_small(), &cfg, policy, 11);
         adv1_records(topo_small(), cfg, mechanism, 2, cycles, prob)
     }
 
@@ -347,7 +346,7 @@ mod tests {
     fn idle_packets_route_minimally() {
         let topo = topo_small();
         let cfg = EngineConfig::paper(ArbiterPolicy::RoundRobin, 3);
-        let mechanism = InTransit::new(topo.clone(), &cfg, GlobalMisrouting::Mm, 1);
+        let mechanism = InTransit::new("test", topo.clone(), &cfg, GlobalMisrouting::Mm, 1);
         let recs = std::cell::RefCell::new(Vec::new());
         {
             let sink = |r: &DeliveredRecord| recs.borrow_mut().push(*r);

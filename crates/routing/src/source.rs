@@ -162,6 +162,8 @@ impl Saturation {
 
 /// Source routing under one [`Rule`].
 pub(crate) struct SourceRouting {
+    /// The mechanism's label ([`MechanismSpec::label`](crate::MechanismSpec::label)).
+    name: &'static str,
     topo: Topology,
     plan: VcPlan,
     rule: Rule,
@@ -169,9 +171,17 @@ pub(crate) struct SourceRouting {
 }
 
 impl SourceRouting {
-    /// Build for `topo` under `cfg`'s VC widths, with deterministic `seed`.
-    pub(crate) fn new(topo: Topology, cfg: &EngineConfig, rule: Rule, seed: u64) -> Self {
-        Self { plan: VcPlan::from_config(cfg), topo, rule, rng: SmallRng::seed_from_u64(seed) }
+    /// Build `name` for `topo` under `cfg`'s VC widths, with deterministic
+    /// `seed`.
+    pub(crate) fn new(
+        name: &'static str,
+        topo: Topology,
+        cfg: &EngineConfig,
+        rule: Rule,
+        seed: u64,
+    ) -> Self {
+        let rng = SmallRng::seed_from_u64(seed);
+        Self { name, plan: VcPlan::from_config(cfg), topo, rule, rng }
     }
 
     /// The flavour of Valiant path the rule sends a new packet on, or
@@ -268,13 +278,7 @@ impl RoutingPolicy for SourceRouting {
     }
 
     fn name(&self) -> &'static str {
-        match self.rule {
-            Rule::Minimal => "MIN",
-            Rule::Oblivious(Flavor::Rrg) => "Obl-RRG",
-            Rule::Oblivious(Flavor::Crg) => "Obl-CRG",
-            Rule::PiggyBack(Flavor::Rrg, _) => "Src-RRG",
-            Rule::PiggyBack(Flavor::Crg, _) => "Src-CRG",
-        }
+        self.name
     }
 }
 
@@ -300,7 +304,7 @@ mod tests {
 
     fn piggyback(topo: &Topology, flavor: Flavor, seed: u64) -> SourceRouting {
         let rule = Rule::PiggyBack(flavor, Saturation::new(topo, &cfg(4)));
-        SourceRouting::new(topo.clone(), &cfg(4), rule, seed)
+        SourceRouting::new("test", topo.clone(), &cfg(4), rule, seed)
     }
 
     fn flags(policy: &SourceRouting) -> &[bool] {
@@ -319,7 +323,7 @@ mod tests {
         offers: &[(u32, u32)],
     ) -> Vec<DeliveredRecord> {
         let topo = figure1();
-        let policy = SourceRouting::new(topo.clone(), &cfg(vcs_local), rule, seed);
+        let policy = SourceRouting::new("test", topo.clone(), &cfg(vcs_local), rule, seed);
         let recs = std::cell::RefCell::new(Vec::new());
         {
             let sink = |r: &DeliveredRecord| recs.borrow_mut().push(*r);
@@ -335,14 +339,14 @@ mod tests {
     /// One ADV+1 wave on the figure1 machine under oblivious Valiant: every
     /// node offers one packet to a random node of the next group.
     fn oblivious_wave(flavor: Flavor) -> Vec<DeliveredRecord> {
-        let policy = SourceRouting::new(figure1(), &cfg(4), Rule::Oblivious(flavor), 7);
+        let policy = SourceRouting::new("test", figure1(), &cfg(4), Rule::Oblivious(flavor), 7);
         adv1_records(figure1(), cfg(4), policy, 8, 1, 1.0)
     }
 
     #[test]
     fn delivers_across_the_machine() {
         let topo = figure1();
-        let policy = SourceRouting::new(topo.clone(), &cfg(3), Rule::Minimal, 0);
+        let policy = SourceRouting::new("test", topo.clone(), &cfg(3), Rule::Minimal, 0);
         let mut net = Network::new(topo, cfg(3), policy, NullSink);
         let nodes = net.topology().params().nodes();
         for n in 0..nodes {

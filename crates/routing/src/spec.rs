@@ -82,7 +82,8 @@ impl MechanismSpec {
             self.required_local_vcs(),
             cfg.vcs_local
         );
-        let in_transit = |topo, policy| Box::new(InTransit::new(topo, cfg, policy, seed));
+        let name = self.label();
+        let in_transit = |topo, policy| Box::new(InTransit::new(name, topo, cfg, policy, seed));
         let rule = match self {
             MechanismSpec::Min => Rule::Minimal,
             MechanismSpec::ObliviousRrg => Rule::Oblivious(Flavor::Rrg),
@@ -94,7 +95,7 @@ impl MechanismSpec {
             MechanismSpec::InTransitMm => return in_transit(topo, GlobalMisrouting::Mm),
             MechanismSpec::InTransitLru => return in_transit(topo, GlobalMisrouting::Lru),
         };
-        Box::new(SourceRouting::new(topo, cfg, rule, seed))
+        Box::new(SourceRouting::new(name, topo, cfg, rule, seed))
     }
 
     /// The paper's label for this mechanism.

@@ -17,13 +17,13 @@
 //! * extensions beyond the paper: group-local traffic, a fixed random
 //!   node permutation, a hot-spot pattern, and pattern mixes.
 //!
-//! There is exactly one generator, [`JobTraffic`], the only implementor
-//! of [`Traffic`]: the spec compiled onto a node set. The paper's §III
-//! argument is an equivalence — network-level ADVc is what a uniform job
-//! on `h+1` consecutive groups produces — and the code says the same
-//! thing: a whole-machine pattern ([`PatternSpec::build`]) *is* the job
-//! generator at the identity placement (all nodes in id order, one
-//! machine group per virtual group), not a second implementation of it.
+//! There is exactly one generator, [`JobTraffic`]: the spec compiled onto
+//! a node set. The paper's §III argument is an equivalence —
+//! network-level ADVc is what a uniform job on `h+1` consecutive groups
+//! produces — and the code says the same thing: a whole-machine pattern
+//! ([`PatternSpec::build`]) *is* the job generator at the identity
+//! placement (all nodes in id order, one machine group per virtual
+//! group), not a second implementation of it.
 //!
 //! Packet generation follows a Bernoulli process per node with an
 //! adjustable injection probability in phits/(node·cycle), as in §IV-A.
@@ -38,6 +38,6 @@ mod seed;
 mod spec;
 
 pub use bernoulli::BernoulliInjector;
-pub use patterns::{JobTraffic, Traffic};
+pub use patterns::JobTraffic;
 pub use seed::derive_seed;
 pub use spec::PatternSpec;

@@ -6,16 +6,9 @@ use df_topology::{DragonflyParams, NodeId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// A traffic pattern: picks a destination for each packet a node
-/// generates. The generator owns its RNG, so a pattern with a fixed seed
-/// produces a deterministic destination stream.
-pub trait Traffic: Send {
-    /// Destination for a packet generated at `src`.
-    fn dest(&mut self, src: NodeId) -> NodeId;
-}
-
 /// A [`PatternSpec`] remapped onto a node set — the one destination
-/// generator of the workspace.
+/// generator of the workspace. It owns its RNG, so a pattern with a fixed
+/// seed produces a deterministic destination stream.
 ///
 /// The nodes form a *virtual machine*: virtual index = position in
 /// `nodes`, virtual group = chunk of `group_size` consecutive indices
@@ -35,7 +28,7 @@ pub trait Traffic: Send {
 ///
 /// ```
 /// use df_topology::{DragonflyParams, NodeId};
-/// use df_traffic::{JobTraffic, PatternSpec, Traffic};
+/// use df_traffic::{JobTraffic, PatternSpec};
 ///
 /// let params = DragonflyParams::figure1();
 /// let nodes: Vec<NodeId> = (8..24).map(NodeId).collect();
@@ -249,12 +242,12 @@ impl JobTraffic {
         }
         Ok(Self { nodes, index_of, geometry, gen })
     }
-}
 
-impl Traffic for JobTraffic {
+    /// Destination for a packet generated at `src`.
+    ///
     /// # Panics
     /// Panics if `src` is not one of the generator's nodes.
-    fn dest(&mut self, src: NodeId) -> NodeId {
+    pub fn dest(&mut self, src: NodeId) -> NodeId {
         let vsrc = self.index_of[src.idx()];
         assert_ne!(vsrc, u32::MAX, "source {src:?} is not part of this node set");
         self.nodes[self.gen.dest(vsrc, self.geometry) as usize]

@@ -1,11 +1,11 @@
 //! Serializable pattern specifications (experiment configs).
 
-use crate::patterns::{JobTraffic, Traffic};
+use crate::patterns::JobTraffic;
 use df_topology::{DragonflyParams, NodeId};
 use serde::{Deserialize, Serialize};
 
 /// A declarative traffic-pattern description, convertible into a live
-/// [`Traffic`] generator. This is what experiment configs serialize.
+/// [`JobTraffic`] generator. This is what experiment configs serialize.
 ///
 /// Every variant is stated over a *virtual* geometry — the nodes the
 /// pattern runs on, in order, chunked into virtual groups — so one spec
@@ -60,10 +60,10 @@ impl PatternSpec {
     /// # Panics
     /// Panics if the pattern does not fit the machine
     /// ([`PatternSpec::check`] is the non-panicking question).
-    pub fn build(&self, params: DragonflyParams, seed: u64) -> Box<dyn Traffic> {
+    pub fn build(&self, params: DragonflyParams, seed: u64) -> JobTraffic {
         let nodes = (0..params.nodes()).map(NodeId).collect();
-        let traffic = JobTraffic::new(self, nodes, params.a * params.p, &params, seed);
-        Box::new(traffic.unwrap_or_else(|e| panic!("invalid traffic pattern: {e}")))
+        JobTraffic::new(self, nodes, params.a * params.p, &params, seed)
+            .unwrap_or_else(|e| panic!("invalid traffic pattern: {e}"))
     }
 
     /// Short label for tables and filenames.

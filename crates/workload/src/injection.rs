@@ -24,7 +24,9 @@ pub struct Arrival {
     pub dst: Option<NodeId>,
 }
 
-/// A packet-arrival process over a fixed node set.
+/// A packet-arrival process over a fixed node set: one of the processes
+/// an [`InjectionSpec`] names, with one RNG substream per node
+/// (`derive_seed(seed, node)`).
 ///
 /// # Examples
 ///
@@ -33,7 +35,7 @@ pub struct Arrival {
 ///
 /// ```
 /// use df_topology::NodeId;
-/// use df_workload::{Arrival, InjectionProcess, InjectionSpec};
+/// use df_workload::{Arrival, InjectionSpec};
 ///
 /// let nodes: Vec<NodeId> = (0..4).map(NodeId).collect();
 /// // 0.4 phits/(node·cycle) at 8-phit packets = one packet per node
@@ -47,24 +49,81 @@ pub struct Arrival {
 /// // Rate processes leave the destination to the job's pattern.
 /// assert!(out.iter().all(|a| a.src.0 < 4 && a.dst.is_none()));
 /// ```
-pub trait InjectionProcess: Send {
+pub struct InjectionProcess {
+    nodes: Vec<NodeId>,
+    rngs: Vec<SmallRng>,
+    rule: Rule,
+}
+
+/// What decides, per node and cycle, whether it generates.
+enum Rule {
+    /// Independent Bernoulli draws per node per cycle (§IV-A), the seed
+    /// simulator's process reformulated over an explicit node set.
+    Bernoulli { prob: f64 },
+    /// Markov-modulated on/off bursts: each node alternates between an
+    /// *on* phase (geometric length, mean `mean_burst` cycles) where it
+    /// injects as a Bernoulli process at `peak_prob`, and an *off* phase
+    /// (mean `mean_idle` cycles) where it is silent. The peak rate is
+    /// scaled so the long-run offered load equals the configured `load`.
+    OnOff {
+        peak_prob: f64,
+        /// Per-cycle on→off transition probability (`1/mean_burst`).
+        p_on_off: f64,
+        /// Per-cycle off→on transition probability (`1/mean_idle`).
+        p_off_on: f64,
+        on: Vec<bool>,
+    },
+    /// Poisson-batched arrivals: each node sources `k ~ Poisson(lambda)`
+    /// packets per cycle, modelling bursty DMA-style offered traffic
+    /// where several packets hit the source queue in the same cycle.
+    Poisson { lambda: f64 },
+    /// A recorded event stream; the node set and substreams go unused.
+    Trace(TraceReplay),
+}
+
+impl InjectionProcess {
     /// Append every arrival this process emits at `cycle` to `out`.
     ///
     /// Called once per simulated cycle with strictly increasing `cycle`
-    /// values; processes may keep per-node state (burst phases, trace
-    /// cursors) between calls.
-    fn arrivals(&mut self, cycle: u64, out: &mut Vec<Arrival>);
-
-    /// Human-readable process name.
-    fn label(&self) -> &'static str;
-}
-
-/// Per-node RNG substreams for the rate-based processes.
-fn node_rngs(nodes: &[NodeId], seed: u64) -> Vec<SmallRng> {
-    nodes
-        .iter()
-        .map(|n| SmallRng::seed_from_u64(derive_seed(seed, n.0 as u64)))
-        .collect()
+    /// values; the process keeps per-node state (burst phases, trace
+    /// cursor) between calls.
+    pub fn arrivals(&mut self, cycle: u64, out: &mut Vec<Arrival>) {
+        let nodes = self.nodes.iter().copied().zip(&mut self.rngs);
+        match &mut self.rule {
+            Rule::Bernoulli { prob } => {
+                if *prob <= 0.0 {
+                    return;
+                }
+                for (src, rng) in nodes {
+                    if rng.gen_bool(*prob) {
+                        out.push(Arrival { src, dst: None });
+                    }
+                }
+            }
+            Rule::OnOff { peak_prob, p_on_off, p_off_on, on } => {
+                for ((src, rng), on) in nodes.zip(on) {
+                    if *on {
+                        if *peak_prob > 0.0 && rng.gen_bool(*peak_prob) {
+                            out.push(Arrival { src, dst: None });
+                        }
+                        if rng.gen_bool(*p_on_off) {
+                            *on = false;
+                        }
+                    } else if rng.gen_bool(*p_off_on) {
+                        *on = true;
+                    }
+                }
+            }
+            Rule::Poisson { lambda } => {
+                for (src, rng) in nodes {
+                    for _ in 0..poisson_draw(rng, *lambda) {
+                        out.push(Arrival { src, dst: None });
+                    }
+                }
+            }
+            Rule::Trace(replay) => replay.arrivals(cycle, out),
+        }
+    }
 }
 
 fn packet_probability(load: f64, packet_size: u32) -> Result<f64, String> {
@@ -78,145 +137,6 @@ fn packet_probability(load: f64, packet_size: u32) -> Result<f64, String> {
         ));
     }
     Ok(prob)
-}
-
-/// Independent Bernoulli draws per node per cycle (§IV-A), the seed
-/// simulator's process reformulated over an explicit node set.
-pub struct BernoulliProcess {
-    nodes: Vec<NodeId>,
-    prob: f64,
-    rngs: Vec<SmallRng>,
-}
-
-impl BernoulliProcess {
-    /// `load` in phits/(node·cycle) over `nodes`.
-    pub fn new(nodes: Vec<NodeId>, load: f64, packet_size: u32, seed: u64) -> Result<Self, String> {
-        let prob = packet_probability(load, packet_size)?;
-        let rngs = node_rngs(&nodes, seed);
-        Ok(Self { nodes, prob, rngs })
-    }
-}
-
-impl InjectionProcess for BernoulliProcess {
-    fn arrivals(&mut self, _cycle: u64, out: &mut Vec<Arrival>) {
-        if self.prob <= 0.0 {
-            return;
-        }
-        for (i, &src) in self.nodes.iter().enumerate() {
-            if self.rngs[i].gen_bool(self.prob) {
-                out.push(Arrival { src, dst: None });
-            }
-        }
-    }
-
-    fn label(&self) -> &'static str {
-        "bernoulli"
-    }
-}
-
-/// Markov-modulated on/off bursts: each node alternates between an *on*
-/// phase (geometric length, mean `mean_burst` cycles) where it injects as
-/// a Bernoulli process at the peak rate, and an *off* phase (mean
-/// `mean_idle` cycles) where it is silent. The peak rate is scaled so the
-/// long-run offered load equals the configured `load`.
-pub struct OnOffProcess {
-    nodes: Vec<NodeId>,
-    /// Bernoulli probability while a node is on.
-    peak_prob: f64,
-    /// Per-cycle on→off transition probability (`1/mean_burst`).
-    p_on_off: f64,
-    /// Per-cycle off→on transition probability (`1/mean_idle`).
-    p_off_on: f64,
-    on: Vec<bool>,
-    rngs: Vec<SmallRng>,
-}
-
-impl OnOffProcess {
-    /// `load` in phits/(node·cycle) averaged over bursts and idles;
-    /// `mean_burst`/`mean_idle` are the mean phase lengths in cycles.
-    pub fn new(
-        nodes: Vec<NodeId>,
-        load: f64,
-        packet_size: u32,
-        mean_burst: f64,
-        mean_idle: f64,
-        seed: u64,
-    ) -> Result<Self, String> {
-        if !(mean_burst >= 1.0 && mean_idle >= 0.0) {
-            return Err(format!(
-                "on/off phases need mean_burst >= 1 and mean_idle >= 0 \
-                 (got {mean_burst}, {mean_idle})"
-            ));
-        }
-        let duty = mean_burst / (mean_burst + mean_idle);
-        let mean_prob = packet_probability(load, packet_size)?;
-        let peak_prob = mean_prob / duty;
-        if peak_prob > 1.0 {
-            return Err(format!(
-                "on/off burst peak rate {peak_prob:.3} exceeds one packet per \
-                 cycle; raise the duty cycle or lower the load"
-            ));
-        }
-        let mut rngs = node_rngs(&nodes, seed);
-        // Start each node in a phase drawn from the stationary distribution
-        // so the process needs no extra warm-up.
-        let on = rngs.iter_mut().map(|r| r.gen_bool(duty)).collect();
-        Ok(Self {
-            nodes,
-            peak_prob,
-            p_on_off: 1.0 / mean_burst,
-            p_off_on: if mean_idle > 0.0 { 1.0 / mean_idle } else { 1.0 },
-            on,
-            rngs,
-        })
-    }
-}
-
-impl InjectionProcess for OnOffProcess {
-    fn arrivals(&mut self, _cycle: u64, out: &mut Vec<Arrival>) {
-        for (i, &src) in self.nodes.iter().enumerate() {
-            let rng = &mut self.rngs[i];
-            if self.on[i] {
-                if self.peak_prob > 0.0 && rng.gen_bool(self.peak_prob) {
-                    out.push(Arrival { src, dst: None });
-                }
-                if rng.gen_bool(self.p_on_off) {
-                    self.on[i] = false;
-                }
-            } else if rng.gen_bool(self.p_off_on) {
-                self.on[i] = true;
-            }
-        }
-    }
-
-    fn label(&self) -> &'static str {
-        "on_off"
-    }
-}
-
-/// Poisson-batched arrivals: each node sources `k ~ Poisson(load /
-/// packet_size)` packets per cycle, modelling bursty DMA-style offered
-/// traffic where several packets hit the source queue in the same cycle.
-pub struct PoissonProcess {
-    nodes: Vec<NodeId>,
-    lambda: f64,
-    rngs: Vec<SmallRng>,
-}
-
-impl PoissonProcess {
-    /// `load` in phits/(node·cycle); per-cycle batch mean is
-    /// `load / packet_size` packets.
-    pub fn new(nodes: Vec<NodeId>, load: f64, packet_size: u32, seed: u64) -> Result<Self, String> {
-        if load.is_nan() || load < 0.0 {
-            return Err(format!("load {load} must be non-negative"));
-        }
-        let lambda = load / packet_size as f64;
-        if lambda > 20.0 {
-            return Err(format!("poisson batch mean {lambda} is absurd"));
-        }
-        let rngs = node_rngs(&nodes, seed);
-        Ok(Self { nodes, lambda, rngs })
-    }
 }
 
 /// Knuth's product-of-uniforms Poisson sampler (fine for small λ).
@@ -233,20 +153,6 @@ fn poisson_draw(rng: &mut SmallRng, lambda: f64) -> u32 {
             return k;
         }
         k += 1;
-    }
-}
-
-impl InjectionProcess for PoissonProcess {
-    fn arrivals(&mut self, _cycle: u64, out: &mut Vec<Arrival>) {
-        for (i, &src) in self.nodes.iter().enumerate() {
-            for _ in 0..poisson_draw(&mut self.rngs[i], self.lambda) {
-                out.push(Arrival { src, dst: None });
-            }
-        }
-    }
-
-    fn label(&self) -> &'static str {
-        "poisson"
     }
 }
 
@@ -276,33 +182,64 @@ pub enum InjectionSpec {
 
 impl InjectionSpec {
     /// Instantiate the process over `nodes` with a deterministic `seed`.
+    /// `load` is in phits/(node·cycle): for on/off averaged over bursts
+    /// and idles, for Poisson the per-cycle batch mean times
+    /// `packet_size`; a trace ignores it.
     pub fn build(
         &self,
         nodes: Vec<NodeId>,
         load: f64,
         packet_size: u32,
         seed: u64,
-    ) -> Result<Box<dyn InjectionProcess>, String> {
-        Ok(match self {
+    ) -> Result<InjectionProcess, String> {
+        let mut rngs: Vec<SmallRng> = nodes
+            .iter()
+            .map(|n| SmallRng::seed_from_u64(derive_seed(seed, n.0 as u64)))
+            .collect();
+        let rule = match *self {
             InjectionSpec::Bernoulli => {
-                Box::new(BernoulliProcess::new(nodes, load, packet_size, seed)?)
+                Rule::Bernoulli { prob: packet_probability(load, packet_size)? }
             }
-            InjectionSpec::OnOff { mean_burst, mean_idle } => Box::new(OnOffProcess::new(
-                nodes,
-                load,
-                packet_size,
-                *mean_burst,
-                *mean_idle,
-                seed,
-            )?),
+            InjectionSpec::OnOff { mean_burst, mean_idle } => {
+                if !(mean_burst >= 1.0 && mean_idle >= 0.0) {
+                    return Err(format!(
+                        "on/off phases need mean_burst >= 1 and mean_idle >= 0 \
+                         (got {mean_burst}, {mean_idle})"
+                    ));
+                }
+                let duty = mean_burst / (mean_burst + mean_idle);
+                let peak_prob = packet_probability(load, packet_size)? / duty;
+                if peak_prob > 1.0 {
+                    return Err(format!(
+                        "on/off burst peak rate {peak_prob:.3} exceeds one packet per \
+                         cycle; raise the duty cycle or lower the load"
+                    ));
+                }
+                // Start each node in a phase drawn from the stationary
+                // distribution so the process needs no extra warm-up.
+                let on = rngs.iter_mut().map(|r| r.gen_bool(duty)).collect();
+                Rule::OnOff {
+                    peak_prob,
+                    p_on_off: 1.0 / mean_burst,
+                    p_off_on: if mean_idle > 0.0 { 1.0 / mean_idle } else { 1.0 },
+                    on,
+                }
+            }
             InjectionSpec::Poisson => {
-                Box::new(PoissonProcess::new(nodes, load, packet_size, seed)?)
+                if load.is_nan() || load < 0.0 {
+                    return Err(format!("load {load} must be non-negative"));
+                }
+                let lambda = load / packet_size as f64;
+                if lambda > 20.0 {
+                    return Err(format!("poisson batch mean {lambda} is absurd"));
+                }
+                Rule::Poisson { lambda }
             }
-            InjectionSpec::Trace { path } => {
-                let events = crate::trace::load_trace(path)?;
-                Box::new(TraceReplay::from_events(events))
+            InjectionSpec::Trace { ref path } => {
+                Rule::Trace(TraceReplay::from_events(crate::trace::load_trace(path)?))
             }
-        })
+        };
+        Ok(InjectionProcess { nodes, rngs, rule })
     }
 
     /// Short label for tables and filenames.
@@ -326,7 +263,7 @@ mod tests {
         (0..n).map(NodeId).collect()
     }
 
-    fn rate_of(proc_: &mut dyn InjectionProcess, n_nodes: u32, cycles: u64) -> f64 {
+    fn rate_of(proc_: &mut InjectionProcess, n_nodes: u32, cycles: u64) -> f64 {
         let mut out = Vec::new();
         let mut total = 0usize;
         for t in 0..cycles {
@@ -339,14 +276,15 @@ mod tests {
 
     #[test]
     fn bernoulli_rate_matches_load() {
-        let mut p = BernoulliProcess::new(nodes(16), 0.4, 8, 7).unwrap();
+        let mut p = InjectionSpec::Bernoulli.build(nodes(16), 0.4, 8, 7).unwrap();
         let rate = rate_of(&mut p, 16, 20_000);
         assert!((rate - 0.05).abs() < 0.004, "rate {rate}");
     }
 
     #[test]
     fn on_off_long_run_rate_matches_load_and_bursts_exist() {
-        let mut p = OnOffProcess::new(nodes(16), 0.4, 8, 50.0, 150.0, 7).unwrap();
+        let on_off = InjectionSpec::OnOff { mean_burst: 50.0, mean_idle: 150.0 };
+        let mut p = on_off.build(nodes(16), 0.4, 8, 7).unwrap();
         // Peak rate is 4x the mean: bursts must be visibly denser than
         // the long-run average.
         let mut out = Vec::new();
@@ -369,12 +307,13 @@ mod tests {
     #[test]
     fn on_off_overload_rejected() {
         // Duty cycle 1/100 would need a peak probability of 5 > 1.
-        assert!(OnOffProcess::new(nodes(4), 0.4, 8, 1.0, 99.0, 1).is_err());
+        let on_off = InjectionSpec::OnOff { mean_burst: 1.0, mean_idle: 99.0 };
+        assert!(on_off.build(nodes(4), 0.4, 8, 1).is_err());
     }
 
     #[test]
     fn poisson_rate_and_batches() {
-        let mut p = PoissonProcess::new(nodes(8), 1.6, 8, 3).unwrap();
+        let mut p = InjectionSpec::Poisson.build(nodes(8), 1.6, 8, 3).unwrap();
         let mut out = Vec::new();
         let mut total = 0usize;
         let mut batched = false;
@@ -400,9 +339,9 @@ mod tests {
     fn processes_are_placement_stable() {
         // The same node draws the same sequence no matter which other
         // nodes share the process.
-        let mut a = BernoulliProcess::new(vec![NodeId(9)], 0.8, 8, 5).unwrap();
-        let mut b =
-            BernoulliProcess::new(vec![NodeId(3), NodeId(9), NodeId(21)], 0.8, 8, 5).unwrap();
+        let bernoulli = InjectionSpec::Bernoulli;
+        let mut a = bernoulli.build(vec![NodeId(9)], 0.8, 8, 5).unwrap();
+        let mut b = bernoulli.build(vec![NodeId(3), NodeId(9), NodeId(21)], 0.8, 8, 5).unwrap();
         let mut out_a = Vec::new();
         let mut out_b = Vec::new();
         for t in 0..2_000u64 {

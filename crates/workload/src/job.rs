@@ -72,7 +72,7 @@ mod tests {
     use super::*;
     use crate::placement::ResolvedPlacement;
     use df_topology::{DragonflyParams, NodeId};
-    use df_traffic::{JobTraffic, Traffic};
+    use df_traffic::JobTraffic;
 
     fn params() -> DragonflyParams {
         DragonflyParams::small()

@@ -7,11 +7,12 @@
 //! workload structure, not just the global traffic pattern, the thing to
 //! model. This crate provides:
 //!
-//! * [`InjectionProcess`] — *when* nodes generate packets, generalizing
-//!   the seed simulator's single Bernoulli process with per-node RNG
-//!   substreams: [`BernoulliProcess`], Markov-modulated [`OnOffProcess`]
-//!   bursts, [`PoissonProcess`] batches, and [`TraceReplay`] of recorded
-//!   `(cycle, src, dst)` event streams ([`TraceRecorder`] writes them);
+//! * [`InjectionSpec`] → [`InjectionProcess`] — *when* nodes generate
+//!   packets, generalizing the seed simulator's single Bernoulli process
+//!   with per-node RNG substreams: per-node Bernoulli draws,
+//!   Markov-modulated on/off bursts, Poisson batches, or replay of a
+//!   recorded `(cycle, src, dst)` event stream ([`TraceRecorder`] writes
+//!   them);
 //! * [`PlacementSpec`] — *where* a job runs: consecutive groups, explicit
 //!   or random group lists (optionally restricted to a subset of node
 //!   slots so jobs can share routers disjointly), round-robin over
@@ -48,12 +49,10 @@ mod scenario;
 mod sweep;
 mod trace;
 
-pub use injection::{
-    Arrival, BernoulliProcess, InjectionProcess, InjectionSpec, OnOffProcess, PoissonProcess,
-};
+pub use injection::{Arrival, InjectionProcess, InjectionSpec};
 pub(crate) use job::lifetimes_overlap;
 pub use job::JobSpec;
 pub use placement::{PlacementSpec, ResolvedPlacement};
 pub use scenario::ScenarioSpec;
 pub use sweep::{JobPlacement, PlacementVariant, SweepCell, SweepSpec, MAX_SWEEP_CELLS};
-pub use trace::{load_trace, TraceEvent, TraceRecorder, TraceReplay};
+pub use trace::{load_trace, TraceEvent, TraceRecorder};

@@ -126,6 +126,16 @@ pub struct SweepCell {
     pub scenario: ScenarioSpec,
 }
 
+/// The length of an optional sweep axis: an omitted axis is a singleton
+/// of `None`; a present-but-empty axis is a degenerate grid and rejected.
+fn axis_len<T>(axis: &Option<Vec<T>>, what: &str) -> Result<usize, String> {
+    match axis {
+        Some(v) if v.is_empty() => Err(format!("sweep {what} axis is empty")),
+        Some(v) => Ok(v.len()),
+        None => Ok(1),
+    }
+}
+
 impl SweepSpec {
     /// Parse a sweep from JSON text.
     pub fn from_json(text: &str) -> Result<Self, String> {
@@ -197,26 +207,9 @@ impl SweepSpec {
         if mechanisms.is_empty() {
             return Err("sweep has no mechanisms".into());
         }
-        // An omitted axis is a singleton of `None`; a present-but-empty
-        // axis is a degenerate grid and rejected.
-        let opt_axis = |axis: &Option<Vec<_>>, what: &str| -> Result<usize, String> {
-            match axis {
-                Some(v) if v.is_empty() => Err(format!("sweep {what} axis is empty")),
-                Some(v) => Ok(v.len()),
-                None => Ok(1),
-            }
-        };
-        let n_loads = opt_axis(&self.loads, "load")?;
-        let n_placements = match &self.placements {
-            Some(v) if v.is_empty() => return Err("sweep placement axis is empty".into()),
-            Some(v) => v.len(),
-            None => 1,
-        };
-        let n_patterns = match &self.patterns {
-            Some(v) if v.is_empty() => return Err("sweep pattern axis is empty".into()),
-            Some(v) => v.len(),
-            None => 1,
-        };
+        let n_loads = axis_len(&self.loads, "load")?;
+        let n_placements = axis_len(&self.placements, "placement")?;
+        let n_patterns = axis_len(&self.patterns, "pattern")?;
         let total = n_loads * n_placements * n_patterns * mechanisms.len();
         if total > MAX_SWEEP_CELLS {
             return Err(format!(
@@ -440,6 +433,19 @@ mod tests {
         let mut s = sweep();
         s.loads = Some(vec![0.1; MAX_SWEEP_CELLS]);
         assert!(s.expand().unwrap_err().contains("limit"));
+    }
+
+    #[test]
+    fn every_empty_axis_is_named() {
+        let mut s = sweep();
+        s.loads = Some(vec![]);
+        assert_eq!(s.expand().unwrap_err(), "sweep load axis is empty");
+        let mut s = sweep();
+        s.placements = Some(vec![]);
+        assert_eq!(s.expand().unwrap_err(), "sweep placement axis is empty");
+        let mut s = sweep();
+        s.patterns = Some(vec![]);
+        assert_eq!(s.expand().unwrap_err(), "sweep pattern axis is empty");
     }
 
     #[test]

@@ -3,11 +3,11 @@
 //! A trace is a chronological list of `(cycle, src, dst)` generation
 //! events. Any scenario run can record one (the scenario runner offers a
 //! [`TraceRecorder`] hook), and a recorded trace replayed through
-//! [`TraceReplay`] against the same configuration reproduces the original
-//! run bit-for-bit: generation is the only external input to the
-//! deterministic engine.
+//! [`InjectionSpec::Trace`](crate::InjectionSpec::Trace) against the same
+//! configuration reproduces the original run bit-for-bit: generation is
+//! the only external input to the deterministic engine.
 
-use crate::injection::{Arrival, InjectionProcess};
+use crate::injection::Arrival;
 use df_topology::NodeId;
 use serde::{Deserialize, Serialize};
 
@@ -64,30 +64,24 @@ pub fn load_trace(path: &str) -> Result<Vec<TraceEvent>, String> {
     serde_json::from_str(&text).map_err(|e| format!("malformed trace {path}: {e}"))
 }
 
-/// Replays a trace as an [`InjectionProcess`]: every event fires at its
-/// recorded cycle with its recorded destination.
-pub struct TraceReplay {
+/// Replays a trace: every event fires at its recorded cycle with its
+/// recorded destination.
+pub(crate) struct TraceReplay {
     events: Vec<TraceEvent>,
     cursor: usize,
 }
 
 impl TraceReplay {
     /// Build a replay over `events` (sorted by cycle if not already).
-    pub fn from_events(mut events: Vec<TraceEvent>) -> Self {
+    pub(crate) fn from_events(mut events: Vec<TraceEvent>) -> Self {
         if !events.windows(2).all(|w| w[0].cycle <= w[1].cycle) {
             events.sort_by_key(|e| e.cycle);
         }
         Self { events, cursor: 0 }
     }
 
-    /// Events not yet replayed.
-    pub fn remaining(&self) -> usize {
-        self.events.len() - self.cursor
-    }
-}
-
-impl InjectionProcess for TraceReplay {
-    fn arrivals(&mut self, cycle: u64, out: &mut Vec<Arrival>) {
+    /// Append every event recorded at or before `cycle` not yet replayed.
+    pub(crate) fn arrivals(&mut self, cycle: u64, out: &mut Vec<Arrival>) {
         while let Some(e) = self.events.get(self.cursor) {
             if e.cycle > cycle {
                 break;
@@ -97,10 +91,6 @@ impl InjectionProcess for TraceReplay {
             out.push(Arrival { src: NodeId(e.src), dst: Some(NodeId(e.dst)) });
             self.cursor += 1;
         }
-    }
-
-    fn label(&self) -> &'static str {
-        "trace"
     }
 }
 
@@ -139,7 +129,7 @@ mod tests {
                 _ => assert!(out.is_empty()),
             }
         }
-        assert_eq!(replay.remaining(), 0);
+        assert_eq!(replay.cursor, replay.events.len());
     }
 
     #[test]

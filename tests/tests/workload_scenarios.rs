@@ -3,7 +3,7 @@
 //! bit-identity, burst injection, and the bundled interference scenario's
 //! qualitative claim.
 
-use dragonfly_core::df_traffic::{JobTraffic, Traffic};
+use dragonfly_core::df_traffic::JobTraffic;
 use dragonfly_core::df_workload::{
     InjectionSpec, JobSpec, PlacementSpec, ScenarioSpec, TraceRecorder,
 };
