@@ -40,7 +40,9 @@
 //! | 6 | `failed` (retries exhausted) or `rejected` (bad spec) |
 //! | 1 | I/O failure (connect, read, write) |
 
-use df_bench::{default_seeds, fail, flag_number, flag_path, flag_seeds, flag_value};
+use df_bench::{
+    create_parent_dir, default_seeds, fail, flag_number, flag_path, flag_seeds, flag_value,
+};
 use df_service::{FaultSpec, JobEvent, Request, SubmitOptions};
 use df_workload::{ScenarioSpec, SweepSpec};
 use std::io::{BufRead, BufReader, Write};
@@ -165,10 +167,7 @@ fn submit_request(spec_file: &str, sweep: bool, args: &Args) -> Request {
 /// Append one `sweep_rows` event's rows to the `--rows` file as JSON
 /// lines, one row per line, as they stream in.
 fn append_rows(path: &PathBuf, rows: &[dragonfly_core::SweepRow]) {
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)
-            .unwrap_or_else(|e| fail(&format!("create {}: {e}", dir.display())));
-    }
+    create_parent_dir(path).unwrap_or_else(|e| fail(&e));
     let mut file = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
@@ -185,10 +184,7 @@ fn append_rows(path: &PathBuf, rows: &[dragonfly_core::SweepRow]) {
 fn deliver(result: &str, out: &Option<PathBuf>) {
     match out {
         Some(path) => {
-            if let Some(dir) = path.parent() {
-                std::fs::create_dir_all(dir)
-                    .unwrap_or_else(|e| fail(&format!("create {}: {e}", dir.display())));
-            }
+            create_parent_dir(path).unwrap_or_else(|e| fail(&e));
             std::fs::write(path, result)
                 .unwrap_or_else(|e| fail(&format!("write {}: {e}", path.display())));
             eprintln!("wrote {}", path.display());

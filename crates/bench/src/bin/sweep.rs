@@ -25,8 +25,8 @@
 //! A compact per-cell summary grid is printed to stdout.
 
 use df_bench::{
-    create_timeline_file, default_seeds, fail, flag_path, flag_seeds, quick_sweep, timeline_sink,
-    write_json,
+    create_parent_dir, create_timeline_file, default_seeds, fail, flag_path, flag_seeds,
+    quick_sweep, timeline_sink, write_json,
 };
 use dragonfly_core::prelude::*;
 use std::path::PathBuf;
@@ -164,10 +164,7 @@ fn main() {
         write_json(out, &table).unwrap_or_else(|e| fail(&e));
     }
     if let Some(csv) = &args.csv {
-        if let Some(dir) = csv.parent() {
-            std::fs::create_dir_all(dir)
-                .unwrap_or_else(|e| fail(&format!("create {}: {e}", dir.display())));
-        }
+        create_parent_dir(csv).unwrap_or_else(|e| fail(&e));
         std::fs::write(csv, table.to_csv())
             .unwrap_or_else(|e| fail(&format!("write {}: {e}", csv.display())));
         eprintln!("wrote {}", csv.display());

@@ -12,7 +12,7 @@
 use dragonfly_core::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
 /// The argument after `flag`, or the usage error "`flag` needs `what`".
@@ -128,21 +128,25 @@ pub fn timeline_sink(
     })
 }
 
+/// Create the directory an output file goes into, and its parents.
+pub fn create_parent_dir(path: &Path) -> Result<(), String> {
+    match path.parent() {
+        Some(dir) => {
+            std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))
+        }
+        None => Ok(()),
+    }
+}
+
 /// Create (truncate) a `--timeline` JSONL output file.
 pub fn create_timeline_file(path: &PathBuf) -> Result<std::fs::File, String> {
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("create {}: {e}", dir.display()))?;
-    }
+    create_parent_dir(path)?;
     std::fs::File::create(path).map_err(|e| format!("create {}: {e}", path.display()))
 }
 
 /// Write any serializable value as pretty JSON.
 pub fn write_json<T: Serialize>(path: &PathBuf, value: &T) -> Result<(), String> {
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("create {}: {e}", dir.display()))?;
-    }
+    create_parent_dir(path)?;
     let json =
         serde_json::to_string_pretty(value).map_err(|e| format!("serialize results: {e}"))?;
     std::fs::write(path, json).map_err(|e| format!("write {}: {e}", path.display()))?;

@@ -16,14 +16,14 @@ pub enum ScenarioError {
     /// impossible (out-of-range nodes, unresolvable placement, …). The
     /// message is human-readable and stable enough to print verbatim.
     InvalidSpec(String),
-    /// A [`crate::CancelToken`] was triggered; the run stopped at the
-    /// given driver cycle without producing any output.
+    /// The [`crate::RunCtl`] checkpoint reported a cancellation; the run
+    /// stopped at the given driver cycle without producing any output.
     Cancelled {
         /// Driver cycle at which the cancellation was observed.
         at_cycle: u64,
     },
-    /// The run crossed its [`crate::RunCtl::deadline`] at the given
-    /// driver cycle and stopped without producing any output.
+    /// The [`crate::RunCtl`] checkpoint reported a passed deadline at the
+    /// given driver cycle; the run stopped without producing any output.
     DeadlineExceeded {
         /// Driver cycle at which the deadline check fired.
         at_cycle: u64,
@@ -47,15 +47,6 @@ impl ScenarioError {
             }
             other => other,
         }
-    }
-
-    /// True for cancellations and deadline misses — failures of the
-    /// *run*, not of the spec.
-    pub fn is_interrupt(&self) -> bool {
-        matches!(
-            self,
-            ScenarioError::Cancelled { .. } | ScenarioError::DeadlineExceeded { .. }
-        )
     }
 }
 
@@ -91,8 +82,8 @@ mod tests {
         assert_eq!(e.to_string(), "cell 3: bad load");
         let c = ScenarioError::Cancelled { at_cycle: 7 }.context("cell 3");
         assert_eq!(c, ScenarioError::Cancelled { at_cycle: 7 });
-        assert!(c.is_interrupt());
-        assert!(!e.is_interrupt());
+        let d = ScenarioError::DeadlineExceeded { at_cycle: 7 }.context("cell 3");
+        assert_eq!(d, ScenarioError::DeadlineExceeded { at_cycle: 7 });
     }
 
     #[test]

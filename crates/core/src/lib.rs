@@ -47,7 +47,7 @@ mod sweep;
 mod timeline;
 
 pub use config::SimConfig;
-pub use ctl::{CancelToken, RunCtl};
+pub use ctl::RunCtl;
 pub use error::ScenarioError;
 pub use experiment::{run_grid, AveragedResult, DEFAULT_SEEDS};
 pub use scenario::{
@@ -56,7 +56,7 @@ pub use scenario::{
 };
 pub use sim::{run_single, JobResult, RunResult, Simulator};
 pub use sink::{JobAccumulator, MeasurementSink};
-pub use sweep::{run_sweep, run_sweep_hooked, SweepHooks, SweepRow, SweepTable};
+pub use sweep::{run_sweep, run_sweep_hooked, SweepRow, SweepTable, UnitHook};
 pub use timeline::{JobWindow, TimelineSink, WindowRow};
 
 /// Engine-version tag baked into `df-service` cache keys. Bump whenever
@@ -78,9 +78,9 @@ pub use df_workload;
 pub mod prelude {
     pub use crate::{
         run_cell, run_grid, run_scenario, run_scenario_ctl, run_single, run_sweep,
-        run_sweep_hooked, AveragedResult, CancelToken, CellOptions, JobResult, JobWindow,
-        MeasurementSink, RunCtl, RunResult, ScenarioError, ScenarioResult, SimConfig, Simulator,
-        SweepHooks, SweepRow, SweepTable, TimelineSink, WindowRow, DEFAULT_SEEDS, ENGINE_VERSION,
+        run_sweep_hooked, AveragedResult, CellOptions, JobResult, JobWindow, MeasurementSink,
+        RunCtl, RunResult, ScenarioError, ScenarioResult, SimConfig, Simulator, SweepRow,
+        SweepTable, TimelineSink, UnitHook, WindowRow, DEFAULT_SEEDS, ENGINE_VERSION,
     };
     pub use df_engine::{ArbiterPolicy, EngineConfig, TelemetrySpec};
     pub use df_routing::MechanismSpec;

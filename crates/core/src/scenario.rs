@@ -156,10 +156,10 @@ impl ScenarioResult {
 /// `CellOptions::default()` is the uninstrumented run.
 #[derive(Default)]
 pub struct CellOptions<'a> {
-    /// External run control: the protocol loop calls
-    /// [`RunCtl::checkpoint`] once per cycle, so cancellations,
-    /// deadlines, and injected faults land at cycle granularity and an
-    /// interrupted run returns an error instead of a partial result.
+    /// External run control: the protocol loop asks the [`RunCtl`]
+    /// checkpoint once per cycle, so cancellations, deadlines, and
+    /// injected faults land at cycle granularity and an interrupted run
+    /// returns an error instead of a partial result.
     pub ctl: RunCtl<'a>,
     /// Record every generation event, one recorder per job, so each
     /// job's stream replays independently through `InjectionSpec::Trace`.
@@ -261,22 +261,22 @@ pub fn run_cell(
         ));
     }
     sim.set_job_schedule(schedule);
-    sim.drive(&ctl, recorders)
+    sim.drive(ctl, recorders)
 }
 
 /// Run the scenario under every mechanism × seed (in parallel) and
 /// aggregate.
 pub fn run_scenario(spec: &ScenarioSpec, seeds: &[u64]) -> Result<ScenarioResult, ScenarioError> {
-    run_scenario_ctl(spec, seeds, &RunCtl::NONE)
+    run_scenario_ctl(spec, seeds, None)
 }
 
 /// [`run_scenario`] under external run control: every parallel mechanism
-/// × seed cell observes the same [`RunCtl`], so one cancellation or
+/// × seed cell asks the same [`RunCtl`], so one cancellation or
 /// deadline stops the whole aggregate within a cycle per cell.
 pub fn run_scenario_ctl(
     spec: &ScenarioSpec,
     seeds: &[u64],
-    ctl: &RunCtl<'_>,
+    ctl: RunCtl<'_>,
 ) -> Result<ScenarioResult, ScenarioError> {
     if seeds.is_empty() {
         return Err(ScenarioError::spec("need at least one seed"));
@@ -288,7 +288,7 @@ pub fn run_scenario_ctl(
         .collect();
     let runs: Vec<Result<RunResult, ScenarioError>> = cells
         .par_iter()
-        .map(|&(m, s)| run_cell(spec, m, s, CellOptions { ctl: *ctl, ..Default::default() }))
+        .map(|&(m, s)| run_cell(spec, m, s, CellOptions { ctl, ..Default::default() }))
         .collect();
     let mut by_mechanism = Vec::new();
     let mut it = runs.into_iter();

@@ -596,22 +596,24 @@ impl Simulator {
     /// # Panics
     /// Panics where [`Self::step`] does.
     pub fn run(self) -> RunResult {
-        self.drive(&RunCtl::NONE, None).unwrap_or_else(|e| panic!("{e}"))
+        self.drive(None, None).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The protocol loop behind [`Self::run`] and [`crate::run_cell`]:
     /// warm-up, [`Self::begin_measurement`], the measurement window, the
-    /// result. `ctl` is consulted at the top of every cycle, so an
+    /// result. `ctl` is asked at the top of every cycle, so an
     /// interrupted run aborts before any result is extracted and leaves
     /// no partial output behind.
     pub(crate) fn drive(
         mut self,
-        ctl: &RunCtl<'_>,
+        ctl: RunCtl<'_>,
         mut recorders: Option<&mut [TraceRecorder]>,
     ) -> Result<RunResult, ScenarioError> {
         let warmup = self.protocol.warmup_cycles;
         for t in 0..warmup + self.protocol.measure_cycles {
-            ctl.checkpoint(t)?;
+            if let Some(checkpoint) = ctl {
+                checkpoint(t)?;
+            }
             if t == warmup {
                 self.begin_measurement();
             }

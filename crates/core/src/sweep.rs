@@ -202,60 +202,39 @@ fn rows_of(cell: &SweepCell, seed: u64, run: &RunResult) -> Vec<SweepRow> {
 /// the whole cell × seed grid). Row order — and therefore the serialized
 /// table — depends only on the spec and the seed list.
 pub fn run_sweep(spec: &SweepSpec, seeds: &[u64]) -> Result<SweepTable, ScenarioError> {
-    run_sweep_hooked(spec, seeds, &RunCtl::NONE, &SweepHooks::NONE)
+    run_sweep_hooked(spec, seeds, None, None)
 }
 
-/// A [`SweepHooks::precomputed`] probe: given a `(cell, seed)` unit,
-/// return its already-computed rows (skipping the simulation) or
-/// `None` to compute it fresh.
-pub type PrecomputedProbe<'a> = &'a (dyn Fn(u32, u64) -> Option<Vec<SweepRow>> + Sync);
+/// The per-unit hook of [`run_sweep_hooked`], called once for every
+/// `(cell, seed)` unit — one `run_cell` per unit, keyed by the cell's
+/// expansion-order index — from the parallel worker that owns the unit.
+/// It either returns rows it already holds (the unit never simulates)
+/// or calls `compute` and observes its result before returning it. The
+/// caller is responsible for only returning rows it has verified (e.g.
+/// digest-checked checkpoint lines). Must be `Sync`: parallel workers
+/// call it inline.
+pub type UnitHook<'a> = &'a (dyn Fn(
+    u32,
+    u64,
+    &dyn Fn() -> Result<Vec<SweepRow>, ScenarioError>,
+) -> Result<Vec<SweepRow>, ScenarioError>
+         + Sync);
 
-/// A [`SweepHooks::on_rows`] observer: called with each freshly
-/// computed `(cell, seed)` unit's rows as the unit completes.
-pub type RowsObserver<'a> = &'a (dyn Fn(u32, u64, &[SweepRow]) + Sync);
-
-/// Observation hooks threaded through [`run_sweep_hooked`]. Both hooks
-/// see `(cell, seed)` units — one `run_cell` per unit — keyed
-/// by the cell's expansion-order index.
-#[derive(Clone, Copy, Default)]
-pub struct SweepHooks<'a> {
-    /// Probe for rows of a unit computed by an earlier (interrupted)
-    /// run. Probed once per unit, sequentially, before any simulation
-    /// starts; returning `Some(rows)` skips the unit entirely and
-    /// splices the given rows into the unit's slot of the final table.
-    /// The caller is responsible for only returning rows it has
-    /// verified (e.g. digest-checked checkpoint lines).
-    pub precomputed: Option<PrecomputedProbe<'a>>,
-    /// Called from the computing worker as each pending unit completes,
-    /// with the unit's finished rows — before the whole table exists.
-    /// Units recovered via `precomputed` do **not** fire this hook.
-    /// Must be cheap and `Sync`: parallel workers call it inline.
-    pub on_rows: Option<RowsObserver<'a>>,
-}
-
-impl SweepHooks<'_> {
-    /// No hooks: every unit simulates, nothing is observed.
-    pub const NONE: SweepHooks<'static> = SweepHooks { precomputed: None, on_rows: None };
-}
-
-/// [`run_sweep`] under external run control and with per-unit
-/// observation hooks. Every parallel cell × seed unit observes the same
-/// [`RunCtl`] at cycle granularity, so one cancellation or deadline
-/// stops the whole grid; spec errors are prefixed with the failing
-/// cell's coordinate, interrupts propagate unchanged so a service layer
-/// can map them to structured events. Previously computed units are
-/// recovered through `hooks.precomputed` (skipping their simulation),
-/// and each freshly computed unit's rows are handed to `hooks.on_rows`
-/// as it completes. Row order — and therefore the
-/// serialized table — is the same deterministic cell-major order as
-/// [`run_sweep`], no matter which units were recovered: recovered and
-/// computed rows are merged by unit slot, so a resumed sweep
-/// serializes bit-identically to an uninterrupted one.
+/// [`run_sweep`] under external run control and with a per-unit hook.
+/// Every parallel cell × seed unit asks the same [`RunCtl`] at cycle
+/// granularity, so one cancellation or deadline stops the whole grid;
+/// spec errors are prefixed with the failing cell's coordinate,
+/// interrupts propagate unchanged so a service layer can map them to
+/// structured events. `unit` answers each unit, from rows in hand or by
+/// computing it. The table is the in-order concatenation of the units'
+/// rows — the same deterministic cell-major order as [`run_sweep`], no
+/// matter which units the hook answered — so a resumed sweep serializes
+/// bit-identically to an uninterrupted one.
 pub fn run_sweep_hooked(
     spec: &SweepSpec,
     seeds: &[u64],
-    ctl: &RunCtl<'_>,
-    hooks: &SweepHooks<'_>,
+    ctl: RunCtl<'_>,
+    unit: Option<UnitHook<'_>>,
 ) -> Result<SweepTable, ScenarioError> {
     if seeds.is_empty() {
         return Err(ScenarioError::spec("need at least one seed"));
@@ -264,40 +243,25 @@ pub fn run_sweep_hooked(
     let units: Vec<(usize, u64)> = (0..cells.len())
         .flat_map(|c| seeds.iter().map(move |&s| (c, s)))
         .collect();
-    // Recovered units fill their slots up front and never simulate.
-    let mut slots: Vec<Option<Vec<SweepRow>>> = (0..units.len()).map(|_| None).collect();
-    if let Some(probe) = hooks.precomputed {
-        for (slot, &(c, seed)) in units.iter().enumerate() {
-            slots[slot] = probe(c as u32, seed);
-        }
-    }
-    let pending: Vec<(usize, usize, u64)> = units
-        .iter()
-        .enumerate()
-        .filter(|(slot, _)| slots[*slot].is_none())
-        .map(|(slot, &(c, seed))| (slot, c, seed))
-        .collect();
-    let on_rows = hooks.on_rows;
-    let runs: Vec<(usize, Result<Vec<SweepRow>, ScenarioError>)> = pending
+    let runs: Vec<Result<Vec<SweepRow>, ScenarioError>> = units
         .par_iter()
-        .map(|&(slot, c, seed)| {
+        .map(|&(c, seed)| {
             let cell = &cells[c];
-            let opts = CellOptions { ctl: *ctl, ..Default::default() };
-            let res = run_cell(&cell.scenario, cell.mechanism, seed, opts)
-                .map(|run| rows_of(cell, seed, &run))
-                .map_err(|e| e.context(&format!("cell {c} ({})", cell.mechanism.label())));
-            if let (Ok(rows), Some(sink)) = (&res, on_rows) {
-                sink(c as u32, seed, rows);
+            let compute = || {
+                let opts = CellOptions { ctl, ..Default::default() };
+                run_cell(&cell.scenario, cell.mechanism, seed, opts)
+                    .map(|run| rows_of(cell, seed, &run))
+                    .map_err(|e| e.context(&format!("cell {c} ({})", cell.mechanism.label())))
+            };
+            match unit {
+                Some(hook) => hook(c as u32, seed, &compute),
+                None => compute(),
             }
-            (slot, res)
         })
         .collect();
-    for (slot, unit) in runs {
-        slots[slot] = Some(unit?);
-    }
     let mut rows = Vec::new();
-    for slot in slots {
-        rows.extend(slot.expect("every unit slot filled"));
+    for unit in runs {
+        rows.extend(unit?);
     }
     Ok(SweepTable {
         sweep: spec.name.clone(),
@@ -406,12 +370,13 @@ mod tests {
 
         // A hooked run streams every unit exactly once.
         let streamed: Mutex<HashMap<(u32, u64), Vec<SweepRow>>> = Mutex::new(HashMap::new());
-        let on_rows = |cell: u32, seed: u64, rows: &[SweepRow]| {
-            let prev = streamed.lock().unwrap().insert((cell, seed), rows.to_vec());
+        let stream = |cell: u32, seed: u64, compute: &dyn Fn() -> _| {
+            let rows: Vec<SweepRow> = compute()?;
+            let prev = streamed.lock().unwrap().insert((cell, seed), rows.clone());
             assert!(prev.is_none(), "unit ({cell}, {seed}) streamed twice");
+            Ok(rows)
         };
-        let hooks = SweepHooks { precomputed: None, on_rows: Some(&on_rows) };
-        let full = run_sweep_hooked(&spec, &seeds, &RunCtl::NONE, &hooks).unwrap();
+        let full = run_sweep_hooked(&spec, &seeds, None, Some(&stream)).unwrap();
         let streamed = streamed.into_inner().unwrap();
         assert_eq!(streamed.len(), 4 * 2, "4 cells × 2 seeds");
         assert_eq!(
@@ -423,12 +388,15 @@ mod tests {
         // Recovering half the units from the streamed rows reproduces the
         // table bit-identically, simulating only the missing units.
         let recomputed = Mutex::new(0u32);
-        let probe = |cell: u32, seed: u64| -> Option<Vec<SweepRow>> {
-            cell.is_multiple_of(2).then(|| streamed[&(cell, seed)].clone())
+        let resume = |cell: u32, seed: u64, compute: &dyn Fn() -> _| {
+            if cell.is_multiple_of(2) {
+                return Ok(streamed[&(cell, seed)].clone());
+            }
+            let rows = compute()?;
+            *recomputed.lock().unwrap() += 1;
+            Ok(rows)
         };
-        let count = |_: u32, _: u64, _: &[SweepRow]| *recomputed.lock().unwrap() += 1;
-        let hooks = SweepHooks { precomputed: Some(&probe), on_rows: Some(&count) };
-        let resumed = run_sweep_hooked(&spec, &seeds, &RunCtl::NONE, &hooks).unwrap();
+        let resumed = run_sweep_hooked(&spec, &seeds, None, Some(&resume)).unwrap();
         assert_eq!(*recomputed.lock().unwrap(), 2 * 2, "only the odd cells recompute");
         assert_eq!(
             serde_json::to_string(&resumed).unwrap(),
@@ -455,6 +423,6 @@ mod tests {
         spec.base.jobs[0].pattern = PatternSpec::HotSpot { hot: 900, fraction: 0.5 };
         let err = run_sweep(&spec, &[1]).unwrap_err();
         assert!(err.to_string().contains("cell 0"), "{err}");
-        assert!(!err.is_interrupt());
+        assert!(matches!(err, ScenarioError::InvalidSpec(_)), "{err:?}");
     }
 }

@@ -32,7 +32,7 @@ use crate::packet::{DeliveredRecord, Packet, PacketSeq};
 use crate::policy::{CycleCtx, RoutingPolicy, StatsSink};
 use crate::router::{input_capacity_for, vcs_for, InPort, RouterState};
 use crate::shard::{RemoteCredit, RemoteFlit, ShardOutbox};
-use df_topology::{NodeId, Port, PortKind, PortLayout, PortTarget, RouterId, Topology};
+use df_topology::{NodeId, Port, PortKind, PortTarget, RouterId, Topology};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::ops::Range;

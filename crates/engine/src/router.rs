@@ -42,7 +42,7 @@
 use crate::arena::PacketId;
 use crate::buffer::{OutRing, Staged, VcRing};
 use crate::config::EngineConfig;
-use df_topology::{DragonflyParams, Port, PortKind, PortLayout, RouterId};
+use df_topology::{DragonflyParams, Port, PortKind, RouterId};
 
 /// Allocator-side state of one input port: everything a probe of the
 /// port reads, in 16 bytes.

@@ -787,7 +787,7 @@ mod tests {
     use super::*;
     use crate::config::ArbiterPolicy;
     use crate::packet::{Decision, PacketHeader, RouteInfo};
-    use df_topology::{Arrangement, DragonflyParams, Port, PortKind, PortLayout, PortTarget};
+    use df_topology::{Arrangement, DragonflyParams, Port, PortKind, PortTarget};
 
     /// Minimal-only routing (same as the serial engine's test policy).
     struct MinOnly {

@@ -2,7 +2,7 @@
 //! hop-indexed VC selection, and Valiant intermediate bookkeeping.
 
 use df_engine::{Decision, EngineConfig, Phase, RouteInfo};
-use df_topology::{NodeId, Port, PortKind, PortLayout, RouterId, Topology};
+use df_topology::{NodeId, Port, PortKind, RouterId, Topology};
 
 /// VC widths copied out of the engine config (policies keep this instead
 /// of the whole config).

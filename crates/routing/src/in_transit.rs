@@ -29,7 +29,7 @@ use crate::common::{
 use df_engine::{
     Decision, EngineConfig, PacketHeader, Phase, RouteInfo, RouterState, RoutingPolicy,
 };
-use df_topology::{GroupId, NodeId, Port, PortKind, PortLayout, RouterId, Topology};
+use df_topology::{GroupId, NodeId, Port, PortKind, RouterId, Topology};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 

@@ -27,7 +27,7 @@ use crate::common::{current_target, make_decision, minimal_out, normalize_route_
 use df_engine::{
     CycleCtx, Decision, EngineConfig, PacketHeader, Phase, RouteInfo, RouterState, RoutingPolicy,
 };
-use df_topology::{GroupId, NodeId, Port, PortKind, PortLayout, Topology};
+use df_topology::{GroupId, NodeId, Port, PortKind, Topology};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 

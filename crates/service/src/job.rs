@@ -8,7 +8,7 @@
 //! and replayed on a cache hit.
 
 use dragonfly_core::{
-    run_scenario_ctl, run_sweep_hooked, RunCtl, ScenarioError, SweepHooks, DEFAULT_SEEDS,
+    run_scenario_ctl, run_sweep_hooked, RunCtl, ScenarioError, UnitHook, DEFAULT_SEEDS,
 };
 use df_workload::{ScenarioSpec, SweepSpec};
 
@@ -91,16 +91,16 @@ impl JobPayload {
     /// table, pretty-printed. Byte-identical across runs of the same
     /// key per the determinism contract.
     ///
-    /// A sweep payload recovers `(cell, seed)` units through
-    /// `hooks.precomputed` and streams each freshly computed unit's rows
-    /// through `hooks.on_rows`; scenario payloads ignore the hooks. The
-    /// result document is byte-identical whether or not units were
-    /// recovered — rows merge in deterministic cell-major order.
+    /// A sweep payload hands every `(cell, seed)` unit to `unit`, which
+    /// answers it from rows in hand or computes and observes it;
+    /// scenario payloads ignore the hook. The result document is
+    /// byte-identical whether or not units were recovered — rows
+    /// concatenate in deterministic cell-major order.
     pub fn execute(
         &self,
         seeds: &[u64],
-        ctl: &RunCtl<'_>,
-        hooks: &SweepHooks<'_>,
+        ctl: RunCtl<'_>,
+        unit: Option<UnitHook<'_>>,
     ) -> Result<String, ScenarioError> {
         let doc = match self {
             JobPayload::Scenario(s) => {
@@ -108,7 +108,7 @@ impl JobPayload {
                 serde_json::to_string_pretty(&result.summary())
             }
             JobPayload::Sweep(s) => {
-                let table = run_sweep_hooked(s, seeds, ctl, hooks)?;
+                let table = run_sweep_hooked(s, seeds, ctl, unit)?;
                 serde_json::to_string_pretty(&table)
             }
         };
@@ -200,8 +200,8 @@ mod tests {
     #[test]
     fn execute_is_byte_deterministic() {
         let p = JobPayload::Scenario(tiny_scenario());
-        let a = p.execute(&[7], &RunCtl::NONE, &SweepHooks::NONE).unwrap();
-        let b = p.execute(&[7], &RunCtl::NONE, &SweepHooks::NONE).unwrap();
+        let a = p.execute(&[7], None, None).unwrap();
+        let b = p.execute(&[7], None, None).unwrap();
         assert_eq!(a, b);
         assert!(a.contains("svc-tiny"));
     }

@@ -6,7 +6,7 @@
 //! structured [`JobEvent`] stream.
 //!
 //! The service exists to make the simulator *safe to share*: one job
-//! table (queue, live jobs' cancel tokens, open/closed state, drain
+//! table (queue, live jobs' cancel flags, open/closed state, drain
 //! count) behind one lock, served by a fixed set of worker threads, with
 //! admission control (a full queue rejects instead of growing),
 //! per-job deadlines with cooperative cancellation (an

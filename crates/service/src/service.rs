@@ -31,7 +31,7 @@ use crate::job::{effective_seeds, JobPayload};
 use crate::lock;
 use crate::protocol::{cache_key, JobEvent, SubmitOptions};
 use crate::store::{LoadReport, StateDir};
-use dragonfly_core::{CancelToken, RunCtl, ScenarioError, SweepHooks, SweepRow};
+use dragonfly_core::{ScenarioError, SweepRow};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -110,8 +110,9 @@ struct Shared {
 struct Inner {
     /// Admitted jobs no worker has claimed yet, oldest first.
     queue: VecDeque<JobContext>,
-    /// Cancel tokens of every admitted job still queued or running.
-    live: HashMap<u64, CancelToken>,
+    /// Cancel flags of every admitted job still queued or running: each
+    /// the same `Arc` as its job's [`JobContext::cancel`].
+    live: HashMap<u64, Arc<AtomicBool>>,
     /// Set by `shutdown`; admission refuses everything after it.
     closed: bool,
     /// Jobs that finished after `closed` was set: the `shutting_down`
@@ -137,7 +138,7 @@ impl Inner {
         }
         let accepted = JobEvent::Accepted { job, key: ctx.key.clone(), queue_depth: queued + 1 };
         let sink = Arc::clone(&ctx.sink);
-        self.live.insert(job, ctx.token.clone());
+        self.live.insert(job, Arc::clone(&ctx.cancel));
         self.queue.push_back(ctx);
         sink(accepted);
         Ok(())
@@ -145,7 +146,7 @@ impl Inner {
 
     /// Cancel a queued or running job; `false` when `job` is not live.
     fn cancel(&self, job: u64) -> bool {
-        self.live.get(&job).map(CancelToken::cancel).is_some()
+        self.live.get(&job).map(|flag| flag.store(true, Ordering::Release)).is_some()
     }
 
     /// `job` reached its end (returned or unwound): it is no longer
@@ -297,7 +298,7 @@ impl Service {
             payload,
             fault: options.fault.unwrap_or_default(),
             deadline_ms: options.deadline_ms,
-            token: CancelToken::new(),
+            cancel: Arc::default(),
         };
         // The guard drops at the end of this statement: a refusal is
         // reported outside the lock.
@@ -340,7 +341,8 @@ struct JobContext {
     payload: JobPayload,
     fault: FaultSpec,
     deadline_ms: Option<u64>,
-    token: CancelToken,
+    /// Set to cancel the job; its checkpoint fails at the next cycle.
+    cancel: Arc<AtomicBool>,
 }
 
 /// Sweep units already in hand — recovered from a checkpoint file or
@@ -472,6 +474,44 @@ impl JobContext {
         units
     }
 
+    /// The per-cycle checkpoint of attempt `attempt`, in this order: the
+    /// panic fault, the stall fault (once per attempt, on whichever
+    /// parallel cell reaches the cycle first) and a `progress` event
+    /// every [`PROGRESS_CYCLES`] cycles over all cells; then the cancel
+    /// flag; then the deadline, counted from this call.
+    fn checkpoint(
+        &self,
+        attempt: u32,
+        total_cycles: u64,
+    ) -> impl Fn(u64) -> Result<(), ScenarioError> + Sync + '_ {
+        let deadline = self.deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
+        let panic_cycle = self.fault.panic_cycle(attempt);
+        let stall = self.fault.stall();
+        let stalled = AtomicBool::new(false);
+        let done = AtomicU64::new(0);
+        move |cycle| {
+            if panic_cycle == Some(cycle) {
+                panic!("injected fault: panic at cycle {cycle}");
+            }
+            if let Some((stall_cycle, stall_ms)) = stall {
+                if cycle == stall_cycle && !stalled.swap(true, Ordering::AcqRel) {
+                    std::thread::sleep(Duration::from_millis(stall_ms));
+                }
+            }
+            let done_cycles = done.fetch_add(1, Ordering::AcqRel) + 1;
+            if done_cycles.is_multiple_of(PROGRESS_CYCLES) {
+                (self.sink)(JobEvent::Progress { job: self.job, done_cycles, total_cycles });
+            }
+            if self.cancel.load(Ordering::Acquire) {
+                return Err(ScenarioError::Cancelled { at_cycle: cycle });
+            }
+            if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
+                return Err(ScenarioError::DeadlineExceeded { at_cycle: cycle });
+            }
+            Ok(())
+        }
+    }
+
     /// One isolated attempt. The outer `Err` is a caught panic (its
     /// message), the inner result is the run's own outcome.
     fn attempt_once(
@@ -482,50 +522,24 @@ impl JobContext {
         recovered: &RecoveredUnits,
         committed: &AtomicU32,
     ) -> Result<Result<String, ScenarioError>, String> {
-        let deadline = self.deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-        let panic_cycle = self.fault.panic_cycle(attempt);
-        let stall = self.fault.stall();
-        let stalled = AtomicBool::new(false);
-        let done = AtomicU64::new(0);
-        let step = PROGRESS_CYCLES;
-        let sink = &self.sink;
-        let job = self.job;
-        let on_cycle = move |cycle: u64| {
-            if panic_cycle == Some(cycle) {
-                panic!("injected fault: panic at cycle {cycle}");
+        let checkpoint = self.checkpoint(attempt, total_cycles);
+        // Sweep units in hand (checkpointed or computed by an earlier
+        // attempt) skip simulation; each freshly computed unit commits —
+        // map + checkpoint line under one lock, so the commit ordinal is
+        // stable and lines never interleave — then streams its rows and
+        // fires any commit-keyed fault.
+        let unit = |cell: u32, seed: u64, compute: &dyn Fn() -> _| {
+            let in_hand = lock(recovered).get(&(cell, seed)).cloned();
+            if let Some(rows) = in_hand {
+                return Ok(rows);
             }
-            if let Some((stall_cycle, stall_ms)) = stall {
-                // One stall per attempt, on whichever parallel cell
-                // reaches the cycle first.
-                if cycle == stall_cycle && !stalled.swap(true, Ordering::AcqRel) {
-                    std::thread::sleep(Duration::from_millis(stall_ms));
-                }
-            }
-            let done_cycles = done.fetch_add(1, Ordering::AcqRel) + 1;
-            if done_cycles.is_multiple_of(step) {
-                sink(JobEvent::Progress { job, done_cycles, total_cycles });
-            }
-        };
-        let ctl = RunCtl {
-            cancel: Some(&self.token),
-            deadline,
-            on_cycle: Some(&on_cycle),
-        };
-        // Sweep hooks: units in hand (checkpointed or computed by an
-        // earlier attempt) skip simulation; each freshly computed unit
-        // commits — map + checkpoint line under one lock, so the commit
-        // ordinal is stable and lines never interleave — then streams
-        // its rows and fires any commit-keyed fault.
-        let precomputed = |cell: u32, seed: u64| -> Option<Vec<SweepRow>> {
-            lock(recovered).get(&(cell, seed)).cloned()
-        };
-        let on_rows = |cell: u32, seed: u64, rows: &[SweepRow]| {
+            let rows: Vec<SweepRow> = compute()?;
             let ordinal = {
                 let mut units = lock(recovered);
-                units.insert((cell, seed), rows.to_vec());
+                units.insert((cell, seed), rows.clone());
                 let ordinal = committed.fetch_add(1, Ordering::AcqRel) + 1;
                 if let Some(state) = &shared.state {
-                    let _ = state.append_checkpoint(&self.key, cell, seed, rows);
+                    let _ = state.append_checkpoint(&self.key, cell, seed, &rows);
                     if self.fault.rot_checkpoint_line == Some(ordinal) {
                         // Still under the lock: the rotted line must be
                         // the one just appended, not a later worker's.
@@ -534,19 +548,19 @@ impl JobContext {
                 }
                 ordinal
             };
-            sink(JobEvent::SweepRows { job, cell, seed, rows: rows.to_vec() });
+            (self.sink)(JobEvent::SweepRows { job: self.job, cell, seed, rows: rows.clone() });
             if self.fault.crash_after_cells == Some(ordinal) {
                 // The `kill -9` fault: die with at least `ordinal`
                 // committed checkpoint lines on disk.
                 std::process::abort();
             }
             if self.fault.cancel_after_cells == Some(ordinal) {
-                self.token.cancel();
+                self.cancel.store(true, Ordering::Release);
             }
+            Ok(rows)
         };
-        let hooks = SweepHooks { precomputed: Some(&precomputed), on_rows: Some(&on_rows) };
         catch_unwind(AssertUnwindSafe(|| {
-            self.payload.execute(&self.seeds, &ctl, &hooks)
+            self.payload.execute(&self.seeds, Some(&checkpoint), Some(&unit))
         }))
         // `&*` reborrows the box's contents: `&payload` would unsize
         // the `Box` itself into `dyn Any` and every downcast would miss.
@@ -916,11 +930,9 @@ mod tests {
         assert_eq!(a.0, 1, "the running job finished after the shutdown");
     }
 
-    /// A refused admission — over depth, or after the close — leaves no
-    /// id behind to cancel; a finished job leaves none either.
-    #[test]
-    fn refused_and_finished_jobs_are_not_cancellable() {
-        let ctx = |job| JobContext {
+    /// An admitted-looking job with no fault, no deadline and no cancel.
+    fn ctx(job: u64) -> JobContext {
+        JobContext {
             sink: Arc::new(|_| {}),
             job,
             key: String::new(),
@@ -928,8 +940,86 @@ mod tests {
             payload: JobPayload::Scenario(tiny_scenario()),
             fault: FaultSpec::default(),
             deadline_ms: None,
-            token: CancelToken::new(),
+            cancel: Arc::default(),
+        }
+    }
+
+    #[test]
+    fn an_uncontrolled_checkpoint_always_passes() {
+        let job = ctx(1);
+        let checkpoint = job.checkpoint(1, 10);
+        for cycle in 0..10 {
+            checkpoint(cycle).unwrap();
+        }
+    }
+
+    #[test]
+    fn cancellation_fails_at_the_cycle_it_is_observed() {
+        let job = ctx(1);
+        let checkpoint = job.checkpoint(1, 10);
+        checkpoint(5).unwrap();
+        job.cancel.store(true, Ordering::Release);
+        assert_eq!(checkpoint(6).unwrap_err(), ScenarioError::Cancelled { at_cycle: 6 });
+    }
+
+    #[test]
+    fn past_deadline_fails_future_deadline_passes() {
+        let past = JobContext { deadline_ms: Some(0), ..ctx(1) };
+        assert_eq!(
+            past.checkpoint(1, 10)(3).unwrap_err(),
+            ScenarioError::DeadlineExceeded { at_cycle: 3 }
+        );
+        let future = JobContext { deadline_ms: Some(3_600_000), ..ctx(1) };
+        future.checkpoint(1, 10)(3).unwrap();
+    }
+
+    /// The faults and the progress count see every cycle, the failing
+    /// ones too; the cancel flag is checked before the deadline.
+    #[test]
+    fn faults_and_progress_run_before_the_cancel_and_deadline_checks() {
+        let (sink, events) = collecting_sink();
+        let fault = FaultSpec {
+            panic_at_cycle: Some(PROGRESS_CYCLES),
+            stall_at_cycle: Some(0),
+            stall_ms: Some(20),
+            ..FaultSpec::default()
         };
+        let job = JobContext { sink, fault, deadline_ms: Some(0), ..ctx(1) };
+        job.cancel.store(true, Ordering::Release);
+        let checkpoint = job.checkpoint(1, 5_000);
+        let start = Instant::now();
+        assert_eq!(checkpoint(0).unwrap_err(), ScenarioError::Cancelled { at_cycle: 0 });
+        assert!(start.elapsed() >= Duration::from_millis(20), "the stall ran first");
+        for cycle in 1..PROGRESS_CYCLES - 1 {
+            assert!(checkpoint(cycle).is_err());
+        }
+        assert!(events.lock().unwrap().is_empty());
+        assert!(checkpoint(PROGRESS_CYCLES - 1).is_err());
+        assert!(matches!(
+            events.lock().unwrap()[..],
+            [JobEvent::Progress { job: 1, done_cycles: PROGRESS_CYCLES, total_cycles: 5_000 }]
+        ));
+        let panicked = catch_unwind(AssertUnwindSafe(|| checkpoint(PROGRESS_CYCLES))).unwrap_err();
+        assert_eq!(panic_message(&*panicked), format!("injected fault: panic at cycle {PROGRESS_CYCLES}"));
+    }
+
+    /// The flag in the job table and the one the job's checkpoint reads
+    /// are one flag: a cancel through the table fails the checkpoint.
+    #[test]
+    fn clones_of_a_jobs_flag_observe_one_cancel() {
+        let mut jobs = Inner::default();
+        assert!(jobs.admit(ctx(1), 1).is_ok());
+        let job = jobs.queue.pop_front().unwrap();
+        let checkpoint = job.checkpoint(1, 10);
+        checkpoint(2).unwrap();
+        assert!(jobs.cancel(1));
+        assert_eq!(checkpoint(3).unwrap_err(), ScenarioError::Cancelled { at_cycle: 3 });
+    }
+
+    /// A refused admission — over depth, or after the close — leaves no
+    /// id behind to cancel; a finished job leaves none either.
+    #[test]
+    fn refused_and_finished_jobs_are_not_cancellable() {
         let mut jobs = Inner::default();
         assert!(jobs.admit(ctx(1), 1).is_ok());
         assert!(matches!(

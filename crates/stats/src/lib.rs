@@ -3,7 +3,7 @@
 //! Performance and fairness metrics for the Dragonfly unfairness
 //! reproduction (§IV-B of the paper):
 //!
-//! * [`OnlineStats`] — streaming mean/variance (Welford) without storing
+//! * [`OnlineStats`] — streaming mean (Welford's update) without storing
 //!   samples; one per latency component,
 //! * [`LatencyAccumulator`] — the five-component latency breakdown of
 //!   Figure 3 (base, misrouting, local/global congestion, injection),

@@ -1,14 +1,12 @@
-//! Streaming moments (Welford) — numerically stable mean/variance without
-//! storing samples.
+//! Streaming mean (Welford's update) without storing samples.
 
 use serde::{Deserialize, Serialize};
 
-/// Online mean/variance accumulator.
+/// Online mean accumulator.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,
-    m2: f64,
 }
 
 impl OnlineStats {
@@ -22,7 +20,6 @@ impl OnlineStats {
         self.count += 1;
         let delta = x - self.mean;
         self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
     }
 
     /// Number of samples.
@@ -33,15 +30,6 @@ impl OnlineStats {
     /// Sample mean (0 for an empty accumulator).
     pub fn mean(&self) -> f64 {
         self.mean
-    }
-
-    /// Population variance (0 with fewer than two samples).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
     }
 }
 
@@ -57,16 +45,16 @@ mod tests {
             s.add(x);
         }
         assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
+        assert_eq!(s.count(), xs.len() as u64);
     }
 
     #[test]
     fn empty_and_single_sample() {
         let mut s = OnlineStats::new();
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
+        assert_eq!(s.count(), 0);
         s.add(3.5);
         assert_eq!(s.mean(), 3.5);
-        assert_eq!(s.variance(), 0.0);
+        assert_eq!(s.count(), 1);
     }
 }

@@ -118,27 +118,11 @@ impl NodeId {
     }
 }
 
-/// Port-layout helpers over [`DragonflyParams`].
-pub trait PortLayout {
+/// Port-layout helpers.
+impl DragonflyParams {
     /// Classify a port.
-    fn port_kind(&self, port: Port) -> PortKind;
-    /// Injection port for node slot `s`.
-    fn injection_port(&self, slot: u32) -> Port;
-    /// Local port on router `r` (local index) leading to router `peer`
-    /// (local index) in the same group.
-    fn local_port(&self, r: u32, peer: u32) -> Port;
-    /// Peer router (local index) reached through local port `port` of
-    /// router `r` (local index).
-    fn local_port_peer(&self, r: u32, port: Port) -> u32;
-    /// Global port number `j` (`0..h`) as a router [`Port`].
-    fn global_port(&self, j: u32) -> Port;
-    /// The global-port index `j` of a global [`Port`].
-    fn global_port_offset(&self, port: Port) -> u32;
-}
-
-impl PortLayout for DragonflyParams {
     #[inline]
-    fn port_kind(&self, port: Port) -> PortKind {
+    pub fn port_kind(&self, port: Port) -> PortKind {
         debug_assert!(port.0 < self.radix());
         if port.0 < self.p {
             PortKind::Injection
@@ -149,14 +133,17 @@ impl PortLayout for DragonflyParams {
         }
     }
 
+    /// Injection port for node slot `s`.
     #[inline]
-    fn injection_port(&self, slot: u32) -> Port {
+    pub fn injection_port(&self, slot: u32) -> Port {
         debug_assert!(slot < self.p);
         Port(slot)
     }
 
+    /// Local port on router `r` (local index) leading to router `peer`
+    /// (local index) in the same group.
     #[inline]
-    fn local_port(&self, r: u32, peer: u32) -> Port {
+    pub fn local_port(&self, r: u32, peer: u32) -> Port {
         debug_assert!(r != peer, "no local port to self");
         debug_assert!(r < self.a && peer < self.a);
         // Skip the router's own slot so the a-1 local ports stay dense.
@@ -164,8 +151,10 @@ impl PortLayout for DragonflyParams {
         Port(self.p + rel)
     }
 
+    /// Peer router (local index) reached through local port `port` of
+    /// router `r` (local index).
     #[inline]
-    fn local_port_peer(&self, r: u32, port: Port) -> u32 {
+    pub fn local_port_peer(&self, r: u32, port: Port) -> u32 {
         debug_assert_eq!(self.port_kind(port), PortKind::Local);
         let rel = port.0 - self.p;
         if rel < r {
@@ -175,14 +164,16 @@ impl PortLayout for DragonflyParams {
         }
     }
 
+    /// Global port number `j` (`0..h`) as a router [`Port`].
     #[inline]
-    fn global_port(&self, j: u32) -> Port {
+    pub fn global_port(&self, j: u32) -> Port {
         debug_assert!(j < self.h);
         Port(self.p + self.a - 1 + j)
     }
 
+    /// The global-port index `j` of a global [`Port`].
     #[inline]
-    fn global_port_offset(&self, port: Port) -> u32 {
+    pub fn global_port_offset(&self, port: Port) -> u32 {
         debug_assert_eq!(self.port_kind(port), PortKind::Global);
         port.0 - (self.p + self.a - 1)
     }

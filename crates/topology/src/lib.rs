@@ -33,7 +33,7 @@ mod shard;
 mod topology;
 
 pub use arrangement::Arrangement;
-pub use ids::{GroupId, NodeId, Port, PortKind, PortLayout, RouterId};
+pub use ids::{GroupId, NodeId, Port, PortKind, RouterId};
 pub use params::DragonflyParams;
 pub use shard::ShardPlan;
 pub use topology::{PortTarget, Topology};

@@ -1,7 +1,7 @@
 //! The assembled Dragonfly topology: wiring queries and minimal routes.
 
 use crate::arrangement::Arrangement;
-use crate::ids::{GroupId, NodeId, Port, PortKind, PortLayout, RouterId};
+use crate::ids::{GroupId, NodeId, Port, PortKind, RouterId};
 use crate::params::DragonflyParams;
 use serde::{Deserialize, Serialize};
 

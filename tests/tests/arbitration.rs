@@ -87,7 +87,7 @@ fn lru_escape_rotates_candidates_deterministically() {
         EngineConfig, Network, NullSink, PacketHeader, RouteInfo, RoutingPolicy,
     };
     use dragonfly_core::df_topology::{
-        Arrangement, GroupId, NodeId, PortLayout, RouterId, Topology,
+        Arrangement, GroupId, NodeId, RouterId, Topology,
     };
 
     let params = DragonflyParams::figure1();

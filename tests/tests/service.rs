@@ -24,7 +24,6 @@ use dragonfly_core::df_routing::MechanismSpec;
 use dragonfly_core::df_topology::{Arrangement, DragonflyParams};
 use dragonfly_core::df_traffic::PatternSpec;
 use dragonfly_core::df_workload::{InjectionSpec, JobSpec, PlacementSpec, ScenarioSpec, SweepSpec};
-use dragonfly_core::{RunCtl, SweepHooks};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
@@ -506,7 +505,7 @@ fn full_protocol_round_trips_over_the_unix_socket() {
 fn interrupted_sweep_resumes_from_its_checkpoint_byte_identically() {
     let dir = state_dir("resume");
     let payload = JobPayload::Sweep(tiny_sweep("svc-resume"));
-    let uninterrupted = payload.execute(&[1], &RunCtl::NONE, &SweepHooks::NONE).unwrap();
+    let uninterrupted = payload.execute(&[1], None, None).unwrap();
 
     let svc = Service::open(durable_config(&dir)).unwrap();
     let (sink, events) = collecting_sink();
@@ -564,7 +563,7 @@ fn interrupted_sweep_resumes_from_its_checkpoint_byte_identically() {
 fn rotted_checkpoint_line_is_dropped_and_recomputed() {
     let dir = state_dir("rotline");
     let payload = JobPayload::Sweep(tiny_sweep("svc-rotline"));
-    let uninterrupted = payload.execute(&[1], &RunCtl::NONE, &SweepHooks::NONE).unwrap();
+    let uninterrupted = payload.execute(&[1], None, None).unwrap();
 
     let svc = Service::open(durable_config(&dir)).unwrap();
     let (sink, events) = collecting_sink();

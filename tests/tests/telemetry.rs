@@ -194,13 +194,13 @@ fn telemetry_on_off_summaries_are_bit_identical() {
 }
 
 /// Every `CellOptions` field at once — trace recorders, a timeline sink,
-/// and a live `RunCtl` — must leave the run itself untouched: with the
+/// and a live `RunCtl` checkpoint — must leave the run itself untouched: with the
 /// timeline cleared the result serializes byte-identically to the
 /// uninstrumented cell, and the recorded per-job traces replay to the
 /// same per-job delivered counts.
 #[test]
 fn run_cell_options_compose_without_perturbing_the_run() {
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     let mut spec = churn_spec();
     spec.telemetry = None;
     let (mechanism, seed) = (MechanismSpec::InTransitMm, DEFAULT_SEEDS[0]);
@@ -211,12 +211,16 @@ fn run_cell_options_compose_without_perturbing_the_run() {
     let windows = std::rc::Rc::new(std::cell::Cell::new(0usize));
     let counter = windows.clone();
     let checkpoints = AtomicU64::new(0);
-    let on_cycle = |_: u64| {
+    let cancelled = AtomicBool::new(false);
+    let checkpoint = |cycle: u64| {
         checkpoints.fetch_add(1, Ordering::Relaxed);
+        match cancelled.load(Ordering::Relaxed) {
+            true => Err(ScenarioError::Cancelled { at_cycle: cycle }),
+            false => Ok(()),
+        }
     };
-    let cancel = CancelToken::new();
     let opts = CellOptions {
-        ctl: RunCtl { cancel: Some(&cancel), deadline: None, on_cycle: Some(&on_cycle) },
+        ctl: Some(&checkpoint),
         recorders: Some(&mut recorders),
         timeline: Some(Box::new(move |_| counter.set(counter.get() + 1))),
     };
@@ -224,7 +228,7 @@ fn run_cell_options_compose_without_perturbing_the_run() {
     assert_eq!(
         checkpoints.load(Ordering::Relaxed),
         spec.warmup_cycles + spec.measure_cycles,
-        "the ctl hook ran once per driver cycle"
+        "the checkpoint ran once per driver cycle"
     );
     let rows = full.timeline.take().expect("a sink forces telemetry on");
     assert_eq!(windows.get(), rows.len(), "sink saw every window exactly once");
@@ -249,12 +253,12 @@ fn run_cell_options_compose_without_perturbing_the_run() {
         assert_eq!(a.delivered_packets, b.delivered_packets, "job `{}`", a.job);
     }
 
-    // A cancelled token aborts the same composed call with an interrupt.
-    cancel.cancel();
-    let ctl = RunCtl { cancel: Some(&cancel), ..RunCtl::NONE };
-    let err = run_cell(&spec, mechanism, seed, CellOptions { ctl, ..Default::default() })
-        .expect_err("cancelled before the first cycle");
-    assert!(err.is_interrupt(), "{err}");
+    // A cancelling checkpoint aborts the same composed call at its first
+    // cycle.
+    cancelled.store(true, Ordering::Relaxed);
+    let opts = CellOptions { ctl: Some(&checkpoint), ..Default::default() };
+    let err = run_cell(&spec, mechanism, seed, opts).expect_err("cancelled at the first cycle");
+    assert_eq!(err, ScenarioError::Cancelled { at_cycle: 0 });
 }
 
 // ---------------------------------------------------------------------
