@@ -9,6 +9,15 @@ set -euo pipefail
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> cargo fmt --check (every workspace package)"
+# Per package, not --all: --all would also format the vendored path
+# crates under vendor/. The style is rustfmt.toml's; perf/ is not a
+# workspace member.
+for package in df-topology df-engine df-routing df-traffic df-stats df-workload \
+    dragonfly-core df-service df-bench integration-tests; do
+    cargo fmt -p "$package" -- --check
+done
+
 echo "==> cargo test -q"
 # Unit, integration and doc tests of every workspace crate (the doc
 # tests include df-workload's schema examples). Debug-assertion builds

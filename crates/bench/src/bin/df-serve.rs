@@ -79,10 +79,8 @@ fn main() {
         args.cfg.queue_depth,
     );
     let state_dir = args.cfg.state_dir.clone();
-    let service = Arc::new(
-        Service::open(args.cfg)
-            .unwrap_or_else(|e| fail(&format!("open state dir: {e}"))),
-    );
+    let service =
+        Arc::new(Service::open(args.cfg).unwrap_or_else(|e| fail(&format!("open state dir: {e}"))));
     if let Some(dir) = &state_dir {
         let report = service.startup_report();
         eprintln!(

@@ -174,9 +174,10 @@ fn append_rows(path: &PathBuf, rows: &[dragonfly_core::SweepRow]) {
         .open(path)
         .unwrap_or_else(|e| fail(&format!("open {}: {e}", path.display())));
     for row in rows {
-        let line = serde_json::to_string(row)
-            .unwrap_or_else(|e| fail(&format!("serialize row: {e}")));
-        writeln!(file, "{line}").unwrap_or_else(|e| fail(&format!("write {}: {e}", path.display())));
+        let line =
+            serde_json::to_string(row).unwrap_or_else(|e| fail(&format!("serialize row: {e}")));
+        writeln!(file, "{line}")
+            .unwrap_or_else(|e| fail(&format!("write {}: {e}", path.display())));
     }
 }
 
@@ -204,9 +205,8 @@ fn main() {
 
     let mut stream = UnixStream::connect(&args.socket)
         .unwrap_or_else(|e| fail(&format!("connect {}: {e}", args.socket.display())));
-    let reader = BufReader::new(
-        stream.try_clone().unwrap_or_else(|e| fail(&format!("clone socket: {e}"))),
-    );
+    let reader =
+        BufReader::new(stream.try_clone().unwrap_or_else(|e| fail(&format!("clone socket: {e}"))));
     let line = serde_json::to_string(&request)
         .unwrap_or_else(|e| fail(&format!("serialize request: {e}")));
     writeln!(stream, "{line}").unwrap_or_else(|e| fail(&format!("send request: {e}")));
@@ -214,8 +214,7 @@ fn main() {
         // Cancellation has no success response; a trailing ping makes
         // the round trip observable (a bad id answers protocol_error
         // first).
-        let ping =
-            serde_json::to_string(&Request::Ping).unwrap_or_else(|e| fail(&e.to_string()));
+        let ping = serde_json::to_string(&Request::Ping).unwrap_or_else(|e| fail(&e.to_string()));
         writeln!(stream, "{ping}").unwrap_or_else(|e| fail(&format!("send request: {e}")));
     }
     if args.no_wait {
@@ -229,8 +228,8 @@ fn main() {
         if line.trim().is_empty() {
             continue;
         }
-        let event: JobEvent = serde_json::from_str(&line)
-            .unwrap_or_else(|e| fail(&format!("bad event line: {e}")));
+        let event: JobEvent =
+            serde_json::from_str(&line).unwrap_or_else(|e| fail(&format!("bad event line: {e}")));
         match &event {
             JobEvent::Accepted { job, queue_depth, .. } => {
                 eprintln!("job {job}: accepted (queue depth {queue_depth})")
@@ -248,9 +247,7 @@ fn main() {
                 eprintln!("job {job}: attempt {attempt} died ({error}); retry in {backoff_ms} ms")
             }
             JobEvent::Recovered { job, cells_done, cells_total, .. } => {
-                eprintln!(
-                    "job {job}: recovered {cells_done}/{cells_total} unit(s) from checkpoint"
-                )
+                eprintln!("job {job}: recovered {cells_done}/{cells_total} unit(s) from checkpoint")
             }
             JobEvent::SweepRows { job, cell, seed, rows } => {
                 eprintln!("job {job}: cell {cell} seed {seed}: {} row(s)", rows.len());

@@ -118,11 +118,8 @@ fn main() {
         run_cell(&spec, spec.mechanisms[0], args.seeds[0], opts)
             .unwrap_or_else(|e| fail(&e.to_string()));
         for (j, recorder) in recorders.iter().enumerate() {
-            let job_path = if recorders.len() == 1 {
-                path.clone()
-            } else {
-                format!("{path}.job{j}.json")
-            };
+            let job_path =
+                if recorders.len() == 1 { path.clone() } else { format!("{path}.job{j}.json") };
             recorder.save(&job_path).unwrap_or_else(|e| fail(&e));
             eprintln!(
                 "recorded {} events of job `{}` under {} to {job_path}",
@@ -142,8 +139,7 @@ fn main() {
         let file = create_timeline_file(path).unwrap_or_else(|e| fail(&e));
         for &mechanism in &spec.mechanisms {
             let sink = timeline_sink(
-                file.try_clone()
-                    .unwrap_or_else(|e| fail(&format!("clone timeline handle: {e}"))),
+                file.try_clone().unwrap_or_else(|e| fail(&format!("clone timeline handle: {e}"))),
                 spec.name.clone(),
                 mechanism.label().to_string(),
                 args.seeds[0],
@@ -171,8 +167,17 @@ fn main() {
         );
         println!(
             "  {:>12} {:>6} {:>9} {:>9} {:>10} {:>8} {:>8} {:>8} {:>9} {:>9} {:>8}",
-            "job", "nodes", "offered", "accepted", "latency", "p50", "p95", "p99", "min inj",
-            "max/min", "CoV"
+            "job",
+            "nodes",
+            "offered",
+            "accepted",
+            "latency",
+            "p50",
+            "p95",
+            "p99",
+            "min inj",
+            "max/min",
+            "CoV"
         );
         for j in &m.per_job {
             let pct = |p: Option<f64>| match p {

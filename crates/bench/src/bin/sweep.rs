@@ -132,16 +132,10 @@ fn main() {
         "cell", "mechanism", "load", "placement", "pattern", "accepted", "latency", "job CoV"
     );
     for cell in &cells {
-        let net: Vec<&SweepRow> = table
-            .rows
-            .iter()
-            .filter(|r| r.cell == cell.index && r.scope == "network")
-            .collect();
-        let jobs: Vec<&SweepRow> = table
-            .rows
-            .iter()
-            .filter(|r| r.cell == cell.index && r.scope != "network")
-            .collect();
+        let net: Vec<&SweepRow> =
+            table.rows.iter().filter(|r| r.cell == cell.index && r.scope == "network").collect();
+        let jobs: Vec<&SweepRow> =
+            table.rows.iter().filter(|r| r.cell == cell.index && r.scope != "network").collect();
         let n = net.len() as f64;
         let thr = net.iter().map(|r| r.throughput).sum::<f64>() / n;
         let lat = net.iter().map(|r| r.avg_latency).sum::<f64>() / n;

@@ -122,8 +122,7 @@ pub fn timeline_sink(
         };
         let text = serde_json::to_string(&line)
             .unwrap_or_else(|e| fail(&format!("serialize timeline line: {e}")));
-        writeln!(file, "{text}")
-            .unwrap_or_else(|e| fail(&format!("write timeline line: {e}")));
+        writeln!(file, "{text}").unwrap_or_else(|e| fail(&format!("write timeline line: {e}")));
         file.flush().unwrap_or_else(|e| fail(&format!("flush timeline line: {e}")));
     })
 }

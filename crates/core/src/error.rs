@@ -42,9 +42,7 @@ impl ScenarioError {
     /// service layer can still map them to their own events.
     pub fn context(self, ctx: &str) -> Self {
         match self {
-            ScenarioError::InvalidSpec(msg) => {
-                ScenarioError::InvalidSpec(format!("{ctx}: {msg}"))
-            }
+            ScenarioError::InvalidSpec(msg) => ScenarioError::InvalidSpec(format!("{ctx}: {msg}")),
             other => other,
         }
     }

@@ -159,10 +159,7 @@ mod tests {
             let runs: Vec<RunResult> =
                 seeds.iter().map(|&s| run_single(&cfg.with_seed(s))).collect();
             let want = AveragedResult::from_runs(&runs);
-            assert_eq!(
-                serde_json::to_string(got).unwrap(),
-                serde_json::to_string(&want).unwrap()
-            );
+            assert_eq!(serde_json::to_string(got).unwrap(), serde_json::to_string(&want).unwrap());
         }
         assert_eq!(grid[1].mechanism, "In-Trns-MM");
         assert!(run_grid(&[], &seeds).is_empty());

@@ -281,11 +281,8 @@ pub fn run_scenario_ctl(
     if seeds.is_empty() {
         return Err(ScenarioError::spec("need at least one seed"));
     }
-    let cells: Vec<(MechanismSpec, u64)> = spec
-        .mechanisms
-        .iter()
-        .flat_map(|&m| seeds.iter().map(move |&s| (m, s)))
-        .collect();
+    let cells: Vec<(MechanismSpec, u64)> =
+        spec.mechanisms.iter().flat_map(|&m| seeds.iter().map(move |&s| (m, s))).collect();
     let runs: Vec<Result<RunResult, ScenarioError>> = cells
         .par_iter()
         .map(|&(m, s)| run_cell(spec, m, s, CellOptions { ctl, ..Default::default() }))
@@ -298,8 +295,7 @@ pub fn run_scenario_ctl(
         let n = mech_runs.len() as f64;
         let per_job = (0..spec.jobs.len())
             .map(|j| {
-                let per_seed: Vec<&JobResult> =
-                    mech_runs.iter().map(|r| &r.per_job[j]).collect();
+                let per_seed: Vec<&JobResult> = mech_runs.iter().map(|r| &r.per_job[j]).collect();
                 JobSummary::average(&per_seed)
             })
             .collect();
@@ -340,11 +336,7 @@ mod tests {
             jobs: vec![
                 JobSpec {
                     name: "anatomy".into(),
-                    placement: PlacementSpec::ConsecutiveGroups {
-                        first: 0,
-                        count: 3,
-                        slots: None,
-                    },
+                    placement: PlacementSpec::ConsecutiveGroups { first: 0, count: 3, slots: None },
                     pattern: PatternSpec::Uniform,
                     injection: InjectionSpec::Bernoulli,
                     load: 0.3,
@@ -353,11 +345,7 @@ mod tests {
                 },
                 JobSpec {
                     name: "late".into(),
-                    placement: PlacementSpec::ConsecutiveGroups {
-                        first: 5,
-                        count: 2,
-                        slots: None,
-                    },
+                    placement: PlacementSpec::ConsecutiveGroups { first: 5, count: 2, slots: None },
                     pattern: PatternSpec::GroupLocal,
                     injection: InjectionSpec::OnOff { mean_burst: 30.0, mean_idle: 30.0 },
                     load: 0.2,
@@ -370,8 +358,8 @@ mod tests {
 
     #[test]
     fn scenario_produces_per_job_breakdown() {
-        let r = run_cell(&tiny_spec(), MechanismSpec::InTransitMm, 1, CellOptions::default())
-            .unwrap();
+        let r =
+            run_cell(&tiny_spec(), MechanismSpec::InTransitMm, 1, CellOptions::default()).unwrap();
         assert_eq!(r.per_job.len(), 2);
         assert_eq!(r.per_job[0].job, "anatomy");
         assert!(r.per_job[0].throughput > 0.1, "{}", r.per_job[0].throughput);

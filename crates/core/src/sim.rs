@@ -443,8 +443,7 @@ impl Simulator {
         profile: Option<&mut PhaseProfile>,
         recorders: Option<&mut [TraceRecorder]>,
     ) -> Result<(), ScenarioError> {
-        if self.next_arrival < self.arrivals.len() || self.next_departure < self.departures.len()
-        {
+        if self.next_arrival < self.arrivals.len() || self.next_departure < self.departures.len() {
             self.process_job_lifecycle();
         }
         self.offer_arrivals(recorders)?;
@@ -698,16 +697,12 @@ impl Simulator {
                 let active_cycles = live_to.saturating_sub(live_from);
                 let window = if active_cycles == 0 { f64::NAN } else { active_cycles as f64 };
                 let norm = |v: f64| if active_cycles == 0 { 0.0 } else { v };
-                let injections: Vec<u64> = job
-                    .nodes
-                    .iter()
-                    .map(|n| counters.injected_per_node[n.idx()])
-                    .collect();
+                let injections: Vec<u64> =
+                    job.nodes.iter().map(|n| counters.injected_per_node[n.idx()]).collect();
                 JobResult {
                     job: job.label.clone(),
                     nodes: job.nodes.len() as u32,
-                    offered: norm(job.offered_packets as f64 * packet_size
-                        / (job_nodes * window)),
+                    offered: norm(job.offered_packets as f64 * packet_size / (job_nodes * window)),
                     throughput: norm(acc.delivered_phits as f64 / (job_nodes * window)),
                     avg_latency: acc.latency.mean_latency(),
                     delivered_packets: acc.delivered_packets,
@@ -752,8 +747,7 @@ mod tests {
     use df_traffic::PatternSpec;
 
     fn tiny(mechanism: MechanismSpec, pattern: PatternSpec, load: f64) -> SimConfig {
-        let mut cfg =
-            SimConfig::small(mechanism, ArbiterPolicy::TransitPriority, pattern, load);
+        let mut cfg = SimConfig::small(mechanism, ArbiterPolicy::TransitPriority, pattern, load);
         cfg.params = DragonflyParams::figure1();
         cfg.warmup_cycles = 2_000;
         cfg.measure_cycles = 4_000;
@@ -806,7 +800,8 @@ mod tests {
 
     #[test]
     fn same_seed_reproduces_exactly() {
-        let cfg = tiny(MechanismSpec::InTransitCrg, PatternSpec::AdvConsecutive { spread: None }, 0.3);
+        let cfg =
+            tiny(MechanismSpec::InTransitCrg, PatternSpec::AdvConsecutive { spread: None }, 0.3);
         let a = run_single(&cfg);
         let b = run_single(&cfg);
         assert_eq!(a.throughput, b.throughput);

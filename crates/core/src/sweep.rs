@@ -240,9 +240,8 @@ pub fn run_sweep_hooked(
         return Err(ScenarioError::spec("need at least one seed"));
     }
     let cells = spec.expand()?;
-    let units: Vec<(usize, u64)> = (0..cells.len())
-        .flat_map(|c| seeds.iter().map(move |&s| (c, s)))
-        .collect();
+    let units: Vec<(usize, u64)> =
+        (0..cells.len()).flat_map(|c| seeds.iter().map(move |&s| (c, s))).collect();
     let runs: Vec<Result<Vec<SweepRow>, ScenarioError>> = units
         .par_iter()
         .map(|&(c, seed)| {
@@ -294,11 +293,7 @@ mod tests {
                 telemetry: None,
                 jobs: vec![JobSpec {
                     name: "app".into(),
-                    placement: PlacementSpec::ConsecutiveGroups {
-                        first: 0,
-                        count: 3,
-                        slots: None,
-                    },
+                    placement: PlacementSpec::ConsecutiveGroups { first: 0, count: 3, slots: None },
                     pattern: PatternSpec::Uniform,
                     injection: InjectionSpec::Bernoulli,
                     load: 0.2,
@@ -341,10 +336,7 @@ mod tests {
         let spec = tiny_sweep();
         let a = run_sweep(&spec, &[7]).unwrap();
         let b = run_sweep(&spec, &[7]).unwrap();
-        assert_eq!(
-            serde_json::to_string(&a).unwrap(),
-            serde_json::to_string(&b).unwrap()
-        );
+        assert_eq!(serde_json::to_string(&a).unwrap(), serde_json::to_string(&b).unwrap());
         assert_eq!(a.to_csv(), b.to_csv());
     }
 

@@ -271,7 +271,10 @@ mod tests {
                 "injection_link_latency",
                 EngineConfig { injection_link_latency: 0, ..EngineConfig::default() },
             ),
-            ("local_link_latency", EngineConfig { local_link_latency: 0, ..EngineConfig::default() }),
+            (
+                "local_link_latency",
+                EngineConfig { local_link_latency: 0, ..EngineConfig::default() },
+            ),
             (
                 "global_link_latency",
                 EngineConfig { global_link_latency: 0, ..EngineConfig::default() },

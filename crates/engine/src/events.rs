@@ -101,7 +101,11 @@ impl List {
 
     /// Events in chunk `c` of this list.
     fn len_of(&self, c: u32) -> usize {
-        if c == self.last { self.last_len as usize } else { CHUNK }
+        if c == self.last {
+            self.last_len as usize
+        } else {
+            CHUNK
+        }
     }
 }
 
@@ -371,10 +375,8 @@ mod tests {
     }
 
     fn op() -> impl Strategy<Value = Op> {
-        let delay = prop_oneof![
-            1..=HORIZON,
-            (0..TABLE_I_DELAYS.len()).prop_map(|i| TABLE_I_DELAYS[i]),
-        ];
+        let delay =
+            prop_oneof![1..=HORIZON, (0..TABLE_I_DELAYS.len()).prop_map(|i| TABLE_I_DELAYS[i]),];
         let schedule = (delay, prop_oneof![1u32..4, 1u32..200])
             .prop_map(|(delay, burst)| Op::Schedule { delay, burst });
         prop_oneof![schedule, (1u64..5).prop_map(Op::Advance)]

@@ -35,10 +35,10 @@ pub use config::{
     validate_run_protocol, ArbiterPolicy, EngineConfig, TelemetrySpec, MAX_RUN_CYCLES,
 };
 pub use network::{Counters, Network, PhaseProfile};
-pub use shard::{RecordQueue, ShardedNetwork};
 pub use packet::{
     Decision, DeliveredRecord, Packet, PacketHeader, PacketSeq, Phase, RouteDep, RouteInfo,
     WaitBreakdown,
 };
 pub use policy::{CycleCtx, NullSink, RoutingPolicy, StatsSink};
 pub use router::{input_capacity_for, vcs_for, RouterState};
+pub use shard::{RecordQueue, ShardedNetwork};

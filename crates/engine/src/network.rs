@@ -446,10 +446,8 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
         // indexing of the fairness counters valid.
         debug_assert_eq!(node_range.start, router_range.start * params.p);
         debug_assert_eq!(node_range.end, router_range.end * params.p);
-        let routers: Vec<RouterState> = router_range
-            .clone()
-            .map(|r| RouterState::new(RouterId(r), &params, &cfg))
-            .collect();
+        let routers: Vec<RouterState> =
+            router_range.clone().map(|r| RouterState::new(RouterId(r), &params, &cfg)).collect();
         let nodes: Vec<NodeState> = node_range
             .clone()
             .map(|_| NodeState {
@@ -666,9 +664,7 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
         let radix = self.topo.params().radix() as usize;
         self.routers
             .iter()
-            .map(|r| {
-                (0..radix).map(|p| r.port_epoch(Port(p as u32)) as u64).sum::<u64>()
-            })
+            .map(|r| (0..radix).map(|p| r.port_epoch(Port(p as u32)) as u64).sum::<u64>())
             .sum()
     }
 
@@ -930,7 +926,7 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
             + min_l as u64 * self.cfg.local_link_latency
             + min_g as u64 * self.cfg.global_link_latency
             + self.cfg.injection_link_latency                         // router → node
-            + self.cfg.packet_size as u64;                            // serialization
+            + self.cfg.packet_size as u64; // serialization
         let rec = DeliveredRecord {
             header: pkt.header(self.cfg.packet_size),
             delivered_cycle: self.cycle,
@@ -1148,7 +1144,11 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
         // Distance of the proposing input port from the pointer, going up.
         let key_rr = |p: &Proposal| {
             let ip = p.in_port as u32;
-            if ip >= rr { ip - rr } else { ip + radix - rr }
+            if ip >= rr {
+                ip - rr
+            } else {
+                ip + radix - rr
+            }
         };
         let feasible = props.iter().filter(still_feasible);
         let pick = match self.cfg.arbiter {
@@ -1236,10 +1236,7 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
             }
         }
 
-        self.routers[r].stage_output(
-            out_port,
-            Staged { pkt: id, enq_at: self.cycle, out_vc },
-        );
+        self.routers[r].stage_output(out_port, Staged { pkt: id, enq_at: self.cycle, out_vc });
         set_bit(&mut self.tx_active, r);
     }
 
@@ -1584,7 +1581,8 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
                 for vc in 0..router.in_ports[q].vcs {
                     ledger.add(id, port, vc, router.input_occupancy(port, vc));
                 }
-                let PortTarget::Router { router: peer, port: peer_port } = self.peers[r * radix + q]
+                let PortTarget::Router { router: peer, port: peer_port } =
+                    self.peers[r * radix + q]
                 else {
                     continue; // ejection: the node sinks without credits
                 };
@@ -1782,8 +1780,7 @@ mod tests {
                     false,
                 )
             } else {
-                let (exit, j) =
-                    self.topo.exit_to_group(me.group(params), dst_router.group(params));
+                let (exit, j) = self.topo.exit_to_group(me.group(params), dst_router.group(params));
                 if exit == me {
                     (params.global_port(j), info.global_hops, true)
                 } else {

@@ -437,7 +437,13 @@ impl RouterState {
     /// Record the output the head of (`in_port`, `vc`) was routed to: the
     /// only copy of it, read back by later probes and by the grant.
     #[inline]
-    pub(crate) fn record_decision(&mut self, in_port: usize, vc: usize, out_port: Port, out_vc: u8) {
+    pub(crate) fn record_decision(
+        &mut self,
+        in_port: usize,
+        vc: usize,
+        out_port: Port,
+        out_vc: u8,
+    ) {
         debug_assert!(self.in_ports[in_port].ready & (1 << vc) != 0, "deciding an empty VC");
         self.in_ports[in_port].decided |= 1 << vc;
         let flat = self.flat(in_port, vc);
@@ -670,9 +676,8 @@ mod tests {
     fn port_structure_matches_params() {
         let (params, cfg, r) = setup();
         assert_eq!(r.in_ports.len(), params.radix() as usize);
-        let credits = |port: usize| {
-            &r.credits[port * r.vc_stride..][..r.out_ports[port].down_vcs as usize]
-        };
+        let credits =
+            |port: usize| &r.credits[port * r.vc_stride..][..r.out_ports[port].down_vcs as usize];
         // Injection ports: 3 VCs, no downstream credits.
         assert_eq!(r.in_ports[0].vcs, cfg.vcs_injection);
         assert!(!r.has_credits(0));

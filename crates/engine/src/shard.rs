@@ -352,8 +352,9 @@ impl<P: RoutingPolicy> Shared<P> {
             // epochs arrive one at a time.
             seen += 1;
             let ran = catch_unwind(AssertUnwindSafe(|| {
-                let mut block =
-                    lock(&self.blocks[w]).take().expect("the caller lends the block before the bump");
+                let mut block = lock(&self.blocks[w])
+                    .take()
+                    .expect("the caller lends the block before the bump");
                 let ran = self.run_block(w, &mut block, &mut Untimed);
                 *lock(&self.blocks[w]) = Some(block);
                 ran
@@ -489,7 +490,8 @@ impl<P: RoutingPolicy + Send + 'static, S: StatsSink> ShardedNetwork<P, S> {
                 plan.node_range(s),
             )
         });
-        let blocks = first.windows(2).map(|w| slices.by_ref().take(w[1] - w[0]).collect()).collect();
+        let blocks =
+            first.windows(2).map(|w| slices.by_ref().take(w[1] - w[0]).collect()).collect();
         let shared = Shared {
             plan,
             first,
@@ -814,8 +816,7 @@ mod tests {
                     false,
                 )
             } else {
-                let (exit, j) =
-                    self.topo.exit_to_group(me.group(params), dst_router.group(params));
+                let (exit, j) = self.topo.exit_to_group(me.group(params), dst_router.group(params));
                 if exit == me {
                     (params.global_port(j), info.global_hops, true)
                 } else {

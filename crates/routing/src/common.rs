@@ -123,9 +123,7 @@ pub(crate) fn normalize_route_state(
         info.local_misrouted = false;
     }
     if info.phase == Phase::ToIntermediate {
-        let inter = info
-            .intermediate
-            .expect("ToIntermediate phase requires an intermediate node");
+        let inter = info.intermediate.expect("ToIntermediate phase requires an intermediate node");
         if inter.router(params) == me {
             info.phase = Phase::ToDestination;
             info.intermediate = None;

@@ -23,8 +23,8 @@
 //! structural overlap behind the paper's unfairness result.
 
 use crate::common::{
-    current_target, entry_node_of_group, make_decision, minimal_out, normalize_route_state,
-    vc_for, VcPlan,
+    current_target, entry_node_of_group, make_decision, minimal_out, normalize_route_state, vc_for,
+    VcPlan,
 };
 use df_engine::{
     Decision, EngineConfig, PacketHeader, Phase, RouteInfo, RouterState, RoutingPolicy,
@@ -328,7 +328,8 @@ mod tests {
     #[test]
     fn misroute_threshold_boundaries() {
         let fill = |packets: u32, window: u32| f64::from(packets * 8) / f64::from(window);
-        let both = |occ: f64, t: f64| (passes(Role::Minimal, occ, t), passes(Role::Candidate, occ, t));
+        let both =
+            |occ: f64, t: f64| (passes(Role::Minimal, occ, t), passes(Role::Candidate, occ, t));
         // A 256-phit global VC: 13 packets outstanding read 0.40625, 14 read 0.4375.
         assert_eq!(both(fill(13, 256), 0.43), (true, true));
         assert_eq!(both(fill(14, 256), 0.43), (false, false));

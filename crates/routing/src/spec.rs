@@ -128,8 +128,7 @@ mod tests {
             .chain([&MechanismSpec::Min, &MechanismSpec::InTransitLru])
         {
             let topo = Topology::new(params, Arrangement::Palmtree);
-            let cfg =
-                EngineConfig::paper(ArbiterPolicy::RoundRobin, spec.required_local_vcs());
+            let cfg = EngineConfig::paper(ArbiterPolicy::RoundRobin, spec.required_local_vcs());
             let policy = spec.build(topo.clone(), &cfg, 3);
             assert_eq!(policy.name(), spec.label());
             let mut net = Network::new(topo, cfg, policy, NullSink);
@@ -146,9 +145,7 @@ mod tests {
         let params = DragonflyParams::figure1();
         let topo = Topology::new(params, Arrangement::Palmtree);
         let cfg = EngineConfig::paper(ArbiterPolicy::RoundRobin, 3);
-        let result = std::panic::catch_unwind(|| {
-            MechanismSpec::ObliviousRrg.build(topo, &cfg, 0)
-        });
+        let result = std::panic::catch_unwind(|| MechanismSpec::ObliviousRrg.build(topo, &cfg, 0));
         assert!(result.is_err(), "oblivious with 3 local VCs must be rejected");
     }
 

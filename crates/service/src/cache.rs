@@ -211,8 +211,7 @@ mod tests {
 
     #[test]
     fn state_backed_cache_survives_a_restart_and_evicts_spill_files() {
-        let dir = std::env::temp_dir()
-            .join(format!("df-cache-state-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("df-cache-state-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let state = Arc::new(StateDir::open(&dir).unwrap());
 

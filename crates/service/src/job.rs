@@ -7,10 +7,10 @@
 //! result document — the exact JSON text that gets cached, digested,
 //! and replayed on a cache hit.
 
+use df_workload::{ScenarioSpec, SweepSpec};
 use dragonfly_core::{
     run_scenario_ctl, run_sweep_hooked, RunCtl, ScenarioError, UnitHook, DEFAULT_SEEDS,
 };
-use df_workload::{ScenarioSpec, SweepSpec};
 
 /// The work behind one submission.
 #[derive(Debug, Clone)]
@@ -141,11 +141,11 @@ pub fn effective_seeds(requested: &Option<Vec<u64>>) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use df_workload::{InjectionSpec, JobSpec, PlacementSpec};
     use dragonfly_core::df_engine::ArbiterPolicy;
     use dragonfly_core::df_routing::MechanismSpec;
     use dragonfly_core::df_topology::{Arrangement, DragonflyParams};
     use dragonfly_core::df_traffic::PatternSpec;
-    use df_workload::{InjectionSpec, JobSpec, PlacementSpec};
 
     fn tiny_scenario() -> ScenarioSpec {
         ScenarioSpec {

@@ -247,9 +247,7 @@ impl JobEvent {
             | JobEvent::TimedOut { job, .. }
             | JobEvent::Cancelled { job, .. }
             | JobEvent::Failed { job, .. } => Some(*job),
-            JobEvent::Pong | JobEvent::ShuttingDown { .. } | JobEvent::ProtocolError { .. } => {
-                None
-            }
+            JobEvent::Pong | JobEvent::ShuttingDown { .. } | JobEvent::ProtocolError { .. } => None,
         }
     }
 

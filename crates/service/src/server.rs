@@ -98,10 +98,7 @@ pub fn serve(
 /// stream and the shared event log. Write errors to the client are
 /// ignored (it may have disconnected; the job still runs to completion
 /// and its result is cached).
-fn line_sink(
-    stream: Arc<Mutex<UnixStream>>,
-    log: Option<Arc<Mutex<std::fs::File>>>,
-) -> EventSink {
+fn line_sink(stream: Arc<Mutex<UnixStream>>, log: Option<Arc<Mutex<std::fs::File>>>) -> EventSink {
     Arc::new(move |event: JobEvent| {
         let line = match serde_json::to_string(&event) {
             Ok(l) => l,
@@ -306,20 +303,16 @@ mod tests {
         // behind it. Connect fails, so serve unlinks and binds.
         drop(UnixListener::bind(&socket).unwrap());
         assert!(socket.exists());
-        let service = Arc::new(Service::new(ServiceConfig {
-            workers: 1,
-            ..ServiceConfig::default()
-        }));
+        let service =
+            Arc::new(Service::new(ServiceConfig { workers: 1, ..ServiceConfig::default() }));
         let server = {
             let socket = socket.clone();
             std::thread::spawn(move || serve(service, &socket, None))
         };
         connect(&socket);
         // A second server against the now-live socket must refuse.
-        let rival = Arc::new(Service::new(ServiceConfig {
-            workers: 1,
-            ..ServiceConfig::default()
-        }));
+        let rival =
+            Arc::new(Service::new(ServiceConfig { workers: 1, ..ServiceConfig::default() }));
         let err = serve(rival, &socket, None).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::AddrInUse);
         ping_then_shutdown(&socket, server);

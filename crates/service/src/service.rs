@@ -75,11 +75,7 @@ pub struct ServiceConfig {
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        Self {
-            workers: 2,
-            queue_depth: 16,
-            state_dir: None,
-        }
+        Self { workers: 2, queue_depth: 16, state_dir: None }
     }
 }
 
@@ -164,9 +160,8 @@ impl Shared {
     /// Block until a job is queued and claim it; `None` once the
     /// service is closed and the queue is empty.
     fn pop(&self) -> Option<JobContext> {
-        let wait = self.changed.wait_while(lock(&self.jobs), |jobs| {
-            jobs.queue.is_empty() && !jobs.closed
-        });
+        let wait =
+            self.changed.wait_while(lock(&self.jobs), |jobs| jobs.queue.is_empty() && !jobs.closed);
         wait.unwrap_or_else(PoisonError::into_inner).queue.pop_front()
     }
 
@@ -225,13 +220,8 @@ impl Service {
             None => (ResultCache::new(CACHE_CAPACITY), None, LoadReport::default()),
         };
         let workers = cfg.workers;
-        let shared = Arc::new(Shared {
-            cfg,
-            cache,
-            state,
-            jobs: Mutex::default(),
-            changed: Condvar::new(),
-        });
+        let shared =
+            Arc::new(Shared { cfg, cache, state, jobs: Mutex::default(), changed: Condvar::new() });
         for _ in 0..workers {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || shared.work());
@@ -371,8 +361,7 @@ impl JobContext {
                         // was never promised, so a restart must treat
                         // the key as absent and recompute it.
                         if let Some(state) = &shared.state {
-                            let digest =
-                                crate::protocol::digest_hex(result.as_bytes());
+                            let digest = crate::protocol::digest_hex(result.as_bytes());
                             let _ = state.spill_torn(
                                 &self.key,
                                 &crate::cache::CacheEntry { result, digest },
@@ -459,9 +448,7 @@ impl JobContext {
         let units: HashMap<(u32, u64), Vec<SweepRow>> = load
             .units
             .into_iter()
-            .filter(|((cell, seed), _)| {
-                u64::from(*cell) < n_cells && self.seeds.contains(seed)
-            })
+            .filter(|((cell, seed), _)| u64::from(*cell) < n_cells && self.seeds.contains(seed))
             .collect();
         if !units.is_empty() {
             (self.sink)(JobEvent::Recovered {
@@ -582,11 +569,11 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use df_workload::{InjectionSpec, JobSpec, PlacementSpec, ScenarioSpec};
     use dragonfly_core::df_engine::ArbiterPolicy;
     use dragonfly_core::df_routing::MechanismSpec;
     use dragonfly_core::df_topology::{Arrangement, DragonflyParams};
     use dragonfly_core::df_traffic::PatternSpec;
-    use df_workload::{InjectionSpec, JobSpec, PlacementSpec, ScenarioSpec};
 
     fn tiny_scenario() -> ScenarioSpec {
         ScenarioSpec {
@@ -781,11 +768,8 @@ mod tests {
     fn stall_past_deadline_times_out_without_output() {
         let svc = Service::new(ServiceConfig { workers: 1, ..ServiceConfig::default() });
         let (sink, events) = collecting_sink();
-        let fault = FaultSpec {
-            stall_at_cycle: Some(50),
-            stall_ms: Some(150),
-            ..FaultSpec::default()
-        };
+        let fault =
+            FaultSpec { stall_at_cycle: Some(50), stall_ms: Some(150), ..FaultSpec::default() };
         let job = svc.submit(
             JobPayload::Scenario(tiny_scenario()),
             options(Some(fault), Some(50)),
@@ -834,11 +818,8 @@ mod tests {
         let svc = Service::new(ServiceConfig { workers: 1, ..ServiceConfig::default() });
         let (sink, events) = collecting_sink();
         // Stall long enough for the cancel to land mid-run.
-        let fault = FaultSpec {
-            stall_at_cycle: Some(10),
-            stall_ms: Some(300),
-            ..FaultSpec::default()
-        };
+        let fault =
+            FaultSpec { stall_at_cycle: Some(10), stall_ms: Some(300), ..FaultSpec::default() };
         let job = svc.submit(
             JobPayload::Scenario(tiny_scenario()),
             options(Some(fault), None),
@@ -864,11 +845,8 @@ mod tests {
     fn shutdown_drains_running_and_queued_jobs_then_refuses_work() {
         let svc = Service::new(ServiceConfig { workers: 1, ..ServiceConfig::default() });
         let (sink, events) = collecting_sink();
-        let stall = FaultSpec {
-            stall_at_cycle: Some(10),
-            stall_ms: Some(300),
-            ..FaultSpec::default()
-        };
+        let stall =
+            FaultSpec { stall_at_cycle: Some(10), stall_ms: Some(300), ..FaultSpec::default() };
         let seeded = |seed| SubmitOptions { seeds: Some(vec![seed]), ..options(None, None) };
         let held = svc.submit(
             JobPayload::Scenario(tiny_scenario()),
@@ -903,11 +881,8 @@ mod tests {
     fn a_second_concurrent_shutdown_waits_for_the_drain() {
         let svc = Service::new(ServiceConfig { workers: 1, ..ServiceConfig::default() });
         let (sink, events) = collecting_sink();
-        let stall = FaultSpec {
-            stall_at_cycle: Some(10),
-            stall_ms: Some(300),
-            ..FaultSpec::default()
-        };
+        let stall =
+            FaultSpec { stall_at_cycle: Some(10), stall_ms: Some(300), ..FaultSpec::default() };
         let job =
             svc.submit(JobPayload::Scenario(tiny_scenario()), options(Some(stall), None), sink);
         wait_started(&events, job);
@@ -1000,7 +975,10 @@ mod tests {
             [JobEvent::Progress { job: 1, done_cycles: PROGRESS_CYCLES, total_cycles: 5_000 }]
         ));
         let panicked = catch_unwind(AssertUnwindSafe(|| checkpoint(PROGRESS_CYCLES))).unwrap_err();
-        assert_eq!(panic_message(&*panicked), format!("injected fault: panic at cycle {PROGRESS_CYCLES}"));
+        assert_eq!(
+            panic_message(&*panicked),
+            format!("injected fault: panic at cycle {PROGRESS_CYCLES}")
+        );
     }
 
     /// The flag in the job table and the one the job's checkpoint reads

@@ -127,8 +127,8 @@ impl StateDir {
             digest: entry.digest.clone(),
             result: entry.result.clone(),
         };
-        let json = serde_json::to_string(&persisted)
-            .map_err(|e| std::io::Error::other(e.to_string()))?;
+        let json =
+            serde_json::to_string(&persisted).map_err(|e| std::io::Error::other(e.to_string()))?;
         // Unique tmp name: two racing completions of the same key must
         // not scribble over each other's half-written spill (whichever
         // rename lands last wins, and both documents are identical by
@@ -172,10 +172,8 @@ impl StateDir {
         let mut report = LoadReport::default();
         let dir = self.root.join("cache");
         let Ok(read) = std::fs::read_dir(&dir) else { return report };
-        let mut names: Vec<String> = read
-            .filter_map(|e| e.ok())
-            .filter_map(|e| e.file_name().into_string().ok())
-            .collect();
+        let mut names: Vec<String> =
+            read.filter_map(|e| e.ok()).filter_map(|e| e.file_name().into_string().ok()).collect();
         names.sort();
         for name in names {
             let path = dir.join(&name);
@@ -307,8 +305,7 @@ mod tests {
     use super::*;
 
     fn tempdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir()
-            .join(format!("df-store-{tag}-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("df-store-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir

@@ -101,8 +101,7 @@ mod tests {
         isolated[0] = 100.0;
         isolated[11] = 1900.0;
         // ...versus half starving, half favoured (same total).
-        let widespread: Vec<f64> =
-            (0..12).map(|i| if i < 6 { 100.0 } else { 1900.0 }).collect();
+        let widespread: Vec<f64> = (0..12).map(|i| if i < 6 { 100.0 } else { 1900.0 }).collect();
         let ri = FairnessReport::from_counts(&isolated);
         let rw = FairnessReport::from_counts(&widespread);
         assert!(

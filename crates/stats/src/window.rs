@@ -37,9 +37,8 @@ impl<T> WindowSeries<T> {
     /// `(index, start_cycle, end_cycle)` descriptor (end exclusive).
     /// Returns `None` while the current window is still filling.
     pub fn due(&self, now: u64) -> Option<(u64, u64, u64)> {
-        (now >= self.next_boundary).then(|| {
-            (self.next_index, self.next_boundary - self.width, self.next_boundary)
-        })
+        (now >= self.next_boundary)
+            .then(|| (self.next_index, self.next_boundary - self.width, self.next_boundary))
     }
 
     /// Descriptor for the currently filling (partial) window up to

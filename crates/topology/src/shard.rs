@@ -110,11 +110,9 @@ mod tests {
 
     #[test]
     fn partition_is_balanced_contiguous_and_exhaustive() {
-        for params in [
-            DragonflyParams::figure1(),
-            DragonflyParams::small(),
-            DragonflyParams::paper(),
-        ] {
+        for params in
+            [DragonflyParams::figure1(), DragonflyParams::small(), DragonflyParams::paper()]
+        {
             let groups = params.groups();
             for shards in 1..=groups.min(16) {
                 let plan = ShardPlan::new(params, shards);

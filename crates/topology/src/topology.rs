@@ -113,14 +113,11 @@ impl Topology {
     pub fn port_target(&self, router: RouterId, port: Port) -> PortTarget {
         let p = &self.params;
         match p.port_kind(port) {
-            PortKind::Injection => {
-                PortTarget::Node(NodeId::from_router_slot(p, router, port.0))
-            }
+            PortKind::Injection => PortTarget::Node(NodeId::from_router_slot(p, router, port.0)),
             PortKind::Local => {
                 let my = router.local_index(p);
                 let peer_local = p.local_port_peer(my, port);
-                let peer =
-                    RouterId::from_group_local(p, router.group(p), peer_local);
+                let peer = RouterId::from_group_local(p, router.group(p), peer_local);
                 PortTarget::Router { router: peer, port: p.local_port(peer_local, my) }
             }
             PortKind::Global => {
@@ -251,9 +248,8 @@ mod tests {
     #[test]
     fn random_arrangement_breaks_total_overlap() {
         let t = Topology::new(DragonflyParams::paper(), Arrangement::Random { seed: 3 });
-        let total = (0..t.params().groups())
-            .filter(|&g| t.advc_overlap_is_total(GroupId(g)))
-            .count();
+        let total =
+            (0..t.params().groups()).filter(|&g| t.advc_overlap_is_total(GroupId(g))).count();
         assert_eq!(total, 0, "random arrangement should scatter consecutive groups");
     }
 
@@ -266,14 +262,12 @@ mod tests {
                     PortTarget::Node(n) => {
                         assert_eq!(n.router(t.params()), r);
                     }
-                    PortTarget::Router { router, port } => {
-                        match t.port_target(router, port) {
-                            PortTarget::Router { router: back, port: bp } => {
-                                assert_eq!((back, bp), (r, Port(q)));
-                            }
-                            _ => panic!("asymmetric wiring"),
+                    PortTarget::Router { router, port } => match t.port_target(router, port) {
+                        PortTarget::Router { router: back, port: bp } => {
+                            assert_eq!((back, bp), (r, Port(q)));
                         }
-                    }
+                        _ => panic!("asymmetric wiring"),
+                    },
                 }
             }
         }

@@ -30,10 +30,7 @@ impl BernoulliInjector {
     pub fn new(load: f64, packet_size: u32, seed: u64) -> Self {
         assert!(load >= 0.0, "load must be non-negative");
         let prob = load / packet_size as f64;
-        assert!(
-            prob <= 1.0,
-            "load {load} phits/node/cycle exceeds one packet per cycle"
-        );
+        assert!(prob <= 1.0, "load {load} phits/node/cycle exceeds one packet per cycle");
         Self { prob, seed, rngs: Vec::new() }
     }
 

@@ -8,8 +8,7 @@
 /// `(master, n)`, so traces and per-job runs stay stable when a job is
 /// re-placed onto a different node set of the same size.
 pub fn derive_seed(master: u64, stream: u64) -> u64 {
-    let mut z = master
-        .wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(stream.wrapping_add(1)));
+    let mut z = master.wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(stream.wrapping_add(1)));
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)

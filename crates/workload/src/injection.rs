@@ -132,9 +132,7 @@ fn packet_probability(load: f64, packet_size: u32) -> Result<f64, String> {
     }
     let prob = load / packet_size as f64;
     if prob > 1.0 {
-        return Err(format!(
-            "load {load} phits/node/cycle exceeds one packet per cycle"
-        ));
+        return Err(format!("load {load} phits/node/cycle exceeds one packet per cycle"));
     }
     Ok(prob)
 }
@@ -192,10 +190,8 @@ impl InjectionSpec {
         packet_size: u32,
         seed: u64,
     ) -> Result<InjectionProcess, String> {
-        let mut rngs: Vec<SmallRng> = nodes
-            .iter()
-            .map(|n| SmallRng::seed_from_u64(derive_seed(seed, n.0 as u64)))
-            .collect();
+        let mut rngs: Vec<SmallRng> =
+            nodes.iter().map(|n| SmallRng::seed_from_u64(derive_seed(seed, n.0 as u64))).collect();
         let rule = match *self {
             InjectionSpec::Bernoulli => {
                 Rule::Bernoulli { prob: packet_probability(load, packet_size)? }
@@ -410,7 +406,10 @@ mod tests {
         let trace = InjectionSpec::Trace { path: path.to_str().unwrap().into() };
         let pins = [
             (InjectionSpec::Bernoulli, (12_070, 0xe81873a61aea2060)),
-            (InjectionSpec::OnOff { mean_burst: 40.0, mean_idle: 60.0 }, (11_614, 0x01dae380a26cf7c7)),
+            (
+                InjectionSpec::OnOff { mean_burst: 40.0, mean_idle: 60.0 },
+                (11_614, 0x01dae380a26cf7c7),
+            ),
             (InjectionSpec::Poisson, (11_910, 0x393c30a811c9fd14)),
             (trace, (50, 0x213c72cef221eb34)),
         ];

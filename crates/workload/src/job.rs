@@ -190,8 +190,7 @@ mod tests {
         let m = placement.nodes.len();
         for (spec, want) in all_variants().iter().zip(&expected) {
             let mut t = traffic(spec, &placement, 11);
-            let got: Vec<u32> =
-                (0..24).map(|i| t.dest(placement.nodes[(3 * i) % m]).0).collect();
+            let got: Vec<u32> = (0..24).map(|i| t.dest(placement.nodes[(3 * i) % m]).0).collect();
             assert_eq!(got, want, "{} stream moved", spec.label());
         }
     }
@@ -218,5 +217,4 @@ mod tests {
             assert_eq!(a.dest(n), b.dest(n));
         }
     }
-
 }

@@ -324,9 +324,7 @@ mod tests {
         assert!(PlacementSpec::ConsecutiveGroups { first: 18, count: 2, slots: None }
             .resolve(&p, 0)
             .is_err());
-        assert!(PlacementSpec::Groups { groups: vec![1, 1], slots: None }
-            .resolve(&p, 0)
-            .is_err());
+        assert!(PlacementSpec::Groups { groups: vec![1, 1], slots: None }.resolve(&p, 0).is_err());
         assert!(PlacementSpec::ConsecutiveGroups { first: 0, count: 1, slots: Some(vec![3]) }
             .resolve(&p, 0)
             .is_err());

@@ -144,8 +144,8 @@ impl SweepSpec {
 
     /// Load a sweep from a JSON file.
     pub fn load(path: &str) -> Result<Self, String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read sweep {path}: {e}"))?;
+        let text =
+            std::fs::read_to_string(path).map_err(|e| format!("cannot read sweep {path}: {e}"))?;
         Self::from_json(&text)
     }
 
@@ -156,7 +156,11 @@ impl SweepSpec {
 
     /// Resolve a job-selector list against the base scenario: `None`
     /// selects every job; names must exist and not repeat.
-    fn job_indices(&self, selector: &Option<Vec<String>>, axis: &str) -> Result<Vec<usize>, String> {
+    fn job_indices(
+        &self,
+        selector: &Option<Vec<String>>,
+        axis: &str,
+    ) -> Result<Vec<usize>, String> {
         match selector {
             None => Ok((0..self.base.jobs.len()).collect()),
             Some(names) => {
@@ -212,9 +216,7 @@ impl SweepSpec {
         let n_patterns = axis_len(&self.patterns, "pattern")?;
         let total = n_loads * n_placements * n_patterns * mechanisms.len();
         if total > MAX_SWEEP_CELLS {
-            return Err(format!(
-                "sweep expands to {total} cells (limit {MAX_SWEEP_CELLS})"
-            ));
+            return Err(format!("sweep expands to {total} cells (limit {MAX_SWEEP_CELLS})"));
         }
 
         let mut cells = Vec::with_capacity(total);
@@ -284,11 +286,7 @@ mod tests {
             jobs: vec![
                 JobSpec {
                     name: "app".into(),
-                    placement: PlacementSpec::ConsecutiveGroups {
-                        first: 0,
-                        count: 3,
-                        slots: None,
-                    },
+                    placement: PlacementSpec::ConsecutiveGroups { first: 0, count: 3, slots: None },
                     pattern: PatternSpec::Uniform,
                     injection: InjectionSpec::Bernoulli,
                     load: 0.3,
@@ -297,11 +295,7 @@ mod tests {
                 },
                 JobSpec {
                     name: "other".into(),
-                    placement: PlacementSpec::ConsecutiveGroups {
-                        first: 4,
-                        count: 2,
-                        slots: None,
-                    },
+                    placement: PlacementSpec::ConsecutiveGroups { first: 4, count: 2, slots: None },
                     pattern: PatternSpec::GroupLocal,
                     injection: InjectionSpec::Bernoulli,
                     load: 0.1,
@@ -324,19 +318,13 @@ mod tests {
                     label: "spread".into(),
                     jobs: vec![JobPlacement {
                         job: "app".into(),
-                        placement: PlacementSpec::RoundRobinRouters {
-                            count: 24,
-                            offset: None,
-                        },
+                        placement: PlacementSpec::RoundRobinRouters { count: 24, offset: None },
                     }],
                 },
             ]),
             patterns: None,
             pattern_jobs: None,
-            mechanisms: Some(vec![
-                MechanismSpec::InTransitMm,
-                MechanismSpec::ObliviousCrg,
-            ]),
+            mechanisms: Some(vec![MechanismSpec::InTransitMm, MechanismSpec::ObliviousCrg]),
         }
     }
 
@@ -365,14 +353,8 @@ mod tests {
         assert_eq!(cells[4].scenario.jobs[1].load, 0.1);
         // The `spread` variant re-places `app` only.
         let spread = &cells[2].scenario;
-        assert!(matches!(
-            spread.jobs[0].placement,
-            PlacementSpec::RoundRobinRouters { .. }
-        ));
-        assert!(matches!(
-            spread.jobs[1].placement,
-            PlacementSpec::ConsecutiveGroups { .. }
-        ));
+        assert!(matches!(spread.jobs[0].placement, PlacementSpec::RoundRobinRouters { .. }));
+        assert!(matches!(spread.jobs[1].placement, PlacementSpec::ConsecutiveGroups { .. }));
     }
 
     #[test]
@@ -398,18 +380,12 @@ mod tests {
     fn pattern_axis_labels_cells() {
         let mut s = sweep();
         s.placements = None;
-        s.patterns = Some(vec![
-            PatternSpec::Uniform,
-            PatternSpec::AdvConsecutive { spread: None },
-        ]);
+        s.patterns = Some(vec![PatternSpec::Uniform, PatternSpec::AdvConsecutive { spread: None }]);
         s.pattern_jobs = Some(vec!["app".into()]);
         let cells = s.expand().unwrap();
         assert_eq!(cells.len(), 2 * 2 * 2);
         assert_eq!(cells[0].pattern.as_deref(), Some("UN"));
-        assert!(matches!(
-            cells[2].scenario.jobs[0].pattern,
-            PatternSpec::AdvConsecutive { .. }
-        ));
+        assert!(matches!(cells[2].scenario.jobs[0].pattern, PatternSpec::AdvConsecutive { .. }));
         // The unselected job keeps its base pattern in every cell.
         assert!(cells
             .iter()

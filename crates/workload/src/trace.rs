@@ -52,15 +52,14 @@ impl TraceRecorder {
 
     /// Write the trace to `path` as JSON.
     pub fn save(&self, path: &str) -> Result<(), String> {
-        std::fs::write(path, self.to_json())
-            .map_err(|e| format!("cannot write trace {path}: {e}"))
+        std::fs::write(path, self.to_json()).map_err(|e| format!("cannot write trace {path}: {e}"))
     }
 }
 
 /// Load a JSON trace file written by [`TraceRecorder::save`].
 pub fn load_trace(path: &str) -> Result<Vec<TraceEvent>, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read trace {path}: {e}"))?;
+    let text =
+        std::fs::read_to_string(path).map_err(|e| format!("cannot read trace {path}: {e}"))?;
     serde_json::from_str(&text).map_err(|e| format!("malformed trace {path}: {e}"))
 }
 
@@ -134,10 +133,8 @@ mod tests {
 
     #[test]
     fn unsorted_events_are_sorted() {
-        let events = vec![
-            TraceEvent { cycle: 9, src: 0, dst: 1 },
-            TraceEvent { cycle: 1, src: 2, dst: 3 },
-        ];
+        let events =
+            vec![TraceEvent { cycle: 9, src: 0, dst: 1 }, TraceEvent { cycle: 1, src: 2, dst: 3 }];
         let mut replay = TraceReplay::from_events(events);
         let mut out = Vec::new();
         replay.arrivals(1, &mut out);

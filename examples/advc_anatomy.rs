@@ -24,9 +24,7 @@ fn describe(topo: &Topology, label: &str) {
             entry.local_index(params),
         );
     }
-    let total = (0..params.groups())
-        .filter(|&g| topo.advc_overlap_is_total(GroupId(g)))
-        .count();
+    let total = (0..params.groups()).filter(|&g| topo.advc_overlap_is_total(GroupId(g))).count();
     println!(
         "groups whose h consecutive destinations share one exit router: {total}/{}",
         params.groups()

@@ -10,11 +10,8 @@ use dragonfly_core::prelude::*;
 
 fn main() {
     let loads = [0.1, 0.2, 0.3, 0.4, 0.5];
-    let mechanisms = [
-        MechanismSpec::ObliviousCrg,
-        MechanismSpec::SourceCrg,
-        MechanismSpec::InTransitMm,
-    ];
+    let mechanisms =
+        [MechanismSpec::ObliviousCrg, MechanismSpec::SourceCrg, MechanismSpec::InTransitMm];
     let arbiters = [
         (ArbiterPolicy::TransitPriority, "transit priority"),
         (ArbiterPolicy::RoundRobin, "no priority"),

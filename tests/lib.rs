@@ -156,9 +156,6 @@ mod md5_tests {
             "9e107d9d372bb6826bd81d3542a419d6"
         );
         // Multi-block input (> 64 bytes) exercises the chunk loop.
-        assert_eq!(
-            md5_hex(&[b'a'; 1000]),
-            "cabe45dcc9ae5b66ba86600cca6b8ba8"
-        );
+        assert_eq!(md5_hex(&[b'a'; 1000]), "cabe45dcc9ae5b66ba86600cca6b8ba8");
     }
 }

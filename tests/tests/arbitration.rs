@@ -58,22 +58,11 @@ fn age_based_keeps_exit_router_close_to_peers() {
 fn arbitration_does_not_change_uniform_throughput_materially() {
     // Under UN at moderate load the arbiter barely matters — accepted
     // load must match offered for all three policies.
-    for arbiter in [
-        ArbiterPolicy::RoundRobin,
-        ArbiterPolicy::TransitPriority,
-        ArbiterPolicy::AgeBased,
-    ] {
-        let r = run_single(&tiny_config(
-            MechanismSpec::Min,
-            arbiter,
-            PatternSpec::Uniform,
-            0.3,
-        ));
-        assert!(
-            (r.throughput - 0.3).abs() < 0.03,
-            "{arbiter:?}: UN throughput {}",
-            r.throughput
-        );
+    for arbiter in
+        [ArbiterPolicy::RoundRobin, ArbiterPolicy::TransitPriority, ArbiterPolicy::AgeBased]
+    {
+        let r = run_single(&tiny_config(MechanismSpec::Min, arbiter, PatternSpec::Uniform, 0.3));
+        assert!((r.throughput - 0.3).abs() < 0.03, "{arbiter:?}: UN throughput {}", r.throughput);
     }
 }
 
@@ -86,9 +75,7 @@ fn lru_escape_rotates_candidates_deterministically() {
     use dragonfly_core::df_engine::{
         EngineConfig, Network, NullSink, PacketHeader, RouteInfo, RoutingPolicy,
     };
-    use dragonfly_core::df_topology::{
-        Arrangement, GroupId, NodeId, RouterId, Topology,
-    };
+    use dragonfly_core::df_topology::{Arrangement, GroupId, NodeId, RouterId, Topology};
 
     let params = DragonflyParams::figure1();
     let topo = Topology::new(params, Arrangement::Palmtree);
@@ -97,10 +84,7 @@ fn lru_escape_rotates_candidates_deterministically() {
     // A destination group reached through *another* router of group 0, so
     // router 0's minimal port is local (and congestible) while both of its
     // own global ports stay idle — every CRG escape candidate is open.
-    let behind_me = [
-        topo.global_port_target_group(me, 0),
-        topo.global_port_target_group(me, 1),
-    ];
+    let behind_me = [topo.global_port_target_group(me, 0), topo.global_port_target_group(me, 1)];
     let dst_group = (1..params.groups())
         .map(GroupId)
         .find(|g| !behind_me.contains(g))
@@ -149,16 +133,11 @@ fn lru_escape_rotates_candidates_deterministically() {
 /// unfair mechanism) on both reported metrics.
 #[test]
 fn lru_variant_unfairness_sits_between_crg_variants() {
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../scenarios/interference_advc_vs_uniform.json"
-    );
+    let path =
+        concat!(env!("CARGO_MANIFEST_DIR"), "/../scenarios/interference_advc_vs_uniform.json");
     let mut spec = ScenarioSpec::load(path).expect("load interference scenario");
-    spec.mechanisms = vec![
-        MechanismSpec::ObliviousCrg,
-        MechanismSpec::InTransitCrg,
-        MechanismSpec::InTransitLru,
-    ];
+    spec.mechanisms =
+        vec![MechanismSpec::ObliviousCrg, MechanismSpec::InTransitCrg, MechanismSpec::InTransitLru];
     df_bench::quick_scenario(&mut spec);
     let result = run_scenario(&spec, &[DEFAULT_SEEDS[0]]).expect("run scenario");
 
@@ -168,11 +147,7 @@ fn lru_variant_unfairness_sits_between_crg_variants() {
             .iter()
             .find(|m| m.mechanism == label)
             .unwrap_or_else(|| panic!("mechanism {label} missing"));
-        let j = m
-            .per_job
-            .iter()
-            .find(|j| j.job == "aggressor")
-            .expect("aggressor job present");
+        let j = m.per_job.iter().find(|j| j.job == "aggressor").expect("aggressor job present");
         (j.cov, j.max_min_ratio)
     };
     let (cov_obl, mm_obl) = aggressor("Obl-CRG");

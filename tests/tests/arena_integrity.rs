@@ -29,11 +29,7 @@ fn figure1_net(
 
 #[test]
 fn drained_network_leaves_no_live_arena_slots() {
-    for mechanism in [
-        MechanismSpec::Min,
-        MechanismSpec::ObliviousCrg,
-        MechanismSpec::SourceCrg,
-    ] {
+    for mechanism in [MechanismSpec::Min, MechanismSpec::ObliviousCrg, MechanismSpec::SourceCrg] {
         let mut net = figure1_net(mechanism);
         let nodes = net.topology().params().nodes();
         for round in 0..30u32 {
@@ -45,11 +41,7 @@ fn drained_network_leaves_no_live_arena_slots() {
             net.step();
         }
         assert!(net.drain(100_000), "{mechanism:?} must drain");
-        assert_eq!(
-            net.arena_live(),
-            0,
-            "{mechanism:?}: arena leaked packets after drain"
-        );
+        assert_eq!(net.arena_live(), 0, "{mechanism:?}: arena leaked packets after drain");
         assert_eq!(net.in_flight(), 0);
     }
 }

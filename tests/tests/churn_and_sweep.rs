@@ -193,8 +193,7 @@ fn sweep_with_churn_cells_is_deterministic() {
     // 2 cells × 1 seed × (network + 3 jobs).
     assert_eq!(a.rows.len(), 2 * 4);
     // Churn lifetimes survive the expansion into every cell.
-    let early_rows: Vec<&SweepRow> =
-        a.rows.iter().filter(|r| r.scope == "early").collect();
+    let early_rows: Vec<&SweepRow> = a.rows.iter().filter(|r| r.scope == "early").collect();
     assert_eq!(early_rows.len(), 2);
     assert!(early_rows.iter().all(|r| r.active_cycles == 600));
 }

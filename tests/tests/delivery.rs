@@ -19,10 +19,8 @@ fn burst_and_drain(
 ) -> Vec<DeliveredRecord> {
     let params = DragonflyParams::figure1();
     let topo = Topology::new(params, Arrangement::Palmtree);
-    let cfg = dragonfly_core::df_engine::EngineConfig::paper(
-        arbiter,
-        mechanism.required_local_vcs(),
-    );
+    let cfg =
+        dragonfly_core::df_engine::EngineConfig::paper(arbiter, mechanism.required_local_vcs());
     let policy = mechanism.build(topo.clone(), &cfg, 9);
     let recs = std::cell::RefCell::new(Vec::new());
     let mut offered = 0u64;
@@ -67,8 +65,7 @@ fn patterns() -> Vec<PatternSpec> {
 fn every_mechanism_delivers_every_pattern() {
     for mechanism in std::iter::once(MechanismSpec::Min).chain(MechanismSpec::PAPER_SET) {
         for pattern in patterns() {
-            let recs =
-                burst_and_drain(mechanism, &pattern, ArbiterPolicy::RoundRobin, 4);
+            let recs = burst_and_drain(mechanism, &pattern, ArbiterPolicy::RoundRobin, 4);
             for r in &recs {
                 assert_eq!(
                     r.latency(),
@@ -87,12 +84,7 @@ fn every_mechanism_delivers_every_pattern() {
 fn delivery_under_transit_priority_and_age() {
     for arbiter in [ArbiterPolicy::TransitPriority, ArbiterPolicy::AgeBased] {
         for mechanism in [MechanismSpec::InTransitMm, MechanismSpec::SourceCrg] {
-            burst_and_drain(
-                mechanism,
-                &PatternSpec::AdvConsecutive { spread: None },
-                arbiter,
-                5,
-            );
+            burst_and_drain(mechanism, &PatternSpec::AdvConsecutive { spread: None }, arbiter, 5);
         }
     }
 }
@@ -108,10 +100,10 @@ fn destinations_are_correct() {
     {
         let sink = |r: &DeliveredRecord| recs.borrow_mut().push(*r);
         let mut net = Network::new(topo, cfg, policy, sink);
-        let expected: Vec<(NodeId, NodeId)> =
-            (0..params.nodes()).map(|n| (NodeId(n), NodeId((n * 13 + 5) % params.nodes())))
-                .filter(|(s, d)| s != d)
-                .collect();
+        let expected: Vec<(NodeId, NodeId)> = (0..params.nodes())
+            .map(|n| (NodeId(n), NodeId((n * 13 + 5) % params.nodes())))
+            .filter(|(s, d)| s != d)
+            .collect();
         for &(s, d) in &expected {
             assert!(net.offer(s, d));
         }

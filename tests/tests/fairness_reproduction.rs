@@ -62,7 +62,8 @@ fn in_transit_crg_starves_bottleneck_with_priority() {
     // The overlap of minimal and CRG non-minimal global links at the
     // bottleneck router plus transit priority is the paper's central
     // unfairness mechanism.
-    let cfg = small_config(MechanismSpec::InTransitCrg, ArbiterPolicy::TransitPriority, advc(), 0.4);
+    let cfg =
+        small_config(MechanismSpec::InTransitCrg, ArbiterPolicy::TransitPriority, advc(), 0.4);
     let r = run_single(&cfg);
     // At the reduced scale (h=3) the starvation ratio is noticeably
     // smaller than the paper's full-scale h=6 numbers and fluctuates with
@@ -77,7 +78,10 @@ fn in_transit_crg_starves_bottleneck_with_priority() {
     // measured at seeds 1, 11 and 23, 19/19 groups and a mean share of
     // 0.402-0.419. Bound: 0.6, about 1.4 times the largest.
     let share = bottleneck_vs_rest(&r, &cfg);
-    assert_eq!(share.groups_min, share.groups, "the named router starves in every group: {share:?}");
+    assert_eq!(
+        share.groups_min, share.groups,
+        "the named router starves in every group: {share:?}"
+    );
     assert!(share.mean_share < 0.6, "the named router's share: {share:?}");
 }
 
@@ -153,12 +157,8 @@ fn age_arbitration_is_fairer_than_priority_for_in_transit_crg() {
 #[test]
 fn uniform_traffic_is_fair_for_everyone() {
     for m in [MechanismSpec::Min, MechanismSpec::SourceCrg, MechanismSpec::InTransitMm] {
-        let r = run_single(&small_config(
-            m,
-            ArbiterPolicy::TransitPriority,
-            PatternSpec::Uniform,
-            0.4,
-        ));
+        let r =
+            run_single(&small_config(m, ArbiterPolicy::TransitPriority, PatternSpec::Uniform, 0.4));
         assert!(
             r.fairness.cov < 0.08,
             "{} must be fair under UN: CoV {}",

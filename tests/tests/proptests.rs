@@ -187,13 +187,7 @@ fn node_router_group_indexing_consistent() {
         let router = node.router(&params);
         let group = node.group(&params);
         assert_eq!(router.group(&params), group);
-        assert_eq!(
-            NodeId::from_router_slot(&params, router, node.slot(&params)),
-            node
-        );
-        assert_eq!(
-            RouterId::from_group_local(&params, group, router.local_index(&params)),
-            router
-        );
+        assert_eq!(NodeId::from_router_slot(&params, router, node.slot(&params)), node);
+        assert_eq!(RouterId::from_group_local(&params, group, router.local_index(&params)), router);
     }
 }

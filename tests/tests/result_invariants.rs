@@ -29,8 +29,10 @@ fn check(result: &RunResult, label: &str) {
     // worst minimal path.
     let base = result.components[0];
     assert!(base >= 15.0, "{label}: base {base} impossibly small");
-    assert!(base <= 2.0 * 1.0 + 4.0 * 5.0 + 2.0 * 10.0 + 100.0 + 8.0 + 1.0,
-        "{label}: base {base} exceeds worst minimal path");
+    assert!(
+        base <= 2.0 * 1.0 + 4.0 * 5.0 + 2.0 * 10.0 + 100.0 + 8.0 + 1.0,
+        "{label}: base {base} exceeds worst minimal path"
+    );
     // Fairness metrics are mutually consistent.
     assert!(result.fairness.min <= result.fairness.mean + 1e-9, "{label}");
     assert!(result.fairness.cov >= 0.0, "{label}");

@@ -180,7 +180,12 @@ fn small_topo() -> (Topology, DragonflyParams) {
 }
 
 /// The mechanism families under test, by proptest index.
-fn build_policy(idx: usize, topo: &Topology, cfg: &EngineConfig, seed: u64) -> Box<dyn RoutingPolicy> {
+fn build_policy(
+    idx: usize,
+    topo: &Topology,
+    cfg: &EngineConfig,
+    seed: u64,
+) -> Box<dyn RoutingPolicy> {
     const SPECS: [MechanismSpec; 5] = [
         MechanismSpec::Min,
         MechanismSpec::ObliviousCrg,

@@ -16,8 +16,8 @@
 //!   draining shutdown.
 
 use df_service::{
-    digest_hex, serve, EventSink, FaultSpec, JobEvent, JobPayload, Request, Service,
-    ServiceConfig, StateDir, SubmitOptions,
+    digest_hex, serve, EventSink, FaultSpec, JobEvent, JobPayload, Request, Service, ServiceConfig,
+    StateDir, SubmitOptions,
 };
 use dragonfly_core::df_engine::ArbiterPolicy;
 use dragonfly_core::df_routing::MechanismSpec;
@@ -144,18 +144,11 @@ fn recovered_of(evs: &[JobEvent]) -> Option<(u64, u64)> {
 
 #[test]
 fn over_quota_submissions_are_rejected_while_queued_work_drains() {
-    let svc = Service::new(ServiceConfig {
-        workers: 1,
-        queue_depth: 1,
-        ..ServiceConfig::default()
-    });
+    let svc =
+        Service::new(ServiceConfig { workers: 1, queue_depth: 1, ..ServiceConfig::default() });
     let (sink, events) = collecting_sink();
     // Job A occupies the single worker via a long stall.
-    let stall = FaultSpec {
-        stall_at_cycle: Some(10),
-        stall_ms: Some(500),
-        ..FaultSpec::default()
-    };
+    let stall = FaultSpec { stall_at_cycle: Some(10), stall_ms: Some(500), ..FaultSpec::default() };
     let a = svc.submit(
         JobPayload::Scenario(tiny_scenario("svc-admission")),
         one_seed(Some(stall), None),
@@ -193,11 +186,7 @@ fn stall_past_deadline_times_out_and_leaves_no_partial_output() {
     // The deadline must fall inside the stall whatever cycle 50 costs:
     // in a debug build, with this file's other tests on the same two
     // cores, reaching it has taken over 100 ms.
-    let stall = FaultSpec {
-        stall_at_cycle: Some(50),
-        stall_ms: Some(900),
-        ..FaultSpec::default()
-    };
+    let stall = FaultSpec { stall_at_cycle: Some(50), stall_ms: Some(900), ..FaultSpec::default() };
     let job = svc.submit(
         JobPayload::Scenario(tiny_scenario("svc-deadline")),
         one_seed(Some(stall), Some(300)),
@@ -212,11 +201,8 @@ fn stall_past_deadline_times_out_and_leaves_no_partial_output() {
     }
     // No partial output: the same spec resubmitted must recompute
     // (`completed`), not replay a cache entry (`cached`).
-    let clean = svc.submit(
-        JobPayload::Scenario(tiny_scenario("svc-deadline")),
-        one_seed(None, None),
-        sink,
-    );
+    let clean =
+        svc.submit(JobPayload::Scenario(tiny_scenario("svc-deadline")), one_seed(None, None), sink);
     let evs2 = wait_terminal(&events, clean);
     assert_eq!(evs2.last().unwrap().label(), "completed");
     svc.shutdown();
@@ -283,11 +269,8 @@ fn cached_resubmission_is_byte_identical_and_digest_checked() {
     };
     // The advertised digest is the real content digest of the document.
     assert_eq!(digest1, digest_hex(result1.as_bytes()));
-    let again = svc.submit(
-        JobPayload::Scenario(tiny_scenario("svc-cache")),
-        one_seed(None, None),
-        sink,
-    );
+    let again =
+        svc.submit(JobPayload::Scenario(tiny_scenario("svc-cache")), one_seed(None, None), sink);
     let evs2 = wait_terminal(&events, again);
     match &evs2[..] {
         [JobEvent::Cached { key, digest, result, .. }] => {
@@ -317,11 +300,8 @@ fn corrupted_cache_entry_is_detected_and_recomputed() {
     };
     // The rotted entry must never be served: the resubmission reports
     // the corruption and recomputes the byte-identical document.
-    let again = svc.submit(
-        JobPayload::Scenario(tiny_scenario("svc-rot")),
-        one_seed(None, None),
-        sink,
-    );
+    let again =
+        svc.submit(JobPayload::Scenario(tiny_scenario("svc-rot")), one_seed(None, None), sink);
     let evs2 = wait_terminal(&events, again);
     let labels: Vec<_> = evs2.iter().map(|e| e.label()).collect();
     assert_eq!(labels.first().unwrap(), &"cache_corrupt", "{labels:?}");
@@ -392,28 +372,18 @@ fn a_telemetry_window_past_the_run_length_limit_is_rejected_at_submit() {
 
 #[test]
 fn cancelling_a_queued_job_is_observed_before_it_simulates() {
-    let svc = Service::new(ServiceConfig {
-        workers: 1,
-        queue_depth: 4,
-        ..ServiceConfig::default()
-    });
+    let svc =
+        Service::new(ServiceConfig { workers: 1, queue_depth: 4, ..ServiceConfig::default() });
     let (sink, events) = collecting_sink();
-    let stall = FaultSpec {
-        stall_at_cycle: Some(10),
-        stall_ms: Some(400),
-        ..FaultSpec::default()
-    };
+    let stall = FaultSpec { stall_at_cycle: Some(10), stall_ms: Some(400), ..FaultSpec::default() };
     let blocker = svc.submit(
         JobPayload::Scenario(tiny_scenario("svc-blocker")),
         one_seed(Some(stall), None),
         Arc::clone(&sink),
     );
     wait_started(&events, blocker);
-    let queued = svc.submit(
-        JobPayload::Scenario(tiny_scenario("svc-queued")),
-        one_seed(None, None),
-        sink,
-    );
+    let queued =
+        svc.submit(JobPayload::Scenario(tiny_scenario("svc-queued")), one_seed(None, None), sink);
     assert!(svc.cancel(queued), "queued job must be cancellable");
     let evs = wait_terminal(&events, queued);
     match evs.last().unwrap() {
@@ -428,12 +398,8 @@ fn cancelling_a_queued_job_is_observed_before_it_simulates() {
 
 #[test]
 fn full_protocol_round_trips_over_the_unix_socket() {
-    let socket = std::env::temp_dir()
-        .join(format!("df-service-it-{}.sock", std::process::id()));
-    let service = Arc::new(Service::new(ServiceConfig {
-        workers: 1,
-        ..ServiceConfig::default()
-    }));
+    let socket = std::env::temp_dir().join(format!("df-service-it-{}.sock", std::process::id()));
+    let service = Arc::new(Service::new(ServiceConfig { workers: 1, ..ServiceConfig::default() }));
     let server = {
         let socket = socket.clone();
         std::thread::spawn(move || serve(service, &socket, None))
@@ -457,10 +423,8 @@ fn full_protocol_round_trips_over_the_unix_socket() {
         serde_json::from_str(&line).unwrap()
     };
 
-    let submit = Request::SubmitScenario {
-        spec: tiny_scenario("svc-wire"),
-        options: one_seed(None, None),
-    };
+    let submit =
+        Request::SubmitScenario { spec: tiny_scenario("svc-wire"), options: one_seed(None, None) };
     writeln!(client, "{}", serde_json::to_string(&submit).unwrap()).unwrap();
     let accepted = read_event(&mut reader);
     assert_eq!(accepted.label(), "accepted");

@@ -83,8 +83,5 @@ fn run_grid_over_sharded_cells_matches_the_serial_results() {
     let serial = run_grid(&grid(1), &seeds);
     let sharded = run_grid(&grid(2), &seeds);
     assert_eq!(serial.len(), 2 * 3);
-    assert_eq!(
-        serde_json::to_string(&sharded).unwrap(),
-        serde_json::to_string(&serial).unwrap()
-    );
+    assert_eq!(serde_json::to_string(&sharded).unwrap(), serde_json::to_string(&serial).unwrap());
 }

@@ -55,10 +55,8 @@ fn worker_panic_surfaces_from_step_and_drop_joins_the_team() {
     // calls `route` — runs on the team's second worker whenever the box
     // has a second core, never on the thread calling `step`.
     let upper = ShardPlan::new(params, 2).router_range(1);
-    let policy = Tripwire {
-        inner: MechanismSpec::Min.build(topo.clone(), &cfg, 1),
-        trip_at: upper.start,
-    };
+    let policy =
+        Tripwire { inner: MechanismSpec::Min.build(topo.clone(), &cfg, 1), trip_at: upper.start };
     let mut net = ShardedNetwork::new(topo, cfg, policy, NullSink, 2);
     assert_eq!(threads_now(), before, "building a network must start no thread");
 

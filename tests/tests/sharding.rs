@@ -15,9 +15,7 @@
 //! `target/shard-diagnostics/` (the CI workflow archives that
 //! directory), so a failure leaves the full diff behind.
 
-use dragonfly_core::df_engine::{
-    DeliveredRecord, EngineConfig, Network, NullSink, ShardedNetwork,
-};
+use dragonfly_core::df_engine::{DeliveredRecord, EngineConfig, Network, NullSink, ShardedNetwork};
 use dragonfly_core::df_traffic::BernoulliInjector;
 use dragonfly_core::prelude::*;
 use proptest::prelude::*;
@@ -263,10 +261,7 @@ fn sharded_audit_holds_mid_run() {
 /// the serial result byte-for-byte.
 #[test]
 fn beyond_paper_h7_scenario_is_shard_invariant() {
-    let path = format!(
-        "{}/../scenarios/beyond_paper_h7.json",
-        env!("CARGO_MANIFEST_DIR")
-    );
+    let path = format!("{}/../scenarios/beyond_paper_h7.json", env!("CARGO_MANIFEST_DIR"));
     let spec = ScenarioSpec::load(&path).expect("load beyond_paper_h7");
     assert_eq!((spec.params.p, spec.params.a, spec.params.h), (7, 14, 7));
     assert_eq!(spec.params.groups(), 99);

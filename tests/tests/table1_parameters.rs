@@ -59,12 +59,7 @@ fn oblivious_and_source_adaptive_use_four_local_vcs() {
         MechanismSpec::SourceRrg,
         MechanismSpec::SourceCrg,
     ] {
-        let cfg = SimConfig::paper(
-            m,
-            ArbiterPolicy::TransitPriority,
-            PatternSpec::Uniform,
-            0.4,
-        );
+        let cfg = SimConfig::paper(m, ArbiterPolicy::TransitPriority, PatternSpec::Uniform, 0.4);
         assert_eq!(cfg.engine_config().vcs_local, 4, "{}", m.label());
     }
 }

@@ -349,8 +349,7 @@ fn network_gauges_golden_serial_and_sharded() {
 fn a_window_at_the_run_length_limit_is_one_partial_window() {
     use dragonfly_core::df_engine::MAX_RUN_CYCLES;
     let mut spec = churn_spec();
-    spec.telemetry =
-        Some(TelemetrySpec { window_cycles: MAX_RUN_CYCLES });
+    spec.telemetry = Some(TelemetrySpec { window_cycles: MAX_RUN_CYCLES });
     let result = run_cell(&spec, MechanismSpec::InTransitMm, DEFAULT_SEEDS[0], Default::default())
         .expect("run");
     let rows = result.timeline.as_ref().expect("telemetry on -> timeline present");

@@ -26,10 +26,8 @@ fn arb_leaf_pattern() -> BoxedStrategy<PatternSpec> {
         (1u32..4).prop_map(|s| PatternSpec::AdvConsecutive { spread: Some(s) }),
         Just(PatternSpec::GroupLocal),
         Just(PatternSpec::Permutation),
-        (0u32..8, 1u32..10).prop_map(|(hot, f)| PatternSpec::HotSpot {
-            hot,
-            fraction: f as f64 / 10.0,
-        }),
+        (0u32..8, 1u32..10)
+            .prop_map(|(hot, f)| PatternSpec::HotSpot { hot, fraction: f as f64 / 10.0 }),
     ]
     .boxed()
 }
@@ -46,33 +44,23 @@ fn arb_pattern() -> BoxedStrategy<PatternSpec> {
             },
         )
     };
-    prop_oneof![
-        arb_leaf_pattern(),
-        mix(arb_leaf_pattern()),
-        mix(mix(arb_leaf_pattern()).boxed()),
-    ]
-    .boxed()
+    prop_oneof![arb_leaf_pattern(), mix(arb_leaf_pattern()), mix(mix(arb_leaf_pattern()).boxed()),]
+        .boxed()
 }
 
 fn arb_injection() -> BoxedStrategy<InjectionSpec> {
     prop_oneof![
         Just(InjectionSpec::Bernoulli),
         Just(InjectionSpec::Poisson),
-        (2u32..200, 0u32..200).prop_map(|(b, i)| InjectionSpec::OnOff {
-            mean_burst: b as f64,
-            mean_idle: i as f64,
-        }),
+        (2u32..200, 0u32..200)
+            .prop_map(|(b, i)| InjectionSpec::OnOff { mean_burst: b as f64, mean_idle: i as f64 }),
         Just(InjectionSpec::Trace { path: "traces/run.json".into() }),
     ]
     .boxed()
 }
 
 fn arb_placement() -> BoxedStrategy<PlacementSpec> {
-    let slots = prop_oneof![
-        Just(None),
-        Just(Some(vec![0u32])),
-        Just(Some(vec![0u32, 2])),
-    ];
+    let slots = prop_oneof![Just(None), Just(Some(vec![0u32])), Just(Some(vec![0u32, 2])),];
     prop_oneof![
         (0u32..4, 1u32..4, slots.boxed()).prop_map(|(first, count, slots)| {
             PlacementSpec::ConsecutiveGroups { first, count, slots }
@@ -84,18 +72,14 @@ fn arb_placement() -> BoxedStrategy<PlacementSpec> {
             count,
             offset: if o == 0 { None } else { Some(o) },
         }),
-        prop::collection::vec(0u32..342, 1..6)
-            .prop_map(|nodes| PlacementSpec::Nodes { nodes }),
+        prop::collection::vec(0u32..342, 1..6).prop_map(|nodes| PlacementSpec::Nodes { nodes }),
     ]
     .boxed()
 }
 
 fn arb_scenario() -> BoxedStrategy<ScenarioSpec> {
     (
-        prop::collection::vec(
-            (arb_placement(), arb_pattern(), arb_injection(), 1u32..8),
-            1..4,
-        ),
+        prop::collection::vec((arb_placement(), arb_pattern(), arb_injection(), 1u32..8), 1..4),
         1u32..4,
         any::<u64>(),
     )
@@ -255,8 +239,7 @@ fn on_off_bursts_deliver_comparable_load_with_spikier_queueing() {
         CellOptions::default(),
     )
     .unwrap();
-    let ratio =
-        bursty.per_job[0].throughput / smooth.per_job[0].throughput;
+    let ratio = bursty.per_job[0].throughput / smooth.per_job[0].throughput;
     assert!((0.7..1.3).contains(&ratio), "load ratio {ratio}");
     assert!(
         bursty.per_job[0].avg_latency > smooth.per_job[0].avg_latency,
@@ -284,8 +267,7 @@ fn advc_aggressor_starves_victim_under_in_transit_crg_only() {
     // budget: under In-Trns-CRG the ADVc aggressor measurably depresses
     // the uniform victim below its offered load, while Obl-CRG serves
     // the victim in full.
-    let mut spec =
-        ScenarioSpec::load(&scenario_path("interference_advc_vs_uniform.json")).unwrap();
+    let mut spec = ScenarioSpec::load(&scenario_path("interference_advc_vs_uniform.json")).unwrap();
     spec.warmup_cycles = 2_000;
     spec.measure_cycles = 4_000;
     let run = |mechanism| run_cell(&spec, mechanism, 11, CellOptions::default()).unwrap();
