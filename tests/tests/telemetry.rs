@@ -120,6 +120,26 @@ fn windows_sum_to_run_totals_under_churn() {
     }
 }
 
+/// Golden digest of the churning cell's serialized `RunResult`, in the
+/// style of `golden_outputs.rs`: per-job attribution across `early`'s
+/// departure and `late`'s arrival on the same slots at one cycle, the
+/// per-job latency means and delivered counts, and the timeline rows with
+/// their partial tail. No bundled scenario has a job lifetime, so the
+/// goldens there never reach this path. Re-record only for an intentional
+/// behavior change (see `docs/DETERMINISM.md`).
+#[test]
+fn golden_churning_cell() {
+    let result =
+        run_cell(&churn_spec(), MechanismSpec::InTransitMm, DEFAULT_SEEDS[0], Default::default())
+            .expect("run");
+    let json = serde_json::to_string(&result).expect("serialize result");
+    assert_eq!(
+        md5_hex(json.as_bytes()),
+        "843e831c6521a173e32991cc00f9d981",
+        "behavior drift in a churning cell with telemetry (see docs/DETERMINISM.md)"
+    );
+}
+
 /// The `--timeline out.jsonl` surface end to end: stream a quick bundled
 /// scenario through `df_bench::timeline_sink` into a file, then read the
 /// file back — every line parses as a `TimelineLine` carrying the run's
