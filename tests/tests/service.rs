@@ -520,6 +520,62 @@ fn interrupted_sweep_resumes_from_its_checkpoint_byte_identically() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A resumed sweep's heartbeat reaches its total: recovered units count
+/// as done, so the last `progress` before `completed` is within one
+/// heartbeat (1,000 cycles, the service's `PROGRESS_CYCLES`) of
+/// `total_cycles`. The recovery is made deterministic by writing the
+/// first two units' checkpoint lines by hand before the service opens
+/// the state dir.
+#[test]
+fn resumed_sweep_progress_reaches_its_total() {
+    const PROGRESS_CYCLES: u64 = 1_000;
+    let dir = state_dir("resume-progress");
+    let mut spec = tiny_sweep("svc-resume-progress");
+    // 2,000 cycles per unit: the two units left to run span several
+    // heartbeats, and the two recovered ones are more than one.
+    spec.base.measure_cycles = 1_900;
+    let payload = JobPayload::Sweep(spec);
+    let units = Mutex::new(Vec::new());
+    let record = |cell: u32, seed: u64, compute: &dyn Fn() -> _| {
+        let rows: Vec<dragonfly_core::SweepRow> = compute()?;
+        units.lock().unwrap().push((cell, seed, rows.clone()));
+        Ok(rows)
+    };
+    let uninterrupted = payload.execute(&[1], None, Some(&record)).unwrap();
+    let key = df_service::cache_key(payload.kind(), &payload.spec_json().unwrap(), &[1]);
+    let state = StateDir::open(&dir).unwrap();
+    for (cell, seed, rows) in units.into_inner().unwrap().iter().filter(|u| u.0 < 2) {
+        state.append_checkpoint(&key, *cell, *seed, rows).unwrap();
+    }
+
+    let svc = Service::open(durable_config(&dir)).unwrap();
+    let (sink, events) = collecting_sink();
+    let job = svc.submit(payload, one_seed(None, None), sink);
+    let evs = wait_terminal(&events, job);
+    svc.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(recovered_of(&evs), Some((2, 4)));
+    match evs.last().unwrap() {
+        JobEvent::Completed { result, .. } => assert_eq!(*result, uninterrupted),
+        other => panic!("expected completed, got {other:?}"),
+    }
+    let (done, total) = evs
+        .iter()
+        .rev()
+        .find_map(|e| match e {
+            JobEvent::Progress { done_cycles, total_cycles, .. } => {
+                Some((*done_cycles, *total_cycles))
+            }
+            _ => None,
+        })
+        .expect("the units left to run emit progress");
+    assert_eq!(total, 8_000, "4 units of 2,000 cycles");
+    assert!(
+        total - done < PROGRESS_CYCLES,
+        "the last progress before completed read {done} of {total} cycles"
+    );
+}
+
 /// A rotted checkpoint line is dropped at recovery — its unit
 /// recomputes along with the unfinished ones — and the final table is
 /// still byte-identical.
