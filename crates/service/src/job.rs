@@ -71,18 +71,20 @@ impl JobPayload {
     /// Saturates at `u64::MAX` rather than overflowing.
     pub fn total_cycles(&self, seeds: &[u64]) -> u64 {
         let n_seeds = seeds.len() as u64;
+        self.cell_cycles().into_iter().fold(0u64, u64::saturating_add).saturating_mul(n_seeds)
+    }
+
+    /// Driver cycles of one `(cell, seed)` unit of each cell, in cell
+    /// order: a sweep's expanded grid, or a scenario's mechanisms (empty
+    /// for a sweep that does not expand).
+    pub fn cell_cycles(&self) -> Vec<u64> {
         let cycles = |s: &ScenarioSpec| s.warmup_cycles.saturating_add(s.measure_cycles);
         match self {
-            JobPayload::Scenario(s) => {
-                cycles(s).saturating_mul(s.mechanisms.len() as u64).saturating_mul(n_seeds)
+            JobPayload::Scenario(s) => vec![cycles(s); s.mechanisms.len()],
+            JobPayload::Sweep(s) => {
+                { s.expand().map(|cells| cells.iter().map(|c| cycles(&c.scenario)).collect()) }
+                    .unwrap_or_default()
             }
-            JobPayload::Sweep(s) => match s.expand() {
-                Ok(cells) => cells
-                    .iter()
-                    .fold(0u64, |sum, c| sum.saturating_add(cycles(&c.scenario)))
-                    .saturating_mul(n_seeds),
-                Err(_) => 0,
-            },
         }
     }
 

@@ -346,6 +346,7 @@ impl JobContext {
     fn run(self, shared: &Shared) {
         let max_attempts = MAX_RETRIES + 1;
         let total_cycles = self.payload.total_cycles(&self.seeds);
+        let cell_cycles = self.payload.cell_cycles();
         let recovered: RecoveredUnits = Mutex::new(self.load_recovered_units(shared));
         // Commit ordinal within this job — the 1-based counter the
         // crash/rot faults key off.
@@ -353,7 +354,14 @@ impl JobContext {
         let mut attempt = 1u32;
         loop {
             (self.sink)(JobEvent::Started { job: self.job, attempt });
-            match self.attempt_once(shared, attempt, total_cycles, &recovered, &committed) {
+            // Units in hand never simulate, so their cycles count as done
+            // and the heartbeat still reaches `total_cycles`.
+            let in_hand = lock(&recovered)
+                .keys()
+                .map(|&(cell, _)| cell_cycles[cell as usize])
+                .fold(0u64, u64::saturating_add);
+            let cycles = (in_hand, total_cycles);
+            match self.attempt_once(shared, attempt, cycles, &recovered, &committed) {
                 Ok(Ok(result)) => {
                     if self.fault.crashes_mid_spill() {
                         // Fault harness: die between the spill's
@@ -464,18 +472,19 @@ impl JobContext {
     /// The per-cycle checkpoint of attempt `attempt`, in this order: the
     /// panic fault, the stall fault (once per attempt, on whichever
     /// parallel cell reaches the cycle first) and a `progress` event
-    /// every [`PROGRESS_CYCLES`] cycles over all cells; then the cancel
-    /// flag; then the deadline, counted from this call.
+    /// every [`PROGRESS_CYCLES`] cycles over all cells, counted on from
+    /// `done_cycles` (the cycles of the units already in hand); then the
+    /// cancel flag; then the deadline, counted from this call.
     fn checkpoint(
         &self,
         attempt: u32,
-        total_cycles: u64,
+        (done_cycles, total_cycles): (u64, u64),
     ) -> impl Fn(u64) -> Result<(), ScenarioError> + Sync + '_ {
         let deadline = self.deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
         let panic_cycle = self.fault.panic_cycle(attempt);
         let stall = self.fault.stall();
         let stalled = AtomicBool::new(false);
-        let done = AtomicU64::new(0);
+        let done = AtomicU64::new(done_cycles);
         move |cycle| {
             if panic_cycle == Some(cycle) {
                 panic!("injected fault: panic at cycle {cycle}");
@@ -505,11 +514,11 @@ impl JobContext {
         &self,
         shared: &Shared,
         attempt: u32,
-        total_cycles: u64,
+        cycles: (u64, u64),
         recovered: &RecoveredUnits,
         committed: &AtomicU32,
     ) -> Result<Result<String, ScenarioError>, String> {
-        let checkpoint = self.checkpoint(attempt, total_cycles);
+        let checkpoint = self.checkpoint(attempt, cycles);
         // Sweep units in hand (checkpointed or computed by an earlier
         // attempt) skip simulation; each freshly computed unit commits —
         // map + checkpoint line under one lock, so the commit ordinal is
@@ -922,7 +931,7 @@ mod tests {
     #[test]
     fn an_uncontrolled_checkpoint_always_passes() {
         let job = ctx(1);
-        let checkpoint = job.checkpoint(1, 10);
+        let checkpoint = job.checkpoint(1, (0, 10));
         for cycle in 0..10 {
             checkpoint(cycle).unwrap();
         }
@@ -931,7 +940,7 @@ mod tests {
     #[test]
     fn cancellation_fails_at_the_cycle_it_is_observed() {
         let job = ctx(1);
-        let checkpoint = job.checkpoint(1, 10);
+        let checkpoint = job.checkpoint(1, (0, 10));
         checkpoint(5).unwrap();
         job.cancel.store(true, Ordering::Release);
         assert_eq!(checkpoint(6).unwrap_err(), ScenarioError::Cancelled { at_cycle: 6 });
@@ -941,11 +950,11 @@ mod tests {
     fn past_deadline_fails_future_deadline_passes() {
         let past = JobContext { deadline_ms: Some(0), ..ctx(1) };
         assert_eq!(
-            past.checkpoint(1, 10)(3).unwrap_err(),
+            past.checkpoint(1, (0, 10))(3).unwrap_err(),
             ScenarioError::DeadlineExceeded { at_cycle: 3 }
         );
         let future = JobContext { deadline_ms: Some(3_600_000), ..ctx(1) };
-        future.checkpoint(1, 10)(3).unwrap();
+        future.checkpoint(1, (0, 10))(3).unwrap();
     }
 
     /// The faults and the progress count see every cycle, the failing
@@ -961,7 +970,7 @@ mod tests {
         };
         let job = JobContext { sink, fault, deadline_ms: Some(0), ..ctx(1) };
         job.cancel.store(true, Ordering::Release);
-        let checkpoint = job.checkpoint(1, 5_000);
+        let checkpoint = job.checkpoint(1, (0, 5_000));
         let start = Instant::now();
         assert_eq!(checkpoint(0).unwrap_err(), ScenarioError::Cancelled { at_cycle: 0 });
         assert!(start.elapsed() >= Duration::from_millis(20), "the stall ran first");
@@ -988,7 +997,7 @@ mod tests {
         let mut jobs = Inner::default();
         assert!(jobs.admit(ctx(1), 1).is_ok());
         let job = jobs.queue.pop_front().unwrap();
-        let checkpoint = job.checkpoint(1, 10);
+        let checkpoint = job.checkpoint(1, (0, 10));
         checkpoint(2).unwrap();
         assert!(jobs.cancel(1));
         assert_eq!(checkpoint(3).unwrap_err(), ScenarioError::Cancelled { at_cycle: 3 });
