@@ -34,6 +34,14 @@ echo "==> cargo test -q"
 # count one route call per router visit (tests/tests/route_cache.rs).
 cargo test -q
 
+echo "==> vendored crates' own tests"
+# vendor/ is not a workspace member, so the leg above never runs the
+# stubs' unit and doc tests (serde_json's parser tests among them). Each
+# run writes a Cargo.lock beside its manifest; .gitignore lists those.
+for crate in rand rayon proptest serde_json; do
+    cargo test -q --offline --manifest-path "vendor/$crate/Cargo.toml" --target-dir target/vendor
+done
+
 echo "==> release-mode tests (the audit without debug assertions)"
 # Every build runs the same audit at the end of every run; only the
 # periodic cadence is debug-only. These legs take the release build

@@ -277,6 +277,23 @@ mod tests {
         ping_then_shutdown(&socket, server);
     }
 
+    /// A line nested deeper than the JSON parser's recursion limit — here
+    /// the longest line the server reads, all `[` — is a protocol error,
+    /// not a stack overflow that aborts the server: a new connection is
+    /// still served.
+    #[test]
+    fn a_deeply_nested_request_line_is_refused_and_the_server_lives() {
+        let (socket, server) = boot("nested");
+        let (mut client, mut reader) = connect(&socket);
+        match ask(&mut client, &mut reader, &vec![b'['; MAX_REQUEST_LINE]) {
+            JobEvent::ProtocolError { error } => {
+                assert!(error.contains("recursion limit exceeded"), "{error}")
+            }
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+        ping_then_shutdown(&socket, server);
+    }
+
     /// A line that is not UTF-8 is a protocol error on a connection that
     /// stays open, not a silently dropped one.
     #[test]
