@@ -84,7 +84,7 @@ pub mod prelude {
     };
     pub use df_engine::{ArbiterPolicy, EngineConfig, TelemetrySpec};
     pub use df_routing::MechanismSpec;
-    pub use df_stats::{FairnessReport, Histogram, LatencyAccumulator, OnlineStats};
+    pub use df_stats::{FairnessReport, Histogram, LatencyAccumulator};
     pub use df_topology::{
         Arrangement, DragonflyParams, GroupId, NodeId, Port, RouterId, Topology,
     };

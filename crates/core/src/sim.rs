@@ -312,14 +312,6 @@ pub struct Simulator {
     /// Scratch for one source's arrivals of one cycle.
     arrivals_buf: Vec<Arrival>,
     jobs: Vec<JobRuntime>,
-    /// Pending job arrivals as `(start_cycle, job)`, ascending; the head
-    /// is claimed when the driver reaches its cycle.
-    arrivals: Vec<(u64, usize)>,
-    /// Pending job departures as `(stop_cycle, job)`, ascending.
-    departures: Vec<(u64, usize)>,
-    /// Cursors into `arrivals` / `departures`.
-    next_arrival: usize,
-    next_departure: usize,
     /// Active timeline recorder (telemetry configured *and* measurement
     /// begun); `None` keeps the per-cycle overhead to one branch.
     timeline: Option<TimelineRecorder>,
@@ -402,18 +394,14 @@ impl Simulator {
             sources: Vec::new(),
             arrivals_buf: Vec::new(),
             jobs: Vec::new(),
-            arrivals: Vec::new(),
-            departures: Vec::new(),
-            next_arrival: 0,
-            next_departure: 0,
             timeline: None,
             timeline_sink: None,
             window_base_in_flight: 0,
         }
     }
 
-    /// Advance one cycle: job lifecycle events due now, one cycle of
-    /// generation from every installed source, then the network cycle.
+    /// Advance one cycle: one cycle of generation from every installed
+    /// source, then the network cycle.
     ///
     /// # Panics
     /// Panics if a trace source replays a node the machine does not have
@@ -432,9 +420,9 @@ impl Simulator {
     }
 
     /// The one cycle body behind [`Self::step`], [`Self::step_profiled`]
-    /// and [`Self::drive`]: job lifecycle events due now, generation, the
-    /// engine cycle (timed into `profile` if given), the timeline tick,
-    /// and — debug builds only — the periodic audit.
+    /// and [`Self::drive`]: generation, the engine cycle (timed into
+    /// `profile` if given), the timeline tick, and — debug builds only —
+    /// the periodic audit.
     /// Inlined into each of the three so none of them pays for the other
     /// two's switches.
     #[inline(always)]
@@ -443,9 +431,6 @@ impl Simulator {
         profile: Option<&mut PhaseProfile>,
         recorders: Option<&mut [TraceRecorder]>,
     ) -> Result<(), ScenarioError> {
-        if self.next_arrival < self.arrivals.len() || self.next_departure < self.departures.len() {
-            self.process_job_lifecycle();
-        }
         self.offer_arrivals(recorders)?;
         match profile {
             Some(profile) => self.net.step_timed(profile),
@@ -503,54 +488,25 @@ impl Simulator {
         Ok(())
     }
 
-    /// Attribute nodes to jobs *with lifetimes*: each job is claimed
-    /// when the driver reaches its start cycle and released at its stop
-    /// cycle (arrival/departure queues processed inside
-    /// [`Simulator::step`]), so node slots of a departed job are reusable
-    /// by a later arrival. Replaces the sink — call once, before
+    /// Attribute deliveries to jobs *with lifetimes*: the sink learns
+    /// each job's nodes and the generation cycles it owns them for,
+    /// `[start + 1, stop + 1)`, so node slots of a departed job are
+    /// reusable by a later arrival. The `+ 1` is the generation stamp: a
+    /// packet offered at driver cycle `t` carries `gen_cycle = t + 1`, so
+    /// the boundary packets of a departing job stay attributed to it, not
+    /// to the next tenant. Replaces the sink — call once, before
     /// stepping. The jobs come from a validated
     /// [`df_workload::ScenarioSpec`]: nodes in range, and jobs that share
     /// a node have disjoint lifetimes.
     pub(crate) fn set_job_schedule(&mut self, jobs: Vec<JobRuntime>) {
         let total = self.net.topology().params().nodes() as usize;
-        *self.net.sink_mut() = MeasurementSink::with_job_count(total, jobs.len());
-        self.arrivals =
-            jobs.iter().enumerate().map(|(j, job)| (job.start.unwrap_or(0), j)).collect();
-        self.arrivals.sort_unstable();
-        self.departures =
-            jobs.iter().enumerate().filter_map(|(j, job)| job.stop.map(|c| (c, j))).collect();
-        self.departures.sort_unstable();
-        self.next_arrival = 0;
-        self.next_departure = 0;
+        let owned = jobs.iter().map(|job| {
+            let from = job.start.unwrap_or(0) + 1;
+            let to = job.stop.map_or(u64::MAX, |stop| stop.saturating_add(1));
+            (&job.nodes[..], from..to)
+        });
+        *self.net.sink_mut() = MeasurementSink::with_jobs(total, owned);
         self.jobs = jobs;
-    }
-
-    /// Process job departures and arrivals due at the current driver
-    /// cycle. Departures run first so an arrival scheduled at the exact
-    /// cycle a tenant stops can reuse its slots. Ownership entries are
-    /// stamped `cycle + 1` because a packet offered at driver cycle `t`
-    /// carries `gen_cycle = t + 1` — the boundary packets of a departing
-    /// job stay attributed to it, not to the next tenant.
-    fn process_job_lifecycle(&mut self) {
-        let cycle = self.net.cycle();
-        while let Some(&(stop, j)) = self.departures.get(self.next_departure) {
-            if stop > cycle {
-                break;
-            }
-            for n in &self.jobs[j].nodes {
-                self.net.sink_mut().release_node(n.idx(), cycle + 1);
-            }
-            self.next_departure += 1;
-        }
-        while let Some(&(start, j)) = self.arrivals.get(self.next_arrival) {
-            if start > cycle {
-                break;
-            }
-            for n in &self.jobs[j].nodes {
-                self.net.sink_mut().claim_node(n.idx(), j as u32, cycle + 1);
-            }
-            self.next_arrival += 1;
-        }
     }
 
     /// Start the measurement window: zero the counters (including per-job
@@ -705,7 +661,7 @@ impl Simulator {
                     offered: norm(job.offered_packets as f64 * packet_size / (job_nodes * window)),
                     throughput: norm(acc.delivered_phits as f64 / (job_nodes * window)),
                     avg_latency: acc.latency.mean_latency(),
-                    delivered_packets: acc.delivered_packets,
+                    delivered_packets: acc.latency.count(),
                     p50_latency: acc.histogram.quantile(0.5),
                     p95_latency: acc.histogram.quantile(0.95),
                     p99_latency: acc.histogram.quantile(0.99),
@@ -853,8 +809,7 @@ mod tests {
     fn pattern_mode_run_attributes_jobs_too() {
         // Attribution and the built-in whole-machine source coexist:
         // `set_job_schedule` decides whose deliveries count, whoever generated
-        // them (ownership is installed by the lifecycle queue `step()`
-        // drains).
+        // them.
         let mut cfg = tiny(MechanismSpec::Min, PatternSpec::Uniform, 0.2);
         cfg.warmup_cycles = 300;
         cfg.measure_cycles = 800;

@@ -3,14 +3,17 @@
 //! node→job attribution for multi-job scenarios.
 //!
 //! Attribution is *cycle-aware*: each node keeps a small ownership
-//! history of `(from_cycle, job)` changes, so in a churning workload a
-//! packet is credited to the job that owned its source node **when the
-//! packet was generated** — a straggler delivered after its job departed
-//! (and after the node was reassigned to a later arrival) still counts
-//! toward the departed job, not the new tenant.
+//! history of `(from_cycle, job)` changes, built once from the jobs'
+//! schedule, so in a churning workload a packet is credited to the job
+//! that owned its source node **when the packet was generated** — a
+//! straggler delivered after its job departed (and after the node was
+//! reassigned to a later arrival) still counts toward the departed job,
+//! not the new tenant.
 
 use df_engine::{DeliveredRecord, StatsSink};
 use df_stats::{Histogram, LatencyAccumulator};
+use df_topology::NodeId;
+use std::ops::Range;
 
 /// Job index meaning "not attributed to any job".
 const NO_JOB: u32 = u32::MAX;
@@ -18,12 +21,11 @@ const NO_JOB: u32 = u32::MAX;
 /// Per-job measurement slice of the sink.
 #[derive(Debug, Clone)]
 pub struct JobAccumulator {
-    /// Latency breakdown of packets sourced by this job's nodes.
+    /// Latency breakdown of packets sourced by this job's nodes; its
+    /// count is the job's delivered packets during the window.
     pub latency: LatencyAccumulator,
     /// End-to-end latency histogram (p50/p95/p99 per job).
     pub histogram: Histogram,
-    /// Packets delivered for this job during the window.
-    pub delivered_packets: u64,
     /// Phits delivered for this job during the window.
     pub delivered_phits: u64,
 }
@@ -33,7 +35,6 @@ impl JobAccumulator {
         Self {
             latency: LatencyAccumulator::new(),
             histogram: Histogram::new(50, 200),
-            delivered_packets: 0,
             delivered_phits: 0,
         }
     }
@@ -50,9 +51,8 @@ pub struct MeasurementSink {
     /// End-to-end latency histogram (50-cycle bins up to 10,000 cycles).
     pub histogram: Histogram,
     /// Per-node ownership history (empty when no jobs are set):
-    /// `(from_cycle, owner)` entries in ascending cycle order, the last
-    /// one the current owner. Static scenarios have at most one entry per
-    /// node; churn appends one entry per claim/release.
+    /// `(from_cycle, owner)` entries in ascending cycle order. A job
+    /// contributes a claim per node it owns, and a release if it departs.
     node_history: Vec<Vec<(u64, u32)>>,
     /// Per-job accumulators.
     jobs: Vec<JobAccumulator>,
@@ -70,46 +70,45 @@ impl MeasurementSink {
         }
     }
 
-    /// Inactive sink for a *scheduled* (churning) workload: `n_jobs`
-    /// accumulators over `n_nodes` initially unowned nodes. Ownership is
-    /// installed over time via [`MeasurementSink::claim_node`] /
-    /// [`MeasurementSink::release_node`].
-    pub fn with_job_count(n_nodes: usize, n_jobs: usize) -> Self {
+    /// Inactive sink over `n_nodes` nodes that attributes deliveries to
+    /// `jobs`: each job's nodes and the generation cycles it owns them
+    /// for, `[from, to)` (`to == u64::MAX`: never released). Each node's
+    /// `(from_cycle, job)` history is built here, once; at equal cycles a
+    /// release sorts before a claim, so a job may take over slots at the
+    /// cycle their previous owner leaves them.
+    ///
+    /// # Panics
+    /// Panics if two jobs own one node at the same cycle (jobs sharing a
+    /// node must have disjoint lifetimes).
+    pub fn with_jobs<'a>(
+        n_nodes: usize,
+        jobs: impl IntoIterator<Item = (&'a [NodeId], Range<u64>)>,
+    ) -> Self {
+        let mut node_history = vec![Vec::new(); n_nodes];
+        let mut n_jobs = 0;
+        for (job, (nodes, owned)) in jobs.into_iter().enumerate() {
+            for n in nodes {
+                let history = &mut node_history[n.idx()];
+                history.push((owned.start, job as u32));
+                if owned.end != u64::MAX {
+                    history.push((owned.end, NO_JOB));
+                }
+            }
+            n_jobs += 1;
+        }
+        for (node, history) in node_history.iter_mut().enumerate() {
+            history.sort_by_key(|&(cycle, job)| (cycle, job != NO_JOB));
+            let mut owner = NO_JOB;
+            for &(_, job) in history.iter() {
+                assert!(job == NO_JOB || owner == NO_JOB, "node {node} claimed by two jobs");
+                owner = job;
+            }
+        }
         Self {
-            node_history: vec![Vec::new(); n_nodes],
+            node_history,
             jobs: (0..n_jobs).map(|_| JobAccumulator::new()).collect(),
             ..Self::new()
         }
-    }
-
-    /// Record that `job` owns `node` from `cycle` on.
-    ///
-    /// # Panics
-    /// Panics if the node is currently owned (lifetimes of jobs sharing a
-    /// node must be disjoint) or `job` is out of range.
-    pub fn claim_node(&mut self, node: usize, job: u32, cycle: u64) {
-        assert!((job as usize) < self.jobs.len(), "job {job} out of range");
-        assert_eq!(self.owner(node), NO_JOB, "node {node} claimed by two jobs");
-        debug_assert!(
-            self.node_history[node].last().is_none_or(|&(c, _)| c <= cycle),
-            "ownership history must be appended in cycle order"
-        );
-        self.node_history[node].push((cycle, job));
-    }
-
-    /// Record that `node`'s owner departs at `cycle`: packets generated
-    /// at `cycle` or later are no longer attributed to it.
-    ///
-    /// # Panics
-    /// Panics if the node is not currently owned.
-    pub fn release_node(&mut self, node: usize, cycle: u64) {
-        assert_ne!(self.owner(node), NO_JOB, "released node {node} is unowned");
-        self.node_history[node].push((cycle, NO_JOB));
-    }
-
-    /// `node`'s current owner, `NO_JOB` if none.
-    fn owner(&self, node: usize) -> u32 {
-        self.node_history[node].last().map_or(NO_JOB, |&(_, j)| j)
     }
 
     /// Clear accumulators and start measuring.
@@ -122,7 +121,7 @@ impl MeasurementSink {
         self.active = true;
     }
 
-    /// Per-job accumulators (`n_jobs` of [`MeasurementSink::with_job_count`]).
+    /// Per-job accumulators, in the order of [`MeasurementSink::with_jobs`].
     pub fn jobs(&self) -> &[JobAccumulator] {
         &self.jobs
     }
@@ -170,7 +169,6 @@ impl StatsSink for MeasurementSink {
                 rec.waits.global,
             );
             job.histogram.add(rec.latency());
-            job.delivered_packets += 1;
             job.delivered_phits += rec.header.size as u64;
         }
     }
@@ -200,15 +198,15 @@ mod tests {
     }
 
     /// Sink over `owners.len()` nodes, node `i` owned by `owners[i]`
-    /// from cycle 0 (`None` = unowned).
+    /// for the whole run (`None` = unowned).
     fn sink_owning(owners: &[Option<u32>], n_jobs: usize) -> MeasurementSink {
-        let mut s = MeasurementSink::with_job_count(owners.len(), n_jobs);
-        for (node, owner) in owners.iter().enumerate() {
-            if let Some(job) = *owner {
-                s.claim_node(node, job, 0);
-            }
-        }
-        s
+        let nodes: Vec<Vec<NodeId>> = (0..n_jobs as u32)
+            .map(|j| {
+                let owned = owners.iter().enumerate().filter(|&(_, &o)| o == Some(j));
+                owned.map(|(n, _)| NodeId(n as u32)).collect()
+            })
+            .collect();
+        MeasurementSink::with_jobs(owners.len(), nodes.iter().map(|n| (&n[..], 0..u64::MAX)))
     }
 
     #[test]
@@ -263,10 +261,10 @@ mod tests {
         s.on_delivered(&rec_from(2, (300, 0, 0, 0, 0)));
         s.on_delivered(&rec_from(3, (400, 0, 0, 0, 0)));
         assert_eq!(s.latency.count(), 4);
-        assert_eq!(s.jobs()[0].delivered_packets, 2);
+        assert_eq!(s.jobs()[0].latency.count(), 2);
         assert_eq!(s.jobs()[0].delivered_phits, 16);
         assert_eq!(s.jobs()[0].latency.mean_latency(), 150.0);
-        assert_eq!(s.jobs()[1].delivered_packets, 1);
+        assert_eq!(s.jobs()[1].latency.count(), 1);
         assert_eq!(s.jobs()[1].latency.mean_latency(), 300.0);
     }
 
@@ -276,12 +274,27 @@ mod tests {
         s.start_measurement();
         s.on_delivered(&rec_from(0, (100, 0, 0, 0, 0)));
         s.start_measurement();
-        assert_eq!(s.jobs()[0].delivered_packets, 0);
+        assert_eq!(s.jobs()[0].latency.count(), 0);
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
-    fn bad_job_map_rejected() {
-        sink_owning(&[Some(5)], 2);
+    fn ownership_follows_the_schedule() {
+        // Node 0: job 1 owns generation cycles [1, 11), then job 0 takes
+        // it over at 11 with node 1 and never leaves. Listing the later
+        // tenant first checks that the release at 11 sorts before the
+        // claim at 11.
+        let (later, earlier) = ([NodeId(0), NodeId(1)], [NodeId(0)]);
+        let s = MeasurementSink::with_jobs(2, [(&later[..], 11..u64::MAX), (&earlier[..], 1..11)]);
+        let node0: Vec<_> = [0, 1, 10, 11, 1_000].iter().map(|&c| s.job_of_at(0, c)).collect();
+        assert_eq!(node0, [None, Some(1), Some(1), Some(0), Some(0)]);
+        assert_eq!((s.job_of_at(1, 10), s.job_of_at(1, 11)), (None, Some(0)));
+        assert_eq!(s.jobs().len(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "node 3 claimed by two jobs")]
+    fn two_owners_of_one_node_at_one_cycle_are_rejected() {
+        let (a, b) = ([NodeId(3)], [NodeId(2), NodeId(3)]);
+        MeasurementSink::with_jobs(4, [(&a[..], 1..11), (&b[..], 10..20)]);
     }
 }

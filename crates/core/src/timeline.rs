@@ -3,13 +3,16 @@
 //!
 //! When a [`crate::SimConfig`] carries a [`df_engine::TelemetrySpec`],
 //! the simulator attaches a [`TimelineRecorder`] to the measurement
-//! window. After every cycle the recorder checks a
-//! [`df_stats::WindowSeries`] boundary; when a window closes it diffs
-//! the engine's cumulative counters against the previous boundary and
-//! emits one [`WindowRow`]. The instrumentation is read-only: it never
-//! feeds back into routing, allocation, or RNG consumption, so same-seed
-//! summary output is bit-identical with telemetry on or off (the golden
-//! digests enforce this).
+//! window. Window `i` spans `[base + i·width, base + (i+1)·width)`,
+//! `base` being the first measured cycle, and the end of the run cuts the
+//! last one short; so the open window follows from the rows already
+//! closed. After every cycle the recorder checks whether the open window
+//! has ended; when it has, it diffs the engine's cumulative counters
+//! against the previous boundary and emits one [`WindowRow`]. The
+//! instrumentation is read-only: it never feeds back into routing,
+//! allocation, or RNG consumption, so same-seed summary output is
+//! bit-identical with telemetry on or off (the golden digests enforce
+//! this).
 //!
 //! Rows accumulate into [`crate::RunResult::timeline`] and can
 //! additionally be streamed as they close through a sink installed with
@@ -18,7 +21,6 @@
 
 use crate::sim::{Engine, JobRuntime};
 use df_engine::{Counters, TelemetrySpec};
-use df_stats::WindowSeries;
 use serde::{Deserialize, Serialize};
 
 /// The network type the recorder samples from: the simulator's engine
@@ -112,9 +114,9 @@ struct NetMark {
 struct JobMark {
     offered_packets: u64,
     injected_packets: u64,
+    /// Packets delivered for the job: its latency count.
     delivered_packets: u64,
     delivered_phits: u64,
-    latency_count: u64,
     latency_sum: f64,
 }
 
@@ -137,9 +139,8 @@ fn job_marks(net: &Net, c: &Counters, jobs: &[JobRuntime]) -> Vec<JobMark> {
         .map(|(job, acc)| JobMark {
             offered_packets: job.offered_packets,
             injected_packets: job.nodes.iter().map(|n| per_node[n.idx()]).sum(),
-            delivered_packets: acc.delivered_packets,
+            delivered_packets: acc.latency.count(),
             delivered_phits: acc.delivered_phits,
-            latency_count: acc.latency.count(),
             latency_sum: acc.latency.mean_latency() * acc.latency.count() as f64,
         })
         .collect()
@@ -157,13 +158,16 @@ fn marks(net: &Net, jobs: &[JobRuntime]) -> (NetMark, Vec<JobMark>) {
 /// run teardown and reaches the sink too).
 pub type TimelineSink = Box<dyn FnMut(&WindowRow)>;
 
-/// Per-run recorder: window boundaries, boundary marks, closed rows, and
-/// an optional streaming sink. Owned by [`crate::Simulator`]; one branch
-/// per cycle when idle, O(routers + job nodes) work only at window close.
+/// Per-run recorder: window width, boundary marks, closed rows, and an
+/// optional streaming sink. Owned by [`crate::Simulator`]; one branch per
+/// cycle when idle, O(routers + job nodes) work only at window close.
 pub(crate) struct TimelineRecorder {
     /// First cycle of window 0 (the `begin_measurement` cycle).
     base: u64,
-    series: WindowSeries<WindowRow>,
+    /// Window width in cycles.
+    width: u64,
+    /// Closed windows, oldest first: window `rows.len()` is open.
+    rows: Vec<WindowRow>,
     net_mark: NetMark,
     job_marks: Vec<JobMark>,
     sink: Option<TimelineSink>,
@@ -173,6 +177,9 @@ impl TimelineRecorder {
     /// A recorder whose first window starts at `base` (the
     /// `begin_measurement` cycle), with boundary marks snapshotted from
     /// the network's current — just reset — counters.
+    ///
+    /// # Panics
+    /// Panics if the window width is zero.
     pub(crate) fn new(
         spec: TelemetrySpec,
         base: u64,
@@ -180,21 +187,33 @@ impl TimelineRecorder {
         jobs: &[JobRuntime],
         sink: Option<TimelineSink>,
     ) -> Self {
+        assert!(spec.window_cycles > 0, "window width must be positive");
         let (net_mark, job_marks) = marks(net, jobs);
         TimelineRecorder {
             base,
-            series: WindowSeries::new(spec.window_cycles, base),
+            width: spec.window_cycles,
+            rows: Vec::new(),
             net_mark,
             job_marks,
             sink,
         }
     }
 
+    /// The open window's index and first cycle.
+    fn open_window(&self) -> (u64, u64) {
+        let window = self.rows.len() as u64;
+        (window, self.base + window * self.width)
+    }
+
     /// Check the window boundary after a cycle; close and emit the
-    /// window if `now` reached it.
+    /// window if `now` reached its end.
     pub(crate) fn tick(&mut self, now: u64, net: &Net, jobs: &[JobRuntime]) {
-        while let Some((window, start, end)) = self.series.due(now) {
-            self.close(window, start, end, net, jobs);
+        loop {
+            let (window, start) = self.open_window();
+            if now < start + self.width {
+                return;
+            }
+            self.close(window, start, start + self.width, net, jobs);
         }
     }
 
@@ -202,8 +221,9 @@ impl TimelineRecorder {
     /// all rows equal the end-of-run totals exactly.
     pub(crate) fn flush(&mut self, now: u64, net: &Net, jobs: &[JobRuntime]) {
         self.tick(now, net, jobs);
-        if let Some((window, start, end)) = self.series.partial(now) {
-            self.close(window, start, end, net, jobs);
+        let (window, start) = self.open_window();
+        if now > start {
+            self.close(window, start, now, net, jobs);
         }
     }
 
@@ -221,13 +241,13 @@ impl TimelineRecorder {
             .map(|((job, now), prev)| {
                 let delivered_phits = now.delivered_phits - prev.delivered_phits;
                 let offered_packets = now.offered_packets - prev.offered_packets;
-                let count = now.latency_count - prev.latency_count;
+                let count = now.delivered_packets - prev.delivered_packets;
                 let nodes = job.nodes.len() as f64;
                 JobWindow {
                     job: job.label.clone(),
                     offered_packets,
                     injected_packets: now.injected_packets - prev.injected_packets,
-                    delivered_packets: now.delivered_packets - prev.delivered_packets,
+                    delivered_packets: count,
                     delivered_phits,
                     offered: offered_packets as f64 * net.config().packet_size as f64
                         / (nodes * span),
@@ -262,7 +282,7 @@ impl TimelineRecorder {
         if let Some(sink) = &mut self.sink {
             sink(&row);
         }
-        self.series.push(row);
+        self.rows.push(row);
     }
 
     /// Audit step (timeline): the closed windows are zero-based, gap-free
@@ -270,7 +290,7 @@ impl TimelineRecorder {
     /// closed through `now` (at a boundary, or after [`Self::flush`]) their
     /// counts sum to the run's counters `c`.
     pub(crate) fn audit(&self, now: u64, c: &Counters) {
-        let rows = self.series.rows();
+        let rows = &self.rows;
         let mut next_start = self.base;
         for (i, row) in rows.iter().enumerate() {
             assert_eq!(row.window, i as u64, "timeline window {i} carries index {}", row.window);
@@ -314,7 +334,7 @@ impl TimelineRecorder {
 
     /// Consume the recorder, yielding its closed rows.
     pub(crate) fn into_rows(self) -> Vec<WindowRow> {
-        self.series.into_rows()
+        self.rows
     }
 }
 
@@ -327,9 +347,8 @@ mod tests {
     use df_topology::DragonflyParams;
     use df_traffic::PatternSpec;
 
-    /// A recorder over an idle figure1 network, first window at cycle 100,
-    /// with `windows` closed by hand as `(index, start, end)`.
-    fn audit_after(windows: &[(u64, u64, u64)], now: u64, doctor: fn(&mut Counters)) {
+    /// A simulator over an idle figure1 network.
+    fn idle_figure1() -> Simulator {
         let mut cfg = SimConfig::small(
             MechanismSpec::Min,
             ArbiterPolicy::TransitPriority,
@@ -337,7 +356,53 @@ mod tests {
             0.0,
         );
         cfg.params = DragonflyParams::figure1();
-        let sim = Simulator::new(&cfg);
+        Simulator::new(&cfg)
+    }
+
+    /// The `(index, start, end)` of each closed row.
+    fn bounds(rec: &TimelineRecorder) -> Vec<(u64, u64, u64)> {
+        rec.rows.iter().map(|r| (r.window, r.start_cycle, r.end_cycle)).collect()
+    }
+
+    #[test]
+    fn windows_are_contiguous_from_a_non_zero_base() {
+        let sim = idle_figure1();
+        let net = sim.network();
+        let spec = TelemetrySpec { window_cycles: 100 };
+        let mut rec = TimelineRecorder::new(spec, 250, net, &[], None);
+        rec.tick(349, net, &[]);
+        assert_eq!(bounds(&rec), []);
+        rec.tick(350, net, &[]);
+        assert_eq!(bounds(&rec), [(0, 250, 350)]);
+        // A tick past several boundaries closes every window it passed.
+        rec.tick(555, net, &[]);
+        assert_eq!(bounds(&rec), [(0, 250, 350), (1, 350, 450), (2, 450, 550)]);
+    }
+
+    #[test]
+    fn flush_closes_a_partial_tail_window() {
+        let sim = idle_figure1();
+        let net = sim.network();
+        let spec = TelemetrySpec { window_cycles: 100 };
+        let mut rec = TimelineRecorder::new(spec, 0, net, &[], None);
+        // At a boundary there is no tail to flush.
+        rec.flush(100, net, &[]);
+        assert_eq!(bounds(&rec), [(0, 0, 100)]);
+        rec.flush(130, net, &[]);
+        assert_eq!(bounds(&rec), [(0, 0, 100), (1, 100, 130)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "window width must be positive")]
+    fn a_zero_window_width_is_rejected() {
+        let sim = idle_figure1();
+        TimelineRecorder::new(TelemetrySpec { window_cycles: 0 }, 0, sim.network(), &[], None);
+    }
+
+    /// A recorder over an idle figure1 network, first window at cycle 100,
+    /// with `windows` closed by hand as `(index, start, end)`.
+    fn audit_after(windows: &[(u64, u64, u64)], now: u64, doctor: fn(&mut Counters)) {
+        let sim = idle_figure1();
         let net = sim.network();
         let mut rec = TimelineRecorder::new(TelemetrySpec::default(), 100, net, &[], None);
         for &(window, start, end) in windows {
