@@ -77,14 +77,14 @@ impl JobPayload {
     /// Driver cycles of one `(cell, seed)` unit of each cell, in cell
     /// order: a sweep's expanded grid, or a scenario's mechanisms (empty
     /// for a sweep that does not expand).
-    pub fn cell_cycles(&self) -> Vec<u64> {
+    pub(crate) fn cell_cycles(&self) -> Vec<u64> {
         let cycles = |s: &ScenarioSpec| s.warmup_cycles.saturating_add(s.measure_cycles);
         match self {
             JobPayload::Scenario(s) => vec![cycles(s); s.mechanisms.len()],
-            JobPayload::Sweep(s) => {
-                { s.expand().map(|cells| cells.iter().map(|c| cycles(&c.scenario)).collect()) }
-                    .unwrap_or_default()
-            }
+            JobPayload::Sweep(s) => match s.expand() {
+                Ok(cells) => cells.iter().map(|c| cycles(&c.scenario)).collect(),
+                Err(_) => Vec::new(),
+            },
         }
     }
 
