@@ -401,6 +401,20 @@ mod tests {
         assert!(line.contains("\"event\":\"sweep_rows\""), "{line}");
     }
 
+    /// Python's `json.dumps` writes a character outside the BMP as a
+    /// UTF-16 surrogate pair; a job named that way reaches the spec as the
+    /// one character, parsed as the server parses every request line.
+    #[test]
+    fn a_job_name_written_as_a_surrogate_pair_parses() {
+        let spec = include_str!("../../../scenarios/paper_job_anatomy.json")
+            .replace(r#""hpc-app""#, r#""crab \ud83e\udd80""#);
+        let line = format!(r#"{{"type":"submit_scenario","spec":{spec},"options":{{}}}}"#);
+        let Ok(Request::SubmitScenario { spec, .. }) = serde_json::from_str(&line) else {
+            panic!("not a scenario submission: {line}");
+        };
+        assert_eq!(spec.jobs[0].name, "crab 🦀");
+    }
+
     #[test]
     fn requests_roundtrip_through_json() {
         for r in [Request::Ping, Request::Shutdown, Request::Cancel { job: 9 }] {
