@@ -149,9 +149,10 @@ impl VcRing {
 pub(crate) struct Staged {
     /// Arena handle of the packet.
     pub pkt: PacketId,
-    /// Cycle the packet entered this output buffer (output-side wait
-    /// accounting, read when the packet is popped for transmission).
-    pub enq_at: u64,
+    /// Cycle the packet entered this output buffer, as a `u32` stamp
+    /// like the record's (output-side wait accounting, read when the
+    /// packet is popped for transmission).
+    pub enq_at: u32,
     /// Downstream input VC (credit was reserved at grant time).
     pub out_vc: u8,
 }
@@ -161,7 +162,7 @@ impl Staged {
     pub(crate) const VACANT: Staged = Staged { pkt: PacketId(0), enq_at: 0, out_vc: 0 };
 }
 
-const _: () = assert!(std::mem::size_of::<Staged>() == 16);
+const _: () = assert!(std::mem::size_of::<Staged>() == 12);
 
 /// Per-port output buffer: a FIFO of packets whose downstream space is
 /// already reserved, draining onto the link at one phit per cycle.
@@ -251,7 +252,7 @@ mod tests {
     use std::collections::VecDeque;
 
     fn staged(i: u32) -> Staged {
-        Staged { pkt: PacketId(i), enq_at: i as u64, out_vc: 0 }
+        Staged { pkt: PacketId(i), enq_at: i, out_vc: 0 }
     }
 
     #[test]
@@ -368,7 +369,7 @@ mod tests {
                     }
                     prop_assert_eq!(
                         head.map(|s| (s.pkt.0, s.enq_at)),
-                        model.pop_front().map(|i| (i, i as u64))
+                        model.pop_front().map(|i| (i, i))
                     );
                 }
                 prop_assert!(ring.iter(&slab).map(|s| s.pkt.0).eq(model.iter().copied()));

@@ -17,8 +17,22 @@
 //! The per-packet latency accounting preserves the identity
 //! `latency == traversal + waits.total()`, which the test-suite checks and
 //! which yields the paper's Figure 3 breakdown directly.
+//!
+//! Its fast paths, each byte-identical to the plain scan or copy it
+//! replaced (README, "Performance", has what each one measured):
+//!
+//! * one 64-byte arena record per packet, carried by `u32` handle;
+//! * work-list bitsets of the nodes and routers that can make progress;
+//! * per-router ready-VC, awake-port and ready-output masks;
+//! * one routing decision per router visit, with blocked heads parked
+//!   until their output port changes;
+//! * the routers whose global queues changed, handed to the policy;
+//! * an event wheel of pooled chunks;
+//! * a cache prefetch of the record of each packet that arrives into an
+//!   empty input VC — a hint to the CPU, which never changes a value.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 mod arena;
 mod buffer;

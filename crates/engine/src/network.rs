@@ -894,7 +894,11 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
             // eligible the moment it is resident.
             Event::ArriveRouter { router, port, vc, pkt } => {
                 let r = self.local_router(router);
-                self.routers[r].push_input(port as usize, vc as usize, pkt);
+                if self.routers[r].push_input(port as usize, vc as usize, pkt) {
+                    // A new head: the allocator reads its record this very
+                    // cycle, and the sender wrote it a whole link ago.
+                    self.arena.prefetch(pkt);
+                }
                 set_bit(&mut self.alloc_active, r);
             }
             Event::ArriveNode { node, pkt } => {
@@ -1236,7 +1240,8 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
             }
         }
 
-        self.routers[r].stage_output(out_port, Staged { pkt: id, enq_at: self.cycle, out_vc });
+        self.routers[r]
+            .stage_output(out_port, Staged { pkt: id, enq_at: stamp(self.cycle), out_vc });
         set_bit(&mut self.tx_active, r);
     }
 
@@ -1269,7 +1274,7 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
             // Output-side waiting, attributed by output-port kind
             // (ejection counts as local — it is intra-"last-hop" HoL).
             let pkt = self.arena.get_mut(staged.pkt);
-            let wait = stamp(self.cycle - staged.enq_at);
+            let wait = cycles_since(self.cycle, staged.enq_at, pkt.id);
             match out_kind {
                 PortKind::Injection | PortKind::Local => pkt.waits.local += wait,
                 PortKind::Global => pkt.waits.global += wait,
@@ -1954,6 +1959,26 @@ mod tests {
         net.step();
     }
 
+    /// Likewise for the output-buffer stamp: a staged packet stamped in
+    /// the future would wrap its output wait at transmission.
+    #[test]
+    #[should_panic(expected = "cycle stamp 7 of packet 9 is past the current cycle 6")]
+    fn a_staging_stamp_past_the_cycle_panics_at_transmission() {
+        let mut net = small_net();
+        net.run(5);
+        let pkt = net.arena.insert(Packet::new(
+            9,
+            NodeId(0),
+            NodeId(1),
+            0,
+            NodeId(0).group(net.topo.params()),
+        ));
+        net.live_packets += 1;
+        net.routers[0].stage_output(1, Staged { pkt, enq_at: stamp(net.cycle + 2), out_vc: 0 });
+        set_bit(&mut net.tx_active, 0);
+        net.step();
+    }
+
     #[test]
     #[should_panic(expected = "local_link_latency must be at least 1 cycle")]
     fn zero_latency_link_fails_at_construction() {
@@ -2224,7 +2249,7 @@ mod tests {
             let out = (0..net.topo.params().p as usize)
                 .find(|&out| net.routers[r].can_accept(Port(out as u32), 0, 8))
                 .expect("an ejection port with room");
-            net.routers[r].stage_output(out, Staged { pkt, enq_at: net.cycle, out_vc: 0 });
+            net.routers[r].stage_output(out, Staged { pkt, enq_at: stamp(net.cycle), out_vc: 0 });
             set_bit(&mut net.tx_active, r);
         };
         audit_catches_a_stolen_credit: "credit conservation violated on the link into" => |net| {

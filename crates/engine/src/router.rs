@@ -266,9 +266,10 @@ impl RouterState {
         self.in_rings[self.flat(port, vc)].front(&self.in_slots)
     }
 
-    /// Enqueue an arriving packet on `port`, VC `vc`.
+    /// Enqueue an arriving packet on `port`, VC `vc`. Returns whether it
+    /// is the VC's head (the VC was empty).
     #[inline]
-    pub(crate) fn push_input(&mut self, port: usize, vc: usize, id: PacketId) {
+    pub(crate) fn push_input(&mut self, port: usize, vc: usize, id: PacketId) -> bool {
         let flat = self.flat(port, vc);
         let newly_occupied = self.in_rings[flat].is_empty();
         self.in_rings[flat].push(&mut self.in_slots, id);
@@ -281,6 +282,7 @@ impl RouterState {
             self.awake_in |= 1 << port;
         }
         self.input_count += 1;
+        newly_occupied
     }
 
     /// Dequeue the head packet of `port`, VC `vc`, returning its handle.
