@@ -21,6 +21,8 @@
 //!
 //! Submit jobs with `df-submit`; see `docs/SERVICE.md` for the protocol.
 
+#![forbid(unsafe_code)]
+
 use df_bench::{fail, flag_number, flag_path};
 use df_service::{serve, Service, ServiceConfig};
 use std::path::PathBuf;

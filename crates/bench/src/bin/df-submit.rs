@@ -40,6 +40,8 @@
 //! | 6 | `failed` (retries exhausted) or `rejected` (bad spec) |
 //! | 1 | I/O failure (connect, read, write) |
 
+#![forbid(unsafe_code)]
+
 use df_bench::{
     create_parent_dir, default_seeds, fail, flag_number, flag_path, flag_seeds, flag_value,
 };

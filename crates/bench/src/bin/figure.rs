@@ -25,6 +25,8 @@
 //!   [{labels: [{name, value}], result}]}`, `result` being the cell's full
 //!   [`AveragedResult`] — one shape for every artifact.
 
+#![forbid(unsafe_code)]
+
 use df_bench::{default_seeds, fail, flag_path, flag_seeds, flag_value, write_json};
 use dragonfly_core::prelude::*;
 use serde::Serialize;

@@ -22,6 +22,8 @@
 //! the human-readable tables), so downstream tooling can consume the run
 //! without extra flags.
 
+#![forbid(unsafe_code)]
+
 use df_bench::{
     create_timeline_file, default_seeds, fail, flag_path, flag_seeds, flag_value, quick_scenario,
     timeline_sink, write_json,

@@ -24,6 +24,8 @@
 //! grid's MD5s).
 //! A compact per-cell summary grid is printed to stdout.
 
+#![forbid(unsafe_code)]
+
 use df_bench::{
     create_parent_dir, create_timeline_file, default_seeds, fail, flag_path, flag_seeds,
     quick_sweep, timeline_sink, write_json,

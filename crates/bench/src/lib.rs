@@ -9,6 +9,8 @@
 //! `--quick` seed lists, `--quick`'s cycle budgets, the `--timeline`
 //! JSONL writer and the `--out` JSON writer.
 
+#![forbid(unsafe_code)]
+
 use dragonfly_core::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::io::Write;

@@ -22,6 +22,7 @@
 //! [`RoutingPolicy`]: df_engine::RoutingPolicy
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod common;
 mod in_transit;

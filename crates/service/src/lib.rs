@@ -36,6 +36,7 @@
 //! the CLI surface.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cache;
 pub mod fault;

@@ -14,6 +14,7 @@
 //! so every metric is unit-testable without running a simulation.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod fairness;
 mod histogram;

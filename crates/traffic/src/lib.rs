@@ -31,6 +31,7 @@
 //! substream numbering is tabulated in `docs/DETERMINISM.md`.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod bernoulli;
 mod patterns;

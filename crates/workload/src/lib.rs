@@ -41,6 +41,7 @@
 //! [`PatternSpec`]: df_traffic::PatternSpec
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod injection;
 mod job;

@@ -1,5 +1,7 @@
 //! Shared helpers for the cross-crate integration tests.
 
+#![forbid(unsafe_code)]
+
 use dragonfly_core::prelude::*;
 
 /// A fast configuration on the paper's Figure 1 network (72 nodes):
