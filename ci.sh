@@ -25,7 +25,9 @@ echo "==> cargo test -q"
 # simulation, on top of the one that ends each run in any build. The
 # suite also carries the golden digests
 # (tests/tests/golden_outputs.rs: the scenario and sweep digests on the
-# serial engine, the SimConfig digests serial and at shards: 2); the
+# serial engine, the SimConfig digests serial and at shards: 2, with one
+# row per output arbiter, since the other goldens all run transit
+# priority); the
 # shard-count invariance differential, which replays generated offer
 # streams into the serial and the group-sharded engine over mechanism x
 # arbiter and compares delivered-record streams (tests/tests/sharding.rs,

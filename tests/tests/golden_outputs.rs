@@ -82,20 +82,25 @@ fn golden_sweep_unfairness_grid() {
     );
 }
 
-/// `run_single(SimConfig::small(..))` at load 0.4, seed 11, 1,000 + 2,000
-/// cycles: digest of the serialized `RunResult`.
-fn pattern_mode_digest(
-    mechanism: MechanismSpec,
-    pattern: PatternSpec,
-    shards: Option<u32>,
-) -> String {
-    let mut cfg = SimConfig::small(mechanism, ArbiterPolicy::TransitPriority, pattern, 0.4);
+/// `run_single(cfg)` at seed 11, 1,000 + 2,000 cycles: digest of the
+/// serialized `RunResult`.
+fn run_digest(mut cfg: SimConfig, shards: Option<u32>) -> String {
     cfg.warmup_cycles = 1_000;
     cfg.measure_cycles = 2_000;
     cfg.seed = 11;
     cfg.shards = shards;
     let json = serde_json::to_string(&run_single(&cfg)).expect("serialize result");
     md5_hex(json.as_bytes())
+}
+
+/// [`run_digest`] of `SimConfig::small(..)` under transit priority at
+/// load 0.4.
+fn pattern_mode_digest(
+    mechanism: MechanismSpec,
+    pattern: PatternSpec,
+    shards: Option<u32>,
+) -> String {
+    run_digest(SimConfig::small(mechanism, ArbiterPolicy::TransitPriority, pattern, 0.4), shards)
 }
 
 /// Recorded at the commit before `Simulator::step` and `run_cell` were
@@ -124,6 +129,48 @@ fn golden_pattern_mode() {
                  (see docs/DETERMINISM.md)",
                 pattern.label(),
                 mechanism.label(),
+            );
+        }
+    }
+}
+
+/// Every output arbiter, pinned by [`run_digest`]: the goldens above all
+/// run transit priority, so these rows are what catch a change that moves
+/// round-robin or age-based output. Two set-ups: In-Trns-MM under ADVc on
+/// the small network (radix 11), and MIN under a 50 % hot spot on
+/// `p = 8, a = 4, h = 6` (800 nodes, radix 17), where many input ports
+/// contend for one ejection port. Serial and at `shards: 2`, one digest
+/// each.
+#[test]
+fn golden_arbiters() {
+    let advc = |arbiter| {
+        let pattern = PatternSpec::AdvConsecutive { spread: None };
+        SimConfig::small(MechanismSpec::InTransitMm, arbiter, pattern, 0.4)
+    };
+    let hot_spot = |arbiter| {
+        let pattern = PatternSpec::HotSpot { hot: 0, fraction: 0.5 };
+        let mut cfg = SimConfig::small(MechanismSpec::Min, arbiter, pattern, 0.3);
+        cfg.params = DragonflyParams { p: 8, a: 4, h: 6 };
+        cfg
+    };
+    for (cfg, digest) in [
+        (advc(ArbiterPolicy::RoundRobin), "13a3757404e8961a9d408acc33425a89"),
+        (advc(ArbiterPolicy::AgeBased), "103b57bf5bc4897d58adc73c64b046b9"),
+        (advc(ArbiterPolicy::TransitPriority), "a65c2c5de5b3c584678156150bcf4225"),
+        (hot_spot(ArbiterPolicy::TransitPriority), "d5ed10256dd444b15b42a1852eca8e0d"),
+        (hot_spot(ArbiterPolicy::RoundRobin), "fbb8f1f50fabc02ed0fb7b7db0c68860"),
+        (hot_spot(ArbiterPolicy::AgeBased), "c8c75714a2a6edc7e92a68c74b095f6b"),
+    ] {
+        for shards in [None, Some(2)] {
+            assert_eq!(
+                run_digest(cfg.clone(), shards),
+                digest,
+                "behavior drift under the {:?} arbiter: {} under {} on {:?}, shards {shards:?} \
+                 (see docs/DETERMINISM.md)",
+                cfg.arbiter,
+                cfg.pattern.label(),
+                cfg.mechanism.label(),
+                cfg.params,
             );
         }
     }
