@@ -23,7 +23,8 @@
 //!
 //! * one 64-byte arena record per packet, carried by `u32` handle;
 //! * work-list bitsets of the nodes and routers that can make progress;
-//! * per-router ready-VC, awake-port and ready-output masks;
+//! * per-router ready-VC, awake-port and ready-output masks, and one
+//!   request mask per output port in the allocator;
 //! * one routing decision per router visit, with blocked heads parked
 //!   until their output port changes;
 //! * the routers whose global queues changed, handed to the policy;
@@ -54,5 +55,5 @@ pub use packet::{
     WaitBreakdown,
 };
 pub use policy::{CycleCtx, NullSink, RoutingPolicy, StatsSink};
-pub use router::{input_capacity_for, vcs_for, RouterState};
+pub use router::{vcs_for, RouterState};
 pub use shard::{RecordQueue, ShardedNetwork};

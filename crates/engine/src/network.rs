@@ -16,13 +16,15 @@
 //! progress this cycle instead of scanning the whole network (at paper
 //! scale under ADVc most routers are idle most cycles). Inside a router
 //! the allocator is **mask driven** the same way: it walks the set bits
-//! of the awake-input-port mask, of each port's ready-VC mask, and of the
-//! mask of outputs that received a proposal. All work lists and masks
-//! are iterated in ascending index order, which keeps event-queue
-//! insertion order — and therefore same-seed results — bit-identical to
-//! the full scans they replace. The engine also tracks which routers'
-//! global-link queues changed each cycle so policies like PiggyBack can
-//! refresh their congestion view incrementally (see [`CycleCtx`]).
+//! of the awake-input-port mask, of each port's ready-VC mask, of the
+//! mask of requested outputs, and of each output's request mask over the
+//! input ports. All work lists and masks are iterated in ascending index
+//! order (an output's requests from its arbiter pointer), which keeps
+//! event-queue insertion order — and therefore same-seed results —
+//! bit-identical to the full scans they replace. The engine also tracks
+//! which routers' global-link queues changed each cycle so policies like
+//! PiggyBack can refresh their congestion view incrementally (see
+//! [`CycleCtx`]).
 
 use crate::arena::{PacketArena, PacketId};
 use crate::buffer::Staged;
@@ -102,7 +104,7 @@ impl PhaseProfile {
 
     /// Fold another profile into this one (accumulating chunk profiles
     /// into a run total).
-    pub fn absorb(&mut self, other: &PhaseProfile) {
+    pub(crate) fn absorb(&mut self, other: &PhaseProfile) {
         self.deliver_ns += other.deliver_ns;
         self.policy_ns += other.policy_ns;
         self.inject_ns += other.inject_ns;
@@ -278,56 +280,18 @@ impl Counters {
     }
 }
 
-/// Inline capacity of one output port's proposal list. Covers the whole
-/// radix of the reduced-scale networks (figure1 radix 7, small radix 11)
-/// and all non-pathological contention at paper scale (radix 23): spill
-/// needs more than `PROPOSAL_INLINE` input ports to nominate the *same*
-/// output in one allocation iteration.
-const PROPOSAL_INLINE: usize = 16;
-
-/// One input port's nomination for an output port: the VC whose head it
-/// proposes, and what the arbiter needs to re-check that the head still
-/// fits without reading the input ring or the packet's arena record.
-#[derive(Debug, Default, Clone, Copy)]
-struct Proposal {
-    in_port: u8,
-    vc: u8,
-    out_vc: u8,
-}
-
-/// Fixed-capacity proposal list with a rarely-used heap spill, so the
-/// allocator's per-output scratch stays inline (one cache line of 3-byte
-/// [`Proposal`]s) and never allocates in steady state.
-#[derive(Debug, Default)]
-struct ProposalList {
-    inline: [Proposal; PROPOSAL_INLINE],
-    len: u8,
-    /// Overflow beyond `PROPOSAL_INLINE`, preserving push order.
-    spill: Vec<Proposal>,
-}
-
-impl ProposalList {
-    #[inline]
-    fn clear(&mut self) {
-        self.len = 0;
-        self.spill.clear();
-    }
-
-    #[inline]
-    fn push(&mut self, entry: Proposal) {
-        if (self.len as usize) < PROPOSAL_INLINE {
-            self.inline[self.len as usize] = entry;
-            self.len += 1;
-        } else {
-            self.spill.push(entry);
-        }
-    }
-
-    /// Proposals in push order (inline segment, then spill).
-    #[inline]
-    fn iter(&self) -> impl Iterator<Item = &Proposal> {
-        self.inline[..self.len as usize].iter().chain(self.spill.iter())
-    }
+/// Set bits of `mask` in round-robin order from bit `from`: the bits at
+/// or above it ascending, then the ones below it.
+#[inline]
+fn bits_from(mask: u64, from: u32) -> impl Iterator<Item = usize> {
+    let mut rotated = mask.rotate_right(from);
+    std::iter::from_fn(move || {
+        (rotated != 0).then(|| {
+            let bit = rotated.trailing_zeros();
+            rotated &= rotated - 1;
+            ((bit + from) & 63) as usize
+        })
+    })
 }
 
 /// A full network simulation instance — or, in sharded mode, one
@@ -375,13 +339,13 @@ pub struct Network<P: RoutingPolicy, S: StatsSink> {
     peers: Vec<PortTarget>,
     /// Latency of the link behind every (router, port).
     latencies: Vec<u64>,
-    /// Allocation scratch: proposals per output port, inline up to
-    /// [`PROPOSAL_INLINE`] entries.
-    proposals: Vec<ProposalList>,
     /// Allocation scratch, persistent across cycles so the hot loop does
-    /// not allocate: remaining grant budget per input / output port.
-    alloc_in_budget: Vec<u32>,
-    alloc_out_budget: Vec<u32>,
+    /// not allocate: per output port, the mask of input ports requesting
+    /// it in the current iteration (all zero between iterations).
+    requests: Vec<u64>,
+    /// Allocation scratch: per input port, the VC whose head it nominated
+    /// in the current iteration (read only while the port requests).
+    nominated: Vec<u8>,
     /// Allocation scratch: bitmask per input port of the VCs already
     /// granted this cycle.
     alloc_vc_granted: Vec<u32>,
@@ -496,9 +460,8 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
             books: TimeBooks::default(),
             peers,
             latencies,
-            proposals: (0..radix).map(|_| ProposalList::default()).collect(),
-            alloc_in_budget: vec![0; radix as usize],
-            alloc_out_budget: vec![0; radix as usize],
+            requests: vec![0; radix as usize],
+            nominated: vec![0; radix as usize],
             alloc_vc_granted: vec![0; radix as usize],
             global_dirty_list: Vec::new(),
             global_dirty: vec![false; n_routers],
@@ -616,13 +579,6 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
     #[inline]
     pub fn arena_capacity(&self) -> usize {
         self.arena.capacity()
-    }
-
-    /// Resolve a packet handle to a copy of its arena record
-    /// (diagnostics; handles come from [`RouterState::head`]).
-    #[inline]
-    pub fn packet(&self, id: PacketId) -> Packet {
-        *self.arena.get(id)
     }
 
     /// Events (packets and credits) currently traversing links.
@@ -820,7 +776,7 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
                 let r = (w << 6) + word.trailing_zeros() as usize;
                 word &= word - 1;
                 // Every resident head parked: allocation would produce no
-                // proposals and no side effects, so skipping the router
+                // requests and no side effects, so skipping the router
                 // entirely is exact. This is where blocked routers drop
                 // from O(blocked heads) to O(changed ports) per cycle.
                 if self.routers[r].probe_ready() == 0 {
@@ -1012,17 +968,17 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
         }
     }
 
-    /// Separable iterative batch allocation for router `r` (local index).
+    /// Separable iterative batch allocation for router `r` (local index):
+    /// up to `speedup` iterations, each of which lets every input port
+    /// request one output for one VC head and every requested output
+    /// grant one request. An input port so wins at most once per
+    /// iteration and an output grants at most once, so no port can exceed
+    /// the speedup's grants and none needs a budget.
     fn allocate_router(&mut self, r: usize, policy: &mut P) {
         // The work list only holds routers with resident input packets.
         debug_assert!(self.routers[r].input_count > 0, "idle router on alloc work list");
-        // Reset the persistent scratch (hoisted out of the hot loop so no
-        // per-router-per-cycle allocation happens): remaining grant budget
-        // per port this cycle (2× speedup), and the VCs that already won
-        // this cycle — their new head has not traversed the pipeline, so
-        // they cannot win again.
-        self.alloc_in_budget.fill(self.cfg.speedup);
-        self.alloc_out_budget.fill(self.cfg.speedup);
+        // The VCs that already won this cycle: their new head has not
+        // traversed the pipeline, so they cannot win again.
         self.alloc_vc_granted.fill(0);
 
         for _iter in 0..self.cfg.speedup {
@@ -1032,15 +988,11 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
             // port being visited. Ascending bit order is the `0..radix`
             // order of the scan this replaces.
             let mut awake_ports = self.routers[r].awake_in;
-            // Output ports that received a proposal this iteration; a
-            // port's list is cleared when its bit is first set.
-            let mut proposed = 0u64;
+            // Output ports with at least one request this iteration.
+            let mut requested = 0u64;
             while awake_ports != 0 {
                 let in_port = awake_ports.trailing_zeros() as usize;
                 awake_ports &= awake_ports - 1;
-                if self.alloc_in_budget[in_port] == 0 {
-                    continue;
-                }
                 // Ready-VC mask minus parked VCs: a parked head's probe
                 // outcome cannot change until its target port is touched
                 // (which unparks it), so skipping it is exact.
@@ -1062,19 +1014,11 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
                         };
                         let out_port = out.idx();
                         if self.routers[r].can_accept(out, out_vc, self.cfg.packet_size) {
-                            // Nominated: the port proposes this head (and only
-                            // this head) if the output still has grant budget.
-                            if self.alloc_out_budget[out_port] > 0 {
-                                if proposed & (1 << out_port) == 0 {
-                                    proposed |= 1 << out_port;
-                                    self.proposals[out_port].clear();
-                                }
-                                self.proposals[out_port].push(Proposal {
-                                    in_port: in_port as u8,
-                                    vc: vc as u8,
-                                    out_vc,
-                                });
-                            }
+                            // Nominated: the port requests this head's
+                            // output, and nothing else this iteration.
+                            requested |= 1 << out_port;
+                            self.requests[out_port] |= 1 << in_port;
+                            self.nominated[in_port] = vc as u8;
                             break 'port;
                         }
                         // Blocked. The decision holds until the grant, so
@@ -1086,27 +1030,22 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
                     }
                 }
             }
-
-            // --- Phase 2: each output port grants one proposal. ---
-            let mut any = false;
-            while proposed != 0 {
-                let out_port = proposed.trailing_zeros() as usize;
-                proposed &= proposed - 1;
-                debug_assert!(self.alloc_out_budget[out_port] > 0, "proposal without budget");
-                let Some(Proposal { in_port, vc, .. }) = self.arbitrate_output(r, out_port) else {
-                    continue;
-                };
-                self.commit_grant(r, in_port as usize, vc as usize, out_port);
-                self.alloc_in_budget[in_port as usize] -= 1;
-                self.alloc_out_budget[out_port] -= 1;
-                self.alloc_vc_granted[in_port as usize] |= 1 << vc;
-                // Advance the input port's RR pointer past the winner.
-                let port = &mut self.routers[r].in_ports[in_port as usize];
-                port.rr = if vc + 1 == port.vcs { 0 } else { vc + 1 };
-                any = true;
-            }
-            if !any {
+            if requested == 0 {
                 break;
+            }
+
+            // --- Phase 2: each requested output grants one request. ---
+            while requested != 0 {
+                let out_port = requested.trailing_zeros() as usize;
+                requested &= requested - 1;
+                let requesters = std::mem::take(&mut self.requests[out_port]);
+                let in_port = self.arbitrate_output(r, out_port, requesters);
+                let vc = self.nominated[in_port];
+                self.commit_grant(r, in_port, vc as usize, out_port);
+                self.alloc_vc_granted[in_port] |= 1 << vc;
+                // Advance the input port's RR pointer past the winner.
+                let port = &mut self.routers[r].in_ports[in_port];
+                port.rr = if vc + 1 == port.vcs { 0 } else { vc + 1 };
             }
         }
     }
@@ -1132,48 +1071,36 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
         (d.out_port, d.out_vc)
     }
 
-    /// Pick the winning proposal for `out_port` under the configured
-    /// arbiter policy. Proposals were feasible when nominated; each is
-    /// re-checked here because earlier grants of this cycle may have
-    /// consumed the space.
-    fn arbitrate_output(&mut self, r: usize, out_port: usize) -> Option<Proposal> {
-        let props = &self.proposals[out_port];
+    /// Pick the input port that wins `out_port` among `requesters` (a
+    /// non-empty mask) under the configured arbiter, and advance the
+    /// output's pointer past it. Each arbiter takes the minimum of a key
+    /// unique per input port, so the order requests were made in does not
+    /// matter: round-robin takes the distance from the pointer, transit
+    /// priority (injection port?, distance), and age-based (the head's
+    /// generation cycle, distance). Nothing is re-checked: nomination saw
+    /// the head fit, and only a grant at this output could change that.
+    fn arbitrate_output(&mut self, r: usize, out_port: usize, requesters: u64) -> usize {
         let router = &self.routers[r];
-        let size = self.cfg.packet_size;
-        let still_feasible =
-            |p: &&Proposal| router.can_accept(Port(out_port as u32), p.out_vc, size);
-        let params = self.topo.params();
         let rr = router.out_ports[out_port].rr;
-        let radix = params.radix();
-        // Distance of the proposing input port from the pointer, going up.
-        let key_rr = |p: &Proposal| {
-            let ip = p.in_port as u32;
-            if ip >= rr {
-                ip - rr
-            } else {
-                ip + radix - rr
-            }
-        };
-        let feasible = props.iter().filter(still_feasible);
         let pick = match self.cfg.arbiter {
-            ArbiterPolicy::RoundRobin => feasible.min_by_key(|p| key_rr(p)),
-            ArbiterPolicy::TransitPriority => feasible.min_by_key(|p| {
-                let injection = params.port_kind(Port(p.in_port as u32)) == PortKind::Injection;
-                (injection, key_rr(p))
-            }),
-            // The one arbiter that needs the packet itself (its age).
-            ArbiterPolicy::AgeBased => feasible.min_by_key(|p| {
-                let gen = router
-                    .input_front(p.in_port as usize, p.vc as usize)
-                    .map_or(u32::MAX, |id| self.arena.get(id).gen_cycle);
-                (gen, key_rr(p))
+            ArbiterPolicy::RoundRobin => bits_from(requesters, rr).next(),
+            ArbiterPolicy::TransitPriority => {
+                // Injection ports are the ports below `p`.
+                let transit = requesters & !((1 << self.topo.params().p) - 1);
+                bits_from(if transit != 0 { transit } else { requesters }, rr).next()
+            }
+            // The one arbiter that needs the packet itself (its age). In
+            // pointer order, the first minimum is the nearest one.
+            ArbiterPolicy::AgeBased => bits_from(requesters, rr).min_by_key(|&q| {
+                let vc = self.nominated[q] as usize;
+                let id = router.input_front(q, vc).expect("a requested head is resident");
+                self.arena.get(id).gen_cycle
             }),
         }
-        .copied();
-        if let Some(p) = pick {
-            let next = p.in_port as u32 + 1;
-            self.routers[r].out_ports[out_port].rr = if next == radix { 0 } else { next };
-        }
+        .expect("an arbitrated output has a request");
+        let next = pick as u32 + 1;
+        self.routers[r].out_ports[out_port].rr =
+            if next == self.topo.params().radix() { 0 } else { next };
         pick
     }
 
@@ -1184,6 +1111,10 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
         let in_kind = params.port_kind(Port(in_port as u32));
         let (out, out_vc) = self.routers[r].decided_output(in_port, vc);
         debug_assert_eq!(out.idx(), out_port);
+        debug_assert!(
+            self.routers[r].can_accept(out, out_vc, self.cfg.packet_size),
+            "a granted request no longer fits"
+        );
         let id = self.routers[r].pop_input(in_port, vc);
         if self.routers[r].input_count == 0 {
             clear_bit(&mut self.alloc_active, r);

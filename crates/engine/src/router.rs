@@ -83,8 +83,6 @@ pub(crate) struct OutPort {
     /// Cached consumed downstream phits (sum over VCs of `cap - credits`),
     /// maintained by `reserve_credit`/`return_credit`.
     downstream_used: u32,
-    /// Total downstream capacity (`down_vcs * credit_cap`).
-    downstream_cap: u32,
     /// Capacity behind each of the port's credit counters.
     credit_cap: u32,
     /// Change epoch, bumped by every mutation of the port's
@@ -161,7 +159,7 @@ pub fn vcs_for(cfg: &EngineConfig, kind: PortKind) -> u8 {
 }
 
 /// Input-buffer capacity per VC for a port of the given kind.
-pub fn input_capacity_for(cfg: &EngineConfig, kind: PortKind) -> u32 {
+pub(crate) fn input_capacity_for(cfg: &EngineConfig, kind: PortKind) -> u32 {
     match kind {
         PortKind::Injection => cfg.injection_input_buffer,
         PortKind::Local => cfg.local_input_buffer,
@@ -209,7 +207,6 @@ impl RouterState {
             out_ports.push(OutPort {
                 ring,
                 downstream_used: 0,
-                downstream_cap: down_vcs as u32 * credit_cap,
                 credit_cap,
                 epoch: 0,
                 waiters: 0,
@@ -473,7 +470,7 @@ impl RouterState {
     /// # Panics
     /// Panics if `port` has no downstream VC `vc`.
     #[inline]
-    pub fn credits(&self, port: Port, vc: u8) -> u32 {
+    pub(crate) fn credits(&self, port: Port, vc: u8) -> u32 {
         let down_vcs = self.out_ports[port.idx()].down_vcs;
         assert!(vc < down_vcs, "port {} has {down_vcs} downstream VCs, not VC {vc}", port.0);
         self.credits[port.idx() * self.vc_stride + vc as usize]
@@ -483,14 +480,8 @@ impl RouterState {
     /// This is the "credit count" congestion signal the paper's adaptive
     /// mechanisms consult.
     #[inline]
-    pub fn downstream_occupied(&self, port: Port) -> u32 {
+    pub(crate) fn downstream_occupied(&self, port: Port) -> u32 {
         self.out_ports[port.idx()].downstream_used
-    }
-
-    /// Total downstream capacity across all VCs of `port`, in phits.
-    #[inline]
-    pub fn downstream_capacity(&self, port: Port) -> u32 {
-        self.out_ports[port.idx()].downstream_cap
     }
 
     /// Queue length feeding `port` in phits (output buffer + consumed
@@ -517,7 +508,7 @@ impl RouterState {
     /// Whether a packet of `size` phits could be granted to `port`/`vc`
     /// right now (space in the output buffer and downstream credit).
     #[inline]
-    pub fn can_accept(&self, port: Port, vc: u8, size: u32) -> bool {
+    pub(crate) fn can_accept(&self, port: Port, vc: u8, size: u32) -> bool {
         let out = &self.out_ports[port.idx()];
         if out.ring.free() < size {
             return false;
@@ -527,24 +518,18 @@ impl RouterState {
     }
 
     /// Resident packets across all input VCs (diagnostics / drain checks).
-    pub fn input_packets(&self) -> usize {
+    pub(crate) fn input_packets(&self) -> usize {
         self.input_count as usize
     }
 
     /// Staged packets across all output buffers.
-    pub fn output_packets(&self) -> usize {
+    pub(crate) fn output_packets(&self) -> usize {
         self.staged_count as usize
     }
 
     /// Input-VC occupancy in phits for `port`, VC `vc` (resident packets).
-    pub fn input_occupancy(&self, port: Port, vc: u8) -> u32 {
+    pub(crate) fn input_occupancy(&self, port: Port, vc: u8) -> u32 {
         self.in_rings[self.flat(port.idx(), vc as usize)].len() as u32 * self.packet_size
-    }
-
-    /// Head packet handle of an input VC, if any (diagnostics; resolve
-    /// through [`crate::network::Network::packet`]).
-    pub fn head(&self, port: Port, vc: u8) -> Option<PacketId> {
-        self.input_front(port.idx(), vc as usize)
     }
 
     /// Change epoch of output `port`: bumped by every credit
@@ -553,7 +538,7 @@ impl RouterState {
     /// all ports ([`crate::Network::port_epoch_sum`]); nothing routes on
     /// it.
     #[inline]
-    pub fn port_epoch(&self, port: Port) -> u32 {
+    pub(crate) fn port_epoch(&self, port: Port) -> u32 {
         self.out_ports[port.idx()].epoch
     }
 
@@ -561,7 +546,7 @@ impl RouterState {
     /// that head has been routed at this router. This record is the one
     /// home of a head's decided output; a parked head is a decided head
     /// waiting on `out_port`.
-    pub fn decided_target(&self, port: Port, vc: u8) -> Option<(Port, u8)> {
+    pub(crate) fn decided_target(&self, port: Port, vc: u8) -> Option<(Port, u8)> {
         let (port, vc) = (port.idx(), vc as usize);
         (self.in_ports[port].decided & (1 << vc) != 0).then(|| self.decided_output(port, vc))
     }
@@ -569,7 +554,7 @@ impl RouterState {
     /// Number of non-empty, unparked input VCs (the heads the switch
     /// allocator could probe this cycle).
     #[inline]
-    pub fn probe_ready(&self) -> u32 {
+    pub(crate) fn probe_ready(&self) -> u32 {
         self.probe_ready
     }
 
@@ -725,7 +710,7 @@ mod tests {
             }
         }
         assert_eq!(r.input_occupancy(Port(0), 0), 24);
-        assert_eq!(r.head(Port(0), 1), Some(PacketId(100)));
+        assert_eq!(r.input_front(0, 1), Some(PacketId(100)));
         r.audit_input_masks(0);
     }
 
@@ -824,7 +809,8 @@ mod tests {
         r.reserve_credit(gp.idx(), 1);
         r.reserve_credit(gp.idx(), 1);
         assert_eq!(r.downstream_occupied(gp), 24);
-        assert_eq!(r.downstream_capacity(gp), 512);
+        // What the counters hold plus what is consumed is the whole window.
+        assert_eq!(r.credits(gp, 0) + r.credits(gp, 1) + r.downstream_occupied(gp), 2 * 256);
         // Nothing staged: the queue feeding the port is the reserved space.
         assert_eq!(r.output_queue_phits(gp), 24);
         r.return_credit(gp.idx(), 0);

@@ -106,9 +106,9 @@ fn probe_packet(seq: u64) -> Packet {
 #[test]
 fn one_record_holds_decision_and_accounting() {
     // Whatever is written through a handle must read back from that
-    // packet and no other, through the field accessors and the copy
-    // `Network::packet` hands out alike. A decision leaves its route
-    // state in the record; its output lives in the router.
+    // packet and no other, through the field accessors and a copy of
+    // the record alike. A decision leaves its route state in the record;
+    // its output lives in the router.
     let mut arena = PacketArena::new();
     let a = arena.insert(probe_packet(1));
     let b = arena.insert(probe_packet(2));
