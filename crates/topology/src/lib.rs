@@ -11,7 +11,10 @@
 //!   and the router port layout,
 //! * global-link [`Arrangement`]s (palmtree, consecutive, random),
 //! * [`Topology`] — O(1) wiring queries, minimal-route primitives, and the
-//!   ADVc bottleneck-router query used throughout the reproduction.
+//!   ADVc bottleneck-router query used throughout the reproduction,
+//! * [`channel_load`] — the load a [`RouterTraffic`] matrix puts on every
+//!   channel under a [`PathClass`], and from it the saturation bound
+//!   Θ = 1 / max γ ([`saturation_bound`]).
 //!
 //! ```
 //! use df_topology::{Arrangement, DragonflyParams, GroupId, Topology};
@@ -28,6 +31,7 @@
 
 mod arrangement;
 mod ids;
+mod load;
 mod params;
 mod shard;
 #[allow(clippy::module_inception)]
@@ -35,6 +39,7 @@ mod topology;
 
 pub use arrangement::Arrangement;
 pub use ids::{GroupId, NodeId, Port, PortKind, RouterId};
+pub use load::{channel_load, saturation_bound, PathClass, RouterTraffic};
 pub use params::DragonflyParams;
 pub use shard::ShardPlan;
 pub use topology::{PortTarget, Topology};

@@ -3,7 +3,8 @@
 
 use dragonfly_core::df_stats::FairnessReport;
 use dragonfly_core::df_topology::{
-    Arrangement, DragonflyParams, GroupId, NodeId, Port, PortTarget, RouterId, Topology,
+    channel_load, Arrangement, DragonflyParams, GroupId, NodeId, PathClass, Port, PortTarget,
+    RouterId, RouterTraffic, Topology,
 };
 use dragonfly_core::df_traffic::PatternSpec;
 use proptest::prelude::*;
@@ -113,6 +114,41 @@ proptest! {
             prop_assert!(topo.advc_overlap_is_total(GroupId(g)));
             let b = topo.advc_bottleneck(GroupId(g));
             prop_assert_eq!(b.local_index(&params), params.a - 1);
+        }
+    }
+
+    // Every minimal path between groups crosses exactly one global
+    // channel, a channel of its source group: the loads on a group's
+    // global channels sum to the traffic leaving the group.
+    #[test]
+    fn minimal_global_load_is_a_groups_outflow(
+        params in arb_params(),
+        arr in arb_arrangement(),
+        seed in any::<u64>(),
+    ) {
+        let topo = Topology::new(params, arr);
+        // An arbitrary matrix, an eighth of it zero: a hash of the pair.
+        let traffic = RouterTraffic::from_fn(&params, |s, d| {
+            let x = (u64::from(s.0) << 32 | u64::from(d.0)) ^ seed;
+            (x.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 61) as f64 * 0.25
+        });
+        let gamma = channel_load(&topo, &traffic, PathClass::Minimal);
+        let radix = params.radix() as usize;
+        for g in (0..params.groups()).map(GroupId) {
+            let mut global = 0.0;
+            let mut outflow = 0.0;
+            for r in topo.routers().filter(|r| r.group(&params) == g) {
+                for j in 0..params.h {
+                    global += gamma[r.idx() * radix + params.global_port(j).idx()];
+                }
+                for d in topo.routers().filter(|d| d.group(&params) != g) {
+                    outflow += traffic.rate(r, d);
+                }
+            }
+            prop_assert!(
+                (global - outflow).abs() <= 1e-9 * outflow.max(1.0),
+                "group {:?}: global load {} vs outflow {}", g, global, outflow
+            );
         }
     }
 

@@ -1,78 +1,82 @@
 //! Analytical throughput bounds from the paper (§III): MIN routing is
 //! capped at `1/(a·p)` under ADV+1 and `h/(a·p)` under ADVc; non-minimal
-//! routing escapes both caps.
+//! routing escapes both caps. Each cap is computed from the topology's
+//! channel loads (`df_topology::channel_load`), checked against the
+//! paper's closed form, and held against a simulation.
 
 use dragonfly_core::df_engine::ArbiterPolicy;
 use dragonfly_core::df_routing::MechanismSpec;
+use dragonfly_core::df_topology::{channel_load, saturation_bound, PathClass, RouterTraffic};
 use dragonfly_core::df_traffic::PatternSpec;
 use dragonfly_core::prelude::*;
 use integration_tests::tiny_config;
 
-#[test]
-fn min_capped_under_adv1() {
-    // figure1: a*p = 8 → cap 0.125 phits/node/cycle.
-    let cfg = tiny_config(
-        MechanismSpec::Min,
-        ArbiterPolicy::TransitPriority,
-        PatternSpec::Adversarial { offset: 1 },
-        0.6,
-    );
-    let r = run_single(&cfg);
-    assert!(
-        r.throughput <= 0.125 * 1.15,
-        "ADV+1 MIN throughput {} above 1/(a*p) cap",
-        r.throughput
-    );
+/// The router-level matrix of a pattern that sends every node's traffic
+/// evenly to the nodes of the groups `offsets` after its own: ADV+k is
+/// the one offset `k`, ADVc the `h` consecutive offsets `1..=h`.
+fn group_offsets(params: &DragonflyParams, offsets: &[u32]) -> RouterTraffic {
+    let share = f64::from(params.p) / f64::from(params.a) / offsets.len() as f64;
+    RouterTraffic::from_fn(params, |s, d| {
+        let k = (d.group(params).0 + params.groups() - s.group(params).0) % params.groups();
+        if offsets.contains(&k) {
+            share
+        } else {
+            0.0
+        }
+    })
 }
 
+/// One row per cap on the figure1 machine (`p = 2, a = 4, h = 2`): the
+/// bound Θ = 1 / max γ of the row's traffic and path class, the value
+/// §III states for it where it states one, and a simulation of the
+/// row's mechanism that must not beat Θ by more than 15 %.
 #[test]
-fn min_capped_under_advc_at_h_over_ap() {
-    // figure1: h=2, a*p=8 → cap 0.25; and ADVc must beat ADV+1 (less
-    // severe per §III).
-    let advc = run_single(&tiny_config(
-        MechanismSpec::Min,
-        ArbiterPolicy::TransitPriority,
-        PatternSpec::AdvConsecutive { spread: None },
-        0.6,
-    ));
-    let adv1 = run_single(&tiny_config(
-        MechanismSpec::Min,
-        ArbiterPolicy::TransitPriority,
-        PatternSpec::Adversarial { offset: 1 },
-        0.6,
-    ));
+fn channel_load_bounds_cap_the_simulation() {
+    use MechanismSpec::{Min, ObliviousRrg};
+    use PathClass::{Minimal, Valiant};
+    let params = DragonflyParams::figure1();
+    let topo = Topology::new(params, Arrangement::Palmtree);
+    let (p, a, h) = (f64::from(params.p), f64::from(params.a), f64::from(params.h));
+    let sim = |mechanism, pattern: &PatternSpec, load| {
+        tiny_config(mechanism, ArbiterPolicy::TransitPriority, pattern.clone(), load)
+    };
+    let adv1 = PatternSpec::Adversarial { offset: 1 };
+    let advc = PatternSpec::AdvConsecutive { spread: None };
+    let consecutive: Vec<u32> = (1..=params.h).collect();
+    let (mut bound, mut accepted) = (Vec::new(), Vec::new());
+    for (what, offsets, class, paper, cfg) in [
+        ("ADV+1 under MIN", &[1][..], Minimal, Some(1.0 / (a * p)), sim(Min, &adv1, 0.6)),
+        ("ADVc under MIN", &consecutive[..], Minimal, Some(h / (a * p)), sim(Min, &advc, 0.6)),
+        ("ADV+1 under Valiant", &[1][..], Valiant, None, sim(ObliviousRrg, &adv1, 0.5)),
+    ] {
+        let theta = saturation_bound(&channel_load(&topo, &group_offsets(&params, offsets), class));
+        if let Some(paper) = paper {
+            assert!((theta - paper).abs() < 1e-12, "{what}: Θ = {theta}, §III says {paper}");
+        }
+        let throughput = run_single(&cfg).throughput;
+        assert!(throughput <= theta * 1.15, "{what}: throughput {throughput} above Θ = {theta}");
+        bound.push(theta);
+        accepted.push(throughput);
+    }
     assert!(
-        advc.throughput <= 0.25 * 1.15,
-        "ADVc MIN throughput {} above h/(a*p) cap",
-        advc.throughput
+        bound[2] > bound[0],
+        "Valiant's Θ ({}) must be above MIN's ({}) under ADV+1",
+        bound[2],
+        bound[0]
     );
+    // ADVc is less severe than ADV+1 under MIN (§III).
     assert!(
-        advc.throughput > adv1.throughput * 1.3,
+        accepted[1] > accepted[0] * 1.3,
         "ADVc ({}) must be less severe than ADV+1 ({}) under MIN",
-        advc.throughput,
-        adv1.throughput
+        accepted[1],
+        accepted[0]
     );
-}
-
-#[test]
-fn valiant_escapes_the_adv_cap() {
-    let min = run_single(&tiny_config(
-        MechanismSpec::Min,
-        ArbiterPolicy::TransitPriority,
-        PatternSpec::Adversarial { offset: 1 },
-        0.5,
-    ));
-    let val = run_single(&tiny_config(
-        MechanismSpec::ObliviousRrg,
-        ArbiterPolicy::TransitPriority,
-        PatternSpec::Adversarial { offset: 1 },
-        0.5,
-    ));
+    // Valiant escapes the cap: it clearly beats MIN at its own load.
+    let min = run_single(&sim(Min, &adv1, 0.5)).throughput;
     assert!(
-        val.throughput > min.throughput * 1.5,
-        "Valiant ({}) must clearly beat MIN ({}) under ADV+1",
-        val.throughput,
-        min.throughput
+        accepted[2] > min * 1.5,
+        "Valiant ({}) must clearly beat MIN ({min}) under ADV+1",
+        accepted[2]
     );
 }
 
