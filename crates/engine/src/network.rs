@@ -971,9 +971,9 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
     /// Separable iterative batch allocation for router `r` (local index):
     /// up to `speedup` iterations, each of which lets every input port
     /// request one output for one VC head and every requested output
-    /// grant one request. An input port so wins at most once per
-    /// iteration and an output grants at most once, so no port can exceed
-    /// the speedup's grants and none needs a budget.
+    /// grant one request. So an input port wins at most once per
+    /// iteration and an output grants at most once: no port can exceed
+    /// the speedup's grants, and none needs a budget.
     fn allocate_router(&mut self, r: usize, policy: &mut P) {
         // The work list only holds routers with resident input packets.
         debug_assert!(self.routers[r].input_count > 0, "idle router on alloc work list");

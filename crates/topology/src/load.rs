@@ -16,7 +16,7 @@ use crate::topology::Topology;
 /// `rate(s, d)` is what the nodes of router `s` send to the nodes of
 /// router `d` when every node injects at rate 1. A router whose nodes
 /// send all their traffic elsewhere has a row sum of `p`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct RouterTraffic {
     routers: usize,
     /// Row-major `[s * routers + d]`.
@@ -180,25 +180,10 @@ fn minimal_load(topo: &Topology, rates: &[f64]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arrangement::Arrangement;
-    use crate::ids::PortKind;
-    use crate::Port;
+    use crate::{Arrangement, NodeId, Port, PortKind};
 
     fn figure1() -> Topology {
         Topology::new(DragonflyParams::figure1(), Arrangement::Palmtree)
-    }
-
-    /// Every router sends its `p` units evenly to the routers of the
-    /// group `offset` after its own.
-    fn next_group(params: &DragonflyParams, offset: u32) -> RouterTraffic {
-        RouterTraffic::from_fn(params, |s, d| {
-            let target = (s.group(params).0 + offset) % params.groups();
-            if d.group(params).0 == target {
-                f64::from(params.p) / f64::from(params.a)
-            } else {
-                0.0
-            }
-        })
     }
 
     #[test]
@@ -213,8 +198,8 @@ mod tests {
         for s in topo.routers() {
             for d in topo.routers() {
                 let (a, b) = (
-                    crate::NodeId::from_router_slot(&params, s, 0),
-                    crate::NodeId::from_router_slot(&params, d, 0),
+                    NodeId::from_router_slot(&params, s, 0),
+                    NodeId::from_router_slot(&params, d, 0),
                 );
                 hops += traffic.rate(s, d) * f64::from(topo.min_hops(a, b));
             }
@@ -233,10 +218,17 @@ mod tests {
     #[test]
     fn valiant_legs_keep_every_routers_outflow() {
         // Both legs carry the whole inter-group traffic: the legs matrix
-        // sums to intra + 2 × inter.
-        let topo = figure1();
-        let params = *topo.params();
-        let traffic = next_group(&params, 1);
+        // sums to intra + 2 × inter. Here every router sends its `p` units
+        // evenly to the routers of the next group.
+        let params = DragonflyParams::figure1();
+        let traffic = RouterTraffic::from_fn(&params, |s, d| {
+            let next = (s.group(&params).0 + 1) % params.groups();
+            if d.group(&params).0 == next {
+                f64::from(params.p) / f64::from(params.a)
+            } else {
+                0.0
+            }
+        });
         let legs = valiant_legs(&params, &traffic);
         let inter: f64 = f64::from(params.routers() * params.p);
         let total: f64 = legs.iter().sum();

@@ -136,11 +136,13 @@ fn golden_pattern_mode() {
 
 /// Every output arbiter, pinned by [`run_digest`]: the goldens above all
 /// run transit priority, so these rows are what catch a change that moves
-/// round-robin or age-based output. Two set-ups: In-Trns-MM under ADVc on
-/// the small network (radix 11), and MIN under a 50 % hot spot on
+/// round-robin or age-based output. Three set-ups: In-Trns-MM under ADVc
+/// on the small network (radix 11); MIN under a 50 % hot spot on
 /// `p = 8, a = 4, h = 6` (800 nodes, radix 17), where many input ports
-/// contend for one ejection port. Serial and at `shards: 2`, one digest
-/// each.
+/// contend for one ejection port; and MIN with every node sending to one
+/// hot node at load 0.9 on `p = 10, a = 4, h = 5` (840 nodes, radix 18),
+/// where more than 16 input ports request that node's ejection port in
+/// one allocation iteration. Serial and at `shards: 2`, one digest each.
 #[test]
 fn golden_arbiters() {
     let advc = |arbiter| {
@@ -153,6 +155,12 @@ fn golden_arbiters() {
         cfg.params = DragonflyParams { p: 8, a: 4, h: 6 };
         cfg
     };
+    let all_to_one = |arbiter| {
+        let pattern = PatternSpec::HotSpot { hot: 0, fraction: 1.0 };
+        let mut cfg = SimConfig::small(MechanismSpec::Min, arbiter, pattern, 0.9);
+        cfg.params = DragonflyParams { p: 10, a: 4, h: 5 };
+        cfg
+    };
     for (cfg, digest) in [
         (advc(ArbiterPolicy::RoundRobin), "13a3757404e8961a9d408acc33425a89"),
         (advc(ArbiterPolicy::AgeBased), "103b57bf5bc4897d58adc73c64b046b9"),
@@ -160,6 +168,9 @@ fn golden_arbiters() {
         (hot_spot(ArbiterPolicy::TransitPriority), "d5ed10256dd444b15b42a1852eca8e0d"),
         (hot_spot(ArbiterPolicy::RoundRobin), "fbb8f1f50fabc02ed0fb7b7db0c68860"),
         (hot_spot(ArbiterPolicy::AgeBased), "c8c75714a2a6edc7e92a68c74b095f6b"),
+        (all_to_one(ArbiterPolicy::TransitPriority), "2548ae1d27d7c094e886c226db33080f"),
+        (all_to_one(ArbiterPolicy::RoundRobin), "b4a74fc855b99ab73794328966a7efb9"),
+        (all_to_one(ArbiterPolicy::AgeBased), "6f3e4958bc404bacbc852630db711bbe"),
     ] {
         for shards in [None, Some(2)] {
             assert_eq!(
