@@ -26,58 +26,67 @@ fn group_offsets(params: &DragonflyParams, offsets: &[u32]) -> RouterTraffic {
     })
 }
 
-/// One row per cap on the figure1 machine (`p = 2, a = 4, h = 2`): the
-/// bound Θ = 1 / max γ of the row's traffic and path class, the value
-/// §III states for it where it states one, and a simulation of the
-/// row's mechanism that must not beat Θ by more than 15 %.
-#[test]
-fn channel_load_bounds_cap_the_simulation() {
-    use MechanismSpec::{Min, ObliviousRrg};
-    use PathClass::{Minimal, Valiant};
+/// The bound Θ = 1 / max γ on the figure1 machine (`p = 2, a = 4,
+/// h = 2`) for the traffic of `group_offsets(offsets)` on paths of
+/// `class`.
+fn figure1_bound(offsets: &[u32], class: PathClass) -> f64 {
     let params = DragonflyParams::figure1();
     let topo = Topology::new(params, Arrangement::Palmtree);
-    let (p, a, h) = (f64::from(params.p), f64::from(params.a), f64::from(params.h));
-    let sim = |mechanism, pattern: &PatternSpec, load| {
-        tiny_config(mechanism, ArbiterPolicy::TransitPriority, pattern.clone(), load)
-    };
-    let adv1 = PatternSpec::Adversarial { offset: 1 };
-    let advc = PatternSpec::AdvConsecutive { spread: None };
-    let consecutive: Vec<u32> = (1..=params.h).collect();
-    let (mut bound, mut accepted) = (Vec::new(), Vec::new());
-    for (what, offsets, class, paper, cfg) in [
-        ("ADV+1 under MIN", &[1][..], Minimal, Some(1.0 / (a * p)), sim(Min, &adv1, 0.6)),
-        ("ADVc under MIN", &consecutive[..], Minimal, Some(h / (a * p)), sim(Min, &advc, 0.6)),
-        ("ADV+1 under Valiant", &[1][..], Valiant, None, sim(ObliviousRrg, &adv1, 0.5)),
-    ] {
-        let theta = saturation_bound(&channel_load(&topo, &group_offsets(&params, offsets), class));
-        if let Some(paper) = paper {
-            assert!((theta - paper).abs() < 1e-12, "{what}: Θ = {theta}, §III says {paper}");
-        }
-        let throughput = run_single(&cfg).throughput;
-        assert!(throughput <= theta * 1.15, "{what}: throughput {throughput} above Θ = {theta}");
-        bound.push(theta);
-        accepted.push(throughput);
-    }
+    saturation_bound(&channel_load(&topo, &group_offsets(&params, offsets), class))
+}
+
+/// `1/(a·p)`, `h/(a·p)` on the figure1 machine, as §III states them.
+fn figure1_closed_form(groups_reached: u32) -> f64 {
+    let params = DragonflyParams::figure1();
+    f64::from(groups_reached) / f64::from(params.a * params.p)
+}
+
+/// Accepted throughput of `mechanism` under `pattern` on the figure1
+/// machine at `load`.
+fn throughput(mechanism: MechanismSpec, pattern: PatternSpec, load: f64) -> f64 {
+    run_single(&tiny_config(mechanism, ArbiterPolicy::TransitPriority, pattern, load)).throughput
+}
+
+const ADV1: PatternSpec = PatternSpec::Adversarial { offset: 1 };
+const ADVC: PatternSpec = PatternSpec::AdvConsecutive { spread: None };
+
+#[test]
+fn min_capped_under_adv1() {
+    // figure1: a*p = 8 → Θ = 0.125 phits/node/cycle.
+    let theta = figure1_bound(&[1], PathClass::Minimal);
+    let paper = figure1_closed_form(1);
+    assert!((theta - paper).abs() < 1e-12, "ADV+1 under MIN: Θ = {theta}, §III says {paper}");
+    let accepted = throughput(MechanismSpec::Min, ADV1, 0.6);
+    assert!(accepted <= theta * 1.15, "ADV+1 MIN throughput {accepted} above Θ = {theta}");
+}
+
+#[test]
+fn min_capped_under_advc_at_h_over_ap() {
+    // figure1: h = 2, a*p = 8 → Θ = 0.25; and ADVc must beat ADV+1
+    // (less severe per §III).
+    let h = DragonflyParams::figure1().h;
+    let consecutive: Vec<u32> = (1..=h).collect();
+    let theta = figure1_bound(&consecutive, PathClass::Minimal);
+    let paper = figure1_closed_form(h);
+    assert!((theta - paper).abs() < 1e-12, "ADVc under MIN: Θ = {theta}, §III says {paper}");
+    let advc = throughput(MechanismSpec::Min, ADVC, 0.6);
+    let adv1 = throughput(MechanismSpec::Min, ADV1, 0.6);
+    assert!(advc <= theta * 1.15, "ADVc MIN throughput {advc} above Θ = {theta}");
+    assert!(advc > adv1 * 1.3, "ADVc ({advc}) must be less severe than ADV+1 ({adv1}) under MIN");
+}
+
+#[test]
+fn valiant_escapes_the_adv_cap() {
+    let theta = figure1_bound(&[1], PathClass::Valiant);
+    let min_theta = figure1_bound(&[1], PathClass::Minimal);
     assert!(
-        bound[2] > bound[0],
-        "Valiant's Θ ({}) must be above MIN's ({}) under ADV+1",
-        bound[2],
-        bound[0]
+        theta > min_theta,
+        "Valiant's Θ ({theta}) must be above MIN's ({min_theta}) under ADV+1"
     );
-    // ADVc is less severe than ADV+1 under MIN (§III).
-    assert!(
-        accepted[1] > accepted[0] * 1.3,
-        "ADVc ({}) must be less severe than ADV+1 ({}) under MIN",
-        accepted[1],
-        accepted[0]
-    );
-    // Valiant escapes the cap: it clearly beats MIN at its own load.
-    let min = run_single(&sim(Min, &adv1, 0.5)).throughput;
-    assert!(
-        accepted[2] > min * 1.5,
-        "Valiant ({}) must clearly beat MIN ({min}) under ADV+1",
-        accepted[2]
-    );
+    let val = throughput(MechanismSpec::ObliviousRrg, ADV1, 0.5);
+    let min = throughput(MechanismSpec::Min, ADV1, 0.5);
+    assert!(val <= theta * 1.15, "ADV+1 Valiant throughput {val} above Θ = {theta}");
+    assert!(val > min * 1.5, "Valiant ({val}) must clearly beat MIN ({min}) under ADV+1");
 }
 
 #[test]
