@@ -659,7 +659,9 @@ impl Simulator {
                     job: job.label.clone(),
                     nodes: job.nodes.len() as u32,
                     offered: norm(job.offered_packets as f64 * packet_size / (job_nodes * window)),
-                    throughput: norm(acc.delivered_phits as f64 / (job_nodes * window)),
+                    throughput: norm(
+                        acc.latency.count() as f64 * packet_size / (job_nodes * window),
+                    ),
                     avg_latency: acc.latency.mean_latency(),
                     delivered_packets: acc.latency.count(),
                     p50_latency: acc.histogram.quantile(0.5),

@@ -22,21 +22,16 @@ const NO_JOB: u32 = u32::MAX;
 #[derive(Debug, Clone)]
 pub struct JobAccumulator {
     /// Latency breakdown of packets sourced by this job's nodes; its
-    /// count is the job's delivered packets during the window.
+    /// count is the job's delivered packets during the window, each
+    /// `packet_size` phits.
     pub latency: LatencyAccumulator,
     /// End-to-end latency histogram (p50/p95/p99 per job).
     pub histogram: Histogram,
-    /// Phits delivered for this job during the window.
-    pub delivered_phits: u64,
 }
 
 impl JobAccumulator {
     fn new() -> Self {
-        Self {
-            latency: LatencyAccumulator::new(),
-            histogram: Histogram::new(50, 200),
-            delivered_phits: 0,
-        }
+        Self { latency: LatencyAccumulator::new(), histogram: Histogram::new(50, 200) }
     }
 }
 
@@ -169,7 +164,6 @@ impl StatsSink for MeasurementSink {
                 rec.waits.global,
             );
             job.histogram.add(rec.latency());
-            job.delivered_phits += rec.header.size as u64;
         }
     }
 }
@@ -262,7 +256,6 @@ mod tests {
         s.on_delivered(&rec_from(3, (400, 0, 0, 0, 0)));
         assert_eq!(s.latency.count(), 4);
         assert_eq!(s.jobs()[0].latency.count(), 2);
-        assert_eq!(s.jobs()[0].delivered_phits, 16);
         assert_eq!(s.jobs()[0].latency.mean_latency(), 150.0);
         assert_eq!(s.jobs()[1].latency.count(), 1);
         assert_eq!(s.jobs()[1].latency.mean_latency(), 300.0);

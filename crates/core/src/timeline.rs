@@ -105,7 +105,7 @@ struct NetMark {
     delivered_packets: u64,
     delivered_phits: u64,
     escape_grants: u64,
-    global_phits: u64,
+    global_link_phits: u64,
     port_epoch_sum: u64,
 }
 
@@ -116,7 +116,6 @@ struct JobMark {
     injected_packets: u64,
     /// Packets delivered for the job: its latency count.
     delivered_packets: u64,
-    delivered_phits: u64,
     latency_sum: f64,
 }
 
@@ -127,7 +126,7 @@ fn net_mark(net: &Net, c: &Counters) -> NetMark {
         delivered_packets: c.delivered_packets,
         delivered_phits: c.delivered_phits,
         escape_grants: c.escape_grants,
-        global_phits: c.global_phits,
+        global_link_phits: c.global_phits(net.topology().params()),
         port_epoch_sum: net.port_epoch_sum(),
     }
 }
@@ -140,7 +139,6 @@ fn job_marks(net: &Net, c: &Counters, jobs: &[JobRuntime]) -> Vec<JobMark> {
             offered_packets: job.offered_packets,
             injected_packets: job.nodes.iter().map(|n| per_node[n.idx()]).sum(),
             delivered_packets: acc.latency.count(),
-            delivered_phits: acc.delivered_phits,
             latency_sum: acc.latency.mean_latency() * acc.latency.count() as f64,
         })
         .collect()
@@ -232,6 +230,7 @@ impl TimelineRecorder {
     fn close(&mut self, window: u64, start: u64, end: u64, net: &Net, jobs: &[JobRuntime]) {
         let span = (end - start) as f64;
         let params = *net.topology().params();
+        let packet_size = u64::from(net.config().packet_size);
         let (now_net, jobs_now) = marks(net, jobs);
         let prev = self.net_mark;
         let job_rows = jobs
@@ -239,9 +238,9 @@ impl TimelineRecorder {
             .zip(jobs_now.iter())
             .zip(self.job_marks.iter())
             .map(|((job, now), prev)| {
-                let delivered_phits = now.delivered_phits - prev.delivered_phits;
                 let offered_packets = now.offered_packets - prev.offered_packets;
                 let count = now.delivered_packets - prev.delivered_packets;
+                let delivered_phits = count * packet_size;
                 let nodes = job.nodes.len() as f64;
                 JobWindow {
                     job: job.label.clone(),
@@ -249,8 +248,7 @@ impl TimelineRecorder {
                     injected_packets: now.injected_packets - prev.injected_packets,
                     delivered_packets: count,
                     delivered_phits,
-                    offered: offered_packets as f64 * net.config().packet_size as f64
-                        / (nodes * span),
+                    offered: offered_packets as f64 * packet_size as f64 / (nodes * span),
                     throughput: delivered_phits as f64 / (nodes * span),
                     avg_latency: (count > 0)
                         .then(|| (now.latency_sum - prev.latency_sum) / count as f64),
@@ -269,7 +267,7 @@ impl TimelineRecorder {
             delivered_packets: now_net.delivered_packets - prev.delivered_packets,
             delivered_phits,
             throughput: delivered_phits as f64 / (params.nodes() as f64 * span),
-            link_utilization: (now_net.global_phits - prev.global_phits) as f64
+            link_utilization: (now_net.global_link_phits - prev.global_link_phits) as f64
                 / (global_links * span),
             escape_grants,
             escape_grant_rate: escape_grants as f64 / span,

@@ -2,8 +2,10 @@
 //!
 //! A router's queues never grow: an input VC holds at most
 //! `capacity_phits / packet_size` packets (the upstream credit counter is
-//! the free-space authority) and an output port at most
-//! `output_buffer / packet_size`. Each queue is therefore a [`Ring`] — a
+//! the free-space authority, so an arrival always finds a free slot) and
+//! an output port at most `output_buffer / packet_size`. Each queue is
+//! therefore a [`Ring`] — an input VC is a bare one, an output port an
+//! [`OutRing`] that adds occupancy and a link timer — a
 //! head/length pair over a fixed span of one per-router slab that
 //! [`crate::router::RouterState::new`] sizes once — instead of a heap
 //! block of its own. Rings store [`PacketId`] arena handles, not packets:
@@ -15,7 +17,7 @@ use crate::arena::PacketId;
 /// Head/length bookkeeping of one fixed-capacity FIFO whose slots are the
 /// span `base .. base + slots` of a slab owned by the router.
 #[derive(Debug, Clone, Copy)]
-struct Ring {
+pub(crate) struct Ring {
     base: u32,
     slots: u32,
     head: u32,
@@ -23,7 +25,8 @@ struct Ring {
 }
 
 impl Ring {
-    fn new(base: usize, slots: usize) -> Self {
+    /// Empty ring over `slab[base .. base + slots]`.
+    pub(crate) fn new(base: usize, slots: usize) -> Self {
         Self {
             base: u32::try_from(base).expect("ring slab offset fits u32"),
             slots: u32::try_from(slots).expect("ring capacity fits u32"),
@@ -42,27 +45,46 @@ impl Ring {
         self.base as usize + i as usize
     }
 
+    /// Number of queued entries.
     #[inline]
-    fn front<T: Copy>(&self, slab: &[T]) -> Option<T> {
+    pub(crate) fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// Whether nothing is queued.
+    #[inline]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Whether every slot is taken.
+    #[inline]
+    pub(crate) fn is_full(&self) -> bool {
+        self.len == self.slots
+    }
+
+    /// The head entry, if any.
+    #[inline]
+    pub(crate) fn front<T: Copy>(&self, slab: &[T]) -> Option<T> {
         (self.len != 0).then(|| slab[self.base as usize + self.head as usize])
     }
 
+    /// Enqueue `entry` at the tail.
+    ///
     /// # Panics
-    /// Panics when every slot is taken: a packet smaller than the
-    /// `packet_size` the ring was sized for has been enqueued.
+    /// Panics when every slot is taken, rather than overwrite the head.
+    /// The callers name the broken invariant first: credit accounting for
+    /// an input VC, output-buffer space for an output port.
     #[inline]
-    fn push<T>(&mut self, slab: &mut [T], entry: T) {
-        assert!(
-            self.len < self.slots,
-            "ring slot overflow: {} slots — sized for packet_size-phit packets",
-            self.slots
-        );
+    pub(crate) fn push<T>(&mut self, slab: &mut [T], entry: T) {
+        assert!(!self.is_full(), "ring slot overflow: all {} slots taken", self.slots);
         slab[self.tail()] = entry;
         self.len += 1;
     }
 
+    /// Dequeue the head entry, if any.
     #[inline]
-    fn pop<T: Copy>(&mut self, slab: &[T]) -> Option<T> {
+    pub(crate) fn pop<T: Copy>(&mut self, slab: &[T]) -> Option<T> {
         let entry = self.front(slab)?;
         self.head = if self.head + 1 == self.slots { 0 } else { self.head + 1 };
         self.len -= 1;
@@ -70,77 +92,12 @@ impl Ring {
     }
 
     /// The queued entries, head first (the engine's audit reads them).
-    fn iter<'a, T: Copy>(&self, slab: &'a [T]) -> impl Iterator<Item = T> + 'a {
+    pub(crate) fn iter<'a, T: Copy>(&self, slab: &'a [T]) -> impl Iterator<Item = T> + 'a {
         let Ring { base, slots, head, len } = *self;
         (head..head + len).map(move |i| {
             let wrapped = if i >= slots { i - slots } else { i };
             slab[(base + wrapped) as usize]
         })
-    }
-}
-
-/// One virtual-channel FIFO of an input port.
-///
-/// A VC of `capacity` phits holds `capacity / packet_size` packets. A
-/// packet's slot is reserved from the moment the upstream sender takes
-/// the credit until the packet is granted to an output buffer here; the
-/// *free-space authority* is that upstream credit counter, so an arrival
-/// always finds a free slot.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct VcRing {
-    ring: Ring,
-}
-
-impl VcRing {
-    /// Empty VC of `capacity` phits over `slab[base ..]`; returns the
-    /// number of slab slots it claims (`capacity / packet_size`).
-    pub(crate) fn new(base: usize, capacity: u32, packet_size: u32) -> (Self, usize) {
-        let slots = (capacity / packet_size) as usize;
-        (Self { ring: Ring::new(base, slots) }, slots)
-    }
-
-    /// Enqueue an arriving packet.
-    ///
-    /// # Panics
-    /// Panics if the packet overflows the buffer — that would mean the
-    /// upstream credit accounting is broken, which is a simulator bug.
-    #[inline]
-    pub(crate) fn push(&mut self, slab: &mut [PacketId], id: PacketId) {
-        assert!(
-            self.ring.len < self.ring.slots,
-            "VC buffer overflow: all {} packet slots taken — credit accounting violated",
-            self.ring.slots
-        );
-        self.ring.push(slab, id);
-    }
-
-    /// The head packet's handle, if any.
-    #[inline]
-    pub(crate) fn front(&self, slab: &[PacketId]) -> Option<PacketId> {
-        self.ring.front(slab)
-    }
-
-    /// Remove and return the head packet's handle.
-    #[inline]
-    pub(crate) fn pop(&mut self, slab: &[PacketId]) -> Option<PacketId> {
-        self.ring.pop(slab)
-    }
-
-    /// Number of resident packets.
-    #[inline]
-    pub(crate) fn len(&self) -> usize {
-        self.ring.len as usize
-    }
-
-    /// Whether no packet is resident.
-    #[inline]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.ring.len == 0
-    }
-
-    /// The resident packets, head first.
-    pub(crate) fn iter<'a>(&self, slab: &'a [PacketId]) -> impl Iterator<Item = PacketId> + 'a {
-        self.ring.iter(slab)
     }
 }
 
@@ -230,13 +187,13 @@ impl OutRing {
     /// Number of staged packets (excluding any already popped for tx).
     #[inline]
     pub(crate) fn len(&self) -> usize {
-        self.ring.len as usize
+        self.ring.len()
     }
 
     /// Whether no packet is staged.
     #[inline]
     pub(crate) fn is_empty(&self) -> bool {
-        self.ring.len == 0
+        self.ring.is_empty()
     }
 
     /// The staged packets, head first.
@@ -257,9 +214,8 @@ mod tests {
 
     #[test]
     fn vc_fifo_order_and_occupancy() {
-        let (mut vc, slots) = VcRing::new(0, 32, 8);
-        assert_eq!(slots, 4);
-        let mut slab = vec![PacketId(0); slots];
+        let mut vc = Ring::new(0, 4);
+        let mut slab = vec![PacketId(0); 4];
         vc.push(&mut slab, PacketId(1));
         vc.push(&mut slab, PacketId(2));
         assert_eq!(vc.len(), 2);
@@ -268,14 +224,23 @@ mod tests {
         assert_eq!(vc.front(&slab), Some(PacketId(2)));
     }
 
+    /// An input VC is a bare ring; its overflow is diagnosed where the
+    /// router enqueues (`RouterState::push_input`), which knows the
+    /// router, port and VC. Here: a 16-phit injection VC, two packets.
     #[test]
-    #[should_panic(expected = "VC buffer overflow")]
+    #[should_panic(expected = "VC buffer overflow at router 0 port 1 vc 2")]
     fn vc_overflow_is_a_bug() {
-        let (mut vc, slots) = VcRing::new(0, 16, 8);
-        let mut slab = vec![PacketId(0); slots];
-        vc.push(&mut slab, PacketId(1));
-        vc.push(&mut slab, PacketId(2));
-        vc.push(&mut slab, PacketId(3));
+        use crate::config::{ArbiterPolicy, EngineConfig};
+        use crate::router::RouterState;
+        use df_topology::{DragonflyParams, RouterId};
+        let cfg = EngineConfig {
+            injection_input_buffer: 16,
+            ..EngineConfig::paper(ArbiterPolicy::RoundRobin, 3)
+        };
+        let mut r = RouterState::new(RouterId(0), &DragonflyParams::figure1(), &cfg);
+        for i in 0..3 {
+            r.push_input(1, 2, PacketId(i));
+        }
     }
 
     #[test]
@@ -312,7 +277,7 @@ mod tests {
         }
     }
 
-    // Both rings against a `VecDeque` model over random push/pop streams.
+    // Both ring kinds against a `VecDeque` model over random push/pop streams.
     // Streams are many times longer than the rings, so head and tail wrap
     // repeatedly; two rings share one slab to catch a ring writing outside
     // its own span.
@@ -322,12 +287,8 @@ mod tests {
             slots in 1usize..6,
             ops in proptest::collection::vec((any::<bool>(), 0usize..2), 1..200),
         ) {
-            let size = 8u32;
             let mut slab = vec![PacketId(u32::MAX); 2 * slots];
-            let mut rings = [
-                VcRing::new(0, slots as u32 * size, size).0,
-                VcRing::new(slots, slots as u32 * size, size).0,
-            ];
+            let mut rings = [Ring::new(0, slots), Ring::new(slots, slots)];
             let mut models = [VecDeque::new(), VecDeque::new()];
             for (seq, (push, which)) in ops.into_iter().enumerate() {
                 let (ring, model) = (&mut rings[which], &mut models[which]);
@@ -341,6 +302,7 @@ mod tests {
                 prop_assert!(ring.iter(&slab).eq(model.iter().copied()));
                 prop_assert_eq!(ring.len(), model.len());
                 prop_assert_eq!(ring.is_empty(), model.is_empty());
+                prop_assert_eq!(ring.is_full(), model.len() == slots);
             }
         }
 

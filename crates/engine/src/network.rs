@@ -34,7 +34,7 @@ use crate::packet::{DeliveredRecord, Packet, PacketSeq};
 use crate::policy::{CycleCtx, RoutingPolicy, StatsSink};
 use crate::router::{input_capacity_for, vcs_for, InPort, RouterState};
 use crate::shard::{RemoteCredit, RemoteFlit, ShardOutbox};
-use df_topology::{NodeId, Port, PortKind, PortTarget, RouterId, Topology};
+use df_topology::{DragonflyParams, NodeId, Port, PortKind, PortTarget, RouterId, Topology};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -235,40 +235,52 @@ pub struct Counters {
     /// packet onto a non-minimal (misrouted) global path. Windowed deltas
     /// of this counter are the timeline's escape-grant rate.
     pub escape_grants: u64,
-    /// Phits transmitted onto global (inter-group) links. Windowed deltas
-    /// over `groups × h` global-link capacity give link utilization.
-    pub global_phits: u64,
+    /// Phits transmitted on every directed channel, indexed
+    /// `router * radix + port` by the sending end, as
+    /// [`df_topology::channel_load`] indexes its expected loads. Injection
+    /// ports' entries count the ejection channels to the nodes.
+    pub channel_phits: Vec<u64>,
     /// Cycles elapsed since the last counter reset.
     pub cycles: u64,
 }
 
 impl Counters {
-    pub(crate) fn new(routers: usize, nodes: usize) -> Self {
+    pub(crate) fn new(routers: usize, nodes: usize, radix: usize) -> Self {
         Self {
             injected_per_router: vec![0; routers],
             injected_per_node: vec![0; nodes],
+            channel_phits: vec![0; routers * radix],
             ..Self::default()
         }
     }
 
     /// Fold one shard's counters into this network-wide view. Scalar
-    /// counters sum; the per-router / per-node vectors splice in at the
-    /// shard's base offsets (each shard owns a disjoint contiguous
-    /// slice). `cycles` is deliberately *not* summed — every shard steps
-    /// every cycle, so the caller copies it from any one shard.
+    /// counters sum; the per-router, per-node and per-channel vectors
+    /// splice in at the shard's base offsets (each shard owns a disjoint
+    /// contiguous slice). `cycles` is deliberately *not* summed — every
+    /// shard steps every cycle, so the caller copies it from any one
+    /// shard.
     pub(crate) fn merge_shard(&mut self, shard: &Counters, router_base: usize, node_base: usize) {
         self.offered_packets += shard.offered_packets;
         self.accepted_packets += shard.accepted_packets;
         self.delivered_packets += shard.delivered_packets;
         self.delivered_phits += shard.delivered_phits;
         self.escape_grants += shard.escape_grants;
-        self.global_phits += shard.global_phits;
-        for (i, v) in shard.injected_per_router.iter().enumerate() {
-            self.injected_per_router[router_base + i] = *v;
-        }
-        for (i, v) in shard.injected_per_node.iter().enumerate() {
-            self.injected_per_node[node_base + i] = *v;
-        }
+        let splice = |to: &mut [u64], at: usize, from: &[u64]| {
+            to[at..][..from.len()].copy_from_slice(from);
+        };
+        let radix = self.channel_phits.len() / self.injected_per_router.len();
+        splice(&mut self.injected_per_router, router_base, &shard.injected_per_router);
+        splice(&mut self.injected_per_node, node_base, &shard.injected_per_node);
+        splice(&mut self.channel_phits, router_base * radix, &shard.channel_phits);
+    }
+
+    /// Phits transmitted onto global (inter-group) links: each router's
+    /// last `h` channels. Windowed deltas over the `routers × h` global
+    /// links give link utilization.
+    pub fn global_phits(&self, params: &DragonflyParams) -> u64 {
+        let (radix, h) = (params.radix() as usize, params.h as usize);
+        self.channel_phits.chunks_exact(radix).flat_map(|ports| &ports[radix - h..]).sum()
     }
 
     /// Delivered throughput in phits per node per cycle.
@@ -455,7 +467,7 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
             next_packet_seq: 0,
             policy,
             sink,
-            counters: Counters::new(n_routers, n_nodes),
+            counters: Counters::new(n_routers, n_nodes, radix as usize),
             live_packets: 0,
             books: TimeBooks::default(),
             peers,
@@ -602,11 +614,13 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
 
     /// Zero the measurement counters (start of the measurement window).
     pub fn reset_counters(&mut self) {
-        self.counters = Counters::new(self.routers.len(), self.nodes.len());
+        let radix = self.topo.params().radix() as usize;
+        self.counters = Counters::new(self.routers.len(), self.nodes.len(), radix);
     }
 
     /// Ready, unparked input-VC heads across all routers — the allocator
-    /// workload gauge. O(routers); intended for per-window telemetry
+    /// workload gauge, read off each router's awake-port mask.
+    /// O(routers + awake ports); intended for per-window telemetry
     /// sampling, not the per-cycle hot path.
     pub fn probe_ready_total(&self) -> u64 {
         self.routers.iter().map(|r| r.probe_ready() as u64).sum()
@@ -779,7 +793,7 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
                 // requests and no side effects, so skipping the router
                 // entirely is exact. This is where blocked routers drop
                 // from O(blocked heads) to O(changed ports) per cycle.
-                if self.routers[r].probe_ready() == 0 {
+                if self.routers[r].awake_in == 0 {
                     continue;
                 }
                 self.allocate_router(r, policy);
@@ -1180,7 +1194,7 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
     /// walking the ready-output bitmask instead of scanning all `radix`
     /// buffers (ascending port order, as before).
     fn transmit_outputs(&mut self, r: usize) {
-        debug_assert!(self.routers[r].staged_count > 0, "idle router on tx work list");
+        debug_assert!(self.routers[r].out_ready != 0, "idle router on tx work list");
         let params = *self.topo.params();
         let radix = params.radix() as usize;
         // Snapshot: `pop_output` may clear a bit of this mask, but only
@@ -1198,8 +1212,8 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
             let out_kind = params.port_kind(Port(out_port as u32));
             let latency = self.latencies[flat];
             self.routers[r].release_output(out_port, self.cycle + size);
+            self.counters.channel_phits[flat] += size;
             if out_kind == PortKind::Global {
-                self.counters.global_phits += size;
                 self.mark_global_dirty(r);
             }
             // Output-side waiting, attributed by output-port kind
@@ -1244,7 +1258,7 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
                 }
             }
         }
-        if self.routers[r].staged_count == 0 {
+        if self.routers[r].out_ready == 0 {
             clear_bit(&mut self.tx_active, r);
         }
     }
@@ -1310,8 +1324,8 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
             );
             assert_eq!(
                 get_bit(&self.tx_active, r),
-                router.output_packets() > 0,
-                "tx work list diverged from staged_count at router {r}, cycle {}",
+                router.out_ready != 0,
+                "tx work list diverged from out_ready at router {r}, cycle {}",
                 self.cycle
             );
             for q in 0..self.topo.params().radix() as usize {
@@ -1338,7 +1352,6 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
     ///
     /// * the ready-VC masks, the awake-port mask and the resident-packet
     ///   count equal what a full scan of the input rings derives;
-    /// * `probe_ready` equals the number of ready, unparked VCs;
     /// * every decided VC is ready (non-empty): the grant clears the bit;
     /// * every parked VC is decided, and registered in the waiter mask of
     ///   the port its router record names; that (port, VC) still cannot
@@ -1352,7 +1365,6 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
         for r in 0..self.routers.len() {
             let router = &self.routers[r];
             router.audit_input_masks(self.cycle);
-            let mut expect_ready = 0u32;
             // Pending-escape flags on decided heads (allowed) versus on
             // every packet the router holds.
             let mut escapes_on_decided = 0;
@@ -1377,7 +1389,6 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
                     let head = router.input_front(in_port, vc).expect("decided VC is ready");
                     escapes_on_decided += u32::from(self.arena.get(head).escape_pending);
                 }
-                expect_ready += (ready & !parked).count_ones();
                 let mut mask = parked;
                 while mask != 0 {
                     let vc = mask.trailing_zeros() as usize;
@@ -1401,12 +1412,6 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
                     );
                 }
             }
-            assert_eq!(
-                router.probe_ready(),
-                expect_ready,
-                "probe_ready counter diverged at router {r}, cycle {}",
-                self.cycle
-            );
             let mut escapes = 0;
             for id in router.resident_packets() {
                 let pkt = self.arena.get(id);

@@ -17,22 +17,28 @@
 //! All buffer and credit mutations go through the `push_input` /
 //! `pop_input` / `stage_output` / `pop_output` / `release_output` /
 //! `reserve_credit` / `return_credit` methods, which keep the derived
-//! structures in sync:
+//! structures in sync. The router keeps masks, not counts that restate
+//! them: a count the engine needs of one (the heads the allocator could
+//! probe, the packets staged) is read off the mask.
 //!
 //! * `InPort::ready` — a bitmask of non-empty VCs per input port, so the
 //!   switch allocator only visits occupied VCs;
-//! * `input_count` / `staged_count` — router-level packet counts, so
-//!   idle routers are skipped outright;
+//! * `input_count` — the router's resident input packets, so the
+//!   allocator's work list skips idle routers outright;
+//! * `out_ready` — a bitmask of output ports with a staged packet, so
+//!   transmission visits only those (and a router with none leaves the
+//!   transmit work list);
 //! * `OutPort::downstream_used` — cached consumed-credit phits per output
 //!   port, making every congestion probe O(1) instead of O(VCs);
-//! * `InPort::parked` / `OutPort::waiters` / `probe_ready` — blocked-head
-//!   parking: every mutation of an output port's allocator-visible state
-//!   wakes the heads parked on it, so a blocked router pays O(changed
-//!   ports) per cycle instead of O(blocked heads); the same mutation bumps
+//! * `InPort::parked` / `OutPort::waiters` — blocked-head parking: every
+//!   mutation of an output port's allocator-visible state wakes the heads
+//!   parked on it, so a blocked router pays O(changed ports) per cycle
+//!   instead of O(blocked heads); the same mutation bumps
 //!   `OutPort::epoch`, a change counter telemetry samples;
 //! * `awake_in` — a bitmask of input ports with at least one ready,
 //!   unparked VC, so the allocator walks only the ports it could
-//!   nominate from (ascending bit order is ascending port order);
+//!   nominate from (ascending bit order is ascending port order), and
+//!   skips a router whose mask is zero;
 //! * `InPort::decided` / `head_out` — the output a VC head was routed to
 //!   (once per router visit), so re-probing a head that was blocked or lost
 //!   arbitration reads router-local state only, never the input ring or
@@ -40,7 +46,7 @@
 //!   grant reads it here too.
 
 use crate::arena::PacketId;
-use crate::buffer::{OutRing, Staged, VcRing};
+use crate::buffer::{OutRing, Ring, Staged};
 use crate::config::EngineConfig;
 use df_topology::{DragonflyParams, Port, PortKind, RouterId};
 
@@ -113,8 +119,11 @@ pub struct RouterState {
     /// Allocator-side state of the input ports, `[port]`.
     pub(crate) in_ports: Vec<InPort>,
     /// Input VC rings, `[port * vc_stride + vc]` (entries past a port's
-    /// VC count are zero-capacity fillers).
-    in_rings: Vec<VcRing>,
+    /// VC count are zero-capacity fillers). A VC of `capacity` phits holds
+    /// `capacity / packet_size` packets; a packet's slot is reserved from
+    /// the moment the upstream sender takes the credit until the packet
+    /// is granted to an output buffer here.
+    in_rings: Vec<Ring>,
     /// Slot slab behind `in_rings`.
     in_slots: Vec<PacketId>,
     /// The output ports, `[port]`.
@@ -138,12 +147,6 @@ pub struct RouterState {
     pub(crate) awake_in: u64,
     /// Packets resident across all input VCs.
     pub(crate) input_count: u32,
-    /// Packets staged across all output buffers.
-    pub(crate) staged_count: u32,
-    /// Number of non-empty, unparked input VCs — the heads the
-    /// allocator could probe this cycle. Zero means allocation is a
-    /// no-op for this router.
-    probe_ready: u32,
     /// `EngineConfig::packet_size`: what every queued packet occupies of
     /// a buffer and of a credit window.
     packet_size: u32,
@@ -191,8 +194,8 @@ impl RouterState {
             in_ports.push(InPort { ready: 0, parked: 0, decided: 0, rr: 0, vcs });
             for vc in 0..vc_stride {
                 let cap = if vc < vcs as usize { input_capacity_for(cfg, kind) } else { 0 };
-                let (ring, slots) = VcRing::new(in_slot_count, cap, cfg.packet_size);
-                in_rings.push(ring);
+                let slots = (cap / cfg.packet_size) as usize;
+                in_rings.push(Ring::new(in_slot_count, slots));
                 in_slot_count += slots;
             }
             let (ring, slots) = OutRing::new(out_slot_count, cfg.output_buffer, cfg.packet_size);
@@ -227,8 +230,6 @@ impl RouterState {
             out_ready: 0,
             awake_in: 0,
             input_count: 0,
-            staged_count: 0,
-            probe_ready: 0,
             packet_size: cfg.packet_size,
         }
     }
@@ -265,17 +266,28 @@ impl RouterState {
 
     /// Enqueue an arriving packet on `port`, VC `vc`. Returns whether it
     /// is the VC's head (the VC was empty).
+    ///
+    /// # Panics
+    /// Panics if the VC is full: its upstream sender took a credit the
+    /// VC did not have, so credit accounting is broken.
     #[inline]
     pub(crate) fn push_input(&mut self, port: usize, vc: usize, id: PacketId) -> bool {
         let flat = self.flat(port, vc);
-        let newly_occupied = self.in_rings[flat].is_empty();
-        self.in_rings[flat].push(&mut self.in_slots, id);
+        let ring = &mut self.in_rings[flat];
+        assert!(
+            !ring.is_full(),
+            "VC buffer overflow at router {} port {port} vc {vc}: all {} packet slots taken — \
+             credit accounting violated",
+            self.id.0,
+            ring.len()
+        );
+        let newly_occupied = ring.is_empty();
+        ring.push(&mut self.in_slots, id);
         let input = &mut self.in_ports[port];
         input.ready |= 1 << vc;
         if newly_occupied {
             debug_assert!(input.parked & (1 << vc) == 0, "empty VC cannot be parked");
             debug_assert!(input.decided & (1 << vc) == 0, "empty VC cannot be decided");
-            self.probe_ready += 1;
             self.awake_in |= 1 << port;
         }
         self.input_count += 1;
@@ -295,7 +307,6 @@ impl RouterState {
         self.in_ports[port].decided &= !(1 << vc);
         if self.in_rings[flat].is_empty() {
             self.in_ports[port].ready &= !(1 << vc);
-            self.probe_ready -= 1;
             self.refresh_awake(port);
         }
         self.input_count -= 1;
@@ -339,7 +350,6 @@ impl RouterState {
     pub(crate) fn stage_output(&mut self, port: usize, staged: Staged) {
         self.out_ports[port].ring.push(&mut self.out_slots, staged, self.packet_size);
         self.out_ready |= 1 << port;
-        self.staged_count += 1;
         self.touch_port(port);
     }
 
@@ -371,7 +381,6 @@ impl RouterState {
         if out.is_empty() {
             self.out_ready &= !(1 << port);
         }
-        self.staged_count -= 1;
         staged
         // No `touch_port`: occupancy only changes on `release_output`.
     }
@@ -395,7 +404,6 @@ impl RouterState {
                 parked &= parked - 1;
                 if self.head_out[q * self.vc_stride + vc][0] as usize == port {
                     self.in_ports[q].parked &= !(1 << vc);
-                    self.probe_ready += 1;
                     // A parked VC is ready.
                     self.awake_in |= 1 << q;
                 }
@@ -418,7 +426,6 @@ impl RouterState {
         debug_assert!(input.parked & (1 << vc) == 0, "double park");
         input.parked |= 1 << vc;
         self.out_ports[out_port].waiters |= 1 << in_port;
-        self.probe_ready -= 1;
         self.refresh_awake(in_port);
     }
 
@@ -426,7 +433,6 @@ impl RouterState {
     /// decided records stay: a head keeps its decision until its grant.
     pub(crate) fn unpark_all(&mut self) {
         for q in 0..self.in_ports.len() {
-            self.probe_ready += self.in_ports[q].parked.count_ones();
             self.in_ports[q].parked = 0;
             self.refresh_awake(q);
             self.out_ports[q].waiters = 0;
@@ -523,8 +529,9 @@ impl RouterState {
     }
 
     /// Staged packets across all output buffers.
+    #[cfg(test)]
     pub(crate) fn output_packets(&self) -> usize {
-        self.staged_count as usize
+        self.out_ports.iter().map(|out| out.ring.len()).sum()
     }
 
     /// Input-VC occupancy in phits for `port`, VC `vc` (resident packets).
@@ -552,10 +559,16 @@ impl RouterState {
     }
 
     /// Number of non-empty, unparked input VCs (the heads the switch
-    /// allocator could probe this cycle).
-    #[inline]
+    /// allocator could probe this cycle), read off the awake ports' VC
+    /// masks. O(awake ports); telemetry sampling and tests only.
     pub(crate) fn probe_ready(&self) -> u32 {
-        self.probe_ready
+        let mut awake = self.awake_in;
+        let mut heads = 0;
+        while awake != 0 {
+            heads += self.in_ports[awake.trailing_zeros() as usize].awake_vcs().count_ones();
+            awake &= awake - 1;
+        }
+        heads
     }
 
     /// Packets this router's input and output buffers can hold together.
@@ -777,7 +790,7 @@ mod tests {
             assert_eq!(r.output_queue_phits(Port(q)), 0);
         }
         assert_eq!(r.input_count, 0);
-        assert_eq!(r.staged_count, 0);
+        assert_eq!(r.output_packets(), 0);
     }
 
     #[test]

@@ -625,12 +625,14 @@ impl<P: RoutingPolicy + Send + 'static, S: StatsSink> ShardedNetwork<P, S> {
         self.shard(self.plan().shard_of_router(id)).router(id)
     }
 
-    /// Engine counters merged across shards: scalars sum, per-router and
-    /// per-node vectors splice at the shards' base offsets, and `cycles`
-    /// (which every shard advances identically) is taken from shard 0.
+    /// Engine counters merged across shards: scalars sum, per-router,
+    /// per-node and per-channel vectors splice at the shards' base
+    /// offsets, and `cycles` (which every shard advances identically) is
+    /// taken from shard 0.
     pub fn counters(&self) -> Counters {
         let params = self.topo.params();
-        let mut merged = Counters::new(params.routers() as usize, params.nodes() as usize);
+        let (routers, nodes) = (params.routers() as usize, params.nodes() as usize);
+        let mut merged = Counters::new(routers, nodes, params.radix() as usize);
         for (s, sh) in self.shards().enumerate() {
             merged.merge_shard(
                 sh.counters(),
@@ -900,7 +902,7 @@ mod tests {
         assert_eq!(c.offered_packets, base_counters.offered_packets, "{tag}");
         assert_eq!(c.delivered_phits, base_counters.delivered_phits, "{tag}");
         assert_eq!(c.escape_grants, base_counters.escape_grants, "{tag}");
-        assert_eq!(c.global_phits, base_counters.global_phits, "{tag}");
+        assert_eq!(c.channel_phits, base_counters.channel_phits, "{tag}");
         assert_eq!(
             c.injected_per_router, base_counters.injected_per_router,
             "per-router injections diverged at {tag}"

@@ -51,7 +51,7 @@ fn sharded_population_matches_serial_after_every_step() {
     }
     assert!(serial.in_flight() > 100, "the lockstep run must carry load");
     assert_eq!(sharded.counters().delivered_packets, serial.counters().delivered_packets);
-    assert!(serial.counters().global_phits > 0, "traffic must cross groups");
+    assert!(serial.counters().global_phits(&params) > 0, "traffic must cross groups");
 }
 
 /// `run_grid` fans (cell, seed) units out over every core, and with
