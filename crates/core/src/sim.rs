@@ -46,7 +46,7 @@ use df_engine::{
 };
 use df_routing::MechanismSpec;
 use df_stats::FairnessReport;
-use df_topology::{NodeId, Topology};
+use df_topology::{channel_load, NodeId, Topology};
 use df_traffic::JobTraffic;
 use df_workload::{Arrival, InjectionProcess, InjectionSpec, TraceRecorder};
 use serde::{Deserialize, Serialize};
@@ -302,6 +302,13 @@ impl Engine {
 /// option: if the periodic audit ever costs the suites more than a few
 /// percent, raise it.
 const AUDIT_EVERY: u64 = 256;
+
+/// Standard deviations of binomial spread the channel-capacity check
+/// allows a channel's packet count: a sum of independent draws with mean
+/// `N` falls below `N − z·√N` with probability at most `e^(−z²/2)`
+/// (Chernoff), 2.3·10⁻¹¹ at `z = 7` — under 10⁻⁶ per run over Table I's
+/// 20,148 directed channels (Bonferroni).
+const CAPACITY_Z: f64 = 7.0;
 
 /// A configured, steppable simulation.
 pub struct Simulator {
@@ -630,6 +637,9 @@ impl Simulator {
         let timeline = self.timeline.take().map(TimelineRecorder::into_rows);
         let params = *self.net.topology().params();
         let counters = self.net.counters();
+        if let Some(gamma) = self.expected_channel_load(&counters) {
+            self.assert_channel_capacity(&gamma, &counters);
+        }
         let sink = self.net.sink();
         let nodes = params.nodes() as f64;
         let cycles = counters.cycles as f64;
@@ -687,6 +697,68 @@ impl Simulator {
             p99_latency: sink.histogram.quantile(0.99),
             per_job,
             timeline,
+        }
+    }
+
+    /// The expected load, in phits per cycle, on every directed channel
+    /// (indexed like [`Counters::channel_phits`]) of the injection this
+    /// window measured: each generating node's destination law
+    /// ([`JobTraffic::for_each_dest`]) weighted by its accepted rate
+    /// (`injected_per_node` packets over the window) and routed by the
+    /// mechanism's [`MechanismSpec::path_class`]. `None` unless the
+    /// mechanism has a path class, every source draws destinations from
+    /// a pattern, and no job has a start or stop cycle; the class is
+    /// tested first, so no other run builds anything.
+    fn expected_channel_load(&self, counters: &Counters) -> Option<Vec<f64>> {
+        let class = self.protocol.mechanism.path_class()?;
+        let always_live = self.jobs.iter().all(|j| j.start.is_none() && j.stop.is_none());
+        let patterned = self.sources.iter().all(|s| s.traffic.is_some());
+        if counters.cycles == 0 || !always_live || !patterned {
+            return None;
+        }
+        let topo = self.net.topology();
+        let phits_per_cycle = f64::from(self.net.config().packet_size) / counters.cycles as f64;
+        let rate = |n: NodeId| counters.injected_per_node[n.idx()] as f64 * phits_per_cycle;
+        let mut gamma = vec![0.0; counters.channel_phits.len()];
+        for traffic in self.sources.iter().filter_map(|s| s.traffic.as_ref()) {
+            let load = channel_load(topo, &traffic.router_traffic(topo.params(), rate), class);
+            gamma.iter_mut().zip(load).for_each(|(g, x)| *g += x);
+        }
+        Some(gamma)
+    }
+
+    /// Check (ROADMAP item 6(a)): no channel's expected load `gamma`
+    /// exceeds its capacity of one phit per cycle, within
+    /// `ε = (1 + ΔF + z·√N) / W`. Here `W` is the window in packet slots
+    /// (cycles / `packet_size`), and `N = γ·W` is the packets the channel
+    /// is expected to carry. The packets injected in the window that
+    /// cross the channel differ from the at most `W + 1` it carries in
+    /// the window by the change in its backlog, bounded here by `ΔF`, the
+    /// window's growth in packets in flight. Their count spreads
+    /// binomially around `N`, within `z·√N` ([`CAPACITY_Z`]).
+    /// Accepted ≤ Θ would be false for a network average: a job on
+    /// uncongested channels accepts above the Θ of the whole matrix.
+    ///
+    /// # Panics
+    /// Panics naming the first channel over its capacity.
+    fn assert_channel_capacity(&self, gamma: &[f64], counters: &Counters) {
+        let slots = counters.cycles as f64 / f64::from(self.net.config().packet_size);
+        let growth = self.net.in_flight().saturating_sub(self.window_base_in_flight) as f64;
+        let radix = self.net.topology().params().radix() as usize;
+        for (c, &load) in gamma.iter().enumerate() {
+            let epsilon = (1.0 + growth + CAPACITY_Z * (load * slots).sqrt()) / slots;
+            assert!(
+                load <= 1.0 + epsilon,
+                "channel over capacity: router {} port {} expects {load:.4} phits/cycle from the \
+                 measured injection, above 1 + ε = {:.4}; ε = (1 + ΔF + {CAPACITY_Z}·√N) / W \
+                 with W = {slots} packet slots, ΔF = {growth} more packets in flight, \
+                 N = {:.1} expected packets (cycle {})",
+                c / radix,
+                c % radix,
+                1.0 + epsilon,
+                load * slots,
+                self.net.cycle()
+            );
         }
     }
 }
@@ -848,6 +920,49 @@ mod tests {
         assert!(sim.net.in_flight() > 0);
         sim.net.reset_counters();
         sim.finish();
+    }
+
+    /// Warm-up and measure `cfg` by hand, stopping before `finish`.
+    fn measured(cfg: &SimConfig) -> Simulator {
+        let mut sim = Simulator::new(cfg);
+        for _ in 0..cfg.warmup_cycles {
+            sim.step();
+        }
+        sim.begin_measurement();
+        for _ in 0..cfg.measure_cycles {
+            sim.step();
+        }
+        sim
+    }
+
+    /// The expected loads are tight: MIN under ADV+1 at saturation fills
+    /// each group's one exit channel, and the measured injection says so.
+    #[test]
+    fn saturated_min_reads_its_bottleneck_channels_full() {
+        let sim = measured(&tiny(MechanismSpec::Min, PatternSpec::Adversarial { offset: 1 }, 0.6));
+        let counters = sim.net.counters();
+        let gamma = sim.expected_channel_load(&counters).expect("MIN has a path class");
+        let max = gamma.iter().copied().fold(0.0, f64::max);
+        assert!(max >= 0.9, "max expected channel load {max}");
+        sim.assert_channel_capacity(&gamma, &counters);
+    }
+
+    /// Doubling every node's weight doubles every expected load (they are
+    /// linear in the weights), which no channel can carry.
+    #[test]
+    #[should_panic(expected = "channel over capacity")]
+    fn doubled_weights_trip_the_capacity_check() {
+        let sim = measured(&tiny(MechanismSpec::Min, PatternSpec::Adversarial { offset: 1 }, 0.6));
+        let counters = sim.net.counters();
+        let gamma = sim.expected_channel_load(&counters).unwrap();
+        sim.assert_channel_capacity(&gamma.iter().map(|x| 2.0 * x).collect::<Vec<_>>(), &counters);
+    }
+
+    /// Only oblivious classes build the expected loads.
+    #[test]
+    fn adaptive_runs_build_no_expected_load() {
+        let sim = measured(&tiny(MechanismSpec::InTransitMm, PatternSpec::Uniform, 0.1));
+        assert!(sim.expected_channel_load(&sim.net.counters()).is_none());
     }
 
     #[test]

@@ -72,9 +72,7 @@ impl Ring {
     /// Enqueue `entry` at the tail.
     ///
     /// # Panics
-    /// Panics when every slot is taken, rather than overwrite the head.
-    /// The callers name the broken invariant first: credit accounting for
-    /// an input VC, output-buffer space for an output port.
+    /// Panics when every slot is taken (the callers diagnose it first).
     #[inline]
     pub(crate) fn push<T>(&mut self, slab: &mut [T], entry: T) {
         assert!(!self.is_full(), "ring slot overflow: all {} slots taken", self.slots);

@@ -23,8 +23,9 @@
 //!
 //! * one 64-byte arena record per packet, carried by `u32` handle;
 //! * work-list bitsets of the nodes and routers that can make progress;
-//! * per-router ready-VC, awake-port and ready-output masks, and one
-//!   request mask per output port in the allocator;
+//! * per-router ready-VC, awake-port and ready-output masks — masks, not
+//!   counts that restate them — over input VCs that are plain rings, and
+//!   one request mask per output port in the allocator;
 //! * one routing decision per router visit, with blocked heads parked
 //!   until their output port changes;
 //! * the routers whose global queues changed, handed to the policy;

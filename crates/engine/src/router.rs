@@ -17,17 +17,12 @@
 //! All buffer and credit mutations go through the `push_input` /
 //! `pop_input` / `stage_output` / `pop_output` / `release_output` /
 //! `reserve_credit` / `return_credit` methods, which keep the derived
-//! structures in sync. The router keeps masks, not counts that restate
-//! them: a count the engine needs of one (the heads the allocator could
-//! probe, the packets staged) is read off the mask.
+//! structures in sync (masks, and no count that restates one):
 //!
 //! * `InPort::ready` — a bitmask of non-empty VCs per input port, so the
 //!   switch allocator only visits occupied VCs;
-//! * `input_count` — the router's resident input packets, so the
-//!   allocator's work list skips idle routers outright;
-//! * `out_ready` — a bitmask of output ports with a staged packet, so
-//!   transmission visits only those (and a router with none leaves the
-//!   transmit work list);
+//! * `input_count` / `out_ready` — resident input packets and the output
+//!   ports with a staged packet, so idle routers leave the work lists;
 //! * `OutPort::downstream_used` — cached consumed-credit phits per output
 //!   port, making every congestion probe O(1) instead of O(VCs);
 //! * `InPort::parked` / `OutPort::waiters` — blocked-head parking: every
@@ -37,8 +32,7 @@
 //!   `OutPort::epoch`, a change counter telemetry samples;
 //! * `awake_in` — a bitmask of input ports with at least one ready,
 //!   unparked VC, so the allocator walks only the ports it could
-//!   nominate from (ascending bit order is ascending port order), and
-//!   skips a router whose mask is zero;
+//!   nominate from (ascending bit order is ascending port order);
 //! * `InPort::decided` / `head_out` — the output a VC head was routed to
 //!   (once per router visit), so re-probing a head that was blocked or lost
 //!   arbitration reads router-local state only, never the input ring or
@@ -119,10 +113,8 @@ pub struct RouterState {
     /// Allocator-side state of the input ports, `[port]`.
     pub(crate) in_ports: Vec<InPort>,
     /// Input VC rings, `[port * vc_stride + vc]` (entries past a port's
-    /// VC count are zero-capacity fillers). A VC of `capacity` phits holds
-    /// `capacity / packet_size` packets; a packet's slot is reserved from
-    /// the moment the upstream sender takes the credit until the packet
-    /// is granted to an output buffer here.
+    /// VC count are zero-capacity fillers). A packet's slot is reserved
+    /// from when the upstream sender takes its credit until its grant.
     in_rings: Vec<Ring>,
     /// Slot slab behind `in_rings`.
     in_slots: Vec<PacketId>,
@@ -268,8 +260,7 @@ impl RouterState {
     /// is the VC's head (the VC was empty).
     ///
     /// # Panics
-    /// Panics if the VC is full: its upstream sender took a credit the
-    /// VC did not have, so credit accounting is broken.
+    /// Panics if the VC is full: credit accounting is broken.
     #[inline]
     pub(crate) fn push_input(&mut self, port: usize, vc: usize, id: PacketId) -> bool {
         let flat = self.flat(port, vc);

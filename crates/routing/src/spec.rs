@@ -4,7 +4,7 @@
 use crate::in_transit::{GlobalMisrouting, InTransit};
 use crate::source::{Flavor, Rule, Saturation, SourceRouting};
 use df_engine::{EngineConfig, RoutingPolicy};
-use df_topology::Topology;
+use df_topology::{PathClass, Topology};
 use serde::{Deserialize, Serialize};
 
 /// The routing mechanisms of the paper's evaluation (Figures 2/4-6,
@@ -60,6 +60,19 @@ impl MechanismSpec {
             | MechanismSpec::InTransitCrg
             | MechanismSpec::InTransitMm
             | MechanismSpec::InTransitLru => 3,
+        }
+    }
+
+    /// The one path class every packet of an oblivious mechanism takes,
+    /// as [`df_topology::channel_load`] models it: MIN's minimal route
+    /// and Obl-RRG's Valiant. `None` for the mechanisms whose path depends
+    /// on congestion, and for Obl-CRG, whose intermediate sits behind the
+    /// source router (a class `channel_load` does not model).
+    pub fn path_class(&self) -> Option<PathClass> {
+        match self {
+            MechanismSpec::Min => Some(PathClass::Minimal),
+            MechanismSpec::ObliviousRrg => Some(PathClass::Valiant),
+            _ => None,
         }
     }
 

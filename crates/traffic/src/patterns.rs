@@ -2,9 +2,10 @@
 
 use crate::seed::derive_seed;
 use crate::spec::PatternSpec;
-use df_topology::{DragonflyParams, NodeId};
+use df_topology::{DragonflyParams, NodeId, RouterTraffic};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
 
 /// A [`PatternSpec`] remapped onto a node set — the one destination
 /// generator of the workspace. It owns its RNG, so a pattern with a fixed
@@ -20,6 +21,12 @@ use rand::{Rng, SeedableRng};
 /// ([`PatternSpec::build`]) is the same generator at the identity
 /// placement: every node in id order, one machine group per virtual
 /// group.
+///
+/// Each pattern's destination law is also stated exactly, once:
+/// [`JobTraffic::for_each_dest`] enumerates the distribution
+/// [`JobTraffic::dest`] draws from, and [`JobTraffic::router_traffic`]
+/// sums it into the router-level matrix that
+/// [`df_topology::channel_load`] turns into expected channel loads.
 ///
 /// # Examples
 ///
@@ -68,6 +75,12 @@ impl Geometry {
             return Err("virtual group size must be nonzero".into());
         }
         Ok(Self { m: nodes, gs: group_size, k: nodes.div_ceil(group_size) })
+    }
+
+    /// The virtual indices of virtual group `g`.
+    fn group(self, g: u32) -> Range<u32> {
+        let base = g * self.gs;
+        base..(base + self.gs).min(self.m)
     }
 
     /// Uniform virtual index within virtual group `g`.
@@ -128,7 +141,17 @@ impl PatternGen {
                 // count, so an over-large spread clamps instead of failing.
                 PatternGen::AdvConsecutive { spread: spread.unwrap_or(h).clamp(1, k - 1), rng }
             }
-            PatternSpec::GroupLocal => PatternGen::GroupLocal(rng),
+            PatternSpec::GroupLocal => {
+                // A node alone in its virtual group has nowhere to send.
+                if let Some(g) = (0..k).find(|&g| geo.group(g).len() < 2) {
+                    return Err(format!(
+                        "group_local needs at least 2 nodes in every virtual group; virtual \
+                         group {g} of {k} holds 1 (virtual groups of {} over {m} nodes)",
+                        geo.gs
+                    ));
+                }
+                PatternGen::GroupLocal(rng)
+            }
             PatternSpec::Permutation => {
                 let mut rng = rng;
                 let mut table: Vec<u32> = (0..m).collect();
@@ -186,7 +209,7 @@ impl PatternGen {
             }
             PatternGen::GroupLocal(rng) => loop {
                 let v = geo.node_in_group(rng, vsrc / gs);
-                if v != vsrc || gs == 1 {
+                if v != vsrc {
                     return v;
                 }
             },
@@ -204,6 +227,43 @@ impl PatternGen {
                 } else {
                     second.dest(vsrc, geo)
                 }
+            }
+        }
+    }
+
+    /// The law [`Self::dest`] draws from at `vsrc`: `f(v, p)` for every
+    /// virtual index `v` of the support, `p` its probability times `mass`.
+    /// An index may be reported more than once (HotSpot, Mix); its
+    /// probability is the sum.
+    fn for_each_dest(&self, vsrc: u32, geo: Geometry, mass: f64, f: &mut dyn FnMut(u32, f64)) {
+        // `mass` spread evenly over `vs`, less `except`.
+        fn even(vs: Range<u32>, except: Option<u32>, mass: f64, f: &mut dyn FnMut(u32, f64)) {
+            let n = vs.len() - usize::from(except.is_some_and(|e| vs.contains(&e)));
+            for v in vs.filter(|&v| Some(v) != except) {
+                f(v, mass / n as f64);
+            }
+        }
+        let Geometry { m, gs, k } = geo;
+        match self {
+            PatternGen::Uniform(_) => even(0..m, Some(vsrc), mass, f),
+            PatternGen::Adversarial { offset, .. } => {
+                even(geo.group((vsrc / gs + *offset) % k), None, mass, f);
+            }
+            PatternGen::AdvConsecutive { spread, .. } => {
+                for step in 1..=*spread {
+                    even(geo.group((vsrc / gs + step) % k), None, mass / f64::from(*spread), f);
+                }
+            }
+            PatternGen::GroupLocal(_) => even(geo.group(vsrc / gs), Some(vsrc), mass, f),
+            PatternGen::Permutation(table) => f(table[vsrc as usize], mass),
+            PatternGen::HotSpot { hot, fraction, .. } if vsrc != *hot => {
+                f(*hot, mass * fraction);
+                even(0..m, Some(vsrc), mass * (1.0 - fraction), f);
+            }
+            PatternGen::HotSpot { .. } => even(0..m, Some(vsrc), mass, f),
+            PatternGen::Mix { first, second, first_fraction, .. } => {
+                first.for_each_dest(vsrc, geo, mass * first_fraction, f);
+                second.for_each_dest(vsrc, geo, mass * (1.0 - first_fraction), f);
             }
         }
     }
@@ -248,9 +308,59 @@ impl JobTraffic {
     /// # Panics
     /// Panics if `src` is not one of the generator's nodes.
     pub fn dest(&mut self, src: NodeId) -> NodeId {
+        let vsrc = self.vsrc(src);
+        self.nodes[self.gen.dest(vsrc, self.geometry) as usize]
+    }
+
+    /// The exact law of [`Self::dest`] at `src`: `f(dst, p)` for every
+    /// destination drawn with probability `p > 0`. A destination may be
+    /// reported more than once (hot spot, mix); its probability is the
+    /// sum. Per pattern, over the `m` nodes of the set:
+    ///
+    /// * UN: every other node, `1/(m−1)`;
+    /// * ADV+k: uniform over virtual group `(g+k) mod k_v`;
+    /// * ADVc: `1/spread` per step `1..=spread`, uniform inside the group;
+    /// * group-local: the own virtual group less the source, uniformly;
+    /// * permutation: the table's point, with probability 1;
+    /// * hot spot: `fraction + (1−fraction)/(m−1)` on the hot node and
+    ///   `(1−fraction)/(m−1)` on every other one; UN from the hot node;
+    /// * mix: `first_fraction` × the first law + the rest × the second.
+    ///
+    /// # Panics
+    /// Panics if `src` is not one of the generator's nodes.
+    pub fn for_each_dest(&self, src: NodeId, mut f: impl FnMut(NodeId, f64)) {
+        let vsrc = self.vsrc(src);
+        self.gen.for_each_dest(vsrc, self.geometry, 1.0, &mut |v, p| f(self.nodes[v as usize], p));
+    }
+
+    /// The router-level traffic matrix of this generator: each node's law
+    /// weighted by `weight(node)`, summed by source and destination
+    /// router. With weights in phits per cycle it is the expected traffic
+    /// of those injection rates; unit weights give the load per unit of
+    /// per-node injection, which [`df_topology::channel_load`] expects.
+    /// `params` is the machine the generator was built for.
+    pub fn router_traffic(
+        &self,
+        params: &DragonflyParams,
+        weight: impl Fn(NodeId) -> f64,
+    ) -> RouterTraffic {
+        let routers = params.routers() as usize;
+        let mut rates = vec![0.0; routers * routers];
+        for &src in &self.nodes {
+            let w = weight(src);
+            if w != 0.0 {
+                let row = src.router(params).idx() * routers;
+                self.for_each_dest(src, |dst, p| rates[row + dst.router(params).idx()] += w * p);
+            }
+        }
+        RouterTraffic::from_fn(params, |s, d| rates[s.idx() * routers + d.idx()])
+    }
+
+    /// Virtual index of `src`.
+    fn vsrc(&self, src: NodeId) -> u32 {
         let vsrc = self.index_of[src.idx()];
         assert_ne!(vsrc, u32::MAX, "source {src:?} is not part of this node set");
-        self.nodes[self.gen.dest(vsrc, self.geometry) as usize]
+        vsrc
     }
 }
 
@@ -262,140 +372,155 @@ mod tests {
         DragonflyParams::small()
     }
 
+    /// The exact law of `t` at `src` as a dense vector over node ids.
+    fn law(t: &JobTraffic, src: NodeId) -> Vec<f64> {
+        let mut p = vec![0.0; t.index_of.len()];
+        t.for_each_dest(src, |d, q| p[d.idx()] += q);
+        p
+    }
+
+    /// The law's mass per machine group.
+    fn group_mass(p: &DragonflyParams, law: &[f64]) -> Vec<f64> {
+        let mut mass = vec![0.0; p.groups() as usize];
+        for (n, q) in law.iter().enumerate() {
+            mass[NodeId(n as u32).group(p).idx()] += q;
+        }
+        mass
+    }
+
+    // Laws are sums of equal shares, so each entry is compared exactly and
+    // only a sum of many shares gets a rounding allowance.
+    fn assert_total(law: &[f64]) {
+        let total: f64 = law.iter().sum();
+        assert!((total - 1.0).abs() < 1e-12, "law sums to {total}");
+    }
+
     #[test]
     fn uniform_never_self() {
         let p = params();
-        let mut t = PatternSpec::Uniform.build(p, 1);
+        let t = PatternSpec::Uniform.build(p, 1);
         for n in 0..p.nodes() {
-            for _ in 0..10 {
-                assert_ne!(t.dest(NodeId(n)), NodeId(n));
-            }
+            let law = law(&t, NodeId(n));
+            assert_eq!(law[n as usize], 0.0);
+            assert_total(&law);
         }
     }
 
     #[test]
     fn uniform_covers_many_destinations() {
         let p = params();
-        let mut t = PatternSpec::Uniform.build(p, 2);
-        let mut seen = vec![false; p.nodes() as usize];
-        for _ in 0..20_000 {
-            seen[t.dest(NodeId(0)).idx()] = true;
-        }
-        let covered = seen.iter().filter(|&&b| b).count();
-        assert!(covered as u32 > p.nodes() * 9 / 10, "covered {covered}");
+        let t = PatternSpec::Uniform.build(p, 2);
+        let share = 1.0 / f64::from(p.nodes() - 1);
+        let law = law(&t, NodeId(0));
+        assert!(law[1..].iter().all(|&q| q == share), "every other node gets 1/(m-1)");
     }
 
     #[test]
     fn adversarial_targets_exact_group() {
         let p = params();
-        let mut t = PatternSpec::Adversarial { offset: 1 }.build(p, 3);
+        let t = PatternSpec::Adversarial { offset: 1 }.build(p, 3);
+        let share = 1.0 / f64::from(p.a * p.p);
         for n in (0..p.nodes()).step_by(5) {
             let src = NodeId(n);
-            let dst = t.dest(src);
-            let expect = (src.group(&p).0 + 1) % p.groups();
-            assert_eq!(dst.group(&p).0, expect);
-        }
-    }
-
-    #[test]
-    fn advc_targets_h_consecutive_groups_only() {
-        let p = params();
-        let mut t = PatternSpec::AdvConsecutive { spread: None }.build(p, 4);
-        let src = NodeId(0);
-        let mut hit = vec![0u32; p.groups() as usize];
-        for _ in 0..6000 {
-            hit[t.dest(src).group(&p).idx()] += 1;
-        }
-        for g in 0..p.groups() {
-            if g >= 1 && g <= p.h {
-                assert!(hit[g as usize] > 0, "group {g} never targeted");
-                // Roughly uniform across the h groups.
-                let expected = 6000 / p.h;
-                assert!(
-                    (hit[g as usize] as i64 - expected as i64).abs() < expected as i64 / 2,
-                    "group {g}: {}",
-                    hit[g as usize]
-                );
-            } else {
-                assert_eq!(hit[g as usize], 0, "group {g} wrongly targeted");
+            let target = (src.group(&p).0 + 1) % p.groups();
+            for (d, &q) in law(&t, src).iter().enumerate() {
+                let inside = NodeId(d as u32).group(&p).0 == target;
+                assert_eq!(q, if inside { share } else { 0.0 }, "{n} -> {d}");
             }
         }
     }
 
     #[test]
+    fn advc_targets_h_consecutive_groups_only() {
+        // Equal mass on groups g+1 .. g+h only, uniform inside each.
+        let p = params();
+        let t = PatternSpec::AdvConsecutive { spread: None }.build(p, 4);
+        let share = 1.0 / f64::from(p.h * p.a * p.p);
+        let law = law(&t, NodeId(0));
+        for (d, &q) in law.iter().enumerate() {
+            let g = NodeId(d as u32).group(&p).0;
+            assert_eq!(q, if (1..=p.h).contains(&g) { share } else { 0.0 }, "node {d}");
+        }
+        assert_total(&law);
+    }
+
+    #[test]
     fn advc_wraps_around_group_space() {
         let p = params();
-        let mut t = PatternSpec::AdvConsecutive { spread: None }.build(p, 5);
-        let last_group_node = NodeId(p.nodes() - 1);
-        for _ in 0..100 {
-            let dst = t.dest(last_group_node);
-            let off = (dst.group(&p).0 + p.groups() - (p.groups() - 1)) % p.groups();
-            assert!(off >= 1 && off <= p.h);
+        let t = PatternSpec::AdvConsecutive { spread: None }.build(p, 5);
+        let mass = group_mass(&p, &law(&t, NodeId(p.nodes() - 1)));
+        for (g, &m) in mass.iter().enumerate() {
+            // The last group's steps 1..=h land on groups 0..h.
+            let expect = if (g as u32) < p.h { 1.0 / f64::from(p.h) } else { 0.0 };
+            assert!((m - expect).abs() < 1e-12, "group {g}: {m}");
         }
     }
 
     #[test]
     fn group_local_stays_in_group() {
         let p = params();
-        let mut t = PatternSpec::GroupLocal.build(p, 6);
+        let t = PatternSpec::GroupLocal.build(p, 6);
+        let share = 1.0 / f64::from(p.a * p.p - 1);
         for n in (0..p.nodes()).step_by(7) {
             let src = NodeId(n);
-            let dst = t.dest(src);
-            assert_eq!(dst.group(&p), src.group(&p));
-            assert_ne!(dst, src);
+            for (d, &q) in law(&t, src).iter().enumerate() {
+                let dst = NodeId(d as u32);
+                let inside = dst.group(&p) == src.group(&p) && dst != src;
+                assert_eq!(q, if inside { share } else { 0.0 }, "{n} -> {d}");
+            }
         }
     }
 
     #[test]
     fn permutation_is_bijective_and_fixed() {
+        // Every row a point mass off the diagonal, every column summing to
+        // one, and the point is what the generator draws, every time.
         let p = params();
         let mut t = PatternSpec::Permutation.build(p, 7);
-        let mut seen = vec![false; p.nodes() as usize];
+        let mut column = vec![0.0; p.nodes() as usize];
         for n in 0..p.nodes() {
+            let law = law(&t, NodeId(n));
+            assert_eq!(law[n as usize], 0.0, "fixed point at {n}");
             let d = t.dest(NodeId(n));
-            assert_ne!(d, NodeId(n), "fixed point at {n}");
-            assert!(!seen[d.idx()], "node {} targeted twice", d.0);
-            seen[d.idx()] = true;
-            // Stable across calls.
+            assert_eq!(law[d.idx()], 1.0, "{n} -> {}", d.0);
             assert_eq!(t.dest(NodeId(n)), d);
+            for (c, q) in column.iter_mut().zip(law) {
+                *c += q;
+            }
         }
+        assert!(column.iter().all(|&c| c == 1.0), "not a bijection: {column:?}");
     }
 
     #[test]
     fn hotspot_fraction_respected() {
         let p = params();
-        let hot = NodeId(10);
-        let mut t = PatternSpec::HotSpot { hot: hot.0, fraction: 0.3 }.build(p, 8);
-        let mut hits = 0;
-        let trials = 10_000;
-        for _ in 0..trials {
-            if t.dest(NodeId(0)) == hot {
-                hits += 1;
-            }
-        }
-        let frac = hits as f64 / trials as f64;
-        // Uniform fallback also occasionally hits the hot node.
-        assert!((0.27..0.36).contains(&frac), "fraction {frac}");
+        let (hot, fraction) = (NodeId(10), 0.3);
+        let t = PatternSpec::HotSpot { hot: hot.0, fraction }.build(p, 8);
+        let other = (1.0 - fraction) / f64::from(p.nodes() - 1);
+        let law0 = law(&t, NodeId(0));
+        assert_eq!(law0[hot.idx()], fraction + other);
+        assert_eq!((law0[0], law0[1]), (0.0, other));
+        assert_total(&law0);
+        // The hot node itself sends uniformly.
+        let uniform = 1.0 / f64::from(p.nodes() - 1);
+        let law_hot = law(&t, hot);
+        assert!(law_hot.iter().enumerate().all(|(d, &q)| q == if d == 10 { 0.0 } else { uniform }));
     }
 
     #[test]
     fn mix_draws_from_both() {
         let p = params();
-        let mut t = PatternSpec::Mix {
+        let t = PatternSpec::Mix {
             first: Box::new(PatternSpec::Adversarial { offset: 1 }),
             second: Box::new(PatternSpec::Adversarial { offset: 2 }),
-            first_fraction: 0.5,
+            first_fraction: 0.25,
         }
         .build(p, 9);
-        let (mut g1, mut g2) = (0, 0);
-        for _ in 0..1000 {
-            match t.dest(NodeId(0)).group(&p).0 {
-                1 => g1 += 1,
-                2 => g2 += 1,
-                g => panic!("unexpected group {g}"),
-            }
+        let mass = group_mass(&p, &law(&t, NodeId(0)));
+        for (g, &m) in mass.iter().enumerate() {
+            let expect = [0.0, 0.25, 0.75].get(g).copied().unwrap_or(0.0);
+            assert!((m - expect).abs() < 1e-12, "group {g}: {m}");
         }
-        assert!(g1 > 300 && g2 > 300, "g1={g1} g2={g2}");
     }
 
     /// One test per range the compile step rejects, by message: these are
@@ -459,13 +584,22 @@ mod tests {
         // the `k - 1` other virtual groups clamps (the machine path used
         // to panic on it, the job path already clamped).
         let p = params();
-        let mut t = PatternSpec::AdvConsecutive { spread: Some(1_000) }.build(p, 4);
-        let mut hit = vec![false; p.groups() as usize];
-        for _ in 0..4_000 {
-            hit[t.dest(NodeId(0)).group(&p).idx()] = true;
-        }
-        assert!(!hit[0], "the source's own group is never a target");
-        assert!(hit[1..].iter().all(|&h| h), "every other group is a target");
+        let t = PatternSpec::AdvConsecutive { spread: Some(1_000) }.build(p, 4);
+        let mass = group_mass(&p, &law(&t, NodeId(0)));
+        assert_eq!(mass[0], 0.0, "the source's own group is never a target");
+        let even = 1.0 / f64::from(p.groups() - 1);
+        assert!(mass[1..].iter().all(|&m| (m - even).abs() < 1e-12), "{mass:?}");
+    }
+
+    /// A virtual group of one node has no group-local destination: the
+    /// generator used to redraw that node forever. Round-robin placement
+    /// of 5 routers' nodes, one per router, in groups of `a = 4`.
+    #[test]
+    fn group_local_needs_two_nodes_in_every_virtual_group() {
+        let err = PatternSpec::GroupLocal.check(5, 4, 2).expect_err("a one-node virtual group");
+        assert!(err.contains("virtual group 1 of 2 holds 1"), "{err}");
+        assert!(PatternSpec::GroupLocal.check(6, 4, 2).is_ok());
+        assert!(PatternSpec::GroupLocal.check(4, 1, 2).unwrap_err().contains("group 0 of 4"));
     }
 
     #[test]

@@ -29,7 +29,8 @@ pub enum PatternSpec {
         /// clamps to `k − 1`.
         spread: Option<u32>,
     },
-    /// Intra-group traffic only.
+    /// Intra-group traffic only: uniform over the own virtual group less
+    /// the source. Every virtual group must hold at least 2 nodes.
     GroupLocal,
     /// Fixed random node permutation.
     Permutation,

@@ -196,6 +196,22 @@ mod tests {
         spec().validate(1).unwrap();
     }
 
+    /// A `group_local` job whose last virtual group holds one node: the
+    /// generator would redraw that node forever inside one cycle.
+    #[test]
+    fn group_local_with_a_lone_node_is_rejected_naming_the_job() {
+        let mut s = spec();
+        s.params = DragonflyParams::figure1();
+        s.jobs = vec![JobSpec {
+            placement: PlacementSpec::RoundRobinRouters { count: 5, offset: None },
+            pattern: PatternSpec::GroupLocal,
+            ..job("gl", 0, 1)
+        }];
+        let err = s.validate(1).unwrap_err();
+        assert!(err.contains("job `gl`: group_local needs at least 2 nodes"), "{err}");
+        assert!(err.contains("virtual group 1 of 2 holds 1"), "{err}");
+    }
+
     #[test]
     fn overlapping_jobs_rejected() {
         let mut s = spec();
