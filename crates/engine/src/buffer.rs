@@ -45,32 +45,26 @@ impl Ring {
         self.base as usize + i as usize
     }
 
-    /// Number of queued entries.
     #[inline]
     pub(crate) fn len(&self) -> usize {
         self.len as usize
     }
 
-    /// Whether nothing is queued.
     #[inline]
     pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 
-    /// Whether every slot is taken.
     #[inline]
     pub(crate) fn is_full(&self) -> bool {
         self.len == self.slots
     }
 
-    /// The head entry, if any.
     #[inline]
     pub(crate) fn front<T: Copy>(&self, slab: &[T]) -> Option<T> {
         (self.len != 0).then(|| slab[self.base as usize + self.head as usize])
     }
 
-    /// Enqueue `entry` at the tail.
-    ///
     /// # Panics
     /// Panics when every slot is taken (the callers diagnose it first).
     #[inline]
@@ -80,7 +74,6 @@ impl Ring {
         self.len += 1;
     }
 
-    /// Dequeue the head entry, if any.
     #[inline]
     pub(crate) fn pop<T: Copy>(&mut self, slab: &[T]) -> Option<T> {
         let entry = self.front(slab)?;

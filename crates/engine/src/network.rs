@@ -255,11 +255,10 @@ impl Counters {
     }
 
     /// Fold one shard's counters into this network-wide view. Scalar
-    /// counters sum; the per-router, per-node and per-channel vectors
-    /// splice in at the shard's base offsets (each shard owns a disjoint
-    /// contiguous slice). `cycles` is deliberately *not* summed — every
-    /// shard steps every cycle, so the caller copies it from any one
-    /// shard.
+    /// counters sum; the per-router / node / channel vectors splice in at
+    /// the shard's base offsets (each shard owns a disjoint contiguous
+    /// slice). `cycles` is deliberately *not* summed — every shard steps
+    /// every cycle, so the caller copies it from any one shard.
     pub(crate) fn merge_shard(&mut self, shard: &Counters, router_base: usize, node_base: usize) {
         self.offered_packets += shard.offered_packets;
         self.accepted_packets += shard.accepted_packets;
@@ -619,9 +618,8 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
     }
 
     /// Ready, unparked input-VC heads across all routers — the allocator
-    /// workload gauge, read off each router's awake-port mask.
-    /// O(routers + awake ports); intended for per-window telemetry
-    /// sampling, not the per-cycle hot path.
+    /// workload gauge, read off the masks. O(routers + awake ports);
+    /// intended for per-window telemetry sampling, not the hot path.
     pub fn probe_ready_total(&self) -> u64 {
         self.routers.iter().map(|r| r.probe_ready() as u64).sum()
     }

@@ -113,8 +113,7 @@ pub struct RouterState {
     /// Allocator-side state of the input ports, `[port]`.
     pub(crate) in_ports: Vec<InPort>,
     /// Input VC rings, `[port * vc_stride + vc]` (entries past a port's
-    /// VC count are zero-capacity fillers). A packet's slot is reserved
-    /// from when the upstream sender takes its credit until its grant.
+    /// VC count are zero-capacity fillers).
     in_rings: Vec<Ring>,
     /// Slot slab behind `in_rings`.
     in_slots: Vec<PacketId>,
@@ -265,12 +264,10 @@ impl RouterState {
     pub(crate) fn push_input(&mut self, port: usize, vc: usize, id: PacketId) -> bool {
         let flat = self.flat(port, vc);
         let ring = &mut self.in_rings[flat];
+        let router = self.id.0;
         assert!(
             !ring.is_full(),
-            "VC buffer overflow at router {} port {port} vc {vc}: all {} packet slots taken — \
-             credit accounting violated",
-            self.id.0,
-            ring.len()
+            "VC buffer overflow at router {router} port {port} vc {vc}: credit accounting violated"
         );
         let newly_occupied = ring.is_empty();
         ring.push(&mut self.in_slots, id);
