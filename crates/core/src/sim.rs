@@ -303,11 +303,10 @@ impl Engine {
 /// percent, raise it.
 const AUDIT_EVERY: u64 = 256;
 
-/// Standard deviations of binomial spread the channel-capacity check
-/// allows a channel's packet count: a sum of independent draws with mean
-/// `N` falls below `N − z·√N` with probability at most `e^(−z²/2)`
-/// (Chernoff), 2.3·10⁻¹¹ at `z = 7` — under 10⁻⁶ per run over Table I's
-/// 20,148 directed channels (Bonferroni).
+/// Binomial spread the channel-capacity check allows, in standard
+/// deviations: a count of mean `N` falls below `N − z·√N` with
+/// probability at most `e^(−z²/2)` (Chernoff), 2.3·10⁻¹¹ at `z = 7`, under
+/// 10⁻⁶ per run over Table I's 20,148 channels (Bonferroni).
 const CAPACITY_Z: f64 = 7.0;
 
 /// A configured, steppable simulation.
@@ -700,15 +699,12 @@ impl Simulator {
         }
     }
 
-    /// The expected load, in phits per cycle, on every directed channel
-    /// (indexed like [`Counters::channel_phits`]) of the injection this
-    /// window measured: each generating node's destination law
-    /// ([`JobTraffic::for_each_dest`]) weighted by its accepted rate
-    /// (`injected_per_node` packets over the window) and routed by the
-    /// mechanism's [`MechanismSpec::path_class`]. `None` unless the
-    /// mechanism has a path class, every source draws destinations from
-    /// a pattern, and no job has a start or stop cycle; the class is
-    /// tested first, so no other run builds anything.
+    /// The expected phits per cycle on every directed channel (indexed
+    /// like [`Counters::channel_phits`]): each node's destination law
+    /// weighted by its measured `injected_per_node` rate, routed by the
+    /// mechanism's [`MechanismSpec::path_class`]. `None` unless there is
+    /// a class (tested first: no other run builds anything), every source
+    /// draws from a pattern, and no job has a start or stop cycle.
     fn expected_channel_load(&self, counters: &Counters) -> Option<Vec<f64>> {
         let class = self.protocol.mechanism.path_class()?;
         let always_live = self.jobs.iter().all(|j| j.start.is_none() && j.stop.is_none());
@@ -727,17 +723,13 @@ impl Simulator {
         Some(gamma)
     }
 
-    /// Check (ROADMAP item 6(a)): no channel's expected load `gamma`
-    /// exceeds its capacity of one phit per cycle, within
-    /// `ε = (1 + ΔF + z·√N) / W`. Here `W` is the window in packet slots
-    /// (cycles / `packet_size`), and `N = γ·W` is the packets the channel
-    /// is expected to carry. The packets injected in the window that
-    /// cross the channel differ from the at most `W + 1` it carries in
-    /// the window by the change in its backlog, bounded here by `ΔF`, the
-    /// window's growth in packets in flight. Their count spreads
-    /// binomially around `N`, within `z·√N` ([`CAPACITY_Z`]).
-    /// Accepted ≤ Θ would be false for a network average: a job on
-    /// uncongested channels accepts above the Θ of the whole matrix.
+    /// ROADMAP item 6(a), per channel (accepted ≤ Θ is false for a
+    /// network average): no expected load in `gamma` exceeds one phit per
+    /// cycle by more than `ε = (1 + ΔF + z·√N) / W`. `W` is the window in
+    /// packet slots, `N = γ·W` the channel's expected packets, spread
+    /// binomially within `z·√N` ([`CAPACITY_Z`]); the window's growth in
+    /// packets in flight, `ΔF`, bounds how many more of them the channel
+    /// still owes than it had owed at the window's start.
     ///
     /// # Panics
     /// Panics naming the first channel over its capacity.
