@@ -85,9 +85,8 @@ impl Geometry {
 
     /// Uniform virtual index within virtual group `g`.
     fn node_in_group(self, rng: &mut SmallRng, g: u32) -> u32 {
-        let base = g * self.gs;
-        let width = self.gs.min(self.m - base);
-        base + rng.gen_range(0..width)
+        let group = self.group(g);
+        group.start + rng.gen_range(0..group.len() as u32)
     }
 
     /// Uniform virtual index other than `vsrc`.
