@@ -591,8 +591,8 @@ mod tests {
     }
 
     /// A virtual group of one node has no group-local destination: the
-    /// generator used to redraw that node forever. Round-robin placement
-    /// of 5 routers' nodes, one per router, in groups of `a = 4`.
+    /// generator would redraw that node forever. Round-robin placement of
+    /// 5 routers' nodes, one per router, in groups of `a = 4`.
     #[test]
     fn group_local_needs_two_nodes_in_every_virtual_group() {
         let err = PatternSpec::GroupLocal.check(5, 4, 2).expect_err("a one-node virtual group");
