@@ -838,7 +838,7 @@ mod tests {
     }
 
     #[test]
-    fn staged_count_follows_outputs() {
+    fn staged_packets_follow_outputs() {
         let (_, _, mut r) = setup();
         r.stage_output(3, staged(9));
         assert_eq!(r.output_packets(), 1);
