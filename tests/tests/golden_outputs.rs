@@ -186,3 +186,30 @@ fn golden_arbiters() {
         }
     }
 }
+
+/// Every mechanism, pinned by [`run_digest`] (serial) on the small
+/// network under ADVc at load 0.4 with transit priority. ADVc opens both
+/// in-transit misroute gates and PiggyBack's Valiant branch, so these rows
+/// catch a change to any mechanism's routing path, not only In-Trns-MM's.
+#[test]
+fn golden_mechanisms() {
+    for (mechanism, digest) in [
+        (MechanismSpec::Min, "03fd74011505acc3e01b34e1a5ae8428"),
+        (MechanismSpec::ObliviousRrg, "3febbeffc3ce9945543cf80b74621a6c"),
+        (MechanismSpec::ObliviousCrg, "3d01357e287c2b5e6c41ed72d912c76a"),
+        (MechanismSpec::SourceRrg, "eef2870836ae3c9d93480cad3e0f1d2b"),
+        (MechanismSpec::SourceCrg, "0023a9ab9149b1825478313eb9a652e8"),
+        (MechanismSpec::InTransitRrg, "0613e2b78fca9319cc8adff3a83f960c"),
+        (MechanismSpec::InTransitCrg, "46e73272031e76af98d9f0bff3c2dc69"),
+        (MechanismSpec::InTransitMm, "a65c2c5de5b3c584678156150bcf4225"),
+        (MechanismSpec::InTransitLru, "5be84723577686d13aaac6c978605b28"),
+    ] {
+        let pattern = PatternSpec::AdvConsecutive { spread: None };
+        assert_eq!(
+            pattern_mode_digest(mechanism, pattern, None),
+            digest,
+            "behavior drift in {} under ADVc (see docs/DETERMINISM.md)",
+            mechanism.label(),
+        );
+    }
+}
