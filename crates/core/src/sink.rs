@@ -181,7 +181,7 @@ mod tests {
     fn rec_from(src: u32, latency_parts: (u64, u64, u64, u64, u64)) -> DeliveredRecord {
         let (base, mis, inj, loc, glob) = latency_parts;
         DeliveredRecord {
-            header: PacketHeader { id: 0, src: NodeId(src), dst: NodeId(1), size: 8, gen_cycle: 0 },
+            header: PacketHeader { id: 0, src: NodeId(src), dst: NodeId(1), gen_cycle: 0 },
             delivered_cycle: base + mis + inj + loc + glob,
             traversal: base + mis,
             min_traversal: base,

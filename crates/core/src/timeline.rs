@@ -103,7 +103,6 @@ struct NetMark {
     offered_packets: u64,
     injected_packets: u64,
     delivered_packets: u64,
-    delivered_phits: u64,
     escape_grants: u64,
     global_link_phits: u64,
     port_epoch_sum: u64,
@@ -124,7 +123,6 @@ fn net_mark(net: &Net, c: &Counters) -> NetMark {
         offered_packets: c.offered_packets,
         injected_packets: c.injected_per_router.iter().sum(),
         delivered_packets: c.delivered_packets,
-        delivered_phits: c.delivered_phits,
         escape_grants: c.escape_grants,
         global_link_phits: c.global_phits(net.topology().params()),
         port_epoch_sum: net.port_epoch_sum(),
@@ -255,7 +253,8 @@ impl TimelineRecorder {
                 }
             })
             .collect();
-        let delivered_phits = now_net.delivered_phits - prev.delivered_phits;
+        let delivered_packets = now_net.delivered_packets - prev.delivered_packets;
+        let delivered_phits = delivered_packets * packet_size;
         let escape_grants = now_net.escape_grants - prev.escape_grants;
         let global_links = (params.routers() * params.h) as f64;
         let row = WindowRow {
@@ -264,7 +263,7 @@ impl TimelineRecorder {
             end_cycle: end,
             offered_packets: now_net.offered_packets - prev.offered_packets,
             injected_packets: now_net.injected_packets - prev.injected_packets,
-            delivered_packets: now_net.delivered_packets - prev.delivered_packets,
+            delivered_packets,
             delivered_phits,
             throughput: delivered_phits as f64 / (params.nodes() as f64 * span),
             link_utilization: (now_net.global_link_phits - prev.global_link_phits) as f64
@@ -312,7 +311,6 @@ impl TimelineRecorder {
         for (what, windows, run) in [
             ("injected packets", total(|r| r.injected_packets), c.injected_per_router.iter().sum()),
             ("delivered packets", total(|r| r.delivered_packets), c.delivered_packets),
-            ("delivered phits", total(|r| r.delivered_phits), c.delivered_phits),
             ("escape grants", total(|r| r.escape_grants), c.escape_grants),
         ] {
             assert_eq!(

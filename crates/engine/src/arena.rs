@@ -85,8 +85,8 @@ struct Slot {
 const _: () = assert!(std::mem::size_of::<Slot>() == 64);
 const _: () = assert!(std::mem::offset_of!(Packet, id) == 8);
 const _: () = assert!(std::mem::offset_of!(Packet, route) == 16);
-const _: () = assert!(std::mem::offset_of!(Packet, waits) == 44);
-const _: () = assert!(std::mem::offset_of!(Packet, escape_pending) == 60);
+const _: () = assert!(std::mem::offset_of!(Packet, waits) == 36);
+const _: () = assert!(std::mem::offset_of!(Packet, escape_pending) == 52);
 
 /// Slab of in-flight packets with intrusive free-list reuse.
 #[derive(Debug)]
@@ -248,10 +248,10 @@ impl PacketArena {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use df_topology::{GroupId, NodeId};
+    use df_topology::NodeId;
 
     fn pkt(seq: u64) -> Packet {
-        Packet::new(seq, NodeId(0), NodeId(1), 0, GroupId(0))
+        Packet::new(seq, NodeId(0), NodeId(1), 0)
     }
 
     #[test]

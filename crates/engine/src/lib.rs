@@ -21,7 +21,10 @@
 //! Its fast paths, each byte-identical to the plain scan or copy it
 //! replaced (README, "Performance", has what each one measured):
 //!
-//! * one 64-byte arena record per packet, carried by `u32` handle;
+//! * one 64-byte arena record per packet, carried by `u32` handle, whose
+//!   route state holds each routing fact once (an intermediate, two
+//!   misroute flags, two hop counts) and which, like the packet header,
+//!   stores no packet size;
 //! * work-list bitsets of the nodes and routers that can make progress;
 //! * per-router ready-VC, awake-port and ready-output masks — masks, not
 //!   counts that restate them — over input VCs that are plain rings, and
@@ -52,8 +55,7 @@ pub use config::{
 };
 pub use network::{Counters, Network, PhaseProfile};
 pub use packet::{
-    Decision, DeliveredRecord, Packet, PacketHeader, PacketSeq, Phase, RouteDep, RouteInfo,
-    WaitBreakdown,
+    Decision, DeliveredRecord, Packet, PacketHeader, PacketSeq, RouteDep, RouteInfo, WaitBreakdown,
 };
 pub use policy::{CycleCtx, NullSink, RoutingPolicy, StatsSink};
 pub use router::{vcs_for, RouterState};

@@ -222,8 +222,6 @@ pub struct Counters {
     pub accepted_packets: u64,
     /// Packets delivered to their destination node.
     pub delivered_packets: u64,
-    /// Phits delivered (for throughput in phits/node/cycle).
-    pub delivered_phits: u64,
     /// Packets injected per router: granted from an injection-port input
     /// buffer into an output buffer. This is the paper's fairness signal.
     pub injected_per_router: Vec<u64>,
@@ -242,11 +240,14 @@ pub struct Counters {
     pub channel_phits: Vec<u64>,
     /// Cycles elapsed since the last counter reset.
     pub cycles: u64,
+    /// Phits per packet (`EngineConfig::packet_size`), for throughput.
+    packet_size: u32,
 }
 
 impl Counters {
-    pub(crate) fn new(routers: usize, nodes: usize, radix: usize) -> Self {
+    pub(crate) fn new(routers: usize, nodes: usize, radix: usize, packet_size: u32) -> Self {
         Self {
+            packet_size,
             injected_per_router: vec![0; routers],
             injected_per_node: vec![0; nodes],
             channel_phits: vec![0; routers * radix],
@@ -263,7 +264,6 @@ impl Counters {
         self.offered_packets += shard.offered_packets;
         self.accepted_packets += shard.accepted_packets;
         self.delivered_packets += shard.delivered_packets;
-        self.delivered_phits += shard.delivered_phits;
         self.escape_grants += shard.escape_grants;
         let splice = |to: &mut [u64], at: usize, from: &[u64]| {
             to[at..][..from.len()].copy_from_slice(from);
@@ -287,7 +287,8 @@ impl Counters {
         if self.cycles == 0 {
             return 0.0;
         }
-        self.delivered_phits as f64 / (nodes as f64 * self.cycles as f64)
+        let delivered_phits = self.delivered_packets * u64::from(self.packet_size);
+        delivered_phits as f64 / (nodes as f64 * self.cycles as f64)
     }
 }
 
@@ -466,7 +467,7 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
             next_packet_seq: 0,
             policy,
             sink,
-            counters: Counters::new(n_routers, n_nodes, radix as usize),
+            counters: Counters::new(n_routers, n_nodes, radix as usize, cfg.packet_size),
             live_packets: 0,
             books: TimeBooks::default(),
             peers,
@@ -614,7 +615,8 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
     /// Zero the measurement counters (start of the measurement window).
     pub fn reset_counters(&mut self) {
         let radix = self.topo.params().radix() as usize;
-        self.counters = Counters::new(self.routers.len(), self.nodes.len(), radix);
+        let packet_size = self.cfg.packet_size;
+        self.counters = Counters::new(self.routers.len(), self.nodes.len(), radix, packet_size);
     }
 
     /// Ready, unparked input-VC heads across all routers — the allocator
@@ -900,7 +902,7 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
             + self.cfg.injection_link_latency                         // router → node
             + self.cfg.packet_size as u64; // serialization
         let rec = DeliveredRecord {
-            header: pkt.header(self.cfg.packet_size),
+            header: pkt.header(),
             delivered_cycle: self.cycle,
             traversal: pkt.traversal.into(),
             min_traversal,
@@ -909,7 +911,6 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
             global_hops: pkt.route.global_hops,
         };
         self.counters.delivered_packets += 1;
-        self.counters.delivered_phits += self.cfg.packet_size as u64;
         self.live_packets -= 1;
         self.arena.free(id);
         self.books.ages += rec.delivered_cycle + 1 - rec.header.gen_cycle;
@@ -956,13 +957,7 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
                     clear_bit(&mut self.node_active, n);
                 }
                 let node_id = NodeId(self.node_base + n as u32);
-                let mut pkt = Packet::new(
-                    queued.seq,
-                    node_id,
-                    queued.dst,
-                    queued.gen_cycle,
-                    node_id.group(&params),
-                );
+                let mut pkt = Packet::new(queued.seq, node_id, queued.dst, queued.gen_cycle);
                 // Source-queue time is injection wait.
                 pkt.waits.injection = cycles_since(self.cycle, queued.gen_cycle, queued.seq);
                 self.books.waits += u64::from(pkt.waits.injection) + 1;
@@ -1074,7 +1069,7 @@ impl<P: RoutingPolicy, S: StatsSink> Network<P, S> {
         let pkt = self.arena.get_mut(id);
         debug_assert!(u64::from(pkt.eligible_at) <= self.cycle, "resident head not eligible");
         debug_assert!(!pkt.escape_pending, "undecided head holds a pending escape");
-        let hdr = pkt.header(self.cfg.packet_size);
+        let hdr = pkt.header();
         let d = policy.route(&self.routers[r], Port(in_port as u32), hdr, pkt.route);
         debug_assert!(d.out_port.0 < self.topo.params().radix());
         pkt.escape_pending = d.info.global_misrouted && !pkt.route.global_misrouted;
@@ -1786,7 +1781,6 @@ mod tests {
         assert!(net.offer(NodeId(0), dst));
         assert!(net.drain(2000), "packet should be delivered");
         assert_eq!(net.counters().delivered_packets, 1);
-        assert_eq!(net.counters().delivered_phits, 8);
     }
 
     #[test]
@@ -1900,13 +1894,7 @@ mod tests {
     fn a_staging_stamp_past_the_cycle_panics_at_transmission() {
         let mut net = small_net();
         net.run(5);
-        let pkt = net.arena.insert(Packet::new(
-            9,
-            NodeId(0),
-            NodeId(1),
-            0,
-            NodeId(0).group(net.topo.params()),
-        ));
+        let pkt = net.arena.insert(Packet::new(9, NodeId(0), NodeId(1), 0));
         net.live_packets += 1;
         net.routers[0].stage_output(1, Staged { pkt, enq_at: stamp(net.cycle + 2), out_vc: 0 });
         set_bit(&mut net.tx_active, 0);
@@ -2161,7 +2149,7 @@ mod tests {
             net.live_packets -= 1;
         };
         audit_catches_a_leaked_arena_slot: "leaked: live, but in no ring and on no link" => |net| {
-            let stray = Packet::new(u64::MAX, NodeId(0), NodeId(1), 0, df_topology::GroupId(0));
+            let stray = Packet::new(u64::MAX, NodeId(0), NodeId(1), 0);
             net.arena.insert(stray);
             net.live_packets += 1;
         };

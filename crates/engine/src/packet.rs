@@ -1,13 +1,16 @@
 //! Packets and their in-flight routing/accounting state.
 //!
-//! A packet inside the network is one 64-byte [`Packet`] record: identity,
-//! route state and accounting, with `u32` cycle fields under
-//! [`crate::MAX_RUN_CYCLES`]. The public types a policy or a stats sink
-//! sees ([`PacketHeader`], [`WaitBreakdown`], [`DeliveredRecord`],
+//! A packet inside the network is one [`Packet`] record in a 64-byte arena
+//! slot: identity, route state and accounting, with `u32` cycle fields
+//! under [`crate::MAX_RUN_CYCLES`]. The public types a policy or a stats
+//! sink sees ([`PacketHeader`], [`WaitBreakdown`], [`DeliveredRecord`],
 //! [`Decision`]) keep `u64` cycle fields and are built from the record
-//! where they are needed.
+//! where they are needed. Every packet is `EngineConfig::packet_size`
+//! phits long, so neither the record nor its header stores a size, and the
+//! route state holds only what the policies decide on: a Valiant
+//! intermediate, two misroute flags and two hop counts.
 
-use df_topology::{GroupId, NodeId, Port};
+use df_topology::{NodeId, Port};
 use serde::{Deserialize, Serialize};
 
 /// Monotonic packet sequence number (unique per simulation). Not to be
@@ -15,54 +18,24 @@ use serde::{Deserialize, Serialize};
 /// a live packet.
 pub type PacketSeq = u64;
 
-/// Which leg of a (possibly non-minimal) route the packet is on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Phase {
-    /// Heading (minimally) towards the Valiant intermediate destination.
-    ToIntermediate,
-    /// Heading minimally towards the final destination.
-    ToDestination,
-}
-
 /// Routing state carried by every packet. The engine only stores it; all
-/// interpretation happens in the routing policies (`df-routing`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// interpretation happens in the routing policies (`df-routing`). A fresh
+/// packet's state is the default: no intermediate, no misroute, no hops.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RouteInfo {
-    /// Current route leg.
-    pub phase: Phase,
-    /// Valiant-style intermediate node, if the packet was diverted.
+    /// Valiant-style intermediate node while the packet heads for it;
+    /// `None` once it has turned around there, or if it was never
+    /// diverted, and the packet heads for its destination.
     pub intermediate: Option<NodeId>,
-    /// Whether the source-routing decision has been taken (source-adaptive
-    /// and oblivious mechanisms decide exactly once, at injection).
-    pub source_decided: bool,
     /// Whether an in-transit global misroute has been committed.
     pub global_misrouted: bool,
-    /// Whether a local misroute has been taken in the current group (OLM
-    /// allows at most one per group).
+    /// Whether an in-transit local misroute has been taken (at most one,
+    /// in the destination group).
     pub local_misrouted: bool,
-    /// Group of the router that last forwarded the packet, used to reset
-    /// `local_misrouted` when the packet changes group.
-    pub last_group: GroupId,
     /// Local hops taken so far (drives deadlock-free VC selection).
     pub local_hops: u8,
     /// Global hops taken so far (drives deadlock-free VC selection).
     pub global_hops: u8,
-}
-
-impl RouteInfo {
-    /// Fresh state for a packet about to be injected at `src_group`.
-    pub fn new(src_group: GroupId) -> Self {
-        Self {
-            phase: Phase::ToDestination,
-            intermediate: None,
-            source_decided: false,
-            global_misrouted: false,
-            local_misrouted: false,
-            last_group: src_group,
-            local_hops: 0,
-            global_hops: 0,
-        }
-    }
 }
 
 /// Immutable packet identity, copied out for routing decisions so the
@@ -75,8 +48,6 @@ pub struct PacketHeader {
     pub src: NodeId,
     /// Destination node.
     pub dst: NodeId,
-    /// Size in phits.
-    pub size: u32,
     /// Cycle the packet was generated (entered the source queue).
     pub gen_cycle: u64,
 }
@@ -101,14 +72,14 @@ impl WaitBreakdown {
 
 /// A packet in flight: the record one [`crate::arena::PacketArena`] slot
 /// holds from injection to delivery, and the value a packet travels as
-/// when it crosses a shard boundary. 64 bytes, one cache line.
+/// when it crosses a shard boundary. It fits one 64-byte cache line.
 ///
 /// Cycle fields are `u32`: every value stored is at most the current
 /// cycle plus one event delay, which [`crate::MAX_RUN_CYCLES`] and
 /// [`crate::EngineConfig::validate`] keep within `u32::MAX`. The size of
-/// the packet is not stored (every packet is `EngineConfig::packet_size`
-/// phits long), and neither is its decided output: that lives in the
-/// router holding the packet (`RouterState::decided_target`). The public
+/// the packet is not stored (see the module doc), and neither is its
+/// decided output: that lives in the router holding the packet
+/// (`RouterState::decided_target`). The public
 /// [`PacketHeader`] and [`WaitBreakdown`] are rebuilt from the record
 /// where a policy or a sink needs them ([`Self::header`], [`Self::waits`]).
 ///
@@ -163,7 +134,7 @@ pub enum RouteDep {
 }
 
 /// A routing decision for the current hop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Decision {
     /// Output port at the current router.
     pub out_port: Port,
@@ -176,18 +147,12 @@ pub struct Decision {
 
 impl Packet {
     /// Create a freshly generated packet.
-    pub fn new(
-        id: PacketSeq,
-        src: NodeId,
-        dst: NodeId,
-        gen_cycle: u32,
-        src_group: GroupId,
-    ) -> Self {
+    pub fn new(id: PacketSeq, src: NodeId, dst: NodeId, gen_cycle: u32) -> Self {
         Self {
             eligible_at: gen_cycle,
             gen_cycle,
             id,
-            route: RouteInfo::new(src_group),
+            route: RouteInfo::default(),
             src,
             dst,
             waits: Waits::default(),
@@ -196,11 +161,11 @@ impl Packet {
         }
     }
 
-    /// The packet's public header, for a packet of `size` phits.
+    /// The packet's public header.
     #[inline]
-    pub fn header(&self, size: u32) -> PacketHeader {
+    pub fn header(&self) -> PacketHeader {
         let gen_cycle = self.gen_cycle.into();
-        PacketHeader { id: self.id, src: self.src, dst: self.dst, size, gen_cycle }
+        PacketHeader { id: self.id, src: self.src, dst: self.dst, gen_cycle }
     }
 
     /// Queueing cycles so far.
@@ -249,11 +214,10 @@ mod tests {
 
     #[test]
     fn fresh_packet_state() {
-        let p = Packet::new(7, NodeId(0), NodeId(5), 100, GroupId(0));
-        let hdr = PacketHeader { id: 7, src: NodeId(0), dst: NodeId(5), size: 8, gen_cycle: 100 };
-        assert_eq!(p.header(8), hdr);
-        assert_eq!(p.route.phase, Phase::ToDestination);
-        assert!(!p.route.source_decided);
+        let p = Packet::new(7, NodeId(0), NodeId(5), 100);
+        let hdr = PacketHeader { id: 7, src: NodeId(0), dst: NodeId(5), gen_cycle: 100 };
+        assert_eq!(p.header(), hdr);
+        assert_eq!(p.route, RouteInfo::default());
         assert_eq!(p.waits().total(), 0);
         assert!(!p.escape_pending);
     }
@@ -261,7 +225,7 @@ mod tests {
     #[test]
     fn latency_identity_fields() {
         let rec = DeliveredRecord {
-            header: PacketHeader { id: 1, src: NodeId(0), dst: NodeId(9), size: 8, gen_cycle: 50 },
+            header: PacketHeader { id: 1, src: NodeId(0), dst: NodeId(9), gen_cycle: 50 },
             delivered_cycle: 400,
             traversal: 250,
             min_traversal: 130,

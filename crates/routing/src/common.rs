@@ -1,7 +1,7 @@
 //! Shared routing building blocks: minimal next-hop computation,
 //! hop-indexed VC selection, and Valiant intermediate bookkeeping.
 
-use df_engine::{Decision, EngineConfig, Phase, RouteInfo};
+use df_engine::{Decision, EngineConfig, RouteInfo};
 use df_topology::{NodeId, Port, PortKind, RouterId, Topology};
 
 /// VC widths copied out of the engine config (policies keep this instead
@@ -73,10 +73,10 @@ pub(crate) fn vc_for(params_kind: PortKind, info: &RouteInfo, plan: &VcPlan) -> 
         PortKind::Global => info.global_hops.min(plan.global - 1),
         PortKind::Local => {
             let stage = if plan.local >= 4 {
-                match (info.global_hops, info.phase) {
+                match (info.global_hops, info.intermediate) {
                     (0, _) => 0,
-                    (1, Phase::ToIntermediate) => 1,
-                    (1, Phase::ToDestination) => 2,
+                    (1, Some(_)) => 1,
+                    (1, None) => 2,
                     _ => 3,
                 }
             } else {
@@ -106,47 +106,29 @@ pub(crate) fn make_decision(
 }
 
 /// Per-hop book-keeping shared by all mechanisms, applied before any
-/// decision logic:
-/// * reset the per-group local-misroute flag when the packet enters a new
-///   group,
-/// * collapse `ToIntermediate` into `ToDestination` once the packet
-///   reaches its intermediate router (Valiant turn-around).
+/// decision logic: drop the intermediate once the packet reaches its
+/// router (Valiant turn-around), so the packet heads for its destination.
 pub(crate) fn normalize_route_state(
     topo: &Topology,
     me: RouterId,
     mut info: RouteInfo,
 ) -> RouteInfo {
-    let params = topo.params();
-    let here = me.group(params);
-    if info.last_group != here {
-        info.last_group = here;
-        info.local_misrouted = false;
-    }
-    if info.phase == Phase::ToIntermediate {
-        let inter = info.intermediate.expect("ToIntermediate phase requires an intermediate node");
-        if inter.router(params) == me {
-            info.phase = Phase::ToDestination;
-            info.intermediate = None;
-        }
+    if info.intermediate.is_some_and(|inter| inter.router(topo.params()) == me) {
+        info.intermediate = None;
     }
     info
 }
 
-/// The node the packet is currently steering towards (the intermediate
-/// while in the `ToIntermediate` phase, else the final destination).
+/// The node the packet is currently steering towards: its intermediate
+/// while it has one, else its final destination.
 pub(crate) fn current_target(dst: NodeId, info: &RouteInfo) -> NodeId {
-    match info.phase {
-        Phase::ToIntermediate => {
-            info.intermediate.expect("ToIntermediate phase requires an intermediate")
-        }
-        Phase::ToDestination => dst,
-    }
+    info.intermediate.unwrap_or(dst)
 }
 
 /// A representative node on the *entry router* of `group` as seen from
 /// `from_group`: the router at the far end of the single global link
-/// between the two groups. Valiant paths that target this node flip to
-/// the destination phase immediately on entering the group, producing
+/// between the two groups. Valiant paths that target this node drop the
+/// intermediate immediately on entering the group, producing
 /// the canonical `(l) g | l g l` shape.
 pub(crate) fn entry_node_of_group(
     topo: &Topology,
@@ -278,7 +260,7 @@ mod tests {
     #[test]
     fn vc_stages_three_vc_plan() {
         let plan = VcPlan { local: 3, global: 2 };
-        let mut info = RouteInfo::new(GroupId(0));
+        let mut info = RouteInfo::default();
         // Source group: local stage 0.
         assert_eq!(vc_for(PortKind::Local, &info, &plan), 0);
         // After one global hop: local stage 1 — the degenerate `g l`
@@ -295,10 +277,8 @@ mod tests {
 
     #[test]
     fn vc_stages_four_vc_plan_follow_valiant_shape() {
-        use df_engine::Phase;
         let plan = VcPlan { local: 4, global: 2 };
-        let mut info = RouteInfo::new(GroupId(0));
-        info.phase = Phase::ToIntermediate;
+        let mut info = RouteInfo { intermediate: Some(NodeId(30)), ..RouteInfo::default() };
         // Source group local.
         assert_eq!(vc_for(PortKind::Local, &info, &plan), 0);
         // Intermediate group, before turnaround.
@@ -306,7 +286,7 @@ mod tests {
         assert_eq!(vc_for(PortKind::Local, &info, &plan), 1);
         // Intermediate group, after turnaround (and minimal-mode packets
         // in their destination group).
-        info.phase = Phase::ToDestination;
+        info.intermediate = None;
         assert_eq!(vc_for(PortKind::Local, &info, &plan), 2);
         // Destination group after the second global hop.
         info.global_hops = 2;
@@ -317,7 +297,7 @@ mod tests {
     fn decision_advances_hop_counters() {
         let t = topo();
         let plan = VcPlan { local: 3, global: 2 };
-        let info = RouteInfo::new(GroupId(0));
+        let info = RouteInfo::default();
         let params = t.params();
         let d = make_decision(&t, params.global_port(0), info, &plan);
         assert_eq!(d.info.global_hops, 1);
@@ -333,34 +313,14 @@ mod tests {
         let t = topo();
         let params = t.params();
         let inter = NodeId(30);
-        let mut info = RouteInfo::new(GroupId(0));
-        info.phase = Phase::ToIntermediate;
-        info.intermediate = Some(inter);
+        let info = RouteInfo { intermediate: Some(inter), ..RouteInfo::default() };
         // Not yet at the intermediate router: unchanged.
         let other = RouterId(0);
         assert_ne!(inter.router(params), other);
-        let kept = normalize_route_state(&t, other, info);
-        assert_eq!(kept.phase, Phase::ToIntermediate);
-        // At the intermediate router: flips.
-        let flipped = normalize_route_state(&t, inter.router(params), info);
-        assert_eq!(flipped.phase, Phase::ToDestination);
-        assert!(flipped.intermediate.is_none());
-    }
-
-    #[test]
-    fn normalize_resets_local_misroute_on_group_change() {
-        let t = topo();
-        let mut info = RouteInfo::new(GroupId(0));
-        info.local_misrouted = true;
-        info.last_group = GroupId(0);
-        // Same group: flag kept.
-        let same = normalize_route_state(&t, RouterId(0), info);
-        assert!(same.local_misrouted);
-        // Router in group 1: flag cleared.
-        let a = t.params().a;
-        let moved = normalize_route_state(&t, RouterId(a), info);
-        assert!(!moved.local_misrouted);
-        assert_eq!(moved.last_group, GroupId(1));
+        assert_eq!(normalize_route_state(&t, other, info), info);
+        // At the intermediate router: the intermediate is dropped.
+        let turned = normalize_route_state(&t, inter.router(params), info);
+        assert!(turned.intermediate.is_none());
     }
 
     #[test]

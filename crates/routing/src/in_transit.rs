@@ -15,8 +15,8 @@
 //!   - **RRG** — any group (reached via the canonical exit, 1–2 hops);
 //!   - **MM**  — CRG at the source router, NRG (a group behind another
 //!     router of the source group) in transit.
-//! * Local misrouting (OLM) is allowed outside the source group when the
-//!   minimal next hop is local and congested, at most once per group.
+//! * Local misrouting (OLM) is allowed in the destination group only, when
+//!   the minimal next hop is local and congested, at most once per packet.
 //!
 //! Under ADVc + CRG/MM the bottleneck router's non-minimal global
 //! candidates *are* the congested minimal links of its neighbours — the
@@ -26,9 +26,7 @@ use crate::common::{
     current_target, entry_node_of_group, make_decision, minimal_out, normalize_route_state, vc_for,
     VcPlan,
 };
-use df_engine::{
-    Decision, EngineConfig, PacketHeader, Phase, RouteInfo, RouterState, RoutingPolicy,
-};
+use df_engine::{Decision, EngineConfig, PacketHeader, RouteInfo, RouterState, RoutingPolicy};
 use df_topology::{GroupId, NodeId, Port, PortKind, RouterId, Topology};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -243,7 +241,7 @@ impl RoutingPolicy for InTransit {
         // --- Global misroute (source group only, once per packet). ---
         let may_global = in_source_group
             && !info.global_misrouted
-            && info.phase == Phase::ToDestination
+            && info.intermediate.is_none()
             && hdr.dst.group(&params) != my_group;
 
         // --- Local misroute (OLM-style: destination group only, once,
@@ -255,7 +253,7 @@ impl RoutingPolicy for InTransit {
             && my_group == hdr.dst.group(&params)
             && !info.local_misrouted
             && min_kind == PortKind::Local
-            && info.phase == Phase::ToDestination;
+            && info.intermediate.is_none();
 
         if may_global {
             let escape = if self.policy == GlobalMisrouting::Lru {
@@ -266,7 +264,6 @@ impl RoutingPolicy for InTransit {
             };
             if let Some((cand_out, inter)) = escape {
                 info.global_misrouted = true;
-                info.phase = Phase::ToIntermediate;
                 info.intermediate = Some(inter);
                 return make_decision(&self.topo, cand_out, info, &self.plan);
             }

@@ -25,7 +25,7 @@
 
 use crate::common::{current_target, make_decision, minimal_out, normalize_route_state, VcPlan};
 use df_engine::{
-    CycleCtx, Decision, EngineConfig, PacketHeader, Phase, RouteInfo, RouterState, RoutingPolicy,
+    CycleCtx, Decision, EngineConfig, PacketHeader, RouteInfo, RouterState, RoutingPolicy,
 };
 use df_topology::{GroupId, NodeId, Port, PortKind, Topology};
 use rand::rngs::SmallRng;
@@ -261,14 +261,13 @@ impl RoutingPolicy for SourceRouting {
         let params = *self.topo.params();
         let me = router.id();
         let mut info = normalize_route_state(&self.topo, me, info);
-        if !info.source_decided {
-            debug_assert_eq!(params.port_kind(in_port), PortKind::Injection);
-            info.source_decided = true;
+        // A packet arrives on an injection port once, at its source
+        // router: the one visit that decides its path.
+        if params.port_kind(in_port) == PortKind::Injection {
             if let Some(flavor) = self.valiant(router, hdr) {
                 let inter = self.pick_intermediate(flavor, hdr.src);
                 if inter.router(&params) != me {
                     info.intermediate = Some(inter);
-                    info.phase = Phase::ToIntermediate;
                 }
             }
         }

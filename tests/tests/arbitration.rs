@@ -109,8 +109,8 @@ fn lru_escape_rotates_candidates_deterministically() {
     // the same head re-decided h+2 times must walk the global ports in
     // index order, wrapping around.
     let mut lru = MechanismSpec::InTransitLru.build(topo, &cfg, 5);
-    let hdr = PacketHeader { id: 0, src: NodeId(0), dst, size: 8, gen_cycle: 0 };
-    let info = RouteInfo::new(GroupId(0));
+    let hdr = PacketHeader { id: 0, src: NodeId(0), dst, gen_cycle: 0 };
+    let info = RouteInfo::default();
     let in_port = params.injection_port(0);
     for probe in 0..(params.h + 2) {
         let d = lru.route(net.router(me), in_port, hdr, info);

@@ -100,7 +100,7 @@ fn steady_state_reuses_slots_without_growth() {
 }
 
 fn probe_packet(seq: u64) -> Packet {
-    Packet::new(seq, NodeId(0), NodeId(1), seq as u32 * 10, GroupId(0))
+    Packet::new(seq, NodeId(0), NodeId(1), seq as u32 * 10)
 }
 
 #[test]
@@ -115,7 +115,7 @@ fn one_record_holds_decision_and_accounting() {
     // Insertion keeps the packet as built.
     assert_eq!(arena.get(a).eligible_at, 10);
     assert_eq!(arena.get(b).eligible_at, 20);
-    let fresh = RouteInfo::new(GroupId(0));
+    let fresh = RouteInfo::default();
     assert_eq!(arena.get(a).route, fresh);
     // Writes on one slot must not bleed into the neighbour.
     arena.get_mut(a).eligible_at = 555;
@@ -132,10 +132,9 @@ fn one_record_holds_decision_and_accounting() {
     assert_eq!(copy.eligible_at, 555);
     assert_eq!(copy.traversal, 7);
     assert_eq!(copy.route.global_hops, 1);
-    // The public header is rebuilt from the record at a given size.
-    let hdr = copy.header(8);
-    let expect = PacketHeader { id: 1, src: NodeId(0), dst: NodeId(1), size: 8, gen_cycle: 10 };
-    assert_eq!(hdr, expect);
+    // The public header is rebuilt from the record.
+    let expect = PacketHeader { id: 1, src: NodeId(0), dst: NodeId(1), gen_cycle: 10 };
+    assert_eq!(copy.header(), expect);
 }
 
 #[test]
@@ -165,7 +164,7 @@ fn intrusive_free_list_reuses_lifo_without_growth() {
     // Reused slots carry the fresh packet, not stale state.
     assert_eq!(arena.get(ids[3]).id, 12);
     assert_eq!(arena.get(ids[3]).eligible_at, 120);
-    assert_eq!(arena.get(ids[3]).route, RouteInfo::new(GroupId(0)));
+    assert_eq!(arena.get(ids[3]).route, RouteInfo::default());
 }
 
 #[test]

@@ -332,11 +332,11 @@ const FAMILY_ALPHA: f64 = 1e-6;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    // Each generator draws from its stated law
-    // (`JobTraffic::for_each_dest`): the counts of `DRAWS` destinations
-    // per source node pass Pearson's χ² test against the law, at a
-    // per-test α of `FAMILY_ALPHA / 63`, and a draw outside the law's
-    // support fails outright.
+    /// Each generator draws from its stated law
+    /// (`JobTraffic::for_each_dest`): the counts of `DRAWS` destinations
+    /// per source node pass Pearson's χ² test against the law, at a
+    /// per-test α of `FAMILY_ALPHA / 63`, and a draw outside the law's
+    /// support fails outright.
     #[test]
     fn generators_draw_from_their_stated_laws(seed in any::<u64>()) {
         let params = DragonflyParams::figure1();
