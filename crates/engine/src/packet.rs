@@ -79,9 +79,9 @@ impl WaitBreakdown {
 /// [`crate::EngineConfig::validate`] keep within `u32::MAX`. The size of
 /// the packet is not stored (see the module doc), and neither is its
 /// decided output: that lives in the router holding the packet
-/// (`RouterState::decided_target`). The public
-/// [`PacketHeader`] and [`WaitBreakdown`] are rebuilt from the record
-/// where a policy or a sink needs them ([`Self::header`], [`Self::waits`]).
+/// (`RouterState::decided_target`). The public [`PacketHeader`] and
+/// [`WaitBreakdown`] are rebuilt from the record where a policy or a sink
+/// needs them ([`Self::header`], [`Self::waits`]).
 ///
 /// `repr(C)` pins the field order, so the offsets the arena asserts hold.
 #[derive(Debug, Clone, Copy)]
